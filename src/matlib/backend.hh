@@ -84,6 +84,13 @@ class Backend
     const fx::Counters &fxCounters() const { return fxCounters_; }
     void resetFxCounters() { fxCounters_ = fx::Counters(); }
 
+    /**
+     * Quantized matrix operands of the fx kernels. Self-validating: a
+     * refreshed matrix, a new scaling or a new format re-quantizes on
+     * the next call without any invalidation by the caller.
+     */
+    const fx::OperandCache &fxCache() const { return fxCache_; }
+
     // --- operations (see ref:: for semantics) ---
     virtual void gemv(Mat y, const Mat &a, Mat x, float alpha = 1.0f,
                       float beta = 0.0f) = 0;
@@ -134,8 +141,8 @@ class Backend
         } else if (fmt_ == NumericFormat::F32) {
             ref::gemvSaxpby(y, a, x, alpha, beta, sa, sb, b);
         } else {
-            fx::gemvSaxpby(fmt_, scaling_, fxCounters_, y, a, x, alpha,
-                           beta, sa, sb, b);
+            fx::gemvSaxpby(fmt_, scaling_, fxCounters_, fxCache_, y, a, x,
+                           alpha, beta, sa, sb, b);
         }
     }
 
@@ -173,7 +180,8 @@ class Backend
         if (fmt_ == NumericFormat::F32)
             ref::gemv(y, a, x, alpha, beta);
         else
-            fx::gemv(fmt_, scaling_, fxCounters_, y, a, x, alpha, beta);
+            fx::gemv(fmt_, scaling_, fxCounters_, fxCache_, y, a, x, alpha,
+                     beta);
     }
 
     void
@@ -182,7 +190,8 @@ class Backend
         if (fmt_ == NumericFormat::F32)
             ref::gemvT(y, a, x, alpha, beta);
         else
-            fx::gemvT(fmt_, scaling_, fxCounters_, y, a, x, alpha, beta);
+            fx::gemvT(fmt_, scaling_, fxCounters_, fxCache_, y, a, x,
+                      alpha, beta);
     }
 
     void
@@ -198,6 +207,7 @@ class Backend
     NumericFormat fmt_ = NumericFormat::F32;
     fx::Scaling scaling_;
     fx::Counters fxCounters_;
+    fx::OperandCache fxCache_; ///< quantized gemv/gemvT matrices
 };
 
 } // namespace rtoc::matlib

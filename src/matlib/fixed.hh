@@ -20,6 +20,13 @@
  * Saturation events are counted per backend (quantizer clamps and
  * accumulator clamps separately) — the telemetry the precision Pareto
  * bench reports next to divergence rates.
+ *
+ * Each operand is quantized once: the vector operand once per call
+ * (its clamps counted once per output row, as if re-quantized for
+ * every dot product), the matrix operand once per content change via
+ * the backend's OperandCache (its clamps replayed on every hit). The
+ * values and both counters are exactly those of quantizing every
+ * operand at every MAC.
  */
 
 #ifndef RTOC_MATLIB_FIXED_HH
@@ -27,6 +34,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "matlib/mat.hh"
 
@@ -110,22 +118,92 @@ struct Counters
     uint64_t accSats = 0;   ///< saturating-accumulator clamps
 };
 
+/**
+ * Quantized copies of the matrix operands of gemv/gemvT. The solver's
+ * gain and dynamics matrices change only at a model refresh, so their
+ * grid values are computed once and reused on every tick.
+ *
+ * Every lookup validates the entry against a bitwise snapshot of the
+ * operand and against the format and fraction bits it was quantized
+ * for, so no caller has to invalidate anything: an in-place refresh
+ * (Workspace::refreshModel), a new Scaling or a new format
+ * re-quantizes on the next call, and a stale copy is never served.
+ * The entry also keeps the number of quantizer clamps its pass cost,
+ * which the kernels add to Counters::quantSats on every use.
+ *
+ * The cache also owns the per-call scratch of the vector operand, so
+ * the kernels never allocate once warm.
+ */
+class OperandCache
+{
+  public:
+    /**
+     * One matrix operand on one grid, stored with one contiguous row
+     * per output element: the rows of A, or its columns for gemvT.
+     */
+    struct Entry
+    {
+        const float *src = nullptr; ///< operand storage it was read from
+        int rows = 0;               ///< operand shape
+        int cols = 0;
+        bool transposed = false;    ///< laid out for gemvT
+        NumericFormat fmt = NumericFormat::F32;
+        int frac = 0;               ///< grid fraction bits (I16/I32)
+        std::vector<float> snapshot; ///< operand bits when quantized
+        std::vector<int32_t> fixed;  ///< grid values (I16/I32)
+        std::vector<float> bf16;     ///< rounded values (BF16)
+        uint64_t sats = 0;           ///< quantizer clamps of one pass
+    };
+
+    /**
+     * The entry for @p a on the (@p f, @p frac) grid, laid out for
+     * gemvT when @p transposed. Re-quantized when anything changed.
+     */
+    const Entry &lookup(NumericFormat f, const Mat &a, int frac,
+                        bool transposed);
+
+    /** Number of (re-)quantizations performed by lookup(). */
+    uint64_t fills() const { return fills_; }
+
+    /** Per-call scratch for the vector operand and an aliased row, of
+     *  at least @p n elements. */
+    int32_t *fixedScratch(int n);
+    float *bf16Scratch(int n);
+
+  private:
+    /** Distinct operands kept; the solver uses eight. */
+    static constexpr size_t kCapacity = 16;
+
+    std::vector<Entry> entries_;
+    size_t nextEvict_ = 0;
+    uint64_t fills_ = 0;
+    std::vector<int32_t> fixedScratch_;
+    std::vector<float> bf16Scratch_;
+};
+
 /** y = alpha * A x + beta * y on the @p f datapath. */
-void gemv(NumericFormat f, const Scaling &s, Counters &c, Mat y,
-          const Mat &a, Mat x, float alpha, float beta);
+void gemv(NumericFormat f, const Scaling &s, Counters &c,
+          OperandCache &cache, Mat y, const Mat &a, Mat x, float alpha,
+          float beta);
 
 /** y = alpha * A^T x + beta * y on the @p f datapath. */
-void gemvT(NumericFormat f, const Scaling &s, Counters &c, Mat y,
-           const Mat &a, Mat x, float alpha, float beta);
+void gemvT(NumericFormat f, const Scaling &s, Counters &c,
+           OperandCache &cache, Mat y, const Mat &a, Mat x, float alpha,
+           float beta);
 
 /** out = sa * a + sb * b on the @p f datapath. */
 void saxpby(NumericFormat f, const Scaling &s, Counters &c, Mat out,
             float sa, const Mat &a, float sb, const Mat &b);
 
-/** Fused gemv -> saxpby pair (the solver's pass shape). */
-void gemvSaxpby(NumericFormat f, const Scaling &s, Counters &c, Mat y,
-                const Mat &a, Mat x, float alpha, float beta, float sa,
-                float sb, const Mat &b);
+/**
+ * Fused gemv -> saxpby pair (the solver's pass shape): one pass over
+ * the rows, bit-identical to gemv followed by saxpby(y, sa, y, sb, b).
+ * Falls back to that exact two-call sequence when y overlaps an input.
+ */
+void gemvSaxpby(NumericFormat f, const Scaling &s, Counters &c,
+                OperandCache &cache, Mat y, const Mat &a, Mat x,
+                float alpha, float beta, float sa, float sb,
+                const Mat &b);
 
 } // namespace fx
 

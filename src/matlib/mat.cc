@@ -1,7 +1,5 @@
 #include "mat.hh"
 
-#include <cstdint>
-
 namespace rtoc::matlib::ref {
 
 /*
@@ -22,20 +20,6 @@ namespace rtoc::matlib::ref {
  * is the referee). Aliased calls (e.g. saxpby(u, 1, u, -1, d)) fall
  * back to the reference loop, whose in-order semantics they rely on.
  */
-
-namespace {
-
-/** True when [p, p+n) and [q, q+m) do not overlap. */
-inline bool
-disjoint(const float *p, int n, const float *q, int m)
-{
-    auto pb = reinterpret_cast<uintptr_t>(p);
-    auto qb = reinterpret_cast<uintptr_t>(q);
-    return pb + static_cast<uintptr_t>(n) * sizeof(float) <= qb ||
-           qb + static_cast<uintptr_t>(m) * sizeof(float) <= pb;
-}
-
-} // namespace
 
 void
 gemv(Mat y, const Mat &a, Mat x, float alpha, float beta)

@@ -17,10 +17,21 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "common/logging.hh"
 
 namespace rtoc::matlib {
+
+/** True when [p, p+n) and [q, q+m) do not overlap. */
+inline bool
+disjoint(const float *p, int n, const float *q, int m)
+{
+    auto pb = reinterpret_cast<uintptr_t>(p);
+    auto qb = reinterpret_cast<uintptr_t>(q);
+    return pb + static_cast<uintptr_t>(n) * sizeof(float) <= qb ||
+           qb + static_cast<uintptr_t>(m) * sizeof(float) <= pb;
+}
 
 /** Non-owning row-major float32 matrix view. */
 struct Mat

@@ -2,7 +2,10 @@
  * @file
  * Numeric-format axis tests: fixed-point kernels stay within the
  * error bounds their Q-format schedules imply, saturation telemetry
- * fires on engineered overflow, the float32 path is bit-identical
+ * fires on engineered overflow, the quantize-once kernels reproduce
+ * the per-MAC reference bit for bit (counters included) and their
+ * operand cache never serves a stale matrix, narrow-format episodes
+ * reproduce pinned results, the float32 path is bit-identical
  * whether the format is defaulted or set explicitly, narrow streams
  * survive schedule search and batched replay bit-exactly, formats
  * round-trip through the program codec / disk cache under distinct
@@ -10,8 +13,13 @@
  * single-format default.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -117,7 +125,9 @@ TEST(FxKernels, GemvWithinDerivedBound)
         fx::Scaling s = fx::Scaling::forRanges(f, 1.0, 1.0,
                                                static_cast<double>(n));
         fx::Counters c;
-        fx::gemv(f, s, c, y.view(), a.view(), x.view(), 1.0f, 0.5f);
+        fx::OperandCache cache;
+        fx::gemv(f, s, c, cache, y.view(), a.view(), x.view(), 1.0f,
+                 0.5f);
         matlib::ref::gemv(y_ref.view(), a.view(), x.view(), 1.0f, 0.5f);
 
         EXPECT_EQ(c.quantSats, 0u) << matlib::formatName(f);
@@ -146,8 +156,9 @@ TEST(FxKernels, GemvTAndSaxpbyWithinDerivedBound)
     fx::Scaling s = fx::Scaling::forRanges(NumericFormat::I16, 1.0, 1.0,
                                            static_cast<double>(n));
     fx::Counters c;
-    fx::gemvT(NumericFormat::I16, s, c, y.view(), a.view(), x.view(),
-              0.7f, 1.0f);
+    fx::OperandCache cache;
+    fx::gemvT(NumericFormat::I16, s, c, cache, y.view(), a.view(),
+              x.view(), 0.7f, 1.0f);
     matlib::ref::gemvT(y_ref.view(), a.view(), x.view(), 0.7f, 1.0f);
     EXPECT_EQ(c.accSats, 0u);
     double bound = gemvErrorBound(s.gemvT, n, 1.0, 1.0, 0.7, 1.0);
@@ -173,8 +184,9 @@ TEST(FxKernels, Bf16TracksFloatAtHalfMantissa)
     TestMat y_ref = y;
     fx::Scaling s; // unused by bf16
     fx::Counters c;
-    fx::gemv(NumericFormat::BF16, s, c, y.view(), a.view(), x.view(),
-             1.0f, 0.0f);
+    fx::OperandCache cache;
+    fx::gemv(NumericFormat::BF16, s, c, cache, y.view(), a.view(),
+             x.view(), 1.0f, 0.0f);
     matlib::ref::gemv(y_ref.view(), a.view(), x.view(), 1.0f, 0.0f);
     EXPECT_EQ(c.quantSats + c.accSats, 0u); // bf16 never saturates
     // 8-bit mantissa: relative 2^-8 per operand through an n-term dot.
@@ -193,8 +205,9 @@ TEST(FxKernels, SaturationCountersFireOnEngineeredOverflow)
     fx::Scaling s = fx::Scaling::forRanges(NumericFormat::I16, 1.0, 1.0,
                                            static_cast<double>(n));
     fx::Counters c;
-    fx::gemv(NumericFormat::I16, s, c, y.view(), a.view(), x.view(),
-             1.0f, 0.0f);
+    fx::OperandCache cache;
+    fx::gemv(NumericFormat::I16, s, c, cache, y.view(), a.view(),
+             x.view(), 1.0f, 0.0f);
     EXPECT_GT(c.quantSats, 0u);
     for (int i = 0; i < n; ++i)
         EXPECT_TRUE(std::isfinite(y.view()[i])) << i; // clamped, not NaN
@@ -209,9 +222,919 @@ TEST(FxKernels, SaturationCountersFireOnEngineeredOverflow)
     fx::Scaling tight =
         fx::Scaling::forRanges(NumericFormat::I16, 1.0, 1.0, 1.0);
     fx::Counters c2;
-    fx::gemv(NumericFormat::I16, tight, c2, yp.view(),
+    fx::gemv(NumericFormat::I16, tight, c2, cache, yp.view(),
              Mat(ap.data.data(), 1, 64), xp.view(), 1.0f, 0.0f);
     EXPECT_GT(c2.accSats, 0u);
+}
+
+// --- quantize-once datapath vs the per-MAC oracle ---
+
+/**
+ * Verbatim copy of the per-MAC fixed-point kernels the quantize-once
+ * datapath replaced: both operands are re-quantized through double
+ * ldexp/llround at every MAC, and the fused pair runs as two calls.
+ * The production kernels must match it bit for bit, counters included,
+ * wherever it is well defined. It is not for left-shift schedules
+ * (outFrac > aFrac + xFrac) or for an int64 accumulator saturated at
+ * INT64_MIN/MAX, where its shifts overflow; those cases have their own
+ * tests below.
+ */
+namespace oracle {
+
+using fx::Counters;
+using fx::KernelSpec;
+using fx::Scaling;
+using fx::toBf16;
+
+int
+magnitudeBits(NumericFormat f)
+{
+    return f == NumericFormat::I16 ? 15 : 31;
+}
+
+int64_t
+quantizeSat(NumericFormat f, float v, int frac, uint64_t &sat_count)
+{
+    const int64_t lim = (int64_t{1} << magnitudeBits(f)) - 1;
+    double scaled = static_cast<double>(v) * std::ldexp(1.0, frac);
+    if (!std::isfinite(scaled)) {
+        ++sat_count;
+        return scaled > 0 ? lim : -lim - 1;
+    }
+    if (scaled >= static_cast<double>(lim)) {
+        if (scaled > static_cast<double>(lim))
+            ++sat_count;
+        return lim;
+    }
+    if (scaled <= static_cast<double>(-lim - 1)) {
+        if (scaled < static_cast<double>(-lim - 1))
+            ++sat_count;
+        return -lim - 1;
+    }
+    return std::llround(scaled);
+}
+
+float
+dequantize(int64_t q, int frac)
+{
+    return static_cast<float>(std::ldexp(static_cast<double>(q), -frac));
+}
+
+int64_t
+accAddSat(NumericFormat f, int64_t acc, int64_t prod, uint64_t &sat_count)
+{
+    if (f == NumericFormat::I16) {
+        const int64_t lim = INT32_MAX;
+        int64_t sum = acc + prod;
+        if (sum > lim) {
+            ++sat_count;
+            return lim;
+        }
+        if (sum < -lim - 1) {
+            ++sat_count;
+            return -lim - 1;
+        }
+        return sum;
+    }
+    int64_t sum;
+    if (__builtin_add_overflow(acc, prod, &sum)) {
+        ++sat_count;
+        return acc > 0 ? INT64_MAX : INT64_MIN;
+    }
+    return sum;
+}
+
+int64_t
+shiftRoundSat(NumericFormat f, int64_t acc, int shift, uint64_t &sat_count)
+{
+    int64_t v = acc;
+    if (shift > 0) {
+        const int64_t half = int64_t{1} << (shift - 1);
+        // Round half away from zero, matching llround in the quantizer.
+        v = v >= 0 ? (v + half) >> shift : -((-v + half) >> shift);
+    } else if (shift < 0) {
+        v <<= -shift;
+    }
+    const int64_t lim = (int64_t{1} << magnitudeBits(f)) - 1;
+    if (v > lim) {
+        ++sat_count;
+        return lim;
+    }
+    if (v < -lim - 1) {
+        ++sat_count;
+        return -lim - 1;
+    }
+    return v;
+}
+
+float
+fxDot(NumericFormat f, const KernelSpec &s, Counters &c, const Mat &a,
+      int row, Mat x, bool transposed)
+{
+    const int n = x.cols;
+    int64_t acc = 0;
+    for (int j = 0; j < n; ++j) {
+        float av = transposed ? a.at(j, row) : a.at(row, j);
+        int64_t qa = quantizeSat(f, av, s.aFrac, c.quantSats);
+        int64_t qx = quantizeSat(f, x[j], s.xFrac, c.quantSats);
+        acc = accAddSat(f, acc, qa * qx, c.accSats);
+    }
+    int64_t q = shiftRoundSat(f, acc, s.aFrac + s.xFrac - s.outFrac,
+                              c.accSats);
+    return dequantize(q, s.outFrac);
+}
+
+float
+fxStore(NumericFormat f, const KernelSpec &s, Counters &c, float v)
+{
+    return dequantize(quantizeSat(f, v, s.outFrac, c.quantSats),
+                      s.outFrac);
+}
+
+float
+bfDot(const Mat &a, int row, Mat x, bool transposed)
+{
+    const int n = x.cols;
+    float acc = 0.0f;
+    for (int j = 0; j < n; ++j) {
+        float av = transposed ? a.at(j, row) : a.at(row, j);
+        acc += toBf16(av) * toBf16(x[j]);
+    }
+    return acc;
+}
+
+void
+gemvAny(NumericFormat f, const Scaling &sc, Counters &c, Mat y,
+        const Mat &a, Mat x, float alpha, float beta, bool transposed)
+{
+    const KernelSpec &s = transposed ? sc.gemvT : sc.gemv;
+    const int m = y.cols;
+    for (int i = 0; i < m; ++i) {
+        if (f == NumericFormat::BF16) {
+            float dot = bfDot(a, i, x, transposed);
+            y[i] = toBf16(alpha * dot + beta * toBf16(y[i]));
+        } else {
+            float dot = fxDot(f, s, c, a, i, x, transposed);
+            y[i] = fxStore(f, s, c, alpha * dot + beta * y[i]);
+        }
+    }
+}
+
+void
+saxpby(NumericFormat f, const Scaling &s, Counters &c, Mat out, float sa,
+       const Mat &a, float sb, const Mat &b)
+{
+    const int n = out.size();
+    Mat af(a.data, 1, n), bf(b.data, 1, n), of(out.data, 1, n);
+    for (int i = 0; i < n; ++i) {
+        if (f == NumericFormat::BF16) {
+            of[i] = toBf16(sa * toBf16(af[i]) + sb * toBf16(bf[i]));
+        } else {
+            float av = dequantize(
+                quantizeSat(f, af[i], s.saxpby.aFrac, c.quantSats),
+                s.saxpby.aFrac);
+            float bv = dequantize(
+                quantizeSat(f, bf[i], s.saxpby.xFrac, c.quantSats),
+                s.saxpby.xFrac);
+            of[i] = fxStore(f, s.saxpby, c, sa * av + sb * bv);
+        }
+    }
+}
+
+void
+gemvSaxpby(NumericFormat f, const Scaling &s, Counters &c, Mat y,
+           const Mat &a, Mat x, float alpha, float beta, float sa,
+           float sb, const Mat &b)
+{
+    oracle::gemvAny(f, s, c, y, a, x, alpha, beta, false);
+    oracle::saxpby(f, s, c, y, sa, y, sb, b);
+}
+
+} // namespace oracle
+
+enum class Kernel { Gemv, GemvT, Saxpby, GemvSaxpby };
+
+const char *
+kernelName(Kernel k)
+{
+    switch (k) {
+      case Kernel::Gemv: return "gemv";
+      case Kernel::GemvT: return "gemvT";
+      case Kernel::Saxpby: return "saxpby";
+      case Kernel::GemvSaxpby: return "gemvSaxpby";
+    }
+    return "?";
+}
+
+/**
+ * One fx kernel call with every operand in one buffer, so tests can
+ * lay operands out disjoint or overlapping. A is rows x cols (saxpby
+ * uses vectors of length cols as a, b and the output).
+ */
+struct FxCall
+{
+    Kernel kernel = Kernel::Gemv;
+    NumericFormat fmt = NumericFormat::I16;
+    fx::Scaling scaling;
+    int rows = 1;
+    int cols = 1;
+    float alpha = 1.0f, beta = 0.0f, sa = 1.0f, sb = 1.0f;
+    std::vector<float> mem;
+    size_t aOff = 0, xOff = 0, yOff = 0, bOff = 0;
+
+    bool saxpbyOnly() const { return kernel == Kernel::Saxpby; }
+    int aLen() const { return saxpbyOnly() ? cols : rows * cols; }
+    int xLen() const
+    {
+        return saxpbyOnly() ? 0 : (kernel == Kernel::GemvT ? rows : cols);
+    }
+    int yLen() const
+    {
+        return kernel == Kernel::GemvT || saxpbyOnly() ? cols : rows;
+    }
+
+    Mat aMat(float *base) const
+    {
+        return saxpbyOnly() ? Mat(base + aOff, 1, cols)
+                            : Mat(base + aOff, rows, cols);
+    }
+    Mat xMat(float *base) const { return {base + xOff, 1, xLen()}; }
+    Mat yMat(float *base) const { return {base + yOff, 1, yLen()}; }
+    Mat bMat(float *base) const { return {base + bOff, 1, yLen()}; }
+
+    /** The kernel's grid schedule (gemvSaxpby's gemv half). */
+    const fx::KernelSpec &spec() const
+    {
+        return kernel == Kernel::GemvT ? scaling.gemvT : scaling.gemv;
+    }
+};
+
+/** A call with a, x, y and b laid out back to back (all zero). */
+FxCall
+disjointCall(Kernel k, NumericFormat f, const fx::Scaling &s, int rows,
+             int cols)
+{
+    FxCall c;
+    c.kernel = k;
+    c.fmt = f;
+    c.scaling = s;
+    c.rows = rows;
+    c.cols = cols;
+    c.aOff = 0;
+    c.xOff = c.aOff + static_cast<size_t>(c.aLen());
+    c.yOff = c.xOff + static_cast<size_t>(c.xLen());
+    c.bOff = c.yOff + static_cast<size_t>(c.yLen());
+    c.mem.assign(c.bOff + static_cast<size_t>(c.yLen()), 0.0f);
+    return c;
+}
+
+/** Buffer and counters after each of two back-to-back calls. */
+struct FxRun
+{
+    std::vector<std::vector<float>> mem;
+    std::vector<fx::Counters> counters;
+};
+
+/**
+ * Run @p k twice in a row (the second call sees the first's output as
+ * y), on the oracle or on the production kernels with one cache — so
+ * the second production call is a cache hit.
+ */
+FxRun
+runTwice(const FxCall &k, bool use_oracle)
+{
+    std::vector<float> mem = k.mem;
+    float *base = mem.data();
+    Mat a = k.aMat(base), x = k.xMat(base), y = k.yMat(base),
+        b = k.bMat(base);
+    fx::Counters c;
+    fx::OperandCache cache;
+    FxRun run;
+    for (int rep = 0; rep < 2; ++rep) {
+        switch (k.kernel) {
+          case Kernel::Gemv:
+            if (use_oracle)
+                oracle::gemvAny(k.fmt, k.scaling, c, y, a, x, k.alpha,
+                                k.beta, false);
+            else
+                fx::gemv(k.fmt, k.scaling, c, cache, y, a, x, k.alpha,
+                         k.beta);
+            break;
+          case Kernel::GemvT:
+            if (use_oracle)
+                oracle::gemvAny(k.fmt, k.scaling, c, y, a, x, k.alpha,
+                                k.beta, true);
+            else
+                fx::gemvT(k.fmt, k.scaling, c, cache, y, a, x, k.alpha,
+                          k.beta);
+            break;
+          case Kernel::Saxpby:
+            if (use_oracle)
+                oracle::saxpby(k.fmt, k.scaling, c, y, k.sa, a, k.sb, b);
+            else
+                fx::saxpby(k.fmt, k.scaling, c, y, k.sa, a, k.sb, b);
+            break;
+          case Kernel::GemvSaxpby:
+            if (use_oracle)
+                oracle::gemvSaxpby(k.fmt, k.scaling, c, y, a, x, k.alpha,
+                                   k.beta, k.sa, k.sb, b);
+            else
+                fx::gemvSaxpby(k.fmt, k.scaling, c, cache, y, a, x,
+                               k.alpha, k.beta, k.sa, k.sb, b);
+            break;
+        }
+        run.mem.push_back(mem);
+        run.counters.push_back(c);
+    }
+    return run;
+}
+
+/**
+ * Bitwise equality, signed zeros included. NaNs compare equal to each
+ * other: C++ leaves NaN signs and payloads unspecified, and the
+ * compiler may commute the operands of an add or multiply, so which
+ * of two NaN operands propagates is not a property of the source.
+ */
+bool
+sameBits(const std::vector<float> &got, const std::vector<float> &want)
+{
+    if (got.size() != want.size())
+        return false;
+    for (size_t i = 0; i < want.size(); ++i) {
+        if (std::isnan(got[i]) && std::isnan(want[i]))
+            continue;
+        if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Whether the oracle is well defined on @p k: a non-negative shift and,
+ * on i32, an int64 accumulator that provably never saturates (every
+ * product at most the clamped operand magnitudes).
+ */
+bool
+oracleDefined(const FxCall &k)
+{
+    if (k.fmt == NumericFormat::BF16)
+        return true;
+    const fx::KernelSpec &s = k.spec();
+    if (s.outFrac > s.aFrac + s.xFrac)
+        return false;
+    if (k.fmt != NumericFormat::I32 || k.saxpbyOnly())
+        return true;
+    auto q_max = [&](size_t off, int len, int frac) {
+        double m = 0.0;
+        for (int i = 0; i < len; ++i) {
+            const float v = k.mem[off + static_cast<size_t>(i)];
+            const double q = std::isfinite(v)
+                                 ? std::fabs(std::ldexp(double(v), frac))
+                                 : 0x1p31;
+            m = std::max(m, std::min(q, 0x1p31));
+        }
+        return m;
+    };
+    const int inner = k.kernel == Kernel::GemvT ? k.rows : k.cols;
+    return inner * q_max(k.aOff, k.aLen(), s.aFrac) *
+               q_max(k.xOff, k.xLen(), s.xFrac) <
+           0x1p62;
+}
+
+/**
+ * Expect the production kernels to reproduce the oracle on @p k: every
+ * buffer bit (see sameBits) and both
+ * counters, after each of two calls. Returns false (checking nothing)
+ * where the oracle is undefined.
+ */
+bool
+expectMatchesOracle(const FxCall &k, const std::string &what)
+{
+    if (!oracleDefined(k))
+        return false;
+    const FxRun want = runTwice(k, true);
+    const FxRun got = runTwice(k, false);
+    const std::string tag = what + " " + kernelName(k.kernel) + " " +
+                            matlib::formatName(k.fmt);
+    for (size_t r = 0; r < want.mem.size(); ++r) {
+        EXPECT_TRUE(sameBits(got.mem[r], want.mem[r]))
+            << tag << " call " << r;
+        EXPECT_EQ(got.counters[r].quantSats, want.counters[r].quantSats)
+            << tag << " call " << r;
+        EXPECT_EQ(got.counters[r].accSats, want.counters[r].accSats)
+            << tag << " call " << r;
+    }
+    return true;
+}
+
+/** Schedules that leave the operands unclamped, saturate the
+ *  accumulator/output, and clamp unit-scale operands. */
+std::vector<fx::Scaling>
+oracleScalings(NumericFormat f, int inner)
+{
+    if (f == NumericFormat::BF16)
+        return {fx::Scaling()};
+    return {fx::Scaling::forRanges(f, 4.0, 4.0, 4.0 * inner),
+            fx::Scaling::forRanges(f, 4.0, 4.0, 0.5),
+            fx::Scaling::forRanges(f, 0.25, 0.25, 2.0)};
+}
+
+struct Scalars
+{
+    float alpha, beta, sa, sb;
+};
+
+constexpr Scalars kScalars[] = {
+    {1.0f, 0.0f, 1.0f, -1.0f},
+    {-1.0f, 1.0f, 1.0f, 1.0f},
+    {0.7f, -0.3f, -5.3f, 5.3f},
+};
+
+constexpr NumericFormat kNarrow[] = {NumericFormat::I16,
+                                     NumericFormat::I32,
+                                     NumericFormat::BF16};
+
+constexpr Kernel kKernels[] = {Kernel::Gemv, Kernel::GemvT,
+                               Kernel::Saxpby, Kernel::GemvSaxpby};
+
+TEST(FxOracle, RandomShapesMatchPerMacKernelsBitForBit)
+{
+    // Every registry (nx, nu) shape and the wide nx=100 one: the
+    // solver's nx x nx, nu x nx, nx x nu and nu x nu operands.
+    std::vector<std::pair<int, int>> shapes;
+    for (auto [nx, nu] : std::vector<std::pair<int, int>>{
+             {12, 4}, {6, 3}, {5, 2}, {4, 1}, {100, 4}}) {
+        shapes.insert(shapes.end(),
+                      {{nx, nx}, {nu, nx}, {nx, nu}, {nu, nu}});
+    }
+    Rng shape_rng(2024);
+    for (int i = 0; i < 8; ++i) {
+        shapes.emplace_back(1 + static_cast<int>(shape_rng.next() % 20),
+                            1 + static_cast<int>(shape_rng.next() % 20));
+    }
+
+    Rng rng(99);
+    std::map<NumericFormat, int> compared;
+    for (NumericFormat f : kNarrow) {
+        for (auto [rows, cols] : shapes) {
+            for (const fx::Scaling &s : oracleScalings(f, rows + cols)) {
+                for (float scale : {1.0f, 3.0f}) {
+                    for (const Scalars &sc : kScalars) {
+                        for (Kernel k : kKernels) {
+                            FxCall c = disjointCall(k, f, s, rows, cols);
+                            for (float &v : c.mem) {
+                                v = scale * static_cast<float>(
+                                                rng.uniform(-1.0, 1.0));
+                            }
+                            c.alpha = sc.alpha;
+                            c.beta = sc.beta;
+                            c.sa = sc.sa;
+                            c.sb = sc.sb;
+                            std::string what =
+                                std::to_string(rows) + "x" +
+                                std::to_string(cols);
+                            compared[f] += expectMatchesOracle(c, what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The i32 overflow guard must leave most of the sweep compared.
+    for (NumericFormat f : kNarrow)
+        EXPECT_GT(compared[f], 500) << matlib::formatName(f);
+}
+
+TEST(FxOracle, EngineeredOperandsMatchPerMacKernels)
+{
+    for (NumericFormat f : kNarrow) {
+        const fx::Scaling s = fx::Scaling::forRanges(f, 1.0, 1.0, 8.0);
+        const int frac = s.gemv.aFrac;
+        const double lim = f == NumericFormat::I16 ? 32767.0
+                                                   : 2147483647.0;
+        auto grid = [&](double q) {
+            return static_cast<float>(std::ldexp(q, -frac));
+        };
+        // Exact element bounds (in range, not counted) and one step
+        // past them (clamped, counted), .5 ties of both signs, signed
+        // zeros, subnormals, NaN and the infinities.
+        const std::vector<float> special = {
+            grid(lim), grid(lim + 1), grid(-lim - 1), grid(-lim - 2),
+            grid(0.5), grid(-0.5), grid(2.5), grid(-2.5), grid(7.5),
+            grid(-7.5), 0.0f, -0.0f, 1e-40f, -1e-40f,
+            std::numeric_limits<float>::quiet_NaN(),
+            std::numeric_limits<float>::infinity(),
+            -std::numeric_limits<float>::infinity(),
+            std::numeric_limits<float>::max()};
+        Rng rng(17);
+        auto moderate = [&] {
+            return static_cast<float>(rng.uniform(-1.0, 1.0));
+        };
+        size_t pick = 0;
+        auto engineered = [&] { return special[pick++ % special.size()]; };
+
+        for (Kernel k : kKernels) {
+            for (int layout = 0; layout < 3; ++layout) {
+                // Special values in A only, in x only, or everywhere.
+                FxCall c = disjointCall(k, f, s, 6, 7);
+                for (size_t i = 0; i < c.mem.size(); ++i) {
+                    const bool in_a =
+                        i >= c.aOff &&
+                        i < c.aOff + static_cast<size_t>(c.aLen());
+                    const bool special_here =
+                        layout == 2 || (layout == 0) == in_a;
+                    c.mem[i] = special_here ? engineered() : moderate();
+                }
+                c.alpha = 0.75f;
+                c.beta = -1.5f;
+                c.sa = 1.25f;
+                c.sb = -0.5f;
+                expectMatchesOracle(
+                    c, "special layout " + std::to_string(layout));
+            }
+
+            // Accumulator saturation: long same-sign (and mixed-sign)
+            // dot products against a tight accumulator range.
+            for (float sign : {1.0f, -1.0f}) {
+                const fx::Scaling tight =
+                    fx::Scaling::forRanges(f, 1.0, 1.0, 1.0);
+                FxCall c = disjointCall(k, f, tight, 3, 64);
+                for (size_t i = 0; i < c.mem.size(); ++i)
+                    c.mem[i] = (i % 5 == 4 ? -0.3f : 0.9f) * sign;
+                bool checked = expectMatchesOracle(c, "acc saturation");
+                EXPECT_TRUE(checked || f == NumericFormat::I32);
+            }
+        }
+    }
+}
+
+TEST(FxOracle, OverlappingOperandsKeepReferenceOrder)
+{
+    // y overlapping x, overlapping A, and (fused) overlapping b: every
+    // row must see the previous rows' stores, as the oracle does.
+    for (NumericFormat f : kNarrow) {
+        const fx::Scaling s = fx::Scaling::forRanges(f, 4.0, 4.0, 32.0);
+        Rng rng(41);
+        for (Kernel k : kKernels) {
+            const int n = 6;
+            for (int layout = 0; layout < 4; ++layout) {
+                FxCall c = disjointCall(k, f, s, n, n);
+                switch (layout) {
+                  case 0: c.yOff = c.xOff; break;      // y == x
+                  case 1: c.yOff = c.xOff + 2; break;  // y shifted on x
+                  case 2: c.yOff = c.aOff + 9; break;  // y inside A
+                  case 3: c.bOff = c.yOff + 1; break;  // b shifted on y
+                }
+                for (float &v : c.mem)
+                    v = static_cast<float>(rng.uniform(-1.0, 1.0));
+                c.alpha = 0.5f;
+                c.beta = 0.25f;
+                c.sa = 1.0f;
+                c.sb = -1.0f;
+                EXPECT_TRUE(expectMatchesOracle(
+                    c, "overlap layout " + std::to_string(layout)));
+            }
+        }
+    }
+}
+
+TEST(FxKernels, Int64AccumulatorSaturationKeepsSign)
+{
+    // Two products of ~2^62 overflow the i32 datapath's int64
+    // accumulator; the rounding shift must clamp the saturated
+    // accumulator with its own sign (and count both clamps).
+    const fx::Scaling s =
+        fx::Scaling::forRanges(NumericFormat::I32, 1.0, 1.0, 1.0);
+    for (float sign : {1.0f, -1.0f}) {
+        std::vector<float> a(8, 8.0f * sign), x(8, 8.0f), y(1, 0.0f);
+        fx::Counters c;
+        fx::OperandCache cache;
+        fx::gemv(NumericFormat::I32, s, c, cache, Mat(y.data(), 1, 1),
+                 Mat(a.data(), 1, 8), Mat(x.data(), 1, 8), 1.0f, 0.0f);
+        const float top = static_cast<float>(
+            std::ldexp(2147483647.0, -s.gemv.outFrac));
+        EXPECT_EQ(y[0], sign > 0 ? top : -top) << sign;
+        EXPECT_GE(c.accSats, 2u) << sign;
+    }
+}
+
+TEST(FxKernels, LeftShiftScheduleSaturatesAndCounts)
+{
+    // outFrac > aFrac + xFrac: the accumulator shifts left onto the
+    // finer output grid. Values that leave the element range clamp
+    // and count like every other arm; zero and in-range values shift
+    // exactly.
+    struct Case
+    {
+        NumericFormat f;
+        fx::KernelSpec spec;
+        float a, x;
+        double want; ///< grid value of the result
+        uint64_t accSats;
+    };
+    const double lim16 = 32767.0, lim32 = 2147483647.0;
+    const Case cases[] = {
+        // i16, shift -8: 16 << 8 = 4096 fits.
+        {NumericFormat::I16, {2, 2, 12}, 1.0f, 1.0f, 4096.0, 0},
+        // 256 << 8 = 65536 > lim: clamps high; negated clamps low.
+        {NumericFormat::I16, {2, 2, 12}, 4.0f, 4.0f, lim16, 1},
+        {NumericFormat::I16, {2, 2, 12}, -4.0f, 4.0f, -lim16 - 1, 1},
+        // A shift past the element width: only zero survives.
+        {NumericFormat::I16, {0, 0, 40}, 1.0f, 1.0f, lim16, 1},
+        {NumericFormat::I16, {0, 0, 40}, -1.0f, 1.0f, -lim16 - 1, 1},
+        {NumericFormat::I16, {0, 0, 40}, 0.0f, 1.0f, 0.0, 0},
+        {NumericFormat::I32, {0, 0, 70}, 3.0f, -2.0f, -lim32 - 1, 1},
+        {NumericFormat::I32, {4, 4, 20}, 1.0f, 1.0f, 1048576.0, 0},
+    };
+    for (const Case &tc : cases) {
+        fx::Scaling s;
+        s.gemv = tc.spec;
+        float a = tc.a, x = tc.x, y = 0.0f;
+        fx::Counters c;
+        fx::OperandCache cache;
+        fx::gemv(tc.f, s, c, cache, Mat(&y, 1, 1), Mat(&a, 1, 1),
+                 Mat(&x, 1, 1), 1.0f, 0.0f);
+        EXPECT_EQ(y, static_cast<float>(
+                         std::ldexp(tc.want, -tc.spec.outFrac)))
+            << matlib::formatName(tc.f) << " " << tc.a << "*" << tc.x;
+        EXPECT_EQ(c.accSats, tc.accSats) << tc.a << "*" << tc.x;
+        EXPECT_EQ(c.quantSats, 0u) << tc.a << "*" << tc.x;
+    }
+}
+
+// --- operand cache: refresh, rescale, reformat ---
+
+/** A narrow-format scalar backend with a calibrated schedule. */
+std::unique_ptr<matlib::Backend>
+narrowBackend(NumericFormat f, const fx::Scaling &s)
+{
+    auto b = std::make_unique<matlib::ScalarBackend>(
+        matlib::ScalarFlavor::Optimized);
+    b->setFormat(f);
+    b->setFixedScaling(s);
+    return b;
+}
+
+/** Run @p k's kernel once through @p b on @p mem, in place (no
+ *  emission); returns the counter increments of the call. */
+fx::Counters
+backendCall(matlib::Backend &b, const FxCall &k, std::vector<float> &mem)
+{
+    float *base = mem.data();
+    const fx::Counters before = b.fxCounters();
+    Mat a = k.aMat(base), x = k.xMat(base), y = k.yMat(base),
+        bv = k.bMat(base);
+    switch (k.kernel) {
+      case Kernel::Gemv: b.gemv(y, a, x, k.alpha, k.beta); break;
+      case Kernel::GemvT: b.gemvT(y, a, x, k.alpha, k.beta); break;
+      case Kernel::Saxpby: b.saxpby(y, k.sa, a, k.sb, bv); break;
+      case Kernel::GemvSaxpby:
+        b.gemvSaxpby(y, a, x, k.alpha, k.beta, k.sa, k.sb, bv);
+        break;
+    }
+    fx::Counters d;
+    d.quantSats = b.fxCounters().quantSats - before.quantSats;
+    d.accSats = b.fxCounters().accSats - before.accSats;
+    return d;
+}
+
+/**
+ * Run @p k on the live buffer @p mem through @p warm (so its cache sees
+ * the same operand storage on every call) and expect the buffer and
+ * the counter increments a fresh backend produces on a copy.
+ */
+void
+expectMatchesFresh(matlib::Backend &warm, const FxCall &k,
+                   std::vector<float> &mem, const std::string &what)
+{
+    std::vector<float> fresh_mem = mem;
+    auto fresh = narrowBackend(warm.format(), warm.fixedScaling());
+    const fx::Counters want = backendCall(*fresh, k, fresh_mem);
+    const fx::Counters got = backendCall(warm, k, mem);
+    const std::string tag = what + " " + kernelName(k.kernel) + " " +
+                            matlib::formatName(warm.format());
+    EXPECT_TRUE(sameBits(mem, fresh_mem)) << tag;
+    EXPECT_EQ(got.quantSats, want.quantSats) << tag;
+    EXPECT_EQ(got.accSats, want.accSats) << tag;
+}
+
+TEST(FxOperandCache, InPlaceRefreshIsRequantized)
+{
+    for (NumericFormat f : kNarrow) {
+        for (Kernel k : {Kernel::Gemv, Kernel::GemvT,
+                         Kernel::GemvSaxpby}) {
+            const fx::Scaling s =
+                fx::Scaling::forRanges(f, 1.0, 1.0, 12.0);
+            FxCall c = disjointCall(k, f, s, 12, 12);
+            Rng rng(5);
+            for (float &v : c.mem)
+                v = static_cast<float>(rng.uniform(-1.5, 1.5));
+            std::vector<float> &mem = c.mem;
+            float *a = mem.data() + c.aOff;
+            auto warm = narrowBackend(f, s);
+
+            expectMatchesFresh(*warm, c, mem, "first");
+            const uint64_t fills = warm->fxCache().fills();
+            expectMatchesFresh(*warm, c, mem, "unchanged");
+            EXPECT_EQ(warm->fxCache().fills(), fills)
+                << "an unchanged matrix is served from the cache";
+
+            // Mutate the matrix in place between calls, as
+            // Workspace::refreshModel does.
+            a[7] += 0.125f;
+            expectMatchesFresh(*warm, c, mem, "one element refreshed");
+            a[3] = -a[3];
+            a[0] = 50.0f; // now clamps
+            expectMatchesFresh(*warm, c, mem, "sign flip + new clamp");
+            a[5] = 0.0f;
+            expectMatchesFresh(*warm, c, mem, "zero");
+            a[5] = -0.0f;
+            expectMatchesFresh(*warm, c, mem, "signed zero");
+            EXPECT_EQ(warm->fxCache().fills(), fills + 4)
+                << "every change re-quantizes";
+        }
+    }
+}
+
+TEST(FxOperandCache, ScalingAndFormatChangesRequantize)
+{
+    for (Kernel k : {Kernel::Gemv, Kernel::GemvT, Kernel::GemvSaxpby}) {
+        const fx::Scaling s1 =
+            fx::Scaling::forRanges(NumericFormat::I16, 1.0, 1.0, 12.0);
+        const fx::Scaling s2 =
+            fx::Scaling::forRanges(NumericFormat::I16, 8.0, 1.0, 12.0);
+        ASSERT_NE(s1.gemv.aFrac, s2.gemv.aFrac);
+        FxCall c = disjointCall(k, NumericFormat::I16, s1, 12, 4);
+        Rng rng(8);
+        for (float &v : c.mem)
+            v = static_cast<float>(rng.uniform(-2.0, 2.0));
+        std::vector<float> &mem = c.mem;
+        auto warm = narrowBackend(NumericFormat::I16, s1);
+
+        expectMatchesFresh(*warm, c, mem, "s1");
+        uint64_t fills = warm->fxCache().fills();
+        warm->setFixedScaling(s2); // e.g. after a refresh
+        expectMatchesFresh(*warm, c, mem, "s2");
+        EXPECT_EQ(warm->fxCache().fills(), ++fills);
+        warm->setFixedScaling(s1);
+        expectMatchesFresh(*warm, c, mem, "back to s1");
+        EXPECT_EQ(warm->fxCache().fills(), ++fills);
+        warm->setFormat(NumericFormat::I32);
+        expectMatchesFresh(*warm, c, mem, "i32, same schedule");
+        EXPECT_EQ(warm->fxCache().fills(), ++fills);
+        warm->setFixedScaling(fx::Scaling::forRanges(
+            NumericFormat::I32, 1.0, 1.0, 12.0));
+        expectMatchesFresh(*warm, c, mem, "i32 schedule");
+        warm->setFormat(NumericFormat::BF16);
+        expectMatchesFresh(*warm, c, mem, "bf16");
+        warm->setFormat(NumericFormat::I16);
+        warm->setFixedScaling(s1);
+        expectMatchesFresh(*warm, c, mem, "i16 again");
+
+        // y overlapping x on the primed backend: no cached operand is
+        // used, and the result is the fresh backend's.
+        FxCall alias = c;
+        alias.yOff = alias.xOff + 1;
+        expectMatchesFresh(*warm, alias, mem, "y overlaps x");
+        alias.yOff = alias.xOff;
+        expectMatchesFresh(*warm, alias, mem, "y == x");
+    }
+}
+
+// --- narrow-format episode pins ---
+
+/** FNV-1a over the bit patterns of a sample series. */
+uint64_t
+sampleDigest(const std::vector<double> &v)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (double d : v) {
+        uint64_t bits;
+        std::memcpy(&bits, &d, sizeof(bits));
+        for (int i = 0; i < 8; ++i) {
+            h ^= (bits >> (8 * i)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+/** Every EpisodeResult field of one narrow-format episode. */
+struct EpisodePin
+{
+    const char *spec;
+    NumericFormat fmt;
+    int success, crashed, waypointsReached;
+    double missionTimeS;
+    size_t solves;
+    uint64_t solveTimesDigest;
+    size_t iterSamples;
+    uint64_t iterationsDigest;
+    double rotorEnergyJ, avgRotorPowerW, socEnergyJ, avgSocPowerW,
+        computeUtilization;
+    int modelRefreshes, refreshFailures;
+    double refreshTimeS, trackingErrM;
+    int divergedSolves;
+    uint64_t quantSats, accSats;
+};
+
+TEST(FormatEpisodePins, NarrowEpisodesReproducePinnedResults)
+{
+    // One bf16 and one i16 episode per registry plant (the gusty
+    // medium spec, relinearized every 5 ticks so the gain matrices
+    // are refreshed in place mid-episode), on the vector timing.
+    // Recorded with the per-MAC quantizer; doubles are exact hex
+    // literals, per-solve series are pinned by count and digest.
+    const EpisodePin pins[] = {
+        {"quad-crazyflie/medium+gusty", NumericFormat::BF16, 0, 0, 0,
+         0x1.1333333333389p+2, 205, 0xaacead6f1da72303ull, 205,
+         0x1c154943dfef1a47ull, 0x1.409ebf6b439a9p+2, 0x1.2a4052cef1782p+0,
+         0x1.3b1932e41e34ap-5, 0x1.251d64ec04431p-7, 0x1.57757b852b7dp-5, 40,
+         0, 0x1.18c1170c0b267p-7, 0x1.c0104a8c75f31p-1, 0, 0ull, 0ull},
+        {"quad-crazyflie/medium+gusty", NumericFormat::I16, 0, 1, 0,
+         0x1.81111111110ffp+0, 72, 0x07e25224f2936643ull, 72,
+         0x813b253cb4951203ull, 0x1.7ce8fbdb8c37fp+0, 0x1.fa79272b02c74p-1,
+         0x1.bb09fd999cde3p-7, 0x1.268a8ad07efc2p-7, 0x1.6a81a1cb188f3p-5, 14,
+         0, 0x1.8e1e3b5469e5p-8, 0x1.3bb5f3268d129p+0, 0, 2564991ull, 0ull},
+        {"rocket-lander/medium+gusty", NumericFormat::BF16, 1, 0, 0,
+         0x1.e7fffffffff81p+2, 363, 0x80deb31e2285f891ull, 363,
+         0x8ec1f2a82f9f0682ull, 0x1.26d2623c7f12cp+12, 0x1.35523d19b381ap+9,
+         0x1.1ed51f2492eb6p-4, 0x1.2cf063d270326p-7, 0x1.bff148930ad9ap-5, 72,
+         0, 0x1.7910d18975091p-3, 0x1.eacd1cfa4f02dp+0, 0, 0ull, 0ull},
+        {"rocket-lander/medium+gusty", NumericFormat::I16, 0, 1, 0,
+         0x1.00888888888f1p+2, 191, 0xc535df085536cd79ull, 191,
+         0x809558bc35d861c2ull, 0x1.fd905c7f7b46p+10, 0x1.fc8128ae0d541p+8,
+         0x1.2dd209a85b24dp-5, 0x1.2d3166c6dffbp-7, 0x1.c35570e6b6246p-5, 38,
+         0, 0x1.92c3fcef7f543p-4, 0x1.2019754b86421p+2, 0, 1644785ull, 0ull},
+        {"rover-rover/medium+gusty", NumericFormat::BF16, 1, 0, 7,
+         0x1.2d11111111099p+3, 448, 0x7973e44534961220ull, 448,
+         0xd318f38c56574e46ull, 0x1.33b92de9fe552p+7, 0x1.05a906299a626p+4,
+         0x1.5f53591eb4c11p-4, 0x1.2abc53f14b7f6p-7, 0x1.a284db439f57ep-5, 89,
+         0, 0x1.c903de5beb632p-3, 0x1.2ce4258d1604cp+0, 0, 0ull, 0ull},
+        {"rover-rover/medium+gusty", NumericFormat::I16, 0, 0, 0,
+         0x1.63555555554a7p+3, 530, 0xdb9bc58638daa045ull, 530,
+         0x303a861b8f946516ull, 0x1.11dbb54d07118p+5, 0x1.8a9a3c789866ap+1,
+         0x1.8d445993dd842p-4, 0x1.1e360bb404022p-7, 0x1.f688faf693045p-6, 105,
+         0, 0x1.1cd7f7a33a2bdp-5, 0x1.a14fdb4a9ce2ep+2, 0, 1579500ull,
+         14050ull},
+        {"cartpole-cartpole/medium+gusty", NumericFormat::BF16, 1, 0, 0,
+         0x1.f1ddddddddd55p+2, 372, 0x01ab4e8b94103b4eull, 372,
+         0x9aa613fe3cb9d399ull, 0x1.0e81d6ad04205p+3, 0x1.162fb034e0333p+0,
+         0x1.150b691e571p-4, 0x1.1ce8c4f48ec15p-7, 0x1.d3c3e73139795p-6, 74, 0,
+         0x1.f344704765c57p-6, 0x1.f3c5c1c0f6bffp-2, 0, 0ull, 0ull},
+        {"cartpole-cartpole/medium+gusty", NumericFormat::I16, 0, 0, 0,
+         0x1.2688888888817p+3, 442, 0x938f5cea406d86abull, 442,
+         0x433165b651ad0dc3ull, 0x1.2688888888817p+2, 0x1p-1,
+         0x1.377775431db89p-4, 0x1.0eb7cb17af3d6p-7, 0x1.62fc78e47a228p-8, 88,
+         0, 0x1.5e44d9cebde96p-9, 0x1.a3167b742763ap-1, 0, 172510ull, 0ull},
+    };
+    const std::vector<plant::ScenarioSpec> specs =
+        plant::ScenarioRegistry::global().specs();
+    for (const EpisodePin &pin : pins) {
+        const plant::ScenarioSpec *spec = nullptr;
+        for (const plant::ScenarioSpec &s : specs) {
+            if (s.id == pin.spec)
+                spec = &s;
+        }
+        ASSERT_NE(spec, nullptr) << pin.spec;
+        hil::HilConfig cfg;
+        cfg.socFreqHz = 100e6;
+        cfg.relin.everyK = 5;
+        cfg.format = pin.fmt;
+        cfg.timing = hil::namedControllerTiming(
+            "vector", *spec->prototype, cfg.controlPeriodS, cfg.horizon,
+            true, pin.fmt);
+        std::unique_ptr<plant::Plant> p = spec->prototype->clone();
+        const hil::EpisodeResult r =
+            hil::runEpisode(*p, spec->makeScenario(0), cfg);
+
+        const std::string tag =
+            std::string(pin.spec) + " " + matlib::formatName(pin.fmt);
+        EXPECT_EQ(r.success, pin.success != 0) << tag;
+        EXPECT_EQ(r.crashed, pin.crashed != 0) << tag;
+        EXPECT_EQ(r.waypointsReached, pin.waypointsReached) << tag;
+        EXPECT_EQ(r.missionTimeS, pin.missionTimeS) << tag;
+        EXPECT_EQ(r.solveTimesS.size(), pin.solves) << tag;
+        EXPECT_EQ(sampleDigest(r.solveTimesS.samples()),
+                  pin.solveTimesDigest)
+            << tag;
+        EXPECT_EQ(r.iterations.size(), pin.iterSamples) << tag;
+        EXPECT_EQ(sampleDigest(r.iterations.samples()),
+                  pin.iterationsDigest)
+            << tag;
+        EXPECT_EQ(r.rotorEnergyJ, pin.rotorEnergyJ) << tag;
+        EXPECT_EQ(r.avgRotorPowerW, pin.avgRotorPowerW) << tag;
+        EXPECT_EQ(r.socEnergyJ, pin.socEnergyJ) << tag;
+        EXPECT_EQ(r.avgSocPowerW, pin.avgSocPowerW) << tag;
+        EXPECT_EQ(r.computeUtilization, pin.computeUtilization) << tag;
+        EXPECT_EQ(r.modelRefreshes, pin.modelRefreshes) << tag;
+        EXPECT_EQ(r.refreshFailures, pin.refreshFailures) << tag;
+        EXPECT_EQ(r.refreshTimeS, pin.refreshTimeS) << tag;
+        EXPECT_EQ(r.trackingErrM, pin.trackingErrM) << tag;
+        EXPECT_EQ(r.divergedSolves, pin.divergedSolves) << tag;
+        EXPECT_EQ(r.quantSats, pin.quantSats) << tag;
+        EXPECT_EQ(r.accSats, pin.accSats) << tag;
+    }
 }
 
 // --- float32 byte-identity ---
