@@ -1,9 +1,11 @@
 #include "ooo.hh"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/logging.hh"
+#include "cpu/slot_map.hh"
 
 namespace rtoc::cpu {
 
@@ -73,7 +75,7 @@ OooConfig::boomMega()
 
 namespace {
 
-enum class PipeClass { Int, Mem, Fp };
+enum class PipeClass : uint8_t { Int, Mem, Fp };
 
 PipeClass
 classOf(isa::UopKind k)
@@ -97,39 +99,167 @@ classOf(isa::UopKind k)
     }
 }
 
-/** Per-cycle issue-slot occupancy for one pipeline class. */
-class SlotMap
-{
-  public:
-    /** Rearm for a new run of @p width; keeps buffer capacity. */
-    void
-    reset(int width)
-    {
-        width_ = width;
-        std::fill(used_.begin(), used_.end(), 0);
-    }
+/** Issue pipe of each LatClass: the partition classOf() draws. */
+constexpr PipeClass kPipeOf[isa::kNumLatClasses] = {
+    PipeClass::Int, // IntAlu
+    PipeClass::Int, // IntMul
+    PipeClass::Fp,  // Fp
+    PipeClass::Fp,  // FpDiv
+    PipeClass::Fp,  // FpCmp
+    PipeClass::Fp,  // FpMove
+    PipeClass::Mem, // Load
+    PipeClass::Mem, // Store
+    PipeClass::Int, // Branch
+    PipeClass::Int, // Coproc (rejected before issue)
+    PipeClass::Fp,  // FpNarrow
+};
 
-    /** Earliest cycle >= t with a free slot; claims it. */
-    uint64_t
-    claimFrom(uint64_t t)
+/** One greedy-dataflow scoreboard: one lane of a replay. */
+struct OooLane
+{
+    uint64_t lat[isa::kNumLatClasses] = {};
+    SlotMap slots[3]; ///< indexed by PipeClass
+    RegReadyFile regs;
+    std::vector<uint64_t> commit; ///< in-order commit ring (the ROB)
+    std::optional<RegionAttributor> attr;
+    uint64_t lastCommit = 0;
+    uint64_t frontWidth = 1;
+    uint64_t fetch = 0;     ///< fetch cycle of the next uop: i / frontWidth
+    uint64_t fetchLeft = 0; ///< uops left in that fetch group
+    size_t robSlot = 0;     ///< commit-ring slot of the next uop: i % robSize
+
+    void
+    reset(const isa::Program &prog, const OooConfig &cfg)
     {
-        while (true) {
-            if (t >= used_.size())
-                used_.resize(t * 2 + 64, 0);
-            if (used_[t] < width_) {
-                ++used_[t];
-                return t;
+        using isa::LatClass;
+        auto set = [&](LatClass c, int cycles) {
+            lat[static_cast<size_t>(c)] = static_cast<uint64_t>(cycles);
+        };
+        set(LatClass::IntAlu, 1);
+        set(LatClass::IntMul, cfg.intMulLatency);
+        set(LatClass::Fp, cfg.fpLatency);
+        set(LatClass::FpDiv, cfg.fpDivLatency);
+        set(LatClass::FpCmp, 2);
+        set(LatClass::FpMove, 2);
+        set(LatClass::Load, cfg.loadLatency);
+        set(LatClass::Store, 1);
+        set(LatClass::Branch, 1);
+        set(LatClass::FpNarrow, cfg.resolvedFpNarrowLatency());
+
+        slots[static_cast<size_t>(PipeClass::Int)].reset(cfg.intIssue);
+        slots[static_cast<size_t>(PipeClass::Mem)].reset(cfg.memIssue);
+        slots[static_cast<size_t>(PipeClass::Fp)].reset(cfg.fpIssue);
+        regs.reset();
+        regs.ensure(prog.scalarRegCount());
+        commit.assign(static_cast<size_t>(cfg.robSize), 0);
+        attr.emplace(prog);
+        lastCommit = 0;
+        frontWidth = static_cast<uint64_t>(cfg.frontWidth);
+        fetch = 0;
+        fetchLeft = frontWidth;
+        robSlot = 0;
+    }
+};
+
+/**
+ * The OoO engine: one blocked pass over the stream's columns advances
+ * @p lanes[L], reset to @p cfgs[L], and writes its result to
+ * @p out[L]. Single-config replay is the one-lane call. Each lane runs
+ * the same statement sequence over the same uops, so a lane's result
+ * does not depend on which other lanes share the pass.
+ *
+ * Issue slots come from SlotMap: each pipe keeps one bit per simulated
+ * cycle, set exactly when all of that cycle's slots are taken. The
+ * earliest free cycle >= t is then the earliest clear bit >= t, found
+ * 64 cycles per word; it is the cycle a one-at-a-time probe returns,
+ * so the cycle counts are bit-identical to that probe's (runAos keeps
+ * the plain i / frontWidth and i % robSize the counters here replace).
+ */
+void
+replayLanes(const isa::UopStreamView &v, const OooConfig *const *cfgs,
+            OooLane *lanes, size_t n_lanes, TimingResult *out)
+{
+    if (!v.program)
+        rtoc_panic("OoO replay: view has no owning program");
+
+    for (size_t L = 0; L < n_lanes; ++L)
+        lanes[L].reset(*v.program, *cfgs[L]);
+
+    const uint8_t *const cls_col = v.cls;
+    const uint32_t *const dst_col = v.dst;
+    const uint32_t *const src0_col = v.src0;
+    const uint32_t *const src1_col = v.src1;
+    const uint32_t *const src2_col = v.src2;
+
+    // Blocked lane-major walk: a block's columns are loaded once and
+    // every lane's scoreboard advances over them.
+    constexpr size_t kBlock = 2048;
+    for (size_t b0 = 0; b0 < v.n; b0 += kBlock) {
+        const size_t b1 = std::min(v.n, b0 + kBlock);
+        for (size_t L = 0; L < n_lanes; ++L) {
+            // Register-resident copies; the lane carries them between
+            // blocks.
+            OooLane &ln = lanes[L];
+            const uint64_t *const lat = ln.lat;
+            SlotMap *const slots = ln.slots;
+            RegReadyFile &regs = ln.regs;
+            RegionAttributor &attr = *ln.attr;
+            uint64_t *const commit = ln.commit.data();
+            const size_t rob_size = ln.commit.size();
+            const uint64_t front_width = ln.frontWidth;
+            uint64_t fetch = ln.fetch;
+            uint64_t fetch_left = ln.fetchLeft;
+            size_t rob_slot = ln.robSlot;
+            uint64_t last_commit = ln.lastCommit;
+
+            for (size_t i = b0; i < b1; ++i) {
+                const uint8_t cls = cls_col[i];
+                if (!(cls & isa::kClsScalar)) {
+                    rtoc_panic("OoO core '%s' given coprocessor uop %s "
+                               "(BOOM cores are evaluated scalar-only)",
+                               cfgs[L]->name.c_str(),
+                               isa::uopName(v.kind[i]));
+                }
+                const size_t c = cls & isa::kClsLatMask;
+
+                uint64_t operands =
+                    std::max({regs.readyTime(src0_col[i]),
+                              regs.readyTime(src1_col[i]),
+                              regs.readyTime(src2_col[i])});
+                uint64_t t = std::max({fetch, commit[rob_slot], operands});
+
+                uint64_t issue =
+                    slots[static_cast<size_t>(kPipeOf[c])].claimFrom(t);
+                uint64_t done = issue + lat[c];
+                attr.step(i, done);
+                regs.setReady(dst_col[i], done);
+
+                last_commit = std::max(last_commit, done);
+                commit[rob_slot] = last_commit;
+                if (++rob_slot == rob_size)
+                    rob_slot = 0;
+                if (--fetch_left == 0) {
+                    ++fetch;
+                    fetch_left = front_width;
+                }
             }
-            ++t;
+
+            ln.fetch = fetch;
+            ln.fetchLeft = fetch_left;
+            ln.robSlot = rob_slot;
+            ln.lastCommit = last_commit;
         }
     }
 
-  private:
-    int width_ = 1;
-    std::vector<uint8_t> used_;
-};
+    for (size_t L = 0; L < n_lanes; ++L) {
+        RegionAttributor &attr = *lanes[L].attr;
+        out[L].regionCycles = attr.finish(v.n);
+        out[L].cycles = attr.maxCompletion();
+        out[L].stats.set(oooUopsId(), v.n);
+    }
+}
 
-/** Reusable OoO simulation state for one thread. */
+/** Reusable state of the AoS reference loop for one thread. */
 struct OooScratch
 {
     std::vector<uint64_t> finish;
@@ -140,252 +270,48 @@ struct OooScratch
 
 } // namespace
 
+OooCore::OooCore(OooConfig cfg) : cfg_(std::move(cfg))
+{
+    auto width_ok = [](int w) { return w >= 1 && w <= 255; };
+    if (cfg_.frontWidth < 1 || cfg_.robSize < 1 ||
+        !width_ok(cfg_.intIssue) || !width_ok(cfg_.memIssue) ||
+        !width_ok(cfg_.fpIssue)) {
+        rtoc_panic("OoO core '%s': front width and ROB size must be "
+                   ">= 1 and issue widths in [1, 255]",
+                   cfg_.name.c_str());
+    }
+}
+
 TimingResult
 OooCore::runStream(const isa::UopStreamView &v) const
 {
-    using isa::LatClass;
-
-    if (!v.program) {
-        rtoc_panic("OoO core '%s': view has no owning program",
-                   cfg_.name.c_str());
-    }
-
-    TimingResult result;
-
-    // The columnar loop needs no finish-time buffer: completions fold
-    // into the streaming RegionAttributor as they happen.
-    static thread_local OooScratch scratch;
-    scratch.regs.reset();
-    scratch.commit.assign(static_cast<size_t>(cfg_.robSize), 0);
-    scratch.intSlots.reset(cfg_.intIssue);
-    scratch.memSlots.reset(cfg_.memIssue);
-    scratch.fpSlots.reset(cfg_.fpIssue);
-
-    RegReadyFile &regs = scratch.regs;
-    RegionAttributor attr(*v.program);
-
-    // Per-run latency table indexed by the precomputed LatClass.
-    uint64_t lat[isa::kNumLatClasses] = {};
-    lat[static_cast<size_t>(LatClass::IntAlu)] = 1;
-    lat[static_cast<size_t>(LatClass::IntMul)] =
-        static_cast<uint64_t>(cfg_.intMulLatency);
-    lat[static_cast<size_t>(LatClass::Fp)] =
-        static_cast<uint64_t>(cfg_.fpLatency);
-    lat[static_cast<size_t>(LatClass::FpDiv)] =
-        static_cast<uint64_t>(cfg_.fpDivLatency);
-    lat[static_cast<size_t>(LatClass::FpCmp)] = 2;
-    lat[static_cast<size_t>(LatClass::FpMove)] = 2;
-    lat[static_cast<size_t>(LatClass::Load)] =
-        static_cast<uint64_t>(cfg_.loadLatency);
-    lat[static_cast<size_t>(LatClass::Store)] = 1;
-    lat[static_cast<size_t>(LatClass::Branch)] = 1;
-    lat[static_cast<size_t>(LatClass::FpNarrow)] =
-        static_cast<uint64_t>(cfg_.resolvedFpNarrowLatency());
-
-    // LatClass -> issue pipeline (same partition as classOf()).
-    SlotMap *pipe[isa::kNumLatClasses] = {};
-    pipe[static_cast<size_t>(LatClass::IntAlu)] = &scratch.intSlots;
-    pipe[static_cast<size_t>(LatClass::IntMul)] = &scratch.intSlots;
-    pipe[static_cast<size_t>(LatClass::Fp)] = &scratch.fpSlots;
-    pipe[static_cast<size_t>(LatClass::FpDiv)] = &scratch.fpSlots;
-    pipe[static_cast<size_t>(LatClass::FpCmp)] = &scratch.fpSlots;
-    pipe[static_cast<size_t>(LatClass::FpMove)] = &scratch.fpSlots;
-    pipe[static_cast<size_t>(LatClass::Load)] = &scratch.memSlots;
-    pipe[static_cast<size_t>(LatClass::Store)] = &scratch.memSlots;
-    pipe[static_cast<size_t>(LatClass::Branch)] = &scratch.intSlots;
-    pipe[static_cast<size_t>(LatClass::FpNarrow)] = &scratch.fpSlots;
-
-    // In-order commit ring for the ROB-occupancy constraint.
-    std::vector<uint64_t> &commit = scratch.commit;
-    uint64_t last_commit = 0;
-
-    for (size_t i = 0; i < v.n; ++i) {
-        const uint8_t cls = v.cls[i];
-        if (!(cls & isa::kClsScalar)) {
-            rtoc_panic("OoO core '%s' given coprocessor uop %s "
-                       "(BOOM cores are evaluated scalar-only)",
-                       cfg_.name.c_str(), isa::uopName(v.kind[i]));
-        }
-
-        uint64_t fetch =
-            static_cast<uint64_t>(i) /
-            static_cast<uint64_t>(cfg_.frontWidth);
-        uint64_t rob_free = commit[i % cfg_.robSize];
-        uint64_t operands = std::max({regs.readyTime(v.src0[i]),
-                                      regs.readyTime(v.src1[i]),
-                                      regs.readyTime(v.src2[i])});
-        uint64_t t = std::max({fetch, rob_free, operands});
-
-        uint64_t issue = pipe[cls & isa::kClsLatMask]->claimFrom(t);
-        uint64_t done = issue + lat[cls & isa::kClsLatMask];
-        attr.step(i, done);
-        regs.setReady(v.dst[i], done);
-
-        last_commit = std::max(last_commit, done);
-        commit[i % cfg_.robSize] = last_commit;
-    }
-
-    result.regionCycles = attr.finish(v.n);
-    result.cycles = attr.maxCompletion();
-    result.stats.set(oooUopsId(), v.n);
-    return result;
+    // Single replays reuse one thread-local lane, capacity retained,
+    // so its scoreboard is not reallocated run after run.
+    static thread_local OooLane lane;
+    const OooConfig *cfg = &cfg_;
+    TimingResult out;
+    replayLanes(v, &cfg, &lane, 1, &out);
+    return out;
 }
-
-namespace {
-
-/** One greedy-dataflow scoreboard of a batched OoO replay. */
-struct OooBatchLane
-{
-    uint64_t lat[isa::kNumLatClasses] = {};
-    SlotMap *pipe[isa::kNumLatClasses] = {};
-    RegReadyFile regs;
-    std::vector<uint64_t> commit;
-    SlotMap intSlots, memSlots, fpSlots;
-    RegionAttributor attr;
-    uint64_t lastCommit = 0;
-    uint64_t frontWidth = 1;
-    size_t robSize = 1;
-
-    OooBatchLane(const isa::Program &prog, const OooConfig &cfg)
-        : attr(prog),
-          frontWidth(static_cast<uint64_t>(cfg.frontWidth)),
-          robSize(static_cast<size_t>(cfg.robSize))
-    {
-        using isa::LatClass;
-        commit.assign(robSize, 0);
-        intSlots.reset(cfg.intIssue);
-        memSlots.reset(cfg.memIssue);
-        fpSlots.reset(cfg.fpIssue);
-
-        lat[static_cast<size_t>(LatClass::IntAlu)] = 1;
-        lat[static_cast<size_t>(LatClass::IntMul)] =
-            static_cast<uint64_t>(cfg.intMulLatency);
-        lat[static_cast<size_t>(LatClass::Fp)] =
-            static_cast<uint64_t>(cfg.fpLatency);
-        lat[static_cast<size_t>(LatClass::FpDiv)] =
-            static_cast<uint64_t>(cfg.fpDivLatency);
-        lat[static_cast<size_t>(LatClass::FpCmp)] = 2;
-        lat[static_cast<size_t>(LatClass::FpMove)] = 2;
-        lat[static_cast<size_t>(LatClass::Load)] =
-            static_cast<uint64_t>(cfg.loadLatency);
-        lat[static_cast<size_t>(LatClass::Store)] = 1;
-        lat[static_cast<size_t>(LatClass::Branch)] = 1;
-        lat[static_cast<size_t>(LatClass::FpNarrow)] =
-            static_cast<uint64_t>(cfg.resolvedFpNarrowLatency());
-
-        pipe[static_cast<size_t>(LatClass::IntAlu)] = &intSlots;
-        pipe[static_cast<size_t>(LatClass::IntMul)] = &intSlots;
-        pipe[static_cast<size_t>(LatClass::Fp)] = &fpSlots;
-        pipe[static_cast<size_t>(LatClass::FpDiv)] = &fpSlots;
-        pipe[static_cast<size_t>(LatClass::FpCmp)] = &fpSlots;
-        pipe[static_cast<size_t>(LatClass::FpMove)] = &fpSlots;
-        pipe[static_cast<size_t>(LatClass::Load)] = &memSlots;
-        pipe[static_cast<size_t>(LatClass::Store)] = &memSlots;
-        pipe[static_cast<size_t>(LatClass::Branch)] = &intSlots;
-        pipe[static_cast<size_t>(LatClass::FpNarrow)] = &fpSlots;
-    }
-
-    // The SlotMap pointers alias this object's members: rebuild them
-    // on copy/move so lanes stay safely relocatable in a vector.
-    OooBatchLane(const OooBatchLane &o)
-        : lat(), regs(o.regs), commit(o.commit), intSlots(o.intSlots),
-          memSlots(o.memSlots), fpSlots(o.fpSlots), attr(o.attr),
-          lastCommit(o.lastCommit), frontWidth(o.frontWidth),
-          robSize(o.robSize)
-    {
-        for (size_t c = 0; c < isa::kNumLatClasses; ++c) {
-            lat[c] = o.lat[c];
-            pipe[c] = o.pipe[c] == &o.intSlots   ? &intSlots
-                      : o.pipe[c] == &o.memSlots ? &memSlots
-                      : o.pipe[c] == &o.fpSlots  ? &fpSlots
-                                                 : nullptr;
-        }
-    }
-    OooBatchLane &operator=(const OooBatchLane &) = delete;
-};
-
-} // namespace
 
 std::vector<TimingResult>
 OooCore::runStreamBatch(
     const isa::UopStreamView &v,
     const std::vector<const TimingModel *> &models) const
 {
-    if (!v.program) {
-        rtoc_panic("OoO core '%s': batch view has no owning program",
-                   cfg_.name.c_str());
-    }
-
-    std::vector<OooBatchLane> lanes;
-    lanes.reserve(models.size());
+    std::vector<const OooConfig *> cfgs;
+    cfgs.reserve(models.size());
     for (const TimingModel *m : models) {
         const auto *core = dynamic_cast<const OooCore *>(m);
         if (!core)
             return TimingModel::runStreamBatch(v, models);
-        lanes.emplace_back(*v.program, core->config());
-        lanes.back().regs.ensure(v.program->scalarRegCount());
+        cfgs.push_back(&core->config());
     }
-
-    // Blocked lane-major walk: the block's columns are loaded once
-    // and every lane's scoreboard advances over them (statement
-    // sequence per lane identical to runStream — results bit-exact).
-    const uint8_t *const cls_col = v.cls;
-    const uint32_t *const dst_col = v.dst;
-    const uint32_t *const src0_col = v.src0;
-    const uint32_t *const src1_col = v.src1;
-    const uint32_t *const src2_col = v.src2;
-
-    constexpr size_t kBlock = 2048;
-    for (size_t b0 = 0; b0 < v.n; b0 += kBlock) {
-        const size_t b1 = std::min(v.n, b0 + kBlock);
-        for (OooBatchLane &ln : lanes) {
-            // Mirror the single-lane loop's register-resident locals;
-            // the lane struct only carries state between blocks.
-            const uint64_t *const lat = ln.lat;
-            SlotMap *const *const pipe = ln.pipe;
-            RegReadyFile &regs = ln.regs;
-            RegionAttributor &attr = ln.attr;
-            uint64_t *const commit = ln.commit.data();
-            const uint64_t front_width = ln.frontWidth;
-            const size_t rob_size = ln.robSize;
-            uint64_t last_commit = ln.lastCommit;
-
-            for (size_t i = b0; i < b1; ++i) {
-                const uint8_t cls = cls_col[i];
-                if (!(cls & isa::kClsScalar)) {
-                    rtoc_panic("OoO batch given coprocessor uop %s "
-                               "(BOOM cores are evaluated scalar-only)",
-                               isa::uopName(v.kind[i]));
-                }
-
-                uint64_t fetch = static_cast<uint64_t>(i) / front_width;
-                uint64_t rob_free = commit[i % rob_size];
-                uint64_t operands =
-                    std::max({regs.readyTime(src0_col[i]),
-                              regs.readyTime(src1_col[i]),
-                              regs.readyTime(src2_col[i])});
-                uint64_t t = std::max({fetch, rob_free, operands});
-
-                uint64_t issue =
-                    pipe[cls & isa::kClsLatMask]->claimFrom(t);
-                uint64_t done = issue + lat[cls & isa::kClsLatMask];
-                attr.step(i, done);
-                regs.setReady(dst_col[i], done);
-
-                last_commit = std::max(last_commit, done);
-                commit[i % rob_size] = last_commit;
-            }
-
-            ln.lastCommit = last_commit;
-        }
-    }
-
-    std::vector<TimingResult> out(lanes.size());
-    for (size_t L = 0; L < lanes.size(); ++L) {
-        out[L].regionCycles = lanes[L].attr.finish(v.n);
-        out[L].cycles = lanes[L].attr.maxCompletion();
-        out[L].stats.set(oooUopsId(), v.n);
-    }
+    // Batch lanes are freed on return: pooling them would keep eight
+    // scoreboards resident per sweep thread for the whole process.
+    std::vector<OooLane> lanes(cfgs.size());
+    std::vector<TimingResult> out(cfgs.size());
+    replayLanes(v, cfgs.data(), lanes.data(), lanes.size(), out.data());
     return out;
 }
 

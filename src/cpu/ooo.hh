@@ -63,8 +63,11 @@ struct OooConfig
 class OooCore : public CoreModel
 {
   public:
-    explicit OooCore(OooConfig cfg) : cfg_(std::move(cfg)) {}
+    /** Panics unless widths and ROB size are >= 1 and issue widths
+     *  fit the per-cycle slot count (<= 255). */
+    explicit OooCore(OooConfig cfg);
 
+    /** One-lane runStreamBatch: the two share one lane loop. */
     TimingResult runStream(const isa::UopStreamView &view) const override;
 
     TimingResult runAos(const isa::Program &prog) const override;
@@ -72,8 +75,8 @@ class OooCore : public CoreModel
     /**
      * Fused OoO lane loop: one column pass advances one greedy-
      * dataflow state (regs, ROB ring, issue slots) per OooCore in
-     * @p models, bit-identical to sequential runStream. Falls back to
-     * the sequential base when a foreign model appears in the group.
+     * @p models. Falls back to the sequential base when a foreign
+     * model appears in the group.
      */
     std::vector<TimingResult>
     runStreamBatch(const isa::UopStreamView &view,

@@ -296,6 +296,19 @@ decodeProgram(const std::string &payload)
                         kKernelRecordBytes) {
         return std::nullopt;
     }
+    // Replay sizes its register scoreboards from these ids, so each id
+    // must be kNoReg or below its file's counter, and a counter may not
+    // exceed what the uops can name (4 ids per uop; counters start at
+    // 1). The count check above bounds n_uops, so 4 * n_uops + 1 fits.
+    if (next_reg > 4 * n_uops + 1 || next_vreg > 4 * n_uops + 1)
+        return std::nullopt;
+    auto reg_ok = [&](uint32_t reg) {
+        if (reg == kNoReg)
+            return true;
+        if (Program::isVReg(reg))
+            return (reg & 0x7fffffffu) < next_vreg;
+        return reg < next_reg;
+    };
 
     std::vector<Uop> uops(static_cast<size_t>(n_uops));
     for (Uop &u : uops) {
@@ -313,7 +326,9 @@ decodeProgram(const std::string &payload)
         u.taken = r.raw<uint8_t>();
         if (!r.ok ||
             static_cast<uint8_t>(u.kind) >=
-                static_cast<uint8_t>(UopKind::NumKinds)) {
+                static_cast<uint8_t>(UopKind::NumKinds) ||
+            !reg_ok(u.dst) || !reg_ok(u.src0) || !reg_ok(u.src1) ||
+            !reg_ok(u.src2)) {
             return std::nullopt;
         }
     }

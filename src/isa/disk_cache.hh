@@ -167,8 +167,10 @@ struct Reader
 std::string encodeProgram(const Program &prog);
 
 /**
- * Decode an encodeProgram payload; nullopt when malformed (kernel
- * names are re-interned, so ids are valid in this process).
+ * Decode an encodeProgram payload; nullopt when malformed: truncated,
+ * an unknown uop kind, a register id that is neither kNoReg nor below
+ * its file's counter, a counter above 4 * uops + 1, or bad regions
+ * (kernel names are re-interned, so ids are valid in this process).
  */
 std::optional<Program> decodeProgram(const std::string &payload);
 

@@ -5,10 +5,13 @@
  *
  * Batched replay: runStreamBatch must be bit-identical to sequential
  * per-config runStream for every timing family, across emission
- * styles and >=8-config design sweeps (the batched loops are separate
- * transliterations of the single-lane loops, so equality is pinned
- * here rather than assumed). ReplayBatch grouping must preserve add()
- * order and fall back to the sequential base on mixed-family groups.
+ * styles and >=8-config design sweeps (the in-order, Saturn and
+ * Gemmini batched loops are separate transliterations of their
+ * single-lane loops, so equality is pinned here rather than assumed;
+ * OoO's runStream is its one-lane batch, so its pin checks that lanes
+ * stay independent at every lane count). ReplayBatch grouping must
+ * preserve add() order and fall back to the sequential base on
+ * mixed-family groups.
  *
  * Pool: work stealing makes execution order nondeterministic; these
  * tests pin what must NOT change — every index runs exactly once,
@@ -163,8 +166,15 @@ TEST(BatchedReplay, OooFamilyAcrossStylesAndConfigs)
             cores.push_back(std::make_unique<cpu::OooCore>(cfg));
             models.push_back(cores.back().get());
         }
-        ASSERT_GE(models.size(), 8u);
-        expectBatchMatchesSequential(*prog, models, "ooo");
+        ASSERT_EQ(models.size(), 8u);
+        // runStream is the one-lane batch, so compare every lane count
+        // 1..8, each over a different rotation of the mixed configs.
+        for (size_t lanes = 1; lanes <= models.size(); ++lanes) {
+            std::vector<const TimingModel *> group;
+            for (size_t j = 0; j < lanes; ++j)
+                group.push_back(models[(lanes + j) % models.size()]);
+            expectBatchMatchesSequential(*prog, group, "ooo");
+        }
     }
 }
 

@@ -4,13 +4,22 @@
  * behaviour (dependency stalls, structural hazards, branch bubbles,
  * dual issue) and OoO greedy-dataflow behaviour (ILP extraction,
  * front-end and ROB limits), plus cross-model ordering properties.
+ * The OoO issue-slot search (SlotMap) is checked against a one-cycle
+ * probe, and OoO cycles on the quadrotor solve streams are pinned.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "bench_util.hh"
+#include "common/random.hh"
 #include "cpu/inorder.hh"
 #include "cpu/ooo.hh"
+#include "cpu/slot_map.hh"
 #include "isa/program.hh"
+#include "matlib/scalar_backend.hh"
 
 namespace rtoc::cpu {
 namespace {
@@ -243,6 +252,167 @@ TEST(Models, EmptyProgramIsZeroCycles)
     EXPECT_EQ(rocket.run(p).cycles, 0u);
     OooCore boom(OooConfig::boomSmall());
     EXPECT_EQ(boom.run(p).cycles, 0u);
+}
+
+/** The one-cycle-at-a-time issue-slot probe SlotMap replaced. */
+class LinearSlotMap
+{
+  public:
+    void
+    reset(int width)
+    {
+        width_ = width;
+        std::fill(used_.begin(), used_.end(), 0);
+    }
+
+    uint64_t
+    claimFrom(uint64_t t)
+    {
+        while (true) {
+            if (t >= used_.size())
+                used_.resize(t * 2 + 64, 0);
+            if (used_[t] < width_) {
+                ++used_[t];
+                return t;
+            }
+            ++t;
+        }
+    }
+
+  private:
+    int width_ = 1;
+    std::vector<uint8_t> used_;
+};
+
+TEST(SlotMap, MatchesLinearProbeOnRandomClaims)
+{
+    // Both maps are reused across sequences, so reset() must also
+    // clear what earlier, longer sequences claimed.
+    SlotMap fast;
+    LinearSlotMap ref;
+    Rng rng(20251016);
+    for (int seq = 0; seq < 64; ++seq) {
+        const int width = 1 + seq % 4;
+        fast.reset(width);
+        ref.reset(width);
+        uint64_t cursor = 0;
+        for (int k = 0; k < 3000; ++k) {
+            uint64_t t = cursor + rng.uniformInt(8);
+            switch (rng.uniformInt(16)) {
+              case 0: // back into saturated cycles
+                t = rng.uniformInt(cursor + 1);
+                break;
+              case 1: // far past the claimed range (and the buffer)
+                t = cursor + 4096 + rng.uniformInt(1 << 16);
+                break;
+              default:
+                break;
+            }
+            cursor += rng.uniformInt(2);
+            ASSERT_EQ(fast.claimFrom(t), ref.claimFrom(t))
+                << "width " << width << " seq " << seq << " claim " << k;
+        }
+    }
+}
+
+TEST(SlotMap, FullRunsCrossWords)
+{
+    for (int width = 1; width <= 4; ++width) {
+        SlotMap fast;
+        LinearSlotMap ref;
+        fast.reset(width);
+        ref.reset(width);
+        // Every claim at 60 fills 60, 61, ... in order: the run of full
+        // cycles crosses the 64- and 128-cycle word boundaries.
+        for (int k = 0; k < 200 * width; ++k) {
+            const uint64_t got = fast.claimFrom(60);
+            ASSERT_EQ(got, ref.claimFrom(60));
+            ASSERT_EQ(got, 60u + static_cast<uint64_t>(k / width));
+        }
+        // Below the run every cycle is still free.
+        EXPECT_EQ(fast.claimFrom(0), 0u);
+        EXPECT_EQ(fast.claimFrom(59), 59u);
+        // A claim far past the buffer lands exactly where asked.
+        EXPECT_EQ(fast.claimFrom(1 << 20), uint64_t{1} << 20);
+        EXPECT_EQ(fast.claimFrom(127), 260u);
+    }
+}
+
+/** FNV-1a over the little-endian bytes of @p v. */
+uint64_t
+digest(const std::vector<uint64_t> &v)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint64_t x : v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (x >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+TEST(Ooo, GoldenCyclesOnQuadSolveStreams)
+{
+    // Cycles, region count and region-cycle digest of the 5-iteration
+    // quadrotor solve on every BOOM preset, pinned from the one-cycle
+    // probe engine. LibraryPerStep and Fused emit the same scalar
+    // stream, so their rows agree.
+    using matlib::NumericFormat;
+    using tinympc::MappingStyle;
+    struct Golden
+    {
+        NumericFormat fmt;
+        MappingStyle style;
+        uint64_t cycles[4]; ///< boom small, medium, large, mega
+        size_t regions;
+        uint64_t regionDigest[4];
+    };
+    const Golden golden[] = {
+        {NumericFormat::F32, MappingStyle::Library,
+         {86572, 48522, 36954, 24655}, 224,
+         {0x29da7c7fd2950ae4ull, 0xb97f489c18a9de53ull,
+          0x017433132fa24dfeull, 0x172604b04b370a3aull}},
+        {NumericFormat::F32, MappingStyle::LibraryPerStep,
+         {86572, 48522, 36954, 24655}, 529,
+         {0x4481d60db72cd06cull, 0xc2ce5b74f1069a16ull,
+          0x36078c7128e948d0ull, 0xec9830454eeac7b6ull}},
+        {NumericFormat::F32, MappingStyle::Fused,
+         {86572, 48522, 36954, 24655}, 529,
+         {0x4481d60db72cd06cull, 0xc2ce5b74f1069a16ull,
+          0x36078c7128e948d0ull, 0xec9830454eeac7b6ull}},
+        {NumericFormat::I16, MappingStyle::Library,
+         {86572, 48367, 36810, 24408}, 224,
+         {0xd900c4ae15249160ull, 0x84de786dc10e4ad7ull,
+          0xa9ddab109c2790f5ull, 0x27715f0eccfd0481ull}},
+        {NumericFormat::I16, MappingStyle::LibraryPerStep,
+         {86572, 48367, 36805, 24408}, 529,
+         {0xed8d459b7a9c904eull, 0xb9c756a2972a5ff6ull,
+          0x36bcdd8fe2500c86ull, 0xb65dd4e319133c8bull}},
+        {NumericFormat::I16, MappingStyle::Fused,
+         {86572, 48367, 36805, 24408}, 529,
+         {0xed8d459b7a9c904eull, 0xb9c756a2972a5ff6ull,
+          0x36bcdd8fe2500c86ull, 0xb65dd4e319133c8bull}},
+    };
+    const OooConfig cfgs[4] = {OooConfig::boomSmall(),
+                               OooConfig::boomMedium(),
+                               OooConfig::boomLarge(),
+                               OooConfig::boomMega()};
+    for (const Golden &g : golden) {
+        matlib::ScalarBackend b(matlib::ScalarFlavor::Optimized);
+        b.setFormat(g.fmt);
+        auto prog = bench::emitQuadSolveCached(b, g.style);
+        for (int c = 0; c < 4; ++c) {
+            const std::string label =
+                std::string(matlib::formatName(g.fmt)) + " style " +
+                std::to_string(static_cast<int>(g.style)) + " " +
+                cfgs[c].name;
+            TimingResult r = OooCore(cfgs[c]).run(*prog);
+            EXPECT_EQ(r.cycles, g.cycles[c]) << label;
+            EXPECT_EQ(r.regionCycles.size(), g.regions) << label;
+            EXPECT_EQ(digest(r.regionCycles), g.regionDigest[c]) << label;
+        }
+    }
 }
 
 } // namespace

@@ -12,7 +12,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -195,15 +197,51 @@ TEST(UopStream, MutationInvalidatesColumns)
 
 TEST(DiskCache, ProgramPayloadRoundTrip)
 {
-    matlib::GemminiBackend b(matlib::GemminiMapping::fullyOptimized());
-    isa::Program prog =
-        bench::emitQuadSolve(b, tinympc::MappingStyle::Library, 2);
-    std::string payload = isa::encodeProgram(prog);
-    auto back = isa::decodeProgram(payload);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_TRUE(samePrograms(prog, *back));
-    EXPECT_EQ(back->scalarRegCount(), prog.scalarRegCount());
-    EXPECT_EQ(back->vectorRegCount(), prog.vectorRegCount());
+    // Every backend x style x format solve stream and every backend's
+    // model-refresh stream round-trips: the decoder's register-id and
+    // counter bounds reject no emitted program.
+    using tinympc::MappingStyle;
+    auto expect_round_trip = [](const isa::Program &prog,
+                                const std::string &label) {
+        auto back = isa::decodeProgram(isa::encodeProgram(prog));
+        ASSERT_TRUE(back.has_value()) << label;
+        EXPECT_TRUE(samePrograms(prog, *back)) << label;
+        EXPECT_EQ(back->scalarRegCount(), prog.scalarRegCount()) << label;
+        EXPECT_EQ(back->vectorRegCount(), prog.vectorRegCount()) << label;
+    };
+    std::vector<std::unique_ptr<matlib::Backend>> backends;
+    backends.push_back(std::make_unique<matlib::ScalarBackend>(
+        matlib::ScalarFlavor::Optimized));
+    backends.push_back(std::make_unique<matlib::RvvBackend>(
+        512, matlib::RvvMapping::handOptimized()));
+    backends.push_back(std::make_unique<matlib::GemminiBackend>(
+        matlib::GemminiMapping::fullyOptimized()));
+    for (auto &b : backends) {
+        for (auto fmt : {matlib::NumericFormat::F32,
+                         matlib::NumericFormat::I16}) {
+            b->setFormat(fmt);
+            for (auto style : {MappingStyle::Library,
+                               MappingStyle::LibraryPerStep,
+                               MappingStyle::Fused}) {
+                // Gemmini's tiled matmuls cannot fuse per step.
+                if (style == MappingStyle::Fused &&
+                    dynamic_cast<matlib::GemminiBackend *>(b.get())) {
+                    continue;
+                }
+                expect_round_trip(bench::emitQuadSolve(*b, style, 2),
+                                  b->cacheKey() + " style " +
+                                      std::to_string(
+                                          static_cast<int>(style)));
+            }
+            tinympc::Workspace ws = quad::buildQuadWorkspace(
+                quad::DroneParams::crazyflie(), 0.02, 10);
+            isa::Program refresh;
+            b->setProgram(&refresh);
+            tinympc::emitModelRefresh(ws, *b, 3);
+            b->setProgram(nullptr);
+            expect_round_trip(refresh, b->cacheKey() + " refresh");
+        }
+    }
 }
 
 TEST(DiskCache, MalformedPayloadRejected)
@@ -218,6 +256,37 @@ TEST(DiskCache, MalformedPayloadRejected)
     EXPECT_FALSE(
         isa::decodeProgram(payload.substr(0, payload.size() / 2))
             .has_value());
+
+    // Register ids and counters: a two-uop blob with scalar counter 4
+    // (ids 1..3 allocated) and vector counter 1 (none allocated).
+    isa::Program two;
+    const uint32_t a = two.newReg(), b1 = two.newReg(), c = two.newReg();
+    two.push(isa::Uop::scalar(isa::UopKind::FpAdd, a, b1, c));
+    two.push(isa::Uop::scalar(isa::UopKind::FpMul, b1, a));
+    const std::string blob = isa::encodeProgram(two);
+    ASSERT_TRUE(isa::decodeProgram(blob).has_value());
+    // Layout: version u32, uop count u64, region count u64, scalar and
+    // vector counters u32, then per uop kind u8, dst/src0/src1/src2 u32.
+    constexpr size_t kNextReg = 4 + 8 + 8, kNextVReg = kNextReg + 4;
+    constexpr size_t kDst0 = kNextVReg + 4 + 1, kSrc0 = kDst0 + 4;
+    auto decodes_patched = [&](size_t off, uint32_t v) {
+        std::string out = blob;
+        std::memcpy(&out[off], &v, sizeof v);
+        return isa::decodeProgram(out).has_value();
+    };
+    // An id far past the counter: replay would size its scoreboard
+    // from it (2^30 entries) instead of rejecting the stream.
+    EXPECT_FALSE(decodes_patched(kDst0, 0x40000000u));
+    EXPECT_FALSE(decodes_patched(kSrc0, 4));
+    EXPECT_TRUE(decodes_patched(kSrc0, isa::kNoReg));
+    // Vector ids are bounded by the vector counter (none allocated).
+    EXPECT_FALSE(decodes_patched(kDst0, 0x80000001u));
+    // Two uops name at most 8 ids, so the counters stop at 9.
+    EXPECT_TRUE(decodes_patched(kNextReg, 9));
+    EXPECT_FALSE(decodes_patched(kNextReg, 10));
+    EXPECT_TRUE(decodes_patched(kNextVReg, 9));
+    EXPECT_FALSE(decodes_patched(kNextVReg, 10));
+    EXPECT_FALSE(decodes_patched(kNextReg, 0xffffffffu));
 }
 
 TEST(DiskCache, ColdWriteWarmReadWithZeroEmissions)
