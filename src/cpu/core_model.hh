@@ -5,24 +5,26 @@
  * Gemmini systolic).
  *
  * A model consumes a micro-op stream and returns the cycle count plus
- * per-kernel-region attribution. The hot entry point is
- * runStream(UopStreamView): a columnar view whose decoded class
+ * per-kernel-region attribution. Each family prices uops in one
+ * columnar engine over UopStreamView, a view whose decoded class
  * column was computed once for the owning Program, so N models (or N
- * replays) over one cached stream share a single decode pass. The
- * historical AoS loop is kept behind runAos() as the
- * bit-exactness reference and the layout-comparison baseline — both
- * paths must produce identical cycles (pinned by tests).
+ * replays) over one cached stream share a single decode pass.
+ * runStream is the engine's one-lane pass and runStreamBatch its
+ * N-lane pass. runAos() keeps each family's cost rules written
+ * plainly over the AoS Program::uops(): it is the independent
+ * reference every engine lane must match (pinned by tests) and the
+ * layout-comparison baseline.
  *
  * Models are deterministic and purely analytical over the stream:
  * running the same Program twice gives identical results, which the
  * property tests rely on.
  *
- * Models keep no mutable state across run() calls; the per-run scratch
- * (finish-time arrays, register ready files, queue rings) lives in
- * thread-local pools that are reset — capacity retained — at the start
- * of each run. After the first run on a thread, the per-uop simulation
- * loop performs no heap allocation, and distinct sweep threads never
- * share scratch, so models are safe to run concurrently.
+ * Models keep no mutable state across run() calls. Each pass sets up
+ * its own scratch before the per-uop loop (the AoS loops and OoO's
+ * one-lane pass reuse thread-local scratch, capacity retained), so the
+ * per-uop simulation loop performs no heap allocation, distinct sweep
+ * threads never share scratch, and models are safe to run
+ * concurrently.
  */
 
 #ifndef RTOC_CPU_CORE_MODEL_HH
@@ -121,9 +123,11 @@ class TimingModel
         const = 0;
 
     /**
-     * Historical AoS reference loop over Program::uops(). Cycle
-     * results are bit-identical to runStream; kept for the layout
-     * pinning tests and the SoA-vs-AoS replay-throughput bench.
+     * AoS reference loop over Program::uops(): the family's cost rules
+     * written plainly, one config at a time. Results are bit-identical
+     * to every lane of runStream and runStreamBatch; kept as the
+     * reference the tests hold the engine to and for the SoA-vs-AoS
+     * replay-throughput bench.
      */
     virtual TimingResult runAos(const isa::Program &prog) const = 0;
 
@@ -150,12 +154,13 @@ class TimingModel
      * once while advancing an independent scoreboard per model in
      * @p models, amortizing column loads and class decode across a
      * design sweep. Every model in @p models must belong to this
-     * model's family (same dynamic type); families override this with
-     * a fused lane loop whose results are REQUIRED to be bit-identical
-     * to calling models[i]->runStream(view) sequentially (pinned by
-     * tests). The base implementation — also the fallback overrides
-     * take when a foreign model appears in the group — is exactly that
-     * sequential loop. Results are returned in @p models order;
+     * model's family (same dynamic type); each family overrides this
+     * with its engine, whose one-lane pass is runStream, so lane i is
+     * bit-identical to models[i]->runStream(view) and to
+     * models[i]->runAos (pinned by tests). The base implementation —
+     * also the fallback overrides take when a foreign model appears in
+     * the group — is the sequential runStream loop. Results are
+     * returned in @p models order;
      * `this` only dispatches and is not simulated unless it appears in
      * @p models itself.
      */

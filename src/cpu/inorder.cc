@@ -26,18 +26,31 @@ InOrderConfig::shuttle()
     return c;
 }
 
+void
+InOrderConfig::check() const
+{
+    auto width_ok = [](int w) { return w >= 1 && w <= kMaxWidth; };
+    if (!width_ok(issueWidth) || !width_ok(fpuCount) ||
+        !width_ok(memPorts)) {
+        rtoc_panic("in-order core '%s': issue, FPU and memory-port "
+                   "widths must be in [1, %d]",
+                   name.c_str(), kMaxWidth);
+    }
+}
+
+InOrderCore::InOrderCore(InOrderConfig cfg) : cfg_(std::move(cfg))
+{
+    cfg_.check();
+}
+
 TimingResult
 InOrderCore::runStream(const isa::UopStreamView &view) const
 {
-    // Pure scalar run: any coprocessor uop is a programming error.
-    return runStreamWithCoproc(
-        view,
-        [this](const isa::UopStreamView &v, size_t i, uint64_t,
-               RegReadyFile &,
-               RegReadyFile &) -> std::pair<uint64_t, uint64_t> {
-            rtoc_panic("scalar core '%s' given coprocessor uop %s",
-                       cfg_.name.c_str(), isa::uopName(v.kind[i]));
-        });
+    const InOrderConfig *cfg = &cfg_;
+    NoCoproc unit{cfg_.name.c_str()};
+    TimingResult out;
+    replayInOrder<1>(view, &cfg, 1, unit, &out);
+    return out;
 }
 
 TimingResult
@@ -57,21 +70,23 @@ InOrderCore::runStreamBatch(
     const isa::UopStreamView &view,
     const std::vector<const TimingModel *> &models) const
 {
-    std::vector<InOrderConfig> cfgs;
+    std::vector<const InOrderConfig *> cfgs;
     cfgs.reserve(models.size());
     for (const TimingModel *m : models) {
         const auto *core = dynamic_cast<const InOrderCore *>(m);
         if (!core)
             return TimingModel::runStreamBatch(view, models);
-        cfgs.push_back(core->config());
+        cfgs.push_back(&core->config());
     }
-    return runInOrderStreamBatchWithCoproc(
-        view, cfgs,
-        [&](size_t, const isa::UopStreamView &v, size_t i, uint64_t,
-            auto &, auto &) -> std::pair<uint64_t, uint64_t> {
-            rtoc_panic("scalar batch given coprocessor uop %s",
-                       isa::uopName(v.kind[i]));
-        });
+    std::vector<TimingResult> out(cfgs.size());
+    if (cfgs.empty())
+        return out;
+    NoCoproc unit{cfgs.front()->name.c_str()};
+    if (cfgs.size() == 1)
+        replayInOrder<1>(view, cfgs.data(), 1, unit, out.data());
+    else
+        replayInOrder<0>(view, cfgs.data(), cfgs.size(), unit, out.data());
+    return out;
 }
 
 std::string

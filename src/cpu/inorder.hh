@@ -44,6 +44,17 @@ struct InOrderConfig
         return fpLatency > 1 ? fpLatency - 1 : 1;
     }
 
+    /**
+     * Panics unless the issue, FPU and memory-port widths are in
+     * [1, kMaxWidth]: a zero width never issues, and the engine counts
+     * each width in a 15-bit field. The Saturn and Gemmini models check
+     * their frontend with it too.
+     */
+    void check() const;
+
+    /** Widest issue, FPU or memory-port count the engine can count. */
+    static constexpr int kMaxWidth = 0x7fff;
+
     /** Rocket: classic 5-stage single-issue in-order. */
     static InOrderConfig rocket();
 
@@ -55,16 +66,17 @@ struct InOrderConfig
 class InOrderCore : public CoreModel
 {
   public:
-    explicit InOrderCore(InOrderConfig cfg) : cfg_(std::move(cfg)) {}
+    /** Panics unless @p cfg passes InOrderConfig::check(). */
+    explicit InOrderCore(InOrderConfig cfg);
 
+    /** One-lane runStreamBatch: the two share one engine. */
     TimingResult runStream(const isa::UopStreamView &view) const override;
 
     TimingResult runAos(const isa::Program &prog) const override;
 
     /**
-     * Fused scalar lane loop: one column pass advances one scoreboard
-     * per InOrderCore in @p models (bit-identical to sequential
-     * runStream). Falls back to the sequential base when a foreign
+     * One engine pass advances one scoreboard per InOrderCore in
+     * @p models. Falls back to the sequential base when a foreign
      * model appears in the group.
      */
     std::vector<TimingResult>
@@ -79,25 +91,16 @@ class InOrderCore : public CoreModel
     const InOrderConfig &config() const { return cfg_; }
 
     /**
-     * Historical AoS entry point used by the Saturn and Gemmini
-     * reference paths: simulates only scalar uops, invoking @p coproc
-     * for non-scalar kinds. @p coproc receives the uop and the cycle
-     * at which the frontend presents it and returns the cycle at
-     * which the frontend may proceed (allowing coprocessor
-     * back-pressure).
+     * The AoS reference loop behind the runAos of this core, Saturn
+     * and Gemmini: one config over Program::uops(), invoking @p coproc
+     * for non-scalar kinds. @p coproc receives the uop, the cycle at
+     * which the frontend presents it and the register files, and
+     * returns {release, done}: the cycle at which the frontend may
+     * proceed (coprocessor back-pressure) and the uop's completion.
      */
     template <typename CoprocFn>
     TimingResult runWithCoproc(const isa::Program &prog,
                                CoprocFn &&coproc) const;
-
-    /**
-     * Columnar counterpart of runWithCoproc: @p coproc receives the
-     * view and the uop index (it reads only the columns its ISA
-     * needs) plus the present cycle and the register files.
-     */
-    template <typename CoprocFn>
-    TimingResult runStreamWithCoproc(const isa::UopStreamView &view,
-                                     CoprocFn &&coproc) const;
 
   private:
     InOrderConfig cfg_;

@@ -1,27 +1,27 @@
 /**
  * @file
- * Inline implementation of the in-order scoreboard loop, templated on
- * the coprocessor callback so the Saturn and Gemmini wrappers reuse
- * one frontend model without virtual-dispatch overhead per uop.
+ * The in-order cost engine, and the AoS reference loop beside it.
  *
- * Two instantiations of the loop exist. runStreamWithCoproc is the
- * hot path: it walks the columnar UopStreamView, reads the
- * precomputed class byte instead of re-switching on the kind, and
- * turns latency classes into cycles through a small per-run table.
- * runWithCoproc is the historical AoS loop, kept verbatim as the
- * bit-exactness reference — both produce identical cycle counts.
+ * replayInOrder is the one columnar cost loop of the in-order family,
+ * and the frontend of the Saturn and Gemmini models. One lane-major
+ * pass over a stream's columns advances one scoreboard per lane: each
+ * uop's columns are loaded, its class decoded and its register rows
+ * resolved once, then every lane steps over it. Single-config replay
+ * (runStream) is the one-lane call. The lane count is a template
+ * argument: the one-lane instantiation keeps its lane's state in
+ * registers for the whole pass, and lane count 0 (sized at run time)
+ * serves every batch.
  *
- * The scoreboard scratch (finish times, scalar/vector ready files) is
- * thread-local and reset — capacity kept — per run, so replaying a
- * cached Program allocates nothing in the per-uop loop and concurrent
- * sweep threads never contend.
+ * InOrderCore::runWithCoproc is the AoS reference: the same cost rules
+ * written plainly over Program::uops(), one config at a time, with a
+ * thread-local scratch reset per run. The runAos entry points of all
+ * three families run it, and the tests hold every engine lane to it.
  */
 
 #ifndef RTOC_CPU_INORDER_IMPL_HH
 #define RTOC_CPU_INORDER_IMPL_HH
 
 #include <algorithm>
-#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -49,7 +49,417 @@ statIds()
 
 } // namespace inorder_detail
 
-/** Reusable scoreboard state for one simulation thread. */
+/**
+ * Zero-initialized per-lane values of an engine pass: a fixed array
+ * when the lane count @p N is known at compile time, a heap array
+ * sized at run time when N is 0.
+ */
+template <typename T, size_t N>
+class LaneArray
+{
+  public:
+    explicit LaneArray(size_t) {}
+
+    T &operator[](size_t l) { return v_[l]; }
+    const T &operator[](size_t l) const { return v_[l]; }
+    T *data() { return v_; }
+
+  private:
+    T v_[N] = {};
+};
+
+template <typename T>
+class LaneArray<T, 0>
+{
+  public:
+    explicit LaneArray(size_t n) : v_(n) {}
+
+    T &operator[](size_t l) { return v_[l]; }
+    const T &operator[](size_t l) const { return v_[l]; }
+    T *data() { return v_.data(); }
+
+  private:
+    std::vector<T> v_;
+};
+
+/**
+ * One bounded in-flight queue per lane, holding completion cycles in
+ * issue order: the Saturn vector queue and the Gemmini command ROB.
+ * Lane l's ring is lane-interleaved (slot s at buf[s * lanes + l]),
+ * with a power-of-two capacity of at least the deepest lane's depth.
+ * admit() drains a full queue by one entry before each push, so no
+ * lane ever holds more than its depth.
+ */
+template <size_t N>
+class LaneQueues
+{
+  public:
+    /** @p depth(l) is lane l's queue depth (>= 1). */
+    template <typename DepthFn>
+    LaneQueues(size_t lanes, DepthFn &&depth)
+        : lanes_(N ? N : lanes), depth_(lanes), head_(lanes),
+          count_(lanes), stall_(lanes)
+    {
+        uint64_t cap = 1;
+        for (size_t l = 0; l < lanes_; ++l) {
+            depth_[l] = static_cast<uint64_t>(depth(l));
+            while (cap < depth_[l])
+                cap *= 2;
+        }
+        mask_ = cap - 1;
+        buf_.assign(cap * lanes_, 0);
+    }
+
+    /**
+     * Make room in lane @p l for an entry presented at cycle
+     * @p present: retire the entries complete by then and, if the
+     * queue is still full, wait for the oldest to complete. Returns
+     * the cycle the entry is accepted; the wait adds to stall(l).
+     */
+    uint64_t
+    admit(size_t l, uint64_t present)
+    {
+        uint64_t h = head_[l];
+        uint64_t n = count_[l];
+        while (n != 0 && buf_[h * lanes_ + l] <= present) {
+            h = (h + 1) & mask_;
+            --n;
+        }
+        uint64_t accept = present;
+        if (n >= depth_[l]) {
+            accept = buf_[h * lanes_ + l];
+            stall_[l] += accept - present;
+            h = (h + 1) & mask_;
+            --n;
+        }
+        head_[l] = h;
+        count_[l] = n;
+        return accept;
+    }
+
+    /** Append completion cycle @p t to lane @p l (after admit). */
+    void
+    push(size_t l, uint64_t t)
+    {
+        buf_[((head_[l] + count_[l]) & mask_) * lanes_ + l] = t;
+        ++count_[l];
+    }
+
+    /** Empty lane @p l's queue. */
+    void clear(size_t l) { count_[l] = 0; }
+
+    /** Cycles lane @p l's entries waited for a full queue. */
+    uint64_t stall(size_t l) const { return stall_[l]; }
+
+  private:
+    const size_t lanes_;
+    LaneArray<uint64_t, N> depth_, head_, count_, stall_;
+    std::vector<uint64_t> buf_;
+    uint64_t mask_ = 0;
+};
+
+/**
+ * The engine's register ready files as a coprocessor unit sees them:
+ * lane-interleaved, entry (reg, lane) at base[idx * lanes + lane], so
+ * a unit resolves a register once per uop and its lane loop reads one
+ * contiguous row. Reads of kNoReg or out-of-range ids get the
+ * always-zero row (RegReadyFile semantics); writes to kNoReg land in
+ * a sink row, and other writes are asserted in range (the files are
+ * sized from the program's register counters). kNoReg masks to
+ * 0x7fffffff, past any register counter, so one bound check covers it.
+ */
+struct LaneRegFiles
+{
+    uint64_t *sready = nullptr;
+    uint64_t *vready = nullptr;
+    const uint64_t *zero_row = nullptr;
+    uint64_t *sink_row = nullptr;
+    uint32_t nsreg = 0;
+    uint32_t nvreg = 0;
+    size_t lanes = 0;
+
+    const uint64_t *
+    srow(uint32_t reg) const
+    {
+        const uint32_t idx = reg & 0x7fffffffu;
+        return idx < nsreg ? sready + static_cast<size_t>(idx) * lanes
+                           : zero_row;
+    }
+
+    uint64_t *
+    srowW(uint32_t reg) const
+    {
+        const uint32_t idx = reg & 0x7fffffffu;
+        rtoc_assert(reg == isa::kNoReg || idx < nsreg);
+        return idx < nsreg ? sready + static_cast<size_t>(idx) * lanes
+                           : sink_row;
+    }
+
+    const uint64_t *
+    vrow(uint32_t reg) const
+    {
+        const uint32_t idx = reg & 0x7fffffffu;
+        return idx < nvreg ? vready + static_cast<size_t>(idx) * lanes
+                           : zero_row;
+    }
+
+    uint64_t *
+    vrowW(uint32_t reg) const
+    {
+        const uint32_t idx = reg & 0x7fffffffu;
+        rtoc_assert(reg == isa::kNoReg || idx < nvreg);
+        return idx < nvreg ? vready + static_cast<size_t>(idx) * lanes
+                           : sink_row;
+    }
+};
+
+/** Coprocessor unit of a scalar-only core: any coprocessor uop is a
+ *  programming error. */
+struct NoCoproc
+{
+    const char *core;
+
+    void
+    operator()(const isa::UopStreamView &v, size_t i, const uint64_t *,
+               uint64_t *, uint64_t *, const LaneRegFiles &) const
+    {
+        rtoc_panic("scalar core '%s' given coprocessor uop %s", core,
+                   isa::uopName(v.kind[i]));
+    }
+};
+
+/**
+ * The in-order engine: one pass over @p v advances one scoreboard per
+ * lane, lane l configured by @p cfgs[l], and writes lane l's result to
+ * @p out[l]. @p N is the lane count when known at compile time (0:
+ * @p lanes, at run time). Every lane runs the same statements over the
+ * same uops, so a lane's result does not depend on the other lanes.
+ *
+ * The scalar pipeline is priced here. A non-scalar uop takes an issue
+ * slot and waits for its scalar operands in every lane, then goes to
+ * @p unit once for all lanes:
+ *
+ *     unit(v, i, present, release, done, regs)
+ *
+ * present[l] is the cycle at which lane l's frontend presents uop i;
+ * the unit fills release[l] (when that frontend may continue) and
+ * done[l] (when the uop completes), keeps its own per-lane state, and
+ * reads and writes the register files through regs.
+ *
+ * Lane-invariant work is done once per uop, not once per lane: the
+ * column loads, the class decode and the register-row resolution. The
+ * pass runs region by region, so kernel-region attribution costs each
+ * lane one running max per uop.
+ */
+template <size_t N, typename Unit>
+void
+replayInOrder(const isa::UopStreamView &v,
+              const InOrderConfig *const *cfgs, size_t lanes, Unit &unit,
+              TimingResult *out)
+{
+    using isa::LatClass;
+
+    if (!v.program) {
+        rtoc_panic("in-order replay: view has no owning program "
+                   "(region attribution needs Program::stream())");
+    }
+    if (v.program->kernelOpen()) {
+        rtoc_panic("in-order replay: kernel region '%s' still open — "
+                   "close it (endKernel) before timing the program",
+                   v.program->kernels().back().name().c_str());
+    }
+
+    const size_t L = N ? N : lanes;
+
+    // The three per-cycle issue counters of a lane (issue slots, FPUs,
+    // memory ports) share one word, in 16-bit fields at bits 0/16/32.
+    // A uop's gate g (bit 0: it takes an FPU, bit 1: a memory port)
+    // selects comp[g * L + l], which holds 0x8000 - limit in each field
+    // the uop needs, so occ + comp sets a field's bit 15 exactly when
+    // that counter has reached its limit. Limits are in [1, 0x7fff]
+    // (checked by the constructors): counters never pass them, so the
+    // fields never carry into each other, and a uop always fits a
+    // fresh cycle, so one test per uop suffices.
+    static_assert(isa::kClsFp == 0x10 && isa::kClsMem == 0x20,
+                  "gate = (cls >> 4) & 3");
+    constexpr uint64_t kOccHi = 0x0000800080008000ull;
+    static constexpr uint64_t kOccInc[4] = {
+        1, 1 | 1ull << 16, 1 | 1ull << 32, 1 | 1ull << 16 | 1ull << 32};
+    LaneArray<uint64_t, N> cycle(L), occ(L), stall_data(L),
+        stall_struct(L), running_max(L), open_before(L), bubble(L);
+    LaneArray<uint64_t, N> present(L), release(L), done(L);
+    LaneArray<uint64_t, 4 * N> comp(4 * L);
+    LaneArray<uint64_t, isa::kNumLatClasses * N> lat(
+        isa::kNumLatClasses * L);
+    for (size_t l = 0; l < L; ++l) {
+        const InOrderConfig &c = *cfgs[l];
+        const uint64_t cs = 0x8000ull - static_cast<uint64_t>(c.issueWidth);
+        const uint64_t cf = 0x8000ull - static_cast<uint64_t>(c.fpuCount);
+        const uint64_t cm = 0x8000ull - static_cast<uint64_t>(c.memPorts);
+        comp[0 * L + l] = cs;
+        comp[1 * L + l] = cs | cf << 16;
+        comp[2 * L + l] = cs | cm << 32;
+        comp[3 * L + l] = cs | cf << 16 | cm << 32;
+        bubble[l] = static_cast<uint64_t>(c.branchBubble);
+        // Class-major, so a uop's lane loop reads one contiguous row.
+        auto set = [&](LatClass k, int cycles) {
+            lat[static_cast<size_t>(k) * L + l] =
+                static_cast<uint64_t>(cycles);
+        };
+        set(LatClass::IntAlu, 1);
+        set(LatClass::IntMul, c.intMulLatency);
+        set(LatClass::Fp, c.fpLatency);
+        set(LatClass::FpDiv, c.fpDivLatency);
+        set(LatClass::FpCmp, 2);
+        set(LatClass::FpMove, 2);
+        set(LatClass::Load, c.loadLatency);
+        set(LatClass::Store, 1);
+        set(LatClass::Branch, 1);
+        set(LatClass::FpNarrow, c.resolvedFpNarrowLatency());
+    }
+
+    // Scalar rows, vector rows, then the zero and sink rows, in one
+    // zeroed store (zero == never written, as in RegReadyFile).
+    const uint32_t nsreg = v.program->scalarRegCount();
+    const uint32_t nvreg = v.program->vectorRegCount();
+    const size_t rows = static_cast<size_t>(nsreg) + nvreg;
+    std::vector<uint64_t> store((rows + 2) * L, 0);
+    const LaneRegFiles regs{store.data(),
+                            store.data() + static_cast<size_t>(nsreg) * L,
+                            store.data() + rows * L,
+                            store.data() + (rows + 1) * L,
+                            nsreg,
+                            nvreg,
+                            L};
+
+    constexpr uint8_t kBranchCls = static_cast<uint8_t>(LatClass::Branch);
+    const uint8_t *const cls_col = v.cls;
+    const uint32_t *const dst_col = v.dst;
+    const uint32_t *const src0_col = v.src0;
+    const uint32_t *const src1_col = v.src1;
+    const uint32_t *const src2_col = v.src2;
+    const uint8_t *const taken_col = v.taken;
+    // A coprocessor uop's vector operands are the unit's business: the
+    // frontend interlocks on its scalar operands only.
+    auto scalar_only = [](uint32_t reg) {
+        return isa::Program::isVReg(reg) ? isa::kNoReg : reg;
+    };
+
+    // Kernel regions are ordered and disjoint, so the pass runs in
+    // segments between region boundaries: a region opens before its
+    // begin uop and closes before its end uop, where
+    // RegionAttributor::closeUpTo would, and no uop tests for one.
+    const std::vector<isa::KernelRegion> &regions = v.program->kernels();
+    for (size_t l = 0; l < L; ++l)
+        out[l].regionCycles.reserve(regions.size());
+    size_t next_region = 0;
+    bool open = false;
+    for (size_t i = 0;;) {
+        const size_t stop = next_region == regions.size() ? v.n
+                            : open ? regions[next_region].end
+                                   : regions[next_region].begin;
+        for (; i < stop; ++i) {
+            const uint8_t cls = cls_col[i];
+
+            if (!(cls & isa::kClsScalar)) {
+                // The frontend presents the coprocessor uop: one issue
+                // slot (gate 0 checks only the slot field), then its
+                // scalar operands (vfmacc.vf reads an f-register).
+                const uint64_t *p0 = regs.srow(scalar_only(src0_col[i]));
+                const uint64_t *p1 = regs.srow(scalar_only(src1_col[i]));
+                const uint64_t *p2 = regs.srow(scalar_only(src2_col[i]));
+                for (size_t l = 0; l < L; ++l) {
+                    uint64_t c = cycle[l];
+                    uint64_t oc = occ[l];
+                    if ((oc + comp[l]) & kOccHi) {
+                        c += 1;
+                        oc = 0;
+                    }
+                    const uint64_t ready =
+                        std::max(std::max(p0[l], p1[l]), p2[l]);
+                    if (ready > c) {
+                        stall_data[l] += ready - c;
+                        c = ready;
+                        oc = 0;
+                    }
+                    cycle[l] = c;
+                    occ[l] = oc + 1;
+                    present[l] = c;
+                }
+                unit(v, i, present.data(), release.data(), done.data(),
+                     regs);
+                for (size_t l = 0; l < L; ++l) {
+                    running_max[l] = std::max(running_max[l], done[l]);
+                    if (release[l] > cycle[l]) {
+                        cycle[l] = release[l];
+                        occ[l] = 0;
+                    }
+                }
+                continue;
+            }
+
+            // Scalar uop: operand rows, latency row, gate and the
+            // taken-branch predicate are lane-invariant.
+            const uint64_t *p0 = regs.srow(src0_col[i]);
+            const uint64_t *p1 = regs.srow(src1_col[i]);
+            const uint64_t *p2 = regs.srow(src2_col[i]);
+            uint64_t *pd = regs.srowW(dst_col[i]);
+            const size_t lc = cls & isa::kClsLatMask;
+            const uint64_t *lat_row = lat.data() + lc * L;
+            const size_t gate = (cls >> 4) & 3;
+            const uint64_t *comp_row = comp.data() + gate * L;
+            const uint64_t inc = kOccInc[gate];
+            const bool br_taken = lc == kBranchCls && taken_col[i];
+            for (size_t l = 0; l < L; ++l) {
+                uint64_t c = cycle[l];
+                uint64_t oc = occ[l];
+                const uint64_t ready =
+                    std::max(std::max(p0[l], p1[l]), p2[l]);
+                if (ready > c) {
+                    stall_data[l] += ready - c;
+                    c = ready;
+                    oc = 0;
+                }
+                if ((oc + comp_row[l]) & kOccHi) {
+                    ++stall_struct[l];
+                    c += 1;
+                    oc = 0;
+                }
+                const uint64_t t = c + lat_row[l];
+                running_max[l] = std::max(running_max[l], t);
+                pd[l] = t;
+                oc += inc;
+                if (br_taken) {
+                    c += 1 + bubble[l];
+                    oc = 0;
+                }
+                cycle[l] = c;
+                occ[l] = oc;
+            }
+        }
+        if (next_region == regions.size())
+            break;
+        for (size_t l = 0; l < L; ++l) {
+            if (open)
+                out[l].regionCycles.push_back(running_max[l] -
+                                              open_before[l]);
+            else
+                open_before[l] = running_max[l];
+        }
+        next_region += open;
+        open = !open;
+    }
+
+    const inorder_detail::Ids &ids = inorder_detail::statIds();
+    for (size_t l = 0; l < L; ++l) {
+        out[l].cycles = std::max(cycle[l], running_max[l]);
+        out[l].stats.set(ids.uops, v.n);
+        out[l].stats.set(ids.stall_data, stall_data[l]);
+        out[l].stats.set(ids.stall_struct, stall_struct[l]);
+    }
+}
+
+/** Reusable scoreboard state of the AoS reference loop, per thread. */
 struct InOrderScratch
 {
     std::vector<uint64_t> finish;
@@ -64,609 +474,6 @@ struct InOrderScratch
         vregs.reset();
     }
 };
-
-template <typename CoprocFn>
-TimingResult
-InOrderCore::runStreamWithCoproc(const isa::UopStreamView &v,
-                                 CoprocFn &&coproc) const
-{
-    using isa::LatClass;
-
-    if (!v.program) {
-        rtoc_panic("in-order core '%s': view has no owning program "
-                   "(region attribution needs Program::stream())",
-                   cfg_.name.c_str());
-    }
-
-    TimingResult result;
-
-    // The columnar loop needs no finish-time buffer: completions fold
-    // into the streaming RegionAttributor as they happen.
-    static thread_local InOrderScratch scratch;
-    scratch.sregs.reset();
-    scratch.vregs.reset();
-    RegReadyFile &sregs = scratch.sregs;
-    RegReadyFile &vregs = scratch.vregs;
-    RegionAttributor attr(*v.program);
-
-    // Per-run latency table indexed by LatClass (the decode pass
-    // already classified every uop; the config only prices classes).
-    uint64_t lat[isa::kNumLatClasses] = {};
-    lat[static_cast<size_t>(LatClass::IntAlu)] = 1;
-    lat[static_cast<size_t>(LatClass::IntMul)] =
-        static_cast<uint64_t>(cfg_.intMulLatency);
-    lat[static_cast<size_t>(LatClass::Fp)] =
-        static_cast<uint64_t>(cfg_.fpLatency);
-    lat[static_cast<size_t>(LatClass::FpDiv)] =
-        static_cast<uint64_t>(cfg_.fpDivLatency);
-    lat[static_cast<size_t>(LatClass::FpCmp)] = 2;
-    lat[static_cast<size_t>(LatClass::FpMove)] = 2;
-    lat[static_cast<size_t>(LatClass::Load)] =
-        static_cast<uint64_t>(cfg_.loadLatency);
-    lat[static_cast<size_t>(LatClass::Store)] = 1;
-    lat[static_cast<size_t>(LatClass::Branch)] = 1;
-    lat[static_cast<size_t>(LatClass::FpNarrow)] =
-        static_cast<uint64_t>(cfg_.resolvedFpNarrowLatency());
-
-    constexpr uint8_t kBranchCls =
-        static_cast<uint8_t>(LatClass::Branch);
-
-    // Hoisted column pointers: the loop below touches only these.
-    const uint8_t *const cls_col = v.cls;
-    const uint32_t *const dst_col = v.dst;
-    const uint32_t *const src0_col = v.src0;
-    const uint32_t *const src1_col = v.src1;
-    const uint32_t *const src2_col = v.src2;
-    const uint8_t *const taken_col = v.taken;
-
-    uint64_t cycle = 0;
-    int slots = 0;
-    int fp_used = 0;
-    int mem_used = 0;
-    uint64_t stall_data = 0;
-    uint64_t stall_struct = 0;
-
-    auto advance_to = [&](uint64_t c) {
-        if (c > cycle) {
-            cycle = c;
-            slots = 0;
-            fp_used = 0;
-            mem_used = 0;
-        }
-    };
-
-    for (size_t i = 0; i < v.n; ++i) {
-        const uint8_t cls = cls_col[i];
-
-        if (!(cls & isa::kClsScalar)) {
-            // Frontend presents the coprocessor instruction: it costs
-            // one issue slot, then the coprocessor decides when the
-            // frontend may continue (back-pressure, fences).
-            while (slots >= cfg_.issueWidth)
-                advance_to(cycle + 1);
-            // Scalar operand of the coprocessor op must be ready
-            // (e.g. vfmacc.vf reads a scalar f-register).
-            const uint32_t s0 = src0_col[i];
-            const uint32_t s1 = src1_col[i];
-            const uint32_t s2 = src2_col[i];
-            uint64_t ready = std::max(
-                std::max(sregs.readyTime(
-                             isa::Program::isVReg(s0) ? isa::kNoReg
-                                                      : s0),
-                         sregs.readyTime(isa::Program::isVReg(s1)
-                                             ? isa::kNoReg
-                                             : s1)),
-                sregs.readyTime(isa::Program::isVReg(s2) ? isa::kNoReg
-                                                         : s2));
-            if (ready > cycle) {
-                stall_data += ready - cycle;
-                advance_to(ready);
-            }
-            ++slots;
-            auto [release, done] = coproc(v, i, cycle, sregs, vregs);
-            attr.step(i, done);
-            if (release > cycle)
-                advance_to(release);
-            continue;
-        }
-
-        uint64_t ready =
-            std::max(std::max(sregs.readyTime(src0_col[i]),
-                              sregs.readyTime(src1_col[i])),
-                     sregs.readyTime(src2_col[i]));
-        if (ready > cycle) {
-            stall_data += ready - cycle;
-            advance_to(ready);
-        }
-        while (slots >= cfg_.issueWidth ||
-               ((cls & isa::kClsFp) && fp_used >= cfg_.fpuCount) ||
-               ((cls & isa::kClsMem) && mem_used >= cfg_.memPorts)) {
-            ++stall_struct;
-            advance_to(cycle + 1);
-        }
-        ++slots;
-        if (cls & isa::kClsFp)
-            ++fp_used;
-        if (cls & isa::kClsMem)
-            ++mem_used;
-
-        uint64_t done = cycle + lat[cls & isa::kClsLatMask];
-        attr.step(i, done);
-        sregs.setReady(dst_col[i], done);
-
-        if ((cls & isa::kClsLatMask) == kBranchCls && taken_col[i])
-            advance_to(cycle + 1 +
-                       static_cast<uint64_t>(cfg_.branchBubble));
-    }
-
-    result.regionCycles = attr.finish(v.n);
-    result.cycles = std::max(cycle, attr.maxCompletion());
-    result.stats.set(inorder_detail::statIds().uops, v.n);
-    result.stats.set(inorder_detail::statIds().stall_data, stall_data);
-    result.stats.set(inorder_detail::statIds().stall_struct, stall_struct);
-    return result;
-}
-
-/**
- * Lane view over the batch engine's lane-interleaved register ready
- * store: entry (reg, lane) lives at base[reg * lanes + lane], so the
- * ready times of one register across all lanes share a cache line.
- * Semantics mirror RegReadyFile exactly (mask, kNoReg, out-of-range
- * reads return 0); the store is pre-sized from the program's register
- * counts, so every allocated register is in range.
- */
-class LaneRegView
-{
-  public:
-    LaneRegView(uint64_t *base, uint32_t nregs, uint32_t lanes,
-                uint32_t lane)
-        : base_(base), nregs_(nregs), lanes_(lanes), lane_(lane)
-    {}
-
-    uint64_t
-    readyTime(uint32_t reg) const
-    {
-        uint32_t idx = reg & 0x7fffffffu;
-        if (reg == isa::kNoReg || idx >= nregs_)
-            return 0;
-        return base_[static_cast<size_t>(idx) * lanes_ + lane_];
-    }
-
-    void
-    setReady(uint32_t reg, uint64_t t)
-    {
-        if (reg == isa::kNoReg)
-            return;
-        uint32_t idx = reg & 0x7fffffffu;
-        rtoc_assert(idx < nregs_); // store sized from Program counters
-        if (idx >= nregs_)
-            return;
-        base_[static_cast<size_t>(idx) * lanes_ + lane_] = t;
-    }
-
-  private:
-    uint64_t *base_;
-    uint32_t nregs_;
-    uint32_t lanes_;
-    uint32_t lane_;
-};
-
-/**
- * Lane-major register files handed to *batched* coprocessor
- * callbacks: entry (reg, lane) lives at base[idx * lanes + lane], the
- * same lane-interleaved store LaneRegView wraps, but exposed as whole
- * rows so a family can hoist the register resolution out of its lane
- * loop and keep the loop itself branchless. Read rows fall back to a
- * shared always-zero row (kNoReg / out-of-range reads return 0,
- * RegReadyFile semantics); write rows fall back to a shared sink row
- * (kNoReg destinations drop, and in-range is asserted exactly like
- * LaneRegView::setReady).
- */
-struct BatchRegFiles
-{
-    uint64_t *sready = nullptr;
-    uint64_t *vready = nullptr;
-    const uint64_t *zero_row = nullptr;
-    uint64_t *sink_row = nullptr;
-    uint32_t nsreg = 0;
-    uint32_t nvreg = 0;
-    size_t lanes = 0;
-
-    const uint64_t *
-    srow(uint32_t reg) const
-    {
-        const uint32_t idx = reg & 0x7fffffffu;
-        if (reg == isa::kNoReg || idx >= nsreg)
-            return zero_row;
-        return sready + static_cast<size_t>(idx) * lanes;
-    }
-
-    uint64_t *
-    srowW(uint32_t reg) const
-    {
-        if (reg == isa::kNoReg)
-            return sink_row;
-        const uint32_t idx = reg & 0x7fffffffu;
-        rtoc_assert(idx < nsreg); // store sized from Program counters
-        if (idx >= nsreg)
-            return sink_row;
-        return sready + static_cast<size_t>(idx) * lanes;
-    }
-
-    const uint64_t *
-    vrow(uint32_t reg) const
-    {
-        const uint32_t idx = reg & 0x7fffffffu;
-        if (reg == isa::kNoReg || idx >= nvreg)
-            return zero_row;
-        return vready + static_cast<size_t>(idx) * lanes;
-    }
-
-    uint64_t *
-    vrowW(uint32_t reg) const
-    {
-        if (reg == isa::kNoReg)
-            return sink_row;
-        const uint32_t idx = reg & 0x7fffffffu;
-        rtoc_assert(idx < nvreg);
-        if (idx >= nvreg)
-            return sink_row;
-        return vready + static_cast<size_t>(idx) * lanes;
-    }
-};
-
-namespace inorder_detail {
-
-/**
- * Batched coprocessor contract: instead of one callback per (lane,
- * uop) receiving per-lane reg views, the engine presents each coproc
- * uop ONCE with the per-lane present-cycle array and the lane-major
- * reg files; the callback fills release[]/done[] for every lane. This
- * lets a family hoist its per-uop kind switch and operand resolution
- * out of the lane loop and keep its unit state lane-major SoA, so the
- * lane loop vectorizes under RTOC_NATIVE.
- */
-template <typename Fn>
-constexpr bool kBatchedCoproc =
-    std::is_invocable_v<Fn &, const isa::UopStreamView &, size_t,
-                        const uint64_t *, uint64_t *, uint64_t *,
-                        const BatchRegFiles &>;
-
-} // namespace inorder_detail
-
-/**
- * Batched counterpart of runStreamWithCoproc: ONE pass over the
- * columns advances an independent scoreboard per config in @p cfgs
- * (lanes may differ in every knob, including issue width and the
- * frontend choice). Per-lane results are bit-identical to sequential
- * runStreamWithCoproc calls (pinned by tests); the batch is faster
- * because the lane-invariant work is hoisted out of the lane loop:
- *
- *  - columns are loaded and decoded once per uop, not once per
- *    (config, uop);
- *  - operand/destination register rows are resolved once per uop
- *    (kNoReg and bounds checks are shared), and the lane-interleaved
- *    ready store puts all lanes of a register on one cache line;
- *  - kernel-region attribution is driven by a shared boundary-event
- *    list (region structure is lane-invariant), so the per-lane,
- *    per-uop attribution work collapses to a running max.
- *
- * @p coproc is one of two contracts, selected by signature at compile
- * time: the per-lane form receives (lane, view, i, present, sregs,
- * vregs) — the reg files as LaneRegView — and returns the single-lane
- * {release, done} pair; the batched form (inorder_detail::
- * kBatchedCoproc) receives (view, i, present[], release[], done[],
- * BatchRegFiles) once per uop and fills the per-lane arrays. Both own
- * any per-lane coprocessor state; results are bit-identical by
- * construction because the engine computes present[] with exactly the
- * per-lane frontend steps either way.
- */
-template <typename CoprocFn>
-std::vector<TimingResult>
-runInOrderStreamBatchWithCoproc(const isa::UopStreamView &v,
-                                const std::vector<InOrderConfig> &cfgs,
-                                CoprocFn &&coproc)
-{
-    using isa::LatClass;
-
-    if (!v.program) {
-        rtoc_panic("in-order batch: view has no owning program "
-                   "(region attribution needs Program::stream())");
-    }
-    if (v.program->kernelOpen()) {
-        rtoc_panic("in-order batch: kernel region '%s' still open — "
-                   "close it (endKernel) before timing the program",
-                   v.program->kernels().back().name().c_str());
-    }
-
-    const size_t L = cfgs.size();
-    const uint32_t nsreg = v.program->scalarRegCount();
-    const uint32_t nvreg = v.program->vectorRegCount();
-
-    // Per-lane scoreboard state, SoA so the lane loop streams it.
-    //
-    // The three issue counters (slots, fp_used, mem_used) live in one
-    // packed word per lane — 16-bit fields at bits 0/16/32 — so the
-    // structural-hazard test of the single-lane loop
-    //   slots >= issueWidth || (fp && fp_used >= fpuCount) ||
-    //   (mem && mem_used >= memPorts)
-    // becomes one add+mask against a per-lane packed complement
-    // (field f trips bit 15 of its lane exactly when counter_f >=
-    // limit_f; counters stay tiny, so fields never carry into each
-    // other), and the counter increments collapse to one shared
-    // packed add. Bit-for-bit the same stall decisions, one compare.
-    std::vector<uint64_t> cycle(L, 0), stall_data(L, 0),
-        stall_struct(L, 0), running_max(L, 0), open_before(L, 0),
-        branch_bubble(L), lat(isa::kNumLatClasses * L, 0);
-    std::vector<uint64_t> occ(L, 0);      ///< packed slots/fp/mem
-    std::vector<uint64_t> occ_comp(4 * L); ///< packed limit complements
-    std::vector<int> issue_width(L);
-    constexpr uint64_t kOccHi = 0x0000800080008000ull;
-    for (size_t l = 0; l < L; ++l) {
-        const InOrderConfig &cfg = cfgs[l];
-        issue_width[l] = cfg.issueWidth;
-        branch_bubble[l] = static_cast<uint64_t>(cfg.branchBubble);
-        const uint64_t cs =
-            0x8000ull - static_cast<uint64_t>(cfg.issueWidth);
-        const uint64_t cf =
-            0x8000ull - static_cast<uint64_t>(cfg.fpuCount);
-        const uint64_t cm =
-            0x8000ull - static_cast<uint64_t>(cfg.memPorts);
-        // Gate selector: bit0 = fp port used by this uop, bit1 = mem
-        // port used; disabled gates contribute 0 (never trip).
-        occ_comp[0 * L + l] = cs;
-        occ_comp[1 * L + l] = cs | (cf << 16);
-        occ_comp[2 * L + l] = cs | (cm << 32);
-        occ_comp[3 * L + l] = cs | (cf << 16) | (cm << 32);
-        // Class-major layout: the lane loop reads one contiguous row
-        // per uop (lat[lc * L + l]) without a per-lane multiply.
-        auto lt = [&](LatClass c) -> uint64_t & {
-            return lat[static_cast<size_t>(c) * L + l];
-        };
-        lt(LatClass::IntAlu) = 1;
-        lt(LatClass::IntMul) =
-            static_cast<uint64_t>(cfg.intMulLatency);
-        lt(LatClass::Fp) = static_cast<uint64_t>(cfg.fpLatency);
-        lt(LatClass::FpDiv) =
-            static_cast<uint64_t>(cfg.fpDivLatency);
-        lt(LatClass::FpCmp) = 2;
-        lt(LatClass::FpMove) = 2;
-        lt(LatClass::Load) = static_cast<uint64_t>(cfg.loadLatency);
-        lt(LatClass::Store) = 1;
-        lt(LatClass::Branch) = 1;
-        lt(LatClass::FpNarrow) =
-            static_cast<uint64_t>(cfg.resolvedFpNarrowLatency());
-    }
-
-    // Lane-interleaved ready stores (zero == never written, exactly
-    // RegReadyFile's unwritten/out-of-range semantics). Two extra
-    // rows keep the lane loop branchless: kNoReg/out-of-range
-    // operands read the always-zero row, kNoReg destinations write
-    // the sink row.
-    std::vector<uint64_t> sready(static_cast<size_t>(nsreg) * L, 0);
-    std::vector<uint64_t> vready(static_cast<size_t>(nvreg) * L, 0);
-    std::vector<uint64_t> zero_row(L, 0), sink_row(L, 0);
-
-    // Batched-contract scratch: per-lane present/release/done arrays
-    // plus the lane-major reg-file handle (unused — and unallocated
-    // work in the loop — under the per-lane contract).
-    constexpr bool kBatched =
-        inorder_detail::kBatchedCoproc<std::decay_t<CoprocFn>>;
-    std::vector<uint64_t> co_present, co_release, co_done;
-    if constexpr (kBatched) {
-        co_present.resize(L);
-        co_release.resize(L);
-        co_done.resize(L);
-    }
-    const BatchRegFiles reg_files{sready.data(), vready.data(),
-                                  zero_row.data(), sink_row.data(),
-                                  nsreg,          nvreg,
-                                  L};
-
-    // Shared region-boundary events, replayed in exactly the order
-    // RegionAttributor::closeUpTo visits them (open at begin, close
-    // at end, region order).
-    struct REvent
-    {
-        size_t pos;
-        bool open;
-    };
-    const std::vector<isa::KernelRegion> &regions =
-        v.program->kernels();
-    std::vector<REvent> events;
-    events.reserve(regions.size() * 2);
-    for (const isa::KernelRegion &r : regions) {
-        events.push_back({r.begin, true});
-        events.push_back({r.end, false});
-    }
-    std::vector<std::vector<uint64_t>> region_out(L);
-    for (auto &o : region_out)
-        o.reserve(regions.size());
-    size_t next_event = 0;
-    auto apply_events_up_to = [&](size_t i) {
-        while (next_event < events.size() &&
-               events[next_event].pos <= i) {
-            if (events[next_event].open) {
-                for (size_t l = 0; l < L; ++l)
-                    open_before[l] = running_max[l];
-            } else {
-                for (size_t l = 0; l < L; ++l)
-                    region_out[l].push_back(running_max[l] -
-                                            open_before[l]);
-            }
-            ++next_event;
-        }
-    };
-
-    constexpr uint8_t kBranchCls =
-        static_cast<uint8_t>(LatClass::Branch);
-
-    const uint8_t *const cls_col = v.cls;
-    const uint32_t *const dst_col = v.dst;
-    const uint32_t *const src0_col = v.src0;
-    const uint32_t *const src1_col = v.src1;
-    const uint32_t *const src2_col = v.src2;
-    const uint8_t *const taken_col = v.taken;
-    uint64_t *const sbase = sready.data();
-
-    // Resolve a scalar-file operand row once for every lane. The
-    // single-lane loop masks and bounds-checks per (lane, operand);
-    // those checks depend only on the uop, so they hoist here.
-    // kNoReg/out-of-range resolve to the zero row (readyTime 0).
-    auto srow = [&](uint32_t reg) -> const uint64_t * {
-        uint32_t idx = reg & 0x7fffffffu;
-        if (reg == isa::kNoReg || idx >= nsreg)
-            return zero_row.data();
-        return sbase + static_cast<size_t>(idx) * L;
-    };
-
-    for (size_t i = 0; i < v.n; ++i) {
-        apply_events_up_to(i);
-        const uint8_t cls = cls_col[i];
-
-        if (!(cls & isa::kClsScalar)) {
-            // Coprocessor op: mask vector-register operands to kNoReg
-            // for the frontend interlock, exactly as the single-lane
-            // loop does (shared — operands are lane-invariant).
-            const uint32_t s0 = src0_col[i];
-            const uint32_t s1 = src1_col[i];
-            const uint32_t s2 = src2_col[i];
-            const uint64_t *p0 =
-                srow(isa::Program::isVReg(s0) ? isa::kNoReg : s0);
-            const uint64_t *p1 =
-                srow(isa::Program::isVReg(s1) ? isa::kNoReg : s1);
-            const uint64_t *p2 =
-                srow(isa::Program::isVReg(s2) ? isa::kNoReg : s2);
-            if constexpr (kBatched) {
-                // Frontend steps per lane (identical to the per-lane
-                // contract), then ONE callback over all lanes.
-                for (size_t l = 0; l < L; ++l) {
-                    while (static_cast<int>(occ[l] & 0xffffu) >=
-                           issue_width[l]) {
-                        cycle[l] += 1;
-                        occ[l] = 0;
-                    }
-                    uint64_t ready =
-                        std::max(std::max(p0[l], p1[l]), p2[l]);
-                    if (ready > cycle[l]) {
-                        stall_data[l] += ready - cycle[l];
-                        cycle[l] = ready;
-                        occ[l] = 0;
-                    }
-                    occ[l] += 1;
-                    co_present[l] = cycle[l];
-                }
-                coproc(v, i, co_present.data(), co_release.data(),
-                       co_done.data(), reg_files);
-                for (size_t l = 0; l < L; ++l) {
-                    if (co_done[l] > running_max[l])
-                        running_max[l] = co_done[l];
-                    if (co_release[l] > cycle[l]) {
-                        cycle[l] = co_release[l];
-                        occ[l] = 0;
-                    }
-                }
-            } else {
-                for (size_t l = 0; l < L; ++l) {
-                    while (static_cast<int>(occ[l] & 0xffffu) >=
-                           issue_width[l]) {
-                        cycle[l] += 1;
-                        occ[l] = 0;
-                    }
-                    uint64_t ready =
-                        std::max(std::max(p0[l], p1[l]), p2[l]);
-                    if (ready > cycle[l]) {
-                        stall_data[l] += ready - cycle[l];
-                        cycle[l] = ready;
-                        occ[l] = 0;
-                    }
-                    occ[l] += 1;
-                    LaneRegView sview(sbase, nsreg,
-                                      static_cast<uint32_t>(L),
-                                      static_cast<uint32_t>(l));
-                    LaneRegView vview(vready.data(), nvreg,
-                                      static_cast<uint32_t>(L),
-                                      static_cast<uint32_t>(l));
-                    auto [release, done] =
-                        coproc(l, v, i, cycle[l], sview, vview);
-                    if (done > running_max[l])
-                        running_max[l] = done;
-                    if (release > cycle[l]) {
-                        cycle[l] = release;
-                        occ[l] = 0;
-                    }
-                }
-            }
-            continue;
-        }
-
-        // Scalar op: operand rows, latency class, port flags and the
-        // taken-branch predicate are all lane-invariant.
-        const uint64_t *p0 = srow(src0_col[i]);
-        const uint64_t *p1 = srow(src1_col[i]);
-        const uint64_t *p2 = srow(src2_col[i]);
-        const uint32_t dst = dst_col[i];
-        const uint32_t dst_idx = dst & 0x7fffffffu;
-        uint64_t *pd = (dst == isa::kNoReg || dst_idx >= nsreg)
-                           ? sink_row.data()
-                           : sbase + static_cast<size_t>(dst_idx) * L;
-        const size_t lc = cls & isa::kClsLatMask;
-        const uint64_t *const lat_row = lat.data() + lc * L;
-        const bool is_fp = (cls & isa::kClsFp) != 0;
-        const bool is_mem = (cls & isa::kClsMem) != 0;
-        const bool br_taken = lc == kBranchCls && taken_col[i];
-        // Shared packed-counter increment and limit-complement row.
-        const uint64_t occ_inc = 1ull |
-                                 (is_fp ? 1ull << 16 : 0) |
-                                 (is_mem ? 1ull << 32 : 0);
-        const uint64_t *const comp_row =
-            occ_comp.data() +
-            (static_cast<size_t>(is_fp) | (is_mem ? 2u : 0u)) * L;
-
-        for (size_t l = 0; l < L; ++l) {
-            uint64_t ready =
-                std::max(std::max(p0[l], p1[l]), p2[l]);
-            uint64_t c = cycle[l];
-            uint64_t oc = occ[l];
-            if (ready > c) {
-                stall_data[l] += ready - c;
-                c = ready;
-                oc = 0;
-            }
-            const uint64_t comp = comp_row[l];
-            while ((oc + comp) & kOccHi) {
-                ++stall_struct[l];
-                c += 1;
-                oc = 0;
-            }
-            oc += occ_inc;
-
-            uint64_t done = c + lat_row[l];
-            if (done > running_max[l])
-                running_max[l] = done;
-            pd[l] = done;
-
-            if (br_taken) {
-                c += 1 + branch_bubble[l];
-                oc = 0;
-            }
-            cycle[l] = c;
-            occ[l] = oc;
-        }
-    }
-    apply_events_up_to(v.n);
-
-    std::vector<TimingResult> out(L);
-    for (size_t l = 0; l < L; ++l) {
-        rtoc_assert(region_out[l].size() == regions.size());
-        out[l].regionCycles = std::move(region_out[l]);
-        out[l].cycles = std::max(cycle[l], running_max[l]);
-        out[l].stats.set(inorder_detail::statIds().uops, v.n);
-        out[l].stats.set(inorder_detail::statIds().stall_data, stall_data[l]);
-        out[l].stats.set(inorder_detail::statIds().stall_struct, stall_struct[l]);
-    }
-    return out;
-}
 
 template <typename CoprocFn>
 TimingResult

@@ -8,10 +8,11 @@
  * one cached Program. Sequential runStream calls pay the column loads
  * and per-run setup N times; a ReplayBatch groups the added models by
  * family (dynamic type) and hands each group to that family's
- * runStreamBatch, which advances all of the group's scoreboards in a
- * single blocked pass over the columns. Models of a family that has
- * no fused loop — or a group the family driver rejects — fall back to
- * sequential runStream inside the base runStreamBatch.
+ * runStreamBatch, whose engine advances all of the group's scoreboards
+ * in a single pass over the columns. A one-model group runs the
+ * engine's one-lane pass, which is runStream itself. A group the
+ * family driver rejects falls back to sequential runStream inside the
+ * base runStreamBatch.
  *
  * Results are bit-identical to calling model.runStream(view) for each
  * added model (pinned by tests), and are returned in add() order.

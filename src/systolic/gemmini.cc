@@ -87,135 +87,191 @@ struct AccelState
     }
 };
 
-} // namespace
-
-cpu::TimingResult
-GemminiModel::runStream(const isa::UopStreamView &view) const
+/**
+ * The Gemmini accelerator behind the in-order engine, for N lanes (0:
+ * sized at run time). Each lane keeps its in-order execution tail, its
+ * command queue (ROB) and whether an mvout is pending a fence. One call
+ * prices one RoCC command in every lane: the kind switch and the
+ * command's fields are read once, the per-lane work runs in lane loops.
+ * The cost rules are those of the AoS coproc in runAos, which the tests
+ * hold every lane to.
+ */
+template <size_t N>
+class GemminiUnit
 {
-    using isa::UopKind;
+  public:
+    GemminiUnit(const GemminiConfig *const *cfgs, size_t lanes)
+        : L_(N ? N : lanes), name_(cfgs[0]->name.c_str()), issue_lat_(L_),
+          config_lat_(L_), dma_fixed_(L_), mesh_dim_(L_), bus_(L_),
+          bus_shift_(L_), bus_pow2_(L_), hw_gemv_(L_), fence_base_(L_),
+          fence_mem_(L_), last_comp_(L_), fence_stall_(L_),
+          mvout_pending_(L_),
+          queue_(L_, [cfgs](size_t l) { return cfgs[l]->robDepth; }),
+          lat_(L_)
+    {
+        for (size_t l = 0; l < L_; ++l) {
+            const GemminiConfig &c = *cfgs[l];
+            issue_lat_[l] = static_cast<uint64_t>(c.issueLat);
+            config_lat_[l] = static_cast<uint64_t>(c.configLat);
+            dma_fixed_[l] = static_cast<uint64_t>(c.dmaFixed);
+            mesh_dim_[l] = static_cast<uint64_t>(c.meshDim);
+            bus_[l] = static_cast<uint64_t>(c.busBytes);
+            // The DMA bus width is a power of two on every real
+            // configuration: the ceil-divide is then a shift (a
+            // non-power-of-two width keeps the division).
+            bus_pow2_[l] = (bus_[l] & (bus_[l] - 1)) == 0;
+            bus_shift_[l] = __builtin_ctzll(bus_[l]);
+            hw_gemv_[l] = c.hardwareGemv;
+            fence_base_[l] = static_cast<uint64_t>(c.fenceBase);
+            fence_mem_[l] = static_cast<uint64_t>(c.fenceMemPenalty);
+        }
+    }
 
-    static thread_local AccelState st;
-    st.reset();
-    cpu::InOrderCore frontend(cfg_.frontend);
+    void
+    operator()(const isa::UopStreamView &v, size_t i,
+               const uint64_t *present, uint64_t *release, uint64_t *done,
+               const cpu::LaneRegFiles &)
+    {
+        using isa::UopKind;
+        const size_t L = N ? N : L_;
+        const UopKind kind = v.kind[i];
 
-    // Columnar twin of the AoS coproc below: a RoCC command reads
-    // only kind/rows/cols/bytes/taken, through pointers hoisted out
-    // of the per-op call. Any change here must be mirrored there —
-    // the SoA-vs-AoS pinning tests hold the two bit-identical.
-    const UopKind *const kind_col = view.kind;
-    const uint16_t *const rows_col = view.rows;
-    const uint16_t *const cols_col = view.cols;
-    const uint32_t *const bytes_col = view.bytes;
-    const uint8_t *const taken_col = view.taken;
-    const uint16_t *const sew_col = view.sew;
+        if (kind == UopKind::RoccFence) {
+            // The frontend blocks until the accelerator drains; with an
+            // mvout outstanding the memory system must also be ordered,
+            // costing the paper's measured several-hundred-cycle stall.
+            for (size_t l = 0; l < L; ++l) {
+                uint64_t d = std::max(present[l], last_comp_[l]) +
+                             fence_base_[l];
+                if (mvout_pending_[l])
+                    d += fence_mem_[l];
+                mvout_pending_[l] = 0;
+                queue_.clear(l);
+                fence_stall_[l] += d - present[l];
+                release[l] = d;
+                done[l] = d;
+            }
+            ++fences_;
+            return;
+        }
 
-    // The DMA bus width is a power of two on every real
-    // configuration; folding the per-op ceil-divide into a shift
-    // removes a 64-bit divider from the command hot path (identical
-    // results — the non-power-of-two fallback keeps the division).
-    const uint64_t bus = static_cast<uint64_t>(cfg_.busBytes);
-    const bool bus_pow2 = bus != 0 && (bus & (bus - 1)) == 0;
-    const int bus_shift = bus_pow2 ? __builtin_ctzll(bus) : 0;
-    auto div_bus = [&](uint64_t x) -> uint64_t {
-        return bus_pow2 ? x >> bus_shift : x / bus;
-    };
-
-    auto exec_latency = [&](size_t i) -> uint64_t {
-        switch (kind_col[i]) {
+        switch (kind) {
           case UopKind::RoccConfig:
-            return static_cast<uint64_t>(cfg_.configLat);
+            for (size_t l = 0; l < L; ++l)
+                lat_[l] = config_lat_[l];
+            break;
           case UopKind::RoccMvin:
           case UopKind::RoccMvout: {
-            const uint16_t rows = rows_col[i];
-            uint64_t move;
-            if (cols_col[i] == 1 && rows > 1 && !cfg_.hardwareGemv) {
-                // Column vector: one scratchpad entry per cycle
-                // (§4.2.4 inefficiency) — a 4-byte entry, so fp32
-                // moves one element per cycle (bytes/4 == rows,
-                // unchanged) while 16-bit formats pack two. The
-                // hardware-GEMV extension packs vectors across rows
-                // and moves them at full bandwidth instead.
-                move = (static_cast<uint64_t>(bytes_col[i]) + 3) / 4;
-            } else {
-                move = div_bus(static_cast<uint64_t>(bytes_col[i]) +
-                               bus - 1);
-            }
+            // A column vector moves one 4-byte scratchpad entry per
+            // cycle (§4.2.4 inefficiency): one element at fp32, two at
+            // 16-bit formats. The hardware-GEMV extension packs vectors
+            // across rows and moves them at full bandwidth instead.
+            const uint16_t rows = v.rows[i];
+            const uint64_t bytes = v.bytes[i];
+            const bool colvec = v.cols[i] == 1 && rows > 1;
             // Pool window > 1 adds a comparator pass per output row.
-            if (kind_col[i] == UopKind::RoccMvout && taken_col[i])
-                move += rows;
-            return static_cast<uint64_t>(cfg_.dmaFixed) + move;
+            const uint64_t pool =
+                kind == UopKind::RoccMvout && v.taken[i] ? rows : 0;
+            for (size_t l = 0; l < L; ++l) {
+                const uint64_t x = bytes + bus_[l] - 1;
+                const uint64_t move =
+                    colvec && !hw_gemv_[l]
+                        ? (bytes + 3) / 4
+                        : bus_pow2_[l] ? x >> bus_shift_[l] : x / bus_[l];
+                lat_[l] = dma_fixed_[l] + move + pool;
+            }
+            break;
           }
           case UopKind::RoccPreload:
-            return static_cast<uint64_t>(cfg_.meshDim);
+            for (size_t l = 0; l < L; ++l)
+                lat_[l] = mesh_dim_[l];
+            break;
           case UopKind::RoccCompute: {
             // Physical rows flow through a meshDim-deep pipeline: a
             // narrow tile packs 32/sew elements per fp32 PE, so a
             // sew-bit tile of r rows occupies ceil(r*sew/32) physical
-            // rows. At sew=32 this is exactly r — unchanged.
+            // rows (exactly r at sew=32).
             const uint64_t prows =
-                (static_cast<uint64_t>(rows_col[i]) * sew_col[i] + 31) /
-                32;
-            return prows + 2 * static_cast<uint64_t>(cfg_.meshDim);
+                (static_cast<uint64_t>(v.rows[i]) * v.sew[i] + 31) / 32;
+            for (size_t l = 0; l < L; ++l)
+                lat_[l] = prows + 2 * mesh_dim_[l];
+            break;
           }
           default:
-            rtoc_panic("gemmini '%s': unsupported uop %s",
-                       cfg_.name.c_str(), isa::uopName(kind_col[i]));
-        }
-    };
-
-    auto coproc = [&](const isa::UopStreamView &, size_t i,
-                      uint64_t present, cpu::RegReadyFile &sregs,
-                      cpu::RegReadyFile &vregs)
-        -> std::pair<uint64_t, uint64_t> {
-        (void)sregs;
-        (void)vregs;
-        uint64_t release = present;
-
-        if (kind_col[i] == UopKind::RoccFence) {
-            // Frontend blocks until the accelerator drains; when an
-            // mvout is outstanding the memory system must also be
-            // ordered, costing the paper's measured several-hundred-
-            // cycle stall.
-            uint64_t done = std::max(present, st.lastCompletion) +
-                            static_cast<uint64_t>(cfg_.fenceBase);
-            if (st.mvoutSinceFence)
-                done += static_cast<uint64_t>(cfg_.fenceMemPenalty);
-            st.mvoutSinceFence = false;
-            st.inFlight.clear();
-            ++st.fences;
-            st.fenceStall += done - present;
-            return {done, done};
+            rtoc_panic("gemmini '%s': unsupported uop %s", name_,
+                       isa::uopName(kind));
         }
 
-        // Command-queue back-pressure.
-        while (!st.inFlight.empty() && st.inFlight.front() <= present)
-            st.inFlight.popFront();
-        if (static_cast<int>(st.inFlight.size()) >= cfg_.robDepth) {
-            uint64_t drain = st.inFlight.front();
-            st.stallQueueFull += drain - present;
-            release = drain;
-            st.inFlight.popFront();
+        // Command-queue back-pressure, then in-order execution.
+        for (size_t l = 0; l < L; ++l) {
+            release[l] = queue_.admit(l, present[l]);
+            const uint64_t start =
+                std::max(release[l] + issue_lat_[l], last_comp_[l]);
+            done[l] = last_comp_[l] = start + lat_[l];
+            queue_.push(l, done[l]);
         }
+        ++cmds_;
+        if (kind == UopKind::RoccMvout)
+            for (size_t l = 0; l < L; ++l)
+                mvout_pending_[l] = 1;
+    }
 
-        uint64_t start = std::max(std::max(present, release) +
-                                      static_cast<uint64_t>(cfg_.issueLat),
-                                  st.lastCompletion);
-        uint64_t completion = start + exec_latency(i);
-        st.lastCompletion = completion;
-        st.inFlight.pushBack(completion);
-        ++st.cmds;
-        if (kind_col[i] == UopKind::RoccMvout)
-            st.mvoutSinceFence = true;
-        return {release, completion};
-    };
+    /** Add the unit's counters to the lanes' results. */
+    void
+    addStats(cpu::TimingResult *out) const
+    {
+        for (size_t l = 0; l < L_; ++l) {
+            out[l].stats.set(gemminiIds().cmds, cmds_);
+            out[l].stats.set(gemminiIds().fences, fences_);
+            out[l].stats.set(gemminiIds().fence_stall, fence_stall_[l]);
+            out[l].stats.set(gemminiIds().stall_rob, queue_.stall(l));
+        }
+    }
 
-    cpu::TimingResult result =
-        frontend.runStreamWithCoproc(view, coproc);
-    result.stats.set(gemminiIds().cmds, st.cmds);
-    result.stats.set(gemminiIds().fences, st.fences);
-    result.stats.set(gemminiIds().fence_stall, st.fenceStall);
-    result.stats.set(gemminiIds().stall_rob, st.stallQueueFull);
-    return result;
+  private:
+    const size_t L_;
+    const char *name_;
+    cpu::LaneArray<uint64_t, N> issue_lat_, config_lat_, dma_fixed_,
+        mesh_dim_, bus_, bus_shift_, bus_pow2_, hw_gemv_, fence_base_,
+        fence_mem_;
+    cpu::LaneArray<uint64_t, N> last_comp_, fence_stall_, mvout_pending_;
+    cpu::LaneQueues<N> queue_; ///< queued RoCC commands (the ROB)
+    cpu::LaneArray<uint64_t, N> lat_; ///< per-command scratch
+    uint64_t cmds_ = 0, fences_ = 0;  ///< lane-invariant counts
+};
+
+/** Replay @p v on the Gemmini models @p cfgs[0 .. lanes). */
+template <size_t N>
+void
+replayGemmini(const isa::UopStreamView &v, const GemminiConfig *const *cfgs,
+              size_t lanes, cpu::TimingResult *out)
+{
+    std::vector<const cpu::InOrderConfig *> frontends(lanes);
+    for (size_t l = 0; l < lanes; ++l)
+        frontends[l] = &cfgs[l]->frontend;
+    GemminiUnit<N> unit(cfgs, lanes);
+    cpu::replayInOrder<N>(v, frontends.data(), lanes, unit, out);
+    unit.addStats(out);
+}
+
+} // namespace
+
+GemminiModel::GemminiModel(GemminiConfig cfg) : cfg_(std::move(cfg))
+{
+    if (cfg_.busBytes < 1 || cfg_.robDepth < 1) {
+        rtoc_panic("gemmini '%s': busBytes and robDepth must be >= 1",
+                   cfg_.name.c_str());
+    }
+    cfg_.frontend.check();
+}
+
+cpu::TimingResult
+GemminiModel::runStream(const isa::UopStreamView &view) const
+{
+    const GemminiConfig *cfg = &cfg_;
+    cpu::TimingResult out;
+    replayGemmini<1>(view, &cfg, 1, &out);
+    return out;
 }
 
 std::vector<cpu::TimingResult>
@@ -223,181 +279,19 @@ GemminiModel::runStreamBatch(
     const isa::UopStreamView &view,
     const std::vector<const cpu::TimingModel *> &models) const
 {
-    using isa::UopKind;
-
-    std::vector<cpu::InOrderConfig> frontends;
     std::vector<const GemminiConfig *> cfgs;
-    frontends.reserve(models.size());
     cfgs.reserve(models.size());
     for (const cpu::TimingModel *m : models) {
         const auto *gem = dynamic_cast<const GemminiModel *>(m);
         if (!gem)
             return TimingModel::runStreamBatch(view, models);
-        frontends.push_back(gem->config().frontend);
         cfgs.push_back(&gem->config());
     }
-
-    // Lane-major SoA accelerator state (see the Saturn batch path for
-    // the pattern): flat per-lane arrays replace per-lane AccelState
-    // so the batched coprocessor callback runs contiguous lane loops
-    // with the command kind, operand fields, and the RoccFence branch
-    // hoisted out. Per-lane arithmetic is verbatim from the
-    // single-lane coproc above, keeping results bit-identical.
-    const size_t L = models.size();
-    std::vector<uint64_t> last_comp(L, 0), fence_stall(L, 0),
-        stall_rob(L, 0);
-    std::vector<uint64_t> rob_depth(L), issue_lat(L), config_lat(L),
-        dma_fixed(L), mesh_dim(L), bus(L), fence_base(L),
-        fence_mem(L);
-    std::vector<int> bus_shift(L);
-    std::vector<uint8_t> bus_pow2(L), hw_gemv(L), mvout_pending(L, 0);
-    uint64_t max_rob = 0;
-    for (size_t l = 0; l < L; ++l) {
-        const GemminiConfig &c = *cfgs[l];
-        rob_depth[l] = static_cast<uint64_t>(c.robDepth);
-        issue_lat[l] = static_cast<uint64_t>(c.issueLat);
-        config_lat[l] = static_cast<uint64_t>(c.configLat);
-        dma_fixed[l] = static_cast<uint64_t>(c.dmaFixed);
-        mesh_dim[l] = static_cast<uint64_t>(c.meshDim);
-        bus[l] = static_cast<uint64_t>(c.busBytes);
-        fence_base[l] = static_cast<uint64_t>(c.fenceBase);
-        fence_mem[l] = static_cast<uint64_t>(c.fenceMemPenalty);
-        bus_pow2[l] = bus[l] != 0 && (bus[l] & (bus[l] - 1)) == 0;
-        bus_shift[l] = bus_pow2[l] ? __builtin_ctzll(bus[l]) : 0;
-        hw_gemv[l] = c.hardwareGemv ? 1 : 0;
-        max_rob = std::max(max_rob, rob_depth[l]);
-    }
-
-    // Lane-major command queue: occupancy never exceeds robDepth (the
-    // drain pops before a full queue pushes, fences clear it), so a
-    // flat ring of max_rob+1 slots per lane suffices.
-    const size_t qcap = static_cast<size_t>(max_rob) + 1;
-    std::vector<uint64_t> qbuf(L * qcap, 0);
-    std::vector<uint32_t> qhead(L, 0), qcount(L, 0);
-    auto q_front = [&](size_t l) { return qbuf[l * qcap + qhead[l]]; };
-    auto q_pop = [&](size_t l) {
-        qhead[l] = qhead[l] + 1 == qcap ? 0 : qhead[l] + 1;
-        --qcount[l];
-    };
-    auto q_push = [&](size_t l, uint64_t t) {
-        size_t p = qhead[l] + qcount[l];
-        if (p >= qcap)
-            p -= qcap;
-        qbuf[l * qcap + p] = t;
-        ++qcount[l];
-    };
-
-    uint64_t cmds = 0, fences = 0; ///< lane-invariant counts
-    std::vector<uint64_t> lat(L);
-
-    const UopKind *const kind_col = view.kind;
-    const uint16_t *const rows_col = view.rows;
-    const uint16_t *const cols_col = view.cols;
-    const uint32_t *const bytes_col = view.bytes;
-    const uint8_t *const taken_col = view.taken;
-    const uint16_t *const sew_col = view.sew;
-
-    auto coproc = [&](const isa::UopStreamView &, size_t i,
-                      const uint64_t *present, uint64_t *release,
-                      uint64_t *done, const cpu::BatchRegFiles &) {
-        const UopKind kind = kind_col[i];
-
-        if (kind == UopKind::RoccFence) {
-            for (size_t l = 0; l < L; ++l) {
-                uint64_t d = std::max(present[l], last_comp[l]) +
-                             fence_base[l];
-                if (mvout_pending[l])
-                    d += fence_mem[l];
-                mvout_pending[l] = 0;
-                qcount[l] = 0;
-                fence_stall[l] += d - present[l];
-                release[l] = d;
-                done[l] = d;
-            }
-            ++fences;
-            return;
-        }
-
-        // Per-lane execution latency with the kind switch hoisted.
-        switch (kind) {
-          case UopKind::RoccConfig:
-            for (size_t l = 0; l < L; ++l)
-                lat[l] = config_lat[l];
-            break;
-          case UopKind::RoccMvin:
-          case UopKind::RoccMvout: {
-            const uint16_t rows = rows_col[i];
-            const uint64_t bytes = bytes_col[i];
-            const bool colvec = cols_col[i] == 1 && rows > 1;
-            const uint64_t pool =
-                kind == UopKind::RoccMvout && taken_col[i] ? rows : 0;
-            for (size_t l = 0; l < L; ++l) {
-                uint64_t move;
-                if (colvec && !hw_gemv[l]) {
-                    // Column vector: one 4-byte scratchpad entry per
-                    // cycle (§4.2.4) — rows at fp32, packed pairs at
-                    // 16-bit widths.
-                    move = (bytes + 3) / 4;
-                } else {
-                    const uint64_t x = bytes + bus[l] - 1;
-                    move = bus_pow2[l] ? x >> bus_shift[l] : x / bus[l];
-                }
-                lat[l] = dma_fixed[l] + move + pool;
-            }
-            break;
-          }
-          case UopKind::RoccPreload:
-            for (size_t l = 0; l < L; ++l)
-                lat[l] = mesh_dim[l];
-            break;
-          case UopKind::RoccCompute: {
-            // Physical pipeline rows: ceil(rows*sew/32) — packed
-            // pairs at 16-bit widths, exactly rows at fp32.
-            const uint64_t prows =
-                (static_cast<uint64_t>(rows_col[i]) * sew_col[i] + 31) /
-                32;
-            for (size_t l = 0; l < L; ++l)
-                lat[l] = prows + 2 * mesh_dim[l];
-            break;
-          }
-          default:
-            rtoc_panic("gemmini '%s': unsupported uop %s",
-                       cfgs[0]->name.c_str(), isa::uopName(kind));
-        }
-
-        for (size_t l = 0; l < L; ++l) {
-            const uint64_t p = present[l];
-            uint64_t rel = p;
-            while (qcount[l] != 0 && q_front(l) <= p)
-                q_pop(l);
-            if (qcount[l] >= rob_depth[l]) {
-                const uint64_t drain = q_front(l);
-                stall_rob[l] += drain - p;
-                rel = drain;
-                q_pop(l);
-            }
-            release[l] = rel;
-            const uint64_t start = std::max(
-                std::max(p, rel) + issue_lat[l], last_comp[l]);
-            const uint64_t completion = start + lat[l];
-            last_comp[l] = completion;
-            q_push(l, completion);
-            done[l] = completion;
-        }
-        ++cmds;
-        if (kind == UopKind::RoccMvout)
-            for (size_t l = 0; l < L; ++l)
-                mvout_pending[l] = 1;
-    };
-
-    std::vector<cpu::TimingResult> out =
-        cpu::runInOrderStreamBatchWithCoproc(view, frontends, coproc);
-    for (size_t l = 0; l < out.size(); ++l) {
-        out[l].stats.set(gemminiIds().cmds, cmds);
-        out[l].stats.set(gemminiIds().fences, fences);
-        out[l].stats.set(gemminiIds().fence_stall, fence_stall[l]);
-        out[l].stats.set(gemminiIds().stall_rob, stall_rob[l]);
-    }
+    std::vector<cpu::TimingResult> out(cfgs.size());
+    if (cfgs.size() == 1)
+        replayGemmini<1>(view, cfgs.data(), 1, out.data());
+    else if (!cfgs.empty())
+        replayGemmini<0>(view, cfgs.data(), cfgs.size(), out.data());
     return out;
 }
 

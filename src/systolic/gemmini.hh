@@ -67,20 +67,21 @@ struct GemminiConfig
 class GemminiModel : public cpu::CoreModel
 {
   public:
-    explicit GemminiModel(GemminiConfig cfg) : cfg_(std::move(cfg)) {}
+    /** Panics unless busBytes and robDepth are >= 1 and the frontend
+     *  passes InOrderConfig::check(). */
+    explicit GemminiModel(GemminiConfig cfg);
 
+    /** One-lane runStreamBatch: the two share one engine. */
     cpu::TimingResult
     runStream(const isa::UopStreamView &view) const override;
 
     cpu::TimingResult runAos(const isa::Program &prog) const override;
 
     /**
-     * Fused accelerator lane loop: one column pass advances one
-     * (frontend scoreboard + RoCC command queue) pair per
-     * GemminiModel in @p models — lanes may differ in mesh/DMA/fence
-     * knobs AND frontend. Bit-identical to sequential runStream;
-     * falls back to the sequential base when a foreign model appears
-     * in the group.
+     * One in-order engine pass advances one (frontend scoreboard +
+     * RoCC command queue) pair per GemminiModel in @p models; lanes
+     * may differ in mesh/DMA/fence knobs and frontend. Falls back to
+     * the sequential base when a foreign model appears in the group.
      */
     std::vector<cpu::TimingResult>
     runStreamBatch(const isa::UopStreamView &view,

@@ -63,285 +63,60 @@ struct VectorUnitState
     }
 };
 
-} // namespace
-
-cpu::TimingResult
-SaturnModel::runStream(const isa::UopStreamView &view) const
+/**
+ * The Saturn vector unit behind the in-order engine, for N lanes (0:
+ * sized at run time). Each lane keeps the next-free cycle of its
+ * arithmetic, load and store pipes, its in-flight queue and its
+ * chaining file. One call prices one vector uop in every lane: the kind
+ * switch and the operand rows are resolved once, the per-lane work runs
+ * in lane loops over contiguous rows. The cost rules are those of the
+ * AoS coproc in runAos, which the tests hold every lane to.
+ */
+template <size_t N>
+class SaturnUnit
 {
-    using isa::UopKind;
-
-    static thread_local VectorUnitState st;
-    st.reset();
-    cpu::InOrderCore frontend(cfg_.frontend);
-
-    // Columnar twin of the AoS coproc below: reads only the columns a
-    // vector op consumes (kind, registers, vl/sew/lmul8), through
-    // pointers hoisted out of the per-op call. Any change here must
-    // be mirrored there — the SoA-vs-AoS pinning tests hold the two
-    // bit-identical.
-    const UopKind *const kind_col = view.kind;
-    const uint32_t *const dst_col = view.dst;
-    const uint32_t *const src0_col = view.src0;
-    const uint32_t *const src1_col = view.src1;
-    const uint32_t *const src2_col = view.src2;
-    const uint32_t *const vl_col = view.vl;
-    const uint16_t *const sew_col = view.sew;
-    const uint16_t *const lmul8_col = view.lmul8;
-
-    // Datapath widths are powers of two on every real configuration;
-    // folding the per-op ceil-divide into a shift removes a 64-bit
-    // divider from the vector-op hot path (results are identical —
-    // the non-power-of-two fallback keeps the division).
-    const uint64_t dlen = static_cast<uint64_t>(cfg_.dlen);
-    const bool dlen_pow2 = dlen != 0 && (dlen & (dlen - 1)) == 0;
-    const int dlen_shift =
-        dlen_pow2 ? __builtin_ctzll(dlen) : 0;
-    auto div_dlen = [&](uint64_t x) -> uint64_t {
-        return dlen_pow2 ? x >> dlen_shift : x / dlen;
-    };
-
-    auto beats_of = [&](size_t i) -> uint64_t {
-        if (lmul8_col[i] > 8) {
-            uint64_t group_bits = static_cast<uint64_t>(lmul8_col[i]) *
-                                  static_cast<uint64_t>(cfg_.vlen) / 8;
-            return std::max<uint64_t>(1, div_dlen(group_bits + dlen - 1));
+  public:
+    SaturnUnit(const isa::UopStreamView &v, const SaturnConfig *const *cfgs,
+               size_t lanes)
+        : L_(N ? N : lanes), name_(cfgs[0]->name.c_str()),
+          nvreg_(v.program->vectorRegCount()), pipe_lat_(L_),
+          chain_lat_(L_), mem_lat_(L_), sm_lat_(L_), dlen_(L_), vlen_(L_),
+          dlen_shift_(L_), dlen_pow2_(L_), vxu_free_(L_), vlu_free_(L_),
+          vsu_free_(L_),
+          queue_(L_, [cfgs](size_t l) { return cfgs[l]->vqDepth; }),
+          beats_(L_), start_(L_)
+    {
+        for (size_t l = 0; l < L_; ++l) {
+            const SaturnConfig &c = *cfgs[l];
+            pipe_lat_[l] = static_cast<uint64_t>(c.pipeLat);
+            chain_lat_[l] = static_cast<uint64_t>(c.chainLat);
+            mem_lat_[l] = static_cast<uint64_t>(c.memLat);
+            sm_lat_[l] = static_cast<uint64_t>(c.scalarMoveLat);
+            dlen_[l] = static_cast<uint64_t>(c.dlen);
+            vlen_[l] = static_cast<uint64_t>(c.vlen);
+            // Datapath widths are powers of two on every real
+            // configuration: the beat count's ceil-divide is then a
+            // shift (a non-power-of-two width keeps the division).
+            dlen_pow2_[l] = (dlen_[l] & (dlen_[l] - 1)) == 0;
+            dlen_shift_[l] = __builtin_ctzll(dlen_[l]);
         }
-        uint64_t live_bits = static_cast<uint64_t>(vl_col[i]) *
-                             static_cast<uint64_t>(sew_col[i]);
-        return std::max<uint64_t>(1, div_dlen(live_bits + dlen - 1));
-    };
+        // Chaining rows, then the zero and sink rows (LaneRegFiles).
+        chain_.assign((static_cast<size_t>(nvreg_) + 2) * L_, 0);
+    }
 
-    auto coproc = [&](const isa::UopStreamView &, size_t i,
-                      uint64_t present, cpu::RegReadyFile &sregs,
-                      cpu::RegReadyFile &vregs)
-        -> std::pair<uint64_t, uint64_t> {
-        const UopKind kind = kind_col[i];
-        const uint32_t dst = dst_col[i];
-        uint64_t release = present;
+    void
+    operator()(const isa::UopStreamView &v, size_t i,
+               const uint64_t *present, uint64_t *release, uint64_t *done,
+               const cpu::LaneRegFiles &rf)
+    {
+        using isa::UopKind;
+        const size_t L = N ? N : L_;
+        const UopKind kind = v.kind[i];
+        const uint32_t dst = v.dst[i];
 
         if (kind == UopKind::VSetVl) {
             // Decode-stage handling with a short interlock before the
             // new VL takes effect for the following vector ops.
-            sregs.setReady(dst, present + 2);
-            return {present + 1, present + 2};
-        }
-
-        const uint32_t src0 = src0_col[i];
-        const uint32_t src1 = src1_col[i];
-        const uint32_t src2 = src2_col[i];
-
-        // Queue back-pressure: frontend blocks when the vector unit
-        // already holds vqDepth undrained instructions.
-        while (!st.inFlight.empty() && st.inFlight.front() <= present)
-            st.inFlight.popFront();
-        if (static_cast<int>(st.inFlight.size()) >= cfg_.vqDepth) {
-            uint64_t drain = st.inFlight.front();
-            st.stallQueueFull += drain - present;
-            release = drain;
-            st.inFlight.popFront();
-        }
-
-        uint64_t start = std::max(present, release);
-        // Chaining: wait for the first elements of vector operands.
-        for (uint32_t src : {src0, src1, src2}) {
-            if (src != isa::kNoReg && isa::Program::isVReg(src))
-                start = std::max(start, st.chainReady.readyTime(src));
-        }
-
-        uint64_t beats = beats_of(i);
-        uint64_t completion = 0;
-
-        switch (kind) {
-          case UopKind::VLoad:
-          case UopKind::VLoadStrided: {
-            start = std::max(start, st.vluFree);
-            uint64_t lat = static_cast<uint64_t>(cfg_.memLat);
-            uint64_t occ = kind == UopKind::VLoadStrided
-                               ? std::max<uint64_t>(vl_col[i], 1)
-                               : beats;
-            st.vluFree = start + occ;
-            completion = start + lat + occ;
-            st.chainReady.setReady(dst, start + lat + 1);
-            vregs.setReady(dst, completion);
-            break;
-          }
-          case UopKind::VStore: {
-            start = std::max(start, st.vsuFree);
-            // Stores need full operand data, not just the head.
-            for (uint32_t src : {src0, src1}) {
-                if (src != isa::kNoReg && isa::Program::isVReg(src))
-                    start = std::max(start, vregs.readyTime(src));
-            }
-            st.vsuFree = start + beats;
-            completion = start + beats + 1;
-            break;
-          }
-          case UopKind::VArith:
-          case UopKind::VFma: {
-            start = std::max(start, st.vxuFree);
-            st.vxuFree = start + beats;
-            completion =
-                start + static_cast<uint64_t>(cfg_.pipeLat) + beats;
-            st.chainReady.setReady(dst,
-                                   start + cfg_.pipeLat + cfg_.chainLat);
-            vregs.setReady(dst, completion);
-            break;
-          }
-          case UopKind::VRed: {
-            start = std::max(start, st.vxuFree);
-            // Reductions cannot chain out: full tree latency.
-            for (uint32_t src : {src0, src1}) {
-                if (src != isa::kNoReg && isa::Program::isVReg(src))
-                    start = std::max(start, vregs.readyTime(src));
-            }
-            // Ordered FP reductions are slow on short-vector
-            // machines: a multi-pass lane tree plus pipeline drain.
-            uint64_t tree = 12;
-            st.vxuFree = start + beats + tree;
-            completion = start + cfg_.pipeLat + beats + tree +
-                         static_cast<uint64_t>(cfg_.scalarMoveLat);
-            sregs.setReady(dst, completion);
-            break;
-          }
-          case UopKind::VMove: {
-            // vfmv.f.s: scalar destination, waits for full vreg.
-            uint64_t src_ready = 0;
-            if (src0 != isa::kNoReg && isa::Program::isVReg(src0))
-                src_ready = vregs.readyTime(src0);
-            start = std::max(start, src_ready);
-            completion =
-                start + static_cast<uint64_t>(cfg_.scalarMoveLat);
-            if (isa::Program::isVReg(dst)) {
-                vregs.setReady(dst, completion);
-                st.chainReady.setReady(dst, completion);
-            } else {
-                sregs.setReady(dst, completion);
-            }
-            break;
-          }
-          default:
-            rtoc_panic("saturn '%s': unsupported coprocessor uop %s",
-                       cfg_.name.c_str(), isa::uopName(kind));
-        }
-
-        st.inFlight.pushBack(completion);
-        ++st.vinstrs;
-        return {release, completion};
-    };
-
-    cpu::TimingResult result =
-        frontend.runStreamWithCoproc(view, coproc);
-    result.stats.set(saturnIds().vinstrs, st.vinstrs);
-    result.stats.set(saturnIds().stall_vq, st.stallQueueFull);
-    return result;
-}
-
-std::vector<cpu::TimingResult>
-SaturnModel::runStreamBatch(
-    const isa::UopStreamView &view,
-    const std::vector<const cpu::TimingModel *> &models) const
-{
-    using isa::UopKind;
-
-    std::vector<cpu::InOrderConfig> frontends;
-    std::vector<const SaturnConfig *> cfgs;
-    frontends.reserve(models.size());
-    cfgs.reserve(models.size());
-    for (const cpu::TimingModel *m : models) {
-        const auto *sat = dynamic_cast<const SaturnModel *>(m);
-        if (!sat)
-            return TimingModel::runStreamBatch(view, models);
-        frontends.push_back(sat->config().frontend);
-        cfgs.push_back(&sat->config());
-    }
-
-    // Lane-major SoA vector-unit state: every per-lane quantity the
-    // old per-lane VectorUnitState held now lives in a flat array
-    // indexed by lane, so each per-kind lane loop below streams
-    // contiguous memory and vectorizes under RTOC_NATIVE. The batched
-    // coprocessor contract (one callback per uop, not per (lane,
-    // uop)) lets the kind switch, operand-row resolution and the
-    // beats branch hoist out of the lane loops; per-lane semantics
-    // are verbatim from the single-lane coproc above, so results stay
-    // bit-identical (pinned by tests and bench_sweep_scale).
-    const size_t L = models.size();
-    std::vector<uint64_t> vxu_free(L, 0), vlu_free(L, 0),
-        vsu_free(L, 0), stall_q(L, 0);
-    std::vector<uint64_t> vq_depth(L), pipe_lat(L), chain_lat(L),
-        mem_lat(L), sm_lat(L), dlen(L), vlen(L);
-    std::vector<uint64_t> beats(L), start_v(L);
-    std::vector<int> dlen_shift(L);
-    std::vector<uint8_t> dlen_pow2(L);
-    for (size_t l = 0; l < L; ++l) {
-        const SaturnConfig &c = *cfgs[l];
-        vq_depth[l] = static_cast<uint64_t>(c.vqDepth);
-        pipe_lat[l] = static_cast<uint64_t>(c.pipeLat);
-        chain_lat[l] = static_cast<uint64_t>(c.chainLat);
-        mem_lat[l] = static_cast<uint64_t>(c.memLat);
-        sm_lat[l] = static_cast<uint64_t>(c.scalarMoveLat);
-        dlen[l] = static_cast<uint64_t>(c.dlen);
-        vlen[l] = static_cast<uint64_t>(c.vlen);
-        dlen_pow2[l] = dlen[l] != 0 && (dlen[l] & (dlen[l] - 1)) == 0;
-        dlen_shift[l] = dlen_pow2[l] ? __builtin_ctzll(dlen[l]) : 0;
-    }
-
-    // Lane-major in-flight queue. Every lane sees every vector op and
-    // pushes exactly one completion per queue-pushing op (everything
-    // but VSetVl), in stream order — so the FIFO collapses to a
-    // per-lane head index into a lane-major completion history:
-    // occupancy of lane l is vi - head[l], the front is
-    // hist[head[l]*L + l], a pop is ++head[l], and the push is the
-    // completion store the kind loops make anyway. No ring arithmetic
-    // and no separate push pass. The history is thread-local scratch
-    // so repeated batch calls never re-fault its pages.
-    size_t npush = 0;
-    for (size_t i = 0; i < view.n; ++i)
-        if (!(view.cls[i] & isa::kClsScalar) &&
-            view.kind[i] != UopKind::VSetVl)
-            ++npush;
-    static thread_local std::vector<uint64_t> comp_hist;
-    comp_hist.resize(npush * L);
-    std::vector<uint64_t> head(L, 0);
-    size_t vi = 0; ///< pushes so far; lane occupancy = vi - head[l]
-
-    // Lane-interleaved chaining file (first-element availability),
-    // sized from the program's vector-register counter; reads of
-    // unwritten/out-of-range ids fall back to a zero row and writes
-    // of non-vreg destinations to a sink row, matching RegReadyFile.
-    const uint32_t nvreg = view.program->vectorRegCount();
-    std::vector<uint64_t> chain(static_cast<size_t>(nvreg) * L, 0);
-    std::vector<uint64_t> chain_zero(L, 0), chain_sink(L, 0);
-    auto chain_row = [&](uint32_t reg) -> const uint64_t * {
-        const uint32_t idx = reg & 0x7fffffffu;
-        if (reg == isa::kNoReg || idx >= nvreg)
-            return chain_zero.data();
-        return chain.data() + static_cast<size_t>(idx) * L;
-    };
-    auto chain_row_w = [&](uint32_t reg) -> uint64_t * {
-        const uint32_t idx = reg & 0x7fffffffu;
-        if (reg == isa::kNoReg || idx >= nvreg)
-            return chain_sink.data();
-        return chain.data() + static_cast<size_t>(idx) * L;
-    };
-
-    uint64_t vinstrs = 0; ///< lane-invariant (every lane sees each op)
-
-    const UopKind *const kind_col = view.kind;
-    const uint32_t *const dst_col = view.dst;
-    const uint32_t *const src0_col = view.src0;
-    const uint32_t *const src1_col = view.src1;
-    const uint32_t *const src2_col = view.src2;
-    const uint32_t *const vl_col = view.vl;
-    const uint16_t *const sew_col = view.sew;
-    const uint16_t *const lmul8_col = view.lmul8;
-
-    auto coproc = [&](const isa::UopStreamView &, size_t i,
-                      const uint64_t *present, uint64_t *release,
-                      uint64_t *done, const cpu::BatchRegFiles &rf) {
-        const UopKind kind = kind_col[i];
-        const uint32_t dst = dst_col[i];
-
-        if (kind == UopKind::VSetVl) {
             uint64_t *sd = rf.srowW(dst);
             for (size_t l = 0; l < L; ++l) {
                 sd[l] = present[l] + 2;
@@ -351,187 +126,220 @@ SaturnModel::runStreamBatch(
             return;
         }
 
-        const uint32_t src0 = src0_col[i];
-        const uint32_t src1 = src1_col[i];
-        const uint32_t src2 = src2_col[i];
-        const bool v0 = src0 != isa::kNoReg && isa::Program::isVReg(src0);
-        const bool v1 = src1 != isa::kNoReg && isa::Program::isVReg(src1);
-        const bool v2 = src2 != isa::kNoReg && isa::Program::isVReg(src2);
-        const uint64_t *c0 = v0 ? chain_row(src0) : chain_zero.data();
-        const uint64_t *c1 = v1 ? chain_row(src1) : chain_zero.data();
-        const uint64_t *c2 = v2 ? chain_row(src2) : chain_zero.data();
+        const uint32_t src0 = v.src0[i];
+        const uint32_t src1 = v.src1[i];
+        const uint32_t src2 = v.src2[i];
+        const bool v0 = isa::Program::isVReg(src0);
+        const bool v1 = isa::Program::isVReg(src1);
+        const bool v2 = isa::Program::isVReg(src2);
+        const uint64_t *zero = rf.zero_row;
+        const uint64_t *c0 = v0 ? chainRow(src0) : zero;
+        const uint64_t *c1 = v1 ? chainRow(src1) : zero;
+        const uint64_t *c2 = v2 ? chainRow(src2) : zero;
 
-        // Shared prologue, split so the serial queue walk never
-        // blocks vectorization of the start-cycle maxes: first the
-        // drain + back-pressure per lane, then the chained start
-        // cycle (zero-row fallbacks keep it branchless).
-        const uint64_t *const hist = comp_hist.data();
+        // Queue back-pressure: the frontend blocks while the unit
+        // already holds vqDepth undrained instructions. Then chaining:
+        // wait for the first elements of the vector operands.
         for (size_t l = 0; l < L; ++l) {
-            const uint64_t p = present[l];
-            uint64_t h = head[l];
-            while (h < vi && hist[h * L + l] <= p)
-                ++h;
-            uint64_t rel = p;
-            if (vi - h >= vq_depth[l]) {
-                const uint64_t drain = hist[h * L + l];
-                stall_q[l] += drain - p;
-                rel = drain;
-                ++h;
-            }
-            head[l] = h;
-            release[l] = rel;
-        }
-        for (size_t l = 0; l < L; ++l) {
-            uint64_t start = std::max(present[l], release[l]);
-            start = std::max(start, c0[l]);
-            start = std::max(start, c1[l]);
-            start = std::max(start, c2[l]);
-            start_v[l] = start;
+            release[l] = queue_.admit(l, present[l]);
+            start_[l] = std::max(std::max(release[l], c0[l]),
+                                 std::max(c1[l], c2[l]));
         }
 
-        // Beats: the LMUL-group branch is lane-invariant, so it
-        // hoists; only the datapath width differs per lane. VMove
-        // never sequences beats, so it skips the pass entirely.
-        const uint16_t ulm = lmul8_col[i];
-        if (kind == UopKind::VMove) {
-            // no beats
-        } else if (ulm > 8) {
+        // Beats: a grouped instruction sequences the whole register
+        // group, an ungrouped one only the live elements. VMove never
+        // sequences beats.
+        const uint16_t lmul8 = v.lmul8[i];
+        if (kind != UopKind::VMove) {
+            const uint64_t live_bits = static_cast<uint64_t>(v.vl[i]) *
+                                       static_cast<uint64_t>(v.sew[i]);
             for (size_t l = 0; l < L; ++l) {
-                const uint64_t group_bits =
-                    static_cast<uint64_t>(ulm) * vlen[l] / 8;
-                const uint64_t x = group_bits + dlen[l] - 1;
-                beats[l] = std::max<uint64_t>(
-                    1, dlen_pow2[l] ? x >> dlen_shift[l] : x / dlen[l]);
-            }
-        } else {
-            const uint64_t live_bits =
-                static_cast<uint64_t>(vl_col[i]) *
-                static_cast<uint64_t>(sew_col[i]);
-            for (size_t l = 0; l < L; ++l) {
-                const uint64_t x = live_bits + dlen[l] - 1;
-                beats[l] = std::max<uint64_t>(
-                    1, dlen_pow2[l] ? x >> dlen_shift[l] : x / dlen[l]);
+                const uint64_t bits =
+                    lmul8 > 8 ? static_cast<uint64_t>(lmul8) * vlen_[l] / 8
+                              : live_bits;
+                const uint64_t x = bits + dlen_[l] - 1;
+                beats_[l] = std::max<uint64_t>(
+                    1, dlen_pow2_[l] ? x >> dlen_shift_[l] : x / dlen_[l]);
             }
         }
-
-        // Queue push: the kind loops below store each completion into
-        // the history row for this op as well as done[] — that store
-        // IS the push (see the queue comment above).
-        uint64_t *const hrow = comp_hist.data() + vi * L;
 
         switch (kind) {
           case UopKind::VLoad:
           case UopKind::VLoadStrided: {
-            uint64_t *ch_d = chain_row_w(dst);
+            uint64_t *ch_d = chainRowW(dst);
             uint64_t *vr_d = rf.vrowW(dst);
             const bool strided = kind == UopKind::VLoadStrided;
-            const uint64_t strided_occ =
-                std::max<uint64_t>(vl_col[i], 1);
+            // A strided load moves one element per cycle.
+            const uint64_t strided_occ = std::max<uint64_t>(v.vl[i], 1);
             for (size_t l = 0; l < L; ++l) {
-                const uint64_t start =
-                    std::max(start_v[l], vlu_free[l]);
-                const uint64_t occ = strided ? strided_occ : beats[l];
-                vlu_free[l] = start + occ;
-                const uint64_t completion = start + mem_lat[l] + occ;
-                ch_d[l] = start + mem_lat[l] + 1;
-                vr_d[l] = completion;
-                hrow[l] = completion;
-                done[l] = completion;
+                const uint64_t start = std::max(start_[l], vlu_free_[l]);
+                const uint64_t occ = strided ? strided_occ : beats_[l];
+                vlu_free_[l] = start + occ;
+                ch_d[l] = start + mem_lat_[l] + 1;
+                done[l] = vr_d[l] = start + mem_lat_[l] + occ;
             }
             break;
           }
           case UopKind::VStore: {
-            const uint64_t *r0 = v0 ? rf.vrow(src0) : chain_zero.data();
-            const uint64_t *r1 = v1 ? rf.vrow(src1) : chain_zero.data();
+            // Stores need full operand data, not just the head.
+            const uint64_t *r0 = v0 ? rf.vrow(src0) : zero;
+            const uint64_t *r1 = v1 ? rf.vrow(src1) : zero;
             for (size_t l = 0; l < L; ++l) {
-                // Stores need full operand data, not just the head.
-                uint64_t start = std::max(start_v[l], vsu_free[l]);
-                start = std::max(start, r0[l]);
-                start = std::max(start, r1[l]);
-                vsu_free[l] = start + beats[l];
-                const uint64_t completion = start + beats[l] + 1;
-                hrow[l] = completion;
-                done[l] = completion;
+                const uint64_t start = std::max(
+                    std::max(start_[l], vsu_free_[l]),
+                    std::max(r0[l], r1[l]));
+                vsu_free_[l] = start + beats_[l];
+                done[l] = start + beats_[l] + 1;
             }
             break;
           }
           case UopKind::VArith:
           case UopKind::VFma: {
-            uint64_t *ch_d = chain_row_w(dst);
+            uint64_t *ch_d = chainRowW(dst);
             uint64_t *vr_d = rf.vrowW(dst);
             for (size_t l = 0; l < L; ++l) {
-                const uint64_t start =
-                    std::max(start_v[l], vxu_free[l]);
-                vxu_free[l] = start + beats[l];
-                const uint64_t completion =
-                    start + pipe_lat[l] + beats[l];
-                ch_d[l] = start + pipe_lat[l] + chain_lat[l];
-                vr_d[l] = completion;
-                hrow[l] = completion;
-                done[l] = completion;
+                const uint64_t start = std::max(start_[l], vxu_free_[l]);
+                vxu_free_[l] = start + beats_[l];
+                ch_d[l] = start + pipe_lat_[l] + chain_lat_[l];
+                done[l] = vr_d[l] = start + pipe_lat_[l] + beats_[l];
             }
             break;
           }
           case UopKind::VRed: {
-            // Reductions cannot chain out: full tree latency.
-            const uint64_t *r0 = v0 ? rf.vrow(src0) : chain_zero.data();
-            const uint64_t *r1 = v1 ? rf.vrow(src1) : chain_zero.data();
+            // Reductions cannot chain out: full tree latency. Ordered
+            // FP reductions are slow on short-vector machines: a
+            // multi-pass lane tree plus pipeline drain.
+            const uint64_t *r0 = v0 ? rf.vrow(src0) : zero;
+            const uint64_t *r1 = v1 ? rf.vrow(src1) : zero;
             uint64_t *sd = rf.srowW(dst);
             constexpr uint64_t tree = 12;
             for (size_t l = 0; l < L; ++l) {
-                uint64_t start = std::max(start_v[l], vxu_free[l]);
-                start = std::max(start, r0[l]);
-                start = std::max(start, r1[l]);
-                vxu_free[l] = start + beats[l] + tree;
-                const uint64_t completion =
-                    start + pipe_lat[l] + beats[l] + tree + sm_lat[l];
-                sd[l] = completion;
-                hrow[l] = completion;
-                done[l] = completion;
+                const uint64_t start = std::max(
+                    std::max(start_[l], vxu_free_[l]),
+                    std::max(r0[l], r1[l]));
+                vxu_free_[l] = start + beats_[l] + tree;
+                done[l] = sd[l] = start + pipe_lat_[l] + beats_[l] + tree +
+                                  sm_lat_[l];
             }
             break;
           }
           case UopKind::VMove: {
-            const uint64_t *r0 = v0 ? rf.vrow(src0) : chain_zero.data();
-            if (isa::Program::isVReg(dst)) {
-                uint64_t *ch_d = chain_row_w(dst);
-                uint64_t *vr_d = rf.vrowW(dst);
-                for (size_t l = 0; l < L; ++l) {
-                    const uint64_t start = std::max(start_v[l], r0[l]);
-                    const uint64_t completion = start + sm_lat[l];
-                    vr_d[l] = completion;
-                    ch_d[l] = completion;
-                    hrow[l] = completion;
-                    done[l] = completion;
-                }
-            } else {
-                // vfmv.f.s: scalar destination, waits for full vreg.
-                uint64_t *sd = rf.srowW(dst);
-                for (size_t l = 0; l < L; ++l) {
-                    const uint64_t start = std::max(start_v[l], r0[l]);
-                    const uint64_t completion = start + sm_lat[l];
-                    sd[l] = completion;
-                    hrow[l] = completion;
-                    done[l] = completion;
-                }
-            }
+            // vfmv.f.s: scalar destination, waits for the full vreg.
+            const uint64_t *r0 = v0 ? rf.vrow(src0) : zero;
+            const bool vdst = isa::Program::isVReg(dst);
+            uint64_t *d0 = vdst ? rf.vrowW(dst) : rf.srowW(dst);
+            uint64_t *d1 = vdst ? chainRowW(dst) : rf.sink_row;
+            for (size_t l = 0; l < L; ++l)
+                done[l] = d0[l] = d1[l] =
+                    std::max(start_[l], r0[l]) + sm_lat_[l];
             break;
           }
           default:
             rtoc_panic("saturn '%s': unsupported coprocessor uop %s",
-                       cfgs[0]->name.c_str(), isa::uopName(kind));
+                       name_, isa::uopName(kind));
         }
 
-        ++vi;
-        ++vinstrs;
-    };
-
-    std::vector<cpu::TimingResult> out =
-        cpu::runInOrderStreamBatchWithCoproc(view, frontends, coproc);
-    for (size_t l = 0; l < out.size(); ++l) {
-        out[l].stats.set(saturnIds().vinstrs, vinstrs);
-        out[l].stats.set(saturnIds().stall_vq, stall_q[l]);
+        for (size_t l = 0; l < L; ++l)
+            queue_.push(l, done[l]);
+        ++vinstrs_;
     }
+
+    /** Add the unit's counters to the lanes' results. */
+    void
+    addStats(cpu::TimingResult *out) const
+    {
+        for (size_t l = 0; l < L_; ++l) {
+            out[l].stats.set(saturnIds().vinstrs, vinstrs_);
+            out[l].stats.set(saturnIds().stall_vq, queue_.stall(l));
+        }
+    }
+
+  private:
+    /** Chaining row of vector register @p reg (zero row if unset). */
+    const uint64_t *
+    chainRow(uint32_t reg) const
+    {
+        const uint32_t idx = reg & 0x7fffffffu;
+        const size_t row = idx < nvreg_ ? idx : nvreg_;
+        return chain_.data() + row * (N ? N : L_);
+    }
+
+    /** Writable chaining row of @p reg (sink row if out of range). */
+    uint64_t *
+    chainRowW(uint32_t reg)
+    {
+        const uint32_t idx = reg & 0x7fffffffu;
+        const size_t row = idx < nvreg_ ? idx : nvreg_ + 1;
+        return chain_.data() + row * (N ? N : L_);
+    }
+
+    const size_t L_;
+    const char *name_;
+    const uint32_t nvreg_;
+    cpu::LaneArray<uint64_t, N> pipe_lat_, chain_lat_, mem_lat_, sm_lat_,
+        dlen_, vlen_, dlen_shift_, dlen_pow2_;
+    cpu::LaneArray<uint64_t, N> vxu_free_, vlu_free_, vsu_free_;
+    cpu::LaneQueues<N> queue_; ///< in-flight vector instructions
+    /** Chaining file: first-element availability per vector register. */
+    std::vector<uint64_t> chain_;
+    cpu::LaneArray<uint64_t, N> beats_, start_; ///< per-uop scratch
+    uint64_t vinstrs_ = 0; ///< lane-invariant: every lane sees each op
+};
+
+/** Replay @p v on the Saturn models @p cfgs[0 .. lanes). */
+template <size_t N>
+void
+replaySaturn(const isa::UopStreamView &v, const SaturnConfig *const *cfgs,
+             size_t lanes, cpu::TimingResult *out)
+{
+    if (!v.program)
+        rtoc_panic("saturn replay: view has no owning program");
+    std::vector<const cpu::InOrderConfig *> frontends(lanes);
+    for (size_t l = 0; l < lanes; ++l)
+        frontends[l] = &cfgs[l]->frontend;
+    SaturnUnit<N> unit(v, cfgs, lanes);
+    cpu::replayInOrder<N>(v, frontends.data(), lanes, unit, out);
+    unit.addStats(out);
+}
+
+} // namespace
+
+SaturnModel::SaturnModel(SaturnConfig cfg) : cfg_(std::move(cfg))
+{
+    if (cfg_.dlen < 1 || cfg_.vqDepth < 1) {
+        rtoc_panic("saturn '%s': dlen and vqDepth must be >= 1",
+                   cfg_.name.c_str());
+    }
+    cfg_.frontend.check();
+}
+
+cpu::TimingResult
+SaturnModel::runStream(const isa::UopStreamView &view) const
+{
+    const SaturnConfig *cfg = &cfg_;
+    cpu::TimingResult out;
+    replaySaturn<1>(view, &cfg, 1, &out);
+    return out;
+}
+
+std::vector<cpu::TimingResult>
+SaturnModel::runStreamBatch(
+    const isa::UopStreamView &view,
+    const std::vector<const cpu::TimingModel *> &models) const
+{
+    std::vector<const SaturnConfig *> cfgs;
+    cfgs.reserve(models.size());
+    for (const cpu::TimingModel *m : models) {
+        const auto *sat = dynamic_cast<const SaturnModel *>(m);
+        if (!sat)
+            return TimingModel::runStreamBatch(view, models);
+        cfgs.push_back(&sat->config());
+    }
+    std::vector<cpu::TimingResult> out(cfgs.size());
+    if (cfgs.size() == 1)
+        replaySaturn<1>(view, cfgs.data(), 1, out.data());
+    else if (!cfgs.empty())
+        replaySaturn<0>(view, cfgs.data(), cfgs.size(), out.data());
     return out;
 }
 

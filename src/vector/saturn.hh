@@ -47,19 +47,21 @@ struct SaturnConfig
 class SaturnModel : public cpu::CoreModel
 {
   public:
-    explicit SaturnModel(SaturnConfig cfg) : cfg_(std::move(cfg)) {}
+    /** Panics unless dlen and vqDepth are >= 1 and the frontend
+     *  passes InOrderConfig::check(). */
+    explicit SaturnModel(SaturnConfig cfg);
 
+    /** One-lane runStreamBatch: the two share one engine. */
     cpu::TimingResult
     runStream(const isa::UopStreamView &view) const override;
 
     cpu::TimingResult runAos(const isa::Program &prog) const override;
 
     /**
-     * Fused vector-machine lane loop: one column pass advances one
-     * (frontend scoreboard + vector-unit state) pair per SaturnModel
-     * in @p models — lanes may differ in VLEN/DLEN/queue depth AND
-     * frontend. Bit-identical to sequential runStream; falls back to
-     * the sequential base when a foreign model appears in the group.
+     * One in-order engine pass advances one (frontend scoreboard +
+     * vector unit) pair per SaturnModel in @p models; lanes may differ
+     * in VLEN/DLEN/queue depth and frontend. Falls back to the
+     * sequential base when a foreign model appears in the group.
      */
     std::vector<cpu::TimingResult>
     runStreamBatch(const isa::UopStreamView &view,

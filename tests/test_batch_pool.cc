@@ -3,15 +3,13 @@
  * Tests for the batched design-point replay path and the
  * work-stealing thread pool.
  *
- * Batched replay: runStreamBatch must be bit-identical to sequential
- * per-config runStream for every timing family, across emission
- * styles and >=8-config design sweeps (the in-order, Saturn and
- * Gemmini batched loops are separate transliterations of their
- * single-lane loops, so equality is pinned here rather than assumed;
- * OoO's runStream is its one-lane batch, so its pin checks that lanes
- * stay independent at every lane count). ReplayBatch grouping must
- * preserve add() order and fall back to the sequential base on
- * mixed-family groups.
+ * Batched replay: every lane of a runStreamBatch pass must be
+ * bit-identical to its model's AoS reference loop (runAos) for every
+ * timing family, across emission styles, >=8-config design sweeps and
+ * every lane count. Each family's runStream is the one-lane pass of the
+ * same engine, so runAos, not runStream, is the independent reference.
+ * ReplayBatch grouping must preserve add() order and fall back to the
+ * sequential base on mixed-family groups.
  *
  * Pool: work stealing makes execution order nondeterministic; these
  * tests pin what must NOT change — every index runs exactly once,
@@ -26,6 +24,7 @@
 #include <chrono>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -48,31 +47,42 @@ namespace {
 using cpu::TimingModel;
 using cpu::TimingResult;
 
-/** Batched results must match sequential runStream bit-for-bit. */
+/**
+ * Every lane must match its model's runAos bit-for-bit: cycles, region
+ * cycles and the stat counters (stall breakdowns, fence/queue
+ * telemetry). Lane counts 1..N each replay a different rotation of
+ * @p models, so each config runs beside many different neighbours.
+ */
 void
-expectBatchMatchesSequential(const isa::Program &prog,
-                             const std::vector<const TimingModel *> &models,
-                             const char *label)
+expectLanesMatchAos(const isa::Program &prog,
+                    const std::vector<const TimingModel *> &models,
+                    const char *label)
 {
     ASSERT_FALSE(models.empty());
-    std::vector<TimingResult> batch =
-        models.front()->runStreamBatch(prog.stream(), models);
-    ASSERT_EQ(batch.size(), models.size()) << label;
-    for (size_t i = 0; i < models.size(); ++i) {
-        TimingResult seq = models[i]->runStream(prog.stream());
-        EXPECT_EQ(batch[i].cycles, seq.cycles)
-            << label << " config " << i << " ("
-            << models[i]->name() << ")";
-        ASSERT_EQ(batch[i].regionCycles.size(), seq.regionCycles.size())
-            << label << " config " << i;
-        for (size_t r = 0; r < seq.regionCycles.size(); ++r) {
-            EXPECT_EQ(batch[i].regionCycles[r], seq.regionCycles[r])
-                << label << " config " << i << " region " << r;
+    std::vector<TimingResult> aos;
+    for (const TimingModel *m : models)
+        aos.push_back(m->runAos(prog));
+    for (size_t lanes = 1; lanes <= models.size(); ++lanes) {
+        std::vector<const TimingModel *> group;
+        std::vector<size_t> cfg;
+        for (size_t j = 0; j < lanes; ++j) {
+            cfg.push_back((lanes + j) % models.size());
+            group.push_back(models[cfg.back()]);
         }
-        // The stat counters (stall breakdowns, fence/queue telemetry)
-        // are part of the bit-exactness contract too.
-        EXPECT_EQ(batch[i].stats.counters(), seq.stats.counters())
-            << label << " config " << i << " stats";
+        std::vector<TimingResult> got =
+            group.front()->runStreamBatch(prog.stream(), group);
+        ASSERT_EQ(got.size(), lanes) << label;
+        for (size_t j = 0; j < lanes; ++j) {
+            const TimingResult &want = aos[cfg[j]];
+            const std::string where = std::string(label) + ", " +
+                                      std::to_string(lanes) +
+                                      " lanes, lane " + std::to_string(j) +
+                                      " (" + group[j]->name() + ")";
+            EXPECT_EQ(got[j].cycles, want.cycles) << where;
+            EXPECT_EQ(got[j].regionCycles, want.regionCycles) << where;
+            EXPECT_EQ(got[j].stats.counters(), want.stats.counters())
+                << where;
+        }
     }
 }
 
@@ -128,7 +138,7 @@ TEST(BatchedReplay, InOrderFamilyAcrossStylesAndConfigs)
             models.push_back(cores.back().get());
         }
         ASSERT_GE(models.size(), 8u);
-        expectBatchMatchesSequential(*prog, models, "inorder");
+        expectLanesMatchAos(*prog, models, "inorder");
     }
 }
 
@@ -167,14 +177,7 @@ TEST(BatchedReplay, OooFamilyAcrossStylesAndConfigs)
             models.push_back(cores.back().get());
         }
         ASSERT_EQ(models.size(), 8u);
-        // runStream is the one-lane batch, so compare every lane count
-        // 1..8, each over a different rotation of the mixed configs.
-        for (size_t lanes = 1; lanes <= models.size(); ++lanes) {
-            std::vector<const TimingModel *> group;
-            for (size_t j = 0; j < lanes; ++j)
-                group.push_back(models[(lanes + j) % models.size()]);
-            expectBatchMatchesSequential(*prog, group, "ooo");
-        }
+        expectLanesMatchAos(*prog, models, "ooo");
     }
 }
 
@@ -231,7 +234,7 @@ TEST(BatchedReplay, SaturnFamilyAcrossStylesAndConfigs)
             models.push_back(ms.back().get());
         }
         ASSERT_GE(models.size(), 8u);
-        expectBatchMatchesSequential(*prog, models, "saturn");
+        expectLanesMatchAos(*prog, models, "saturn");
     }
 }
 
@@ -273,7 +276,7 @@ TEST(BatchedReplay, GemminiFamilyAcrossStylesAndConfigs)
             models.push_back(ms.back().get());
         }
         ASSERT_GE(models.size(), 8u);
-        expectBatchMatchesSequential(*prog, models, "gemmini");
+        expectLanesMatchAos(*prog, models, "gemmini");
     }
 }
 

@@ -5,7 +5,8 @@
  * dual issue) and OoO greedy-dataflow behaviour (ILP extraction,
  * front-end and ROB limits), plus cross-model ordering properties.
  * The OoO issue-slot search (SlotMap) is checked against a one-cycle
- * probe, and OoO cycles on the quadrotor solve streams are pinned.
+ * probe, in-order and OoO cycles on the quadrotor solve streams are
+ * pinned, and configs the in-order engine cannot run are rejected.
  */
 
 #include <gtest/gtest.h>
@@ -141,6 +142,29 @@ TEST(InOrder, ScalarCoreRejectsVectorUops)
     p.push(Uop::vec(UopKind::VLoad, p.newVReg(), kNoReg, kNoReg, 8));
     InOrderCore rocket(InOrderConfig::rocket());
     EXPECT_DEATH({ rocket.run(p); }, "");
+}
+
+TEST(InOrder, RejectsWidthsTheEngineCannotCount)
+{
+    // A zero width never issues (the loop used to spin forever); a
+    // width past 0x7fff overflows its field of the occupancy word.
+    InOrderConfig c = InOrderConfig::shuttle();
+    c.issueWidth = 0;
+    EXPECT_DEATH(InOrderCore{c}, "widths must be in");
+    c = InOrderConfig::shuttle();
+    c.fpuCount = 0;
+    EXPECT_DEATH(InOrderCore{c}, "widths must be in");
+    c = InOrderConfig::shuttle();
+    c.memPorts = 0;
+    EXPECT_DEATH(InOrderCore{c}, "widths must be in");
+    c = InOrderConfig::shuttle();
+    c.issueWidth = InOrderConfig::kMaxWidth + 1;
+    EXPECT_DEATH(InOrderCore{c}, "widths must be in");
+    c.issueWidth = InOrderConfig::kMaxWidth;
+    c.fpuCount = InOrderConfig::kMaxWidth;
+    c.memPorts = InOrderConfig::kMaxWidth;
+    EXPECT_EQ(InOrderCore(c).run(independentOps(8)).cycles,
+              InOrderCore(c).runAos(independentOps(8)).cycles);
 }
 
 TEST(Ooo, ExtractsIlpFromChainPairs)
@@ -411,6 +435,66 @@ TEST(Ooo, GoldenCyclesOnQuadSolveStreams)
             EXPECT_EQ(r.cycles, g.cycles[c]) << label;
             EXPECT_EQ(r.regionCycles.size(), g.regions) << label;
             EXPECT_EQ(digest(r.regionCycles), g.regionDigest[c]) << label;
+        }
+    }
+}
+
+TEST(InOrder, GoldenCyclesOnQuadSolveStreams)
+{
+    // Cycles, region count and region-cycle digest of the 5-iteration
+    // quadrotor solve on Rocket and Shuttle, pinned from the separate
+    // single-config loop the engine's one-lane pass replaced. The AoS
+    // reference must agree. LibraryPerStep and Fused emit the same
+    // scalar stream, so their rows agree.
+    using matlib::NumericFormat;
+    using tinympc::MappingStyle;
+    struct Golden
+    {
+        NumericFormat fmt;
+        MappingStyle style;
+        uint64_t cycles[2]; ///< rocket, shuttle
+        size_t regions;
+        uint64_t regionDigest[2];
+    };
+    const Golden golden[] = {
+        {NumericFormat::F32, MappingStyle::Library,
+         {182576, 157661}, 224,
+         {0x33b190ac2d450637ull, 0x7a43be7dbf38ea77ull}},
+        {NumericFormat::F32, MappingStyle::LibraryPerStep,
+         {181806, 156506}, 529,
+         {0x195e9b265ee53288ull, 0xfaa36702c93925bbull}},
+        {NumericFormat::F32, MappingStyle::Fused,
+         {181806, 156506}, 529,
+         {0x195e9b265ee53288ull, 0xfaa36702c93925bbull}},
+        {NumericFormat::I16, MappingStyle::Library,
+         {171332, 145607}, 224,
+         {0xfb8a68942bb87721ull, 0x71e42812ea652620ull}},
+        {NumericFormat::I16, MappingStyle::LibraryPerStep,
+         {170562, 144452}, 529,
+         {0x1f30d24262ab338cull, 0x3fad70ed1f38463full}},
+        {NumericFormat::I16, MappingStyle::Fused,
+         {170562, 144452}, 529,
+         {0x1f30d24262ab338cull, 0x3fad70ed1f38463full}},
+    };
+    const InOrderConfig cfgs[2] = {InOrderConfig::rocket(),
+                                   InOrderConfig::shuttle()};
+    for (const Golden &g : golden) {
+        matlib::ScalarBackend b(matlib::ScalarFlavor::Optimized);
+        b.setFormat(g.fmt);
+        auto prog = bench::emitQuadSolveCached(b, g.style);
+        for (int c = 0; c < 2; ++c) {
+            const std::string label =
+                std::string(matlib::formatName(g.fmt)) + " style " +
+                std::to_string(static_cast<int>(g.style)) + " " +
+                cfgs[c].name;
+            const InOrderCore core(cfgs[c]);
+            for (const TimingResult &r :
+                 {core.run(*prog), core.runAos(*prog)}) {
+                EXPECT_EQ(r.cycles, g.cycles[c]) << label;
+                EXPECT_EQ(r.regionCycles.size(), g.regions) << label;
+                EXPECT_EQ(digest(r.regionCycles), g.regionDigest[c])
+                    << label;
+            }
         }
     }
 }

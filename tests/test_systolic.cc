@@ -2,12 +2,19 @@
  * @file
  * Tests for the Gemmini model: fence drain and store->load ordering
  * penalty (§4.2.4), command-queue back-pressure, column-vector DMA
- * inefficiency, pooling mvout, and execution ordering.
+ * inefficiency, pooling mvout, and execution ordering. Gemmini cycles
+ * on the quadrotor solve streams are pinned, and configs the engine
+ * cannot run are rejected.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "bench_util.hh"
 #include "isa/program.hh"
+#include "matlib/gemmini_backend.hh"
 #include "systolic/gemmini.hh"
 
 namespace rtoc::systolic {
@@ -164,6 +171,93 @@ TEST(Gemmini, Deterministic)
         p.push(Uop::rocc(UopKind::RoccCompute, 4, 4));
     }
     EXPECT_EQ(m.run(p).cycles, m.run(p).cycles);
+}
+
+TEST(Gemmini, RejectsConfigsTheEngineCannotRun)
+{
+    // busBytes 0 divided by zero; robDepth 0 drained an empty queue.
+    GemminiConfig c = GemminiConfig::os4x4();
+    c.busBytes = 0;
+    EXPECT_DEATH(GemminiModel{c}, "busBytes and robDepth");
+    c = GemminiConfig::os4x4();
+    c.robDepth = 0;
+    EXPECT_DEATH(GemminiModel{c}, "busBytes and robDepth");
+    c = GemminiConfig::os4x4();
+    c.frontend.memPorts = 0;
+    EXPECT_DEATH(GemminiModel{c}, "widths must be in");
+}
+
+/** FNV-1a over the little-endian bytes of @p v. */
+uint64_t
+digest(const std::vector<uint64_t> &v)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint64_t x : v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (x >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+TEST(Gemmini, GoldenCyclesOnQuadSolveStreams)
+{
+    // Cycles, region count and region-cycle digest of the 5-iteration
+    // quadrotor solve on the OS, WS and hardware-GEMV designs, pinned
+    // from the separate single-config loop the engine's one-lane pass
+    // replaced. The AoS reference must agree. The dataflow does not
+    // change command timing, so the OS and WS columns agree.
+    using matlib::NumericFormat;
+    using tinympc::MappingStyle;
+    struct Golden
+    {
+        NumericFormat fmt;
+        MappingStyle style;
+        uint64_t cycles[3]; ///< os4x4, ws4x4, os4x4HwGemv
+        size_t regions;
+        uint64_t regionDigest[3];
+    };
+    const Golden golden[] = {
+        {NumericFormat::F32, MappingStyle::Library,
+         {47284, 47284, 46903}, 224,
+         {0x96ab77b782e2e09cull, 0x96ab77b782e2e09cull,
+          0x3876963e95111811ull}},
+        {NumericFormat::F32, MappingStyle::LibraryPerStep,
+         {55438, 55438, 54784}, 529,
+         {0x34682b9eb0f99ccfull, 0x34682b9eb0f99ccfull,
+          0x02ba17726d479bb5ull}},
+        {NumericFormat::I16, MappingStyle::Library,
+         {28030, 28030, 27854}, 224,
+         {0xe89857b72955d085ull, 0xe89857b72955d085ull,
+          0x309a467f9d8f8ec5ull}},
+        {NumericFormat::I16, MappingStyle::LibraryPerStep,
+         {42882, 42882, 42590}, 529,
+         {0x808c36e981276561ull, 0x808c36e981276561ull,
+          0xc76e965547e483a5ull}},
+    };
+    const GemminiConfig cfgs[3] = {GemminiConfig::os4x4(),
+                                   GemminiConfig::ws4x4(),
+                                   GemminiConfig::os4x4HwGemv()};
+    for (const Golden &g : golden) {
+        matlib::GemminiBackend b(matlib::GemminiMapping::fullyOptimized());
+        b.setFormat(g.fmt);
+        auto prog = bench::emitQuadSolveCached(b, g.style);
+        for (int c = 0; c < 3; ++c) {
+            const std::string label =
+                std::string(matlib::formatName(g.fmt)) + " style " +
+                std::to_string(static_cast<int>(g.style)) + " " +
+                cfgs[c].name;
+            const GemminiModel m(cfgs[c]);
+            for (const cpu::TimingResult &r :
+                 {m.run(*prog), m.runAos(*prog)}) {
+                EXPECT_EQ(r.cycles, g.cycles[c]) << label;
+                EXPECT_EQ(r.regionCycles.size(), g.regions) << label;
+                EXPECT_EQ(digest(r.regionCycles), g.regionDigest[c])
+                    << label;
+            }
+        }
+    }
 }
 
 } // namespace
