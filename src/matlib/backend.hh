@@ -10,15 +10,21 @@
  *
  * Compute once, emit in hooks. The operations are non-virtual and
  * compute in this class, the same way for every backend: the ref::
- * float32 kernels (packed:: for gemv operands that carry a packed
- * copy) at F32, and the fx:: kernels for gemv/gemvT/saxpby at narrow
- * formats. Only then, and only when a Program is attached, does an
- * operation call its protected emitX() hook. The concrete backends
+ * float32 kernels (packed:: for gemvT and for gemv operands that carry
+ * a packed copy) at F32, and the fx:: kernels for gemv/gemvT/saxpby at
+ * narrow formats. Only then, and only when a Program is attached, does
+ * an operation call its protected emitX() hook. The concrete backends
  * implement nothing but those hooks, so a software mapping can change
  * timing, never values, and a host solve makes no virtual call. A hook
  * receives exactly the operation's operands and reads only their
  * shapes, addresses and scalar factors, never the float values, so the
  * order of compute and emission cannot change a stream.
+ *
+ * Fixed shapes: gemv, gemvSaxpby and gemvT are templates on the
+ * matrix shape. gemv<M, N> runs packed::gemv<M, N>, whose trip counts
+ * are compile-time constants, and the default <0, 0> takes the shape
+ * from the operand. The shape selects only the float32 kernel's code,
+ * never its values, the fx:: kernel or the emitted stream.
  *
  * Fusion scopes model §4.1.2: between beginFuse()/endFuse(), backends
  * that support register-resident temporaries (the RVV backend, and
@@ -111,13 +117,18 @@ class Backend
         gemv(y, PackedMat{a}, x, alpha, beta);
     }
 
-    /** gemv whose operand may carry a packed copy (PackedMat). */
+    /**
+     * gemv whose operand may carry a packed copy (PackedMat). <M, N>
+     * fixes A's shape for the float32 kernel (packed::gemv<M, N>);
+     * the default <0, 0> takes it from the operand.
+     */
+    template <int M = 0, int N = 0>
     void
     gemv(Mat y, const PackedMat &a, Mat x, float alpha = 1.0f,
          float beta = 0.0f)
     {
         if (fmt_ == NumericFormat::F32)
-            packed::gemv(y, a, x, alpha, beta);
+            packed::gemv<M, N>(y, a, x, alpha, beta);
         else
             fx::gemv(fmt_, scaling_, fxCounters_, fxCache_, y, a.mat, x,
                      alpha, beta);
@@ -125,11 +136,13 @@ class Backend
             emitGemv(y, a.mat, x, alpha, beta);
     }
 
+    /** y = alpha·Aᵀ x + beta·y; <M, N> fixes A's shape as for gemv. */
+    template <int M = 0, int N = 0>
     void
     gemvT(Mat y, const Mat &a, Mat x, float alpha = 1.0f, float beta = 0.0f)
     {
         if (fmt_ == NumericFormat::F32)
-            ref::gemvT(y, a, x, alpha, beta);
+            packed::gemvT<M, N>(y, a, x, alpha, beta);
         else
             fx::gemvT(fmt_, scaling_, fxCounters_, fxCache_, y, a, x, alpha,
                       beta);
@@ -245,14 +258,15 @@ class Backend
      * one pass, bit-identical to gemv then saxpby(y, sa, y, sb, b),
      * and emits exactly that historical two-call sequence, so the
      * micro-op stream (and every cache key derived from it) is
-     * unchanged.
+     * unchanged. <M, N> fixes A's shape as for gemv.
      */
+    template <int M = 0, int N = 0>
     void
     gemvSaxpby(Mat y, const PackedMat &a, Mat x, float alpha, float beta,
                float sa, float sb, const Mat &b)
     {
         if (fmt_ == NumericFormat::F32)
-            packed::gemvSaxpby(y, a, x, alpha, beta, sa, sb, b);
+            packed::gemvSaxpby<M, N>(y, a, x, alpha, beta, sa, sb, b);
         else
             fx::gemvSaxpby(fmt_, scaling_, fxCounters_, fxCache_, y, a.mat,
                            x, alpha, beta, sa, sb, b);

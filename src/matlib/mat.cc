@@ -1,26 +1,16 @@
 #include "mat.hh"
 
-#include <cstring>
-
 namespace rtoc::matlib {
 
 /*
  * The ref:: kernels are the plain reference loops: one serial chain per
  * reduction, per-index elementwise bodies, exact under any aliasing.
  * They are the oracle every other kernel is pinned against, and the
- * host float32 path for everything except the solver's gemvs. The
- * clamps and the residual reduction are written as compares and
- * selects rather than fmax/fmin calls (see clampOne and absMaxDiff).
- *
- * The packed:: kernels carry the per-tick solver gemvs. The compiler
- * does not vectorize the dot form across outputs (objdump of the
- * portable Release build shows scalar mulss/addss chains), and it may
- * not split one output's chain without changing its rounding. The
- * packed kernels therefore vectorize across outputs by hand: they walk
- * a zero-padded column-major copy of A with the output index
- * innermost, so one vector register accumulates kPackLanes outputs and
- * each lane keeps its output's chain in reference order. The padding
- * lanes compute on zeros and are never stored.
+ * host float32 path for everything except gemv and gemvT, which run
+ * the packed:: header templates (mat.hh) so that a fixed operand shape
+ * inlines into the solver. The clamps and the residual reduction are
+ * written as compares and selects rather than fmax/fmin calls (see
+ * clampOne and absMaxDiff).
  */
 
 void
@@ -197,153 +187,5 @@ fill(Mat out, float s)
 }
 
 } // namespace ref
-
-namespace packed {
-
-namespace {
-
-static_assert(kPackLanes == 4, "Vec and broadcast() assume 4 lanes");
-
-// GCC/Clang vector extension: SSE on x86-64, NEON on AArch64, scalar
-// code elsewhere. Lanewise + and * round exactly like the scalar ops.
-typedef float Vec __attribute__((vector_size(4 * sizeof(float))));
-
-inline Vec
-load(const float *p)
-{
-    Vec v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
-}
-
-inline void
-store(float *p, Vec v)
-{
-    std::memcpy(p, &v, sizeof v);
-}
-
-/** All lanes = @p s (no arithmetic: -0.0 and NaN bits survive). */
-inline Vec
-broadcast(float s)
-{
-    return Vec{s, s, s, s};
-}
-
-/**
- * One block of V vectors of outputs starting at row @p i0: the dot
- * chains over all n columns, then @p out writes each vector of outputs
- * (@p out.lanes, or the scalar @p out.one for the lanes of a partial
- * last vector).
- */
-template <int V, typename Out>
-inline void
-block(const float *cols, int ld, int n, const float *x, int i0, int m,
-      Out &out)
-{
-    Vec acc[V];
-    for (int v = 0; v < V; ++v)
-        acc[v] = Vec{};
-    const float *col = cols + i0;
-    for (int j = 0; j < n; ++j, col += ld) {
-        const Vec xj = broadcast(x[j]);
-        for (int v = 0; v < V; ++v)
-            acc[v] += load(col + kPackLanes * v) * xj;
-    }
-    for (int v = 0; v < V; ++v) {
-        const int i = i0 + kPackLanes * v;
-        if (i + kPackLanes <= m) {
-            out.lanes(i, acc[v]);
-        } else {
-            for (int l = 0; l < m - i; ++l)
-                out.one(i + l, acc[v][l]);
-        }
-    }
-}
-
-/** Blocks of up to four vectors (16 outputs) over the packed rows. */
-template <typename Out>
-void
-packedRowsOf(const PackedMat &a, const float *x, Out &out)
-{
-    const int m = a.mat.rows;
-    const int n = a.mat.cols;
-    const int ld = packedRows(m);
-    constexpr int kBlock = 4 * kPackLanes;
-    int i0 = 0;
-    for (; i0 + kBlock <= ld; i0 += kBlock)
-        block<4>(a.cols, ld, n, x, i0, m, out);
-    switch ((ld - i0) / kPackLanes) {
-      case 3: block<3>(a.cols, ld, n, x, i0, m, out); break;
-      case 2: block<2>(a.cols, ld, n, x, i0, m, out); break;
-      case 1: block<1>(a.cols, ld, n, x, i0, m, out); break;
-      default: break;
-    }
-}
-
-/** y overlaps an input: the kernels' reads would see its stores. */
-bool
-aliased(Mat y, const PackedMat &a, Mat x)
-{
-    return !disjoint(y.data, y.cols, a.mat.data, a.mat.size()) ||
-           !disjoint(y.data, y.cols, x.data, x.cols);
-}
-
-} // namespace
-
-void
-gemv(Mat y, const PackedMat &a, Mat x, float alpha, float beta)
-{
-    rtoc_assert(y.isVec() && x.isVec());
-    rtoc_assert(a.mat.rows == y.cols && a.mat.cols == x.cols);
-    if (!a.cols || aliased(y, a, x)) {
-        ref::gemv(y, a.mat, x, alpha, beta);
-        return;
-    }
-    struct
-    {
-        float *y;
-        float alpha, beta;
-        void lanes(int i, Vec acc)
-        {
-            store(y + i, alpha * acc + beta * load(y + i));
-        }
-        void one(int i, float acc) { y[i] = alpha * acc + beta * y[i]; }
-    } out{y.data, alpha, beta};
-    packedRowsOf(a, x.data, out);
-}
-
-void
-gemvSaxpby(Mat y, const PackedMat &a, Mat x, float alpha, float beta,
-           float sa, float sb, const Mat &b)
-{
-    rtoc_assert(y.isVec() && x.isVec() && b.isVec());
-    rtoc_assert(a.mat.rows == y.cols && a.mat.cols == x.cols);
-    rtoc_assert(b.cols == y.cols);
-    if (!a.cols || aliased(y, a, x) ||
-        !disjoint(y.data, y.cols, b.data, b.cols)) {
-        ref::gemv(y, a.mat, x, alpha, beta);
-        ref::saxpby(y, sa, y, sb, b);
-        return;
-    }
-    struct
-    {
-        float *y;
-        const float *b;
-        float alpha, beta, sa, sb;
-        void lanes(int i, Vec acc)
-        {
-            const Vec t = alpha * acc + beta * load(y + i);
-            store(y + i, sa * t + sb * load(b + i));
-        }
-        void one(int i, float acc)
-        {
-            const float t = alpha * acc + beta * y[i];
-            y[i] = sa * t + sb * b[i];
-        }
-    } out{y.data, b.data, alpha, beta, sa, sb};
-    packedRowsOf(a, x.data, out);
-}
-
-} // namespace packed
 
 } // namespace rtoc::matlib

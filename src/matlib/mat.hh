@@ -9,7 +9,11 @@
  * implementations — every backend computes identical float32 results
  * and differs only in the micro-op stream it emits, so software-
  * mapping optimizations can never change solver semantics (a property
- * the test suite checks bit-exactly).
+ * the test suite checks bit-exactly). The `packed` namespace holds the
+ * output-vectorized host float32 gemv/gemvT kernels as header
+ * templates on the operand shape: packed::gemv<M, N> runs with
+ * compile-time trip counts, packed::gemv<0, 0> with the operand's
+ * run-time shape, and both equal ref::gemv bit for bit.
  */
 
 #ifndef RTOC_MATLIB_MAT_HH
@@ -18,6 +22,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -157,24 +162,235 @@ void fill(Mat out, float s);
 } // namespace ref
 
 /**
- * Output-vectorized float32 gemv kernels over a PackedMat. Each
- * vector register holds kPackLanes consecutive outputs, and each lane
- * runs its output's chain in the reference order (acc = 0, then
- * acc += a_ij * x_j for j = 0..n-1), so results are bit-identical to
- * ref::gemv. Without a packed copy, or when y overlaps an input, they
- * run the ref:: kernels instead.
+ * Output-vectorized float32 gemv kernels over a PackedMat (and gemvT
+ * over the row-major matrix). Each vector register holds kPackLanes
+ * consecutive outputs, and each lane runs its output's chain in the
+ * reference order (acc = 0, then acc += a_ij * x_j for j = 0..n-1), so
+ * results are bit-identical to ref::gemv / ref::gemvT. Without a
+ * packed copy, or when y overlaps an input, they run the ref:: kernels
+ * instead.
+ *
+ * The kernels are templates on the operand shape: <M, N> fixes A's
+ * rows and columns at compile time, so every trip count is a constant
+ * and the kernel inlines into its caller (the solver's per-plant
+ * passes); <0, 0> reads the shape from the operand at run time. Both
+ * run the same body and compute the same bits.
+ *
+ * The compiler does not vectorize the dot form across outputs (objdump
+ * of the portable Release build shows scalar mulss/addss chains), and
+ * it may not split one output's chain without changing its rounding.
+ * These kernels therefore vectorize across outputs by hand: they walk
+ * the zero-padded column-major copy with the output index innermost,
+ * so one vector register accumulates kPackLanes outputs. The padding
+ * lanes compute on zeros and are never stored.
  */
 namespace packed {
 
-/** y = alpha * A x + beta * y (see ref::gemv). */
-void gemv(Mat y, const PackedMat &a, Mat x, float alpha, float beta);
+namespace detail {
+
+static_assert(kPackLanes == 4, "Vec and broadcast() assume 4 lanes");
+
+// GCC/Clang vector extension: SSE on x86-64, NEON on AArch64, scalar
+// code elsewhere. Lanewise + and * round exactly like the scalar ops.
+typedef float Vec __attribute__((vector_size(4 * sizeof(float))));
+
+inline Vec
+load(const float *p)
+{
+    Vec v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+inline void
+store(float *p, Vec v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+/** All lanes = @p s (no arithmetic: -0.0 and NaN bits survive). */
+inline Vec
+broadcast(float s)
+{
+    return Vec{s, s, s, s};
+}
+
+/**
+ * One block of V vectors of outputs starting at row @p i0: the dot
+ * chains over all n columns, then @p out writes each vector of outputs
+ * (@p out.lanes, or the scalar @p out.one for the lanes of a partial
+ * last vector).
+ */
+template <int V, typename Out>
+inline void
+block(const float *cols, int ld, int n, const float *x, int i0, int m,
+      Out &out)
+{
+    Vec acc[V];
+    for (int v = 0; v < V; ++v)
+        acc[v] = Vec{};
+    const float *col = cols + i0;
+    for (int j = 0; j < n; ++j, col += ld) {
+        const Vec xj = broadcast(x[j]);
+        for (int v = 0; v < V; ++v)
+            acc[v] += load(col + kPackLanes * v) * xj;
+    }
+    for (int v = 0; v < V; ++v) {
+        const int i = i0 + kPackLanes * v;
+        if (i + kPackLanes <= m) {
+            out.lanes(i, acc[v]);
+        } else {
+            for (int l = 0; l < m - i; ++l)
+                out.one(i + l, acc[v][l]);
+        }
+    }
+}
+
+/**
+ * Blocks of up to four vectors (16 outputs) covering @p m outputs of
+ * a column-major operand with @p n columns @p ld floats apart. At a
+ * fixed shape the block loop and the switch fold away.
+ */
+template <typename Out>
+inline void
+rowsOf(const float *cols, int ld, int m, int n, const float *x, Out &out)
+{
+    const int rows = packedRows(m);
+    constexpr int kBlock = 4 * kPackLanes;
+    int i0 = 0;
+    for (; i0 + kBlock <= rows; i0 += kBlock)
+        block<4>(cols, ld, n, x, i0, m, out);
+    switch ((rows - i0) / kPackLanes) {
+      case 3: block<3>(cols, ld, n, x, i0, m, out); break;
+      case 2: block<2>(cols, ld, n, x, i0, m, out); break;
+      case 1: block<1>(cols, ld, n, x, i0, m, out); break;
+      default: break;
+    }
+}
+
+/** Writes each output as y = alpha * acc + beta * y (gemv, gemvT). */
+struct ScaleOut
+{
+    float *y;
+    float alpha, beta;
+
+    void
+    lanes(int i, Vec acc)
+    {
+        store(y + i, alpha * acc + beta * load(y + i));
+    }
+
+    void one(int i, float acc) { y[i] = alpha * acc + beta * y[i]; }
+};
+
+/** y overlaps an input: the kernels' reads would see its stores. */
+inline bool
+aliased(Mat y, const PackedMat &a, Mat x)
+{
+    return !disjoint(y.data, y.cols, a.mat.data, a.mat.size()) ||
+           !disjoint(y.data, y.cols, x.data, x.cols);
+}
+
+} // namespace detail
+
+/**
+ * y = alpha * A x + beta * y (see ref::gemv); A is M x N, or any shape
+ * at <0, 0>.
+ */
+template <int M = 0, int N = 0>
+inline void
+gemv(Mat y, const PackedMat &a, Mat x, float alpha, float beta)
+{
+    static_assert(M >= 0 && N >= 0 && (M == 0) == (N == 0),
+                  "fix both dimensions or neither");
+    rtoc_assert(y.isVec() && x.isVec());
+    rtoc_assert(a.mat.rows == y.cols && a.mat.cols == x.cols);
+    rtoc_assert(M == 0 || (a.mat.rows == M && a.mat.cols == N));
+    if (!a.cols || detail::aliased(y, a, x)) {
+        ref::gemv(y, a.mat, x, alpha, beta);
+        return;
+    }
+    detail::ScaleOut out{y.data, alpha, beta};
+    const int m = M ? M : a.mat.rows;
+    detail::rowsOf(a.cols, packedRows(m), m, N ? N : a.mat.cols, x.data,
+                   out);
+}
 
 /**
  * y = sa·(alpha·A x + beta·y) + sb·b in one pass, bit-identical to
- * ref::gemv followed by ref::saxpby(y, sa, y, sb, b).
+ * ref::gemv followed by ref::saxpby(y, sa, y, sb, b); shapes as gemv.
  */
-void gemvSaxpby(Mat y, const PackedMat &a, Mat x, float alpha, float beta,
-                float sa, float sb, const Mat &b);
+template <int M = 0, int N = 0>
+inline void
+gemvSaxpby(Mat y, const PackedMat &a, Mat x, float alpha, float beta,
+           float sa, float sb, const Mat &b)
+{
+    static_assert(M >= 0 && N >= 0 && (M == 0) == (N == 0),
+                  "fix both dimensions or neither");
+    rtoc_assert(y.isVec() && x.isVec() && b.isVec());
+    rtoc_assert(a.mat.rows == y.cols && a.mat.cols == x.cols);
+    rtoc_assert(b.cols == y.cols);
+    rtoc_assert(M == 0 || (a.mat.rows == M && a.mat.cols == N));
+    if (!a.cols || detail::aliased(y, a, x) ||
+        !disjoint(y.data, y.cols, b.data, b.cols)) {
+        ref::gemv(y, a.mat, x, alpha, beta);
+        ref::saxpby(y, sa, y, sb, b);
+        return;
+    }
+    struct
+    {
+        float *y;
+        const float *b;
+        float alpha, beta, sa, sb;
+        void lanes(int i, detail::Vec acc)
+        {
+            const detail::Vec t = alpha * acc + beta * detail::load(y + i);
+            detail::store(y + i, sa * t + sb * detail::load(b + i));
+        }
+        void one(int i, float acc)
+        {
+            const float t = alpha * acc + beta * y[i];
+            y[i] = sa * t + sb * b[i];
+        }
+    } out{y.data, b.data, alpha, beta, sa, sb};
+    const int m = M ? M : a.mat.rows;
+    detail::rowsOf(a.cols, packedRows(m), m, N ? N : a.mat.cols, x.data,
+                   out);
+}
+
+/**
+ * y = alpha * Aᵀ x + beta * y (see ref::gemvT) over the row-major A,
+ * M x N or any shape at <0, 0>. Row i of A is column i of Aᵀ, so A
+ * itself is Aᵀ's column-major copy: whole vectors of outputs run as in
+ * gemv, and the last n % kPackLanes outputs, whose vector would read
+ * past the matrix, run scalar chains in the same order.
+ */
+template <int M = 0, int N = 0>
+inline void
+gemvT(Mat y, const Mat &a, Mat x, float alpha, float beta)
+{
+    static_assert(M >= 0 && N >= 0 && (M == 0) == (N == 0),
+                  "fix both dimensions or neither");
+    rtoc_assert(y.isVec() && x.isVec());
+    rtoc_assert(a.cols == y.cols && a.rows == x.cols);
+    rtoc_assert(M == 0 || (a.rows == M && a.cols == N));
+    if (!disjoint(y.data, y.cols, a.data, a.size()) ||
+        !disjoint(y.data, y.cols, x.data, x.cols)) {
+        ref::gemvT(y, a, x, alpha, beta);
+        return;
+    }
+    detail::ScaleOut out{y.data, alpha, beta};
+    const int m = M ? M : a.rows;
+    const int n = N ? N : a.cols;
+    const int whole = n / kPackLanes * kPackLanes;
+    detail::rowsOf(a.data, n, whole, m, x.data, out);
+    for (int j = whole; j < n; ++j) {
+        float acc = 0.0f;
+        for (int i = 0; i < m; ++i)
+            acc += a.data[static_cast<size_t>(i) * n + j] * x.data[i];
+        out.one(j, acc);
+    }
+}
 
 } // namespace packed
 

@@ -104,9 +104,23 @@ Solver::setup()
     }
 }
 
-void
+/*
+ * The passes with gemvs are templates on the plant shape (see
+ * iterate). flatten inlines every call the compiler can see into the
+ * pass: the Backend operation, its packed:: kernel with its constant
+ * trip counts, and the KernelScope. A host pass at a registry shape is
+ * then one straight-line loop over the horizon, and only the ref::
+ * elementwise kernels, the fx:: kernels and the emission hooks remain
+ * calls. GCC's own heuristics inline some of these operations and not
+ * others.
+ */
+template <int NX, int NU>
+__attribute__((flatten)) void
 Solver::forwardPass()
 {
+    const matlib::PackedMat kinf = ws_.kinf.packed();
+    const matlib::PackedMat adyn = ws_.adyn.packed();
+    const matlib::PackedMat bdyn = ws_.bdyn.packed();
     for (int i = 0; i < ws_.N - 1; ++i) {
         Mat xi = ws_.x.row(i);
         Mat xn = ws_.x.row(i + 1);
@@ -118,19 +132,18 @@ Solver::forwardPass()
         {
             KernelScope k(backend_, kid().forwardPass1);
             // u[i] = -Kinf x[i] - d[i]
-            backend_.gemvSaxpby(ui, ws_.kinf.packed(), xi, -1.0f, 0.0f,
-                                1.0f, -1.0f, di);
+            backend_.gemvSaxpby<NU, NX>(ui, kinf, xi, -1.0f, 0.0f, 1.0f,
+                                        -1.0f, di);
         }
         {
             KernelScope k(backend_, kid().forwardPass2);
             // x[i+1] = Adyn x[i] + Bdyn u[i] (+ cd off-trim)
-            backend_.gemv(xn, ws_.adyn.packed(), xi, 1.0f, 0.0f);
+            backend_.gemv<NX, NX>(xn, adyn, xi, 1.0f, 0.0f);
             if (ws_.hasAffine) {
-                backend_.gemvSaxpby(xn, ws_.bdyn.packed(), ui, 1.0f,
-                                    1.0f, 1.0f, 1.0f,
-                                    ws_.affine.view());
+                backend_.gemvSaxpby<NX, NU>(xn, bdyn, ui, 1.0f, 1.0f, 1.0f,
+                                            1.0f, ws_.affine.view());
             } else {
-                backend_.gemv(xn, ws_.bdyn.packed(), ui, 1.0f, 1.0f);
+                backend_.gemv<NX, NU>(xn, bdyn, ui, 1.0f, 1.0f);
             }
         }
         if (style_ == MappingStyle::Fused)
@@ -198,7 +211,8 @@ Solver::updateDual()
     }
 }
 
-void
+template <int NX, int NU>
+__attribute__((flatten)) void
 Solver::updateLinearCost()
 {
     float rho = ws_.settings.rho;
@@ -250,8 +264,8 @@ Solver::updateLinearCost()
             backend_.beginFuse();
         KernelScope k(backend_, kid().updateLinearCost4);
         Mat p_last = ws_.p.row(ws_.N - 1);
-        backend_.gemvT(p_last, ws_.pinf.view(), ws_.xRef.row(ws_.N - 1),
-                       -1.0f, 0.0f);
+        backend_.gemvT<NX, NX>(p_last, ws_.pinf.view(),
+                               ws_.xRef.row(ws_.N - 1), -1.0f, 0.0f);
         backend_.axpyDiff(p_last, -rho, ws_.vnew.row(ws_.N - 1),
                           ws_.g.row(ws_.N - 1));
         if (style_ == MappingStyle::Fused)
@@ -259,9 +273,14 @@ Solver::updateLinearCost()
     }
 }
 
-void
+template <int NX, int NU>
+__attribute__((flatten)) void
 Solver::backwardPass()
 {
+    const matlib::PackedMat bdynT = ws_.bdynT.packed();
+    const matlib::PackedMat quuInv = ws_.quuInv.packed();
+    const matlib::PackedMat amBKt = ws_.amBKt.packed();
+    const matlib::PackedMat kinfT = ws_.kinfT.packed();
     for (int i = ws_.N - 2; i >= 0; --i) {
         Mat pn = ws_.p.row(i + 1);
         Mat pi = ws_.p.row(i);
@@ -283,16 +302,16 @@ Solver::backwardPass()
         {
             KernelScope k(backend_, kid().backwardPass1);
             // d[i] = Quu_inv (Bdyn^T p[i+1] + r[i])
-            backend_.gemvSaxpby(tmp, ws_.bdynT.packed(), pn, 1.0f, 0.0f,
-                                1.0f, 1.0f, ri);
-            backend_.gemv(di, ws_.quuInv.packed(), tmp, 1.0f, 0.0f);
+            backend_.gemvSaxpby<NU, NX>(tmp, bdynT, pn, 1.0f, 0.0f, 1.0f,
+                                        1.0f, ri);
+            backend_.gemv<NU, NU>(di, quuInv, tmp, 1.0f, 0.0f);
         }
         {
             KernelScope k(backend_, kid().backwardPass2);
             // p[i] = q[i] + AmBKt p[i+1] - Kinf^T r[i]
-            backend_.gemvSaxpby(pi, ws_.amBKt.packed(), pn, 1.0f, 0.0f,
-                                1.0f, 1.0f, ws_.q.row(i));
-            backend_.gemv(pi, ws_.kinfT.packed(), ri, -1.0f, 1.0f);
+            backend_.gemvSaxpby<NX, NX>(pi, amBKt, pn, 1.0f, 0.0f, 1.0f,
+                                        1.0f, ws_.q.row(i));
+            backend_.gemv<NX, NU>(pi, kinfT, ri, -1.0f, 1.0f);
         }
         if (style_ == MappingStyle::Fused)
             backend_.endFuse();
@@ -330,26 +349,19 @@ Solver::checkResiduals(SolveResult &res)
            res.dualResidualInput < s.duaTol;
 }
 
-SolveResult
-Solver::solve(int max_iters)
+template <int NX, int NU>
+void
+Solver::iterate(int bound, SolveResult &res)
 {
-    checkFusedEmission();
-    SolveResult res;
-    const Settings &s = ws_.settings;
-    // Anytime budget: <=0 means the configured bound (the historical
-    // path); a positive budget caps the iteration count.
-    const int bound = max_iters > 0 ? std::min(max_iters, s.maxIters)
-                                    : s.maxIters;
-
     for (int iter = 1; iter <= bound; ++iter) {
-        forwardPass();
+        forwardPass<NX, NU>();
         updateSlack();
         updateDual();
-        updateLinearCost();
-        backwardPass();
+        updateLinearCost<NX, NU>();
+        backwardPass<NX, NU>();
         res.iterations = iter;
 
-        bool check = (iter % s.checkTermination) == 0;
+        bool check = (iter % ws_.settings.checkTermination) == 0;
         if (check && checkResiduals(res)) {
             res.converged = true;
         }
@@ -362,6 +374,38 @@ Solver::solve(int max_iters)
         if (res.converged)
             break;
     }
+}
+
+SolveResult
+Solver::solve(int max_iters)
+{
+    checkFusedEmission();
+    const Settings &s = ws_.settings;
+    if (s.maxIters < 1)
+        rtoc_fatal("Settings::maxIters must be >= 1 (got %d)", s.maxIters);
+    if (s.checkTermination < 1) {
+        rtoc_fatal("Settings::checkTermination must be >= 1 (got %d)",
+                   s.checkTermination);
+    }
+    SolveResult res;
+    // Anytime budget: <=0 means the configured bound (the historical
+    // path); a positive budget caps the iteration count.
+    const int bound = max_iters > 0 ? std::min(max_iters, s.maxIters)
+                                    : s.maxIters;
+
+    // The registry plants' shapes run fixed-shape gemvs; any other
+    // shape runs the same passes with run-time dimensions.
+    const int nx = ws_.nx, nu = ws_.nu;
+    if (nx == 12 && nu == 4)
+        iterate<12, 4>(bound, res); // quadrotor
+    else if (nx == 6 && nu == 3)
+        iterate<6, 3>(bound, res); // rocket lander
+    else if (nx == 5 && nu == 2)
+        iterate<5, 2>(bound, res); // rover
+    else if (nx == 4 && nu == 1)
+        iterate<4, 1>(bound, res); // cart-pole
+    else
+        iterate<0, 0>(bound, res);
     // Export the solution to the CPU/actuators (Gemmini: mvout+fence).
     backend_.sync();
 

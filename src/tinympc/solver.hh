@@ -79,6 +79,11 @@ class Solver
      * bit-identical to the historical unbudgeted path; a smaller
      * budget stops the iteration early and returns the best iterate
      * so far (warm starting keeps it usable as a degraded command).
+     *
+     * The iterations run at the workspace's shape (nx, nu): fixed at
+     * compile time for the registry plants, at run time otherwise
+     * (see iterate). Fatal when settings.maxIters or
+     * settings.checkTermination is below 1 (the loop cannot run them).
      */
     SolveResult solve(int max_iters = 0);
 
@@ -93,11 +98,21 @@ class Solver
     /** Fatal when asked to emit Fused on a backend that cannot. */
     void checkFusedEmission() const;
 
-    void forwardPass();
+    /**
+     * Up to @p bound ADMM iterations at plant shape <NX, NU> (nx, nu):
+     * solve() instantiates it for each registry plant's shape, whose
+     * passes then run fixed-shape gemvs, and at <0, 0> (run-time
+     * dimensions) for any other shape. Every instantiation computes
+     * the same values and calls the same emission hooks in the same
+     * order, with or without a Program.
+     */
+    template <int NX, int NU> void iterate(int bound, SolveResult &res);
+
+    template <int NX, int NU> void forwardPass();
     void updateSlack();
     void updateDual();
-    void updateLinearCost();
-    void backwardPass();
+    template <int NX, int NU> void updateLinearCost();
+    template <int NX, int NU> void backwardPass();
 
     /** Compute all four residuals; returns true when converged. */
     bool checkResiduals(SolveResult &res);

@@ -579,9 +579,52 @@ kernelValues(Rng &rng, size_t n, bool specials)
     return v;
 }
 
-/** packed::gemv and packed::gemvSaxpby against ref:: on one shape. */
+/** One instantiation of the packed:: kernels. */
+struct PackedKernels
+{
+    void (*gemv)(Mat, const PackedMat &, Mat, float, float);
+    void (*gemvSaxpby)(Mat, const PackedMat &, Mat, float, float, float,
+                       float, const Mat &);
+    void (*gemvT)(Mat, const Mat &, Mat, float, float);
+};
+
+/** The kernels at shape <M, N>; <0, 0> takes the shape at run time. */
+template <int M, int N>
+PackedKernels
+kernelsAt()
+{
+    return {&packed::gemv<M, N>, &packed::gemvSaxpby<M, N>,
+            &packed::gemvT<M, N>};
+}
+
+/** A fixed-shape instantiation and the only shape it accepts. */
+struct FixedShape
+{
+    int m, n;
+    PackedKernels k;
+};
+
+/** Every operand shape the registry plants' solves instantiate: (nx,
+ *  nu) = (12, 4), (6, 3), (5, 2), (4, 1); rows below a multiple of 4
+ *  end in a partial vector. */
+const FixedShape kFixedShapes[] = {
+    {4, 12, kernelsAt<4, 12>()}, {12, 12, kernelsAt<12, 12>()},
+    {12, 4, kernelsAt<12, 4>()}, {4, 4, kernelsAt<4, 4>()},
+    {3, 6, kernelsAt<3, 6>()},   {6, 6, kernelsAt<6, 6>()},
+    {6, 3, kernelsAt<6, 3>()},   {3, 3, kernelsAt<3, 3>()},
+    {2, 5, kernelsAt<2, 5>()},   {5, 5, kernelsAt<5, 5>()},
+    {5, 2, kernelsAt<5, 2>()},   {2, 2, kernelsAt<2, 2>()},
+    {1, 4, kernelsAt<1, 4>()},   {4, 1, kernelsAt<4, 1>()},
+    {1, 1, kernelsAt<1, 1>()}};
+
+/**
+ * packed::gemv, packed::gemvSaxpby and packed::gemvT against ref:: on
+ * one m x n shape, through the kernels @p k (run-time shape by
+ * default).
+ */
 void
-checkPackedShape(int m, int n, Rng &rng, bool specials)
+checkPackedShape(int m, int n, Rng &rng, bool specials,
+                 const PackedKernels &k = kernelsAt<0, 0>())
 {
     const float factors[] = {1.0f, 0.0f, -1.0f, 0.37f};
     PackedTestMat a(kernelValues(rng, static_cast<size_t>(m) * n, specials),
@@ -589,13 +632,15 @@ checkPackedShape(int m, int n, Rng &rng, bool specials)
     std::vector<float> x = kernelValues(rng, n, specials);
     std::vector<float> y0 = kernelValues(rng, m, specials);
     std::vector<float> b = kernelValues(rng, m, specials);
+    std::vector<float> xt = kernelValues(rng, m, specials);
+    std::vector<float> yt0 = kernelValues(rng, n, specials);
     for (float alpha : factors) {
         for (float beta : factors) {
             std::vector<float> want = y0, got = y0;
             ref::gemv(Mat(want.data(), 1, m), a.mat(), Mat(x.data(), 1, n),
                       alpha, beta);
-            packed::gemv(Mat(got.data(), 1, m), a.packed(),
-                         Mat(x.data(), 1, n), alpha, beta);
+            k.gemv(Mat(got.data(), 1, m), a.packed(), Mat(x.data(), 1, n),
+                   alpha, beta);
             EXPECT_TRUE(sameBits(got, want))
                 << "gemv " << m << "x" << n << " a=" << alpha
                 << " b=" << beta;
@@ -607,11 +652,22 @@ checkPackedShape(int m, int n, Rng &rng, bool specials)
                       alpha, beta);
             ref::saxpby(Mat(want.data(), 1, m), sa, Mat(want.data(), 1, m),
                         sb, Mat(b.data(), 1, m));
-            packed::gemvSaxpby(Mat(got.data(), 1, m), a.packed(),
-                               Mat(x.data(), 1, n), alpha, beta, sa, sb,
-                               Mat(b.data(), 1, m));
+            k.gemvSaxpby(Mat(got.data(), 1, m), a.packed(),
+                         Mat(x.data(), 1, n), alpha, beta, sa, sb,
+                         Mat(b.data(), 1, m));
             EXPECT_TRUE(sameBits(got, want))
                 << "gemvSaxpby " << m << "x" << n << " a=" << alpha
+                << " b=" << beta;
+
+            // Aᵀ: x has m entries and y (here yt0) has n.
+            want = yt0;
+            got = yt0;
+            ref::gemvT(Mat(want.data(), 1, n), a.mat(),
+                       Mat(xt.data(), 1, m), alpha, beta);
+            k.gemvT(Mat(got.data(), 1, n), a.mat(), Mat(xt.data(), 1, m),
+                    alpha, beta);
+            EXPECT_TRUE(sameBits(got, want))
+                << "gemvT " << m << "x" << n << " a=" << alpha
                 << " b=" << beta;
         }
     }
@@ -641,6 +697,10 @@ TEST(Packed, GemvBitIdenticalToDotFormOnEveryShape)
     checkPackedShape(100, 100, rng, false);
     checkPackedShape(100, 4, rng, false);
     checkPackedShape(4, 100, rng, false);
+    for (const FixedShape &f : kFixedShapes) {
+        for (int rep = 0; rep < 4; ++rep)
+            checkPackedShape(f.m, f.n, rng, false, f.k);
+    }
 }
 
 TEST(Packed, GemvBitIdenticalOnSpecialValues)
@@ -654,12 +714,25 @@ TEST(Packed, GemvBitIdenticalOnSpecialValues)
         for (int rep = 0; rep < 8; ++rep)
             checkPackedShape(m, n, rng, true);
     }
+    for (const FixedShape &f : kFixedShapes) {
+        for (int rep = 0; rep < 8; ++rep)
+            checkPackedShape(f.m, f.n, rng, true, f.k);
+    }
 }
 
 TEST(Packed, AliasedOperandsRunTheReferenceSequence)
 {
+    // Square shapes through the run-time kernels and through every
+    // square fixed-shape instantiation.
     Rng rng(79);
-    for (int n : {1, 4, 6, 12}) {
+    std::vector<std::pair<int, PackedKernels>> cases;
+    for (int n : {1, 4, 6, 12})
+        cases.emplace_back(n, kernelsAt<0, 0>());
+    for (const FixedShape &f : kFixedShapes) {
+        if (f.m == f.n)
+            cases.emplace_back(f.n, f.k);
+    }
+    for (const auto &[n, k] : cases) {
         PackedTestMat a(kernelValues(rng, static_cast<size_t>(n) * n, false),
                         n, n);
         const std::vector<float> v0 = kernelValues(rng, n, false);
@@ -669,9 +742,17 @@ TEST(Packed, AliasedOperandsRunTheReferenceSequence)
         std::vector<float> want = v0, got = v0;
         ref::gemv(Mat(want.data(), 1, n), a.mat(), Mat(want.data(), 1, n),
                   0.37f, -1.0f);
-        packed::gemv(Mat(got.data(), 1, n), a.packed(),
-                     Mat(got.data(), 1, n), 0.37f, -1.0f);
+        k.gemv(Mat(got.data(), 1, n), a.packed(), Mat(got.data(), 1, n),
+               0.37f, -1.0f);
         EXPECT_TRUE(sameBits(got, want)) << "gemv y==x n=" << n;
+
+        want = v0;
+        got = v0;
+        ref::gemvT(Mat(want.data(), 1, n), a.mat(), Mat(want.data(), 1, n),
+                   0.37f, -1.0f);
+        k.gemvT(Mat(got.data(), 1, n), a.mat(), Mat(got.data(), 1, n),
+                0.37f, -1.0f);
+        EXPECT_TRUE(sameBits(got, want)) << "gemvT y==x n=" << n;
 
         want = v0;
         got = v0;
@@ -680,9 +761,9 @@ TEST(Packed, AliasedOperandsRunTheReferenceSequence)
                   1.0f, 1.0f);
         ref::saxpby(Mat(want.data(), 1, n), -1.0f, Mat(want.data(), 1, n),
                     0.37f, Mat(bw.data(), 1, n));
-        packed::gemvSaxpby(Mat(got.data(), 1, n), a.packed(),
-                           Mat(got.data(), 1, n), 1.0f, 1.0f, -1.0f, 0.37f,
-                           Mat(bg.data(), 1, n));
+        k.gemvSaxpby(Mat(got.data(), 1, n), a.packed(),
+                     Mat(got.data(), 1, n), 1.0f, 1.0f, -1.0f, 0.37f,
+                     Mat(bg.data(), 1, n));
         EXPECT_TRUE(sameBits(got, want)) << "gemvSaxpby y==x n=" << n;
 
         // b == y.
@@ -693,18 +774,25 @@ TEST(Packed, AliasedOperandsRunTheReferenceSequence)
                   -1.0f, 0.37f);
         ref::saxpby(Mat(want.data(), 1, n), 0.37f, Mat(want.data(), 1, n),
                     1.0f, Mat(want.data(), 1, n));
-        packed::gemvSaxpby(Mat(got.data(), 1, n), a.packed(),
-                           Mat(x.data(), 1, n), -1.0f, 0.37f, 0.37f, 1.0f,
-                           Mat(got.data(), 1, n));
+        k.gemvSaxpby(Mat(got.data(), 1, n), a.packed(), Mat(x.data(), 1, n),
+                     -1.0f, 0.37f, 0.37f, 1.0f, Mat(got.data(), 1, n));
         EXPECT_TRUE(sameBits(got, want)) << "gemvSaxpby b==y n=" << n;
 
         // y inside A (first row), x elsewhere.
         PackedTestMat aw = a, ag = a;
         ref::gemv(Mat(aw.data.data(), 1, n), aw.mat(), Mat(x.data(), 1, n),
                   1.0f, 0.0f);
-        packed::gemv(Mat(ag.data.data(), 1, n), ag.packed(),
-                     Mat(x.data(), 1, n), 1.0f, 0.0f);
+        k.gemv(Mat(ag.data.data(), 1, n), ag.packed(), Mat(x.data(), 1, n),
+               1.0f, 0.0f);
         EXPECT_TRUE(sameBits(ag.data, aw.data)) << "gemv y in A n=" << n;
+
+        aw = a;
+        ag = a;
+        ref::gemvT(Mat(aw.data.data(), 1, n), aw.mat(), Mat(x.data(), 1, n),
+                   1.0f, 0.0f);
+        k.gemvT(Mat(ag.data.data(), 1, n), ag.mat(), Mat(x.data(), 1, n),
+                1.0f, 0.0f);
+        EXPECT_TRUE(sameBits(ag.data, aw.data)) << "gemvT y in A n=" << n;
     }
 }
 

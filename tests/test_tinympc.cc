@@ -4,14 +4,17 @@
  * tracking behaviour, bit-exact equivalence of Library vs Fused
  * mapping styles and across backends, warm-start iteration savings,
  * kernel-region instrumentation (the Fig. 1 FLOP breakdown), pinned
- * emitted streams, host-vs-emitting solve identity and the
- * allocation-free host solve.
+ * emitted streams, host-vs-emitting solve identity, bit-identity with
+ * an independent ref::-only reference solve, rejection of settings the
+ * loop cannot run, and the allocation-free host solve.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <new>
 #include <string>
@@ -389,6 +392,30 @@ TEST(Solver, GemminiRejectsFusedEmission)
         b.setProgram(nullptr);
         EXPECT_GT(prog.uops().size(), 0u);
     }
+}
+
+TEST(Solver, RejectsSettingsTheLoopCannotRun)
+{
+    // A zero check period divides by zero in the iteration loop, and a
+    // bound below 1 runs no iteration and leaves the previous command.
+    std::unique_ptr<plant::Plant> p =
+        plant::ScenarioRegistry::global().makePlant("cartpole-cartpole");
+    EXPECT_DEATH(
+        {
+            Workspace ws = p->buildWorkspace(0.02, 10);
+            ws.settings.checkTermination = 0;
+            matlib::ScalarBackend b(matlib::ScalarFlavor::Optimized);
+            Solver(ws, b, MappingStyle::Library).solve();
+        },
+        "checkTermination must be >= 1");
+    EXPECT_DEATH(
+        {
+            Workspace ws = p->buildWorkspace(0.02, 10);
+            ws.settings.maxIters = 0;
+            matlib::ScalarBackend b(matlib::ScalarFlavor::Optimized);
+            Solver(ws, b, MappingStyle::Library).solve();
+        },
+        "maxIters must be >= 1");
 }
 
 TEST(Workspace, AllocateValidatesDims)
@@ -866,6 +893,183 @@ TEST(HostSolve, BitIdenticalToEmittingSolve)
             }
         }
     }
+}
+
+/**
+ * The reference solve: the Library-style ADMM passes over ref::
+ * kernels only, written out independently of the Solver (each fused
+ * gemvSaxpby as its gemv then saxpby). It reads and writes the same
+ * workspace buffers as Solver::solve.
+ */
+SolveResult
+referenceSolve(Workspace &ws, int max_iters)
+{
+    namespace ref = matlib::ref;
+    using matlib::Mat;
+    const Settings &s = ws.settings;
+    const float rho = s.rho;
+    const int bound = max_iters > 0 ? std::min(max_iters, s.maxIters)
+                                    : s.maxIters;
+    SolveResult res;
+    for (int iter = 1; iter <= bound; ++iter) {
+        // Forward pass.
+        for (int i = 0; i < ws.N - 1; ++i) {
+            Mat xi = ws.x.row(i), xn = ws.x.row(i + 1);
+            Mat ui = ws.u.row(i);
+            ref::gemv(ui, ws.kinf.view(), xi, -1.0f, 0.0f);
+            ref::saxpby(ui, 1.0f, ui, -1.0f, ws.d.row(i));
+            ref::gemv(xn, ws.adyn.view(), xi, 1.0f, 0.0f);
+            ref::gemv(xn, ws.bdyn.view(), ui, 1.0f, 1.0f);
+            if (ws.hasAffine)
+                ref::saxpby(xn, 1.0f, xn, 1.0f, ws.affine.view());
+        }
+        // Slack update.
+        ref::saxpby(ws.znew.view(), 1.0f, ws.u.view(), 1.0f, ws.y.view());
+        ref::clampVec(ws.znew.view(), ws.znew.view(), ws.uMin.view(),
+                      ws.uMax.view());
+        ref::saxpby(ws.vnew.view(), 1.0f, ws.x.view(), 1.0f, ws.g.view());
+        ref::clampVec(ws.vnew.view(), ws.vnew.view(), ws.xMin.view(),
+                      ws.xMax.view());
+        // Dual update.
+        ref::accumDiff(ws.y.view(), ws.u.view(), ws.znew.view());
+        ref::accumDiff(ws.g.view(), ws.x.view(), ws.vnew.view());
+        // Linear cost.
+        ref::saxpby(ws.r.view(), -rho, ws.znew.view(), rho, ws.y.view());
+        ref::rowScaleNeg(ws.q.view(), ws.xRef.view(), ws.qDiag.view());
+        ref::axpyDiff(ws.q.view(), -rho, ws.vnew.view(), ws.g.view());
+        Mat p_last = ws.p.row(ws.N - 1);
+        ref::gemvT(p_last, ws.pinf.view(), ws.xRef.row(ws.N - 1), -1.0f,
+                   0.0f);
+        ref::axpyDiff(p_last, -rho, ws.vnew.row(ws.N - 1),
+                      ws.g.row(ws.N - 1));
+        // Backward pass.
+        for (int i = ws.N - 2; i >= 0; --i) {
+            Mat pn = ws.p.row(i + 1), pi = ws.p.row(i);
+            Mat ri = ws.r.row(i), tmp = ws.tmpNu.view();
+            if (ws.hasAffine) {
+                ref::saxpby(ws.tmpNx.view(), 1.0f, pn, 1.0f,
+                            ws.pAffine.view());
+                pn = ws.tmpNx.view();
+            }
+            ref::gemv(tmp, ws.bdynT.view(), pn, 1.0f, 0.0f);
+            ref::saxpby(tmp, 1.0f, tmp, 1.0f, ri);
+            ref::gemv(ws.d.row(i), ws.quuInv.view(), tmp, 1.0f, 0.0f);
+            ref::gemv(pi, ws.amBKt.view(), pn, 1.0f, 0.0f);
+            ref::saxpby(pi, 1.0f, pi, 1.0f, ws.q.row(i));
+            ref::gemv(pi, ws.kinfT.view(), ri, -1.0f, 1.0f);
+        }
+        res.iterations = iter;
+        if (iter % s.checkTermination == 0) {
+            res.primalResidualState =
+                ref::absMaxDiff(ws.x.view(), ws.vnew.view());
+            res.dualResidualState =
+                rho * ref::absMaxDiff(ws.v.view(), ws.vnew.view());
+            res.primalResidualInput =
+                ref::absMaxDiff(ws.u.view(), ws.znew.view());
+            res.dualResidualInput =
+                rho * ref::absMaxDiff(ws.z.view(), ws.znew.view());
+            res.converged = res.primalResidualState < s.priTol &&
+                            res.primalResidualInput < s.priTol &&
+                            res.dualResidualState < s.duaTol &&
+                            res.dualResidualInput < s.duaTol;
+        }
+        ref::copy(ws.z.view(), ws.znew.view());
+        ref::copy(ws.v.view(), ws.vnew.view());
+        if (res.converged)
+            break;
+    }
+    bool finite = std::isfinite(res.primalResidualState) &&
+                  std::isfinite(res.dualResidualState) &&
+                  std::isfinite(res.primalResidualInput) &&
+                  std::isfinite(res.dualResidualInput);
+    for (int i = 0; finite && i < ws.nu; ++i)
+        finite = std::isfinite(ws.u.row(0)[i]);
+    res.diverged = !finite;
+    return res;
+}
+
+TEST(HostSolve, MatchesReferenceSolve)
+{
+    // Every float32 solve matches the reference solve bit for bit: each
+    // registry plant (a fixed-shape instantiation) and the double
+    // integrator (the run-time-shape one), every mapping style, from
+    // rest and then tracking a reference from offset states, full and
+    // budgeted, before and after an affine refreshModel.
+    struct Case
+    {
+        std::string name;
+        std::function<Workspace()> build;
+        std::function<void(Workspace &)> refresh;
+    };
+    std::vector<Case> cases;
+    for (const std::string &name :
+         plant::ScenarioRegistry::global().plantNames()) {
+        std::shared_ptr<plant::Plant> p =
+            plant::ScenarioRegistry::global().makePlant(name);
+        auto relin = std::make_shared<Relinearized>(relinearize(*p, 0.03));
+        cases.push_back({name, [p] { return p->buildWorkspace(0.02, 10); },
+                         [relin](Workspace &w) {
+                             w.refreshModel(relin->model.ad,
+                                            relin->model.bd, relin->cache,
+                                            relin->model.cd);
+                         }});
+    }
+    cases.push_back({"double-integrator",
+                     [] { return doubleIntegratorWs(10, 0.5f); },
+                     [](Workspace &w) {
+                         DMatrix a(2, 2, {1, 0.06, 0, 1});
+                         DMatrix b(2, 1, {0.0015, 0.06});
+                         w.refreshModel(
+                             a, b,
+                             numerics::solveDare(a, b,
+                                                 DMatrix::diag({10.0, 1.0}),
+                                                 DMatrix::diag({0.5}), 1.0),
+                             {0.01, -0.02});
+                     }});
+    int affine = 0;
+    for (const Case &c : cases) {
+        for (MappingStyle style :
+             {MappingStyle::Library, MappingStyle::LibraryPerStep,
+              MappingStyle::Fused}) {
+            const std::string what =
+                c.name + " style " + std::to_string(static_cast<int>(style));
+            Workspace ws = c.build();
+            Workspace wr = c.build();
+            matlib::ScalarBackend host(matlib::ScalarFlavor::Optimized);
+            Solver solver(ws, host, style);
+            solver.setup();
+            std::vector<float> x0(static_cast<size_t>(ws.nx), 0.0f);
+            auto both = [&](int max_iters, const char *step) {
+                ws.setInitialState(x0.data());
+                wr.setInitialState(x0.data());
+                const SolveResult got = solver.solve(max_iters);
+                const SolveResult want = referenceSolve(wr, max_iters);
+                expectSameResult(got, want, what + " " + step);
+                expectSameState(ws, wr, what + " " + step);
+            };
+            both(0, "from rest");
+            // A reference with every state nonzero, so that every dot
+            // product sums several nonzero terms.
+            std::vector<float> xr(static_cast<size_t>(ws.nx));
+            for (size_t j = 0; j < xr.size(); ++j)
+                xr[j] = (j % 2 ? -0.05f : 0.07f) * static_cast<float>(j + 1);
+            ws.setReferenceAll(xr);
+            wr.setReferenceAll(xr);
+            x0[0] = 0.4f;
+            both(0, "full");
+            x0[1 % ws.nx] = -0.2f;
+            both(3, "budgeted");
+            c.refresh(ws);
+            c.refresh(wr);
+            affine += ws.hasAffine ? 1 : 0;
+            both(0, "after refresh");
+            x0[0] = -0.3f;
+            both(7, "budgeted after refresh");
+        }
+    }
+    // The refresh is affine on the three nonlinear plants and the
+    // double integrator, in all three styles.
+    EXPECT_GE(affine, 4 * 3);
 }
 
 TEST(HostSolve, RelinearizedSolvesTakeTheAffinePath)
