@@ -42,26 +42,25 @@ using namespace rtoc;
 static void
 warmStartAblation()
 {
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
-
     auto run = [&](bool warm) {
-        tinympc::Workspace ws = quad::buildQuadWorkspace(drone, 0.02, 10);
+        plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
+        tinympc::Workspace ws = drone.buildWorkspace(0.02, 10);
         ws.settings.maxIters = 100;
         ws.settings.checkTermination = 1;
         matlib::ScalarBackend backend(matlib::ScalarFlavor::Optimized);
         tinympc::Solver solver(ws, backend,
                                tinympc::MappingStyle::Library);
-        quad::QuadSim sim(drone);
-        sim.resetHover({0, 0, 1.0});
+        drone.reset();
+        quad::QuadSim &sim = drone.sim();
         double hover = sim.hoverCmd();
-        ws.setReferenceAll(quad::hoverReference({0.4, 0.0, 1.2}));
+        ws.setReferenceAll(drone.reference({0.4, 0.0, 1.2}));
         double iters = 0;
         int solves = 0;
         for (int k = 0; k < 100; ++k) {
             if (!warm)
                 ws.coldStart();
             float x0[12];
-            quad::packMpcState(sim.state(), x0);
+            drone.packState(x0);
             ws.setInitialState(x0);
             auto r = solver.solve();
             iters += r.iterations;
@@ -87,7 +86,7 @@ warmStartAblation()
 static void
 uartAblation()
 {
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
+    const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
     hil::ControllerTiming tv = hil::vectorControllerTiming(drone, 0.02, 10);
 
     dse::DesignSpace space("ablation-uart");
@@ -102,8 +101,11 @@ uartAblation()
         cfg.socFreqHz = 100e6;
         cfg.uart = soc::UartModel(baud);
         cfg.power = soc::PowerParams::vectorCore();
-        auto cell = hil::runCell(drone, quad::Difficulty::Medium, 6, cfg);
-        double rt = (cfg.uart.uplinkS() + cfg.uart.downlinkS()) * 1e3;
+        auto cell = hil::runCell(drone, plant::Difficulty::Medium, 6, cfg);
+        const int wire_bytes = matlib::formatElemBytes(cfg.format);
+        double rt = (cfg.uart.uplinkS(drone.nx(), wire_bytes) +
+                     cfg.uart.downlinkS(drone.nu(), wire_bytes)) *
+                    1e3;
         t.addRow({Table::num(baud, 0), Table::num(rt, 2),
                   Table::pct(cell.successRate),
                   cell.avgRotorPowerW > 0
@@ -116,7 +118,7 @@ uartAblation()
 static void
 horizonAblation()
 {
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
+    const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
     vector::SaturnModel saturn(
         vector::SaturnConfig::make(512, 256, true));
 
@@ -129,7 +131,7 @@ horizonAblation()
     for (double horizon : space.axis("horizon")) {
         const int n = static_cast<int>(horizon);
         matlib::RvvBackend b(512, matlib::RvvMapping::handOptimized());
-        tinympc::Workspace ws = quad::buildQuadWorkspace(drone, 0.02, n);
+        tinympc::Workspace ws = drone.buildWorkspace(0.02, n);
         ws.settings.maxIters = 5;
         ws.settings.priTol = 0.0f;
         ws.settings.duaTol = 0.0f;

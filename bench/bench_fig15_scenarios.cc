@@ -9,7 +9,7 @@
 
 #include "common/table.hh"
 #include "hil/sweep.hh"
-#include "quad/scenario.hh"
+#include "plant/quad_plant.hh"
 
 using namespace rtoc;
 
@@ -19,14 +19,15 @@ main()
     Table t("Figure 15: scenario difficulty overview",
             {"difficulty", "waypoints", "time between", "avg distance "
              "(spec)", "avg distance (generated, 20 sets)"});
+    const plant::QuadrotorPlant quad;
     hil::SweepRunner sweep;
-    for (auto d : quad::kAllDifficulties) {
-        auto spec = quad::difficultySpec(d);
+    for (auto d : plant::kAllDifficulties) {
+        auto spec = quad.difficultySpec(d);
         // Scenario generation is per-index seeded: fan the 20 sets,
         // reduce in index order.
         auto hops = sweep.map<double>(20, [&](size_t i) {
-            return quad::makeScenario(d, static_cast<int>(i))
-                .meanHopDistance();
+            return quad.makeScenario(d, static_cast<int>(i))
+                .meanHopDistance(quad.home());
         });
         double mean = 0.0;
         for (double h : hops)
@@ -40,9 +41,9 @@ main()
     }
     t.print();
 
-    for (auto d : quad::kAllDifficulties) {
-        auto spec = quad::difficultySpec(d);
-        quad::Scenario sc = quad::makeScenario(d, 0);
+    for (auto d : plant::kAllDifficulties) {
+        auto spec = quad.difficultySpec(d);
+        plant::Scenario sc = quad.makeScenario(d, 0);
         std::printf("\nSample %s trajectory (scenario 0):\n", spec.name);
         std::printf("  start (0.00, 0.00, 1.00)\n");
         for (size_t i = 0; i < sc.waypoints.size(); ++i) {

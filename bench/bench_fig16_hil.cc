@@ -23,6 +23,7 @@
 #include "hil/episode.hh"
 #include "hil/sweep.hh"
 #include "hil/timing.hh"
+#include "plant/quad_plant.hh"
 
 using namespace rtoc;
 
@@ -33,7 +34,7 @@ main(int argc, char **argv)
     const int scenarios =
         static_cast<int>(cli.getInt("scenarios", cli.has("full") ? 20 : 8));
 
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
+    const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
     hil::ControllerTiming tv = hil::vectorControllerTiming(drone, 0.02, 10);
     hil::ControllerTiming ts = hil::scalarControllerTiming(drone, 0.02, 10);
 
@@ -47,19 +48,19 @@ main(int argc, char **argv)
                   "physics step, zero latency)",
                   {"difficulty", "success", "actuator power W"});
     std::map<int, double> ideal_power;
-    constexpr size_t n_diff = std::size(quad::kAllDifficulties);
+    constexpr size_t n_diff = std::size(plant::kAllDifficulties);
     auto ideal_cells = sweep.map<hil::SweepCell>(n_diff, [&](size_t i) {
         hil::HilConfig cfg;
         cfg.idealPolicy = true;
         cfg.timing = tv;
-        return hil::runCell(drone, quad::kAllDifficulties[i], scenarios,
+        return hil::runCell(drone, plant::kAllDifficulties[i], scenarios,
                             cfg);
     });
     for (size_t i = 0; i < n_diff; ++i) {
-        auto d = quad::kAllDifficulties[i];
+        auto d = plant::kAllDifficulties[i];
         const auto &cell = ideal_cells[i];
         ideal_power[static_cast<int>(d)] = cell.avgRotorPowerW;
-        ideal_t.addRow({quad::difficultySpec(d).name,
+        ideal_t.addRow({drone.difficultySpec(d).name,
                         Table::pct(cell.successRate),
                         Table::num(cell.avgRotorPowerW, 2)});
     }
@@ -81,12 +82,12 @@ main(int argc, char **argv)
             cfg.socFreqHz = freqs[i / n_diff];
             cfg.power = pw;
             return hil::runCell(drone,
-                                quad::kAllDifficulties[i % n_diff],
+                                plant::kAllDifficulties[i % n_diff],
                                 scenarios, cfg);
         });
         for (size_t i = 0; i < n_cells; ++i) {
             double f = freqs[i / n_diff];
-            auto d = quad::kAllDifficulties[i % n_diff];
+            auto d = plant::kAllDifficulties[i % n_diff];
             const auto &cell = cells[i];
             double ideal_p = ideal_power[static_cast<int>(d)];
             std::string overhead =
@@ -94,7 +95,7 @@ main(int argc, char **argv)
                     ? Table::pct(cell.avgRotorPowerW / ideal_p - 1.0)
                     : "-";
             t.addRow({Table::num(f / 1e6, 0),
-                      quad::difficultySpec(d).name,
+                      drone.difficultySpec(d).name,
                       Table::num(cell.solveTimeMs.median, 2),
                       Table::num(cell.solveTimeMs.p25, 2) + "-" +
                           Table::num(cell.solveTimeMs.p75, 2),

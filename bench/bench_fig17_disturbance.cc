@@ -16,6 +16,7 @@
 #include "hil/disturbance.hh"
 #include "hil/sweep.hh"
 #include "hil/timing.hh"
+#include "plant/quad_plant.hh"
 
 using namespace rtoc;
 
@@ -39,7 +40,7 @@ main(int argc, char **argv)
     Cli cli(argc, argv);
     (void)cli;
 
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
+    const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
     hil::HilConfig scalar_cfg, vector_cfg;
     scalar_cfg.socFreqHz = 100e6;
     scalar_cfg.timing = hil::scalarControllerTiming(drone, 0.02, 10);
@@ -101,15 +102,12 @@ main(int argc, char **argv)
                 ++ttr_n;
             }
         }
-        hil::DisturbCell cs, cv;
-        cs.maxMagnitude = ms_sum / 3;
-        cv.maxMagnitude = mv_sum / 3;
-        cs.avgTtrS = ttr_n ? ttr_s_sum / ttr_n : 0;
-        cv.avgTtrS = ttr_n ? ttr_v_sum / ttr_n : 0;
-        double ratio =
-            cs.maxMagnitude > 0 ? cv.maxMagnitude / cs.maxMagnitude : 0;
-        double impr =
-            cs.avgTtrS > 0 ? 1.0 - cv.avgTtrS / cs.avgTtrS : 0;
+        double mag_s = ms_sum / 3;
+        double mag_v = mv_sum / 3;
+        double ttr_s = ttr_n ? ttr_s_sum / ttr_n : 0;
+        double ttr_v = ttr_n ? ttr_v_sum / ttr_n : 0;
+        double ratio = mag_s > 0 ? mag_v / mag_s : 0;
+        double impr = ttr_s > 0 ? 1.0 - ttr_v / ttr_s : 0;
         bool is_torque =
             kind == hil::DisturbKind::StepTorque ||
             kind == hil::DisturbKind::ImpulseTorque;
@@ -127,10 +125,10 @@ main(int argc, char **argv)
         ++ttr_cells;
         const char *unit = is_torque ? " mNm" : " N";
         t.addRow({hil::disturbKindName(kind),
-                  Table::num(cs.maxMagnitude, 3) + unit,
-                  Table::num(cv.maxMagnitude, 3) + unit,
+                  Table::num(mag_s, 3) + unit,
+                  Table::num(mag_v, 3) + unit,
                   Table::num(ratio, 2) + "x",
-                  Table::num(cs.avgTtrS, 2), Table::num(cv.avgTtrS, 2),
+                  Table::num(ttr_s, 2), Table::num(ttr_v, 2),
                   Table::pct(impr)});
     }
     t.print();

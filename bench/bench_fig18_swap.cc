@@ -18,6 +18,7 @@
 #include "hil/episode.hh"
 #include "hil/sweep.hh"
 #include "hil/timing.hh"
+#include "plant/quad_plant.hh"
 
 using namespace rtoc;
 
@@ -47,9 +48,10 @@ main(int argc, char **argv)
             {"drone", "impl", "best freq MHz", "easy", "medium", "hard",
              "total power W"});
 
-    for (auto drone : {quad::DroneParams::crazyflie(),
-                       quad::DroneParams::hawk(),
-                       quad::DroneParams::heron()}) {
+    for (const auto &params : {quad::DroneParams::crazyflie(),
+                               quad::DroneParams::hawk(),
+                               quad::DroneParams::heron()}) {
+        const plant::QuadrotorPlant drone(params);
         for (auto [impl, timing, pw] :
              {std::tuple{"scalar",
                          hil::scalarControllerTiming(drone, 0.02, 10),
@@ -61,7 +63,7 @@ main(int argc, char **argv)
             // drone/impl across the pool; the best-frequency scan
             // below walks results in frequency order, matching the
             // historical serial loop exactly.
-            constexpr size_t n_diff = std::size(quad::kAllDifficulties);
+            constexpr size_t n_diff = std::size(plant::kAllDifficulties);
             hil::SweepRunner sweep;
             auto cells = sweep.map<hil::SweepCell>(
                 freqs.size() * n_diff, [&](size_t i) {
@@ -70,7 +72,7 @@ main(int argc, char **argv)
                     cfg.socFreqHz = freqs[i / n_diff];
                     cfg.power = pw;
                     return hil::runCell(
-                        drone, quad::kAllDifficulties[i % n_diff],
+                        drone, plant::kAllDifficulties[i % n_diff],
                         scenarios, cfg);
                 });
 
@@ -104,7 +106,7 @@ main(int argc, char **argv)
                     }
                 }
             }
-            t.addRow({drone.name, impl, Table::num(best_f / 1e6, 0),
+            t.addRow({params.name, impl, Table::num(best_f / 1e6, 0),
                       Table::pct(best_succ[0]), Table::pct(best_succ[1]),
                       Table::pct(best_succ[2]),
                       best_f > 0 ? Table::num(best_power, 2) : "-"});

@@ -64,8 +64,8 @@ BENCHMARK(BM_SaturnModel);
 static void
 BM_FunctionalSolve(benchmark::State &state)
 {
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
-    tinympc::Workspace ws = quad::buildQuadWorkspace(drone, 0.02, 10);
+    const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
+    tinympc::Workspace ws = drone.buildWorkspace(0.02, 10);
     matlib::ScalarBackend backend(matlib::ScalarFlavor::Optimized);
     tinympc::Solver solver(ws, backend, tinympc::MappingStyle::Library);
     float x0[12] = {0.4f, -0.2f, 0.9f, 0, 0, 0, 0, 0, 0, 0, 0, 0};

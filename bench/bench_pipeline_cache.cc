@@ -45,6 +45,7 @@
 #include "hil/sweep.hh"
 #include "hil/timing.hh"
 #include "isa/disk_cache.hh"
+#include "plant/quad_plant.hh"
 #include "matlib/gemmini_backend.hh"
 #include "matlib/rvv_backend.hh"
 #include "matlib/scalar_backend.hh"
@@ -212,7 +213,7 @@ main(int argc, char **argv)
                 soa_aggregate, aos_total, soa_total);
 
     // --- serial vs parallel sweep ---
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
+    const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
     hil::HilConfig cfg;
     cfg.timing = hil::vectorControllerTiming(drone, 0.02, 10);
     cfg.socFreqHz = 100e6;
@@ -222,13 +223,13 @@ main(int argc, char **argv)
     hil::SweepRunner serial_runner(serial);
     double t0 = nowS();
     auto serial_eps = serial_runner.runEpisodes(
-        drone, quad::Difficulty::Medium, scenarios, cfg);
+        drone, plant::Difficulty::Medium, scenarios, cfg);
     double serial_s = nowS() - t0;
 
     hil::SweepRunner pool_runner; // global pool
     t0 = nowS();
     auto pool_eps = pool_runner.runEpisodes(
-        drone, quad::Difficulty::Medium, scenarios, cfg);
+        drone, plant::Difficulty::Medium, scenarios, cfg);
     double pool_s = nowS() - t0;
 
     bool sweep_equal = serial_eps.size() == pool_eps.size();

@@ -101,7 +101,7 @@ main(int argc, char **argv)
     const bool smoke = cli.has("smoke");
     const std::string json_path = cli.getString("json", "");
     const int cap = static_cast<int>(
-        cli.getInt("cap", smoke ? 10 : isa::schedCap()));
+        cli.getInt("cap", smoke ? 10 : isa::kSchedCap));
 
     matlib::ScalarBackend scalar(matlib::ScalarFlavor::Optimized);
     matlib::RvvBackend rvv(512, matlib::RvvMapping::handOptimized());

@@ -19,6 +19,7 @@
 #include "common/table.hh"
 #include "dronet/dronet.hh"
 #include "hil/timing.hh"
+#include "plant/quad_plant.hh"
 #include "sched/scheduler.hh"
 
 using namespace rtoc;
@@ -50,7 +51,7 @@ runShared(double mpc_wcet_cycles, double dronet_cycles, double freq,
 int
 main()
 {
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
+    const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
     hil::ControllerTiming ts = hil::scalarControllerTiming(drone, 0.02, 10);
     hil::ControllerTiming tv = hil::vectorControllerTiming(drone, 0.02, 10);
 

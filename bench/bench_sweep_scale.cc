@@ -318,8 +318,8 @@ main(int argc, char **argv)
     // The per-tick HIL hot path: no emission attached.
     double solve_us;
     {
-        quad::DroneParams drone = quad::DroneParams::crazyflie();
-        tinympc::Workspace ws = quad::buildQuadWorkspace(drone, 0.02, 10);
+        const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
+        tinympc::Workspace ws = drone.buildWorkspace(0.02, 10);
         ws.settings.maxIters = 5;
         ws.settings.priTol = 0.0f;
         ws.settings.duaTol = 0.0f;

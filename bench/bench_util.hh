@@ -24,7 +24,6 @@
 #include "isa/program_cache.hh"
 #include "matlib/backend.hh"
 #include "plant/quad_plant.hh"
-#include "quad/linearize.hh"
 #include "tinympc/solver.hh"
 
 namespace rtoc::bench {
@@ -97,7 +96,8 @@ emitQuadSolve(matlib::Backend &backend, tinympc::MappingStyle style,
               const quad::DroneParams &drone =
                   quad::DroneParams::crazyflie())
 {
-    tinympc::Workspace ws = quad::buildQuadWorkspace(drone, 0.02, 10);
+    tinympc::Workspace ws =
+        plant::QuadrotorPlant(drone).buildWorkspace(0.02, 10);
     ws.settings.maxIters = iters;
     ws.settings.priTol = 0.0f;
     ws.settings.duaTol = 0.0f;

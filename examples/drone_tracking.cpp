@@ -12,14 +12,15 @@
 
 #include "hil/episode.hh"
 #include "hil/timing.hh"
+#include "plant/quad_plant.hh"
 
 using namespace rtoc;
 
 int
 main()
 {
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
-    quad::Scenario sc = quad::makeScenario(quad::Difficulty::Medium, 0);
+    plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
+    plant::Scenario sc = drone.makeScenario(plant::Difficulty::Medium, 0);
 
     std::printf("mission: %zu waypoints, %.1f s apart, time limit "
                 "%.1f s\n", sc.waypoints.size(), sc.intervalS,

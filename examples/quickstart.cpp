@@ -13,7 +13,7 @@
 #include "matlib/gemmini_backend.hh"
 #include "matlib/rvv_backend.hh"
 #include "matlib/scalar_backend.hh"
-#include "quad/linearize.hh"
+#include "plant/quad_plant.hh"
 #include "systolic/gemmini.hh"
 #include "tinympc/solver.hh"
 #include "vector/saturn.hh"
@@ -25,9 +25,9 @@ main()
 {
     // 1. Build the control problem: a CrazyFlie hovering at 1 m,
     //    asked to move to (0.5, 0.5, 1.5).
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
-    tinympc::Workspace ws = quad::buildQuadWorkspace(drone, 0.02, 10);
-    ws.setReferenceAll(quad::hoverReference({0.5, 0.5, 1.5}));
+    const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
+    tinympc::Workspace ws = drone.buildWorkspace(0.02, 10);
+    ws.setReferenceAll(drone.reference({0.5, 0.5, 1.5}));
     float x0[12] = {0, 0, 1.0f, 0, 0, 0, 0, 0, 0, 0, 0, 0};
     ws.setInitialState(x0);
 
@@ -45,9 +45,9 @@ main()
     // 3. Time the same solve on three architectures.
     auto time_on = [&](matlib::Backend &backend,
                        tinympc::MappingStyle style,
-                       const cpu::CoreModel &model) {
-        tinympc::Workspace w2 = quad::buildQuadWorkspace(drone, 0.02, 10);
-        w2.setReferenceAll(quad::hoverReference({0.5, 0.5, 1.5}));
+                       const cpu::TimingModel &model) {
+        tinympc::Workspace w2 = drone.buildWorkspace(0.02, 10);
+        w2.setReferenceAll(drone.reference({0.5, 0.5, 1.5}));
         w2.setInitialState(x0);
         isa::Program prog;
         backend.setProgram(&prog);

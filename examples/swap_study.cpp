@@ -14,6 +14,7 @@
 #include "hil/episode.hh"
 #include "hil/sweep.hh"
 #include "hil/timing.hh"
+#include "plant/quad_plant.hh"
 
 using namespace rtoc;
 
@@ -22,9 +23,10 @@ main()
 {
     std::printf("%-10s %-9s %-12s %-12s %-12s\n", "drone", "min MHz",
                 "rotor W", "SoC W", "SoC share");
-    for (auto drone : {quad::DroneParams::crazyflie(),
-                       quad::DroneParams::hawk(),
-                       quad::DroneParams::heron()}) {
+    for (const auto &params : {quad::DroneParams::crazyflie(),
+                               quad::DroneParams::hawk(),
+                               quad::DroneParams::heron()}) {
+        const plant::QuadrotorPlant drone(params);
         hil::ControllerTiming tv =
             hil::vectorControllerTiming(drone, 0.02, 10);
 
@@ -40,7 +42,7 @@ main()
             // first success).
             hil::SweepRunner sweep;
             auto episodes = sweep.runEpisodes(
-                drone, quad::Difficulty::Easy, 3, cfg);
+                drone, plant::Difficulty::Easy, 3, cfg);
             int ok = 0;
             for (const auto &er : episodes)
                 ok += er.success;
@@ -53,12 +55,12 @@ main()
         }
         if (min_freq == 0) {
             std::printf("%-10s unable to complete easy missions\n",
-                        drone.name.c_str());
+                        params.name.c_str());
             continue;
         }
         double total = best.avgRotorPowerW + best.avgSocPowerW;
         std::printf("%-10s %-9.0f %-12.2f %-12.3f %.2f%%\n",
-                    drone.name.c_str(), min_freq / 1e6,
+                    params.name.c_str(), min_freq / 1e6,
                     best.avgRotorPowerW, best.avgSocPowerW,
                     100.0 * best.avgSocPowerW / total);
     }

@@ -19,8 +19,8 @@
  * The optional grain groups @p grain consecutive indices into one
  * claimable task (executed in ascending index order), amortizing the
  * per-task claim/wake overhead when individual tasks are tiny (1-tick
- * smoke episodes). RTOC_GRAIN overrides the grain of every
- * SweepRunner fan-out (see hil/sweep.hh).
+ * smoke episodes). SweepRunner picks it per fan-out (see
+ * hil/sweep.hh).
  *
  * Determinism contract: fn(i) must depend only on i (each sweep task
  * seeds its own RNG from its index). parallelFor imposes no ordering —

@@ -169,9 +169,6 @@ class TimingModel
                    const std::vector<const TimingModel *> &models) const;
 };
 
-/** Historical name of the timing-model interface. */
-using CoreModel = TimingModel;
-
 /**
  * Shared region-attribution helper: given the completion cycle of each
  * uop, a region's cost is the increase of the running max completion

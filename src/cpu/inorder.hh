@@ -63,7 +63,7 @@ struct InOrderConfig
 };
 
 /** Scoreboard timing model for an in-order scalar pipeline. */
-class InOrderCore : public CoreModel
+class InOrderCore : public TimingModel
 {
   public:
     /** Panics unless @p cfg passes InOrderConfig::check(). */

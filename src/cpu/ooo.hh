@@ -60,7 +60,7 @@ struct OooConfig
 };
 
 /** Greedy-dataflow timing model of an OoO scalar core. */
-class OooCore : public CoreModel
+class OooCore : public TimingModel
 {
   public:
     /** Panics unless widths and ROB size are >= 1 and issue widths

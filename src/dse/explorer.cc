@@ -48,9 +48,6 @@ evalMemo()
 {
     static EvalMemo m;
     static const bool configured = [] {
-        if (const char *env = std::getenv("RTOC_DSE_MEMO_CAP"))
-            m.memo.setCapacity(
-                static_cast<size_t>(std::strtoull(env, nullptr, 10)));
         obs::Registry &reg = obs::Registry::global();
         m.hits_id = reg.counter("eval_memo.hits");
         m.misses_id = reg.counter("eval_memo.misses");

@@ -162,7 +162,8 @@ struct EvalMemoStats
 };
 EvalMemoStats evalMemoStats();
 
-/** Override the evaluation memo's LRU cap (RTOC_DSE_MEMO_CAP env). */
+/** Override the evaluation memo's LRU cap (default 65536; 0 means
+ *  unbounded). */
 void evalMemoSetCap(size_t cap);
 
 } // namespace rtoc::dse

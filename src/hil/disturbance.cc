@@ -5,14 +5,8 @@
 
 #include "common/logging.hh"
 #include "hil/control_session.hh"
-#include "matlib/scalar_backend.hh"
-#include "plant/quad_plant.hh"
-#include "quad/linearize.hh"
-#include "tinympc/solver.hh"
 
 namespace rtoc::hil {
-
-using quad::Vec3;
 
 const char *
 disturbKindName(DisturbKind k)
@@ -53,19 +47,6 @@ isStep(DisturbKind k)
 } // namespace
 
 DisturbResult
-runDisturbTrial(const quad::DroneParams &drone, const DisturbSpec &spec,
-                const HilConfig &cfg)
-{
-    // One protocol, the generic plant path: the QuadrotorPlant route
-    // is bit-identical to the historical QuadSim loop (same hover
-    // point, workspace construction, UART shape defaults, command
-    // clamping and the exact 5 cm recovery radius via the reach-
-    // radius scaling), pinned by the fig17 byte-identity check.
-    plant::QuadrotorPlant plant(drone);
-    return runDisturbTrial(plant, spec, cfg);
-}
-
-DisturbResult
 runDisturbTrial(const plant::Plant &proto, const DisturbSpec &spec,
                 const HilConfig &cfg)
 {
@@ -88,8 +69,11 @@ runDisturbTrial(const plant::Plant &proto, const DisturbSpec &spec,
     double controller_free_at = 0.0;
     double next_tick = 0.0;
 
-    const double uart_latency = cfg.uart.uplinkS(plant->nx()) +
-                                cfg.uart.downlinkS(plant->nu());
+    // The tether ships the format's element width, as in runEpisode.
+    const int wire_bytes = matlib::formatElemBytes(cfg.format);
+    const double uart_latency =
+        cfg.uart.uplinkS(plant->nx(), wire_bytes) +
+        cfg.uart.downlinkS(plant->nu(), wire_bytes);
     const double onset = 0.5;
     const double duration = isStep(spec.kind) ? 0.100 : 0.015;
     const double settle_window = 0.250;
@@ -204,40 +188,6 @@ maxRecoverableMagnitude(const plant::Plant &proto, DisturbKind kind,
             hi = mid;
     }
     return lo;
-}
-
-double
-maxRecoverableMagnitude(const quad::DroneParams &drone, DisturbKind kind,
-                        int axis, const HilConfig &cfg)
-{
-    plant::QuadrotorPlant plant(drone);
-    return maxRecoverableMagnitude(plant, kind, axis, cfg);
-}
-
-DisturbCell
-runDisturbCell(const quad::DroneParams &drone, DisturbKind kind,
-               const HilConfig &cfg, double magnitude_fraction)
-{
-    DisturbCell cell;
-    cell.impl = cfg.timing.mappingName;
-    cell.kind = kind;
-
-    double ttr_sum = 0.0;
-    double mag_sum = 0.0;
-    int axes = isTorque(kind) ? 3 : 3;
-    for (int axis = 0; axis < axes; ++axis) {
-        double mag = maxRecoverableMagnitude(drone, kind, axis, cfg);
-        mag_sum += mag;
-        DisturbSpec spec{kind, axis, mag * magnitude_fraction};
-        DisturbResult r = runDisturbTrial(drone, spec, cfg);
-        if (r.recovered) {
-            ttr_sum += r.ttrS;
-            cell.trials += 1;
-        }
-    }
-    cell.avgTtrS = cell.trials ? ttr_sum / cell.trials : 0.0;
-    cell.maxMagnitude = mag_sum / axes;
-    return cell;
 }
 
 } // namespace rtoc::hil

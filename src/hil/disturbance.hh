@@ -2,9 +2,11 @@
  * @file
  * Disturbance-rejection experiment (§5.2, Fig. 17): apply 100 ms step
  * and impulse disturbances — axis-aligned forces, torques and
- * combined vectors — to a hovering drone under closed-loop MPC,
- * measure time-to-recovery (return within 5 cm of the hover point for
- * 250 ms) and the maximum recoverable magnitude via bisection.
+ * combined vectors — to a plant holding its home waypoint under
+ * closed-loop MPC, measure time-to-recovery (for the quadrotor, return
+ * within 5 cm of the hover point for 250 ms) and the maximum
+ * recoverable magnitude via bisection. As in runEpisode, the tether
+ * ships elements at the width of the datapath's numeric format.
  */
 
 #ifndef RTOC_HIL_DISTURBANCE_HH
@@ -54,20 +56,14 @@ struct DisturbResult
     double maxDeviationM = 0.0;
 };
 
-/** Run one hover + disturbance trial under the HIL pipeline. */
-DisturbResult runDisturbTrial(const quad::DroneParams &drone,
-                              const DisturbSpec &spec,
-                              const HilConfig &cfg);
-
 /**
  * Plant-generic disturbance trial: hold a clone of @p proto at its
  * home waypoint under the closed-loop pipeline (a ControlSession, so
  * cfg.relin relinearization applies) and inject the step/impulse
  * wrench through Plant::applyWrench — the Fig. 17 protocol on any
  * plant that supports wrenches, not just the quad. Recovery radius
- * scales with the plant's reach radius (the quad's historical 5 cm
- * at its 12 cm reach). The historical quad entry point above is
- * untouched (bit-identical).
+ * scales with the plant's reach radius (the quad's 5 cm at its 12 cm
+ * reach).
  */
 DisturbResult runDisturbTrial(const plant::Plant &proto,
                               const DisturbSpec &spec,
@@ -89,26 +85,6 @@ double maxRecoverableMagnitude(const plant::Plant &proto,
                                DisturbKind kind, int axis,
                                const HilConfig &cfg,
                                bool *saturated = nullptr);
-
-/** Bisect the largest recoverable magnitude for @p kind/@p axis. */
-double maxRecoverableMagnitude(const quad::DroneParams &drone,
-                               DisturbKind kind, int axis,
-                               const HilConfig &cfg);
-
-/** Aggregates for one (implementation, kind) cell of Fig. 17. */
-struct DisturbCell
-{
-    std::string impl;
-    DisturbKind kind = DisturbKind::StepForce;
-    double avgTtrS = 0.0;
-    double maxMagnitude = 0.0;
-    int trials = 0;
-};
-
-/** Average TTR across axes at a fraction of the recoverable limit. */
-DisturbCell runDisturbCell(const quad::DroneParams &drone,
-                           DisturbKind kind, const HilConfig &cfg,
-                           double magnitude_fraction = 0.6);
 
 } // namespace rtoc::hil
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <mutex>
 
 #include "common/logging.hh"
@@ -12,7 +11,6 @@
 #include "hil/sweep.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
-#include "plant/quad_plant.hh"
 
 namespace rtoc::hil {
 
@@ -236,26 +234,13 @@ runEpisode(plant::Plant &plant, const plant::Scenario &sc,
     return res;
 }
 
-EpisodeResult
-runEpisode(const quad::DroneParams &drone, const quad::Scenario &sc,
-           const HilConfig &cfg)
-{
-    plant::QuadrotorPlant plant(drone);
-    plant::Scenario psc;
-    psc.difficulty = sc.difficulty;
-    psc.seed = sc.seed;
-    psc.intervalS = sc.intervalS;
-    psc.waypoints = sc.waypoints;
-    return runEpisode(plant, psc, cfg);
-}
-
 namespace {
 
 /**
  * Process-wide runCell memo. Cells are deterministic functions of the
  * key, so racing workers may compute a key twice (benign: identical
  * values) but never block each other across distinct keys. The map is
- * LRU-bounded (RTOC_CELL_MEMO_CAP, default 4096 cells, 0 = unbounded)
+ * LRU-bounded (4096 cells; cellMemoSetCap changes it, 0 = unbounded)
  * so unbounded design-space exploration cannot grow the process
  * without limit; an evicted cell is simply recomputed on the next
  * request.
@@ -278,9 +263,6 @@ cellMemo()
 {
     static CellMemo m;
     static const bool configured = [] {
-        if (const char *env = std::getenv("RTOC_CELL_MEMO_CAP"))
-            m.memo.setCapacity(
-                static_cast<size_t>(std::strtoull(env, nullptr, 10)));
         obs::Registry &reg = obs::Registry::global();
         m.hits_id = reg.counter("cell_memo.hits");
         m.misses_id = reg.counter("cell_memo.misses");
@@ -298,16 +280,6 @@ cellMemo()
     return m;
 }
 
-bool
-cellMemoEnabled()
-{
-    static const bool enabled = [] {
-        const char *env = std::getenv("RTOC_CELL_MEMO");
-        return env == nullptr || std::string(env) != "0";
-    }();
-    return enabled;
-}
-
 std::string
 cellKey(const plant::Plant &proto, plant::Difficulty d, int n,
         const HilConfig &cfg, const plant::DisturbanceProfile &dist)
@@ -315,12 +287,12 @@ cellKey(const plant::Plant &proto, plant::Difficulty d, int n,
     // The relinearization policy (and the refresh cycle model it
     // prices) changes closed-loop behaviour, so the memo key carries
     // both — distinct policies never alias a cell. The numeric-format
-    // suffix is empty at float32, keeping historical keys (and warm
-    // memo entries) byte-identical.
+    // suffix is empty at float32. Every double prints at %.17g, so
+    // configs that differ in any bit never share a cell.
     return csprintf(
-        "%s|d%d|n%d|noise%g|arch:%s:%s|b%.17g|i%.17g|f%.17g|ideal%d|"
-        "h%d|ctl%.17g|phys%.17g|uart%g/%d|pw:%s:%g:%g:%g:%g:%g|"
-        "%s|rb%.17g|ri%.17g%s",
+        "%s|d%d|n%d|noise%.17g|arch:%s:%s|b%.17g|i%.17g|f%.17g|ideal%d|"
+        "h%d|ctl%.17g|phys%.17g|uart%.17g/%d|"
+        "pw:%s:%.17g:%.17g:%.17g:%.17g:%.17g|%s|rb%.17g|ri%.17g%s",
         proto.cacheKey().c_str(), static_cast<int>(d), n,
         dist.cmdNoiseSigma, cfg.timing.archName.c_str(),
         cfg.timing.mappingName.c_str(), cfg.timing.baseCycles,
@@ -421,9 +393,6 @@ runCell(const plant::Plant &proto, plant::Difficulty d, int n_scenarios,
         const HilConfig &cfg,
         const plant::DisturbanceProfile &disturbance)
 {
-    if (!cellMemoEnabled())
-        return computeCell(proto, d, n_scenarios, cfg, disturbance);
-
     CellMemo &m = cellMemo();
     const std::string key =
         cellKey(proto, d, n_scenarios, cfg, disturbance);
@@ -442,14 +411,6 @@ runCell(const plant::Plant &proto, plant::Difficulty d, int n_scenarios,
         m.memo.put(key, cell);
     }
     return cell;
-}
-
-SweepCell
-runCell(const quad::DroneParams &drone, quad::Difficulty d,
-        int n_scenarios, const HilConfig &cfg)
-{
-    plant::QuadrotorPlant proto(drone);
-    return runCell(proto, d, n_scenarios, cfg);
 }
 
 CellMemoStats

@@ -10,15 +10,14 @@
  *
  * The runner is plant-generic: it drives any plant::Plant (runtime
  * nx/nu problem shape, task-space waypoints, plant-owned crash and
- * reach predicates). The historical quad::DroneParams entry points
- * are thin wrappers over a QuadrotorPlant and remain bit-identical to
- * the pre-abstraction code path.
+ * reach predicates), the quadrotor included. The UART tether ships
+ * elements at the width of the datapath's numeric format.
  *
  * runCell results are memoized process-wide keyed on (plant config,
  * difficulty, disturbance, episode count, timing model, frequency,
- * HIL config), so multi-figure bench binaries evaluating the same
- * cell pay for it once. Set RTOC_CELL_MEMO=0 to disable. The memo is
- * LRU-bounded (RTOC_CELL_MEMO_CAP overrides the default cap, 0 means
+ * HIL config), every double at full precision, so multi-figure bench
+ * binaries evaluating the same cell pay for it once. The memo is
+ * LRU-bounded (4096 cells; cellMemoSetCap changes the cap, 0 means
  * unbounded) so long-lived drivers sweeping 100k-point design spaces
  * do not grow memory without limit; evictions are counted in
  * cellMemoStats().
@@ -31,7 +30,6 @@
 #include "hil/timing.hh"
 #include "matlib/fixed.hh"
 #include "plant/plant.hh"
-#include "quad/scenario.hh"
 #include "soc/power_model.hh"
 #include "soc/uart.hh"
 
@@ -91,10 +89,6 @@ struct EpisodeResult
 EpisodeResult runEpisode(plant::Plant &plant, const plant::Scenario &sc,
                          const HilConfig &cfg);
 
-/** Historical quadrotor entry point (bit-identical wrapper). */
-EpisodeResult runEpisode(const quad::DroneParams &drone,
-                         const quad::Scenario &sc, const HilConfig &cfg);
-
 /** Aggregated metrics over a set of episodes. */
 struct SweepCell
 {
@@ -130,10 +124,6 @@ SweepCell runCell(const plant::Plant &proto, plant::Difficulty d,
                   int n_scenarios, const HilConfig &cfg,
                   const plant::DisturbanceProfile &disturbance = {});
 
-/** Historical quadrotor entry point (bit-identical wrapper). */
-SweepCell runCell(const quad::DroneParams &drone, quad::Difficulty d,
-                  int n_scenarios, const HilConfig &cfg);
-
 /** runCell memo counters (for tests and cache-effect reporting). */
 struct CellMemoStats
 {
@@ -147,8 +137,8 @@ CellMemoStats cellMemoStats();
 
 /**
  * Override the memo's LRU cap at runtime (tests, long-lived
- * explorers). Equivalent to RTOC_CELL_MEMO_CAP; 0 means unbounded.
- * An over-full memo evicts immediately.
+ * explorers); 0 means unbounded. An over-full memo evicts
+ * immediately.
  */
 void cellMemoSetCap(size_t cap);
 

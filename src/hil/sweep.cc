@@ -1,29 +1,6 @@
 #include "sweep.hh"
 
-#include <cstdlib>
-
-#include "plant/quad_plant.hh"
-
 namespace rtoc::hil {
-
-namespace {
-
-/** RTOC_GRAIN: force the chunk size of every SweepRunner fan-out. */
-int
-envGrain()
-{
-    static const int grain = [] {
-        if (const char *env = std::getenv("RTOC_GRAIN")) {
-            int n = std::atoi(env);
-            if (n >= 1)
-                return n;
-        }
-        return 0;
-    }();
-    return grain;
-}
-
-} // namespace
 
 size_t
 SweepRunner::defaultGrain(size_t n, int threads)
@@ -41,8 +18,6 @@ SweepRunner::defaultGrain(size_t n, int threads)
 size_t
 SweepRunner::effectiveGrain(size_t n) const
 {
-    if (int forced = envGrain(); forced >= 1)
-        return static_cast<size_t>(forced);
     if (grain_ >= 1)
         return static_cast<size_t>(grain_);
     return defaultGrain(n, pool_.threads());
@@ -61,15 +36,6 @@ SweepRunner::runEpisodes(const plant::Plant &proto, plant::Difficulty d,
             std::unique_ptr<plant::Plant> plant = proto.clone();
             return runEpisode(*plant, sc, cfg);
         });
-}
-
-std::vector<EpisodeResult>
-SweepRunner::runEpisodes(const quad::DroneParams &drone,
-                         quad::Difficulty d, int n,
-                         const HilConfig &cfg) const
-{
-    plant::QuadrotorPlant proto(drone);
-    return runEpisodes(proto, d, n, cfg);
 }
 
 } // namespace rtoc::hil

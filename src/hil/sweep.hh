@@ -19,9 +19,8 @@
  * Tiny per-episode tasks (1-tick smoke runs) are chunked: the grain
  * knob groups consecutive episodes into one pool task so claim/wake
  * overhead does not dominate. grain 0 (default) picks a heuristic
- * from the task count and pool width; RTOC_GRAIN forces a value for
- * every SweepRunner. The grain never changes results, only
- * scheduling.
+ * from the task count and pool width; setGrain forces a value for one
+ * SweepRunner. The grain never changes results, only scheduling.
  *
  * Set RTOC_THREADS=1 to force the serial path (used by the equality
  * tests and by the microbench's serial baseline).
@@ -50,9 +49,8 @@ class SweepRunner
     int threads() const { return pool_.threads(); }
 
     /**
-     * Episodes grouped per pool task. 0 = auto (defaultGrain);
-     * RTOC_GRAIN overrides both. Scheduling-only: results are
-     * independent of the grain.
+     * Episodes grouped per pool task. 0 = auto (defaultGrain).
+     * Scheduling-only: results are independent of the grain.
      */
     SweepRunner &
     setGrain(int grain)
@@ -94,11 +92,6 @@ class SweepRunner
     runEpisodes(const plant::Plant &proto, plant::Difficulty d, int n,
                 const HilConfig &cfg,
                 const plant::DisturbanceProfile &disturbance = {}) const;
-
-    /** Historical quadrotor entry point (bit-identical wrapper). */
-    std::vector<EpisodeResult>
-    runEpisodes(const quad::DroneParams &drone, quad::Difficulty d,
-                int n, const HilConfig &cfg) const;
 
   private:
     ThreadPool &pool_;

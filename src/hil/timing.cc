@@ -9,13 +9,11 @@
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "cpu/inorder.hh"
-#include "cpu/replay_batch.hh"
 #include "isa/program_cache.hh"
 #include "isa/sched_search.hh"
 #include "matlib/gemmini_backend.hh"
 #include "matlib/rvv_backend.hh"
 #include "matlib/scalar_backend.hh"
-#include "plant/quad_plant.hh"
 #include "systolic/gemmini.hh"
 #include "vector/saturn.hh"
 
@@ -96,7 +94,7 @@ namespace {
 
 /** On-disk key of one (model, backend, style, shape) calibration. */
 std::string
-calibDiskKey(const cpu::CoreModel &model, const matlib::Backend &backend,
+calibDiskKey(const cpu::TimingModel &model, const matlib::Backend &backend,
              tinympc::MappingStyle style, const plant::Plant &plant,
              double dt, int horizon, bool with_refresh)
 {
@@ -134,7 +132,7 @@ calibSolveKey(const matlib::Backend &backend, tinympc::MappingStyle style,
  * (model, program) pair).
  */
 std::shared_ptr<const isa::Program>
-schedStream(const cpu::CoreModel &model, const std::string &progKey,
+schedStream(const cpu::TimingModel &model, const std::string &progKey,
             const std::shared_ptr<const isa::Program> &prog)
 {
     if (!isa::schedEnabled())
@@ -216,75 +214,10 @@ calibRefreshStream(matlib::Backend &backend, const plant::Plant &plant,
         });
 }
 
-/** Fit the linear solve model from the two replay points. */
-void
-fitSolveCycles(ControllerTiming &t, double c_lo, double c_hi)
-{
-    t.cyclesPerIter = (c_hi - c_lo) / 20.0;
-    t.baseCycles = c_lo - 5.0 * t.cyclesPerIter;
-    if (t.baseCycles < 0.0)
-        t.baseCycles = 0.0;
-}
-
-/** Fit the refresh model from the two replay points. */
-void
-fitRefreshCycles(ControllerTiming &t, double r_lo, double r_hi)
-{
-    t.refreshCyclesPerIter = (r_hi - r_lo) / 6.0;
-    t.refreshBaseCycles = r_lo - 2.0 * t.refreshCyclesPerIter;
-    if (t.refreshBaseCycles < 0.0)
-        t.refreshBaseCycles = 0.0;
-}
-
-/**
- * Family-batched replay of one fit point for the pending models.
- * With scheduling off, one ReplayBatch covers everyone on the shared
- * baseline stream. With scheduling on, each model resolves its own
- * scheduled stream first; models whose winners coincide (including
- * the common "schedule search found nothing" baseline case) still
- * batch together, grouped by stream identity.
- */
-std::vector<cpu::TimingResult>
-replayPending(const std::vector<const cpu::CoreModel *> &models,
-              const std::vector<size_t> &pending,
-              const std::string &progKey,
-              const std::shared_ptr<const isa::Program> &prog)
-{
-    if (!isa::schedEnabled()) {
-        cpu::ReplayBatch batch;
-        for (size_t i : pending)
-            batch.add(*models[i]);
-        return batch.run(*prog);
-    }
-    std::vector<std::shared_ptr<const isa::Program>> streams;
-    streams.reserve(pending.size());
-    for (size_t i : pending)
-        streams.push_back(schedStream(*models[i], progKey, prog));
-    std::vector<cpu::TimingResult> out(pending.size());
-    std::vector<uint8_t> placed(pending.size(), 0);
-    for (size_t k = 0; k < pending.size(); ++k) {
-        if (placed[k])
-            continue;
-        cpu::ReplayBatch batch;
-        std::vector<size_t> members;
-        for (size_t j = k; j < pending.size(); ++j) {
-            if (!placed[j] && streams[j] == streams[k]) {
-                batch.add(*models[pending[j]]);
-                members.push_back(j);
-                placed[j] = 1;
-            }
-        }
-        std::vector<cpu::TimingResult> res = batch.run(*streams[k]);
-        for (size_t m = 0; m < members.size(); ++m)
-            out[members[m]] = std::move(res[m]);
-    }
-    return out;
-}
-
 } // namespace
 
 ControllerTiming
-calibrateTiming(const cpu::CoreModel &model, matlib::Backend &backend,
+calibrateTiming(const cpu::TimingModel &model, matlib::Backend &backend,
                 tinympc::MappingStyle style, const plant::Plant &plant,
                 double dt, int horizon, const isa::DiskCache *disk,
                 bool with_refresh)
@@ -313,7 +246,10 @@ calibrateTiming(const cpu::CoreModel &model, matlib::Backend &backend,
     ControllerTiming t;
     t.archName = model.name();
     t.mappingName = backend.name();
-    fitSolveCycles(t, c_lo, c_hi);
+    t.cyclesPerIter = (c_hi - c_lo) / 20.0;
+    t.baseCycles = c_lo - 5.0 * t.cyclesPerIter;
+    if (t.baseCycles < 0.0)
+        t.baseCycles = 0.0;
 
     if (with_refresh) {
         auto run_refresh = [&](int iters) -> double {
@@ -322,91 +258,17 @@ calibrateTiming(const cpu::CoreModel &model, matlib::Backend &backend,
                 calibRefreshStream(backend, plant, dt, horizon, iters));
             return static_cast<double>(model.run(*prog).cycles);
         };
-        fitRefreshCycles(t, run_refresh(2), run_refresh(8));
+        double r_lo = run_refresh(2);
+        double r_hi = run_refresh(8);
+        t.refreshCyclesPerIter = (r_hi - r_lo) / 6.0;
+        t.refreshBaseCycles = r_lo - 2.0 * t.refreshCyclesPerIter;
+        if (t.refreshBaseCycles < 0.0)
+            t.refreshBaseCycles = 0.0;
     }
     obs::count(calibIds().computes);
     if (disk)
         disk->put("calib", calib_key, encodeTiming(t));
     return t;
-}
-
-std::vector<ControllerTiming>
-calibrateTimingBatch(const std::vector<const cpu::CoreModel *> &models,
-                     matlib::Backend &backend, tinympc::MappingStyle style,
-                     const plant::Plant &plant, double dt, int horizon,
-                     const isa::DiskCache *disk, bool with_refresh)
-{
-    std::vector<ControllerTiming> out(models.size());
-    std::vector<std::string> keys(models.size());
-    std::vector<size_t> pending;
-    for (size_t i = 0; i < models.size(); ++i) {
-        keys[i] = calibDiskKey(*models[i], backend, style, plant, dt,
-                               horizon, with_refresh);
-        if (disk) {
-            if (auto payload = disk->get("calib", keys[i])) {
-                if (auto t = decodeTiming(*payload)) {
-                    obs::count(calibIds().diskHits);
-                    out[i] = *t;
-                    continue;
-                }
-            }
-        }
-        pending.push_back(i);
-    }
-    if (pending.empty())
-        return out;
-
-    RTOC_SPAN("hil.calibrate_batch", "hil");
-    // One emission per fit point serves every pending model; the
-    // family-batched replay advances all of their scoreboards in one
-    // column pass. Cycle counts — and therefore the fits and the
-    // persisted payloads — are bit-identical to per-model
-    // calibrateTiming (pinned by tests).
-    auto lo = calibSolveStream(backend, style, plant, dt, horizon, 5);
-    auto hi = calibSolveStream(backend, style, plant, dt, horizon, 25);
-    std::vector<cpu::TimingResult> c_lo = replayPending(
-        models, pending,
-        calibSolveKey(backend, style, plant, dt, horizon, 5), lo);
-    std::vector<cpu::TimingResult> c_hi = replayPending(
-        models, pending,
-        calibSolveKey(backend, style, plant, dt, horizon, 25), hi);
-
-    std::vector<cpu::TimingResult> r_lo, r_hi;
-    if (with_refresh) {
-        auto rlo = calibRefreshStream(backend, plant, dt, horizon, 2);
-        auto rhi = calibRefreshStream(backend, plant, dt, horizon, 8);
-        r_lo = replayPending(models, pending,
-                             calibRefreshKey(backend, plant, 2), rlo);
-        r_hi = replayPending(models, pending,
-                             calibRefreshKey(backend, plant, 8), rhi);
-    }
-
-    for (size_t k = 0; k < pending.size(); ++k) {
-        const size_t i = pending[k];
-        ControllerTiming t;
-        t.archName = models[i]->name();
-        t.mappingName = backend.name();
-        fitSolveCycles(t, static_cast<double>(c_lo[k].cycles),
-                       static_cast<double>(c_hi[k].cycles));
-        if (with_refresh) {
-            fitRefreshCycles(t, static_cast<double>(r_lo[k].cycles),
-                             static_cast<double>(r_hi[k].cycles));
-        }
-        obs::count(calibIds().computes);
-        if (disk)
-            disk->put("calib", keys[i], encodeTiming(t));
-        out[i] = t;
-    }
-    return out;
-}
-
-ControllerTiming
-calibrateTiming(const cpu::CoreModel &model, matlib::Backend &backend,
-                tinympc::MappingStyle style,
-                const quad::DroneParams &drone, double dt, int horizon)
-{
-    plant::QuadrotorPlant plant(drone);
-    return calibrateTiming(model, backend, style, plant, dt, horizon);
 }
 
 namespace {
@@ -538,7 +400,7 @@ regionBreakdown(const std::string &model, const plant::Plant &plant,
     RTOC_SPAN("hil.region_breakdown", "hil");
     // Mirror the convenience-calibration configurations exactly, so
     // the profile describes the same hardware the sweeps priced.
-    auto replay = [&](const cpu::CoreModel &core,
+    auto replay = [&](const cpu::TimingModel &core,
                       matlib::Backend &backend,
                       tinympc::MappingStyle style) {
         // With scheduling on, profile the stream the sweeps actually
@@ -580,30 +442,6 @@ namedPowerParams(const std::string &model)
     if (model == "vector" || model == "ideal")
         return soc::PowerParams::vectorCore();
     rtoc_fatal("unknown timing model '%s'", model.c_str());
-}
-
-ControllerTiming
-scalarControllerTiming(const quad::DroneParams &drone, double dt,
-                       int horizon)
-{
-    plant::QuadrotorPlant plant(drone);
-    return scalarControllerTiming(plant, dt, horizon);
-}
-
-ControllerTiming
-vectorControllerTiming(const quad::DroneParams &drone, double dt,
-                       int horizon)
-{
-    plant::QuadrotorPlant plant(drone);
-    return vectorControllerTiming(plant, dt, horizon);
-}
-
-ControllerTiming
-gemminiControllerTiming(const quad::DroneParams &drone, double dt,
-                        int horizon)
-{
-    plant::QuadrotorPlant plant(drone);
-    return gemminiControllerTiming(plant, dt, horizon);
 }
 
 } // namespace rtoc::hil

@@ -11,6 +11,8 @@
  * the problem shape (nx, nu, horizon), never on plant parameter
  * values, so cache and memo keys carry the shape and every plant with
  * the quadrotor's 12x4 shape replays the quadrotor's cached streams.
+ * Every entry point takes a plant::Plant; one calibration replays one
+ * model (design sweeps batch their replays in dse::Explorer).
  */
 
 #ifndef RTOC_HIL_TIMING_HH
@@ -23,7 +25,6 @@
 #include "isa/disk_cache.hh"
 #include "matlib/backend.hh"
 #include "plant/plant.hh"
-#include "quad/linearize.hh"
 #include "soc/power_model.hh"
 #include "tinympc/solver.hh"
 
@@ -78,34 +79,11 @@ struct ControllerTiming
  * poisons the other's disk entry.
  */
 ControllerTiming
-calibrateTiming(const cpu::CoreModel &model, matlib::Backend &backend,
+calibrateTiming(const cpu::TimingModel &model, matlib::Backend &backend,
                 tinympc::MappingStyle style, const plant::Plant &plant,
                 double dt, int horizon,
                 const isa::DiskCache *disk = &isa::DiskCache::global(),
                 bool with_refresh = false);
-
-/** Historical quadrotor entry point (wraps a QuadrotorPlant). */
-ControllerTiming
-calibrateTiming(const cpu::CoreModel &model, matlib::Backend &backend,
-                tinympc::MappingStyle style,
-                const quad::DroneParams &drone, double dt, int horizon);
-
-/**
- * Multi-model batch calibration: fit every model in @p models against
- * ONE emission of the @p backend/@p style stream, replaying the two
- * fit points through a family-batched ReplayBatch (one column pass
- * advances all scoreboards of a family — the design-sweep analogue of
- * calibrateTiming). Per-model results, disk keys and fitted values
- * are bit-identical to calling calibrateTiming per model (pinned by
- * tests); models already persisted on @p disk are served from it and
- * skipped in the replay batch.
- */
-std::vector<ControllerTiming>
-calibrateTimingBatch(const std::vector<const cpu::CoreModel *> &models,
-                     matlib::Backend &backend, tinympc::MappingStyle style,
-                     const plant::Plant &plant, double dt, int horizon,
-                     const isa::DiskCache *disk = &isa::DiskCache::global(),
-                     bool with_refresh = false);
 
 /**
  * Convenience calibrations of the three on-chip implementations the
@@ -166,14 +144,6 @@ soc::PowerParams namedPowerParams(const std::string &model);
 std::vector<isa::KernelCycles>
 regionBreakdown(const std::string &model, const plant::Plant &plant,
                 double dt, int horizon, int iters = 25);
-
-/** Historical quadrotor entry points. */
-ControllerTiming scalarControllerTiming(const quad::DroneParams &drone,
-                                        double dt, int horizon);
-ControllerTiming vectorControllerTiming(const quad::DroneParams &drone,
-                                        double dt, int horizon);
-ControllerTiming gemminiControllerTiming(const quad::DroneParams &drone,
-                                         double dt, int horizon);
 
 /** Calibration-cache counters (tests, CI warm-start assertions). */
 struct CalibCacheStats

@@ -57,22 +57,11 @@ schedEnabled()
     return on;
 }
 
-int
-schedCap()
-{
-    static const int cap = [] {
-        const char *e = std::getenv("RTOC_SCHED_CAP");
-        const int v = e != nullptr ? std::atoi(e) : 24;
-        return v < 1 ? 1 : v;
-    }();
-    return cap;
-}
-
 const std::string &
 schedKeySuffix()
 {
     static const std::string s =
-        schedEnabled() ? csprintf("|sched:v1:cap%d", schedCap())
+        schedEnabled() ? csprintf("|sched:v1:cap%d", kSchedCap)
                        : std::string();
     return s;
 }
@@ -165,7 +154,7 @@ scheduledStream(const std::string &modelKey, const std::string &progKey,
 
     const std::string search_key =
         csprintf("sched1|%s|%s|cap%d", modelKey.c_str(),
-                 progKey.c_str(), schedCap());
+                 progKey.c_str(), kSchedCap);
 
     std::shared_ptr<MemoEntry> entry;
     {
@@ -199,7 +188,7 @@ scheduledStream(const std::string &modelKey, const std::string &progKey,
     }
     if (!resolved) {
         const SchedSearchResult res =
-            searchSchedule(*baseline, cost, schedCap());
+            searchSchedule(*baseline, cost, kSchedCap);
         spec = res.spec;
         if (disk != nullptr && disk->enabled())
             disk->put("sched", search_key, encodeSchedSpec(spec));

@@ -20,9 +20,8 @@
  * pointer untouched and schedKeySuffix() is empty, so every golden
  * output stays byte-identical by default.
  *
- * Environment controls:
- *   RTOC_SCHED=1       enable schedule search + scheduled replay
- *   RTOC_SCHED_CAP=n   max candidates scored per search (default 24)
+ * RTOC_SCHED=1 enables schedule search and scheduled replay. Each
+ * search scores at most kSchedCap candidates.
  */
 
 #ifndef RTOC_ISA_SCHED_SEARCH_HH
@@ -43,8 +42,8 @@ class DiskCache;
 /** True when RTOC_SCHED enables the schedule layer (read once). */
 bool schedEnabled();
 
-/** Candidate budget per search (RTOC_SCHED_CAP, default 24, min 1). */
-int schedCap();
+/** Candidate budget per search. */
+inline constexpr int kSchedCap = 24;
 
 /**
  * Cache-key suffix for results computed over scheduled streams:

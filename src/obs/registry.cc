@@ -130,10 +130,8 @@ appendJsonEscaped(std::string &out, const std::string &s)
  * golden artifacts.
  */
 const char *const kManifestKnobs[] = {
-    "RTOC_THREADS",       "RTOC_GRAIN",        "RTOC_CACHE",
-    "RTOC_CACHE_DIR",     "RTOC_CELL_MEMO",    "RTOC_CELL_MEMO_CAP",
-    "RTOC_DSE_MEMO_CAP",  "RTOC_SCHED",        "RTOC_SCHED_CAP",
-    "RTOC_FORMAT",        "RTOC_FAULT",
+    "RTOC_THREADS", "RTOC_CACHE",  "RTOC_CACHE_DIR",
+    "RTOC_SCHED",   "RTOC_FORMAT", "RTOC_FAULT",
 };
 
 } // namespace

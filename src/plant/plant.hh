@@ -172,7 +172,9 @@ class Plant
     /**
      * Solver input box in delta-from-trim coordinates (the actuator
      * envelope minus the current trim), shared by buildWorkspace and
-     * the session's post-refresh bound update so both always agree.
+     * the session's post-refresh bound update. The quadrotor's
+     * buildWorkspace rounds its upper bound differently (one ulp for
+     * the crazyflie), so its box moves at its first refresh.
      */
     void inputBoundDeltas(std::vector<float> &lo,
                           std::vector<float> &hi) const;

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "quad/linearize.hh"
+#include "common/random.hh"
 
 namespace rtoc::plant {
 
@@ -84,8 +84,9 @@ void
 QuadrotorPlant::modelDeriv(const double *x, const double *du,
                            double *dxdt) const
 {
-    // The 12-state small-angle hover model of quad::linearizeHover:
-    // [pos, rpy, vel, omega], inputs per-motor thrust deltas.
+    // The 12-state small-angle hover model that linearize() states in
+    // closed form: [pos, rpy, vel, omega], inputs per-motor thrust
+    // deltas.
     double m = params_.massKg;
     double kd_over_m = params_.dragCoeff / m;
     for (int i = 0; i < 3; ++i) {
@@ -116,13 +117,41 @@ QuadrotorPlant::modelDeriv(const double *x, const double *du,
 LinearModel
 QuadrotorPlant::linearize(double dt) const
 {
-    quad::LinearModel qm = quad::linearizeHover(params_, dt);
     LinearModel m;
-    m.ac = qm.ac;
-    m.bc = qm.bc;
-    m.ad = qm.ad;
-    m.bd = qm.bd;
-    m.dt = qm.dt;
+    m.ac = numerics::DMatrix(12, 12);
+    m.bc = numerics::DMatrix(12, 4);
+
+    // pos_dot = vel
+    for (int i = 0; i < 3; ++i)
+        m.ac(i, 6 + i) = 1.0;
+    // rpy_dot = omega (small angles)
+    for (int i = 0; i < 3; ++i)
+        m.ac(3 + i, 9 + i) = 1.0;
+    // vel_dot: gravity tilt coupling + linear drag
+    m.ac(6, 4) = quad::kGravity;  // x_ddot = +g * pitch
+    m.ac(7, 3) = -quad::kGravity; // y_ddot = -g * roll
+    double kd_over_m = params_.dragCoeff / params_.massKg;
+    for (int i = 0; i < 3; ++i)
+        m.ac(6 + i, 6 + i) = -kd_over_m;
+
+    // Inputs: per-motor thrust deltas.
+    double inv_m = 1.0 / params_.massKg;
+    for (int j = 0; j < 4; ++j)
+        m.bc(8, j) = inv_m; // z acceleration
+
+    double l = params_.momentArmM();
+    double kt = params_.torqueCoeff;
+    auto inertia = params_.inertiaDiag();
+    const double mix[3][4] = {
+        {-l, -l, l, l},    // roll torque
+        {-l, l, l, -l},    // pitch torque
+        {kt, -kt, kt, -kt} // yaw torque
+    };
+    for (int axis = 0; axis < 3; ++axis)
+        for (int j = 0; j < 4; ++j)
+            m.bc(9 + axis, j) = mix[axis][j] / inertia[axis];
+
+    discretizeInPlace(m, dt);
     return m;
 }
 
@@ -143,28 +172,71 @@ QuadrotorPlant::linearizeAt(const double *x, const double *du,
 Weights
 QuadrotorPlant::mpcWeights() const
 {
-    quad::MpcWeights w = quad::MpcWeights::forDrone(params_);
-    return {w.qDiag, w.rDiag, w.rho};
+    // Morphology-aware weights (§5.4: "we generate new linearized
+    // models and policies for these drones").
+    Weights w;
+    w.qDiag = {100, 100, 100, 4, 4, 10, 4, 4, 4, 2, 2, 2};
+    w.rDiag = {4, 4, 4, 4};
+    w.rho = 5.0;
+    // Normalize the input penalty to the command scale: a motor with
+    // twice the hover thrust sees inputs of twice the magnitude.
+    double u_scale = params_.hoverThrustPerMotorN() / 0.0662;
+    for (auto &r : w.rDiag)
+        r = 4.0 / (u_scale * u_scale);
+
+    // Slow motors (large tau) filter the commanded torques: soften
+    // the position loop and add rate damping to stay stable with the
+    // unmodelled first-order motor lag (the Heron).
+    double lag = params_.motorTauS / 0.03;
+    if (lag > 1.2) {
+        for (int i = 0; i < 3; ++i) {
+            w.qDiag[i] = 40.0;     // position
+            w.qDiag[6 + i] = 10.0; // velocity damping
+            w.qDiag[9 + i] = 6.0;  // body-rate damping
+        }
+        for (auto &r : w.rDiag)
+            r *= 3.0;
+    }
+    return w;
 }
 
 tinympc::Workspace
 QuadrotorPlant::buildWorkspace(double dt, int horizon) const
 {
-    // Delegate to the historical path: identical float rounding to
-    // the pre-Plant episode runner.
-    return quad::buildQuadWorkspace(params_, dt, horizon);
+    tinympc::Workspace ws = Plant::buildWorkspace(dt, horizon);
+    // The motor envelope rounds hover and max thrust to float before
+    // subtracting. The generic box rounds tmax - hover once, which
+    // differs by one ulp for the crazyflie, so restate the upper
+    // bound this way (the lower bound -hover rounds the same either
+    // way).
+    float hover = static_cast<float>(params_.hoverThrustPerMotorN());
+    float tmax = static_cast<float>(params_.maxThrustPerMotorN());
+    ws.setInputBounds(std::vector<float>(4, -hover),
+                      std::vector<float>(4, tmax - hover));
+    return ws;
 }
 
 void
 QuadrotorPlant::packState(float *x) const
 {
-    quad::packMpcState(sim_.state(), x);
+    const quad::SimState &s = sim_.state();
+    Vec3 rpy = s.rpy();
+    for (int i = 0; i < 3; ++i) {
+        x[i] = static_cast<float>(s.pos[i]);
+        x[3 + i] = static_cast<float>(rpy[i]);
+        x[6 + i] = static_cast<float>(s.vel[i]);
+        x[9 + i] = static_cast<float>(s.omega[i]);
+    }
 }
 
 std::vector<float>
 QuadrotorPlant::reference(const Vec3 &wp) const
 {
-    return quad::hoverReference(wp);
+    // Hold position wp: zero attitude, velocity and rates.
+    std::vector<float> xr(12, 0.0f);
+    for (int i = 0; i < 3; ++i)
+        xr[i] = static_cast<float>(wp[i]);
+    return xr;
 }
 
 double
@@ -180,18 +252,54 @@ QuadrotorPlant::distanceTo(const Vec3 &wp) const
 DifficultySpec
 QuadrotorPlant::difficultySpec(Difficulty d) const
 {
-    return quad::difficultySpec(d);
+    // The paper's Figure 15 table.
+    switch (d) {
+      case Difficulty::Easy:
+        return {"easy", 5, 0.5, 0.3};
+      case Difficulty::Medium:
+        return {"medium", 7, 0.4, 0.7};
+      case Difficulty::Hard:
+        return {"hard", 10, 0.3, 1.1};
+    }
+    rtoc_panic("bad difficulty");
 }
 
 Scenario
 QuadrotorPlant::makeScenario(Difficulty d, int index) const
 {
-    quad::Scenario qs = quad::makeScenario(d, index);
+    DifficultySpec spec = difficultySpec(d);
     Scenario sc;
-    sc.difficulty = qs.difficulty;
-    sc.seed = qs.seed;
-    sc.intervalS = qs.intervalS;
-    sc.waypoints = qs.waypoints;
+    sc.difficulty = d;
+    sc.seed = index;
+    sc.intervalS = spec.timeBetweenS;
+
+    // Seed combines difficulty and index for independent streams.
+    Rng rng(0xC0FFEEull * (static_cast<uint64_t>(d) + 1) +
+            static_cast<uint64_t>(index) * 7919ull);
+
+    Vec3 cur = home();
+    for (int i = 0; i < spec.waypointCount; ++i) {
+        // Hop of avgDistance +-30% in a random direction, biased
+        // toward the horizontal plane, kept inside the flight box.
+        for (int attempt = 0; attempt < 64; ++attempt) {
+            double dist = spec.avgDistanceM * rng.uniform(0.7, 1.3);
+            double az = rng.uniform(0.0, 2.0 * M_PI);
+            double el = rng.uniform(-0.4, 0.4);
+            Vec3 next = {
+                cur[0] + dist * std::cos(az) * std::cos(el),
+                cur[1] + dist * std::sin(az) * std::cos(el),
+                cur[2] + dist * std::sin(el),
+            };
+            if (std::fabs(next[0]) < 2.5 && std::fabs(next[1]) < 2.5 &&
+                next[2] > 0.4 && next[2] < 2.0) {
+                cur = next;
+                break;
+            }
+            if (attempt == 63)
+                cur = home(); // give up: recentre
+        }
+        sc.waypoints.push_back(cur);
+    }
     return sc;
 }
 

@@ -1,10 +1,13 @@
 /**
  * @file
- * The quadrotor as a registered Plant: a thin adapter over QuadSim,
- * quad::linearizeHover and quad::makeScenario. Every method delegates
- * to the historical quad:: code paths so episodes flown through the
- * Plant interface are bit-identical to the pre-abstraction HIL stack
- * (pinned by the fig15–18 byte-identity requirement).
+ * The quadrotor as a registered Plant. The physics is QuadSim
+ * (quad/dynamics, with the Table 1 airframes of quad/params); this
+ * class adds the controller view: the 12-state small-angle hover
+ * model [pos, rpy, vel, omega] with per-motor thrust deltas as inputs
+ * and analytic Jacobians, morphology-aware MPC weights (§5.4: each
+ * Table 1 drone gets its own linearized model and policy), and the
+ * Figure 15 waypoint scenarios (Easy 5 waypoints 0.5 s apart at
+ * 0.3 m, Medium 7 / 0.4 s / 0.7 m, Hard 10 / 0.3 s / 1.1 m).
  */
 
 #ifndef RTOC_PLANT_QUAD_PLANT_HH
@@ -12,7 +15,6 @@
 
 #include "plant/plant.hh"
 #include "quad/dynamics.hh"
-#include "quad/scenario.hh"
 
 namespace rtoc::plant {
 

@@ -1,5 +1,7 @@
 #include "scenario.hh"
 
+#include <cmath>
+
 #include "common/logging.hh"
 
 namespace rtoc::plant {
@@ -20,6 +22,23 @@ RelinearizePolicy::label() const
     if (stateDeltaThreshold > 0.0)
         s += csprintf("/d%g", stateDeltaThreshold);
     return s;
+}
+
+double
+Scenario::meanHopDistance(const Vec3 &start) const
+{
+    if (waypoints.size() < 2)
+        return 0.0;
+    double total = 0.0;
+    Vec3 prev = start;
+    for (const Vec3 &wp : waypoints) {
+        double dx = wp[0] - prev[0];
+        double dy = wp[1] - prev[1];
+        double dz = wp[2] - prev[2];
+        total += std::sqrt(dx * dx + dy * dy + dz * dz);
+        prev = wp;
+    }
+    return total / static_cast<double>(waypoints.size());
 }
 
 const char *

@@ -7,11 +7,9 @@
  * disturbance profile. Every plant interprets a waypoint in its own
  * task space — 3-D position for the quadrotor and rocket, a 2-D
  * ground-plane target for the rover, a track position for the
- * cart-pole — so one episode runner drives them all.
- *
- * quad::Difficulty / quad::DifficultySpec are aliases of the types
- * here; the quadrotor keeps its historical Figure 15 table while
- * other plants declare their own per-difficulty parameters.
+ * cart-pole — so one episode runner drives them all. Each plant
+ * declares its own per-difficulty parameters (the quadrotor's are the
+ * paper's Figure 15 table).
  */
 
 #ifndef RTOC_PLANT_SCENARIO_HH
@@ -133,6 +131,13 @@ struct Scenario
         return intervalS * static_cast<double>(waypoints.size()) +
                graceS;
     }
+
+    /**
+     * Mean hop length from @p start through every waypoint in order
+     * (diagnostic, compared against the difficulty's avgDistanceM);
+     * 0 with fewer than two waypoints.
+     */
+    double meanHopDistance(const Vec3 &start) const;
 };
 
 } // namespace rtoc::plant

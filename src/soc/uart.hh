@@ -58,19 +58,19 @@ class UartModel
         return bits / baud_;
     }
 
-    /** Host -> SoC: @p state_floats state + 3 target floats (the
-     *  quadrotor's 12-state message is the historical default).
-     *  @p elem_bytes is the wire width per element: narrow numeric
-     *  formats ship int16 payloads and halve the tether time. */
-    double uplinkS(int state_floats = 12, int elem_bytes = 4) const
+    /** Host -> SoC: @p state_elems state + 3 target elements.
+     *  @p elem_bytes is the wire width per element, the numeric
+     *  format's (matlib::formatElemBytes): float32 ships 4 bytes,
+     *  the 16-bit formats 2. */
+    double uplinkS(int state_elems, int elem_bytes) const
     {
-        return transferS((state_floats + 3) * elem_bytes);
+        return transferS((state_elems + 3) * elem_bytes);
     }
 
-    /** SoC -> host: @p cmd_floats actuator command floats. */
-    double downlinkS(int cmd_floats = 4, int elem_bytes = 4) const
+    /** SoC -> host: @p cmd_elems actuator command elements. */
+    double downlinkS(int cmd_elems, int elem_bytes) const
     {
-        return transferS(cmd_floats * elem_bytes);
+        return transferS(cmd_elems * elem_bytes);
     }
 
     double baud() const { return baud_; }

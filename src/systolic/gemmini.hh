@@ -64,7 +64,7 @@ struct GemminiConfig
 };
 
 /** Gemmini accelerator + scalar frontend timing model. */
-class GemminiModel : public cpu::CoreModel
+class GemminiModel : public cpu::TimingModel
 {
   public:
     /** Panics unless busBytes and robDepth are >= 1 and the frontend

@@ -44,7 +44,7 @@ struct SaturnConfig
 };
 
 /** Saturn vector machine: in-order frontend + decoupled vector unit. */
-class SaturnModel : public cpu::CoreModel
+class SaturnModel : public cpu::TimingModel
 {
   public:
     /** Panics unless dlen and vqDepth are >= 1 and the frontend

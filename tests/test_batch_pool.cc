@@ -325,34 +325,6 @@ TEST(BatchedReplay, MixedFamilyGroupFallsBackToSequential)
     EXPECT_EQ(got[1].cycles, boom.run(*prog).cycles);
 }
 
-TEST(BatchedReplay, BatchCalibrationMatchesSequential)
-{
-    plant::QuadrotorPlant plant(quad::DroneParams::crazyflie());
-    std::vector<cpu::InOrderConfig> cfgs = inOrderSweep();
-    std::vector<std::unique_ptr<cpu::InOrderCore>> cores;
-    std::vector<const TimingModel *> models;
-    for (const auto &cfg : cfgs) {
-        cores.push_back(std::make_unique<cpu::InOrderCore>(cfg));
-        models.push_back(cores.back().get());
-    }
-
-    // Disk bypassed on both paths: this pins the batched fit itself.
-    matlib::ScalarBackend backend(matlib::ScalarFlavor::Optimized);
-    std::vector<hil::ControllerTiming> batch = hil::calibrateTimingBatch(
-        models, backend, tinympc::MappingStyle::Library, plant, 0.02,
-        10, nullptr);
-    ASSERT_EQ(batch.size(), models.size());
-    for (size_t i = 0; i < models.size(); ++i) {
-        matlib::ScalarBackend sb(matlib::ScalarFlavor::Optimized);
-        hil::ControllerTiming seq = hil::calibrateTiming(
-            *models[i], sb, tinympc::MappingStyle::Library, plant, 0.02,
-            10, nullptr);
-        EXPECT_EQ(batch[i].baseCycles, seq.baseCycles) << i;
-        EXPECT_EQ(batch[i].cyclesPerIter, seq.cyclesPerIter) << i;
-        EXPECT_EQ(batch[i].archName, seq.archName) << i;
-    }
-}
-
 // --- work-stealing pool ---
 
 /** Deterministic per-index work with adversarial length skew. */
@@ -501,19 +473,19 @@ TEST(SweepGrain, DefaultGrainHeuristic)
 
 TEST(SweepGrain, ChunkedEpisodesBitIdenticalToSerial)
 {
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
+    const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
     hil::HilConfig cfg;
     cfg.timing = hil::vectorControllerTiming(drone, 0.02, 10);
     cfg.socFreqHz = 100e6;
 
     ThreadPool serial(1);
     auto base = hil::SweepRunner(serial).runEpisodes(
-        drone, quad::Difficulty::Easy, 6, cfg);
+        drone, plant::Difficulty::Easy, 6, cfg);
 
     ThreadPool pooled(4);
     for (int grain : {1, 2, 5}) {
         auto got = hil::SweepRunner(pooled).setGrain(grain).runEpisodes(
-            drone, quad::Difficulty::Easy, 6, cfg);
+            drone, plant::Difficulty::Easy, 6, cfg);
         ASSERT_EQ(got.size(), base.size()) << "grain=" << grain;
         for (size_t i = 0; i < base.size(); ++i) {
             EXPECT_EQ(got[i].success, base[i].success) << i;

@@ -20,8 +20,10 @@
 #include "dse/explorer.hh"
 #include "dse/surrogate.hh"
 #include "hil/episode.hh"
+#include "hil/sweep.hh"
 #include "hil/timing.hh"
 #include "isa/program.hh"
+#include "plant/quad_plant.hh"
 
 namespace rtoc::dse {
 namespace {
@@ -366,7 +368,7 @@ TEST(Explorer, FrontierHelpersAreConsistent)
 
 TEST(CellMemo, CapBoundsEntriesAndCountsEvictions)
 {
-    quad::DroneParams cf = quad::DroneParams::crazyflie();
+    const plant::QuadrotorPlant cf(quad::DroneParams::crazyflie());
     hil::ControllerTiming tv = hil::vectorControllerTiming(cf, 0.02, 10);
     hil::cellMemoSetCap(2);
     // Three distinct cells (frequency is part of the memo key).
@@ -374,13 +376,52 @@ TEST(CellMemo, CapBoundsEntriesAndCountsEvictions)
         hil::HilConfig cfg;
         cfg.timing = tv;
         cfg.socFreqHz = mhz;
-        hil::runCell(cf, quad::Difficulty::Easy, 1, cfg);
+        hil::runCell(cf, plant::Difficulty::Easy, 1, cfg);
     }
     hil::CellMemoStats stats = hil::cellMemoStats();
     EXPECT_EQ(stats.capacity, 2u);
     EXPECT_LE(stats.entries, 2u);
     EXPECT_GE(stats.evictions, 1u);
     hil::cellMemoSetCap(4096); // restore the default
+}
+
+TEST(CellMemo, KeyTellsApartConfigsPastTheSixthDigit)
+{
+    // Two configs that differ only past the 6th significant digit of
+    // a double must not share a memo entry: each must miss and return
+    // its own cell, equal to its episodes run outside the memo.
+    const plant::QuadrotorPlant cf(quad::DroneParams::crazyflie());
+    hil::HilConfig cfg;
+    cfg.timing = hil::vectorControllerTiming(cf, 0.02, 10);
+    cfg.socFreqHz = 100e6;
+    cfg.power = soc::PowerParams::vectorCore();
+    const plant::DisturbanceProfile gusty = plant::DisturbanceProfile::gusty();
+
+    auto expect_own_cell = [&](const hil::HilConfig &c,
+                               const plant::DisturbanceProfile &dist,
+                               const char *what) {
+        const uint64_t misses = hil::cellMemoStats().misses;
+        hil::SweepCell cell =
+            hil::runCell(cf, plant::Difficulty::Easy, 1, c, dist);
+        EXPECT_EQ(hil::cellMemoStats().misses, misses + 1) << what;
+        std::vector<hil::EpisodeResult> eps = hil::SweepRunner().runEpisodes(
+            cf, plant::Difficulty::Easy, 1, c, dist);
+        ASSERT_EQ(eps.size(), 1u);
+        EXPECT_EQ(cell.avgSocPowerW,
+                  eps[0].success ? eps[0].avgSocPowerW : 0.0)
+            << what;
+        EXPECT_EQ(cell.avgTrackingErrM, eps[0].trackingErrM) << what;
+    };
+
+    hil::runCell(cf, plant::Difficulty::Easy, 1, cfg);
+    hil::HilConfig leaky = cfg;
+    leaky.power.leakageW *= 1.0 + 1e-7;
+    expect_own_cell(leaky, {}, "leakageW + 1e-7 relative");
+
+    hil::runCell(cf, plant::Difficulty::Easy, 1, cfg, gusty);
+    plant::DisturbanceProfile gustier = gusty;
+    gustier.cmdNoiseSigma = 0.0500000001;
+    expect_own_cell(cfg, gustier, "noise sigma 0.0500000001");
 }
 
 } // namespace

@@ -10,11 +10,13 @@
 #include "hil/disturbance.hh"
 #include "hil/episode.hh"
 #include "hil/timing.hh"
+#include "plant/cartpole.hh"
+#include "plant/quad_plant.hh"
 
 namespace rtoc::hil {
 namespace {
 
-quad::DroneParams cf = quad::DroneParams::crazyflie();
+plant::QuadrotorPlant cf(quad::DroneParams::crazyflie());
 
 TEST(Timing, VectorMuchFasterThanScalar)
 {
@@ -66,7 +68,7 @@ TEST_F(EpisodeTest, VectorAt100MhzCompletesEasy)
     cfg.timing = *timing_v_;
     cfg.socFreqHz = 100e6;
     cfg.power = soc::PowerParams::vectorCore();
-    quad::Scenario sc = quad::makeScenario(quad::Difficulty::Easy, 0);
+    plant::Scenario sc = cf.makeScenario(plant::Difficulty::Easy, 0);
     EpisodeResult er = runEpisode(cf, sc, cfg);
     EXPECT_TRUE(er.success);
     EXPECT_FALSE(er.crashed);
@@ -80,16 +82,16 @@ TEST_F(EpisodeTest, IdealPolicyCompletesEasyAndMedium)
     HilConfig cfg;
     cfg.idealPolicy = true;
     cfg.timing = *timing_v_;
-    for (auto d : {quad::Difficulty::Easy, quad::Difficulty::Medium}) {
-        quad::Scenario sc = quad::makeScenario(d, 1);
+    for (auto d : {plant::Difficulty::Easy, plant::Difficulty::Medium}) {
+        plant::Scenario sc = cf.makeScenario(d, 1);
         EpisodeResult er = runEpisode(cf, sc, cfg);
-        EXPECT_TRUE(er.success) << quad::difficultySpec(d).name;
+        EXPECT_TRUE(er.success) << cf.difficultySpec(d).name;
     }
 }
 
 TEST_F(EpisodeTest, ScalarDegradesAtLowFrequency)
 {
-    quad::Scenario sc = quad::makeScenario(quad::Difficulty::Medium, 2);
+    plant::Scenario sc = cf.makeScenario(plant::Difficulty::Medium, 2);
     HilConfig lo, hi;
     lo.timing = *timing_s_;
     lo.socFreqHz = 50e6;
@@ -106,7 +108,7 @@ TEST_F(EpisodeTest, ScalarDegradesAtLowFrequency)
 
 TEST_F(EpisodeTest, SolveTimeScalesInverselyWithFrequency)
 {
-    quad::Scenario sc = quad::makeScenario(quad::Difficulty::Easy, 3);
+    plant::Scenario sc = cf.makeScenario(plant::Difficulty::Easy, 3);
     HilConfig a, b;
     a.timing = *timing_v_;
     a.socFreqHz = 50e6;
@@ -119,7 +121,7 @@ TEST_F(EpisodeTest, SolveTimeScalesInverselyWithFrequency)
 
 TEST_F(EpisodeTest, ComputeUtilizationSensible)
 {
-    quad::Scenario sc = quad::makeScenario(quad::Difficulty::Easy, 4);
+    plant::Scenario sc = cf.makeScenario(plant::Difficulty::Easy, 4);
     HilConfig cfg;
     cfg.timing = *timing_s_;
     cfg.socFreqHz = 100e6;
@@ -135,7 +137,7 @@ TEST_F(EpisodeTest, RunCellAggregates)
     HilConfig cfg;
     cfg.timing = *timing_v_;
     cfg.socFreqHz = 100e6;
-    SweepCell cell = runCell(cf, quad::Difficulty::Easy, 4, cfg);
+    SweepCell cell = runCell(cf, plant::Difficulty::Easy, 4, cfg);
     EXPECT_EQ(cell.episodes, 4);
     EXPECT_GE(cell.successRate, 0.75);
     EXPECT_GT(cell.solveTimeMs.count, 0u);
@@ -180,6 +182,28 @@ TEST_F(EpisodeTest, VectorEnduresLargerDisturbances)
     double ms =
         maxRecoverableMagnitude(cf, DisturbKind::StepForce, 0, s);
     EXPECT_GT(mv, ms * 1.2);
+}
+
+TEST(Disturb, TetherShipsTheFormatWidth)
+{
+    // On a 2400-baud tether without framing the wire width decides a
+    // cart-pole trial: its (4 + 3)-element uplink and 1-element
+    // downlink take 67 ms at i16's 2 bytes, 133 ms at float32's 4.
+    // Priced at the format's width, as runEpisode prices it, the i16
+    // controller recovers from a 2 N step on the cart.
+    const plant::CartPolePlant cartpole;
+    HilConfig cfg;
+    cfg.format = matlib::NumericFormat::I16;
+    cfg.timing = scalarControllerTiming(cartpole, 0.02, 10, false,
+                                        cfg.format);
+    cfg.uart = soc::UartModel(2400.0, 0);
+    EXPECT_NEAR(cfg.uart.uplinkS(4, 2) + cfg.uart.downlinkS(1, 2),
+                0.0667, 1e-4);
+    DisturbResult r = runDisturbTrial(
+        cartpole, {DisturbKind::StepForce, 0, 2.0}, cfg);
+    EXPECT_FALSE(r.crashed);
+    EXPECT_TRUE(r.recovered);
+    EXPECT_NEAR(r.ttrS, 0.104, 0.005);
 }
 
 TEST(Disturb, KindNamesDistinct)

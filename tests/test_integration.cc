@@ -16,6 +16,7 @@
 #include "matlib/gemmini_backend.hh"
 #include "matlib/rvv_backend.hh"
 #include "matlib/scalar_backend.hh"
+#include "plant/quad_plant.hh"
 #include "soc/rtos.hh"
 #include "systolic/gemmini.hh"
 #include "tinympc/solver.hh"
@@ -28,8 +29,9 @@ namespace {
 isa::Program
 emitSolve(matlib::Backend &backend, tinympc::MappingStyle style)
 {
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
-    tinympc::Workspace ws = quad::buildQuadWorkspace(drone, 0.02, 10);
+    tinympc::Workspace ws =
+        plant::QuadrotorPlant(quad::DroneParams::crazyflie())
+            .buildWorkspace(0.02, 10);
     ws.settings.maxIters = 5;
     ws.settings.priTol = 0.0f;
     ws.settings.duaTol = 0.0f;
@@ -149,7 +151,7 @@ TEST(EndToEnd, ConcurrencyStudyArithmetic)
 {
     // §5.3 on our own calibrated numbers: swapping scalar MPC for
     // vector MPC must raise DroNet FPS by >1.2x.
-    quad::DroneParams cf = quad::DroneParams::crazyflie();
+    const plant::QuadrotorPlant cf(quad::DroneParams::crazyflie());
     hil::ControllerTiming ts = hil::scalarControllerTiming(cf, 0.02, 10);
     hil::ControllerTiming tv = hil::vectorControllerTiming(cf, 0.02, 10);
 
@@ -169,11 +171,11 @@ TEST(EndToEnd, HawkNeedsComputeHeronDoesNot)
     // (vector) implementation at 100 MHz — the scalar baseline at the
     // same frequency cannot; Heron is insensitive to compute speed
     // and flies fine on a *low-frequency* vector SoC.
-    quad::DroneParams hawk = quad::DroneParams::hawk();
-    quad::DroneParams heron = quad::DroneParams::heron();
+    plant::QuadrotorPlant hawk(quad::DroneParams::hawk());
+    plant::QuadrotorPlant heron(quad::DroneParams::heron());
 
-    quad::Scenario hard0 = quad::makeScenario(quad::Difficulty::Hard, 0);
-    quad::Scenario easy0 = quad::makeScenario(quad::Difficulty::Easy, 0);
+    plant::Scenario hard0 = hawk.makeScenario(plant::Difficulty::Hard, 0);
+    plant::Scenario easy0 = heron.makeScenario(plant::Difficulty::Easy, 0);
 
     hil::HilConfig hawk_scalar;
     hawk_scalar.socFreqHz = 100e6;

@@ -405,17 +405,20 @@ TEST(ObsRegistry, ThreadedCounterStress)
 TEST(ObsRegistry, ManifestCapturesEnvKnobs)
 {
     // manifestJson reads the environment live, so a knob set here must
-    // land in the env section (and parse as JSON).
-    ASSERT_EQ(setenv("RTOC_GRAIN", "7", 1), 0);
+    // land in the env section (and parse as JSON). RTOC_FAULT is one
+    // manifestJson does not consume itself (it does consume
+    // RTOC_THREADS and RTOC_CACHE* when it creates the global pool and
+    // cache), and nothing in this suite latches it.
+    ASSERT_EQ(setenv("RTOC_FAULT", "spike@2+1x2.5", 1), 0);
     std::string manifest = obs::manifestJson();
-    unsetenv("RTOC_GRAIN");
+    unsetenv("RTOC_FAULT");
 
     JsonParser parser(manifest);
     Json doc = parser.parse();
     ASSERT_TRUE(parser.ok()) << manifest;
     ASSERT_TRUE(doc.has("env"));
-    ASSERT_TRUE(doc.at("env").has("RTOC_GRAIN"));
-    EXPECT_EQ(doc.at("env").at("RTOC_GRAIN").str, "7");
+    ASSERT_TRUE(doc.at("env").has("RTOC_FAULT"));
+    EXPECT_EQ(doc.at("env").at("RTOC_FAULT").str, "spike@2+1x2.5");
     // RTOC_TRACE must never leak into the manifest (it would break the
     // traced-vs-untraced byte identity of golden artifacts).
     EXPECT_FALSE(doc.at("env").has("RTOC_TRACE"));

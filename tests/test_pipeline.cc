@@ -24,6 +24,7 @@
 #include "matlib/gemmini_backend.hh"
 #include "matlib/rvv_backend.hh"
 #include "matlib/scalar_backend.hh"
+#include "plant/quad_plant.hh"
 #include "systolic/gemmini.hh"
 #include "vector/saturn.hh"
 
@@ -293,7 +294,7 @@ TEST(RingFifoTest, FifoOrderAcrossGrowth)
 
 TEST(Sweep, ParallelEpisodesBitIdenticalToSerial)
 {
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
+    const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
     hil::HilConfig cfg;
     cfg.timing = hil::vectorControllerTiming(drone, 0.02, 10);
     cfg.socFreqHz = 100e6;
@@ -301,9 +302,9 @@ TEST(Sweep, ParallelEpisodesBitIdenticalToSerial)
     ThreadPool serial(1);
     ThreadPool pooled(4);
     auto a = hil::SweepRunner(serial).runEpisodes(
-        drone, quad::Difficulty::Easy, 4, cfg);
+        drone, plant::Difficulty::Easy, 4, cfg);
     auto b = hil::SweepRunner(pooled).runEpisodes(
-        drone, quad::Difficulty::Easy, 4, cfg);
+        drone, plant::Difficulty::Easy, 4, cfg);
 
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {

@@ -172,6 +172,28 @@ TEST(PlantLinearize, WorkspaceShapeFollowsPlant)
     }
 }
 
+TEST(PlantLinearize, QuadInputBoxRoundsTheMotorEnvelopeFirst)
+{
+    // The quadrotor's box is float(tmax) - float(hover), not the
+    // generic float(tmax - hover): one ulp apart for the crazyflie.
+    for (const auto &params :
+         {quad::DroneParams::crazyflie(), quad::DroneParams::hawk(),
+          quad::DroneParams::heron()}) {
+        QuadrotorPlant quad(params);
+        tinympc::Workspace ws = quad.buildWorkspace(0.02, 10);
+        const float hover =
+            static_cast<float>(params.hoverThrustPerMotorN());
+        const float tmax = static_cast<float>(params.maxThrustPerMotorN());
+        for (int i = 0; i < ws.N - 1; ++i) {
+            for (int j = 0; j < 4; ++j) {
+                EXPECT_EQ(ws.uMin.view().at(i, j), -hover) << params.name;
+                EXPECT_EQ(ws.uMax.view().at(i, j), tmax - hover)
+                    << params.name;
+            }
+        }
+    }
+}
+
 // --- crash / limit predicates ---
 
 TEST(PlantPredicates, RocketFreeFallCrashes)

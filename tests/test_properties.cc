@@ -17,7 +17,7 @@
 #include "cpu/ooo.hh"
 #include "matlib/rvv_backend.hh"
 #include "matlib/scalar_backend.hh"
-#include "quad/linearize.hh"
+#include "plant/quad_plant.hh"
 #include "soc/power_model.hh"
 #include "systolic/gemmini.hh"
 #include "tinympc/solver.hh"
@@ -30,9 +30,9 @@ isa::Program
 emitSolveN(matlib::Backend &backend, tinympc::MappingStyle style,
            int horizon)
 {
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
     tinympc::Workspace ws =
-        quad::buildQuadWorkspace(drone, 0.02, horizon);
+        plant::QuadrotorPlant(quad::DroneParams::crazyflie())
+            .buildWorkspace(0.02, horizon);
     ws.settings.maxIters = 4;
     ws.settings.priTol = 0.0f;
     ws.settings.duaTol = 0.0f;
@@ -119,7 +119,8 @@ TEST_P(HorizonSweep, SolverProducesFiniteBoundedInputs)
 {
     int n = GetParam();
     quad::DroneParams drone = quad::DroneParams::crazyflie();
-    tinympc::Workspace ws = quad::buildQuadWorkspace(drone, 0.02, n);
+    tinympc::Workspace ws =
+        plant::QuadrotorPlant(drone).buildWorkspace(0.02, n);
     matlib::ScalarBackend backend(matlib::ScalarFlavor::Optimized);
     tinympc::Solver solver(ws, backend, tinympc::MappingStyle::Library);
     float x0[12] = {1.0f, -1.0f, 0.5f, 0.2f, -0.2f, 0.1f,

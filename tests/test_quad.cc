@@ -11,13 +11,20 @@
 
 #include <gtest/gtest.h>
 
+#include "plant/quad_plant.hh"
 #include "quad/dynamics.hh"
-#include "quad/linearize.hh"
 #include "quad/params.hh"
-#include "quad/scenario.hh"
 
 namespace rtoc::quad {
 namespace {
+
+using plant::Difficulty;
+using plant::DifficultySpec;
+using plant::QuadrotorPlant;
+using plant::Scenario;
+
+/** The crazyflie's controller view: hover model and scenarios. */
+const QuadrotorPlant kCf(DroneParams::crazyflie());
 
 TEST(Params, Table1Values)
 {
@@ -167,7 +174,7 @@ TEST(Linearize, MatchesNonlinearSmallPerturbation)
 {
     DroneParams cf = DroneParams::crazyflie();
     double dt = 0.02;
-    LinearModel lm = linearizeHover(cf, dt);
+    plant::LinearModel lm = QuadrotorPlant(cf).linearize(dt);
 
     // Nonlinear step from a small perturbed state with hover thrust.
     QuadSim sim(cf);
@@ -192,7 +199,7 @@ TEST(Linearize, MatchesNonlinearSmallPerturbation)
 
 TEST(Linearize, DiscreteMatricesWellFormed)
 {
-    LinearModel lm = linearizeHover(DroneParams::crazyflie(), 0.02);
+    plant::LinearModel lm = kCf.linearize(0.02);
     // Ad close to identity for small dt; Bd nonzero in z-accel row.
     EXPECT_NEAR(lm.ad(0, 0), 1.0, 1e-9);
     EXPECT_NEAR(lm.ad(0, 6), 0.02, 5e-4);
@@ -202,8 +209,7 @@ TEST(Linearize, DiscreteMatricesWellFormed)
 
 TEST(Linearize, WorkspaceBuilds)
 {
-    tinympc::Workspace ws =
-        buildQuadWorkspace(DroneParams::crazyflie(), 0.02, 10);
+    tinympc::Workspace ws = kCf.buildWorkspace(0.02, 10);
     EXPECT_EQ(ws.nx, 12);
     EXPECT_EQ(ws.nu, 4);
     EXPECT_EQ(ws.N, 10);
@@ -214,15 +220,15 @@ TEST(Linearize, WorkspaceBuilds)
 
 TEST(Scenario, Figure15Table)
 {
-    DifficultySpec easy = difficultySpec(Difficulty::Easy);
+    DifficultySpec easy = kCf.difficultySpec(Difficulty::Easy);
     EXPECT_EQ(easy.waypointCount, 5);
     EXPECT_DOUBLE_EQ(easy.timeBetweenS, 0.5);
     EXPECT_DOUBLE_EQ(easy.avgDistanceM, 0.3);
-    DifficultySpec med = difficultySpec(Difficulty::Medium);
+    DifficultySpec med = kCf.difficultySpec(Difficulty::Medium);
     EXPECT_EQ(med.waypointCount, 7);
     EXPECT_DOUBLE_EQ(med.timeBetweenS, 0.4);
     EXPECT_DOUBLE_EQ(med.avgDistanceM, 0.7);
-    DifficultySpec hard = difficultySpec(Difficulty::Hard);
+    DifficultySpec hard = kCf.difficultySpec(Difficulty::Hard);
     EXPECT_EQ(hard.waypointCount, 10);
     EXPECT_DOUBLE_EQ(hard.timeBetweenS, 0.3);
     EXPECT_DOUBLE_EQ(hard.avgDistanceM, 1.1);
@@ -230,12 +236,12 @@ TEST(Scenario, Figure15Table)
 
 TEST(Scenario, Deterministic)
 {
-    Scenario a = makeScenario(Difficulty::Medium, 3);
-    Scenario b = makeScenario(Difficulty::Medium, 3);
+    Scenario a = kCf.makeScenario(Difficulty::Medium, 3);
+    Scenario b = kCf.makeScenario(Difficulty::Medium, 3);
     ASSERT_EQ(a.waypoints.size(), b.waypoints.size());
     for (size_t i = 0; i < a.waypoints.size(); ++i)
         EXPECT_EQ(a.waypoints[i], b.waypoints[i]);
-    Scenario c = makeScenario(Difficulty::Medium, 4);
+    Scenario c = kCf.makeScenario(Difficulty::Medium, 4);
     EXPECT_NE(a.waypoints[0], c.waypoints[0]);
 }
 
@@ -246,15 +252,15 @@ class ScenarioStats
 TEST_P(ScenarioStats, HopDistancesMatchSpec)
 {
     Difficulty d = GetParam();
-    DifficultySpec spec = difficultySpec(d);
+    DifficultySpec spec = kCf.difficultySpec(d);
     double total = 0.0;
     const int n = 20;
     for (int i = 0; i < n; ++i) {
-        Scenario sc = makeScenario(d, i);
+        Scenario sc = kCf.makeScenario(d, i);
         EXPECT_EQ(static_cast<int>(sc.waypoints.size()),
                   spec.waypointCount);
         EXPECT_DOUBLE_EQ(sc.intervalS, spec.timeBetweenS);
-        total += sc.meanHopDistance();
+        total += sc.meanHopDistance(kCf.home());
         // All waypoints inside the flight box.
         for (const auto &wp : sc.waypoints) {
             EXPECT_LT(std::fabs(wp[0]), 2.6);

@@ -60,7 +60,6 @@ using isa::UopKind;
 /** Latch the schedule layer on before any schedEnabled() call. */
 const bool kSchedEnv = [] {
     setenv("RTOC_SCHED", "1", 1);
-    unsetenv("RTOC_SCHED_CAP");
     return true;
 }();
 
@@ -356,7 +355,7 @@ TEST(ScheduledStream, MemoDiskRoundTripAndCorruptRegeneration)
     const std::string prog_key = "progK";
     const std::string search_key = csprintf(
         "sched1|%s|%s|cap%d", model_key.c_str(), prog_key.c_str(),
-        isa::schedCap());
+        isa::kSchedCap);
 
     // Cold: searches (cost called), persists the recipe, returns a
     // scheduled stream distinct from the baseline.
@@ -431,7 +430,7 @@ TEST(ScheduledStream, CountersAndKeySuffixLive)
     // RTOC_SCHED=1 in this binary: the key suffix is non-empty and
     // the schedule counters exist on the registry after use.
     EXPECT_EQ(isa::schedKeySuffix(),
-              csprintf("|sched:v1:cap%d", isa::schedCap()));
+              csprintf("|sched:v1:cap%d", isa::kSchedCap));
     obs::Snapshot snap = obs::Registry::global().snapshot();
     EXPECT_GT(snap.get("sched.searches"), 0u);
     EXPECT_GT(snap.get("sched.candidates_scored"), 0u);

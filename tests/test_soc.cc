@@ -111,14 +111,14 @@ TEST(Uart, LatencyArithmetic)
     UartModel u(115200.0, 6);
     // (20+6 bytes) * 10 bits / 115200 baud.
     EXPECT_NEAR(u.transferS(20), 26.0 * 10.0 / 115200.0, 1e-12);
-    EXPECT_GT(u.uplinkS(), u.downlinkS()); // state > command payload
+    EXPECT_GT(u.uplinkS(12, 4), u.downlinkS(4, 4)); // state > command
 }
 
 TEST(Uart, FasterBaudLowerLatency)
 {
     UartModel slow(115200.0);
     UartModel fast(921600.0);
-    EXPECT_GT(slow.uplinkS(), fast.uplinkS());
+    EXPECT_GT(slow.uplinkS(12, 4), fast.uplinkS(12, 4));
 }
 
 TEST(Uart, FramingIsShapeAware)
@@ -137,7 +137,7 @@ TEST(Uart, FramingIsShapeAware)
     // 2-byte length field and CRC-32: 3 more framing bytes.
     const int wide_uplink = (100 + 3) * 4;
     EXPECT_EQ(u.framingBytes(wide_uplink), 9);
-    EXPECT_EQ(u.uplinkS(100), 10.0 * (wide_uplink + 9) / 460800.0);
+    EXPECT_EQ(u.uplinkS(100, 4), 10.0 * (wide_uplink + 9) / 460800.0);
     // The boundary is exact.
     EXPECT_EQ(u.framingBytes(UartModel::kMaxSmallPayload + 1), 9);
     // The configuration accessor still reports the small-frame value
@@ -148,14 +148,11 @@ TEST(Uart, FramingIsShapeAware)
 TEST(Uart, NarrowWireFormatShrinksTetherTime)
 {
     UartModel u(460800.0, 6);
-    // int16 wire elements halve the payload byte-for-byte; the
-    // 4-byte default is the historical latency exactly.
+    // int16 wire elements halve the payload byte-for-byte.
     EXPECT_EQ(u.uplinkS(12, 2), u.transferS((12 + 3) * 2));
     EXPECT_EQ(u.downlinkS(4, 2), u.transferS(4 * 2));
     EXPECT_LT(u.uplinkS(12, 2), u.uplinkS(12, 4));
     EXPECT_LT(u.downlinkS(4, 2), u.downlinkS(4, 4));
-    EXPECT_EQ(u.uplinkS(12, 4), u.uplinkS());
-    EXPECT_EQ(u.downlinkS(4, 4), u.downlinkS());
     // Narrow payloads always stay on the small-frame (<=255 B) path —
     // even the wide nx=100 shape that needs a large frame at float32.
     EXPECT_EQ(u.framingBytes((100 + 3) * 2), 6);

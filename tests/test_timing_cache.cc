@@ -233,8 +233,9 @@ TEST(DiskCache, ProgramPayloadRoundTrip)
                                       std::to_string(
                                           static_cast<int>(style)));
             }
-            tinympc::Workspace ws = quad::buildQuadWorkspace(
-                quad::DroneParams::crazyflie(), 0.02, 10);
+            tinympc::Workspace ws =
+                plant::QuadrotorPlant(quad::DroneParams::crazyflie())
+                    .buildWorkspace(0.02, 10);
             isa::Program refresh;
             b->setProgram(&refresh);
             tinympc::emitModelRefresh(ws, *b, 3);

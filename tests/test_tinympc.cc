@@ -29,7 +29,7 @@
 #include "matlib/scalar_backend.hh"
 #include "numerics/dare.hh"
 #include "plant/registry.hh"
-#include "quad/linearize.hh"
+#include "plant/quad_plant.hh"
 #include "tinympc/solver.hh"
 #include "vector/saturn.hh"
 
@@ -284,8 +284,8 @@ TEST(Solver, EmitsAllPaperKernels)
 TEST(Solver, IterativeKernelsDominateFlops)
 {
     // Fig. 1: forward/backward passes dominate the FLOP budget.
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
-    Workspace ws = quad::buildQuadWorkspace(drone, 0.02, 10);
+    const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
+    Workspace ws = drone.buildWorkspace(0.02, 10);
     ws.settings.maxIters = 5;
     ws.settings.priTol = 0.0f;
     ws.settings.duaTol = 0.0f;
@@ -318,10 +318,10 @@ TEST(Solver, FusedFasterThanLibraryOnSaturn)
 {
     // The headline §4.1 result: hand-optimization (fusion + unroll +
     // layout) gives a substantial speedup over library mapping.
-    quad::DroneParams drone = quad::DroneParams::crazyflie();
+    const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
 
     auto emit = [&](matlib::Backend &b, MappingStyle style) {
-        Workspace ws = quad::buildQuadWorkspace(drone, 0.02, 10);
+        Workspace ws = drone.buildWorkspace(0.02, 10);
         ws.settings.maxIters = 5;
         ws.settings.priTol = 0.0f;
         ws.settings.duaTol = 0.0f;
