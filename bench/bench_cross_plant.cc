@@ -204,8 +204,8 @@ main(int argc, char **argv)
     }
     t.print();
 
-    hil::CellMemoStats ms = hil::cellMemoStats();
-    isa::ProgramCacheStats ps = isa::ProgramCache::global().stats();
+    isa::MemoStats ms = hil::cellMemo().stats();
+    isa::MemoStats ps = isa::ProgramCache::global().stats();
     std::printf("\nCell memo: %llu hits / %llu misses (%zu entries); "
                 "first grid pass %.2fs, memoized re-pass %.3fs\n",
                 static_cast<unsigned long long>(ms.hits),
@@ -215,7 +215,8 @@ main(int argc, char **argv)
                 "uops\n",
                 static_cast<unsigned long long>(ps.hits),
                 static_cast<unsigned long long>(ps.misses),
-                static_cast<unsigned long long>(ps.cachedUops));
+                static_cast<unsigned long long>(
+                    isa::ProgramCache::global().cachedUops()));
 
     // --profile: Fig-12-style per-region cycle breakdown, replayed
     // from the process ProgramCache (one cached replay per backend x

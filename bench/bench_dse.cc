@@ -266,7 +266,7 @@ main(int argc, char **argv)
         rows.push_back(row);
     }
 
-    dse::EvalMemoStats memo = dse::evalMemoStats();
+    isa::MemoStats memo = dse::evalMemo().stats();
     std::printf("Eval memo: %llu hits, %llu misses, %zu entries "
                 "(cap %zu, %llu evicted)\n",
                 static_cast<unsigned long long>(memo.hits),

@@ -241,9 +241,9 @@ main(int argc, char **argv)
                           pool_eps[i].rotorEnergyJ;
     }
 
-    auto cache = isa::ProgramCache::global().stats();
-    auto disk = isa::DiskCache::global().stats();
-    auto calib = hil::calibCacheStats();
+    isa::MemoStats cache = isa::ProgramCache::global().stats();
+    isa::DiskCacheStats disk = isa::DiskCache::global().stats();
+    isa::MemoStats calib = hil::calibMemo().stats();
     std::printf("\nSweep: %d episodes, serial %.3fs vs pooled %.3fs "
                 "(%d threads) -> %.2fx, results %s\n",
                 scenarios, serial_s, pool_s,
@@ -255,8 +255,9 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(cache.hits),
                 static_cast<unsigned long long>(cache.misses),
                 cache.entries,
-                static_cast<unsigned long long>(cache.cachedUops),
-                static_cast<unsigned long long>(cache.emissions),
+                static_cast<unsigned long long>(
+                    isa::ProgramCache::global().cachedUops()),
+                static_cast<unsigned long long>(cache.computes),
                 static_cast<unsigned long long>(cache.diskHits));
     std::printf("Disk cache (%s): %llu hits / %llu misses, %llu "
                 "writes, %llu rejected; calibration: %llu computed, "
@@ -270,7 +271,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(disk.rejected),
                 static_cast<unsigned long long>(calib.computes),
                 static_cast<unsigned long long>(calib.diskHits),
-                static_cast<unsigned long long>(calib.memoHits));
+                static_cast<unsigned long long>(calib.hits));
 
     if (!json_path.empty()) {
         FILE *f = std::fopen(json_path.c_str(), "w");
@@ -309,7 +310,7 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(cache.hits),
                      static_cast<unsigned long long>(cache.misses),
                      cache.entries,
-                     static_cast<unsigned long long>(cache.emissions),
+                     static_cast<unsigned long long>(cache.computes),
                      static_cast<unsigned long long>(cache.diskHits));
         std::fprintf(
             f,
@@ -332,12 +333,12 @@ main(int argc, char **argv)
         // Zero re-work is only meaningful when the run actually
         // served from disk: require nonzero program and calibration
         // hit rates too, so the assertion cannot pass vacuously.
-        warm_ok = cache.emissions == 0 && calib.computes == 0 &&
+        warm_ok = cache.computes == 0 && calib.computes == 0 &&
                   cache.diskHits > 0 && calib.diskHits > 0;
         std::printf("\nWarm-start assertion: %llu emissions, %llu "
                     "calibration fits, %llu/%llu program/calibration "
                     "disk hits -> %s\n",
-                    static_cast<unsigned long long>(cache.emissions),
+                    static_cast<unsigned long long>(cache.computes),
                     static_cast<unsigned long long>(calib.computes),
                     static_cast<unsigned long long>(cache.diskHits),
                     static_cast<unsigned long long>(calib.diskHits),

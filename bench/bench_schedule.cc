@@ -145,7 +145,7 @@ main(int argc, char **argv)
     // program. Uses a private ProgramCache so this section never
     // perturbs the global caches.
     isa::ProgramCache local_cache(nullptr);
-    isa::clearSchedMemoForTest();
+    isa::schedMemo().clear();
     obs::Snapshot before = obs::Registry::global().snapshot();
     for (int pass = 0; pass < 3; ++pass) {
         isa::scheduledStream(
@@ -154,8 +154,8 @@ main(int argc, char **argv)
             local_cache, nullptr);
     }
     obs::Snapshot after = obs::Registry::global().snapshot();
-    const uint64_t pickup_hits = after.get("sched.cache_hits") -
-                                 before.get("sched.cache_hits");
+    const uint64_t pickup_hits = after.get("sched.memo.hits") -
+                                 before.get("sched.memo.hits");
     const bool sched_env_on = isa::schedEnabled();
     if (sched_env_on) {
         std::printf("\nCached pickup: 3 scheduledStream calls, %llu "

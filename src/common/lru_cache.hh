@@ -1,18 +1,16 @@
 /**
  * @file
- * Bounded LRU map shared by the process-wide result memos (the
- * hil::runCell cell memo and the dse evaluation memo).
+ * Bounded LRU map: the memory tier of isa::Memo, the one memo behind
+ * every memoizing layer (bounded for the runCell cell memo and the
+ * DSE evaluation memo, unbounded elsewhere).
  *
- * Both memos used to be unbounded std::maps, which was fine for
- * figure benches (hundreds of cells) but not for 100k-point design
- * explorations whose long-lived driver processes would otherwise grow
- * without limit. LruMap keeps the most-recently-used @p capacity
- * entries and counts evictions so the owners can report cache
- * pressure.
+ * The bound keeps a long-lived driver sweeping a 100k-point design
+ * space from growing without limit: LruMap keeps the most-recently-
+ * used @p capacity entries and counts evictions so the owner can
+ * report cache pressure.
  *
- * Not thread-safe: every owner already serializes access with its own
- * mutex (the memos are hit from sweep-pool workers), so the container
- * stays lock-free and cheap to reason about.
+ * Not thread-safe: its owner serializes access with its own mutex, so
+ * the container stays lock-free and cheap to reason about.
  */
 
 #ifndef RTOC_COMMON_LRU_CACHE_HH
@@ -73,6 +71,15 @@ class LruMap
     {
         cap_ = capacity;
         shrink();
+    }
+
+    /** Call @p visit(key, value) on every entry, most recent first. */
+    template <typename Visit>
+    void
+    forEach(Visit &&visit) const
+    {
+        for (const auto &kv : order_)
+            visit(kv.first, kv.second);
     }
 
     /** Drop everything (eviction counter is preserved). */

@@ -4,12 +4,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
-#include <mutex>
 #include <tuple>
 
 #include "common/logging.hh"
-#include "common/lru_cache.hh"
-#include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "cpu/replay_batch.hh"
 #include "dse/surrogate.hh"
@@ -19,51 +16,6 @@
 namespace rtoc::dse {
 
 namespace {
-
-/** Disk-cache namespace for resolved replay cells. */
-const char *const kCellNs = "dsecell";
-
-/** Raw cost of one replay cell (cycles exclude config extraCycles). */
-struct CellCost
-{
-    uint64_t cycles = 0;
-    uint64_t uops = 0;
-};
-
-constexpr size_t kDefaultEvalMemoCap = 65536;
-
-/** Process-wide (model, stream) -> cycles memo shared by Explorers. */
-struct EvalMemo
-{
-    std::mutex mu;
-    LruMap<std::string, CellCost> memo{kDefaultEvalMemoCap};
-    /** Hit/miss counts live on the obs::Registry (per-thread shards:
-     *  bumps from racing sweep workers are lock-free and race-free). */
-    StatId hits_id = 0;
-    StatId misses_id = 0;
-};
-
-EvalMemo &
-evalMemo()
-{
-    static EvalMemo m;
-    static const bool configured = [] {
-        obs::Registry &reg = obs::Registry::global();
-        m.hits_id = reg.counter("eval_memo.hits");
-        m.misses_id = reg.counter("eval_memo.misses");
-        reg.gauge("eval_memo.entries", [] {
-            std::lock_guard<std::mutex> lk(m.mu);
-            return static_cast<uint64_t>(m.memo.size());
-        });
-        reg.gauge("eval_memo.evictions", [] {
-            std::lock_guard<std::mutex> lk(m.mu);
-            return m.memo.evictions();
-        });
-        return true;
-    }();
-    (void)configured;
-    return m;
-}
 
 std::string
 encodeCellCost(const CellCost &c)
@@ -85,6 +37,10 @@ decodeCellCost(const std::string &payload)
         return std::nullopt;
     return c;
 }
+
+/** The "dsecell" disk tier of resolved replay cells. */
+const isa::DiskTier<CellCost> kCellTier{"dsecell", encodeCellCost,
+                                        decodeCellCost};
 
 /** Index of the axis value nearest @p target (first on ties). */
 int
@@ -109,24 +65,13 @@ seedIndices(int n)
 
 } // namespace
 
-EvalMemoStats
-evalMemoStats()
+isa::Memo<CellCost> &
+evalMemo()
 {
-    EvalMemo &m = evalMemo();
-    obs::Registry &reg = obs::Registry::global();
-    uint64_t hits = reg.value(m.hits_id);
-    uint64_t misses = reg.value(m.misses_id);
-    std::lock_guard<std::mutex> lk(m.mu);
-    return {hits, misses, m.memo.size(), m.memo.evictions(),
-            m.memo.capacity()};
-}
-
-void
-evalMemoSetCap(size_t cap)
-{
-    EvalMemo &m = evalMemo();
-    std::lock_guard<std::mutex> lk(m.mu);
-    m.memo.setCapacity(cap);
+    // Leaked: the registry polls its counters until exit.
+    static auto *memo = new isa::Memo<CellCost>("eval_memo", 65536,
+                                                kCellTier);
+    return *memo;
 }
 
 Explorer::Explorer(const DesignSpace &space)
@@ -173,7 +118,12 @@ Explorer::submit(const std::vector<PointSpec> &points, Fidelity f)
     std::vector<CellCost> cost(n_jobs);
     std::vector<char> resolved(n_jobs, 0);
 
-    // Resolve from the process memo, then the shared disk cache.
+    // Without the process memo, a memory tier that lives for this
+    // batch only: every cell is read from disk or replayed.
+    isa::Memo<CellCost> batch_memo("", 0, kCellTier);
+    isa::Memo<CellCost> &memo = opt_.useMemo ? evalMemo() : batch_memo;
+
+    // Resolve from the memo and its disk tier.
     for (size_t j = 0; j < n_jobs; ++j) {
         const std::string &key = qc[jobRep[j]].cellKey;
         if (seen_.insert(key).second) {
@@ -181,31 +131,11 @@ Explorer::submit(const std::vector<PointSpec> &points, Fidelity f)
             if (f == Fidelity::Low)
                 ++stats_.cellsLowFi;
         }
-        if (opt_.useMemo) {
-            EvalMemo &m = evalMemo();
-            std::lock_guard<std::mutex> lk(m.mu);
-            if (const CellCost *c = m.memo.get(key)) {
-                cost[j] = *c;
-                resolved[j] = 1;
-                obs::count(m.hits_id);
-                ++stats_.memoHits;
-                continue;
-            }
-            obs::count(m.misses_id);
-        }
-        if (disk_) {
-            if (auto payload = disk_->get(kCellNs, key)) {
-                if (auto c = decodeCellCost(*payload)) {
-                    cost[j] = *c;
-                    resolved[j] = 1;
-                    ++stats_.diskHits;
-                    if (opt_.useMemo) {
-                        EvalMemo &m = evalMemo();
-                        std::lock_guard<std::mutex> lk(m.mu);
-                        m.memo.put(key, *c);
-                    }
-                }
-            }
+        bool from_disk = false;
+        if (std::optional<CellCost> c = memo.find(key, disk_, &from_disk)) {
+            cost[j] = *c;
+            resolved[j] = 1;
+            ++(from_disk ? stats_.diskHits : stats_.memoHits);
         }
     }
 
@@ -256,20 +186,13 @@ Explorer::submit(const std::vector<PointSpec> &points, Fidelity f)
         return 0;
     });
 
-    // Persist what we just replayed.
+    // Store what we just replayed in memory and on disk.
     for (size_t j = 0; j < n_jobs; ++j) {
         if (resolved[j])
             continue;
         ++stats_.replays;
         stats_.uopsReplayed += cost[j].uops;
-        const std::string &key = qc[jobRep[j]].cellKey;
-        if (opt_.useMemo) {
-            EvalMemo &m = evalMemo();
-            std::lock_guard<std::mutex> lk(m.mu);
-            m.memo.put(key, cost[j]);
-        }
-        if (disk_)
-            disk_->put(kCellNs, key, encodeCellCost(cost[j]));
+        memo.put(qc[jobRep[j]].cellKey, cost[j], disk_);
     }
 
     // Serve every query from its cell analytically.

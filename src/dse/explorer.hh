@@ -4,13 +4,15 @@
  * DesignSpace, sitting on the cached replay substrate.
  *
  * submit(points) is the long-lived service entry: queries are mapped
- * to replay cells, deduplicated, served from the process-wide
- * evaluation memo and the shared isa::DiskCache, and only the
- * remainder is replayed — same-stream candidates grouped through
- * ReplayBatch (one column pass per family group) and groups fanned
- * over the work-stealing SweepRunner. Repeated processes pointing at
- * one RTOC_CACHE_DIR therefore behave like many clients against one
- * hot cache: a second run of the same exploration replays nothing.
+ * to replay cells, deduplicated, served from evalMemo() — the
+ * process-wide isa::Memo of replay cells, whose disk tier is the
+ * shared isa::DiskCache "dsecell" namespace — and only the remainder
+ * is replayed: same-stream candidates grouped through ReplayBatch
+ * (one column pass per family group) and groups fanned over the
+ * work-stealing SweepRunner, then stored in both tiers. Repeated
+ * processes pointing at one RTOC_CACHE_DIR therefore behave like many
+ * clients against one hot cache: a second run of the same exploration
+ * replays nothing.
  *
  * Two search strategies drive exploreGrid()'s exhaustive baseline
  * down to a fraction of its cells:
@@ -41,9 +43,22 @@
 #include "common/thread_pool.hh"
 #include "dse/design_space.hh"
 #include "hil/sweep.hh"
-#include "isa/disk_cache.hh"
+#include "isa/memo.hh"
 
 namespace rtoc::dse {
+
+/** Raw cost of one replay cell (cycles exclude config extraCycles). */
+struct CellCost
+{
+    uint64_t cycles = 0;
+    uint64_t uops = 0;
+};
+
+/**
+ * Process-wide (model, stream) -> CellCost memo shared by Explorers,
+ * LRU-bounded at 65536 cells (counters as "eval_memo.*").
+ */
+isa::Memo<CellCost> &evalMemo();
 
 /** One evaluated design point. */
 struct EvalOutcome
@@ -150,21 +165,6 @@ double frontierPerfAt(const std::vector<EvalOutcome> &frontier,
  */
 double hypervolume(const std::vector<EvalOutcome> &frontier,
                    double ref_area_mm2);
-
-/** Process-wide evaluation-memo counters (mirrors cellMemoStats). */
-struct EvalMemoStats
-{
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    size_t entries = 0;
-    uint64_t evictions = 0;
-    size_t capacity = 0;
-};
-EvalMemoStats evalMemoStats();
-
-/** Override the evaluation memo's LRU cap (default 65536; 0 means
- *  unbounded). */
-void evalMemoSetCap(size_t cap);
 
 } // namespace rtoc::dse
 

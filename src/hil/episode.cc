@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 
 #include "common/logging.hh"
-#include "common/lru_cache.hh"
 #include "common/random.hh"
 #include "hil/control_session.hh"
 #include "hil/sweep.hh"
@@ -236,50 +234,6 @@ runEpisode(plant::Plant &plant, const plant::Scenario &sc,
 
 namespace {
 
-/**
- * Process-wide runCell memo. Cells are deterministic functions of the
- * key, so racing workers may compute a key twice (benign: identical
- * values) but never block each other across distinct keys. The map is
- * LRU-bounded (4096 cells; cellMemoSetCap changes it, 0 = unbounded)
- * so unbounded design-space exploration cannot grow the process
- * without limit; an evicted cell is simply recomputed on the next
- * request.
- */
-constexpr size_t kDefaultCellMemoCap = 4096;
-
-struct CellMemo
-{
-    std::mutex mu;
-    LruMap<std::string, SweepCell> memo{kDefaultCellMemoCap};
-    /** Hit/miss counts live on the obs::Registry (sharded per thread:
-     *  a counter bump under the work-stealing pool never contends on
-     *  mu, and never races — see test_obs stress test). */
-    StatId hits_id = 0;
-    StatId misses_id = 0;
-};
-
-CellMemo &
-cellMemo()
-{
-    static CellMemo m;
-    static const bool configured = [] {
-        obs::Registry &reg = obs::Registry::global();
-        m.hits_id = reg.counter("cell_memo.hits");
-        m.misses_id = reg.counter("cell_memo.misses");
-        reg.gauge("cell_memo.entries", [] {
-            std::lock_guard<std::mutex> lk(m.mu);
-            return static_cast<uint64_t>(m.memo.size());
-        });
-        reg.gauge("cell_memo.evictions", [] {
-            std::lock_guard<std::mutex> lk(m.mu);
-            return m.memo.evictions();
-        });
-        return true;
-    }();
-    (void)configured;
-    return m;
-}
-
 std::string
 cellKey(const plant::Plant &proto, plant::Difficulty d, int n,
         const HilConfig &cfg, const plant::DisturbanceProfile &dist)
@@ -388,49 +342,24 @@ computeCell(const plant::Plant &proto, plant::Difficulty d,
 
 } // namespace
 
+isa::Memo<SweepCell> &
+cellMemo()
+{
+    // Leaked: the registry polls its counters until exit.
+    static auto *memo = new isa::Memo<SweepCell>("cell_memo", 4096);
+    return *memo;
+}
+
 SweepCell
 runCell(const plant::Plant &proto, plant::Difficulty d, int n_scenarios,
         const HilConfig &cfg,
         const plant::DisturbanceProfile &disturbance)
 {
-    CellMemo &m = cellMemo();
-    const std::string key =
-        cellKey(proto, d, n_scenarios, cfg, disturbance);
-    {
-        std::lock_guard<std::mutex> lk(m.mu);
-        if (const SweepCell *hit = m.memo.get(key)) {
-            obs::count(m.hits_id);
-            return *hit;
-        }
-    }
-    obs::count(m.misses_id);
-    RTOC_SPAN("hil.cell", "sweep");
-    SweepCell cell = computeCell(proto, d, n_scenarios, cfg, disturbance);
-    {
-        std::lock_guard<std::mutex> lk(m.mu);
-        m.memo.put(key, cell);
-    }
-    return cell;
-}
-
-CellMemoStats
-cellMemoStats()
-{
-    CellMemo &m = cellMemo();
-    obs::Registry &reg = obs::Registry::global();
-    uint64_t hits = reg.value(m.hits_id);
-    uint64_t misses = reg.value(m.misses_id);
-    std::lock_guard<std::mutex> lk(m.mu);
-    return {hits, misses, m.memo.size(), m.memo.evictions(),
-            m.memo.capacity()};
-}
-
-void
-cellMemoSetCap(size_t cap)
-{
-    CellMemo &m = cellMemo();
-    std::lock_guard<std::mutex> lk(m.mu);
-    m.memo.setCapacity(cap);
+    return cellMemo().get(
+        cellKey(proto, d, n_scenarios, cfg, disturbance), [&] {
+            RTOC_SPAN("hil.cell", "sweep");
+            return computeCell(proto, d, n_scenarios, cfg, disturbance);
+        });
 }
 
 } // namespace rtoc::hil

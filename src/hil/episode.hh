@@ -13,14 +13,15 @@
  * reach predicates), the quadrotor included. The UART tether ships
  * elements at the width of the datapath's numeric format.
  *
- * runCell results are memoized process-wide keyed on (plant config,
- * difficulty, disturbance, episode count, timing model, frequency,
- * HIL config), every double at full precision, so multi-figure bench
- * binaries evaluating the same cell pay for it once. The memo is
- * LRU-bounded (4096 cells; cellMemoSetCap changes the cap, 0 means
- * unbounded) so long-lived drivers sweeping 100k-point design spaces
- * do not grow memory without limit; evictions are counted in
- * cellMemoStats().
+ * runCell results are memoized process-wide in cellMemo(), an
+ * isa::Memo keyed on (plant config, difficulty, disturbance, episode
+ * count, timing model, frequency, HIL config), every double at full
+ * precision, so multi-figure bench binaries evaluating the same cell
+ * pay for it once, and racing first requests of one cell run its
+ * episodes once. The memo is LRU-bounded (4096 cells;
+ * cellMemo().setCapacity changes the cap, 0 means unbounded) so
+ * long-lived drivers sweeping 100k-point design spaces do not grow
+ * memory without limit; evictions are counted in its MemoStats.
  */
 
 #ifndef RTOC_HIL_EPISODE_HH
@@ -28,6 +29,7 @@
 
 #include "common/stats.hh"
 #include "hil/timing.hh"
+#include "isa/memo.hh"
 #include "matlib/fixed.hh"
 #include "plant/plant.hh"
 #include "soc/power_model.hh"
@@ -124,23 +126,8 @@ SweepCell runCell(const plant::Plant &proto, plant::Difficulty d,
                   int n_scenarios, const HilConfig &cfg,
                   const plant::DisturbanceProfile &disturbance = {});
 
-/** runCell memo counters (for tests and cache-effect reporting). */
-struct CellMemoStats
-{
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    size_t entries = 0;
-    uint64_t evictions = 0; ///< LRU entries dropped over the cap
-    size_t capacity = 0;    ///< current cap (0 = unbounded)
-};
-CellMemoStats cellMemoStats();
-
-/**
- * Override the memo's LRU cap at runtime (tests, long-lived
- * explorers); 0 means unbounded. An over-full memo evicts
- * immediately.
- */
-void cellMemoSetCap(size_t cap);
+/** The process-wide runCell memo (counters as "cell_memo.*"). */
+isa::Memo<SweepCell> &cellMemo();
 
 } // namespace rtoc::hil
 

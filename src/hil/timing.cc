@@ -1,12 +1,8 @@
 #include "timing.hh"
 
-#include <cstring>
-#include <map>
-#include <mutex>
-#include <tuple>
+#include <memory>
 
 #include "common/logging.hh"
-#include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "cpu/inorder.hh"
 #include "isa/program_cache.hh"
@@ -18,43 +14,6 @@
 #include "vector/saturn.hh"
 
 namespace rtoc::hil {
-
-namespace {
-
-/**
- * Registry ids of the calibration-cache counters. Sharded per-thread
- * by the registry, so concurrent sweep workers bump them without a
- * lock (the historical struct serialized every bump on one mutex).
- */
-struct CalibIds
-{
-    StatId memoHits;
-    StatId diskHits;
-    StatId computes;
-};
-
-const CalibIds &
-calibIds()
-{
-    static const CalibIds ids = [] {
-        obs::Registry &reg = obs::Registry::global();
-        return CalibIds{reg.counter("calib.memo_hits"),
-                        reg.counter("calib.disk_hits"),
-                        reg.counter("calib.computes")};
-    }();
-    return ids;
-}
-
-} // namespace
-
-CalibCacheStats
-calibCacheStats()
-{
-    const CalibIds &ids = calibIds();
-    obs::Registry &reg = obs::Registry::global();
-    return {reg.value(ids.memoHits), reg.value(ids.diskHits),
-            reg.value(ids.computes)};
-}
 
 std::string
 encodeTiming(const ControllerTiming &t)
@@ -92,11 +51,12 @@ decodeTiming(const std::string &payload)
 
 namespace {
 
-/** On-disk key of one (model, backend, style, shape) calibration. */
+/** Memo and disk key of one (model, backend, style, shape)
+ *  calibration. */
 std::string
-calibDiskKey(const cpu::TimingModel &model, const matlib::Backend &backend,
-             tinympc::MappingStyle style, const plant::Plant &plant,
-             double dt, int horizon, bool with_refresh)
+calibKey(const cpu::TimingModel &model, const matlib::Backend &backend,
+         tinympc::MappingStyle style, const plant::Plant &plant,
+         double dt, int horizon, bool with_refresh)
 {
     // The fitted linear cycle model is as deterministic as the stream
     // it replays, so it persists across processes under a key carrying
@@ -214,24 +174,13 @@ calibRefreshStream(matlib::Backend &backend, const plant::Plant &plant,
         });
 }
 
-} // namespace
-
+/** Two-point fit of the solve (and, with @p with_refresh, the
+ *  refresh) cycle model by replaying cached streams on @p model. */
 ControllerTiming
-calibrateTiming(const cpu::TimingModel &model, matlib::Backend &backend,
-                tinympc::MappingStyle style, const plant::Plant &plant,
-                double dt, int horizon, const isa::DiskCache *disk,
-                bool with_refresh)
+fitTiming(const cpu::TimingModel &model, matlib::Backend &backend,
+          tinympc::MappingStyle style, const plant::Plant &plant,
+          double dt, int horizon, bool with_refresh)
 {
-    const std::string calib_key = calibDiskKey(
-        model, backend, style, plant, dt, horizon, with_refresh);
-    if (disk) {
-        if (auto payload = disk->get("calib", calib_key)) {
-            if (auto t = decodeTiming(*payload)) {
-                obs::count(calibIds().diskHits);
-                return *t;
-            }
-        }
-    }
     RTOC_SPAN("hil.calibrate", "hil");
     auto run_iters = [&](int iters) -> double {
         auto prog = schedStream(
@@ -265,112 +214,140 @@ calibrateTiming(const cpu::TimingModel &model, matlib::Backend &backend,
         if (t.refreshBaseCycles < 0.0)
             t.refreshBaseCycles = 0.0;
     }
-    obs::count(calibIds().computes);
-    if (disk)
-        disk->put("calib", calib_key, encodeTiming(t));
     return t;
 }
-
-namespace {
 
 /**
- * The convenience calibrations use fixed core/backend configurations,
- * so the resulting cycle model depends only on the problem shape
- * (nx, nu, dt, horizon) — the stream is plant-parameter-independent.
- * The HIL benches call these per plant per frequency; memoizing here
- * removes all repeat work, and plants sharing a shape share entries.
+ * One named on-chip implementation. The cross-plant sweeps compare
+ * three (§5.2 flies the first two): optimized scalar (Eigen-style on
+ * the Shuttle scalar pipeline), hand-optimized fused RVV on the large
+ * Saturn core (VLEN=512, DLEN=256, Shuttle frontend), and the
+ * fully-optimized Gemmini library mapping on the OS 4x4 systolic
+ * array. Calibrations, region breakdowns and power models all read
+ * this one table.
  */
-struct CalibMemo
+struct Target
 {
-    std::mutex mu;
-    std::map<std::tuple<int, int, int, double, int, bool, int>,
-             ControllerTiming>
-        memo;
+    const char *name;
+    std::unique_ptr<cpu::TimingModel> (*model)();
+    std::unique_ptr<matlib::Backend> (*backend)();
+    tinympc::MappingStyle style;
+    soc::PowerParams (*power)();
 };
 
-CalibMemo &
-calibMemo()
+const Target kTargets[] = {
+    {"scalar",
+     []() -> std::unique_ptr<cpu::TimingModel> {
+         return std::make_unique<cpu::InOrderCore>(
+             cpu::InOrderConfig::shuttle());
+     },
+     []() -> std::unique_ptr<matlib::Backend> {
+         return std::make_unique<matlib::ScalarBackend>(
+             matlib::ScalarFlavor::Optimized);
+     },
+     tinympc::MappingStyle::Library, soc::PowerParams::scalarCore},
+    {"vector",
+     []() -> std::unique_ptr<cpu::TimingModel> {
+         return std::make_unique<vector::SaturnModel>(
+             vector::SaturnConfig::make(512, 256, true));
+     },
+     []() -> std::unique_ptr<matlib::Backend> {
+         return std::make_unique<matlib::RvvBackend>(
+             512, matlib::RvvMapping::handOptimized());
+     },
+     tinympc::MappingStyle::Fused, soc::PowerParams::vectorCore},
+    // Library style: the Gemmini backend rejects Fused emission (CISC
+    // tiled-matmul constraints).
+    {"gemmini",
+     []() -> std::unique_ptr<cpu::TimingModel> {
+         return std::make_unique<systolic::GemminiModel>(
+             systolic::GemminiConfig::os4x4());
+     },
+     []() -> std::unique_ptr<matlib::Backend> {
+         return std::make_unique<matlib::GemminiBackend>(
+             matlib::GemminiMapping::fullyOptimized());
+     },
+     tinympc::MappingStyle::Library, soc::PowerParams::systolicCore},
+};
+
+/** The target named @p name; "ideal" prices with the vector target
+ *  (unused by an ideal policy, kept for struct completeness). */
+const Target &
+namedTarget(const std::string &name)
 {
-    static CalibMemo m;
-    return m;
+    const std::string &target = name == "ideal" ? "vector" : name;
+    for (const Target &t : kTargets)
+        if (target == t.name)
+            return t;
+    rtoc_fatal("unknown timing model '%s'", name.c_str());
 }
 
-template <typename MakeFn>
+/** Memoized calibration of target @p t (see calibMemo()). */
 ControllerTiming
-memoizedCalibration(int which, const plant::Plant &plant, double dt,
-                    int horizon, bool with_refresh,
-                    matlib::NumericFormat format, MakeFn &&make)
+targetTiming(const Target &t, const plant::Plant &plant, double dt,
+             int horizon, bool with_refresh, matlib::NumericFormat format)
 {
-    CalibMemo &m = calibMemo();
-    std::lock_guard<std::mutex> lk(m.mu);
-    auto key = std::make_tuple(which, plant.nx(), plant.nu(), dt,
-                               horizon, with_refresh,
-                               static_cast<int>(format));
-    auto it = m.memo.find(key);
-    if (it != m.memo.end()) {
-        obs::count(calibIds().memoHits);
-        return it->second;
-    }
-    ControllerTiming t = make();
-    m.memo.emplace(key, t);
-    return t;
+    std::unique_ptr<cpu::TimingModel> model = t.model();
+    std::unique_ptr<matlib::Backend> backend = t.backend();
+    backend->setFormat(format);
+    return calibMemo().get(
+        calibKey(*model, *backend, t.style, plant, dt, horizon,
+                 with_refresh),
+        [&] {
+            return fitTiming(*model, *backend, t.style, plant, dt,
+                             horizon, with_refresh);
+        },
+        &isa::DiskCache::global());
 }
 
 } // namespace
+
+isa::Memo<ControllerTiming> &
+calibMemo()
+{
+    // Leaked: the registry polls its counters until exit.
+    static auto *memo = new isa::Memo<ControllerTiming>(
+        "calib", 0, {"calib", encodeTiming, decodeTiming});
+    return *memo;
+}
+
+ControllerTiming
+calibrateTiming(const cpu::TimingModel &model, matlib::Backend &backend,
+                tinympc::MappingStyle style, const plant::Plant &plant,
+                double dt, int horizon, const isa::DiskCache *disk,
+                bool with_refresh)
+{
+    return calibMemo().loadOrCompute(
+        calibKey(model, backend, style, plant, dt, horizon, with_refresh),
+        [&] {
+            return fitTiming(model, backend, style, plant, dt, horizon,
+                             with_refresh);
+        },
+        disk);
+}
 
 ControllerTiming
 scalarControllerTiming(const plant::Plant &plant, double dt, int horizon,
                        bool with_refresh, matlib::NumericFormat format)
 {
-    return memoizedCalibration(
-        0, plant, dt, horizon, with_refresh, format, [&] {
-            cpu::InOrderCore core(cpu::InOrderConfig::shuttle());
-            matlib::ScalarBackend backend(
-                matlib::ScalarFlavor::Optimized);
-            backend.setFormat(format);
-            return calibrateTiming(core, backend,
-                                   tinympc::MappingStyle::Library, plant,
-                                   dt, horizon, &isa::DiskCache::global(),
-                                   with_refresh);
-        });
+    return targetTiming(namedTarget("scalar"), plant, dt, horizon,
+                        with_refresh, format);
 }
 
 ControllerTiming
 vectorControllerTiming(const plant::Plant &plant, double dt, int horizon,
                        bool with_refresh, matlib::NumericFormat format)
 {
-    return memoizedCalibration(
-        1, plant, dt, horizon, with_refresh, format, [&] {
-            vector::SaturnModel saturn(
-                vector::SaturnConfig::make(512, 256, true));
-            matlib::RvvBackend backend(
-                512, matlib::RvvMapping::handOptimized());
-            backend.setFormat(format);
-            return calibrateTiming(saturn, backend,
-                                   tinympc::MappingStyle::Fused, plant,
-                                   dt, horizon, &isa::DiskCache::global(),
-                                   with_refresh);
-        });
+    return targetTiming(namedTarget("vector"), plant, dt, horizon,
+                        with_refresh, format);
 }
 
 ControllerTiming
 gemminiControllerTiming(const plant::Plant &plant, double dt, int horizon,
                         bool with_refresh, matlib::NumericFormat format)
 {
-    return memoizedCalibration(
-        2, plant, dt, horizon, with_refresh, format, [&] {
-            systolic::GemminiModel gemmini(
-                systolic::GemminiConfig::os4x4());
-            matlib::GemminiBackend backend(
-                matlib::GemminiMapping::fullyOptimized());
-            backend.setFormat(format);
-            // Library style: the Gemmini backend rejects Fused emission
-            // (CISC tiled-matmul constraints).
-            return calibrateTiming(gemmini, backend,
-                                   tinympc::MappingStyle::Library, plant,
-                                   dt, horizon, &isa::DiskCache::global(),
-                                   with_refresh);
-        });
+    return targetTiming(namedTarget("gemmini"), plant, dt, horizon,
+                        with_refresh, format);
 }
 
 ControllerTiming
@@ -378,19 +355,8 @@ namedControllerTiming(const std::string &model,
                       const plant::Plant &plant, double dt, int horizon,
                       bool with_refresh, matlib::NumericFormat format)
 {
-    if (model == "scalar") {
-        return scalarControllerTiming(plant, dt, horizon, with_refresh,
-                                      format);
-    }
-    if (model == "gemmini") {
-        return gemminiControllerTiming(plant, dt, horizon, with_refresh,
-                                       format);
-    }
-    if (model == "vector" || model == "ideal") {
-        return vectorControllerTiming(plant, dt, horizon, with_refresh,
-                                      format);
-    }
-    rtoc_fatal("unknown timing model '%s'", model.c_str());
+    return targetTiming(namedTarget(model), plant, dt, horizon,
+                        with_refresh, format);
 }
 
 std::vector<isa::KernelCycles>
@@ -398,50 +364,23 @@ regionBreakdown(const std::string &model, const plant::Plant &plant,
                 double dt, int horizon, int iters)
 {
     RTOC_SPAN("hil.region_breakdown", "hil");
-    // Mirror the convenience-calibration configurations exactly, so
-    // the profile describes the same hardware the sweeps priced.
-    auto replay = [&](const cpu::TimingModel &core,
-                      matlib::Backend &backend,
-                      tinympc::MappingStyle style) {
-        // With scheduling on, profile the stream the sweeps actually
-        // replay; region sums stay reconcilable because schedules
-        // permute only within regions.
-        auto prog = schedStream(
-            core, calibSolveKey(backend, style, plant, dt, horizon, iters),
-            calibSolveStream(backend, style, plant, dt, horizon, iters));
-        return core.run(*prog).kernelBreakdown(*prog);
-    };
-    if (model == "scalar") {
-        cpu::InOrderCore core(cpu::InOrderConfig::shuttle());
-        matlib::ScalarBackend backend(matlib::ScalarFlavor::Optimized);
-        return replay(core, backend, tinympc::MappingStyle::Library);
-    }
-    if (model == "gemmini") {
-        systolic::GemminiModel gemmini(systolic::GemminiConfig::os4x4());
-        matlib::GemminiBackend backend(
-            matlib::GemminiMapping::fullyOptimized());
-        return replay(gemmini, backend, tinympc::MappingStyle::Library);
-    }
-    if (model == "vector" || model == "ideal") {
-        vector::SaturnModel saturn(
-            vector::SaturnConfig::make(512, 256, true));
-        matlib::RvvBackend backend(512,
-                                   matlib::RvvMapping::handOptimized());
-        return replay(saturn, backend, tinympc::MappingStyle::Fused);
-    }
-    rtoc_fatal("unknown timing model '%s'", model.c_str());
+    // The target table's configuration, so the profile describes the
+    // same hardware the sweeps priced. With scheduling on, profile
+    // the stream the sweeps actually replay; region sums stay
+    // reconcilable because schedules permute only within regions.
+    const Target &t = namedTarget(model);
+    std::unique_ptr<cpu::TimingModel> core = t.model();
+    std::unique_ptr<matlib::Backend> backend = t.backend();
+    auto prog = schedStream(
+        *core, calibSolveKey(*backend, t.style, plant, dt, horizon, iters),
+        calibSolveStream(*backend, t.style, plant, dt, horizon, iters));
+    return core->run(*prog).kernelBreakdown(*prog);
 }
 
 soc::PowerParams
 namedPowerParams(const std::string &model)
 {
-    if (model == "scalar")
-        return soc::PowerParams::scalarCore();
-    if (model == "gemmini")
-        return soc::PowerParams::systolicCore();
-    if (model == "vector" || model == "ideal")
-        return soc::PowerParams::vectorCore();
-    rtoc_fatal("unknown timing model '%s'", model.c_str());
+    return namedTarget(model).power();
 }
 
 } // namespace rtoc::hil

@@ -13,6 +13,12 @@
  * the quadrotor's 12x4 shape replays the quadrotor's cached streams.
  * Every entry point takes a plant::Plant; one calibration replays one
  * model (design sweeps batch their replays in dse::Explorer).
+ *
+ * Fits are memoized in calibMemo(), one isa::Memo keyed on the
+ * calibration's full identity (model and backend cacheKeys, style,
+ * shape, refresh-awareness) with the DiskCache "calib" namespace as
+ * its disk tier. The named-target calibrations go through its memory
+ * tier; calibrateTiming uses the disk tier alone.
  */
 
 #ifndef RTOC_HIL_TIMING_HH
@@ -22,7 +28,7 @@
 #include <string>
 
 #include "cpu/core_model.hh"
-#include "isa/disk_cache.hh"
+#include "isa/memo.hh"
 #include "matlib/backend.hh"
 #include "plant/plant.hh"
 #include "soc/power_model.hh"
@@ -68,7 +74,8 @@ struct ControllerTiming
  * and problem shape). The fitted ControllerTiming is persisted to
  * @p disk keyed on (model cacheKey, backend cacheKey, style, shape,
  * refresh-awareness), so a warm process skips both the replay runs
- * and the emission; pass nullptr to force recomputation.
+ * and the emission; pass nullptr to force recomputation. No memory
+ * tier: every call without a disk hit fits afresh.
  *
  * @p with_refresh additionally emits and fits the model-refresh
  * stream (refreshBaseCycles / refreshCyclesPerIter). Fixed-trim
@@ -92,8 +99,8 @@ calibrateTiming(const cpu::TimingModel &model, matlib::Backend &backend,
  * RVV on the large Saturn core (VLEN=512, DLEN=256, Shuttle
  * frontend), and the fully-optimized Gemmini mapping on the OS 4x4
  * systolic array (library style: Fused is rejected at emission time
- * by the Gemmini backend). Memoized per (impl, nx, nu, dt, horizon,
- * refresh-awareness, format).
+ * by the Gemmini backend). Memoized in calibMemo() and persisted in
+ * the process DiskCache.
  *
  * @p format prices a narrow datapath: the backend emits its stream at
  * the format's element width, so vector lanes pack more elements and
@@ -145,14 +152,12 @@ std::vector<isa::KernelCycles>
 regionBreakdown(const std::string &model, const plant::Plant &plant,
                 double dt, int horizon, int iters = 25);
 
-/** Calibration-cache counters (tests, CI warm-start assertions). */
-struct CalibCacheStats
-{
-    uint64_t memoHits = 0; ///< in-memory convenience-memo hits
-    uint64_t diskHits = 0; ///< calibrations loaded from disk
-    uint64_t computes = 0; ///< full two-point replay fits performed
-};
-CalibCacheStats calibCacheStats();
+/**
+ * Process-wide calibration memo (see file comment). Its MemoStats
+ * count convenience-memo hits, calibrations loaded from disk and
+ * two-point replay fits (computes), mirrored as "calib.*".
+ */
+isa::Memo<ControllerTiming> &calibMemo();
 
 /** Serialize a ControllerTiming (bit-exact double round-trip). */
 std::string encodeTiming(const ControllerTiming &t);

@@ -1,49 +1,46 @@
 #include "program_cache.hh"
 
 #include "common/logging.hh"
-#include "isa/disk_cache.hh"
-#include "obs/registry.hh"
 #include "obs/trace.hh"
 
 namespace rtoc::isa {
 
+namespace {
+
+std::string
+encodeShared(const std::shared_ptr<const Program> &prog)
+{
+    return encodeProgram(*prog);
+}
+
+std::optional<std::shared_ptr<const Program>>
+decodeShared(const std::string &payload)
+{
+    obs::Span span("isa.disk_load", "cache");
+    std::optional<Program> prog = decodeProgram(payload);
+    if (!prog)
+        return std::nullopt;
+    span.arg("uops", prog->size());
+    return std::make_shared<const Program>(std::move(*prog));
+}
+
+const DiskTier<std::shared_ptr<const Program>> kProgTier{
+    "prog", encodeShared, decodeShared};
+
+} // namespace
+
+ProgramCache::ProgramCache(const DiskCache *disk)
+    : ProgramCache(disk, "")
+{}
+
+ProgramCache::ProgramCache(const DiskCache *disk, const std::string &name)
+    : disk_(disk), memo_(name, 0, kProgTier)
+{}
+
 std::shared_ptr<const Program>
 ProgramCache::getOrEmit(const std::string &key, const Emitter &emit)
 {
-    // Two-level locking: the map mutex only guards entry lookup and
-    // insertion, while each entry carries its own mutex held across
-    // emission. A key is still emitted exactly once, but concurrent
-    // first-misses of *distinct* keys emit in parallel.
-    std::shared_ptr<Entry> entry;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto it = map_.find(key);
-        if (it == map_.end()) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            it = map_.emplace(key, std::make_shared<Entry>()).first;
-        } else {
-            hits_.fetch_add(1, std::memory_order_relaxed);
-        }
-        entry = it->second;
-    }
-
-    std::lock_guard<std::mutex> elk(entry->mu);
-    if (!entry->prog) {
-        // A first-miss consults the persistent cache before paying
-        // for emission; fresh emissions are persisted for the next
-        // process.
-        if (disk_) {
-            obs::Span span("isa.disk_load", "cache");
-            if (auto payload = disk_->get("prog", key)) {
-                if (auto prog = decodeProgram(*payload)) {
-                    entry->prog = std::make_shared<const Program>(
-                        std::move(*prog));
-                    disk_hits_.fetch_add(1, std::memory_order_relaxed);
-                    span.arg("uops", entry->prog->size());
-                    return entry->prog;
-                }
-            }
-        }
+    auto emit_once = [&]() -> std::shared_ptr<const Program> {
         obs::Span span("isa.emit", "cache");
         auto prog = std::make_shared<Program>();
         // Typical instrumented solves run to ~1e5 uops; reserving
@@ -55,82 +52,33 @@ ProgramCache::getOrEmit(const std::string &key, const Emitter &emit)
             rtoc_panic("ProgramCache: emitter for '%s' left a kernel "
                        "region open", key.c_str());
         span.arg("uops", prog->size());
-        if (disk_)
-            disk_->put("prog", key, encodeProgram(*prog));
-        entry->prog = std::move(prog);
-        emissions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return entry->prog;
+        return prog;
+    };
+    return memo_.get(key, emit_once, disk_);
 }
 
 std::shared_ptr<const Program>
-ProgramCache::lookup(const std::string &key) const
+ProgramCache::lookup(const std::string &key)
 {
-    std::shared_ptr<Entry> entry;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto it = map_.find(key);
-        if (it == map_.end())
-            return nullptr;
-        entry = it->second;
-    }
-    std::lock_guard<std::mutex> elk(entry->mu);
-    return entry->prog;
+    return memo_.find(key).value_or(nullptr);
 }
 
-void
-ProgramCache::clear()
+uint64_t
+ProgramCache::cachedUops() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    map_.clear();
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    emissions_.store(0, std::memory_order_relaxed);
-    disk_hits_.store(0, std::memory_order_relaxed);
-}
-
-ProgramCacheStats
-ProgramCache::stats() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    ProgramCacheStats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.emissions = emissions_.load(std::memory_order_relaxed);
-    s.diskHits = disk_hits_.load(std::memory_order_relaxed);
-    s.entries = map_.size();
-    for (const auto &kv : map_) {
-        std::lock_guard<std::mutex> elk(kv.second->mu);
-        if (kv.second->prog)
-            s.cachedUops += kv.second->prog->size();
-    }
-    return s;
+    uint64_t uops = 0;
+    memo_.forEach([&](const std::shared_ptr<const Program> &prog) {
+        uops += prog->size();
+    });
+    return uops;
 }
 
 ProgramCache &
 ProgramCache::global()
 {
-    static ProgramCache *cache = [] {
-        auto *c = new ProgramCache(&DiskCache::global());
-        // Mirror the process-wide instance into the registry; private
-        // instances (tests) keep their counters to themselves.
-        obs::Registry &reg = obs::Registry::global();
-        reg.gauge("prog_cache.hits", [c] {
-            return c->hits_.load(std::memory_order_relaxed);
-        });
-        reg.gauge("prog_cache.misses", [c] {
-            return c->misses_.load(std::memory_order_relaxed);
-        });
-        reg.gauge("prog_cache.emissions", [c] {
-            return c->emissions_.load(std::memory_order_relaxed);
-        });
-        reg.gauge("prog_cache.disk_hits", [c] {
-            return c->disk_hits_.load(std::memory_order_relaxed);
-        });
-        reg.gauge("prog_cache.entries",
-                  [c] { return static_cast<uint64_t>(c->stats().entries); });
-        return c;
-    }();
+    // Leaked: the registry polls its counters until exit.
+    static ProgramCache *cache =
+        new ProgramCache(&DiskCache::global(), "prog_cache");
     return *cache;
 }
 

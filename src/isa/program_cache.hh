@@ -10,46 +10,30 @@
  * pure waste — the ProgramCache emits once per distinct key and hands
  * out shared, immutable replays.
  *
- * Thread safety: getOrEmit may be called concurrently from sweep
- * workers. Each key owns a per-entry lock held across its (one-time)
- * emission, so racing workers emit a key exactly once while distinct
- * keys emit in parallel; hits return immediately with a shared_ptr
- * and never touch the emitter.
+ * The cache is an isa::Memo (memo.hh) of frozen programs: getOrEmit
+ * may be called concurrently from sweep workers, racing workers emit
+ * a key exactly once while distinct keys emit in parallel, and hits
+ * return a shared_ptr without touching the emitter.
  *
- * When constructed over a DiskCache, a first-miss consults the disk
- * before running the emitter and persists fresh emissions, so a warm
- * process (second bench binary, CI re-run) fills its in-memory map
- * with zero re-emissions. The emissions counter tracks how often the
- * emitter actually ran.
+ * When constructed over a DiskCache, the memo's "prog" tier serves a
+ * key's first request from disk before running the emitter and
+ * persists fresh emissions, so a warm process (second bench binary,
+ * CI re-run) fills its memory with zero re-emissions. MemoStats
+ * computes counts how often the emitter actually ran.
  */
 
 #ifndef RTOC_ISA_PROGRAM_CACHE_HH
 #define RTOC_ISA_PROGRAM_CACHE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
+#include "isa/memo.hh"
 #include "isa/program.hh"
 
 namespace rtoc::isa {
-
-class DiskCache;
-
-/** Counters for cache-effectiveness reporting. */
-struct ProgramCacheStats
-{
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t emissions = 0; ///< emitter invocations (disk hits skip it)
-    uint64_t diskHits = 0;  ///< first-misses served from disk
-    uint64_t cachedUops = 0; ///< total uops held by cached programs
-    size_t entries = 0;
-};
 
 /** Keyed store of immutable emitted Programs. */
 class ProgramCache
@@ -59,9 +43,7 @@ class ProgramCache
     using Emitter = std::function<void(Program &prog)>;
 
     /** In-memory cache, optionally backed by @p disk (not owned). */
-    explicit ProgramCache(const DiskCache *disk = nullptr)
-        : disk_(disk)
-    {}
+    explicit ProgramCache(const DiskCache *disk = nullptr);
 
     /**
      * Return the Program cached under @p key, emitting it via
@@ -71,39 +53,28 @@ class ProgramCache
     std::shared_ptr<const Program> getOrEmit(const std::string &key,
                                              const Emitter &emit);
 
-    /** Look up @p key without emitting (nullptr on miss). */
-    std::shared_ptr<const Program> lookup(const std::string &key) const;
+    /** The Program held under @p key, nullptr when absent (counted as
+     *  a request, never emits or reads the disk). */
+    std::shared_ptr<const Program> lookup(const std::string &key);
 
-    /** Drop all entries and reset statistics. */
-    void clear();
+    /** Hits, misses, emissions (computes), disk hits and entries. */
+    MemoStats stats() const { return memo_.stats(); }
 
-    /** Snapshot of hit/miss/footprint counters. */
-    ProgramCacheStats stats() const;
+    /** Total uops held by the cached programs. */
+    uint64_t cachedUops() const;
 
     /**
      * Process-wide cache used by the benches and HIL calibration. Its
-     * counters (and only its — tests build private instances) are
-     * mirrored into the obs::Registry as "prog_cache.*" gauges.
+     * MemoStats (and only its — tests build private instances) are
+     * mirrored into the obs::Registry as "prog_cache.*".
      */
     static ProgramCache &global();
 
   private:
-    /** One cached key: its own emission lock plus the frozen stream. */
-    struct Entry
-    {
-        std::mutex mu;
-        std::shared_ptr<const Program> prog;
-    };
+    ProgramCache(const DiskCache *disk, const std::string &name);
 
     const DiskCache *disk_ = nullptr;
-    mutable std::mutex mu_; ///< guards map_ only
-    std::unordered_map<std::string, std::shared_ptr<Entry>> map_;
-    /** Relaxed atomics: counters are bumped from sweep workers and
-     *  read by stats()/registry gauges without taking mu_. */
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> emissions_{0};
-    std::atomic<uint64_t> disk_hits_{0};
+    Memo<std::shared_ptr<const Program>> memo_;
 };
 
 } // namespace rtoc::isa

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <mutex>
-#include <unordered_map>
 
 #include "common/logging.hh"
-#include "isa/disk_cache.hh"
 #include "isa/program_cache.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
@@ -19,8 +16,6 @@ namespace {
  *  use only, so sched-off runs emit byte-identical metrics JSON). */
 struct SchedCounters
 {
-    StatId cacheHits =
-        obs::Registry::global().counter("sched.cache_hits");
     StatId scored =
         obs::Registry::global().counter("sched.candidates_scored");
     StatId searches = obs::Registry::global().counter("sched.searches");
@@ -34,18 +29,16 @@ schedCounters()
     return c;
 }
 
-/** One memoized search key: its own lock held across the (one-time)
- *  search, mirroring ProgramCache's two-level locking. */
-struct MemoEntry
-{
-    std::mutex mu;
-    std::shared_ptr<const Program> prog;
-};
-
-std::mutex g_memo_mu;
-std::unordered_map<std::string, std::shared_ptr<MemoEntry>> g_memo;
-
 } // namespace
+
+Memo<SchedSpec> &
+schedMemo()
+{
+    // Leaked: the registry polls its counters until exit.
+    static auto *memo = new Memo<SchedSpec>(
+        "sched.memo", 0, {"sched", encodeSchedSpec, decodeSchedSpec});
+    return *memo;
+}
 
 bool
 schedEnabled()
@@ -152,61 +145,24 @@ scheduledStream(const std::string &modelKey, const std::string &progKey,
     if (!schedEnabled())
         return baseline;
 
+    // The winning recipe resolves through the memo: memory, then the
+    // "sched" disk tier (a valid envelope holding an undecodable
+    // payload is re-searched and overwritten), then a search.
     const std::string search_key =
         csprintf("sched1|%s|%s|cap%d", modelKey.c_str(),
                  progKey.c_str(), kSchedCap);
-
-    std::shared_ptr<MemoEntry> entry;
-    {
-        std::lock_guard<std::mutex> lk(g_memo_mu);
-        std::shared_ptr<MemoEntry> &slot = g_memo[search_key];
-        if (!slot)
-            slot = std::make_shared<MemoEntry>();
-        entry = slot;
-    }
-    std::lock_guard<std::mutex> lk(entry->mu);
-    if (entry->prog) {
-        obs::count(schedCounters().cacheHits);
-        return entry->prog;
-    }
-
-    // Resolve the recipe: disk first, search on a miss. A blob that
-    // fails envelope validation is already deleted by DiskCache::get;
-    // a valid envelope holding an undecodable payload is re-searched
-    // and overwritten here, mirroring the program-blob discipline.
-    SchedSpec spec;
-    bool resolved = false;
-    if (disk != nullptr && disk->enabled()) {
-        if (std::optional<std::string> blob =
-                disk->get("sched", search_key)) {
-            if (std::optional<SchedSpec> dec = decodeSchedSpec(*blob)) {
-                spec = std::move(*dec);
-                resolved = true;
-                obs::count(schedCounters().cacheHits);
-            }
-        }
-    }
-    if (!resolved) {
-        const SchedSearchResult res =
-            searchSchedule(*baseline, cost, kSchedCap);
-        spec = res.spec;
-        if (disk != nullptr && disk->enabled())
-            disk->put("sched", search_key, encodeSchedSpec(spec));
-    }
-
-    if (spec.empty()) {
-        entry->prog = baseline;
+    const SchedSpec spec = schedMemo().get(
+        search_key,
+        [&] { return searchSchedule(*baseline, cost, kSchedCap).spec; },
+        disk);
+    if (spec.empty())
         return baseline;
-    }
-
-    RTOC_SPAN_NAMED(span, "isa.sched_apply", "isa");
-    span.arg("uops", baseline->size());
-    const std::string sched_key =
-        progKey + "|sched:" + schedSpecDigest(spec);
-    entry->prog = cache.getOrEmit(sched_key, [&](Program &p) {
-        p = applySchedule(*baseline, spec).prog;
-    });
-    return entry->prog;
+    return cache.getOrEmit(
+        progKey + "|sched:" + schedSpecDigest(spec), [&](Program &p) {
+            RTOC_SPAN_NAMED(span, "isa.sched_apply", "isa");
+            span.arg("uops", baseline->size());
+            p = applySchedule(*baseline, spec).prog;
+        });
 }
 
 std::shared_ptr<const Program>
@@ -217,13 +173,6 @@ scheduledStream(const std::string &modelKey, const std::string &progKey,
     return scheduledStream(modelKey, progKey, baseline, cost,
                            ProgramCache::global(),
                            &DiskCache::global());
-}
-
-void
-clearSchedMemoForTest()
-{
-    std::lock_guard<std::mutex> lk(g_memo_mu);
-    g_memo.clear();
 }
 
 } // namespace rtoc::isa

@@ -7,11 +7,12 @@
  * candidate recipes of enumerateSchedSpecs() — plus greedy
  * per-region-name refinement — by replaying the transformed stream on
  * the very model that will consume it, and keeps the cheapest. The
- * winning recipe (not the transformed program) is persisted in the
- * DiskCache "sched" namespace, versioned and fingerprinted exactly
- * like program blobs: a warm process decodes the recipe and re-applies
- * it, a corrupt or stale blob is deleted and re-searched. Transformed
- * programs themselves materialize through the ProgramCache under
+ * winning recipe (not the transformed program) is memoized in
+ * schedMemo(), an isa::Memo whose disk tier is the DiskCache "sched"
+ * namespace, versioned and fingerprinted exactly like program blobs:
+ * a warm process decodes the recipe and re-applies it, a corrupt or
+ * stale blob is deleted and re-searched. Transformed programs
+ * themselves materialize through the ProgramCache under
  * `progKey + "|sched:" + digest`, so scheduled and baseline streams
  * never alias in memory or on disk.
  *
@@ -32,12 +33,12 @@
 #include <memory>
 #include <string>
 
+#include "isa/memo.hh"
 #include "isa/schedule.hh"
 
 namespace rtoc::isa {
 
 class ProgramCache;
-class DiskCache;
 
 /** True when RTOC_SCHED enables the schedule layer (read once). */
 bool schedEnabled();
@@ -81,9 +82,8 @@ SchedSearchResult searchSchedule(const Program &baseline,
  * RTOC_SCHED is off or the search finds no improvement; otherwise the
  * scheduled program, materialized through @p cache under the
  * digest-suffixed key. Winners are memoized per (modelKey, progKey,
- * cap) in-process (two-level locking: racing threads search a key
- * exactly once) and persisted in @p disk (nullable) under the "sched"
- * namespace.
+ * cap) in schedMemo() (racing threads search a key exactly once) and
+ * persisted in @p disk (nullable) under the "sched" namespace.
  */
 std::shared_ptr<const Program>
 scheduledStream(const std::string &modelKey, const std::string &progKey,
@@ -97,8 +97,12 @@ scheduledStream(const std::string &modelKey, const std::string &progKey,
                 const std::shared_ptr<const Program> &baseline,
                 const SchedCostFn &cost);
 
-/** Drop the in-process schedule memo (tests). */
-void clearSchedMemoForTest();
+/**
+ * Process-wide memo of search winners, keyed per (modelKey, progKey,
+ * cap). Its counters register as "sched.memo.*" on the first
+ * schedule-layer use, so sched-off runs never register them.
+ */
+Memo<SchedSpec> &schedMemo();
 
 } // namespace rtoc::isa
 

@@ -1,8 +1,10 @@
 /**
  * @file
  * Process-wide metrics registry: one home for the runtime's own
- * counters (memo hits, cache emissions, pool steals, ...), replacing
- * the five ad-hoc stat structs that grew around individual caches.
+ * counters (pool steals, schedule searches, ...) and for the
+ * isa::MemoStats of every process-wide memo (ProgramCache, schedule
+ * winners, calibrations, runCell and DSE cells), which the memos
+ * publish here instead of keeping stats structs of their own.
  *
  * Counters are identified by interned StatId (common/stats.hh) and
  * stored in per-thread shards of relaxed atomics, so hot-path
@@ -16,7 +18,7 @@
  * steals) are reported by snapshot() but excluded from
  * writeMetricsJson, so bench `--json` artifacts stay byte-identical
  * run-to-run. Gauges are polled at snapshot time (for values owned by
- * a mutex-guarded structure, e.g. LRU occupancy).
+ * a mutex-guarded structure, e.g. a memo's MemoStats).
  *
  * The registry also renders the run manifest — build fingerprint,
  * RTOC_* knob values, thread count, cache mode — written into every

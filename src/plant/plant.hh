@@ -103,10 +103,12 @@ class Plant
     virtual std::string name() const = 0;
 
     /**
-     * Key identifying the plant *configuration* for memoization
-     * (runCell memo, calibration memo): every parameter that changes
-     * closed-loop behaviour must be encoded. Defaults to name();
-     * parameterized plants must append their knobs.
+     * Key identifying the plant *configuration* for the runCell memo:
+     * every parameter that changes closed-loop behaviour (dynamics,
+     * limits, crash predicate, energy accounting) must be encoded.
+     * Defaults to name(); parameterized plants must append their
+     * knobs. Calibrations key on the problem shape instead, since
+     * parameter values never change the emitted stream.
      */
     virtual std::string cacheKey() const { return name(); }
 

@@ -14,6 +14,12 @@ Stdout goldens are compared as printed. The --json payloads drop their
 counters that depend on cache warmth), and bench_dse's experiments
 drop their host times and cache-provenance counts.
 
+Then, at the same thread count and against the same warm cache, the
+bench_cross_plant payload is regenerated once per KNOB_RUNS setting.
+Each must equal the warm default payload with only `manifest` dropped:
+the counters in `metrics` must not move either, and the fault run must
+register no sched.* or fault.* metric.
+
 Usage:
     golden_outputs.py --build BUILD_DIR [--work DIR] [--update]
 
@@ -55,6 +61,14 @@ GOLDEN = [
 # (name, RTOC_THREADS, start from an empty cache directory)
 MODES = [("serial-cold", "1", True), ("4-thread-warm", "4", False)]
 
+# Settings that must leave a warm bench_cross_plant payload unchanged,
+# metrics included: the explicit off spelling of the schedule layer,
+# the explicit default numeric format, and a fault trace armed in a
+# binary that never enters the real-time scheduler.
+KNOB_RUNS = [("RTOC_SCHED", "0"), ("RTOC_FORMAT", "f32"),
+             ("RTOC_FAULT", "spike@2+1x2.5")]
+KNOB_GOLDEN = "bench_cross_plant.json"
+
 # Host wall times and cache-provenance counts of bench_dse's
 # experiments: they vary with machine load and cache warmth, never
 # with the simulated result.
@@ -72,11 +86,10 @@ def mask_payload(doc):
     return json.dumps(doc, indent=1) + "\n"
 
 
-def run_one(build, work, name, rel, args, env):
+def run(build, work, rel, args, env, payload=None):
+    """Run one binary; return its stdout, or its --json doc."""
     cmd = [os.path.join(build, rel)] + args
-    payload = None
-    if name.endswith(".json"):
-        payload = os.path.join(work, name)
+    if payload is not None:
         cmd.append("--json=" + payload)
     proc = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
@@ -87,18 +100,62 @@ def run_one(build, work, name, rel, args, env):
     if payload is None:
         return proc.stdout
     with open(payload) as f:
-        return mask_payload(json.load(f))
+        return json.load(f)
+
+
+def run_one(build, work, name, rel, args, env):
+    if not name.endswith(".json"):
+        return run(build, work, rel, args, env)
+    return mask_payload(run(build, work, rel, args, env,
+                            os.path.join(work, name)))
+
+
+def mode_env(work, threads):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RTOC_")}
+    env["RTOC_THREADS"] = threads
+    env["RTOC_CACHE_DIR"] = os.path.join(work, "cache")
+    return env
 
 
 def run_mode(build, work, threads, cold):
-    cache = os.path.join(work, "cache")
     if cold:
-        shutil.rmtree(cache, ignore_errors=True)
-    env = {k: v for k, v in os.environ.items() if not k.startswith("RTOC_")}
-    env["RTOC_THREADS"] = threads
-    env["RTOC_CACHE_DIR"] = cache
+        shutil.rmtree(os.path.join(work, "cache"), ignore_errors=True)
+    env = mode_env(work, threads)
     return {name: run_one(build, work, name, rel, args, env)
             for name, rel, args in GOLDEN}
+
+
+def check_knobs(build, work, threads):
+    """KNOB_RUNS against the last mode's warm cache; returns failures."""
+    _, rel, args = next(g for g in GOLDEN if g[0] == KNOB_GOLDEN)
+    with open(os.path.join(work, KNOB_GOLDEN)) as f:
+        base = json.load(f)
+    base.pop("manifest")
+    want = json.dumps(base, indent=1, sort_keys=True) + "\n"
+    failures = 0
+    for var, value in KNOB_RUNS:
+        env = mode_env(work, threads)
+        env[var] = value
+        doc = run(build, work, rel, args, env,
+                  os.path.join(work, "knob_" + KNOB_GOLDEN))
+        doc.pop("manifest")
+        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        knob = "%s=%s" % (var, value)
+        leaked = [k for k in doc.get("metrics", {})
+                  if k.startswith(("sched.", "fault."))]
+        if var == "RTOC_FAULT" and leaked:
+            failures += 1
+            print("%s: leaked metrics %s" % (knob, leaked))
+        if text != want:
+            failures += 1
+            print("%s: %s differs from the warm default payload"
+                  % (knob, KNOB_GOLDEN))
+            diff = difflib.unified_diff(
+                want.splitlines(True), text.splitlines(True),
+                "default/" + KNOB_GOLDEN, knob + "/" + KNOB_GOLDEN)
+            sys.stdout.writelines(list(diff)[:60])
+    print("knobs: %d %s runs checked" % (len(KNOB_RUNS), KNOB_GOLDEN))
+    return failures
 
 
 def main():
@@ -137,8 +194,9 @@ def main():
                 "golden/" + name, mode + "/" + name)
             sys.stdout.writelines(list(diff)[:60])
         print("%s: %d outputs checked" % (mode, len(outputs)))
+    failures += check_knobs(build, work, MODES[-1][1])
     if failures:
-        print("FAIL: %d golden output(s) moved" % failures)
+        print("FAIL: %d golden check(s) failed" % failures)
         return 1
     print("all golden outputs identical")
     return 0

@@ -330,18 +330,18 @@ TEST(Explorer, ParallelPoolIsBitIdenticalToSerial)
 
 TEST(Explorer, EvalMemoCapBoundsAndCounts)
 {
-    EvalMemoStats before = evalMemoStats();
-    evalMemoSetCap(2);
+    isa::MemoStats before = evalMemo().stats();
+    evalMemo().setCapacity(2);
     DesignSpace s = syntheticSpace();
     Explorer::Options opt;
     opt.useDisk = false; // memo only
     Explorer ex(s, opt);
     // Three distinct full-fidelity cells through a 2-entry memo.
     ex.submit({{0, 1, 0, 0}, {1, 1, 0, 0}, {2, 1, 0, 0}});
-    EvalMemoStats after = evalMemoStats();
+    isa::MemoStats after = evalMemo().stats();
     EXPECT_LE(after.entries, 2u);
     EXPECT_GT(after.evictions, before.evictions);
-    evalMemoSetCap(65536); // restore the default for other tests
+    evalMemo().setCapacity(65536); // restore the default for other tests
 }
 
 TEST(Explorer, FrontierHelpersAreConsistent)
@@ -370,7 +370,7 @@ TEST(CellMemo, CapBoundsEntriesAndCountsEvictions)
 {
     const plant::QuadrotorPlant cf(quad::DroneParams::crazyflie());
     hil::ControllerTiming tv = hil::vectorControllerTiming(cf, 0.02, 10);
-    hil::cellMemoSetCap(2);
+    hil::cellMemo().setCapacity(2);
     // Three distinct cells (frequency is part of the memo key).
     for (double mhz : {100e6, 150e6, 200e6}) {
         hil::HilConfig cfg;
@@ -378,11 +378,11 @@ TEST(CellMemo, CapBoundsEntriesAndCountsEvictions)
         cfg.socFreqHz = mhz;
         hil::runCell(cf, plant::Difficulty::Easy, 1, cfg);
     }
-    hil::CellMemoStats stats = hil::cellMemoStats();
+    isa::MemoStats stats = hil::cellMemo().stats();
     EXPECT_EQ(stats.capacity, 2u);
     EXPECT_LE(stats.entries, 2u);
     EXPECT_GE(stats.evictions, 1u);
-    hil::cellMemoSetCap(4096); // restore the default
+    hil::cellMemo().setCapacity(4096); // restore the default
 }
 
 TEST(CellMemo, KeyTellsApartConfigsPastTheSixthDigit)
@@ -400,10 +400,10 @@ TEST(CellMemo, KeyTellsApartConfigsPastTheSixthDigit)
     auto expect_own_cell = [&](const hil::HilConfig &c,
                                const plant::DisturbanceProfile &dist,
                                const char *what) {
-        const uint64_t misses = hil::cellMemoStats().misses;
+        const uint64_t misses = hil::cellMemo().stats().misses;
         hil::SweepCell cell =
             hil::runCell(cf, plant::Difficulty::Easy, 1, c, dist);
-        EXPECT_EQ(hil::cellMemoStats().misses, misses + 1) << what;
+        EXPECT_EQ(hil::cellMemo().stats().misses, misses + 1) << what;
         std::vector<hil::EpisodeResult> eps = hil::SweepRunner().runEpisodes(
             cf, plant::Difficulty::Easy, 1, c, dist);
         ASSERT_EQ(eps.size(), 1u);

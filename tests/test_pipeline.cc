@@ -10,8 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <set>
+#include <thread>
 
 #include "bench_util.hh"
 #include "common/ring_fifo.hh"
@@ -20,6 +24,7 @@
 #include "cpu/ooo.hh"
 #include "hil/sweep.hh"
 #include "hil/timing.hh"
+#include "isa/memo.hh"
 #include "isa/program_cache.hh"
 #include "matlib/gemmini_backend.hh"
 #include "matlib/rvv_backend.hh"
@@ -171,13 +176,65 @@ TEST(ProgramCache, StatsCountHitsAndMisses)
     EXPECT_EQ(emissions, 2);
     EXPECT_EQ(a.get(), b.get());
     EXPECT_NE(a.get(), c.get());
-    auto st = cache.stats();
+    isa::MemoStats st = cache.stats();
     EXPECT_EQ(st.hits, 1u);
     EXPECT_EQ(st.misses, 2u);
     EXPECT_EQ(st.entries, 2u);
-    EXPECT_EQ(st.cachedUops, 2u);
+    EXPECT_EQ(cache.cachedUops(), 2u);
     EXPECT_TRUE(cache.lookup("k1") != nullptr);
     EXPECT_TRUE(cache.lookup("k3") == nullptr);
+}
+
+// --- isa::Memo: one compute per key, distinct keys in parallel ---
+
+TEST(Memo, RacingRequestsOfOneKeyComputeOnce)
+{
+    isa::Memo<std::shared_ptr<const int>> memo;
+    ThreadPool pool(4);
+    constexpr size_t kRequests = 16;
+    std::atomic<int> computes{0};
+    std::vector<std::shared_ptr<const int>> got(kRequests);
+    pool.parallelFor(kRequests, [&](size_t i) {
+        got[i] = memo.get("k", [&] {
+            ++computes;
+            // Hold the key so the other workers queue on it.
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            return std::make_shared<const int>(42);
+        });
+    });
+    EXPECT_EQ(computes.load(), 1);
+    for (const auto &v : got)
+        EXPECT_EQ(v.get(), got[0].get());
+    isa::MemoStats st = memo.stats();
+    EXPECT_EQ(st.misses, 1u);
+    EXPECT_EQ(st.hits, kRequests - 1);
+    EXPECT_EQ(st.computes, 1u);
+}
+
+TEST(Memo, DistinctKeysComputeInParallel)
+{
+    isa::Memo<int> memo;
+    std::mutex mu;
+    std::condition_variable cv;
+    int started = 0;
+    // Each compute waits, bounded, for the other key's compute to
+    // start; one lock serializing distinct keys would time out and
+    // let the first compute see only itself.
+    auto compute = [&] {
+        std::unique_lock<std::mutex> lk(mu);
+        ++started;
+        cv.notify_all();
+        cv.wait_for(lk, std::chrono::seconds(10),
+                    [&] { return started == 2; });
+        return started;
+    };
+    int a = 0, b = 0;
+    std::thread ta([&] { a = memo.get("a", compute); });
+    std::thread tb([&] { b = memo.get("b", compute); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(a, 2);
+    EXPECT_EQ(b, 2);
 }
 
 // --- timing models over cached replays: determinism, thread safety ---

@@ -449,11 +449,11 @@ TEST(CrossPlantHil, RunCellMemoHitsOnRepeatAndMatches)
     cfg.timing = vectorControllerTiming(proto, 0.02, 10);
     cfg.socFreqHz = 100e6;
 
-    CellMemoStats before = cellMemoStats();
+    isa::MemoStats before = cellMemo().stats();
     SweepCell a = runCell(proto, Difficulty::Easy, 3, cfg);
-    CellMemoStats mid = cellMemoStats();
+    isa::MemoStats mid = cellMemo().stats();
     SweepCell b = runCell(proto, Difficulty::Easy, 3, cfg);
-    CellMemoStats after = cellMemoStats();
+    isa::MemoStats after = cellMemo().stats();
 
     EXPECT_EQ(mid.misses, before.misses + 1);
     EXPECT_EQ(after.hits, mid.hits + 1);
@@ -468,9 +468,47 @@ TEST(CrossPlantHil, RunCellMemoHitsOnRepeatAndMatches)
     // Distinct frequency -> distinct key -> a miss, not a stale hit.
     cfg.socFreqHz = 250e6;
     SweepCell c = runCell(proto, Difficulty::Easy, 3, cfg);
-    CellMemoStats freq = cellMemoStats();
+    isa::MemoStats freq = cellMemo().stats();
     EXPECT_EQ(freq.misses, after.misses + 1);
     EXPECT_NE(c.solveTimeMs.median, a.solveTimeMs.median);
+
+    // Plant parameters outside the emitted stream but inside the
+    // closed loop (the crash threshold, idle power) are distinct keys
+    // too: after the default plant's cell, each changed plant must
+    // miss and equal its own episodes.
+    auto expect_own_cell = [&](const plant::Plant &p, const HilConfig &c,
+                               const char *what) {
+        const uint64_t misses = cellMemo().stats().misses;
+        SweepCell cell = runCell(p, Difficulty::Easy, 3, c);
+        EXPECT_EQ(cellMemo().stats().misses, misses + 1) << what;
+        int successes = 0;
+        double rotor_sum = 0.0;
+        for (const EpisodeResult &er :
+             SweepRunner().runEpisodes(p, Difficulty::Easy, 3, c)) {
+            if (er.success) {
+                ++successes;
+                rotor_sum += er.avgRotorPowerW;
+            }
+        }
+        EXPECT_EQ(cell.successRate, successes / 3.0) << what;
+        EXPECT_EQ(cell.avgRotorPowerW,
+                  successes ? rotor_sum / successes : 0.0)
+            << what;
+    };
+    plant::CartPoleParams tilt;
+    tilt.maxTiltRad = 0.02;
+    expect_own_cell(CartPolePlant(tilt), cfg, "cart-pole maxTiltRad");
+    plant::CartPoleParams cart_idle;
+    cart_idle.idleW = 5.0;
+    expect_own_cell(CartPolePlant(cart_idle), cfg, "cart-pole idleW");
+
+    RoverPlant rover;
+    HilConfig rover_cfg = cfg;
+    rover_cfg.timing = vectorControllerTiming(rover, 0.02, 10);
+    runCell(rover, Difficulty::Easy, 3, rover_cfg);
+    plant::RoverParams rover_idle;
+    rover_idle.idleW = 30.0;
+    expect_own_cell(RoverPlant(rover_idle), rover_cfg, "rover idleW");
 }
 
 } // namespace

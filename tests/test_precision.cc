@@ -1328,7 +1328,7 @@ TEST(FormatPersistence, NarrowProgramRoundTripsThroughCodecAndDisk)
             p = bench::emitQuadSolve(gf, tinympc::MappingStyle::Library,
                                      2);
         });
-        EXPECT_EQ(cold.stats().emissions, 2u);
+        EXPECT_EQ(cold.stats().computes, 2u);
     }
     isa::DiskCache disk2(dir, "test-fp");
     isa::ProgramCache warm(&disk2);

@@ -345,10 +345,10 @@ TEST(ControlSession, CellMemoDistinguishesPolicies)
     k5.timing = pinTimingWithRefresh();
     k5.relin.everyK = 5;
 
-    hil::CellMemoStats before = hil::cellMemoStats();
+    isa::MemoStats before = hil::cellMemo().stats();
     hil::SweepCell a = hil::runCell(proto, plant::Difficulty::Easy, 1, k0);
     hil::SweepCell b = hil::runCell(proto, plant::Difficulty::Easy, 1, k5);
-    hil::CellMemoStats after = hil::cellMemoStats();
+    isa::MemoStats after = hil::cellMemo().stats();
     // Distinct policies must be distinct cells (two misses)...
     EXPECT_EQ(after.misses, before.misses + 2);
     EXPECT_GT(b.avgRefreshes, 0.0);
@@ -356,7 +356,7 @@ TEST(ControlSession, CellMemoDistinguishesPolicies)
     // ...and a repeat of either policy is served from the memo.
     hil::SweepCell b2 =
         hil::runCell(proto, plant::Difficulty::Easy, 1, k5);
-    hil::CellMemoStats again = hil::cellMemoStats();
+    isa::MemoStats again = hil::cellMemo().stats();
     EXPECT_EQ(again.misses, after.misses);
     EXPECT_EQ(again.hits, after.hits + 1);
     EXPECT_EQ(b2.avgTrackingErrM, b.avgTrackingErrM);

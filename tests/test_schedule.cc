@@ -361,7 +361,7 @@ TEST(ScheduledStream, MemoDiskRoundTripAndCorruptRegeneration)
     // scheduled stream distinct from the baseline.
     isa::DiskCache disk(dir, "test-fp");
     isa::ProgramCache cache(&disk);
-    isa::clearSchedMemoForTest();
+    isa::schedMemo().clear();
     auto s1 = isa::scheduledStream(model_key, prog_key, baseline, cost,
                                    cache, &disk);
     EXPECT_GT(cost_calls.load(), 0);
@@ -380,7 +380,7 @@ TEST(ScheduledStream, MemoDiskRoundTripAndCorruptRegeneration)
 
     // Warm process (memo dropped): the recipe decodes from disk —
     // zero cost replays — and re-applies to the same cycles.
-    isa::clearSchedMemoForTest();
+    isa::schedMemo().clear();
     cost_calls = 0;
     isa::DiskCache disk2(dir, "test-fp");
     isa::ProgramCache cache2(&disk2);
@@ -399,7 +399,7 @@ TEST(ScheduledStream, MemoDiskRoundTripAndCorruptRegeneration)
         f.seekp(12);
         f.write("\xde\xad\xbe\xef", 4);
     }
-    isa::clearSchedMemoForTest();
+    isa::schedMemo().clear();
     cost_calls = 0;
     isa::DiskCache disk3(dir, "test-fp");
     isa::ProgramCache cache3(&disk3);
@@ -411,13 +411,13 @@ TEST(ScheduledStream, MemoDiskRoundTripAndCorruptRegeneration)
     // Valid envelope holding an undecodable payload: decode fails,
     // search re-runs and overwrites with a good blob.
     disk3.put("sched", search_key, "garbage payload");
-    isa::clearSchedMemoForTest();
+    isa::schedMemo().clear();
     cost_calls = 0;
     auto s5 = isa::scheduledStream(model_key, prog_key, baseline, cost,
                                    cache3, &disk3);
     EXPECT_GT(cost_calls.load(), 0);
     EXPECT_EQ(shuttle.run(*s5).cycles, sched_cycles);
-    isa::clearSchedMemoForTest();
+    isa::schedMemo().clear();
     cost_calls = 0;
     auto s6 = isa::scheduledStream(model_key, prog_key, baseline, cost,
                                    cache3, &disk3);

@@ -74,7 +74,7 @@ TEST(ScheduleOff, LayerIsInert)
     // builds.
     obs::Snapshot snap = obs::Registry::global().snapshot();
     EXPECT_EQ(snap.get("sched.searches"), 0u);
-    EXPECT_EQ(snap.get("sched.cache_hits"), 0u);
+    EXPECT_EQ(snap.get("sched.memo.hits"), 0u);
     EXPECT_EQ(snap.get("sched.candidates_scored"), 0u);
 }
 

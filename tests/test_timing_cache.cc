@@ -305,7 +305,7 @@ TEST(DiskCache, ColdWriteWarmReadWithZeroEmissions)
     };
     auto first = cold.getOrEmit("k", emit);
     EXPECT_EQ(emissions, 1);
-    EXPECT_EQ(cold.stats().emissions, 1u);
+    EXPECT_EQ(cold.stats().computes, 1u);
     EXPECT_EQ(disk.stats().writes, 1u);
 
     // Warm process (fresh in-memory cache, same directory): the
@@ -316,7 +316,7 @@ TEST(DiskCache, ColdWriteWarmReadWithZeroEmissions)
     });
     ASSERT_TRUE(second != nullptr);
     EXPECT_TRUE(samePrograms(*first, *second));
-    EXPECT_EQ(warm.stats().emissions, 0u);
+    EXPECT_EQ(warm.stats().computes, 0u);
     EXPECT_EQ(warm.stats().diskHits, 1u);
 }
 
@@ -438,11 +438,11 @@ TEST(CalibCache, ColdWriteWarmReadIdenticalTiming)
     cpu::InOrderCore shuttle(cpu::InOrderConfig::shuttle());
     matlib::ScalarBackend backend(matlib::ScalarFlavor::Optimized);
 
-    hil::CalibCacheStats before = hil::calibCacheStats();
+    isa::MemoStats before = hil::calibMemo().stats();
     hil::ControllerTiming cold = hil::calibrateTiming(
         shuttle, backend, tinympc::MappingStyle::Library, plant, 0.02,
         10, &disk);
-    hil::CalibCacheStats mid = hil::calibCacheStats();
+    isa::MemoStats mid = hil::calibMemo().stats();
     EXPECT_EQ(mid.computes, before.computes + 1);
     EXPECT_EQ(disk.stats().writes, 1u);
 
@@ -450,7 +450,7 @@ TEST(CalibCache, ColdWriteWarmReadIdenticalTiming)
     hil::ControllerTiming warm = hil::calibrateTiming(
         shuttle, backend, tinympc::MappingStyle::Library, plant, 0.02,
         10, &disk);
-    hil::CalibCacheStats after = hil::calibCacheStats();
+    isa::MemoStats after = hil::calibMemo().stats();
     EXPECT_EQ(after.computes, mid.computes);
     EXPECT_EQ(after.diskHits, mid.diskHits + 1);
     EXPECT_EQ(warm.archName, cold.archName);
@@ -483,11 +483,11 @@ TEST(CalibCache, ColdWriteWarmReadIdenticalTiming)
     EXPECT_EQ(redo.cyclesPerIter, cold.cyclesPerIter);
 
     // nullptr bypasses persistence entirely.
-    hil::CalibCacheStats pre_null = hil::calibCacheStats();
+    isa::MemoStats pre_null = hil::calibMemo().stats();
     hil::ControllerTiming direct = hil::calibrateTiming(
         shuttle, backend, tinympc::MappingStyle::Library, plant, 0.02,
         10, nullptr);
-    EXPECT_EQ(hil::calibCacheStats().computes, pre_null.computes + 1);
+    EXPECT_EQ(hil::calibMemo().stats().computes, pre_null.computes + 1);
     EXPECT_EQ(direct.baseCycles, cold.baseCycles);
 }
 
