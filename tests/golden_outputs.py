@@ -56,6 +56,7 @@ GOLDEN = [
     ("bench_cross_plant.json", "bench/bench_cross_plant", ["--smoke"]),
     ("bench_relin.json", "bench/bench_relin", ["--smoke"]),
     ("bench_dse.json", "bench/bench_dse", ["--smoke"]),
+    ("bench_precision.json", "bench/bench_precision", ["--smoke"]),
 ]
 
 # (name, RTOC_THREADS, start from an empty cache directory)
