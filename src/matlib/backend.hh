@@ -23,8 +23,17 @@
  * Fixed shapes: gemv, gemvSaxpby and gemvT are templates on the
  * matrix shape. gemv<M, N> runs packed::gemv<M, N>, whose trip counts
  * are compile-time constants, and the default <0, 0> takes the shape
- * from the operand. The shape selects only the float32 kernel's code,
- * never its values, the fx:: kernel or the emitted stream.
+ * from the operand. The shape selects only the kernel's code, never
+ * its values or the emitted stream.
+ *
+ * Format dispatch: gemv and gemvSaxpby also take the Datapath they are
+ * compiled for. The default, Dynamic, reads the backend's format on
+ * every call: packed:: at F32, the out-of-line fx:: kernels at the
+ * narrow formats. Bf16 compiles only fx::gemvBf16<M, N>, inline. The
+ * solver picks one instantiation of its passes per solve from the
+ * format, so its bf16 passes inline the bf16 kernels while its f32
+ * passes compile exactly as the Dynamic ones always have (see
+ * Solver::solve). gemvT stays Dynamic.
  *
  * Fusion scopes model §4.1.2: between beginFuse()/endFuse(), backends
  * that support register-resident temporaries (the RVV backend, and
@@ -42,6 +51,12 @@
 #include "matlib/mat.hh"
 
 namespace rtoc::matlib {
+
+/** The datapath a gemv call site is compiled for (see the file comment). */
+enum class Datapath : uint8_t {
+    Dynamic, ///< the backend's format, read at run time
+    Bf16,    ///< bfloat16 only, inline (the backend must be BF16)
+};
 
 /** Compute front plus emission hooks (see the file comment). */
 class Backend
@@ -119,19 +134,24 @@ class Backend
 
     /**
      * gemv whose operand may carry a packed copy (PackedMat). <M, N>
-     * fixes A's shape for the float32 kernel (packed::gemv<M, N>);
-     * the default <0, 0> takes it from the operand.
+     * fixes A's shape for the inline kernels (packed::gemv<M, N>,
+     * fx::gemvBf16<M, N>); the default <0, 0> takes it from the
+     * operand. P is the datapath compiled in (see the file comment).
      */
-    template <int M = 0, int N = 0>
+    template <int M = 0, int N = 0, Datapath P = Datapath::Dynamic>
     void
     gemv(Mat y, const PackedMat &a, Mat x, float alpha = 1.0f,
          float beta = 0.0f)
     {
-        if (fmt_ == NumericFormat::F32)
+        if constexpr (P == Datapath::Bf16) {
+            rtoc_assert(fmt_ == NumericFormat::BF16);
+            fx::gemvBf16<M, N>(fxCache_, y, a.mat, x, alpha, beta);
+        } else if (fmt_ == NumericFormat::F32) {
             packed::gemv<M, N>(y, a, x, alpha, beta);
-        else
+        } else {
             fx::gemv(fmt_, scaling_, fxCounters_, fxCache_, y, a.mat, x,
                      alpha, beta);
+        }
         if (prog_)
             emitGemv(y, a.mat, x, alpha, beta);
     }
@@ -258,18 +278,23 @@ class Backend
      * one pass, bit-identical to gemv then saxpby(y, sa, y, sb, b),
      * and emits exactly that historical two-call sequence, so the
      * micro-op stream (and every cache key derived from it) is
-     * unchanged. <M, N> fixes A's shape as for gemv.
+     * unchanged. <M, N> and P as for gemv.
      */
-    template <int M = 0, int N = 0>
+    template <int M = 0, int N = 0, Datapath P = Datapath::Dynamic>
     void
     gemvSaxpby(Mat y, const PackedMat &a, Mat x, float alpha, float beta,
                float sa, float sb, const Mat &b)
     {
-        if (fmt_ == NumericFormat::F32)
+        if constexpr (P == Datapath::Bf16) {
+            rtoc_assert(fmt_ == NumericFormat::BF16);
+            fx::gemvSaxpbyBf16<M, N>(fxCache_, y, a.mat, x, alpha, beta, sa,
+                                     sb, b);
+        } else if (fmt_ == NumericFormat::F32) {
             packed::gemvSaxpby<M, N>(y, a, x, alpha, beta, sa, sb, b);
-        else
+        } else {
             fx::gemvSaxpby(fmt_, scaling_, fxCounters_, fxCache_, y, a.mat,
                            x, alpha, beta, sa, sb, b);
+        }
         if (prog_) {
             emitGemv(y, a.mat, x, alpha, beta);
             emitSaxpby(y, sa, y, sb, b);

@@ -26,13 +26,47 @@
  * every dot product), the matrix operand once per content change via
  * the backend's OperandCache (its clamps replayed on every hit). The
  * values and both counters are exactly those of quantizing every
- * operand at every MAC.
+ * operand at every MAC, one output after another.
+ *
+ * Layout and lanes. An OperandCache entry holds its grid values in the
+ * layout of the float32 packed:: kernels (packColumns): zero-padded
+ * and column-major, kPackLanes outputs per vector. The dots then run
+ * on packed::detail::rowsOf, four outputs per vector register:
+ *  - bf16: each float lane runs its output's reference chain (acc = 0,
+ *    then acc += a·x in column order), so it rounds exactly like the
+ *    one-output loop. toBf16 has a four-lane twin (bit operations, the
+ *    same quiet-NaN rule) for x, the output stage and the fused
+ *    saxpby. Standalone saxpby stays a plain loop: GCC -O3 vectorizes
+ *    it already.
+ *  - int16: the reference accumulates in int32 and clamps each partial
+ *    sum. An entry keeps its largest per-output sum of |q|; when that
+ *    sum times the call's largest |xq| is at most INT32_MAX, no partial
+ *    sum of any output can reach a clamp, and the exact integer sum
+ *    does not depend on order, so the dots run on int32 lanes. When
+ *    the bound fails, the saturating serial chain reads the same copy
+ *    with a stride.
+ *  - int16 quantize and snap run on four float lanes. The grid scale
+ *    is 2^frac with 0 <= frac <= 126 (forRanges floors frac at 0), so
+ *    scaling is exact until it overflows to ±Inf, which clamps and
+ *    counts as the double reference does; grid values fit 16 bits, so
+ *    trunc, the ±0.5 compare and the dequantize are exact too. Every
+ *    lane is clamped before it is converted to int.
+ *  - int32 keeps the scalar double path and the serial saturating
+ *    chain: its 31-bit grid values are not exact in float.
+ * When y overlaps A, x or b, the kernels re-read their operands after
+ * every store, in the reference order. int16 saxpby runs its lanes
+ * only where out is disjoint from each input or identical to it.
+ *
+ * gemvBf16 and gemvSaxpbyBf16 are the bf16 kernels as header templates
+ * on the operand shape, like packed::gemv<M, N>: the solver's bf16
+ * passes inline them at the registry shapes (see Backend::gemv).
  */
 
 #ifndef RTOC_MATLIB_FIXED_HH
 #define RTOC_MATLIB_FIXED_HH
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -75,7 +109,40 @@ NumericFormat defaultFormat();
 namespace fx {
 
 /** Truncate @p v to bfloat16 (round-to-nearest-even). */
-float toBf16(float v);
+inline float
+toBf16(float v)
+{
+    uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    // Round to nearest even on the truncated 16 mantissa bits; NaN
+    // payloads are forced to a quiet pattern instead of rounding.
+    if ((bits & 0x7f800000u) == 0x7f800000u && (bits & 0x007fffffu)) {
+        bits = (bits & 0xffff0000u) | 0x00400000u;
+    } else {
+        bits += 0x7fffu + ((bits >> 16) & 1u);
+        bits &= 0xffff0000u;
+    }
+    float out;
+    std::memcpy(&out, &bits, sizeof(out));
+    return out;
+}
+
+/** toBf16 on four lanes, bit for bit. */
+inline packed::detail::Vec
+toBf16(packed::detail::Vec v)
+{
+    typedef uint32_t UVec __attribute__((vector_size(sizeof v)));
+    UVec bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    const UVec nan = (UVec)(((bits & 0x7f800000u) == 0x7f800000u) &
+                            ((bits & 0x007fffffu) != 0u));
+    const UVec quiet = (bits & 0xffff0000u) | 0x00400000u;
+    const UVec rounded =
+        (bits + 0x7fffu + ((bits >> 16) & 1u)) & 0xffff0000u;
+    bits = (nan & quiet) | (~nan & rounded);
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
 
 /**
  * Per-kernel Q-format schedule: fraction bits of the matrix operand,
@@ -121,7 +188,8 @@ struct Counters
 /**
  * Quantized copies of the matrix operands of gemv/gemvT. The solver's
  * gain and dynamics matrices change only at a model refresh, so their
- * grid values are computed once and reused on every tick.
+ * grid values are computed once and reused on every tick. Each copy is
+ * in the packed layout (see the file comment).
  *
  * Every lookup validates the entry against a bitwise snapshot of the
  * operand and against the format and fraction bits it was quantized
@@ -138,8 +206,9 @@ class OperandCache
 {
   public:
     /**
-     * One matrix operand on one grid, stored with one contiguous row
-     * per output element: the rows of A, or its columns for gemvT.
+     * One matrix operand on one grid. The outputs are the rows of A,
+     * or its columns for gemvT; element (o, k) of output o's dot is at
+     * k * packedRows(outputs) + o, and the padding outputs are zero.
      */
     struct Entry
     {
@@ -152,6 +221,7 @@ class OperandCache
         std::vector<float> snapshot; ///< operand bits when quantized
         std::vector<int32_t> fixed;  ///< grid values (I16/I32)
         std::vector<float> bf16;     ///< rounded values (BF16)
+        int64_t absSum = 0;          ///< largest per-output sum of |q|
         uint64_t sats = 0;           ///< quantizer clamps of one pass
     };
 
@@ -204,6 +274,128 @@ void gemvSaxpby(NumericFormat f, const Scaling &s, Counters &c,
                 OperandCache &cache, Mat y, const Mat &a, Mat x,
                 float alpha, float beta, float sa, float sb,
                 const Mat &b);
+
+namespace detail {
+
+/** True when y overlaps A or x: rows must re-read both operands. */
+inline bool
+aliasesInput(Mat y, const Mat &a, Mat x)
+{
+    return !disjoint(y.data, y.cols, a.data, a.size()) ||
+           !disjoint(y.data, y.cols, x.data, x.cols);
+}
+
+/**
+ * The bf16 output stage of gemv, y = toBf16(alpha·dot +
+ * beta·toBf16(y)), followed when Fused by gemvSaxpby's
+ * y = toBf16(sa·toBf16(y) + sb·toBf16(b)); on one output or four.
+ */
+template <bool Fused>
+struct Bf16Out
+{
+    float *y;
+    const float *b;
+    float alpha, beta, sa, sb;
+
+    template <typename T>
+    T
+    value(T dot, T yv, T bv) const
+    {
+        const T v = toBf16(alpha * dot + beta * toBf16(yv));
+        if constexpr (Fused)
+            return toBf16(sa * toBf16(v) + sb * toBf16(bv));
+        else
+            return v;
+    }
+
+    void
+    lanes(int i, packed::detail::Vec acc)
+    {
+        using packed::detail::load;
+        packed::detail::store(
+            y + i, value(acc, load(y + i),
+                         Fused ? load(b + i) : packed::detail::Vec{}));
+    }
+
+    void
+    one(int i, float acc)
+    {
+        y[i] = value(acc, y[i], Fused ? b[i] : 0.0f);
+    }
+};
+
+/**
+ * The bf16 dots of every output of A (A^T when @p transposed), from
+ * the cached packed copy and x rounded on four lanes, written through
+ * @p out. <M, N> fixes A's shape (gemv only); <0, 0> reads it.
+ */
+template <int M, int N, typename Out>
+inline void
+bf16Rows(OperandCache &cache, const Mat &a, Mat x, bool transposed,
+         Out &out)
+{
+    static_assert(M >= 0 && N >= 0 && (M == 0) == (N == 0),
+                  "fix both dimensions or neither");
+    rtoc_assert(M == 0 || (!transposed && a.rows == M && a.cols == N));
+    const OperandCache::Entry &e =
+        cache.lookup(NumericFormat::BF16, a, 0, transposed);
+    const int m = M ? M : (transposed ? a.cols : a.rows);
+    const int n = N ? N : x.cols;
+    float stack[N > 0 ? N : 1];
+    float *xb = N > 0 ? stack : cache.bf16Scratch(n);
+    int j = 0;
+    for (; j + kPackLanes <= n; j += kPackLanes)
+        packed::detail::store(xb + j,
+                              toBf16(packed::detail::load(x.data + j)));
+    for (; j < n; ++j)
+        xb[j] = toBf16(x.data[j]);
+    packed::detail::rowsOf(e.bf16.data(), packedRows(m), m, n,
+                           static_cast<const float *>(xb), out);
+}
+
+} // namespace detail
+
+/**
+ * gemv on the bf16 datapath, A M x N (any shape at <0, 0>): inline,
+ * with constant trip counts at a fixed shape, and bit-identical to
+ * gemv(NumericFormat::BF16, ...).
+ */
+template <int M = 0, int N = 0>
+inline void
+gemvBf16(OperandCache &cache, Mat y, const Mat &a, Mat x, float alpha,
+         float beta)
+{
+    rtoc_assert(y.isVec() && x.isVec());
+    rtoc_assert(a.rows == y.cols && a.cols == x.cols);
+    if (detail::aliasesInput(y, a, x)) {
+        Counters none; // bf16 counts no saturation
+        gemv(NumericFormat::BF16, Scaling(), none, cache, y, a, x, alpha,
+             beta);
+        return;
+    }
+    detail::Bf16Out<false> out{y.data, nullptr, alpha, beta, 0.0f, 0.0f};
+    detail::bf16Rows<M, N>(cache, a, x, false, out);
+}
+
+/** gemvSaxpby on the bf16 datapath; shapes as gemvBf16. */
+template <int M = 0, int N = 0>
+inline void
+gemvSaxpbyBf16(OperandCache &cache, Mat y, const Mat &a, Mat x,
+               float alpha, float beta, float sa, float sb, const Mat &b)
+{
+    rtoc_assert(b.isVec() && b.cols == y.cols);
+    if (detail::aliasesInput(y, a, x) ||
+        !disjoint(y.data, y.cols, b.data, b.cols)) {
+        Counters none; // bf16 counts no saturation
+        gemvSaxpby(NumericFormat::BF16, Scaling(), none, cache, y, a, x,
+                   alpha, beta, sa, sb, b);
+        return;
+    }
+    rtoc_assert(y.isVec() && x.isVec());
+    rtoc_assert(a.rows == y.cols && a.cols == x.cols);
+    detail::Bf16Out<true> out{y.data, b.data, alpha, beta, sa, sb};
+    detail::bf16Rows<M, N>(cache, a, x, false, out);
+}
 
 } // namespace fx
 

@@ -194,10 +194,19 @@ static_assert(kPackLanes == 4, "Vec and broadcast() assume 4 lanes");
 // code elsewhere. Lanewise + and * round exactly like the scalar ops.
 typedef float Vec __attribute__((vector_size(4 * sizeof(float))));
 
-inline Vec
-load(const float *p)
+/** Four int32 lanes: the int16 datapath's exact dot products. */
+typedef int32_t IVec __attribute__((vector_size(4 * sizeof(int32_t))));
+
+/** The vector of kPackLanes elements of type T. */
+template <typename T> struct LanesOf;
+template <> struct LanesOf<float> { using type = Vec; };
+template <> struct LanesOf<int32_t> { using type = IVec; };
+
+template <typename T>
+inline typename LanesOf<T>::type
+load(const T *p)
 {
-    Vec v;
+    typename LanesOf<T>::type v;
     std::memcpy(&v, p, sizeof v);
     return v;
 }
@@ -209,29 +218,29 @@ store(float *p, Vec v)
 }
 
 /** All lanes = @p s (no arithmetic: -0.0 and NaN bits survive). */
-inline Vec
-broadcast(float s)
+template <typename T>
+inline typename LanesOf<T>::type
+broadcast(T s)
 {
-    return Vec{s, s, s, s};
+    return typename LanesOf<T>::type{s, s, s, s};
 }
 
 /**
  * One block of V vectors of outputs starting at row @p i0: the dot
  * chains over all n columns, then @p out writes each vector of outputs
  * (@p out.lanes, or the scalar @p out.one for the lanes of a partial
- * last vector).
+ * last vector). T is float, or int32_t for the int16 datapath.
  */
-template <int V, typename Out>
+template <int V, typename T, typename Out>
 inline void
-block(const float *cols, int ld, int n, const float *x, int i0, int m,
-      Out &out)
+block(const T *cols, int ld, int n, const T *x, int i0, int m, Out &out)
 {
-    Vec acc[V];
+    typename LanesOf<T>::type acc[V];
     for (int v = 0; v < V; ++v)
-        acc[v] = Vec{};
-    const float *col = cols + i0;
+        acc[v] = typename LanesOf<T>::type{};
+    const T *col = cols + i0;
     for (int j = 0; j < n; ++j, col += ld) {
-        const Vec xj = broadcast(x[j]);
+        const auto xj = broadcast(x[j]);
         for (int v = 0; v < V; ++v)
             acc[v] += load(col + kPackLanes * v) * xj;
     }
@@ -248,12 +257,12 @@ block(const float *cols, int ld, int n, const float *x, int i0, int m,
 
 /**
  * Blocks of up to four vectors (16 outputs) covering @p m outputs of
- * a column-major operand with @p n columns @p ld floats apart. At a
+ * a column-major operand with @p n columns @p ld elements apart. At a
  * fixed shape the block loop and the switch fold away.
  */
-template <typename Out>
+template <typename T, typename Out>
 inline void
-rowsOf(const float *cols, int ld, int m, int n, const float *x, Out &out)
+rowsOf(const T *cols, int ld, int m, int n, const T *x, Out &out)
 {
     const int rows = packedRows(m);
     constexpr int kBlock = 4 * kPackLanes;

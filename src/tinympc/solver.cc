@@ -105,16 +105,18 @@ Solver::setup()
 }
 
 /*
- * The passes with gemvs are templates on the plant shape (see
- * iterate). flatten inlines every call the compiler can see into the
- * pass: the Backend operation, its packed:: kernel with its constant
+ * The passes with gemvs are templates on the plant shape and the
+ * datapath (see iterate). flatten inlines every call the compiler can
+ * see into the pass: the Backend operation, its packed:: kernel (or,
+ * on the Bf16 datapath, its fx::gemvBf16 kernel) with its constant
  * trip counts, and the KernelScope. A host pass at a registry shape is
  * then one straight-line loop over the horizon, and only the ref::
- * elementwise kernels, the fx:: kernels and the emission hooks remain
- * calls. GCC's own heuristics inline some of these operations and not
- * others.
+ * elementwise kernels, the out-of-line fx:: kernels, the operand-cache
+ * lookup and the emission hooks remain calls. GCC's own heuristics
+ * inline some of these operations and not others. The f32 passes are
+ * their own instantiation, so the bf16 kernels never grow them.
  */
-template <int NX, int NU>
+template <int NX, int NU, matlib::Datapath P>
 __attribute__((flatten)) void
 Solver::forwardPass()
 {
@@ -132,18 +134,18 @@ Solver::forwardPass()
         {
             KernelScope k(backend_, kid().forwardPass1);
             // u[i] = -Kinf x[i] - d[i]
-            backend_.gemvSaxpby<NU, NX>(ui, kinf, xi, -1.0f, 0.0f, 1.0f,
-                                        -1.0f, di);
+            backend_.gemvSaxpby<NU, NX, P>(ui, kinf, xi, -1.0f, 0.0f, 1.0f,
+                                           -1.0f, di);
         }
         {
             KernelScope k(backend_, kid().forwardPass2);
             // x[i+1] = Adyn x[i] + Bdyn u[i] (+ cd off-trim)
-            backend_.gemv<NX, NX>(xn, adyn, xi, 1.0f, 0.0f);
+            backend_.gemv<NX, NX, P>(xn, adyn, xi, 1.0f, 0.0f);
             if (ws_.hasAffine) {
-                backend_.gemvSaxpby<NX, NU>(xn, bdyn, ui, 1.0f, 1.0f, 1.0f,
-                                            1.0f, ws_.affine.view());
+                backend_.gemvSaxpby<NX, NU, P>(xn, bdyn, ui, 1.0f, 1.0f,
+                                               1.0f, 1.0f, ws_.affine.view());
             } else {
-                backend_.gemv<NX, NU>(xn, bdyn, ui, 1.0f, 1.0f);
+                backend_.gemv<NX, NU, P>(xn, bdyn, ui, 1.0f, 1.0f);
             }
         }
         if (style_ == MappingStyle::Fused)
@@ -273,7 +275,7 @@ Solver::updateLinearCost()
     }
 }
 
-template <int NX, int NU>
+template <int NX, int NU, matlib::Datapath P>
 __attribute__((flatten)) void
 Solver::backwardPass()
 {
@@ -302,16 +304,16 @@ Solver::backwardPass()
         {
             KernelScope k(backend_, kid().backwardPass1);
             // d[i] = Quu_inv (Bdyn^T p[i+1] + r[i])
-            backend_.gemvSaxpby<NU, NX>(tmp, bdynT, pn, 1.0f, 0.0f, 1.0f,
-                                        1.0f, ri);
-            backend_.gemv<NU, NU>(di, quuInv, tmp, 1.0f, 0.0f);
+            backend_.gemvSaxpby<NU, NX, P>(tmp, bdynT, pn, 1.0f, 0.0f,
+                                           1.0f, 1.0f, ri);
+            backend_.gemv<NU, NU, P>(di, quuInv, tmp, 1.0f, 0.0f);
         }
         {
             KernelScope k(backend_, kid().backwardPass2);
             // p[i] = q[i] + AmBKt p[i+1] - Kinf^T r[i]
-            backend_.gemvSaxpby<NX, NX>(pi, amBKt, pn, 1.0f, 0.0f, 1.0f,
-                                        1.0f, ws_.q.row(i));
-            backend_.gemv<NX, NU>(pi, kinfT, ri, -1.0f, 1.0f);
+            backend_.gemvSaxpby<NX, NX, P>(pi, amBKt, pn, 1.0f, 0.0f, 1.0f,
+                                           1.0f, ws_.q.row(i));
+            backend_.gemv<NX, NU, P>(pi, kinfT, ri, -1.0f, 1.0f);
         }
         if (style_ == MappingStyle::Fused)
             backend_.endFuse();
@@ -349,16 +351,16 @@ Solver::checkResiduals(SolveResult &res)
            res.dualResidualInput < s.duaTol;
 }
 
-template <int NX, int NU>
+template <int NX, int NU, matlib::Datapath P>
 void
 Solver::iterate(int bound, SolveResult &res)
 {
     for (int iter = 1; iter <= bound; ++iter) {
-        forwardPass<NX, NU>();
+        forwardPass<NX, NU, P>();
         updateSlack();
         updateDual();
         updateLinearCost<NX, NU>();
-        backwardPass<NX, NU>();
+        backwardPass<NX, NU, P>();
         res.iterations = iter;
 
         bool check = (iter % ws_.settings.checkTermination) == 0;
@@ -374,6 +376,16 @@ Solver::iterate(int bound, SolveResult &res)
         if (res.converged)
             break;
     }
+}
+
+template <int NX, int NU>
+void
+Solver::iterateAt(int bound, SolveResult &res)
+{
+    if (backend_.format() == matlib::NumericFormat::BF16)
+        iterate<NX, NU, matlib::Datapath::Bf16>(bound, res);
+    else
+        iterate<NX, NU, matlib::Datapath::Dynamic>(bound, res);
 }
 
 SolveResult
@@ -394,18 +406,19 @@ Solver::solve(int max_iters)
                                     : s.maxIters;
 
     // The registry plants' shapes run fixed-shape gemvs; any other
-    // shape runs the same passes with run-time dimensions.
+    // shape runs the same passes with run-time dimensions. Each shape
+    // has an f32/int instantiation and a bf16 one (iterateAt).
     const int nx = ws_.nx, nu = ws_.nu;
     if (nx == 12 && nu == 4)
-        iterate<12, 4>(bound, res); // quadrotor
+        iterateAt<12, 4>(bound, res); // quadrotor
     else if (nx == 6 && nu == 3)
-        iterate<6, 3>(bound, res); // rocket lander
+        iterateAt<6, 3>(bound, res); // rocket lander
     else if (nx == 5 && nu == 2)
-        iterate<5, 2>(bound, res); // rover
+        iterateAt<5, 2>(bound, res); // rover
     else if (nx == 4 && nu == 1)
-        iterate<4, 1>(bound, res); // cart-pole
+        iterateAt<4, 1>(bound, res); // cart-pole
     else
-        iterate<0, 0>(bound, res);
+        iterateAt<0, 0>(bound, res);
     // Export the solution to the CPU/actuators (Gemmini: mvout+fence).
     backend_.sync();
 

@@ -80,9 +80,10 @@ class Solver
      * budget stops the iteration early and returns the best iterate
      * so far (warm starting keeps it usable as a degraded command).
      *
-     * The iterations run at the workspace's shape (nx, nu): fixed at
-     * compile time for the registry plants, at run time otherwise
-     * (see iterate). Fatal when settings.maxIters or
+     * The iterations run at the workspace's shape (nx, nu), fixed at
+     * compile time for the registry plants and at run time otherwise,
+     * and on the backend's datapath format (see iterate), both read
+     * once per solve. Fatal when settings.maxIters or
      * settings.checkTermination is below 1 (the loop cannot run them).
      */
     SolveResult solve(int max_iters = 0);
@@ -99,20 +100,26 @@ class Solver
     void checkFusedEmission() const;
 
     /**
-     * Up to @p bound ADMM iterations at plant shape <NX, NU> (nx, nu):
-     * solve() instantiates it for each registry plant's shape, whose
-     * passes then run fixed-shape gemvs, and at <0, 0> (run-time
-     * dimensions) for any other shape. Every instantiation computes
-     * the same values and calls the same emission hooks in the same
-     * order, with or without a Program.
+     * Up to @p bound ADMM iterations at plant shape <NX, NU> (nx, nu)
+     * on datapath P: solve() instantiates it for each registry plant's
+     * shape, whose passes then run fixed-shape gemvs, and at <0, 0>
+     * (run-time dimensions) for any other shape; P is Bf16 on a bf16
+     * backend, whose passes then inline the bf16 kernels, and Dynamic
+     * otherwise (the f32 passes, and the out-of-line int kernels).
+     * Every instantiation computes the same values and calls the same
+     * emission hooks in the same order, with or without a Program.
      */
-    template <int NX, int NU> void iterate(int bound, SolveResult &res);
+    template <int NX, int NU, matlib::Datapath P>
+    void iterate(int bound, SolveResult &res);
 
-    template <int NX, int NU> void forwardPass();
+    /** iterate<NX, NU, P> with P picked from the backend's format. */
+    template <int NX, int NU> void iterateAt(int bound, SolveResult &res);
+
+    template <int NX, int NU, matlib::Datapath P> void forwardPass();
     void updateSlack();
     void updateDual();
     template <int NX, int NU> void updateLinearCost();
-    template <int NX, int NU> void backwardPass();
+    template <int NX, int NU, matlib::Datapath P> void backwardPass();
 
     /** Compute all four residuals; returns true when converged. */
     bool checkResiduals(SolveResult &res);

@@ -9,8 +9,9 @@
  * whether the format is defaulted or set explicitly, narrow streams
  * survive schedule search and batched replay bit-exactly, formats
  * round-trip through the program codec / disk cache under distinct
- * keys, and the DSE format axis enumerates without disturbing the
- * single-format default.
+ * keys, the DSE format axis enumerates without disturbing the
+ * single-format default, and format names parse back while anything
+ * else is rejected.
  */
 
 #include <algorithm>
@@ -601,19 +602,98 @@ oracleDefined(const FxCall &k)
            0x1p62;
 }
 
+/** A narrow-format scalar backend with a calibrated schedule. */
+std::unique_ptr<matlib::Backend>
+narrowBackend(NumericFormat f, const fx::Scaling &s)
+{
+    auto b = std::make_unique<matlib::ScalarBackend>(
+        matlib::ScalarFlavor::Optimized);
+    b->setFormat(f);
+    b->setFixedScaling(s);
+    return b;
+}
+
+/**
+ * runTwice through the fixed-shape entry points of a narrow backend, as
+ * the solver's passes call them: gemv and gemvSaxpby at <M, N> on the
+ * bf16 datapath (Datapath::Bf16) or the run-time one, and gemvT<M, N>.
+ */
+template <int M, int N>
+FxRun
+runTwiceFixed(const FxCall &k)
+{
+    constexpr matlib::Datapath kBf16 = matlib::Datapath::Bf16;
+    std::vector<float> mem = k.mem;
+    float *base = mem.data();
+    Mat a = k.aMat(base), x = k.xMat(base), y = k.yMat(base),
+        b = k.bMat(base);
+    const matlib::PackedMat pa{a};
+    const bool bf16 = k.fmt == NumericFormat::BF16;
+    auto backend = narrowBackend(k.fmt, k.scaling);
+    FxRun run;
+    for (int rep = 0; rep < 2; ++rep) {
+        switch (k.kernel) {
+          case Kernel::Gemv:
+            if (bf16)
+                backend->gemv<M, N, kBf16>(y, pa, x, k.alpha, k.beta);
+            else
+                backend->gemv<M, N>(y, pa, x, k.alpha, k.beta);
+            break;
+          case Kernel::GemvT:
+            backend->gemvT<M, N>(y, a, x, k.alpha, k.beta);
+            break;
+          case Kernel::GemvSaxpby:
+            if (bf16) {
+                backend->gemvSaxpby<M, N, kBf16>(y, pa, x, k.alpha, k.beta,
+                                                 k.sa, k.sb, b);
+            } else {
+                backend->gemvSaxpby<M, N>(y, pa, x, k.alpha, k.beta, k.sa,
+                                          k.sb, b);
+            }
+            break;
+          case Kernel::Saxpby:
+            ADD_FAILURE() << "saxpby has no fixed shape";
+            break;
+        }
+        run.mem.push_back(mem);
+        run.counters.push_back(backend->fxCounters());
+    }
+    return run;
+}
+
+/** A fixed-shape runner (runTwiceFixed<M, N>) for an M x N operand. */
+struct FixedShape
+{
+    int rows, cols;
+    FxRun (*run)(const FxCall &);
+};
+
+/** Every gemv operand shape of the registry plants' solver passes. */
+const FixedShape kFixedShapes[] = {
+    {12, 12, &runTwiceFixed<12, 12>}, {4, 12, &runTwiceFixed<4, 12>},
+    {12, 4, &runTwiceFixed<12, 4>},   {4, 4, &runTwiceFixed<4, 4>},
+    {6, 6, &runTwiceFixed<6, 6>},     {3, 6, &runTwiceFixed<3, 6>},
+    {6, 3, &runTwiceFixed<6, 3>},     {3, 3, &runTwiceFixed<3, 3>},
+    {5, 5, &runTwiceFixed<5, 5>},     {2, 5, &runTwiceFixed<2, 5>},
+    {5, 2, &runTwiceFixed<5, 2>},     {2, 2, &runTwiceFixed<2, 2>},
+    {1, 4, &runTwiceFixed<1, 4>},     {4, 1, &runTwiceFixed<4, 1>},
+    {1, 1, &runTwiceFixed<1, 1>},
+};
+
 /**
  * Expect the production kernels to reproduce the oracle on @p k: every
- * buffer bit (see sameBits) and both
- * counters, after each of two calls. Returns false (checking nothing)
- * where the oracle is undefined.
+ * buffer bit (see sameBits) and both counters, after each of two calls.
+ * The production side is the fx:: kernels, or @p fixed when given.
+ * Returns false (checking nothing) where the oracle is undefined.
  */
 bool
-expectMatchesOracle(const FxCall &k, const std::string &what)
+expectMatchesOracle(const FxCall &k, const std::string &what,
+                    const FixedShape *fixed = nullptr)
 {
     if (!oracleDefined(k))
         return false;
     const FxRun want = runTwice(k, true);
-    const FxRun got = runTwice(k, false);
+    const FxRun got = fixed ? fixed->run(k) : runTwice(k, false);
     const std::string tag = what + " " + kernelName(k.kernel) + " " +
                             matlib::formatName(k.fmt);
     for (size_t r = 0; r < want.mem.size(); ++r) {
@@ -660,7 +740,8 @@ constexpr Kernel kKernels[] = {Kernel::Gemv, Kernel::GemvT,
 TEST(FxOracle, RandomShapesMatchPerMacKernelsBitForBit)
 {
     // Every registry (nx, nu) shape and the wide nx=100 one: the
-    // solver's nx x nx, nu x nx, nx x nu and nu x nu operands.
+    // solver's nx x nx, nu x nx, nx x nu and nu x nu operands. The
+    // registry shapes also run through the fixed-shape entry points.
     std::vector<std::pair<int, int>> shapes;
     for (auto [nx, nu] : std::vector<std::pair<int, int>>{
              {12, 4}, {6, 3}, {5, 2}, {4, 1}, {100, 4}}) {
@@ -673,18 +754,29 @@ TEST(FxOracle, RandomShapesMatchPerMacKernelsBitForBit)
                             1 + static_cast<int>(shape_rng.next() % 20));
     }
 
-    Rng rng(99);
-    std::map<NumericFormat, int> compared;
+    Rng rng(99), wide(7);
+    std::map<NumericFormat, int> compared, fixed;
     for (NumericFormat f : kNarrow) {
         for (auto [rows, cols] : shapes) {
             for (const fx::Scaling &s : oracleScalings(f, rows + cols)) {
-                for (float scale : {1.0f, 3.0f}) {
+                // Unit and 3x magnitudes, and (scale 0) ±2^-12, ±1 and
+                // ±2^12: their products ±2^24 cancel and absorb the
+                // ±1 products between them, so a float sum in any other
+                // order lands on a different bf16 value.
+                for (float scale : {1.0f, 3.0f, 0.0f}) {
                     for (const Scalars &sc : kScalars) {
                         for (Kernel k : kKernels) {
                             FxCall c = disjointCall(k, f, s, rows, cols);
                             for (float &v : c.mem) {
-                                v = scale * static_cast<float>(
-                                                rng.uniform(-1.0, 1.0));
+                                if (scale > 0.0f) {
+                                    v = scale * static_cast<float>(
+                                                    rng.uniform(-1.0, 1.0));
+                                    continue;
+                                }
+                                const int binade =
+                                    static_cast<int>(wide.next() % 3) - 1;
+                                v = std::ldexp(wide.next() % 2 ? -1.0f : 1.0f,
+                                               12 * binade);
                             }
                             c.alpha = sc.alpha;
                             c.beta = sc.beta;
@@ -694,6 +786,13 @@ TEST(FxOracle, RandomShapesMatchPerMacKernelsBitForBit)
                                 std::to_string(rows) + "x" +
                                 std::to_string(cols);
                             compared[f] += expectMatchesOracle(c, what);
+                            for (const FixedShape &fs : kFixedShapes) {
+                                if (fs.rows == rows && fs.cols == cols &&
+                                    k != Kernel::Saxpby) {
+                                    fixed[f] += expectMatchesOracle(
+                                        c, what + " fixed", &fs);
+                                }
+                            }
                         }
                     }
                 }
@@ -701,8 +800,10 @@ TEST(FxOracle, RandomShapesMatchPerMacKernelsBitForBit)
         }
     }
     // The i32 overflow guard must leave most of the sweep compared.
-    for (NumericFormat f : kNarrow)
+    for (NumericFormat f : kNarrow) {
         EXPECT_GT(compared[f], 500) << matlib::formatName(f);
+        EXPECT_GT(fixed[f], 250) << matlib::formatName(f);
+    }
 }
 
 TEST(FxOracle, EngineeredOperandsMatchPerMacKernels)
@@ -734,23 +835,58 @@ TEST(FxOracle, EngineeredOperandsMatchPerMacKernels)
         auto engineered = [&] { return special[pick++ % special.size()]; };
 
         for (Kernel k : kKernels) {
-            for (int layout = 0; layout < 3; ++layout) {
-                // Special values in A only, in x only, or everywhere.
-                FxCall c = disjointCall(k, f, s, 6, 7);
-                for (size_t i = 0; i < c.mem.size(); ++i) {
-                    const bool in_a =
-                        i >= c.aOff &&
-                        i < c.aOff + static_cast<size_t>(c.aLen());
-                    const bool special_here =
-                        layout == 2 || (layout == 0) == in_a;
-                    c.mem[i] = special_here ? engineered() : moderate();
+            // 9 x 10 puts special values in whole four-lane vectors and
+            // in the tail lanes of every operand and output.
+            for (auto [rows, cols] : {std::pair{6, 7}, std::pair{9, 10}}) {
+                for (int layout = 0; layout < 3; ++layout) {
+                    // Special values in A only, in x only, or everywhere.
+                    FxCall c = disjointCall(k, f, s, rows, cols);
+                    for (size_t i = 0; i < c.mem.size(); ++i) {
+                        const bool in_a =
+                            i >= c.aOff &&
+                            i < c.aOff + static_cast<size_t>(c.aLen());
+                        const bool special_here =
+                            layout == 2 || (layout == 0) == in_a;
+                        c.mem[i] = special_here ? engineered() : moderate();
+                    }
+                    c.alpha = 0.75f;
+                    c.beta = -1.5f;
+                    c.sa = 1.25f;
+                    c.sb = -0.5f;
+                    expectMatchesOracle(
+                        c, std::to_string(rows) + "x" + std::to_string(cols) +
+                               " special layout " + std::to_string(layout));
                 }
-                c.alpha = 0.75f;
-                c.beta = -1.5f;
-                c.sa = 1.25f;
-                c.sb = -0.5f;
-                expectMatchesOracle(
-                    c, "special layout " + std::to_string(layout));
+            }
+
+            // The int16 lane bound (see matlib/fixed.hh): a k x k block of
+            // 32767-grid products. Two per dot sum to 2 * 32767^2 <=
+            // INT32_MAX, inside the bound, so the int32 lanes run; three
+            // make the reference chain clamp, so the saturating chain
+            // runs.
+            for (int kprod : {2, 3}) {
+                if (k == Kernel::Saxpby)
+                    break;
+                FxCall c = disjointCall(k, f, s, 5, 9);
+                const float top = grid(lim);
+                for (int i = 0; i < kprod; ++i) {
+                    c.mem[c.xOff + static_cast<size_t>(i)] = top;
+                    for (int j = 0; j < kprod; ++j)
+                        c.mem[c.aOff + static_cast<size_t>(i * c.cols + j)] =
+                            top;
+                }
+                const bool checked = expectMatchesOracle(
+                    c, std::to_string(kprod) + " lim products");
+                EXPECT_TRUE(checked || f == NumericFormat::I32);
+                if (f == NumericFormat::I16 && k == Kernel::Gemv) {
+                    // The accumulator clamps only at three products.
+                    fx::Counters oc;
+                    std::vector<float> mem = c.mem;
+                    oracle::gemvAny(f, s, oc, c.yMat(mem.data()),
+                                    c.aMat(mem.data()), c.xMat(mem.data()),
+                                    1.0f, 0.0f, false);
+                    EXPECT_EQ(oc.accSats > 0, kprod == 3) << kprod;
+                }
             }
 
             // Accumulator saturation: long same-sign (and mixed-sign)
@@ -793,6 +929,26 @@ TEST(FxOracle, OverlappingOperandsKeepReferenceOrder)
                 c.sb = -1.0f;
                 EXPECT_TRUE(expectMatchesOracle(
                     c, "overlap layout " + std::to_string(layout)));
+            }
+        }
+
+        // Standalone saxpby with out one element after or before a or
+        // b: each element reads what the previous store wrote (or is
+        // about to overwrite). n = 9 spans whole vectors and a tail.
+        for (int shift : {1, -1}) {
+            for (bool onto_a : {true, false}) {
+                FxCall c = disjointCall(Kernel::Saxpby, f, s, 1, 9);
+                c.aOff = 1;                 // room for a - 1
+                c.bOff = c.aOff + 9 + 2;    // room between a and b
+                c.mem.assign(c.bOff + 9 + 1, 0.0f);
+                c.yOff = (onto_a ? c.aOff : c.bOff) + shift;
+                for (float &v : c.mem)
+                    v = static_cast<float>(rng.uniform(-1.0, 1.0));
+                c.sa = 0.75f;
+                c.sb = -1.25f;
+                EXPECT_TRUE(expectMatchesOracle(
+                    c, std::string("saxpby out ") + (onto_a ? "a" : "b") +
+                           (shift > 0 ? "+1" : "-1")));
             }
         }
     }
@@ -863,17 +1019,6 @@ TEST(FxKernels, LeftShiftScheduleSaturatesAndCounts)
 }
 
 // --- operand cache: refresh, rescale, reformat ---
-
-/** A narrow-format scalar backend with a calibrated schedule. */
-std::unique_ptr<matlib::Backend>
-narrowBackend(NumericFormat f, const fx::Scaling &s)
-{
-    auto b = std::make_unique<matlib::ScalarBackend>(
-        matlib::ScalarFlavor::Optimized);
-    b->setFormat(f);
-    b->setFixedScaling(s);
-    return b;
-}
 
 /** Run @p k's kernel once through @p b on @p mem, in place (no
  *  emission); returns the counter increments of the call. */
@@ -1138,6 +1283,20 @@ TEST(FormatEpisodePins, NarrowEpisodesReproducePinnedResults)
 }
 
 // --- float32 byte-identity ---
+
+TEST(FormatParse, NamesRoundTripAndHostileInputDies)
+{
+    for (NumericFormat f : {NumericFormat::F32, NumericFormat::I16,
+                            NumericFormat::I32, NumericFormat::BF16})
+        EXPECT_EQ(matlib::parseFormat(matlib::formatName(f)), f);
+    // parseFormat, not defaultFormat(): the latter latches its first
+    // read for the whole process, so a death test through it would
+    // depend on test order.
+    for (const char *bad : {"", "F32", "i8", "f32 ", "bf16x"}) {
+        EXPECT_DEATH(matlib::parseFormat(bad), "unknown numeric format")
+            << "'" << bad << "'";
+    }
+}
 
 TEST(FormatIdentity, ExplicitF32MatchesDefaultEverywhere)
 {
