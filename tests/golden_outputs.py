@@ -50,9 +50,31 @@ GOLDEN = [
     ("bench_sec53_concurrent.txt", "bench/bench_sec53_concurrent", []),
     ("bench_tab1_variants.txt", "bench/bench_tab1_variants", []),
     ("bench_ablation_design.txt", "bench/bench_ablation_design", []),
+    ("bench_fig01_flop_breakdown.txt", "bench/bench_fig01_flop_breakdown",
+     []),
+    ("bench_fig03_matlib_vs_handopt.txt",
+     "bench/bench_fig03_matlib_vs_handopt", []),
+    ("bench_fig04_lmul.txt", "bench/bench_fig04_lmul", []),
+    ("bench_fig05_fusion.txt", "bench/bench_fig05_fusion", []),
+    ("bench_fig06_gemmini_static.txt", "bench/bench_fig06_gemmini_static",
+     []),
+    ("bench_fig07_gemmini_spad.txt", "bench/bench_fig07_gemmini_spad", []),
+    ("bench_fig09_sync_granularity.txt",
+     "bench/bench_fig09_sync_granularity", []),
+    ("bench_fig11_saturn_frontend.txt", "bench/bench_fig11_saturn_frontend",
+     []),
+    ("bench_fig12_gemmini_breakdown.txt",
+     "bench/bench_fig12_gemmini_breakdown", []),
+    ("bench_fig13_kernel_comparison.txt",
+     "bench/bench_fig13_kernel_comparison", []),
+    ("bench_sec43_codegen.txt", "bench/bench_sec43_codegen", []),
+    ("bench_sched_rt.txt", "bench/bench_sched_rt", ["--smoke"]),
+    ("bench_schedule.txt", "bench/bench_schedule", ["--smoke"]),
     ("quickstart.txt", "examples/quickstart", []),
     ("drone_tracking.txt", "examples/drone_tracking", []),
     ("swap_study.txt", "examples/swap_study", []),
+    ("codegen_flow.txt", "examples/codegen_flow", []),
+    ("plant_zoo.txt", "examples/plant_zoo", []),
     ("bench_cross_plant.json", "bench/bench_cross_plant", ["--smoke"]),
     ("bench_relin.json", "bench/bench_relin", ["--smoke"]),
     ("bench_dse.json", "bench/bench_dse", ["--smoke"]),
