@@ -6,12 +6,8 @@
  * (ideal policy, optimized scalar, hand-optimized vector, fully-
  * optimized Gemmini) through the parallel SweepRunner, reporting
  * success rate, solve latency and power per cell, plus a
- * BENCH_plants.json artifact.
- *
- * The whole grid is evaluated twice: the second pass costs nothing
- * because runCell results are memoized process-wide — the
- * cache-effect numbers (cell memo hits, ProgramCache replays) are
- * reported alongside the sweep.
+ * BENCH_plants.json artifact. The ProgramCache's hit and miss counts
+ * are printed after the sweep.
  *
  * Flags: --episodes=N (override every cell; default: the registry's
  * per-spec episode counts), --smoke (2 episodes), --full (doubles the
@@ -27,7 +23,6 @@
  * and exports the totals as trace counter tracks.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -52,14 +47,6 @@ struct GridCell
     std::string model; ///< ideal | scalar | vector | gemmini
     hil::SweepCell cell;
 };
-
-double
-nowS()
-{
-    using clk = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clk::now().time_since_epoch())
-        .count();
-}
 
 } // namespace
 
@@ -121,13 +108,12 @@ main(int argc, char **argv)
             uniform_episodes = -1;
     }
 
-    auto run_grid = [&]() -> std::vector<GridCell> {
-        // Grid point t = (spec t / n_models, model t % n_models);
-        // cells fan across the pool, aggregation is index-ordered.
-        const size_t n_models = std::size(models);
-        const size_t n = specs.size() * n_models;
-        hil::SweepRunner sweep;
-        return sweep.map<GridCell>(n, [&](size_t t) {
+    // Grid point t = (spec t / n_models, model t % n_models); cells
+    // fan across the pool, aggregation is index-ordered.
+    const size_t n_models = std::size(models);
+    hil::SweepRunner sweep;
+    std::vector<GridCell> grid = sweep.map<GridCell>(
+        specs.size() * n_models, [&](size_t t) {
             GridCell g;
             g.spec = specs[t / n_models];
             g.model = models[t % n_models];
@@ -149,17 +135,6 @@ main(int argc, char **argv)
                                   g.spec.disturbance);
             return g;
         });
-    };
-
-    double t0 = nowS();
-    std::vector<GridCell> grid = run_grid();
-    double first_pass_s = nowS() - t0;
-
-    // Second pass: identical keys, served from the runCell memo.
-    t0 = nowS();
-    std::vector<GridCell> again = run_grid();
-    double second_pass_s = nowS() - t0;
-    (void)again;
 
     // The relinearization column appears only when the axis is
     // non-default, keeping the historical golden table byte-stable.
@@ -204,14 +179,8 @@ main(int argc, char **argv)
     }
     t.print();
 
-    isa::MemoStats ms = hil::cellMemo().stats();
     isa::MemoStats ps = isa::ProgramCache::global().stats();
-    std::printf("\nCell memo: %llu hits / %llu misses (%zu entries); "
-                "first grid pass %.2fs, memoized re-pass %.3fs\n",
-                static_cast<unsigned long long>(ms.hits),
-                static_cast<unsigned long long>(ms.misses), ms.entries,
-                first_pass_s, second_pass_s);
-    std::printf("Program cache: %llu hits / %llu misses, %llu cached "
+    std::printf("\nProgram cache: %llu hits / %llu misses, %llu cached "
                 "uops\n",
                 static_cast<unsigned long long>(ps.hits),
                 static_cast<unsigned long long>(ps.misses),
@@ -261,12 +230,6 @@ main(int argc, char **argv)
             std::fprintf(f, "  \"episodes_per_cell\": null,\n");
         }
         std::fprintf(f, "  \"freq_mhz\": %.0f,\n", freq_hz / 1e6);
-        std::fprintf(f,
-                     "  \"cell_memo\": {\"hits\": %llu, \"misses\": "
-                     "%llu, \"entries\": %zu},\n",
-                     static_cast<unsigned long long>(ms.hits),
-                     static_cast<unsigned long long>(ms.misses),
-                     ms.entries);
         std::fprintf(f, "  \"cells\": [\n");
         for (size_t i = 0; i < grid.size(); ++i) {
             const GridCell &g = grid[i];

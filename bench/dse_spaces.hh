@@ -60,9 +60,9 @@ fig10Space()
     constexpr double kGemminiWidthMm2 = 0.25;
 
     // Scalar cores run the optimized Eigen mapping. The numeric
-    // format is applied to the emitting backend, so narrow-format
-    // streams (and their plantSolveKey identities, which embed the
-    // backend cacheKey) never alias the float32 ones.
+    // format is applied to the emitting backend, whose cacheKey (and
+    // so plantSolveKey) carries its element width: 16-bit streams
+    // never alias 32-bit ones, and formats of one width share one.
     auto scalar_emit = [](dse::Fidelity f, matlib::NumericFormat fmt) {
         matlib::ScalarBackend b(matlib::ScalarFlavor::Optimized);
         b.setFormat(fmt);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Bounded LRU map: the memory tier of isa::Memo, the one memo behind
- * every memoizing layer (bounded for the runCell cell memo and the
- * DSE evaluation memo, unbounded elsewhere).
+ * every memoizing layer (bounded for the DSE evaluation memo,
+ * unbounded elsewhere).
  *
  * The bound keeps a long-lived driver sweeping a 100k-point design
  * space from growing without limit: LruMap keeps the most-recently-

@@ -92,18 +92,12 @@ InOrderCore::runStreamBatch(
 std::string
 InOrderCore::cacheKey() const
 {
-    std::string key =
-        csprintf("inorder:%s:iw%d:fpu%d:mp%d:ld%d:fp%d:div%d:"
-                 "imul%d:bb%d",
-                 cfg_.name.c_str(), cfg_.issueWidth, cfg_.fpuCount,
-                 cfg_.memPorts, cfg_.loadLatency, cfg_.fpLatency,
-                 cfg_.fpDivLatency, cfg_.intMulLatency,
-                 cfg_.branchBubble);
-    // Only an explicit override is encoded: the derived default keeps
-    // every historical key (and cached cell) byte-identical.
-    if (cfg_.fpNarrowLatency > 0)
-        key += csprintf(":fpn%d", cfg_.fpNarrowLatency);
-    return key;
+    return csprintf("inorder:%s:iw%d:fpu%d:mp%d:ld%d:fp%d:div%d:"
+                    "imul%d:bb%d",
+                    cfg_.name.c_str(), cfg_.issueWidth, cfg_.fpuCount,
+                    cfg_.memPorts, cfg_.loadLatency, cfg_.fpLatency,
+                    cfg_.fpDivLatency, cfg_.intMulLatency,
+                    cfg_.branchBubble);
 }
 
 } // namespace rtoc::cpu

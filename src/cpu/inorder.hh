@@ -27,20 +27,11 @@ struct InOrderConfig
     int intMulLatency = 3;
     int branchBubble = 2; ///< taken-branch redirect penalty
 
-    /**
-     * Latency of pipelined FPU ops at sub-32-bit element width
-     * (LatClass::FpNarrow). 0 keeps the derived default of
-     * max(1, fpLatency - 1) — half-width FMAs shave a stage — and
-     * keeps the cache key unchanged; explicit values are encoded.
-     */
-    int fpNarrowLatency = 0;
-
-    /** FpNarrow latency with the derived default applied. */
+    /** Latency of pipelined FPU ops at sub-32-bit element width
+     *  (LatClass::FpNarrow): half-width FMAs shave a stage. */
     int
-    resolvedFpNarrowLatency() const
+    narrowFpLatency() const
     {
-        if (fpNarrowLatency > 0)
-            return fpNarrowLatency;
         return fpLatency > 1 ? fpLatency - 1 : 1;
     }
 

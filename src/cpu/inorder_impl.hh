@@ -315,7 +315,7 @@ replayInOrder(const isa::UopStreamView &v,
         set(LatClass::Load, c.loadLatency);
         set(LatClass::Store, 1);
         set(LatClass::Branch, 1);
-        set(LatClass::FpNarrow, c.resolvedFpNarrowLatency());
+        set(LatClass::FpNarrow, c.narrowFpLatency());
     }
 
     // Scalar rows, vector rows, then the zero and sink rows, in one
@@ -518,7 +518,7 @@ InOrderCore::runWithCoproc(const isa::Program &prog,
           case UopKind::FpFma:
           case UopKind::FpMinMax:
           case UopKind::FpAbs:
-            return u.sew < 32 ? cfg_.resolvedFpNarrowLatency()
+            return u.sew < 32 ? cfg_.narrowFpLatency()
                               : cfg_.fpLatency;
           case UopKind::FpDiv: return cfg_.fpDivLatency;
           case UopKind::FpCmp:

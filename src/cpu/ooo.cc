@@ -144,7 +144,7 @@ struct OooLane
         set(LatClass::Load, cfg.loadLatency);
         set(LatClass::Store, 1);
         set(LatClass::Branch, 1);
-        set(LatClass::FpNarrow, cfg.resolvedFpNarrowLatency());
+        set(LatClass::FpNarrow, cfg.narrowFpLatency());
 
         slots[static_cast<size_t>(PipeClass::Int)].reset(cfg.intIssue);
         slots[static_cast<size_t>(PipeClass::Mem)].reset(cfg.memIssue);
@@ -318,18 +318,12 @@ OooCore::runStreamBatch(
 std::string
 OooCore::cacheKey() const
 {
-    std::string key =
-        csprintf("ooo:%s:fw%d:rob%d:ii%d:mi%d:fi%d:ld%d:fp%d:"
-                 "div%d:imul%d",
-                 cfg_.name.c_str(), cfg_.frontWidth, cfg_.robSize,
-                 cfg_.intIssue, cfg_.memIssue, cfg_.fpIssue,
-                 cfg_.loadLatency, cfg_.fpLatency,
-                 cfg_.fpDivLatency, cfg_.intMulLatency);
-    // Only an explicit override is encoded: the derived default keeps
-    // every historical key (and cached cell) byte-identical.
-    if (cfg_.fpNarrowLatency > 0)
-        key += csprintf(":fpn%d", cfg_.fpNarrowLatency);
-    return key;
+    return csprintf("ooo:%s:fw%d:rob%d:ii%d:mi%d:fi%d:ld%d:fp%d:"
+                    "div%d:imul%d",
+                    cfg_.name.c_str(), cfg_.frontWidth, cfg_.robSize,
+                    cfg_.intIssue, cfg_.memIssue, cfg_.fpIssue,
+                    cfg_.loadLatency, cfg_.fpLatency, cfg_.fpDivLatency,
+                    cfg_.intMulLatency);
 }
 
 TimingResult
@@ -364,7 +358,7 @@ OooCore::runAos(const isa::Program &prog) const
           case UopKind::FpMinMax:
           case UopKind::FpAbs:
             return static_cast<uint64_t>(
-                u.sew < 32 ? cfg_.resolvedFpNarrowLatency()
+                u.sew < 32 ? cfg_.narrowFpLatency()
                            : cfg_.fpLatency);
           case UopKind::FpDiv:
             return static_cast<uint64_t>(cfg_.fpDivLatency);

@@ -36,20 +36,11 @@ struct OooConfig
     int fpDivLatency = 16;
     int intMulLatency = 3;
 
-    /**
-     * Latency of pipelined FPU ops at sub-32-bit element width
-     * (LatClass::FpNarrow). 0 keeps the derived default of
-     * max(1, fpLatency - 1) — and keeps the cache key unchanged;
-     * explicit values are encoded.
-     */
-    int fpNarrowLatency = 0;
-
-    /** FpNarrow latency with the derived default applied. */
+    /** Latency of pipelined FPU ops at sub-32-bit element width
+     *  (LatClass::FpNarrow): half-width FMAs shave a stage. */
     int
-    resolvedFpNarrowLatency() const
+    narrowFpLatency() const
     {
-        if (fpNarrowLatency > 0)
-            return fpNarrowLatency;
         return fpLatency > 1 ? fpLatency - 1 : 1;
     }
 

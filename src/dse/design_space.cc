@@ -212,7 +212,7 @@ DesignSpace::materialize(const PointSpec &p, Fidelity f,
     c.progKey = e.progKey(f, fmt);
     // schedKeySuffix() keeps sched-on cell costs from aliasing the
     // baseline cells (empty — keys untouched — when RTOC_SCHED is
-    // off); the numeric format is carried inside progKey via the
+    // off); the element width is carried inside progKey via the
     // emitting backend's cacheKey.
     c.cellKey =
         c.model->cacheKey() + "|" + c.progKey + isa::schedKeySuffix();

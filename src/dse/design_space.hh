@@ -20,9 +20,9 @@
  *    design points share one (model, stream) replay cell and differ
  *    only in the analytic solves/s = freq / cycles conversion;
  *  - a *numeric-format* axis (default {float32}): narrow formats
- *    re-emit the stream at their element width, so each format is a
- *    distinct cached program and replay cell — the precision side of
- *    the Pareto frontier.
+ *    re-emit the stream at their element width, so each width is a
+ *    distinct cached program and replay cell (formats of one width
+ *    share both) — the precision side of the Pareto frontier.
  *
  * The solver-iteration axis rides on Fidelity: a Low-fidelity point
  * replays a short (1-iteration) solve stream, the cheap rung
@@ -93,7 +93,7 @@ struct ConfigEntry
 
     /** Emit (or fetch from the program cache) the stream to replay at
      *  a fidelity and numeric format (the format sets the emitted
-     *  element width — narrow streams are distinct cached programs). */
+     *  element width — 16-bit streams are distinct cached programs). */
     std::function<std::shared_ptr<const isa::Program>(
         Fidelity, matlib::NumericFormat)>
         emit;

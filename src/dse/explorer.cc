@@ -38,6 +38,17 @@ decodeCellCost(const std::string &payload)
     return c;
 }
 
+/** A configuration survives successive halving when its low-fidelity
+ *  perf is at least (1 - kShBand) x the cheap frontier at its area. */
+constexpr double kShBand = 0.35;
+
+/** Floor of the surrogate trust band: a cell is expanded when its
+ *  predicted perf is within (1 - max(kSurrogateBand, 3 x fit
+ *  residual)) of the current frontier at its area. */
+constexpr double kSurrogateBand = 0.005;
+
+constexpr int kMaxRounds = 8; ///< surrogate expansion rounds
+
 /** The "dsecell" disk tier of resolved replay cells. */
 const isa::DiskTier<CellCost> kCellTier{"dsecell", encodeCellCost,
                                         decodeCellCost};
@@ -82,11 +93,8 @@ Explorer::Explorer(const DesignSpace &space, Options opt)
     : space_(space), opt_(opt),
       sweep_(opt.pool ? *opt.pool : ThreadPool::global())
 {
-    if (opt_.useDisk) {
-        disk_ = opt_.disk ? opt_.disk : &isa::DiskCache::global();
-        if (!disk_->enabled())
-            disk_ = nullptr;
-    }
+    if (opt_.useDisk && isa::DiskCache::global().enabled())
+        disk_ = &isa::DiskCache::global();
 }
 
 std::vector<EvalOutcome>
@@ -259,7 +267,7 @@ Explorer::explore()
 
     std::vector<int> survivors;
     for (int c = 0; c < n_cfg; ++c) {
-        double bar = (1.0 - opt_.shBand) *
+        double bar = (1.0 - kShBand) *
                      frontierPerfAt(low_frontier, low[c].areaMm2);
         if (low[c].solvesPerS >= bar)
             survivors.push_back(c);
@@ -287,7 +295,7 @@ Explorer::explore()
 
     // Surrogate expansion: refit on everything replayed so far and
     // pull in only the cells predicted within the frontier band.
-    for (int round = 0; round < opt_.maxRounds; ++round) {
+    for (int round = 0; round < kMaxRounds; ++round) {
         RTOC_SPAN_NAMED(round_span, "dse.surrogate_round", "dse");
         round_span.arg("round", static_cast<uint64_t>(round));
         std::vector<EvalOutcome> frontier = paretoFrontier(res.evaluated);
@@ -311,10 +319,10 @@ Explorer::explore()
             // A cell is worth full replay only if it might beat the
             // frontier at its area. The band is the surrogate's own
             // trust radius: three times its worst training residual,
-            // floored at surrogateBand — smooth responses earn tight
+            // floored at kSurrogateBand — smooth responses earn tight
             // bands, rough ones widen their own.
             const double band = std::max(
-                opt_.surrogateBand, 3.0 * it->second.maxRelError());
+                kSurrogateBand, 3.0 * it->second.maxRelError());
             for (int l = 0; l < n_lat; ++l) {
                 for (int w = 0; w < n_width; ++w) {
                     if (evaluated.count({c, l, w}))

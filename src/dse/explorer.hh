@@ -19,13 +19,14 @@
  *
  *  - successive halving: every configuration is first scored at
  *    Fidelity::Low (a 1-iteration solve stream, a fraction of the
- *    full replay cost); only configurations within shBand of the
+ *    full replay cost); only configurations within kShBand of the
  *    cheap frontier are promoted to full fidelity;
  *  - local surrogate: per surviving configuration, a low-order model
  *    of log(cycles) over (latScale, widthScale) is fitted to the
  *    cells replayed so far; each round expands only the unevaluated
- *    cells the surrogate predicts within surrogateBand of the current
- *    frontier, until no candidate qualifies.
+ *    cells the surrogate predicts within its trust band of the
+ *    current frontier, until no candidate qualifies or kMaxRounds
+ *    rounds have run.
  *
  * Frequency is an analytic axis (solves/s = freq / cycles): explore()
  * serves every frequency point of an evaluated (config, lat, width)
@@ -92,19 +93,9 @@ class Explorer
   public:
     struct Options
     {
-        /** Survive SH when low-fi perf >= (1-shBand) x cheap frontier
-         *  at the candidate's area. */
-        double shBand = 0.35;
-        /** Floor of the surrogate trust band: a cell is expanded when
-         *  predicted perf is within (1 - max(surrogateBand, 3 x fit
-         *  residual)) of the current frontier at its area. */
-        double surrogateBand = 0.005;
-        int maxRounds = 8; ///< surrogate expansion rounds
-        bool useMemo = true;
-        bool useDisk = true;
+        bool useMemo = true; ///< serve and store cells in evalMemo()
+        bool useDisk = true; ///< ... in isa::DiskCache::global()
         ThreadPool *pool = nullptr; ///< nullptr = ThreadPool::global()
-        /** nullptr = isa::DiskCache::global() (when useDisk). */
-        const isa::DiskCache *disk = nullptr;
     };
 
     explicit Explorer(const DesignSpace &space);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.hh"
 #include "common/random.hh"
 #include "hil/control_session.hh"
 #include "hil/sweep.hh"
@@ -232,39 +231,12 @@ runEpisode(plant::Plant &plant, const plant::Scenario &sc,
     return res;
 }
 
-namespace {
-
-std::string
-cellKey(const plant::Plant &proto, plant::Difficulty d, int n,
-        const HilConfig &cfg, const plant::DisturbanceProfile &dist)
-{
-    // The relinearization policy (and the refresh cycle model it
-    // prices) changes closed-loop behaviour, so the memo key carries
-    // both — distinct policies never alias a cell. The numeric-format
-    // suffix is empty at float32. Every double prints at %.17g, so
-    // configs that differ in any bit never share a cell.
-    return csprintf(
-        "%s|d%d|n%d|noise%.17g|arch:%s:%s|b%.17g|i%.17g|f%.17g|ideal%d|"
-        "h%d|ctl%.17g|phys%.17g|uart%.17g/%d|"
-        "pw:%s:%.17g:%.17g:%.17g:%.17g:%.17g|%s|rb%.17g|ri%.17g%s",
-        proto.cacheKey().c_str(), static_cast<int>(d), n,
-        dist.cmdNoiseSigma, cfg.timing.archName.c_str(),
-        cfg.timing.mappingName.c_str(), cfg.timing.baseCycles,
-        cfg.timing.cyclesPerIter, cfg.socFreqHz,
-        cfg.idealPolicy ? 1 : 0, cfg.horizon, cfg.controlPeriodS,
-        cfg.physicsDtS, cfg.uart.baud(), cfg.uart.framingBytes(),
-        cfg.power.name.c_str(), cfg.power.leakageW,
-        cfg.power.idleCapNfV2, cfg.power.busyCapNfV2, cfg.power.v0,
-        cfg.power.vSlopePerGHz, cfg.relin.cacheKey().c_str(),
-        cfg.timing.refreshBaseCycles, cfg.timing.refreshCyclesPerIter,
-        matlib::formatKeySuffix(cfg.format).c_str());
-}
-
 SweepCell
-computeCell(const plant::Plant &proto, plant::Difficulty d,
-            int n_scenarios, const HilConfig &cfg,
-            const plant::DisturbanceProfile &disturbance)
+runCell(const plant::Plant &proto, plant::Difficulty d, int n_scenarios,
+        const HilConfig &cfg,
+        const plant::DisturbanceProfile &disturbance)
 {
+    RTOC_SPAN("hil.cell", "sweep");
     SweepCell cell;
     cell.arch = cfg.idealPolicy ? "ideal" : cfg.timing.mappingName;
     cell.plant = proto.name();
@@ -338,28 +310,6 @@ computeCell(const plant::Plant &proto, plant::Difficulty d,
         cell.avgAccSats = acc_sat_sum / cell.episodes;
     }
     return cell;
-}
-
-} // namespace
-
-isa::Memo<SweepCell> &
-cellMemo()
-{
-    // Leaked: the registry polls its counters until exit.
-    static auto *memo = new isa::Memo<SweepCell>("cell_memo", 4096);
-    return *memo;
-}
-
-SweepCell
-runCell(const plant::Plant &proto, plant::Difficulty d, int n_scenarios,
-        const HilConfig &cfg,
-        const plant::DisturbanceProfile &disturbance)
-{
-    return cellMemo().get(
-        cellKey(proto, d, n_scenarios, cfg, disturbance), [&] {
-            RTOC_SPAN("hil.cell", "sweep");
-            return computeCell(proto, d, n_scenarios, cfg, disturbance);
-        });
 }
 
 } // namespace rtoc::hil

@@ -13,15 +13,10 @@
  * reach predicates), the quadrotor included. The UART tether ships
  * elements at the width of the datapath's numeric format.
  *
- * runCell results are memoized process-wide in cellMemo(), an
- * isa::Memo keyed on (plant config, difficulty, disturbance, episode
- * count, timing model, frequency, HIL config), every double at full
- * precision, so multi-figure bench binaries evaluating the same cell
- * pay for it once, and racing first requests of one cell run its
- * episodes once. The memo is LRU-bounded (4096 cells;
- * cellMemo().setCapacity changes the cap, 0 means unbounded) so
- * long-lived drivers sweeping 100k-point design spaces do not grow
- * memory without limit; evictions are counted in its MemoStats.
+ * runCell is not memoized. A cell depends on every plant parameter
+ * and every HilConfig field, and no bench asks for one cell twice.
+ * The caches under it (streams, schedules, calibrations) key on what
+ * their results depend on, never on plant or numeric values.
  */
 
 #ifndef RTOC_HIL_EPISODE_HH
@@ -29,7 +24,6 @@
 
 #include "common/stats.hh"
 #include "hil/timing.hh"
-#include "isa/memo.hh"
 #include "matlib/fixed.hh"
 #include "plant/plant.hh"
 #include "soc/power_model.hh"
@@ -55,7 +49,7 @@ struct HilConfig
      *  RTOC_FORMAT, normally float32 — the bit-identical path).
      *  Narrow formats quantize the solver arithmetic, shrink the
      *  UART payload to their element width, and must be priced with
-     *  a ControllerTiming calibrated at the same format. */
+     *  a ControllerTiming calibrated at the same element width. */
     matlib::NumericFormat format = matlib::defaultFormat();
 };
 
@@ -120,14 +114,11 @@ struct SweepCell
 
 /**
  * Run @p n_scenarios seeded scenarios of @p d on clones of @p proto
- * and aggregate. Memoized process-wide (see file comment).
+ * (fanned over the pool) and aggregate them in index order.
  */
 SweepCell runCell(const plant::Plant &proto, plant::Difficulty d,
                   int n_scenarios, const HilConfig &cfg,
                   const plant::DisturbanceProfile &disturbance = {});
-
-/** The process-wide runCell memo (counters as "cell_memo.*"). */
-isa::Memo<SweepCell> &cellMemo();
 
 } // namespace rtoc::hil
 

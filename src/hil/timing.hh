@@ -104,8 +104,9 @@ calibrateTiming(const cpu::TimingModel &model, matlib::Backend &backend,
  *
  * @p format prices a narrow datapath: the backend emits its stream at
  * the format's element width, so vector lanes pack more elements and
- * coprocessor bus transfers shrink. float32 (the default) keeps every
- * historical key and fit byte-identical.
+ * coprocessor bus transfers shrink. Only the width enters the key, so
+ * formats of one width share one fit: i32 the f32 one, i16 the bf16
+ * one.
  */
 ControllerTiming
 scalarControllerTiming(const plant::Plant &plant, double dt, int horizon,

@@ -2,8 +2,11 @@
  * @file
  * Compute-once memo: the one cache discipline behind every memoizing
  * layer of rtoc — emitted streams (ProgramCache), schedule-search
- * winners, timing calibrations, runCell's HIL cells and the DSE
- * explorer's replay cells.
+ * winners, timing calibrations and the DSE explorer's replay cells.
+ * Each layer keys on what its result depends on: the backend's stream
+ * key (mapping and element width, see Backend::cacheKey), the timing
+ * model's key and the problem shape, never a numeric format or a
+ * plant parameter.
  *
  * get(key, compute) returns the value stored under @p key, computing
  * it on the key's first request. Each key owns a lock held across its

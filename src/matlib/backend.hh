@@ -68,16 +68,20 @@ class Backend
     virtual std::string name() const = 0;
 
     /**
-     * Key identifying the emitted stream: every knob that changes the
-     * micro-op sequence (flavor, vlen, mapping options, ...) must be
-     * encoded here. Backends whose name() already captures the whole
-     * configuration can rely on this default. Used by the
-     * ProgramCache: two backends with equal cacheKey() emit
-     * bit-identical streams for the same solve shape.
+     * Key identifying the emitted stream: mappingKey() plus the element
+     * width, which is appended here and nowhere else ("|sew16"; nothing
+     * at 32 bits). Two backends with equal cacheKey() emit bit-identical
+     * streams for the same solve shape, so the ProgramCache, the
+     * calibrations and the DSE cells key on it. The format is not part
+     * of it: emission reads shapes and the width only, so i32 shares
+     * the f32 streams and i16 the bf16 ones.
      */
-    virtual std::string cacheKey() const
+    std::string
+    cacheKey() const
     {
-        return name() + matlib::formatKeySuffix(fmt_);
+        const int sew = sewBits();
+        return sew == 32 ? mappingKey()
+                         : mappingKey() + "|sew" + std::to_string(sew);
     }
 
     /**
@@ -342,6 +346,13 @@ class Backend
     }
 
   protected:
+    /**
+     * Every knob but the element width that changes the micro-op
+     * sequence (flavor, vlen, mapping options, ...). Backends whose
+     * name() already captures the whole configuration keep the default.
+     */
+    virtual std::string mappingKey() const { return name(); }
+
     /** True when emission is active. */
     bool emitting() const { return prog_ != nullptr; }
 

@@ -39,14 +39,6 @@ formatElemBytes(NumericFormat f)
     return formatSewBits(f) / 8;
 }
 
-std::string
-formatKeySuffix(NumericFormat f)
-{
-    if (f == NumericFormat::F32)
-        return "";
-    return std::string("|fmt:") + formatName(f);
-}
-
 NumericFormat
 parseFormat(const std::string &name)
 {

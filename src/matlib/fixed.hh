@@ -12,10 +12,12 @@
  * accumulator for int16 elements, int64 for int32) and a per-kernel
  * shift schedule, and results are rounded back onto the output grid
  * before being dequantized into the float storage. The emitted uop
- * streams carry the element width (Program::setEmitWidth), so narrow
- * formats are distinct cached programs whose replay prices the
- * narrower datapath (wider effective Saturn lanes, cheaper Gemmini
- * DMA, faster scalar FPU ops).
+ * streams carry the element width (Program::setEmitWidth), and only
+ * the width: their replay prices the narrower datapath (wider
+ * effective Saturn lanes, cheaper Gemmini DMA, faster scalar FPU ops),
+ * and formats of one width emit identical streams. So every cache
+ * keys on the width (Backend::cacheKey), not the format: i32 shares
+ * the f32 streams and fits, i16 the bf16 ones.
  *
  * Saturation events are counted per backend (quantizer clamps and
  * accumulator clamps separately) — the telemetry the precision Pareto
@@ -90,15 +92,6 @@ int formatSewBits(NumericFormat f);
 
 /** Element width in bytes (UART payloads, DMA traffic). */
 int formatElemBytes(NumericFormat f);
-
-/**
- * Cache-identity suffix: empty for F32 (every historical key is
- * untouched), "|fmt:i16" style otherwise. I32 streams are
- * byte-identical to F32 streams (same element width) but the computed
- * values differ, so I32 is suffixed too — narrow-format calibrations
- * and cells never alias float32 blobs.
- */
-std::string formatKeySuffix(NumericFormat f);
 
 /** Parse "f32"/"i16"/"i32"/"bf16" (fatal on anything else). */
 NumericFormat parseFormat(const std::string &name);

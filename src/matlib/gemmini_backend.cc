@@ -61,7 +61,7 @@ GemminiBackend::name() const
 }
 
 std::string
-GemminiBackend::cacheKey() const
+GemminiBackend::mappingKey() const
 {
     // name() collapses some option combinations; spell them all out.
     return std::string("gemmini") +
@@ -71,7 +71,7 @@ GemminiBackend::cacheKey() const
            (mapping_.spadResident ? ":spad" : "") +
            (mapping_.useElementwise ? ":ewise" : "") +
            (mapping_.usePooling ? ":pool" : "") + ":mesh" +
-           std::to_string(mapping_.meshDim) + formatKeySuffix(format());
+           std::to_string(mapping_.meshDim);
 }
 
 void

@@ -62,8 +62,6 @@ class GemminiBackend : public Backend
 
     std::string name() const override;
 
-    std::string cacheKey() const override;
-
     /**
      * Declare workspace buffers scratchpad-resident and emit the
      * one-time mvin of matrices + utility identities (solver setup).
@@ -84,6 +82,8 @@ class GemminiBackend : public Backend
     const GemminiMapping &mapping() const { return mapping_; }
 
   protected:
+    std::string mappingKey() const override;
+
     void emitGemv(Mat y, const Mat &a, Mat x, float alpha,
                   float beta) override;
     void emitGemvT(Mat y, const Mat &a, Mat x, float alpha,

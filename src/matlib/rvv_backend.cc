@@ -51,7 +51,7 @@ RvvBackend::name() const
 }
 
 std::string
-RvvBackend::cacheKey() const
+RvvBackend::mappingKey() const
 {
     // Every knob that changes the emitted stream: VLEN (strip sizes),
     // LMUL, unrolling, fusion, and the transposed cache-matrix layout
@@ -60,8 +60,7 @@ RvvBackend::cacheKey() const
            std::to_string(mapping_.lmul) +
            (mapping_.unroll ? ":unroll" : "") +
            (mapping_.fuse ? ":fuse" : "") +
-           (mapping_.transposedLayout ? ":xpose" : "") +
-           formatKeySuffix(format());
+           (mapping_.transposedLayout ? ":xpose" : "");
 }
 
 void

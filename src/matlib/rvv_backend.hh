@@ -54,8 +54,6 @@ class RvvBackend : public Backend
 
     std::string name() const override;
 
-    std::string cacheKey() const override;
-
     const RvvMapping &mapping() const { return mapping_; }
 
     /** Reconfigure the mapping (used by the codegen emitter to apply
@@ -72,6 +70,8 @@ class RvvBackend : public Backend
     int stripElems() const { return vlen_ / sewBits() * mapping_.lmul; }
 
   protected:
+    std::string mappingKey() const override;
+
     void emitGemv(Mat y, const Mat &a, Mat x, float alpha,
                   float beta) override;
     void emitGemvT(Mat y, const Mat &a, Mat x, float alpha,

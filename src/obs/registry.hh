@@ -3,8 +3,8 @@
  * Process-wide metrics registry: one home for the runtime's own
  * counters (pool steals, schedule searches, ...) and for the
  * isa::MemoStats of every process-wide memo (ProgramCache, schedule
- * winners, calibrations, runCell and DSE cells), which the memos
- * publish here instead of keeping stats structs of their own.
+ * winners, calibrations and DSE cells), which the memos publish here
+ * instead of keeping stats structs of their own.
  *
  * Counters are identified by interned StatId (common/stats.hh) and
  * stored in per-thread shards of relaxed atomics, so hot-path
@@ -105,7 +105,7 @@ class Registry
      * Append the unified `"metrics"` + `"manifest"` sections emitted
      * into every bench `--json` artifact, e.g.:
      *
-     *   "metrics": { "cell_memo.hits": 12, ... },
+     *   "metrics": { "prog_cache.hits": 12, ... },
      *   "manifest": { "build": "...", "threads": 4,
      *                 "cache_mode": "auto",
      *                 "env": { "RTOC_THREADS": "4", ... } },

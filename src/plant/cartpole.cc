@@ -24,18 +24,6 @@ CartPolePlant::name() const
     return "cartpole-" + params_.name;
 }
 
-std::string
-CartPolePlant::cacheKey() const
-{
-    return csprintf("cartpole:%s:M%.17g:m%.17g:l%.17g:cx%.17g:cp%.17g:F%.17g:track%.17g"
-                    ":tilt%.17g:idle%.17g",
-                    params_.name.c_str(), params_.cartMassKg,
-                    params_.poleMassKg, params_.poleHalfLenM,
-                    params_.cartDamp, params_.poleDamp,
-                    params_.maxForceN, params_.trackHalfM,
-                    params_.maxTiltRad, params_.idleW);
-}
-
 std::unique_ptr<Plant>
 CartPolePlant::clone() const
 {

@@ -44,7 +44,6 @@ class CartPolePlant : public Plant
     explicit CartPolePlant(CartPoleParams params = CartPoleParams());
 
     std::string name() const override;
-    std::string cacheKey() const override;
     int nx() const override { return 4; }
     int nu() const override { return 1; }
     std::unique_ptr<Plant> clone() const override;

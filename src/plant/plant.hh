@@ -19,6 +19,10 @@
  * runner, sweep engine and benches amortize across every registered
  * plant. Plants are cloneable prototypes: parallel sweeps clone one
  * instance per episode, never sharing mutable state.
+ *
+ * A plant carries no cache key. Emitted streams and their timing fits
+ * depend only on its problem shape (nx, nu), and HIL cells are not
+ * memoized.
  */
 
 #ifndef RTOC_PLANT_PLANT_HH
@@ -101,16 +105,6 @@ class Plant
 
     /** Short name for tables and registry ids. */
     virtual std::string name() const = 0;
-
-    /**
-     * Key identifying the plant *configuration* for the runCell memo:
-     * every parameter that changes closed-loop behaviour (dynamics,
-     * limits, crash predicate, energy accounting) must be encoded.
-     * Defaults to name(); parameterized plants must append their
-     * knobs. Calibrations key on the problem shape instead, since
-     * parameter values never change the emitted stream.
-     */
-    virtual std::string cacheKey() const { return name(); }
 
     /** MPC state dimension. */
     virtual int nx() const = 0;

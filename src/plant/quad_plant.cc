@@ -17,19 +17,6 @@ QuadrotorPlant::name() const
     return "quad-" + params_.name;
 }
 
-std::string
-QuadrotorPlant::cacheKey() const
-{
-    return csprintf("quad:%s:m%.17g:prop%.17g:arm%.17g:kv%.17g:cells%d:ct%.17g:"
-                    "load%.17g:kt%.17g:tau%.17g:drag%.17g",
-                    params_.name.c_str(), params_.massKg,
-                    params_.propDiameterM, params_.armLengthM,
-                    params_.motorKvRpmPerV, params_.batteryCells,
-                    params_.thrustCoeff, params_.rpmLoadFactor,
-                    params_.torqueCoeff, params_.motorTauS,
-                    params_.dragCoeff);
-}
-
 std::unique_ptr<Plant>
 QuadrotorPlant::clone() const
 {

@@ -26,7 +26,6 @@ class QuadrotorPlant : public Plant
         quad::DroneParams params = quad::DroneParams::crazyflie());
 
     std::string name() const override;
-    std::string cacheKey() const override;
     int nx() const override { return 12; }
     int nu() const override { return 4; }
     std::unique_ptr<Plant> clone() const override;

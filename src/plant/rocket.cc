@@ -53,19 +53,6 @@ RocketPlant::name() const
     return "rocket-" + params_.name;
 }
 
-std::string
-RocketPlant::cacheKey() const
-{
-    return csprintf("rocket:%s:m%.17g:T%.17g:lat%.17g:cd%.17g:tau%.17g:ve%.17g:z%.17g:"
-                    "prop%.17g:vex%.17g:tilt%.17g",
-                    params_.name.c_str(), params_.massKg,
-                    params_.maxThrustN, params_.maxLateralN,
-                    params_.dragCoeff, params_.engineTauS,
-                    params_.jetVelocity, params_.startAltitudeM,
-                    params_.propellantKg, params_.exhaustVelocityMps,
-                    params_.maxTiltRatio);
-}
-
 std::unique_ptr<Plant>
 RocketPlant::clone() const
 {

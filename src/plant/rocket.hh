@@ -61,7 +61,6 @@ class RocketPlant : public Plant
     explicit RocketPlant(RocketParams params = RocketParams());
 
     std::string name() const override;
-    std::string cacheKey() const override;
     int nx() const override { return 6; }
     int nu() const override { return 3; }
     std::unique_ptr<Plant> clone() const override;

@@ -30,20 +30,6 @@ RoverPlant::name() const
     return "rover-" + params_.name;
 }
 
-std::string
-RoverPlant::cacheKey() const
-{
-    return csprintf("rover:%s:m%.17g:Iz%.17g:ht%.17g:cd%.17g:cw%.17g:F%.17g:v%.17g:"
-                    "obs%dx%.17g@%.17g/r%.17g:idle%.17g",
-                    params_.name.c_str(), params_.massKg,
-                    params_.inertiaZ, params_.halfTrackM,
-                    params_.dragPerMps, params_.yawDamp,
-                    params_.maxDriveN, params_.cruiseMps,
-                    params_.obstacleCount, params_.obstacleSpacingM,
-                    params_.obstacleOffsetM, params_.obstacleRadiusM,
-                    params_.idleW);
-}
-
 std::unique_ptr<Plant>
 RoverPlant::clone() const
 {

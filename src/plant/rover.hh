@@ -54,7 +54,6 @@ class RoverPlant : public Plant
     explicit RoverPlant(RoverParams params = RoverParams());
 
     std::string name() const override;
-    std::string cacheKey() const override;
     int nx() const override { return 5; }
     int nu() const override { return 2; }
     std::unique_ptr<Plant> clone() const override;

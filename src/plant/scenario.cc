@@ -7,13 +7,6 @@
 namespace rtoc::plant {
 
 std::string
-RelinearizePolicy::cacheKey() const
-{
-    return csprintf("relinK%d|relinTh%.17g", everyK,
-                    stateDeltaThreshold);
-}
-
-std::string
 RelinearizePolicy::label() const
 {
     if (fixedTrim())

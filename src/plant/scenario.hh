@@ -108,9 +108,6 @@ struct RelinearizePolicy
         return everyK == 0 && stateDeltaThreshold <= 0.0;
     }
 
-    /** Memo/cache key fragment (every knob that changes behaviour). */
-    std::string cacheKey() const;
-
     /** Short printable form ("trim", "K5", "K5/d0.4"). */
     std::string label() const;
 };

@@ -73,9 +73,7 @@ class UartModel
         return transferS(cmd_elems * elem_bytes);
     }
 
-    double baud() const { return baud_; }
-
-    /** Small-frame overhead (configuration value, memo keys). */
+    /** Small-frame overhead (the configuration value). */
     int framingBytes() const { return framing_; }
 
   private:

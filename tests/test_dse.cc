@@ -19,11 +19,7 @@
 #include "cpu/inorder.hh"
 #include "dse/explorer.hh"
 #include "dse/surrogate.hh"
-#include "hil/episode.hh"
-#include "hil/sweep.hh"
-#include "hil/timing.hh"
 #include "isa/program.hh"
-#include "plant/quad_plant.hh"
 
 namespace rtoc::dse {
 namespace {
@@ -361,67 +357,6 @@ TEST(Explorer, FrontierHelpersAreConsistent)
     double expect = (fast.areaMm2 - cheap.areaMm2) * cheap.solvesPerS +
                     (4.0 - fast.areaMm2) * fast.solvesPerS;
     EXPECT_NEAR(hypervolume(g.frontier, 4.0), expect, 1e-9);
-}
-
-// ---------------------------------------------------------------- //
-// hil runCell memo LRU bound
-
-TEST(CellMemo, CapBoundsEntriesAndCountsEvictions)
-{
-    const plant::QuadrotorPlant cf(quad::DroneParams::crazyflie());
-    hil::ControllerTiming tv = hil::vectorControllerTiming(cf, 0.02, 10);
-    hil::cellMemo().setCapacity(2);
-    // Three distinct cells (frequency is part of the memo key).
-    for (double mhz : {100e6, 150e6, 200e6}) {
-        hil::HilConfig cfg;
-        cfg.timing = tv;
-        cfg.socFreqHz = mhz;
-        hil::runCell(cf, plant::Difficulty::Easy, 1, cfg);
-    }
-    isa::MemoStats stats = hil::cellMemo().stats();
-    EXPECT_EQ(stats.capacity, 2u);
-    EXPECT_LE(stats.entries, 2u);
-    EXPECT_GE(stats.evictions, 1u);
-    hil::cellMemo().setCapacity(4096); // restore the default
-}
-
-TEST(CellMemo, KeyTellsApartConfigsPastTheSixthDigit)
-{
-    // Two configs that differ only past the 6th significant digit of
-    // a double must not share a memo entry: each must miss and return
-    // its own cell, equal to its episodes run outside the memo.
-    const plant::QuadrotorPlant cf(quad::DroneParams::crazyflie());
-    hil::HilConfig cfg;
-    cfg.timing = hil::vectorControllerTiming(cf, 0.02, 10);
-    cfg.socFreqHz = 100e6;
-    cfg.power = soc::PowerParams::vectorCore();
-    const plant::DisturbanceProfile gusty = plant::DisturbanceProfile::gusty();
-
-    auto expect_own_cell = [&](const hil::HilConfig &c,
-                               const plant::DisturbanceProfile &dist,
-                               const char *what) {
-        const uint64_t misses = hil::cellMemo().stats().misses;
-        hil::SweepCell cell =
-            hil::runCell(cf, plant::Difficulty::Easy, 1, c, dist);
-        EXPECT_EQ(hil::cellMemo().stats().misses, misses + 1) << what;
-        std::vector<hil::EpisodeResult> eps = hil::SweepRunner().runEpisodes(
-            cf, plant::Difficulty::Easy, 1, c, dist);
-        ASSERT_EQ(eps.size(), 1u);
-        EXPECT_EQ(cell.avgSocPowerW,
-                  eps[0].success ? eps[0].avgSocPowerW : 0.0)
-            << what;
-        EXPECT_EQ(cell.avgTrackingErrM, eps[0].trackingErrM) << what;
-    };
-
-    hil::runCell(cf, plant::Difficulty::Easy, 1, cfg);
-    hil::HilConfig leaky = cfg;
-    leaky.power.leakageW *= 1.0 + 1e-7;
-    expect_own_cell(leaky, {}, "leakageW + 1e-7 relative");
-
-    hil::runCell(cf, plant::Difficulty::Easy, 1, cfg, gusty);
-    plant::DisturbanceProfile gustier = gusty;
-    gustier.cmdNoiseSigma = 0.0500000001;
-    expect_own_cell(cfg, gustier, "noise sigma 0.0500000001");
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -1300,11 +1301,6 @@ TEST(FormatParse, NamesRoundTripAndHostileInputDies)
 
 TEST(FormatIdentity, ExplicitF32MatchesDefaultEverywhere)
 {
-    EXPECT_EQ(matlib::formatKeySuffix(NumericFormat::F32), "");
-    EXPECT_NE(matlib::formatKeySuffix(NumericFormat::I16), "");
-    EXPECT_NE(matlib::formatKeySuffix(NumericFormat::I16),
-              matlib::formatKeySuffix(NumericFormat::I32));
-
     auto check = [](matlib::Backend &plain, matlib::Backend &touched) {
         touched.setFormat(NumericFormat::F32);
         EXPECT_EQ(plain.cacheKey(), touched.cacheKey());
@@ -1362,6 +1358,42 @@ TEST(FormatIdentity, F32EpisodeBitExactPerPlant)
     }
 }
 
+TEST(FormatIdentity, OneWidthSharesOneCalibration)
+{
+    // The fit depends on the stream, and the stream on the element
+    // width only: the second format of each width is served the first
+    // one's fit, bit for bit, without a compute. Horizon 6 is
+    // calibrated by no other test here, so each first call misses.
+    const std::unique_ptr<plant::Plant> cp =
+        plant::ScenarioRegistry::global().makePlant("cartpole-cartpole");
+    const std::pair<NumericFormat, NumericFormat> widths[] = {
+        {NumericFormat::BF16, NumericFormat::I16},
+        {NumericFormat::F32, NumericFormat::I32}};
+    for (const char *model : {"scalar", "vector", "gemmini"}) {
+        std::string fits[2];
+        for (int w = 0; w < 2; ++w) {
+            const auto [first, second] = widths[w];
+            const std::string tag = std::string(model) + " " +
+                                    matlib::formatName(first) + "/" +
+                                    matlib::formatName(second);
+            const isa::MemoStats before = hil::calibMemo().stats();
+            fits[w] = hil::encodeTiming(hil::namedControllerTiming(
+                model, *cp, 0.02, 6, true, first));
+            const isa::MemoStats mid = hil::calibMemo().stats();
+            const std::string again = hil::encodeTiming(
+                hil::namedControllerTiming(model, *cp, 0.02, 6, true,
+                                           second));
+            const isa::MemoStats after = hil::calibMemo().stats();
+            EXPECT_EQ(mid.misses, before.misses + 1) << tag;
+            EXPECT_EQ(after.misses, mid.misses) << tag;
+            EXPECT_EQ(after.computes, mid.computes) << tag;
+            EXPECT_EQ(again, fits[w]) << tag;
+        }
+        // The two widths are distinct fits.
+        EXPECT_NE(fits[0], fits[1]) << model;
+    }
+}
+
 // --- narrow streams: emission, schedule search, batched replay ---
 
 TEST(NarrowStreams, CarryElementWidthAndDistinctKeys)
@@ -1381,10 +1413,10 @@ TEST(NarrowStreams, CarryElementWidthAndDistinctKeys)
     EXPECT_TRUE(saw_sew16);
 
     // int32 keeps the 32-bit stream byte-identical to float32 (the
-    // values differ, the uops do not) — only the key is distinct.
+    // values differ, the uops do not), so it keeps the float32 key.
     matlib::GemminiBackend g32(matlib::GemminiMapping::fullyOptimized());
     g32.setFormat(NumericFormat::I32);
-    EXPECT_NE(g32.cacheKey(), key_f32);
+    EXPECT_EQ(g32.cacheKey(), key_f32);
     isa::Program i32 =
         bench::emitQuadSolve(g32, tinympc::MappingStyle::Library, 2);
     matlib::GemminiBackend gf(matlib::GemminiMapping::fullyOptimized());
@@ -1470,11 +1502,13 @@ TEST(FormatPersistence, NarrowProgramRoundTripsThroughCodecAndDisk)
     ASSERT_TRUE(back.has_value());
     EXPECT_TRUE(samePrograms(narrow, *back));
 
-    // Disk cache: per-format keys produce independently cached blobs
+    // Disk cache: per-width keys produce independently cached blobs
     // that warm-read back bit-identical with zero re-emissions.
     const std::string dir = makeTempDir();
-    auto key = [&](NumericFormat f) {
-        return "quad-solve" + matlib::formatKeySuffix(f);
+    auto key = [](NumericFormat f) {
+        matlib::GemminiBackend b(matlib::GemminiMapping::fullyOptimized());
+        b.setFormat(f);
+        return "quad-solve:" + b.cacheKey();
     };
     {
         isa::DiskCache disk(dir, "test-fp");
@@ -1526,7 +1560,10 @@ TEST(DseFormatAxis, EnumeratesWithoutDisturbingDefault)
                                      2));
         };
         e.progKey = [](dse::Fidelity, matlib::NumericFormat fmt) {
-            return "dse-fmt-test" + matlib::formatKeySuffix(fmt);
+            matlib::GemminiBackend b(
+                matlib::GemminiMapping::fullyOptimized());
+            b.setFormat(fmt);
+            return "dse-fmt-test:" + b.cacheKey();
         };
         space.addConfig(std::move(e));
     };

@@ -4,7 +4,7 @@
  * pinned bit-exact to the pre-refactor runner on every plant,
  * linearizeAt FD-vs-analytic agreement at off-trim states (and model
  * exactness at the expansion point), refreshModel preserving the
- * ADMM warm start (iterations drop vs a cold re-allocate), memo and
+ * ADMM warm start (iterations drop vs a cold re-allocate), cells and
  * calibration keys distinguishing relinearization policies, parallel
  * == serial under a 4-thread pool, the plant-generic wrench hook, and
  * the rocket mass-depletion / tilt-limit fidelity fix.
@@ -336,7 +336,7 @@ TEST(ControlSession, PolicyTriggersRefreshesAndCosts)
     EXPECT_GT(r2.modelRefreshes, 0);
 }
 
-TEST(ControlSession, CellMemoDistinguishesPolicies)
+TEST(ControlSession, CellsDistinguishPolicies)
 {
     plant::CartPolePlant proto;
     hil::HilConfig k0;
@@ -345,21 +345,11 @@ TEST(ControlSession, CellMemoDistinguishesPolicies)
     k5.timing = pinTimingWithRefresh();
     k5.relin.everyK = 5;
 
-    isa::MemoStats before = hil::cellMemo().stats();
+    // A K=5 cell refreshes its model; the fixed-trim cell never does.
     hil::SweepCell a = hil::runCell(proto, plant::Difficulty::Easy, 1, k0);
     hil::SweepCell b = hil::runCell(proto, plant::Difficulty::Easy, 1, k5);
-    isa::MemoStats after = hil::cellMemo().stats();
-    // Distinct policies must be distinct cells (two misses)...
-    EXPECT_EQ(after.misses, before.misses + 2);
     EXPECT_GT(b.avgRefreshes, 0.0);
     EXPECT_EQ(a.avgRefreshes, 0.0);
-    // ...and a repeat of either policy is served from the memo.
-    hil::SweepCell b2 =
-        hil::runCell(proto, plant::Difficulty::Easy, 1, k5);
-    isa::MemoStats again = hil::cellMemo().stats();
-    EXPECT_EQ(again.misses, after.misses);
-    EXPECT_EQ(again.hits, after.hits + 1);
-    EXPECT_EQ(b2.avgTrackingErrM, b.avgTrackingErrM);
 }
 
 TEST(ControlSession, CalibrationDistinguishesRefreshAwareness)

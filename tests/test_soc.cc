@@ -140,8 +140,7 @@ TEST(Uart, FramingIsShapeAware)
     EXPECT_EQ(u.uplinkS(100, 4), 10.0 * (wide_uplink + 9) / 460800.0);
     // The boundary is exact.
     EXPECT_EQ(u.framingBytes(UartModel::kMaxSmallPayload + 1), 9);
-    // The configuration accessor still reports the small-frame value
-    // (runCell memo keys embed it).
+    // The configuration accessor still reports the small-frame value.
     EXPECT_EQ(u.framingBytes(), 6);
 }
 

@@ -563,17 +563,17 @@ const StreamDigests kGoldenStreams[] = {
       {0x646c7097c0cbbeecull, 0xd0db758560fccb6full},
       {0x646c7097c0cbbeecull, 0xd0db758560fccb6full}},
      0x9c8af252240ee142ull},
-    {"scalar-matlib|fmt:bf16",
+    {"scalar-matlib|sew16",
      {{0x79f924576be82e37ull, 0xa8a448897bd47c58ull},
       {0x3835b5c27fda0ce4ull, 0x7559cdeeb502e271ull},
       {0x3835b5c27fda0ce4ull, 0x7559cdeeb502e271ull}},
      0xfd56adf8d29a0b46ull},
-    {"scalar-matlib|fmt:i32",
+    {"scalar-matlib",
      {{0x5ce7c3fb51891bdbull, 0x5c1f36218e8e884aull},
       {0x646c7097c0cbbeecull, 0xd0db758560fccb6full},
       {0x646c7097c0cbbeecull, 0xd0db758560fccb6full}},
      0x9c8af252240ee142ull},
-    {"scalar-matlib|fmt:i16",
+    {"scalar-matlib|sew16",
      {{0x79f924576be82e37ull, 0xa8a448897bd47c58ull},
       {0x3835b5c27fda0ce4ull, 0x7559cdeeb502e271ull},
       {0x3835b5c27fda0ce4ull, 0x7559cdeeb502e271ull}},
@@ -583,17 +583,17 @@ const StreamDigests kGoldenStreams[] = {
       {0x517e24f3ddf93bbaull, 0x2fec4542eb44fc7bull},
       {0x517e24f3ddf93bbaull, 0x2fec4542eb44fc7bull}},
      0x7cb2c6dcd4666628ull},
-    {"scalar-eigen|fmt:bf16",
+    {"scalar-eigen|sew16",
      {{0x93184ba30ff891f8ull, 0xf49cf8b2c3cce3daull},
       {0x8be5811d0dd4c332ull, 0xb3d4e43188b21ca1ull},
       {0x8be5811d0dd4c332ull, 0xb3d4e43188b21ca1ull}},
      0x16649fa3203e5298ull},
-    {"scalar-eigen|fmt:i32",
+    {"scalar-eigen",
      {{0x6e11babad06553a4ull, 0xb40689ac47d46378ull},
       {0x517e24f3ddf93bbaull, 0x2fec4542eb44fc7bull},
       {0x517e24f3ddf93bbaull, 0x2fec4542eb44fc7bull}},
      0x7cb2c6dcd4666628ull},
-    {"scalar-eigen|fmt:i16",
+    {"scalar-eigen|sew16",
      {{0x93184ba30ff891f8ull, 0xf49cf8b2c3cce3daull},
       {0x8be5811d0dd4c332ull, 0xb3d4e43188b21ca1ull},
       {0x8be5811d0dd4c332ull, 0xb3d4e43188b21ca1ull}},
@@ -603,17 +603,17 @@ const StreamDigests kGoldenStreams[] = {
       {0xf880ffc00375522cull, 0xffa4f5a4ff4ccb55ull},
       {0xf880ffc00375522cull, 0xffa4f5a4ff4ccb55ull}},
      0xa5a581bb61ea29f0ull},
-    {"rvv:v512:m1|fmt:bf16",
+    {"rvv:v512:m1|sew16",
      {{0xcc0feac0d604ea42ull, 0x1836b1198fbb8380ull},
       {0x30e89971ca8e0891ull, 0x82e6d9467447cc4full},
       {0x30e89971ca8e0891ull, 0x82e6d9467447cc4full}},
      0xa5172b158b726030ull},
-    {"rvv:v512:m1|fmt:i32",
+    {"rvv:v512:m1",
      {{0x025212e221efcf45ull, 0x7b4e36073e6d8211ull},
       {0xf880ffc00375522cull, 0xffa4f5a4ff4ccb55ull},
       {0xf880ffc00375522cull, 0xffa4f5a4ff4ccb55ull}},
      0xa5a581bb61ea29f0ull},
-    {"rvv:v512:m1|fmt:i16",
+    {"rvv:v512:m1|sew16",
      {{0xcc0feac0d604ea42ull, 0x1836b1198fbb8380ull},
       {0x30e89971ca8e0891ull, 0x82e6d9467447cc4full},
       {0x30e89971ca8e0891ull, 0x82e6d9467447cc4full}},
@@ -623,17 +623,17 @@ const StreamDigests kGoldenStreams[] = {
       {0xa1e2735894ac537cull, 0x2de004ae47ad96edull},
       {0xa1e2735894ac537cull, 0x2de004ae47ad96edull}},
      0xa1b221cd43c4ed00ull},
-    {"rvv:v256:m2|fmt:bf16",
+    {"rvv:v256:m2|sew16",
      {{0x7c3c9474f02cda02ull, 0x178d306ea9add060ull},
       {0x39c550186106c6f9ull, 0x37c91cc8d9f9c30full},
       {0x39c550186106c6f9ull, 0x37c91cc8d9f9c30full}},
      0x5bf57afd05b07f08ull},
-    {"rvv:v256:m2|fmt:i32",
+    {"rvv:v256:m2",
      {{0xd55dece9fe4ee1b5ull, 0x361eab04c5cf5971ull},
       {0xa1e2735894ac537cull, 0x2de004ae47ad96edull},
       {0xa1e2735894ac537cull, 0x2de004ae47ad96edull}},
      0xa1b221cd43c4ed00ull},
-    {"rvv:v256:m2|fmt:i16",
+    {"rvv:v256:m2|sew16",
      {{0x7c3c9474f02cda02ull, 0x178d306ea9add060ull},
       {0x39c550186106c6f9ull, 0x37c91cc8d9f9c30full},
       {0x39c550186106c6f9ull, 0x37c91cc8d9f9c30full}},
@@ -643,17 +643,17 @@ const StreamDigests kGoldenStreams[] = {
       {0xccef816078f4a797ull, 0x3cf2e986caaf61aeull},
       {0xe978bf200717bf5full, 0x38f8f59796ef3348ull}},
      0xf5c4c5b2d5788cadull},
-    {"rvv:v512:m1:unroll:fuse:xpose|fmt:bf16",
+    {"rvv:v512:m1:unroll:fuse:xpose|sew16",
      {{0x9748164e5f0ffee7ull, 0x7e5ff8f2e27e5dedull},
       {0x8dc1d28470ba8554ull, 0x7b6c31d935a83fb5ull},
       {0xdc30316598fbd8e3ull, 0xb918f491fc5dc02full}},
      0x2137b4db9abe6e88ull},
-    {"rvv:v512:m1:unroll:fuse:xpose|fmt:i32",
+    {"rvv:v512:m1:unroll:fuse:xpose",
      {{0xbd11de65ef321132ull, 0xd91d653248d58832ull},
       {0xccef816078f4a797ull, 0x3cf2e986caaf61aeull},
       {0xe978bf200717bf5full, 0x38f8f59796ef3348ull}},
      0xf5c4c5b2d5788cadull},
-    {"rvv:v512:m1:unroll:fuse:xpose|fmt:i16",
+    {"rvv:v512:m1:unroll:fuse:xpose|sew16",
      {{0x9748164e5f0ffee7ull, 0x7e5ff8f2e27e5dedull},
       {0x8dc1d28470ba8554ull, 0x7b6c31d935a83fb5ull},
       {0xdc30316598fbd8e3ull, 0xb918f491fc5dc02full}},
@@ -663,17 +663,17 @@ const StreamDigests kGoldenStreams[] = {
       {0xf2c858a81d52d864ull, 0x6af2bc4d44f2397full},
       {0x0000000000000000ull, 0x0000000000000000ull}},
      0x78feb09a97022523ull},
-    {"gemmini:fine:mesh4|fmt:bf16",
+    {"gemmini:fine:mesh4|sew16",
      {{0xb7939369543d456aull, 0x960cd9000d577745ull},
       {0xf66057587d034285ull, 0xa70b2064e6c9189dull},
       {0x0000000000000000ull, 0x0000000000000000ull}},
      0x512c04f2c4b6c99eull},
-    {"gemmini:fine:mesh4|fmt:i32",
+    {"gemmini:fine:mesh4",
      {{0xf9e4af7708a96e04ull, 0xc9f7293ddb942c14ull},
       {0xf2c858a81d52d864ull, 0x6af2bc4d44f2397full},
       {0x0000000000000000ull, 0x0000000000000000ull}},
      0x78feb09a97022523ull},
-    {"gemmini:fine:mesh4|fmt:i16",
+    {"gemmini:fine:mesh4|sew16",
      {{0xb7939369543d456aull, 0x960cd9000d577745ull},
       {0xf66057587d034285ull, 0xa70b2064e6c9189dull},
       {0x0000000000000000ull, 0x0000000000000000ull}},
@@ -683,17 +683,17 @@ const StreamDigests kGoldenStreams[] = {
       {0x57eebcff476beba3ull, 0x0af11b3f9e5671daull},
       {0x0000000000000000ull, 0x0000000000000000ull}},
      0xa4bfbdc50db2e7d2ull},
-    {"gemmini:static:unroll:fine:mesh4|fmt:bf16",
+    {"gemmini:static:unroll:fine:mesh4|sew16",
      {{0x2bbc6c22face3e82ull, 0x89dc0a3da614e854ull},
       {0x4da1a8a7b3954d14ull, 0xf9b9b7c2c5977f8aull},
       {0x0000000000000000ull, 0x0000000000000000ull}},
      0x874ddb4bb7edc8d1ull},
-    {"gemmini:static:unroll:fine:mesh4|fmt:i32",
+    {"gemmini:static:unroll:fine:mesh4",
      {{0xac1148b600d15858ull, 0x63f78c6b77cf2ec6ull},
       {0x57eebcff476beba3ull, 0x0af11b3f9e5671daull},
       {0x0000000000000000ull, 0x0000000000000000ull}},
      0xa4bfbdc50db2e7d2ull},
-    {"gemmini:static:unroll:fine:mesh4|fmt:i16",
+    {"gemmini:static:unroll:fine:mesh4|sew16",
      {{0x2bbc6c22face3e82ull, 0x89dc0a3da614e854ull},
       {0x4da1a8a7b3954d14ull, 0xf9b9b7c2c5977f8aull},
       {0x0000000000000000ull, 0x0000000000000000ull}},
@@ -703,17 +703,17 @@ const StreamDigests kGoldenStreams[] = {
       {0x5f1eaf686f0eb36bull, 0x41e2b4da01c6dfa4ull},
       {0x0000000000000000ull, 0x0000000000000000ull}},
      0x56c8c8f03bd5e819ull},
-    {"gemmini:static:unroll:fine:spad:ewise:pool:mesh4|fmt:bf16",
+    {"gemmini:static:unroll:fine:spad:ewise:pool:mesh4|sew16",
      {{0x1d0711a73ceec5b4ull, 0xa17113e3b0957465ull},
       {0x837005dc6266111bull, 0x0d1dba73e0b11c36ull},
       {0x0000000000000000ull, 0x0000000000000000ull}},
      0xa2c31ce63bd637d7ull},
-    {"gemmini:static:unroll:fine:spad:ewise:pool:mesh4|fmt:i32",
+    {"gemmini:static:unroll:fine:spad:ewise:pool:mesh4",
      {{0x5d5b68259868b9beull, 0xa3f5d15d31f8d6dcull},
       {0x5f1eaf686f0eb36bull, 0x41e2b4da01c6dfa4ull},
       {0x0000000000000000ull, 0x0000000000000000ull}},
      0x56c8c8f03bd5e819ull},
-    {"gemmini:static:unroll:fine:spad:ewise:pool:mesh4|fmt:i16",
+    {"gemmini:static:unroll:fine:spad:ewise:pool:mesh4|sew16",
      {{0x1d0711a73ceec5b4ull, 0xa17113e3b0957465ull},
       {0x837005dc6266111bull, 0x0d1dba73e0b11c36ull},
       {0x0000000000000000ull, 0x0000000000000000ull}},
@@ -735,6 +735,21 @@ TEST(StreamIdentity, EveryBackendStyleFormatMatchesGolden)
             }
         }
         EXPECT_EQ(got[i].refresh, g.refresh) << g.key << " refresh";
+    }
+
+    // The identity rule every stream cache relies on: two backends
+    // share a cacheKey() exactly when all their streams match, so no
+    // cache tells apart results that cannot differ.
+    for (size_t i = 0; i < got.size(); ++i) {
+        for (size_t j = i + 1; j < got.size(); ++j) {
+            const bool same_streams =
+                std::memcmp(got[i].solve, got[j].solve,
+                            sizeof got[i].solve) == 0 &&
+                got[i].refresh == got[j].refresh;
+            EXPECT_EQ(got[i].key == got[j].key, same_streams)
+                << "#" << i << " " << got[i].key << " vs #" << j << " "
+                << got[j].key;
+        }
     }
 }
 
