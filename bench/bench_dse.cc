@@ -267,12 +267,10 @@ main(int argc, char **argv)
     }
 
     isa::MemoStats memo = dse::evalMemo().stats();
-    std::printf("Eval memo: %llu hits, %llu misses, %zu entries "
-                "(cap %zu, %llu evicted)\n",
+    std::printf("Eval memo: %llu hits, %llu misses, %zu entries\n",
                 static_cast<unsigned long long>(memo.hits),
                 static_cast<unsigned long long>(memo.misses),
-                memo.entries, memo.capacity,
-                static_cast<unsigned long long>(memo.evictions));
+                memo.entries);
 
     if (!json_path.empty()) {
         FILE *f = std::fopen(json_path.c_str(), "w");

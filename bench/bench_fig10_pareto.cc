@@ -22,6 +22,7 @@
 #include "common/table.hh"
 #include "dse/explorer.hh"
 #include "dse_spaces.hh"
+#include "isa/program_cache.hh"
 #include "soc/area_model.hh"
 
 using namespace rtoc;

@@ -45,6 +45,7 @@
 #include "hil/sweep.hh"
 #include "hil/timing.hh"
 #include "isa/disk_cache.hh"
+#include "isa/program_cache.hh"
 #include "plant/quad_plant.hh"
 #include "matlib/gemmini_backend.hh"
 #include "matlib/rvv_backend.hh"

@@ -6,11 +6,14 @@
  * reports; absolute cycle counts are model-calibrated, the *shape*
  * (who wins, by what factor, where crossovers fall) is the claim.
  *
- * emitQuadSolve always emits fresh (the microbench uses it to price
- * emission itself); emitQuadSolveCached goes through the process-wide
- * ProgramCache and is what the figure benches use — repeated design
- * points with the same (backend config, style, iters) replay one
- * shared stream.
+ * The solve stream has one emitter and one key, hil::emitSolveStream
+ * and hil::solveStreamKey, and the helpers here only delegate to
+ * them. emitPlantSolve and emitQuadSolve always emit fresh (the
+ * microbench uses them to price emission itself); emitQuadSolveCached
+ * fetches hil::solveStream from the process-wide ProgramCache and is
+ * what the figure benches use, so a bench, a calibration and a design
+ * space asking for one (backend config, style, shape, iters) replay
+ * one shared stream.
  */
 
 #ifndef RTOC_BENCH_BENCH_UTIL_HH
@@ -19,110 +22,51 @@
 #include <memory>
 #include <string>
 
-#include "common/logging.hh"
+#include "hil/timing.hh"
 #include "isa/program.hh"
-#include "isa/program_cache.hh"
 #include "matlib/backend.hh"
 #include "plant/quad_plant.hh"
-#include "tinympc/solver.hh"
 
 namespace rtoc::bench {
 
-/**
- * Emit an instrumented TinyMPC solve of @p plant's problem shape with
- * exactly @p iters ADMM iterations (plant-generic counterpart of
- * emitQuadSolve).
- */
+/** A fresh instrumented solve of @p plant's problem shape with exactly
+ *  @p iters ADMM iterations (hil::emitSolveStream). */
 inline isa::Program
 emitPlantSolve(const plant::Plant &plant, matlib::Backend &backend,
                tinympc::MappingStyle style, int iters = 5,
                double dt = 0.02, int horizon = 10)
 {
-    tinympc::Workspace ws = plant.buildWorkspace(dt, horizon);
-    ws.settings.maxIters = iters;
-    ws.settings.priTol = 0.0f;
-    ws.settings.duaTol = 0.0f;
     isa::Program prog;
-    backend.setProgram(&prog);
-    tinympc::Solver solver(ws, backend, style);
-    solver.setup();
-    std::vector<float> x0(static_cast<size_t>(plant.nx()), 0.0f);
-    x0[0] = 0.4f;
-    ws.setInitialState(x0.data());
-    solver.solve();
-    backend.setProgram(nullptr);
+    hil::emitSolveStream(prog, backend, style, plant, dt, horizon, iters);
     return prog;
 }
 
-/**
- * ProgramCache key of a cached plant solve. Shared by
- * emitPlantSolveCached and the dse DesignSpace progKey closures, so a
- * design space names exactly the stream the emitter would cache. The
- * key carries the problem shape (nx, nu, horizon) but not the plant
- * parameters: emission is data-independent, so plants sharing a shape
- * share one stream.
- */
+/** ProgramCache key of a plant solve (hil::solveStreamKey). */
 inline std::string
 plantSolveKey(const matlib::Backend &backend, tinympc::MappingStyle style,
               int nx, int nu, int horizon, int iters)
 {
-    return csprintf("plantsolve:%s:style%d:nx%d:nu%d:h%d:it%d",
-                    backend.cacheKey().c_str(), static_cast<int>(style),
-                    nx, nu, horizon, iters);
+    return hil::solveStreamKey(backend, style, nx, nu, horizon, iters);
 }
 
-/** Cached variant of emitPlantSolve (keyed by plantSolveKey). */
-inline std::shared_ptr<const isa::Program>
-emitPlantSolveCached(const plant::Plant &plant, matlib::Backend &backend,
-                     tinympc::MappingStyle style, int iters = 5,
-                     double dt = 0.02, int horizon = 10)
-{
-    const std::string key = plantSolveKey(backend, style, plant.nx(),
-                                          plant.nu(), horizon, iters);
-    return isa::ProgramCache::global().getOrEmit(
-        key, [&](isa::Program &p) {
-            p = emitPlantSolve(plant, backend, style, iters, dt,
-                               horizon);
-        });
-}
-
-/**
- * Emit an instrumented TinyMPC solve of the standard quadrotor
- * problem (nx=12, nu=4, N=10) with exactly @p iters ADMM iterations.
- */
+/** A fresh instrumented solve of the standard quadrotor problem
+ *  (nx=12, nu=4, N=10) with exactly @p iters ADMM iterations. */
 inline isa::Program
 emitQuadSolve(matlib::Backend &backend, tinympc::MappingStyle style,
               int iters = 5,
               const quad::DroneParams &drone =
                   quad::DroneParams::crazyflie())
 {
-    tinympc::Workspace ws =
-        plant::QuadrotorPlant(drone).buildWorkspace(0.02, 10);
-    ws.settings.maxIters = iters;
-    ws.settings.priTol = 0.0f;
-    ws.settings.duaTol = 0.0f;
-    isa::Program prog;
-    backend.setProgram(&prog);
-    tinympc::Solver solver(ws, backend, style);
-    solver.setup();
-    float x0[12] = {0.4f, -0.2f, 0.9f, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-    ws.setInitialState(x0);
-    solver.solve();
-    backend.setProgram(nullptr);
-    return prog;
+    return emitPlantSolve(plant::QuadrotorPlant(drone), backend, style,
+                          iters);
 }
 
 /**
- * Cached variant of emitQuadSolve, sharing the plant-generic key
- * space: the standard quadrotor problem is the 12x4 instantiation of
- * emitPlantSolveCached, so quad-specific and cross-plant sweeps hit
- * one cached stream. The returned Program is immutable and safe to
- * time from any thread.
- *
- * The key deliberately omits @p drone: emission is data-independent,
- * so every drone produces the identical stream for a given shape
- * (pinned by the ProgramCache.EmissionIsDroneIndependent test) and
- * design points for different drones share one cached trace.
+ * The cached stream of emitQuadSolve (hil::solveStream). Its key
+ * omits @p drone: emission is data-independent, so every drone
+ * produces the identical stream (pinned by the
+ * ProgramCache.EmissionIsDroneIndependent test) and design points for
+ * different drones share one cached trace.
  */
 inline std::shared_ptr<const isa::Program>
 emitQuadSolveCached(matlib::Backend &backend,
@@ -130,8 +74,8 @@ emitQuadSolveCached(matlib::Backend &backend,
                     const quad::DroneParams &drone =
                         quad::DroneParams::crazyflie())
 {
-    plant::QuadrotorPlant plant(drone);
-    return emitPlantSolveCached(plant, backend, style, iters);
+    return hil::solveStream(backend, style, plant::QuadrotorPlant(drone),
+                            0.02, 10, iters);
 }
 
 /** Paper kernel names in Algorithm order, for stable table rows. */

@@ -19,14 +19,19 @@
  *
  * Fidelity maps to ADMM solver iterations: Fidelity::Low replays a
  * 1-iteration solve stream, Fidelity::Full the paper's 5-iteration
- * solve. Both go through the shared ProgramCache (plantSolveKey), so
- * the two fidelities are distinct cached streams.
+ * solve. Every configuration fetches and names its stream through
+ * solveClosures, that is through the one solve-stream emitter and key
+ * (hil::solveStream, hil::solveStreamKey), so the two fidelities are
+ * distinct cached streams and a design space shares each stream with
+ * the calibrations and benches.
  */
 
 #ifndef RTOC_BENCH_DSE_SPACES_HH
 #define RTOC_BENCH_DSE_SPACES_HH
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -45,6 +50,33 @@ fidelityIters(dse::Fidelity f)
     return f == dse::Fidelity::Low ? 1 : 5;
 }
 
+/**
+ * The emit and progKey closures of a configuration replaying the
+ * quadrotor solve stream of the backend @p make builds, in @p style.
+ * The numeric format is applied to that backend, whose cacheKey (and
+ * so the stream key) carries its element width: 16-bit streams never
+ * alias 32-bit ones, and formats of one width share one.
+ */
+inline std::pair<decltype(dse::ConfigEntry::emit),
+                 decltype(dse::ConfigEntry::progKey)>
+solveClosures(std::function<std::unique_ptr<matlib::Backend>()> make,
+              tinympc::MappingStyle style)
+{
+    auto backend = [make](matlib::NumericFormat fmt) {
+        std::unique_ptr<matlib::Backend> b = make();
+        b->setFormat(fmt);
+        return b;
+    };
+    return {[backend, style](dse::Fidelity f, matlib::NumericFormat fmt) {
+                return emitQuadSolveCached(*backend(fmt), style,
+                                           fidelityIters(f));
+            },
+            [backend, style](dse::Fidelity f, matlib::NumericFormat fmt) {
+                return plantSolveKey(*backend(fmt), style, 12, 4, 10,
+                                     fidelityIters(f));
+            }};
+}
+
 /** The 15 Figure-10 design points as a DesignSpace (nominal axes). */
 inline dse::DesignSpace
 fig10Space()
@@ -59,22 +91,13 @@ fig10Space()
     constexpr double kSaturnWidthMm2 = 0.40;
     constexpr double kGemminiWidthMm2 = 0.25;
 
-    // Scalar cores run the optimized Eigen mapping. The numeric
-    // format is applied to the emitting backend, whose cacheKey (and
-    // so plantSolveKey) carries its element width: 16-bit streams
-    // never alias 32-bit ones, and formats of one width share one.
-    auto scalar_emit = [](dse::Fidelity f, matlib::NumericFormat fmt) {
-        matlib::ScalarBackend b(matlib::ScalarFlavor::Optimized);
-        b.setFormat(fmt);
-        return emitQuadSolveCached(b, tinympc::MappingStyle::Library,
-                                   fidelityIters(f));
-    };
-    auto scalar_key = [](dse::Fidelity f, matlib::NumericFormat fmt) {
-        matlib::ScalarBackend b(matlib::ScalarFlavor::Optimized);
-        b.setFormat(fmt);
-        return plantSolveKey(b, tinympc::MappingStyle::Library, 12, 4,
-                             10, fidelityIters(f));
-    };
+    // Scalar cores run the optimized Eigen mapping.
+    const auto [scalar_emit, scalar_key] = solveClosures(
+        [] {
+            return std::make_unique<matlib::ScalarBackend>(
+                matlib::ScalarFlavor::Optimized);
+        },
+        tinympc::MappingStyle::Library);
 
     s.addConfig(
         {"rocket",
@@ -118,7 +141,12 @@ fig10Space()
           std::tuple{512, 128, true}, std::tuple{512, 256, true}}) {
         const std::string name =
             vector::SaturnConfig::make(vlen, dlen, shuttle).name;
-        const int vl = vlen;
+        const auto [emit, key] = solveClosures(
+            [vl = vlen] {
+                return std::make_unique<matlib::RvvBackend>(
+                    vl, matlib::RvvMapping::handOptimized());
+            },
+            tinympc::MappingStyle::Fused);
         s.addConfig(
             {name,
              [vl = vlen, dl = dlen, sh = shuttle](
@@ -129,20 +157,7 @@ fig10Space()
                          vector::SaturnConfig::make(vl, dl, sh), lat,
                          width));
              },
-             [vl](dse::Fidelity f, matlib::NumericFormat fmt) {
-                 matlib::RvvBackend b(
-                     vl, matlib::RvvMapping::handOptimized());
-                 b.setFormat(fmt);
-                 return emitQuadSolveCached(
-                     b, tinympc::MappingStyle::Fused, fidelityIters(f));
-             },
-             [vl](dse::Fidelity f, matlib::NumericFormat fmt) {
-                 matlib::RvvBackend b(
-                     vl, matlib::RvvMapping::handOptimized());
-                 b.setFormat(fmt);
-                 return plantSolveKey(b, tinympc::MappingStyle::Fused,
-                                      12, 4, 10, fidelityIters(f));
-             },
+             emit, key,
              dse::areaWithWidth(area.areaMm2(name), kSaturnWidthMm2),
              0});
     }
@@ -151,18 +166,17 @@ fig10Space()
     // the merely static-mapped software (§5.1.5: the deep software
     // optimizations were not ported to it). The spad32k point pays the
     // modelled 600-cycle scratchpad-spill overhead per solve.
-    auto gem_opt_emit = [](dse::Fidelity f, matlib::NumericFormat fmt) {
-        matlib::GemminiBackend b(matlib::GemminiMapping::fullyOptimized());
-        b.setFormat(fmt);
-        return emitQuadSolveCached(b, tinympc::MappingStyle::Library,
-                                   fidelityIters(f));
+    auto gemmini = [](matlib::GemminiMapping mapping) {
+        return solveClosures(
+            [mapping] {
+                return std::make_unique<matlib::GemminiBackend>(mapping);
+            },
+            tinympc::MappingStyle::Library);
     };
-    auto gem_opt_key = [](dse::Fidelity f, matlib::NumericFormat fmt) {
-        matlib::GemminiBackend b(matlib::GemminiMapping::fullyOptimized());
-        b.setFormat(fmt);
-        return plantSolveKey(b, tinympc::MappingStyle::Library, 12, 4,
-                             10, fidelityIters(f));
-    };
+    const auto [gem_opt_emit, gem_opt_key] =
+        gemmini(matlib::GemminiMapping::fullyOptimized());
+    const auto [gem_static_emit, gem_static_key] =
+        gemmini(matlib::GemminiMapping::staticMapped());
     auto gem_model = [](systolic::GemminiConfig cfg) {
         return [cfg](double lat,
                      double width) -> std::unique_ptr<cpu::TimingModel> {
@@ -184,22 +198,7 @@ fig10Space()
                  600});
     s.addConfig({"gemmini-ws4x4-spad64k",
                  gem_model(systolic::GemminiConfig::ws4x4(64)),
-                 [](dse::Fidelity f, matlib::NumericFormat fmt) {
-                     matlib::GemminiBackend b(
-                         matlib::GemminiMapping::staticMapped());
-                     b.setFormat(fmt);
-                     return emitQuadSolveCached(
-                         b, tinympc::MappingStyle::Library,
-                         fidelityIters(f));
-                 },
-                 [](dse::Fidelity f, matlib::NumericFormat fmt) {
-                     matlib::GemminiBackend b(
-                         matlib::GemminiMapping::staticMapped());
-                     b.setFormat(fmt);
-                     return plantSolveKey(b,
-                                          tinympc::MappingStyle::Library,
-                                          12, 4, 10, fidelityIters(f));
-                 },
+                 gem_static_emit, gem_static_key,
                  dse::areaWithWidth(area.areaMm2("gemmini-ws4x4-spad64k"),
                                     kGemminiWidthMm2),
                  0});

@@ -80,8 +80,7 @@ isa::Memo<CellCost> &
 evalMemo()
 {
     // Leaked: the registry polls its counters until exit.
-    static auto *memo = new isa::Memo<CellCost>("eval_memo", 65536,
-                                                kCellTier);
+    static auto *memo = new isa::Memo<CellCost>("eval_memo", kCellTier);
     return *memo;
 }
 
@@ -128,7 +127,7 @@ Explorer::submit(const std::vector<PointSpec> &points, Fidelity f)
 
     // Without the process memo, a memory tier that lives for this
     // batch only: every cell is read from disk or replayed.
-    isa::Memo<CellCost> batch_memo("", 0, kCellTier);
+    isa::Memo<CellCost> batch_memo("", kCellTier);
     isa::Memo<CellCost> &memo = opt_.useMemo ? evalMemo() : batch_memo;
 
     // Resolve from the memo and its disk tier.

@@ -56,8 +56,9 @@ struct CellCost
 };
 
 /**
- * Process-wide (model, stream) -> CellCost memo shared by Explorers,
- * LRU-bounded at 65536 cells (counters as "eval_memo.*").
+ * Process-wide (model, stream) -> CellCost memo shared by Explorers
+ * (counters as "eval_memo.*"). It keeps every cell it is asked for:
+ * the full bench_dse run holds about a thousand.
  */
 isa::Memo<CellCost> &evalMemo();
 

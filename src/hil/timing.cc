@@ -1,6 +1,7 @@
 #include "timing.hh"
 
 #include <memory>
+#include <vector>
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
@@ -56,33 +57,22 @@ namespace {
 std::string
 calibKey(const cpu::TimingModel &model, const matlib::Backend &backend,
          tinympc::MappingStyle style, const plant::Plant &plant,
-         double dt, int horizon, bool with_refresh)
+         int horizon, bool with_refresh)
 {
-    // The fitted linear cycle model is as deterministic as the stream
+    // The fitted linear cycle model is as deterministic as the streams
     // it replays, so it persists across processes under a key carrying
-    // every timing-relevant knob: the full model configuration, the
+    // what the fit depends on: the full model configuration, the
     // backend's emission key, the mapping style, the problem shape
     // and whether the refresh stream was fitted (relinearization-
     // aware callers must never be served a refresh-less payload).
     // schedKeySuffix() keeps sched-on fits from aliasing baseline
     // entries (and is empty — keys untouched — when RTOC_SCHED is
     // off).
-    return csprintf("%s|%s|style%d|nx%d|nu%d|dt%.17g|h%d%s%s",
+    return csprintf("%s|%s|style%d|nx%d|nu%d|h%d%s%s",
                     model.cacheKey().c_str(), backend.cacheKey().c_str(),
-                    static_cast<int>(style), plant.nx(), plant.nu(), dt,
+                    static_cast<int>(style), plant.nx(), plant.nu(),
                     horizon, with_refresh ? "|refresh" : "",
                     isa::schedKeySuffix().c_str());
-}
-
-/** ProgramCache key of one instrumented calibration solve stream. */
-std::string
-calibSolveKey(const matlib::Backend &backend, tinympc::MappingStyle style,
-              const plant::Plant &plant, double dt, int horizon,
-              int iters)
-{
-    return csprintf("calib:%s:style%d:nx%d:nu%d:dt%g:h%d:it%d",
-                    backend.cacheKey().c_str(), static_cast<int>(style),
-                    plant.nx(), plant.nu(), dt, horizon, iters);
 }
 
 /**
@@ -100,52 +90,6 @@ schedStream(const cpu::TimingModel &model, const std::string &progKey,
     return isa::scheduledStream(
         model.cacheKey(), progKey, prog,
         [&model](const isa::Program &p) { return model.run(p).cycles; });
-}
-
-/**
- * Cached instrumented solve stream at a forced iteration count.
- * Emission is data-independent: given the backend configuration,
- * mapping style, problem shape and a forced iteration count the
- * solver emits bit-identical streams regardless of plant masses or
- * states. The stream is therefore cached process-wide and the (cheap)
- * timing replay is the only per-calibration work. The key carries the
- * problem shape (nx, nu, dt, horizon) but deliberately omits the
- * plant parameters (values never change the stream — pinned by
- * ProgramCache.EmissionIsDroneIndependent and the cross-plant shape
- * tests).
- */
-std::shared_ptr<const isa::Program>
-calibSolveStream(matlib::Backend &backend, tinympc::MappingStyle style,
-                 const plant::Plant &plant, double dt, int horizon,
-                 int iters)
-{
-    const std::string key =
-        calibSolveKey(backend, style, plant, dt, horizon, iters);
-    return isa::ProgramCache::global().getOrEmit(
-        key, [&](isa::Program &p) {
-            tinympc::Workspace ws = plant.buildWorkspace(dt, horizon);
-            ws.settings.maxIters = iters;
-            ws.settings.checkTermination = 5;
-            ws.settings.priTol = 0.0f; // force exactly maxIters
-            ws.settings.duaTol = 0.0f;
-            ws.coldStart();
-            const float seed_x0[3] = {0.3f, -0.2f, 0.8f};
-            std::vector<float> x0(static_cast<size_t>(plant.nx()),
-                                  0.0f);
-            for (int i = 0; i < plant.nx() && i < 3; ++i)
-                x0[i] = seed_x0[i];
-            ws.setInitialState(x0.data());
-
-            backend.setProgram(&p);
-            tinympc::Solver solver(ws, backend, style);
-            solver.setup();
-            tinympc::SolveResult res = solver.solve();
-            backend.setProgram(nullptr);
-            if (res.iterations != iters) {
-                rtoc_panic("calibration expected %d iters, got %d",
-                           iters, res.iterations);
-            }
-        });
 }
 
 /** ProgramCache key of one model-refresh stream. */
@@ -184,8 +128,10 @@ fitTiming(const cpu::TimingModel &model, matlib::Backend &backend,
     RTOC_SPAN("hil.calibrate", "hil");
     auto run_iters = [&](int iters) -> double {
         auto prog = schedStream(
-            model, calibSolveKey(backend, style, plant, dt, horizon, iters),
-            calibSolveStream(backend, style, plant, dt, horizon, iters));
+            model,
+            solveStreamKey(backend, style, plant.nx(), plant.nu(),
+                           horizon, iters),
+            solveStream(backend, style, plant, dt, horizon, iters));
         return static_cast<double>(model.run(*prog).cycles);
     };
 
@@ -291,8 +237,7 @@ targetTiming(const Target &t, const plant::Plant &plant, double dt,
     std::unique_ptr<matlib::Backend> backend = t.backend();
     backend->setFormat(format);
     return calibMemo().get(
-        calibKey(*model, *backend, t.style, plant, dt, horizon,
-                 with_refresh),
+        calibKey(*model, *backend, t.style, plant, horizon, with_refresh),
         [&] {
             return fitTiming(*model, *backend, t.style, plant, dt,
                              horizon, with_refresh);
@@ -307,8 +252,56 @@ calibMemo()
 {
     // Leaked: the registry polls its counters until exit.
     static auto *memo = new isa::Memo<ControllerTiming>(
-        "calib", 0, {"calib", encodeTiming, decodeTiming});
+        "calib", {"calib", encodeTiming, decodeTiming});
     return *memo;
+}
+
+std::string
+solveStreamKey(const matlib::Backend &backend, tinympc::MappingStyle style,
+               int nx, int nu, int horizon, int iters)
+{
+    return csprintf("plantsolve:%s:style%d:nx%d:nu%d:h%d:it%d",
+                    backend.cacheKey().c_str(), static_cast<int>(style),
+                    nx, nu, horizon, iters);
+}
+
+void
+emitSolveStream(isa::Program &prog, matlib::Backend &backend,
+                tinympc::MappingStyle style, const plant::Plant &plant,
+                double dt, int horizon, int iters)
+{
+    // Emission is data-independent: the workspace's values (dt, the
+    // plant parameters, the initial state) never change the stream.
+    tinympc::Workspace ws = plant.buildWorkspace(dt, horizon);
+    ws.settings.maxIters = iters;
+    ws.settings.checkTermination = 5;
+    ws.settings.priTol = 0.0f; // force exactly maxIters
+    ws.settings.duaTol = 0.0f;
+    std::vector<float> x0(static_cast<size_t>(plant.nx()), 0.0f);
+    x0[0] = 0.4f;
+    ws.setInitialState(x0.data());
+
+    backend.setProgram(&prog);
+    tinympc::Solver solver(ws, backend, style);
+    solver.setup();
+    const tinympc::SolveResult res = solver.solve();
+    backend.setProgram(nullptr);
+    if (res.iterations != iters) {
+        rtoc_panic("solve stream expected %d iters, got %d", iters,
+                   res.iterations);
+    }
+}
+
+std::shared_ptr<const isa::Program>
+solveStream(matlib::Backend &backend, tinympc::MappingStyle style,
+            const plant::Plant &plant, double dt, int horizon, int iters)
+{
+    return isa::ProgramCache::global().getOrEmit(
+        solveStreamKey(backend, style, plant.nx(), plant.nu(), horizon,
+                       iters),
+        [&](isa::Program &p) {
+            emitSolveStream(p, backend, style, plant, dt, horizon, iters);
+        });
 }
 
 ControllerTiming
@@ -318,7 +311,7 @@ calibrateTiming(const cpu::TimingModel &model, matlib::Backend &backend,
                 bool with_refresh)
 {
     return calibMemo().loadOrCompute(
-        calibKey(model, backend, style, plant, dt, horizon, with_refresh),
+        calibKey(model, backend, style, plant, horizon, with_refresh),
         [&] {
             return fitTiming(model, backend, style, plant, dt, horizon,
                              with_refresh);
@@ -372,8 +365,10 @@ regionBreakdown(const std::string &model, const plant::Plant &plant,
     std::unique_ptr<cpu::TimingModel> core = t.model();
     std::unique_ptr<matlib::Backend> backend = t.backend();
     auto prog = schedStream(
-        *core, calibSolveKey(*backend, t.style, plant, dt, horizon, iters),
-        calibSolveStream(*backend, t.style, plant, dt, horizon, iters));
+        *core,
+        solveStreamKey(*backend, t.style, plant.nx(), plant.nu(), horizon,
+                       iters),
+        solveStream(*backend, t.style, plant, dt, horizon, iters));
     return core->run(*prog).kernelBreakdown(*prog);
 }
 

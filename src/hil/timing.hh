@@ -7,28 +7,33 @@
  * the SoC exactly as the paper's setup treats the Cygnus chip: a
  * black box whose solve latency is cycles(iterations) / frequency.
  *
- * Calibration is plant-generic: the emitted stream depends only on
- * the problem shape (nx, nu, horizon), never on plant parameter
- * values, so cache and memo keys carry the shape and every plant with
- * the quadrotor's 12x4 shape replays the quadrotor's cached streams.
+ * The instrumented solve stream has one emitter (emitSolveStream) and
+ * one key (solveStreamKey), which calibrations, region breakdowns,
+ * the DSE spaces and every bench share. The stream depends only on
+ * the backend's stream key (mapping and element width), the style,
+ * the problem shape (nx, nu, horizon) and the iteration count, never
+ * on dt or plant parameter values, so every plant with the
+ * quadrotor's 12x4 shape replays the quadrotor's cached streams.
  * Every entry point takes a plant::Plant; one calibration replays one
  * model (design sweeps batch their replays in dse::Explorer).
  *
- * Fits are memoized in calibMemo(), one isa::Memo keyed on the
- * calibration's full identity (model and backend cacheKeys, style,
- * shape, refresh-awareness) with the DiskCache "calib" namespace as
- * its disk tier. The named-target calibrations go through its memory
- * tier; calibrateTiming uses the disk tier alone.
+ * Fits are memoized in calibMemo(), one isa::Memo keyed on what a fit
+ * depends on (model and backend cacheKeys, style, shape, refresh-
+ * awareness; no dt) with the DiskCache "calib" namespace as its disk
+ * tier. The named-target calibrations go through its memory tier;
+ * calibrateTiming uses the disk tier alone.
  */
 
 #ifndef RTOC_HIL_TIMING_HH
 #define RTOC_HIL_TIMING_HH
 
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "cpu/core_model.hh"
 #include "isa/memo.hh"
+#include "isa/program.hh"
 #include "matlib/backend.hh"
 #include "plant/plant.hh"
 #include "soc/power_model.hh"
@@ -69,13 +74,45 @@ struct ControllerTiming
 };
 
 /**
- * Calibrate @p backend/@p style on @p model using a freshly-built
- * workspace of @p plant (emission cached per backend config, style
- * and problem shape). The fitted ControllerTiming is persisted to
- * @p disk keyed on (model cacheKey, backend cacheKey, style, shape,
- * refresh-awareness), so a warm process skips both the replay runs
- * and the emission; pass nullptr to force recomputation. No memory
- * tier: every call without a disk hit fits afresh.
+ * Key of the instrumented solve stream of an @p nx x @p nu problem
+ * over @p horizon steps, run for exactly @p iters ADMM iterations on
+ * @p backend in @p style:
+ * `plantsolve:<Backend::cacheKey()>:style%d:nx%d:nu%d:h%d:it%d`.
+ */
+std::string solveStreamKey(const matlib::Backend &backend,
+                           tinympc::MappingStyle style, int nx, int nu,
+                           int horizon, int iters);
+
+/**
+ * Emit into @p prog one instrumented TinyMPC solve of @p plant's
+ * problem shape on @p backend in @p style that runs exactly @p iters
+ * ADMM iterations (a panic otherwise). @p dt only builds the
+ * throwaway workspace the solve runs on: the stream does not depend
+ * on it.
+ */
+void emitSolveStream(isa::Program &prog, matlib::Backend &backend,
+                     tinympc::MappingStyle style,
+                     const plant::Plant &plant, double dt, int horizon,
+                     int iters);
+
+/**
+ * The process ProgramCache's stream under solveStreamKey, emitted by
+ * emitSolveStream on the key's first request. The returned Program
+ * is immutable and safe to replay from any thread.
+ */
+std::shared_ptr<const isa::Program>
+solveStream(matlib::Backend &backend, tinympc::MappingStyle style,
+            const plant::Plant &plant, double dt, int horizon, int iters);
+
+/**
+ * Calibrate @p backend/@p style on @p model by replaying the solve
+ * streams of @p plant's problem shape (solveStream). @p dt only
+ * builds the workspace those streams are emitted from. The fitted
+ * ControllerTiming is persisted to @p disk keyed on (model cacheKey,
+ * backend cacheKey, style, shape, refresh-awareness), so a warm
+ * process skips both the replay runs and the emission; pass nullptr
+ * to force recomputation. No memory tier: every call without a disk
+ * hit fits afresh.
  *
  * @p with_refresh additionally emits and fits the model-refresh
  * stream (refreshBaseCycles / refreshCyclesPerIter). Fixed-trim
@@ -106,7 +143,8 @@ calibrateTiming(const cpu::TimingModel &model, matlib::Backend &backend,
  * the format's element width, so vector lanes pack more elements and
  * coprocessor bus transfers shrink. Only the width enters the key, so
  * formats of one width share one fit: i32 the f32 one, i16 the bf16
- * one.
+ * one. Likewise every @p dt shares one fit; dt only builds the
+ * workspace the streams are emitted from.
  */
 ControllerTiming
 scalarControllerTiming(const plant::Plant &plant, double dt, int horizon,
@@ -144,9 +182,9 @@ soc::PowerParams namedPowerParams(const std::string &model);
  * Per-kernel-region cycle breakdown of one named implementation's
  * solve stream on @p plant (same "scalar" / "vector" / "gemmini"
  * dispatch as namedControllerTiming), replayed at a forced @p iters
- * ADMM iterations. The stream comes from the process ProgramCache, so
- * a breakdown after a sweep costs one cached replay; results are
- * deterministic regardless of disk-cache warmth. Feeds
+ * ADMM iterations. The stream comes from solveStream, so a breakdown
+ * after a sweep costs one cached replay; results are deterministic
+ * regardless of disk-cache warmth. Feeds
  * obs::RegionProfile for the bench `--profile` tables.
  */
 std::vector<isa::KernelCycles>

@@ -5,8 +5,10 @@
  * winners, timing calibrations and the DSE explorer's replay cells.
  * Each layer keys on what its result depends on: the backend's stream
  * key (mapping and element width, see Backend::cacheKey), the timing
- * model's key and the problem shape, never a numeric format or a
- * plant parameter.
+ * model's key and the problem shape, never a numeric format, a dt or
+ * a plant parameter. The solve stream has one key, built in one place
+ * (hil::solveStreamKey), which calibrations, DSE cells and benches
+ * all fetch it by.
  *
  * get(key, compute) returns the value stored under @p key, computing
  * it on the key's first request. Each key owns a lock held across its
@@ -17,8 +19,7 @@
  * pool worker runs inline), but must not request its own key.
  *
  * Two tiers sit behind the key:
- *  - memory, an LruMap of capacity entries (0 = unbounded); an
- *    evicted key is computed again on its next request;
+ *  - memory, a plain map whose entries stay until clear();
  *  - an optional disk tier, a DiskCache namespace plus the layer's
  *    codec, read before computing and written after. The DiskCache is
  *    passed per call (nullptr skips the tier) because layers choose
@@ -29,8 +30,8 @@
  * disk or a compute serves it, and every later request is a hit,
  * including one that waited for the first. A memo constructed with a
  * name mirrors its MemoStats into the obs::Registry as <name>.hits,
- * .misses, .disk_hits, .computes, .entries and .evictions from
- * construction on, so a process-wide memo registers on first use.
+ * .misses, .disk_hits, .computes and .entries from construction on,
+ * so a process-wide memo registers on first use.
  */
 
 #ifndef RTOC_ISA_MEMO_HH
@@ -41,10 +42,10 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/lru_cache.hh"
 #include "isa/disk_cache.hh"
 #include "obs/registry.hh"
 
@@ -57,9 +58,7 @@ struct MemoStats
     uint64_t misses = 0;    ///< first requests, whichever tier served
     uint64_t diskHits = 0;  ///< values read from the disk tier
     uint64_t computes = 0;  ///< values computed (no tier held them)
-    uint64_t evictions = 0; ///< entries dropped over the capacity
     size_t entries = 0;
-    size_t capacity = 0; ///< 0 = unbounded
 };
 
 /** Disk tier of a Memo: a DiskCache namespace and its value codec. */
@@ -99,9 +98,8 @@ class Memo
 {
   public:
     /** @p name non-empty publishes stats() in the obs::Registry. */
-    explicit Memo(const std::string &name = "", size_t capacity = 0,
-                  DiskTier<V> tier = {})
-        : slots_(capacity), tier_(tier)
+    explicit Memo(const std::string &name = "", DiskTier<V> tier = {})
+        : tier_(tier)
     {
         if (!name.empty())
             publish(name);
@@ -188,19 +186,8 @@ class Memo
     {
         std::lock_guard<std::mutex> lk(mu_);
         MemoStats s = counts_;
-        s.evictions = slots_.evictions();
         s.entries = slots_.size();
-        s.capacity = slots_.capacity();
         return s;
-    }
-
-    /** Retarget the memory bound (0 = unbounded); an over-full memo
-     *  evicts at once. */
-    void
-    setCapacity(size_t capacity)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        slots_.setCapacity(capacity);
     }
 
     /** Drop every entry; the counters keep counting. */
@@ -219,10 +206,8 @@ class Memo
         std::vector<std::shared_ptr<Slot>> slots;
         {
             std::lock_guard<std::mutex> lk(mu_);
-            slots_.forEach([&](const std::string &,
-                               const std::shared_ptr<Slot> &s) {
-                slots.push_back(s);
-            });
+            for (const auto &kv : slots_)
+                slots.push_back(kv.second);
         }
         for (const std::shared_ptr<Slot> &s : slots) {
             std::lock_guard<std::mutex> lk(s->mu);
@@ -245,15 +230,16 @@ class Memo
     claim(const std::string &key, bool create)
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (std::shared_ptr<Slot> *s = slots_.get(key)) {
+        auto it = slots_.find(key);
+        if (it != slots_.end()) {
             ++counts_.hits;
-            return *s;
+            return it->second;
         }
         ++counts_.misses;
         if (!create)
             return nullptr;
         auto slot = std::make_shared<Slot>();
-        slots_.put(key, slot);
+        slots_[key] = slot;
         return slot;
     }
 
@@ -270,7 +256,7 @@ class Memo
         auto slot = std::make_shared<Slot>();
         slot->value = std::move(value);
         std::lock_guard<std::mutex> lk(mu_);
-        slots_.put(key, std::move(slot));
+        slots_[key] = std::move(slot);
     }
 
     void
@@ -281,8 +267,7 @@ class Memo
             {"hits", &MemoStats::hits},
             {"misses", &MemoStats::misses},
             {"disk_hits", &MemoStats::diskHits},
-            {"computes", &MemoStats::computes},
-            {"evictions", &MemoStats::evictions}};
+            {"computes", &MemoStats::computes}};
         for (const auto &[suffix, field] : fields)
             reg.gauge(name + "." + suffix,
                       [this, f = field] { return stats().*f; });
@@ -291,8 +276,8 @@ class Memo
     }
 
     mutable std::mutex mu_; ///< guards slots_ and counts_
-    LruMap<std::string, std::shared_ptr<Slot>> slots_;
-    MemoStats counts_; ///< hits..computes; the rest read from slots_
+    std::unordered_map<std::string, std::shared_ptr<Slot>> slots_;
+    MemoStats counts_; ///< hits..computes; entries read from slots_
     DiskTier<V> tier_;
 };
 

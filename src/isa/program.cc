@@ -59,14 +59,6 @@ kernelName(KernelId id)
     return in.names[id];
 }
 
-size_t
-internedKernelCount()
-{
-    Interner &in = interner();
-    std::lock_guard<std::mutex> lk(in.mu);
-    return in.names.size();
-}
-
 uint64_t
 Program::nextId()
 {

@@ -49,9 +49,6 @@ KernelId internKernel(std::string_view name);
 /** The string a KernelId was interned from (stable reference). */
 const std::string &kernelName(KernelId id);
 
-/** Number of names interned so far. */
-size_t internedKernelCount();
-
 /** Half-open uop index range attributed to a named kernel. */
 struct KernelRegion
 {

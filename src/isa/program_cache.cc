@@ -34,7 +34,7 @@ ProgramCache::ProgramCache(const DiskCache *disk)
 {}
 
 ProgramCache::ProgramCache(const DiskCache *disk, const std::string &name)
-    : disk_(disk), memo_(name, 0, kProgTier)
+    : disk_(disk), memo_(name, kProgTier)
 {}
 
 std::shared_ptr<const Program>
@@ -55,12 +55,6 @@ ProgramCache::getOrEmit(const std::string &key, const Emitter &emit)
         return prog;
     };
     return memo_.get(key, emit_once, disk_);
-}
-
-std::shared_ptr<const Program>
-ProgramCache::lookup(const std::string &key)
-{
-    return memo_.find(key).value_or(nullptr);
 }
 
 uint64_t

@@ -8,7 +8,11 @@
  * of the numerical state it solves from. Re-emitting the ~1e5-uop
  * stream on every calibration or design-point evaluation is therefore
  * pure waste — the ProgramCache emits once per distinct key and hands
- * out shared, immutable replays.
+ * out shared, immutable replays. The solve stream has one key and one
+ * emitter (hil::solveStreamKey, hil::emitSolveStream) that every
+ * calibration, design space and bench fetches it through
+ * (hil::solveStream), so each distinct stream is emitted and stored
+ * once.
  *
  * The cache is an isa::Memo (memo.hh) of frozen programs: getOrEmit
  * may be called concurrently from sweep workers, racing workers emit
@@ -52,10 +56,6 @@ class ProgramCache
      */
     std::shared_ptr<const Program> getOrEmit(const std::string &key,
                                              const Emitter &emit);
-
-    /** The Program held under @p key, nullptr when absent (counted as
-     *  a request, never emits or reads the disk). */
-    std::shared_ptr<const Program> lookup(const std::string &key);
 
     /** Hits, misses, emissions (computes), disk hits and entries. */
     MemoStats stats() const { return memo_.stats(); }

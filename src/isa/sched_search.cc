@@ -36,7 +36,7 @@ schedMemo()
 {
     // Leaked: the registry polls its counters until exit.
     static auto *memo = new Memo<SchedSpec>(
-        "sched.memo", 0, {"sched", encodeSchedSpec, decodeSchedSpec});
+        "sched.memo", {"sched", encodeSchedSpec, decodeSchedSpec});
     return *memo;
 }
 

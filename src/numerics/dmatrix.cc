@@ -45,16 +45,6 @@ DMatrix::diag(const std::vector<double> &d)
     return m;
 }
 
-DMatrix
-DMatrix::colVec(std::initializer_list<double> vals)
-{
-    DMatrix m(static_cast<int>(vals.size()), 1);
-    int i = 0;
-    for (double v : vals)
-        m(i++, 0) = v;
-    return m;
-}
-
 double &
 DMatrix::operator()(int r, int c)
 {

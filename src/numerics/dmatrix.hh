@@ -40,9 +40,6 @@ class DMatrix
     /** Diagonal matrix from a vector of diagonal entries. */
     static DMatrix diag(const std::vector<double> &d);
 
-    /** Column vector from values. */
-    static DMatrix colVec(std::initializer_list<double> vals);
-
     int rows() const { return rows_; }
     int cols() const { return cols_; }
     size_t size() const { return data_.size(); }

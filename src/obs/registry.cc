@@ -216,20 +216,6 @@ Registry::snapshot() const
 }
 
 void
-Registry::resetForTest()
-{
-    RegState &s = regState();
-    std::lock_guard<std::mutex> lk(s.mu);
-    for (Shard *sh : s.shards) {
-        std::lock_guard<std::mutex> glk(sh->grow_mu);
-        for (auto &chunk : sh->chunks)
-            for (size_t i = 0; i < kShardChunk; ++i)
-                chunk[i].store(0, std::memory_order_relaxed);
-    }
-    s.gauges.clear();
-}
-
-void
 Registry::writeJsonSections(FILE *f) const
 {
     RegState &s = regState();

@@ -96,12 +96,6 @@ class Registry
     uint64_t value(StatId id) const;
 
     /**
-     * Reset every counter shard to zero and drop gauges (tests only —
-     * production code treats counters as monotonic).
-     */
-    void resetForTest();
-
-    /**
      * Append the unified `"metrics"` + `"manifest"` sections emitted
      * into every bench `--json` artifact, e.g.:
      *

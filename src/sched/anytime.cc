@@ -5,22 +5,6 @@
 
 namespace rtoc::sched {
 
-const char *
-degradeLevelName(DegradeLevel l)
-{
-    switch (l) {
-    case DegradeLevel::Full:
-        return "full";
-    case DegradeLevel::ReducedIters:
-        return "reduced";
-    case DegradeLevel::SkipRelin:
-        return "skip_relin";
-    case DegradeLevel::Hold:
-        return "hold";
-    }
-    return "?";
-}
-
 namespace {
 
 /** Iterations fitting @p budget cycles after @p fixed overhead. */

@@ -59,9 +59,6 @@ enum class DegradeLevel
     Hold = 3,
 };
 
-/** Printable level name ("full" / "reduced" / "skip_relin" / "hold"). */
-const char *degradeLevelName(DegradeLevel l);
-
 /** One tick's budget decision. */
 struct AnytimeDecision
 {

@@ -14,6 +14,10 @@ Stdout goldens are compared as printed. The --json payloads drop their
 counters that depend on cache warmth), and bench_dse's experiments
 drop their host times and cache-provenance counts.
 
+After the serial cold run, every `prog` entry of the private cache is
+read back, and no two may carry the same payload: each distinct
+emitted stream has one key, so it is emitted and stored once.
+
 Then, at the same thread count and against the same warm cache, the
 bench_cross_plant payload is regenerated once per KNOB_RUNS setting.
 Each must equal the warm default payload with only `manifest` dropped:
@@ -30,9 +34,11 @@ same change.
 
 import argparse
 import difflib
+import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -148,6 +154,50 @@ def run_mode(build, work, threads, cold):
             for name, rel, args in GOLDEN}
 
 
+# DiskCache file envelope: magic, then the fingerprint, namespace and
+# key (u32 length + bytes each), the u64 payload length, the payload
+# and a u64 checksum, all little-endian.
+CACHE_MAGIC = b"RTOCCHE1"
+
+
+def prog_entries(cache):
+    """(key, payload) of every prog-*.rtoc file under cache."""
+    for name in sorted(os.listdir(cache)):
+        if not (name.startswith("prog-") and name.endswith(".rtoc")):
+            continue
+        with open(os.path.join(cache, name), "rb") as f:
+            blob = f.read()
+        if not blob.startswith(CACHE_MAGIC):
+            raise RuntimeError("%s: not a cache entry" % name)
+        pos = len(CACHE_MAGIC)
+        fields = []
+        for _ in range(3):  # fingerprint, namespace, key
+            (n,) = struct.unpack_from("<I", blob, pos)
+            fields.append(blob[pos + 4:pos + 4 + n].decode())
+            pos += 4 + n
+        (n,) = struct.unpack_from("<Q", blob, pos)
+        yield fields[2], blob[pos + 8:pos + 8 + n]
+
+
+def check_streams_stored_once(work):
+    """Report each prog entry whose payload an earlier one holds;
+    returns their count."""
+    first = {}
+    failures = 0
+    entries = 0
+    for key, payload in prog_entries(os.path.join(work, "cache")):
+        entries += 1
+        digest = hashlib.sha256(payload).digest()
+        if digest in first:
+            failures += 1
+            print("one stream stored under two keys: %s and %s"
+                  % (first[digest], key))
+        else:
+            first[digest] = key
+    print("streams: %d prog entries, %d stored twice" % (entries, failures))
+    return failures
+
+
 def check_knobs(build, work, threads):
     """KNOB_RUNS against the last mode's warm cache; returns failures."""
     _, rel, args = next(g for g in GOLDEN if g[0] == KNOB_GOLDEN)
@@ -217,6 +267,8 @@ def main():
                 "golden/" + name, mode + "/" + name)
             sys.stdout.writelines(list(diff)[:60])
         print("%s: %d outputs checked" % (mode, len(outputs)))
+        if cold:
+            failures += check_streams_stored_once(work)
     failures += check_knobs(build, work, MODES[-1][1])
     if failures:
         print("FAIL: %d golden check(s) failed" % failures)

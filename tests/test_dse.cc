@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the design-space exploration layer: the LruMap backing
- * the bounded memos, DesignSpace indexing/materialization, surrogate
- * fit quality, and Explorer behaviour — grid-vs-search frontier
- * equality, successive-halving pruning, fidelity key separation, and
- * bit-identical results under a parallel pool.
+ * Tests for the design-space exploration layer: DesignSpace
+ * indexing/materialization, surrogate fit quality, and Explorer
+ * behaviour — grid-vs-search frontier equality, successive-halving
+ * pruning, fidelity key separation, and bit-identical results under a
+ * parallel pool.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <string>
 
 #include "common/logging.hh"
-#include "common/lru_cache.hh"
 #include "common/thread_pool.hh"
 #include "cpu/inorder.hh"
 #include "dse/explorer.hh"
@@ -23,50 +22,6 @@
 
 namespace rtoc::dse {
 namespace {
-
-// ---------------------------------------------------------------- //
-// LruMap
-
-TEST(LruMap, PutGetAndEviction)
-{
-    LruMap<int, int> m(2);
-    m.put(1, 10);
-    m.put(2, 20);
-    EXPECT_EQ(m.size(), 2u);
-    ASSERT_NE(m.get(1), nullptr); // 1 becomes MRU
-    m.put(3, 30);                 // evicts 2 (LRU)
-    EXPECT_EQ(m.get(2), nullptr);
-    ASSERT_NE(m.get(1), nullptr);
-    EXPECT_EQ(*m.get(1), 10);
-    ASSERT_NE(m.get(3), nullptr);
-    EXPECT_EQ(m.evictions(), 1u);
-}
-
-TEST(LruMap, PutUpdatesInPlace)
-{
-    LruMap<int, int> m(2);
-    m.put(1, 10);
-    m.put(1, 11);
-    EXPECT_EQ(m.size(), 1u);
-    EXPECT_EQ(*m.get(1), 11);
-    EXPECT_EQ(m.evictions(), 0u);
-}
-
-TEST(LruMap, SetCapacityEvictsImmediately)
-{
-    LruMap<int, int> m(0); // unbounded
-    for (int i = 0; i < 8; ++i)
-        m.put(i, i);
-    EXPECT_EQ(m.size(), 8u);
-    m.setCapacity(3);
-    EXPECT_EQ(m.size(), 3u);
-    EXPECT_EQ(m.evictions(), 5u);
-    // The three most recently inserted survive.
-    EXPECT_NE(m.get(7), nullptr);
-    EXPECT_NE(m.get(6), nullptr);
-    EXPECT_NE(m.get(5), nullptr);
-    EXPECT_EQ(m.get(0), nullptr);
-}
 
 // ---------------------------------------------------------------- //
 // Synthetic design space: in-order cores running dependent-FMA
@@ -322,22 +277,6 @@ TEST(Explorer, ParallelPoolIsBitIdenticalToSerial)
     EXPECT_EQ(frontierKeys(ra.frontier), frontierKeys(rb.frontier));
     EXPECT_EQ(ra.stats.cellsRequested, rb.stats.cellsRequested);
     EXPECT_EQ(ra.stats.replays, rb.stats.replays);
-}
-
-TEST(Explorer, EvalMemoCapBoundsAndCounts)
-{
-    isa::MemoStats before = evalMemo().stats();
-    evalMemo().setCapacity(2);
-    DesignSpace s = syntheticSpace();
-    Explorer::Options opt;
-    opt.useDisk = false; // memo only
-    Explorer ex(s, opt);
-    // Three distinct full-fidelity cells through a 2-entry memo.
-    ex.submit({{0, 1, 0, 0}, {1, 1, 0, 0}, {2, 1, 0, 0}});
-    isa::MemoStats after = evalMemo().stats();
-    EXPECT_LE(after.entries, 2u);
-    EXPECT_GT(after.evictions, before.evictions);
-    evalMemo().setCapacity(65536); // restore the default for other tests
 }
 
 TEST(Explorer, FrontierHelpersAreConsistent)

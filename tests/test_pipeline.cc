@@ -142,9 +142,9 @@ TEST(ProgramCache, CachedReplayBitIdenticalToFreshEmission)
 
 TEST(ProgramCache, EmissionIsDroneIndependent)
 {
-    // The cache keys (bench_util, hil::calibrateTiming) deliberately
-    // omit the drone: parameters change the numbers flowing through
-    // the stream, never the stream itself. Pin that premise across
+    // The solve-stream key (hil::solveStreamKey) deliberately omits
+    // the drone: parameters change the numbers flowing through the
+    // stream, never the stream itself. Pin that premise across
     // all three Table-1 drones and two solve shapes.
     for (auto style : {tinympc::MappingStyle::Library,
                        tinympc::MappingStyle::Fused}) {
@@ -181,8 +181,6 @@ TEST(ProgramCache, StatsCountHitsAndMisses)
     EXPECT_EQ(st.misses, 2u);
     EXPECT_EQ(st.entries, 2u);
     EXPECT_EQ(cache.cachedUops(), 2u);
-    EXPECT_TRUE(cache.lookup("k1") != nullptr);
-    EXPECT_TRUE(cache.lookup("k3") == nullptr);
 }
 
 // --- isa::Memo: one compute per key, distinct keys in parallel ---

@@ -5,7 +5,8 @@
  * four timing-model families x mapping styles, column/view fidelity,
  * disk round-trips (cold write -> warm read with zero re-emissions),
  * corrupt and fingerprint-mismatched file rejection, the RTOC_CACHE=0
- * bypass, and registry-driven episode counts.
+ * bypass, the one solve-stream identity shared by calibrations and
+ * benches, and registry-driven episode counts.
  */
 
 #include <gtest/gtest.h>
@@ -13,12 +14,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/logging.hh"
 #include "cpu/inorder.hh"
 #include "cpu/ooo.hh"
 #include "hil/timing.hh"
@@ -29,6 +32,7 @@
 #include "matlib/scalar_backend.hh"
 #include "plant/quad_plant.hh"
 #include "plant/registry.hh"
+#include "plant/rover.hh"
 #include "systolic/gemmini.hh"
 #include "vector/saturn.hh"
 
@@ -459,14 +463,15 @@ TEST(CalibCache, ColdWriteWarmReadIdenticalTiming)
     EXPECT_EQ(warm.cyclesPerIter, cold.cyclesPerIter);
 
     // A corrupt calibration file is rejected and recomputed to the
-    // same deterministic fit.
-    const std::string path = disk.pathFor(
-        "calib", csprintf("%s|%s|style%d|nx%d|nu%d|dt%.17g|h%d",
-                          shuttle.cacheKey().c_str(),
-                          backend.cacheKey().c_str(),
-                          static_cast<int>(
-                              tinympc::MappingStyle::Library),
-                          plant.nx(), plant.nu(), 0.02, 10));
+    // same deterministic fit. The fit is the directory's one entry
+    // (its streams sit in the process cache), so the test need not
+    // restate the key.
+    std::vector<std::string> entries;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        entries.push_back(e.path().string());
+    ASSERT_EQ(entries.size(), 1u);
+    const std::string &path = entries[0];
+    ASSERT_EQ(path.rfind(dir + "/calib-", 0), 0u) << path;
     {
         std::fstream f(path,
                        std::ios::in | std::ios::out | std::ios::binary);
@@ -489,6 +494,130 @@ TEST(CalibCache, ColdWriteWarmReadIdenticalTiming)
         10, nullptr);
     EXPECT_EQ(hil::calibMemo().stats().computes, pre_null.computes + 1);
     EXPECT_EQ(direct.baseCycles, cold.baseCycles);
+}
+
+// --- one solve-stream identity ---
+
+/** One named timing target's model, backend and style. */
+struct NamedTarget
+{
+    const char *name;
+    std::unique_ptr<cpu::TimingModel> model;
+    std::unique_ptr<matlib::Backend> backend;
+    tinympc::MappingStyle style;
+};
+
+/** The three targets namedControllerTiming dispatches to. */
+std::vector<NamedTarget>
+namedTargets()
+{
+    std::vector<NamedTarget> out;
+    out.push_back({"scalar",
+                   std::make_unique<cpu::InOrderCore>(
+                       cpu::InOrderConfig::shuttle()),
+                   std::make_unique<matlib::ScalarBackend>(
+                       matlib::ScalarFlavor::Optimized),
+                   tinympc::MappingStyle::Library});
+    out.push_back({"vector",
+                   std::make_unique<vector::SaturnModel>(
+                       vector::SaturnConfig::make(512, 256, true)),
+                   std::make_unique<matlib::RvvBackend>(
+                       512, matlib::RvvMapping::handOptimized()),
+                   tinympc::MappingStyle::Fused});
+    out.push_back({"gemmini",
+                   std::make_unique<systolic::GemminiModel>(
+                       systolic::GemminiConfig::os4x4()),
+                   std::make_unique<matlib::GemminiBackend>(
+                       matlib::GemminiMapping::fullyOptimized()),
+                   tinympc::MappingStyle::Library});
+    return out;
+}
+
+// Horizon 7 is requested by no other test here, so each first request
+// misses. The checks count misses, not computes: a warm disk cache
+// serves a second key without a compute, never without a miss.
+
+TEST(SolveStreamIdentity, CalibrationsAndBenchesShareOneStream)
+{
+    // A fit without a disk tier always replays its streams (a named
+    // calibration whose fit is on disk requests none), so after it
+    // the benches' requests, at any dt, and the region breakdown's
+    // must all hit.
+    const plant::QuadrotorPlant quad;
+    for (NamedTarget &t : namedTargets()) {
+        hil::calibrateTiming(*t.model, *t.backend, t.style, quad, 0.02, 7,
+                             nullptr);
+        const isa::MemoStats before = isa::ProgramCache::global().stats();
+        ASSERT_TRUE(hil::solveStream(*t.backend, t.style, quad, 0.02, 7, 5));
+        ASSERT_TRUE(
+            hil::solveStream(*t.backend, t.style, quad, 0.04, 7, 25));
+        hil::regionBreakdown(t.name, quad, 0.02, 7, 5);
+        EXPECT_EQ(isa::ProgramCache::global().stats().misses,
+                  before.misses)
+            << t.name;
+    }
+}
+
+TEST(SolveStreamIdentity, DtSharesOneCalibration)
+{
+    // bench_sched_rt's 25 Hz rover task: a fit depends on the timing
+    // model and the streams it replays, and neither depends on dt.
+    const plant::RoverPlant rover;
+    const std::string at_50hz = hil::encodeTiming(
+        hil::namedControllerTiming("scalar", rover, 0.02, 7));
+    const isa::MemoStats calib = hil::calibMemo().stats();
+    const isa::MemoStats progs = isa::ProgramCache::global().stats();
+    const std::string at_25hz = hil::encodeTiming(
+        hil::namedControllerTiming("scalar", rover, 0.04, 7));
+    EXPECT_EQ(hil::calibMemo().stats().misses, calib.misses);
+    EXPECT_EQ(isa::ProgramCache::global().stats().misses, progs.misses);
+    EXPECT_EQ(at_25hz, at_50hz);
+}
+
+TEST(SolveStreamIdentity, KeysMatchExactlyWhenStreamsDo)
+{
+    // Fresh emissions, no cache: the three targets' backends at three
+    // formats, the four registry shapes, two iteration counts and two
+    // dts. Two requests share a key exactly when their streams match.
+    struct Request
+    {
+        std::string label, key, stream;
+    };
+    std::vector<Request> reqs;
+    const plant::ScenarioRegistry &reg = plant::ScenarioRegistry::global();
+    for (NamedTarget &t : namedTargets()) {
+        matlib::Backend &backend = *t.backend;
+        for (matlib::NumericFormat fmt :
+             {matlib::NumericFormat::F32, matlib::NumericFormat::BF16,
+              matlib::NumericFormat::I16}) {
+            backend.setFormat(fmt);
+            for (const std::string &name : reg.plantNames()) {
+                std::unique_ptr<plant::Plant> p = reg.makePlant(name);
+                for (int iters : {1, 5}) {
+                    for (double dt : {0.02, 0.04}) {
+                        isa::Program prog;
+                        hil::emitSolveStream(prog, backend, t.style, *p,
+                                             dt, 10, iters);
+                        reqs.push_back(
+                            {csprintf("%s %s %s it%d dt%g", t.name,
+                                      matlib::formatName(fmt),
+                                      name.c_str(), iters, dt),
+                             hil::solveStreamKey(backend, t.style, p->nx(),
+                                                 p->nu(), 10, iters),
+                             isa::encodeProgram(prog)});
+                    }
+                }
+            }
+        }
+    }
+    ASSERT_EQ(reqs.size(), 144u);
+    for (size_t i = 0; i < reqs.size(); ++i) {
+        for (size_t j = i + 1; j < reqs.size(); ++j) {
+            EXPECT_EQ(reqs[i].key == reqs[j].key,
+                      reqs[i].stream == reqs[j].stream)
+                << reqs[i].label << " vs " << reqs[j].label;
+        }
+    }
 }
 
 // --- registry-driven episode counts ---
