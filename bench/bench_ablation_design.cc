@@ -131,17 +131,8 @@ horizonAblation()
     for (double horizon : space.axis("horizon")) {
         const int n = static_cast<int>(horizon);
         matlib::RvvBackend b(512, matlib::RvvMapping::handOptimized());
-        tinympc::Workspace ws = drone.buildWorkspace(0.02, n);
-        ws.settings.maxIters = 5;
-        ws.settings.priTol = 0.0f;
-        ws.settings.duaTol = 0.0f;
-        isa::Program prog;
-        b.setProgram(&prog);
-        tinympc::Solver solver(ws, b, tinympc::MappingStyle::Fused);
-        float x0[12] = {0.4f, -0.2f, 0.9f, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-        ws.setInitialState(x0);
-        solver.solve();
-        b.setProgram(nullptr);
+        const isa::Program prog = bench::emitPlantSolve(
+            drone, b, tinympc::MappingStyle::Fused, 5, 0.02, n);
         uint64_t c = saturn.run(prog).cycles;
         t.addRow({Table::num(static_cast<uint64_t>(n)), Table::num(c),
                   Table::num(static_cast<double>(c) / n, 0)});
@@ -155,18 +146,15 @@ static void
 hwGemvAblation()
 {
     // Memory-round-trip mapping exercises the column-vector DMA path.
-    // One fresh (uncached) emission; both design points share the
-    // stream, so the Explorer batches them into a single column pass
-    // (bit-identical to sequential runs).
-    matlib::GemminiBackend b(matlib::GemminiMapping::staticMapped());
-    auto prog = std::make_shared<const isa::Program>(
-        bench::emitQuadSolve(b, tinympc::MappingStyle::Library));
-    auto emit = [prog](dse::Fidelity, matlib::NumericFormat) {
-        return prog;
-    };
-    auto prog_key = [](dse::Fidelity, matlib::NumericFormat) {
-        return std::string("ablation-hwgemv-roundtrip");
-    };
+    // Both design points replay the one cached solve stream, so the
+    // Explorer batches them into a single column pass (bit-identical
+    // to sequential runs).
+    const auto stream = bench::solveClosures(
+        [] {
+            return std::make_unique<matlib::GemminiBackend>(
+                matlib::GemminiMapping::staticMapped());
+        },
+        tinympc::MappingStyle::Library);
 
     dse::DesignSpace space("ablation-hwgemv");
     auto add = [&](const char *name, systolic::GemminiConfig cfg) {
@@ -177,7 +165,7 @@ hwGemvAblation()
                  return std::make_unique<systolic::GemminiModel>(
                      dse::scaledGemmini(cfg, lat, width));
              },
-             emit, prog_key, nullptr, 0});
+             stream.first, stream.second, nullptr, 0});
     };
     add("baseline OS 4x4", systolic::GemminiConfig::os4x4());
     add("+ hardware GEMV packing",

@@ -92,6 +92,22 @@ schedStream(const cpu::TimingModel &model, const std::string &progKey,
         [&model](const isa::Program &p) { return model.run(p).cycles; });
 }
 
+/** The solve stream (solveStream) that @p model replays, scheduled
+ *  per schedStream: one key, one ProgramCache request. */
+std::shared_ptr<const isa::Program>
+scheduledSolve(const cpu::TimingModel &model, matlib::Backend &backend,
+               tinympc::MappingStyle style, const plant::Plant &plant,
+               double dt, int horizon, int iters)
+{
+    const std::string key = solveStreamKey(backend, style, plant.nx(),
+                                           plant.nu(), horizon, iters);
+    return schedStream(
+        model, key,
+        isa::ProgramCache::global().getOrEmit(key, [&](isa::Program &p) {
+            emitSolveStream(p, backend, style, plant, dt, horizon, iters);
+        }));
+}
+
 /** ProgramCache key of one model-refresh stream. */
 std::string
 calibRefreshKey(const matlib::Backend &backend, const plant::Plant &plant,
@@ -127,11 +143,8 @@ fitTiming(const cpu::TimingModel &model, matlib::Backend &backend,
 {
     RTOC_SPAN("hil.calibrate", "hil");
     auto run_iters = [&](int iters) -> double {
-        auto prog = schedStream(
-            model,
-            solveStreamKey(backend, style, plant.nx(), plant.nu(),
-                           horizon, iters),
-            solveStream(backend, style, plant, dt, horizon, iters));
+        auto prog = scheduledSolve(model, backend, style, plant, dt,
+                                   horizon, iters);
         return static_cast<double>(model.run(*prog).cycles);
     };
 
@@ -364,11 +377,8 @@ regionBreakdown(const std::string &model, const plant::Plant &plant,
     const Target &t = namedTarget(model);
     std::unique_ptr<cpu::TimingModel> core = t.model();
     std::unique_ptr<matlib::Backend> backend = t.backend();
-    auto prog = schedStream(
-        *core,
-        solveStreamKey(*backend, t.style, plant.nx(), plant.nu(), horizon,
-                       iters),
-        solveStream(*backend, t.style, plant, dt, horizon, iters));
+    auto prog = scheduledSolve(*core, *backend, t.style, plant, dt,
+                               horizon, iters);
     return core->run(*prog).kernelBreakdown(*prog);
 }
 
