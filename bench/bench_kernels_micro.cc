@@ -1,11 +1,18 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator substrate itself:
- * how fast the timing models consume micro-op streams, and how fast
- * the functional solver runs. These guard the tractability of the
- * HIL sweeps (hundreds of episodes) rather than regenerate a paper
- * figure.
+ * how fast the timing models consume micro-op streams, how fast the
+ * functional solver runs, and how fast the Riccati recursion runs per
+ * registry plant (cold trim solve and warm refresh). These guard the
+ * tractability of the HIL sweeps (hundreds of episodes) rather than
+ * regenerate a paper figure; their host times stay out of the golden
+ * set.
  */
+
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +21,8 @@
 #include "cpu/ooo.hh"
 #include "matlib/rvv_backend.hh"
 #include "matlib/scalar_backend.hh"
+#include "numerics/dare.hh"
+#include "plant/registry.hh"
 #include "systolic/gemmini.hh"
 #include "vector/saturn.hh"
 
@@ -75,6 +84,78 @@ BM_FunctionalSolve(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FunctionalSolve);
+
+/**
+ * Registry plant #index's trim model and an off-trim model (every state
+ * moved 0.03·(j+1), input deltas 0.1), with its MPC weights: the inputs
+ * of the HIL stack's Riccati calls.
+ */
+struct RiccatiCase
+{
+    std::string name;
+    plant::LinearModel trim, off;
+    numerics::DMatrix q, r;
+    double rho;
+};
+
+static RiccatiCase
+riccatiCase(int64_t index)
+{
+    const plant::ScenarioRegistry &reg = plant::ScenarioRegistry::global();
+    RiccatiCase c;
+    c.name = reg.plantNames().at(static_cast<size_t>(index));
+    std::unique_ptr<plant::Plant> p = reg.makePlant(c.name);
+    c.trim = p->linearize(0.02);
+    std::vector<double> x = p->trimState();
+    for (size_t j = 0; j < x.size(); ++j)
+        x[j] += 0.03 * static_cast<double>(j + 1);
+    const std::vector<double> du(static_cast<size_t>(p->nu()), 0.1);
+    c.off = p->linearizeAt(x.data(), du.data(), 0.02);
+    const plant::Weights w = p->mpcWeights();
+    c.q = numerics::DMatrix::diag(w.qDiag);
+    c.r = numerics::DMatrix::diag(w.rDiag);
+    c.rho = w.rho;
+    return c;
+}
+
+/** The cold trim solve of Plant::buildWorkspace (tol 1e-10). */
+static void
+BM_RiccatiCold(benchmark::State &state)
+{
+    const RiccatiCase c = riccatiCase(state.range(0));
+    int iters = 0;
+    for (auto _ : state) {
+        iters = numerics::solveDare(c.trim.ad, c.trim.bd, c.q, c.r, c.rho)
+                    .iterations;
+        benchmark::DoNotOptimize(iters);
+    }
+    state.SetLabel(c.name);
+    state.counters["riccati_iters"] = iters;
+}
+BENCHMARK(BM_RiccatiCold)->DenseRange(0, 3); // the four registry plants
+
+/**
+ * A ControlSession refresh: the off-trim model from the trim Pinf,
+ * tol 1e-6, capped at 500 iterations.
+ */
+static void
+BM_RiccatiWarm(benchmark::State &state)
+{
+    const RiccatiCase c = riccatiCase(state.range(0));
+    const numerics::DMatrix seed =
+        numerics::solveDare(c.trim.ad, c.trim.bd, c.q, c.r, c.rho).pinf;
+    int iters = 0;
+    for (auto _ : state) {
+        const std::optional<numerics::LqrCache> cache =
+            numerics::trySolveDare(c.off.ad, c.off.bd, c.q, c.r, c.rho,
+                                   &seed, 1e-6, 500);
+        iters = cache ? cache->iterations : -1;
+        benchmark::DoNotOptimize(iters);
+    }
+    state.SetLabel(c.name);
+    state.counters["riccati_iters"] = iters;
+}
+BENCHMARK(BM_RiccatiWarm)->DenseRange(0, 3); // the four registry plants
 
 static void
 BM_EmissionOverhead(benchmark::State &state)

@@ -63,14 +63,16 @@ ControlSession::refresh(TickResult &out)
         du[i] = last_cmd_[static_cast<size_t>(i)] - trim[i];
 
     plant::LinearModel m = plant_.linearizeAt(x.data(), du.data(), dt_);
-    // The cache is consumed in float32, so iterate the Riccati
-    // refresh only to ~float precision (the offline 1e-10 polish
-    // would triple the refresh cost for bits the solver cannot see).
-    // A warm-started refresh converges in tens-to-hundreds of
-    // iterations, so a tight cap doubles as the divergence guard; the
-    // one-time cold bootstrap (no seed yet) legitimately needs a full
-    // fixed-point run and gets the offline-sized budget — both are
-    // charged for what they actually burn.
+    // The refresh stops at the first iteration that moves Kinf by
+    // less than 1e-6 (max-abs), trySolveDare's only stopping test.
+    // That is looser than the offline 1e-10 solve: the gains it
+    // returns sit ~1e-5 from that solve's, above float32 precision. A
+    // warm-started refresh takes tens to hundreds of iterations, and
+    // the 500 cap catches a model whose Kinf never settles; one whose
+    // Kinf settles while P diverges passes (see trySolveDare). The
+    // one-time cold bootstrap (no seed yet) needs a full fixed-point
+    // run and gets the offline-sized budget; both are charged for the
+    // iterations they run.
     const int max_iters = cacheValid_ ? 500 : 10000;
     out.refreshAttempted = true;
     std::optional<numerics::LqrCache> cache = numerics::trySolveDare(

@@ -28,24 +28,6 @@ packColumns(const Mat &a, float *cols)
 
 namespace ref {
 
-namespace {
-
-/*
- * min(max(v, lo), hi) as two selects: the portable build cannot inline
- * std::fmax/std::fmin and would make two libm calls per element. Equal
- * to std::fmin(std::fmax(v, lo), hi) wherever that is defined (a NaN
- * operand loses to a number); a +0/-0 tie keeps v, and when both
- * operands are NaN the bound wins.
- */
-inline float
-clampOne(float v, float lo, float hi)
-{
-    const float w = (lo > v || v != v) ? lo : v;
-    return (hi < w || w != w) ? hi : w;
-}
-
-} // namespace
-
 void
 gemv(Mat y, const Mat &a, Mat x, float alpha, float beta)
 {

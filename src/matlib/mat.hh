@@ -159,6 +159,23 @@ void copy(Mat out, const Mat &a);
 /** out = s everywhere. */
 void fill(Mat out, float s);
 
+/**
+ * The element of clampVec and clampConst, min(max(v, lo), hi), as two
+ * selects: the portable build cannot inline std::fmax/std::fmin and
+ * would make two libm calls per element. Equal to
+ * std::fmin(std::fmax(v, lo), hi) wherever that is defined (a NaN
+ * operand loses to a number); a +0/-0 tie keeps v, and when both
+ * operands are NaN the bound wins. T is float, or packed::detail::Vec
+ * for the same selects on each of four lanes.
+ */
+template <typename T>
+inline T
+clampOne(T v, T lo, T hi)
+{
+    const T w = (lo > v || v != v) ? lo : v;
+    return (hi < w || w != w) ? hi : w;
+}
+
 } // namespace ref
 
 /**

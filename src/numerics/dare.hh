@@ -5,6 +5,13 @@
  * this cache (Kinf, Pinf, Quu_inv, AmBKt) offline; see Nguyen et al.,
  * "TinyMPC: Model-Predictive Control on Resource-Constrained
  * Microcontrollers" (ICRA 2024).
+ *
+ * The recursion runs once per call at the model's shape: at a registry
+ * plant's shape (common/plant_shapes.hh) on the fixed-shape
+ * dense:: kernels with stack scratch, at any other shape on their
+ * run-time-shape instantiation with scratch allocated once per call.
+ * No iteration allocates, and both compute the bits of the allocating
+ * DMatrix expressions (pinned by tests).
  */
 
 #ifndef RTOC_NUMERICS_DARE_HH
@@ -23,8 +30,8 @@ struct LqrCache
     DMatrix pinf;   ///< Riccati cost-to-go (nx x nx).
     DMatrix quuInv; ///< (R + rho·I + Bᵀ P B)⁻¹ (nu x nu).
     DMatrix amBKt;  ///< (A - B·Kinf)ᵀ (nx x nx).
-    int iterations = 0;   ///< Riccati iterations until convergence.
-    double residual = 0.0; ///< Final max-abs P update.
+    int iterations = 0;   ///< Riccati iterations run.
+    double residual = 0.0; ///< Max-abs P update of the last iteration.
 };
 
 /**
@@ -40,7 +47,8 @@ struct LqrCache
  * @param q   state cost diagonal-heavy SPD matrix (nx x nx)
  * @param r   input cost SPD matrix (nu x nu)
  * @param rho ADMM penalty parameter
- * @param tol convergence tolerance on max-abs change of Kinf
+ * @param tol stopping tolerance on the max-abs change of Kinf (see
+ *            trySolveDare)
  * @param max_iters iteration bound; fatal() if exceeded
  */
 LqrCache solveDare(const DMatrix &a, const DMatrix &b, const DMatrix &q,
@@ -51,10 +59,17 @@ LqrCache solveDare(const DMatrix &a, const DMatrix &b, const DMatrix &q,
  * Non-fatal solveDare with an optional warm start: seed the fixed-
  * point iteration from @p p_warm (the Pinf of a nearby model) instead
  * of the rho-augmented Q. Incremental relinearization refreshes call
- * this with the previous cache's Pinf, converging in a handful of
- * iterations when (A, B) moved a little; a diverging off-trim model
- * returns nullopt instead of aborting the process, letting the caller
- * keep the stale cache.
+ * this with the previous cache's Pinf.
+ *
+ * The stopping test is the Kinf step alone: the recursion stops after
+ * the first iteration (the third or later) whose max-abs change of
+ * Kinf is below @p tol, and returns nullopt only when @p max_iters
+ * iterations pass without one. It does not look at P, so it does not
+ * detect divergence: with an uncontrollable unstable mode K can
+ * settle while P keeps growing, and the call returns a cache whose
+ * residual is the last P step. For A = [[1.2, 0], [0.3, 0.9]],
+ * B = [0; 1], Q = I, R = 0.1, rho = 1 it returns after 12 iterations
+ * with residual 163.8 at tol 1e-6, and after 20 with 3029 at 1e-10.
  */
 std::optional<LqrCache>
 trySolveDare(const DMatrix &a, const DMatrix &b, const DMatrix &q,

@@ -84,15 +84,7 @@ DMatrix::operator*(const DMatrix &o) const
 {
     rtoc_assert(cols_ == o.rows_);
     DMatrix r(rows_, o.cols_);
-    for (int i = 0; i < rows_; ++i) {
-        for (int k = 0; k < cols_; ++k) {
-            double a = (*this)(i, k);
-            if (a == 0.0)
-                continue;
-            for (int j = 0; j < o.cols_; ++j)
-                r(i, j) += a * o(k, j);
-        }
-    }
+    dense::gemm<0, 0, 0>(r.data(), data(), o.data(), rows_, cols_, o.cols_);
     return r;
 }
 
@@ -137,40 +129,6 @@ DMatrix::operator*=(double s)
     return *this;
 }
 
-DMatrix &
-DMatrix::addInPlace(const DMatrix &o)
-{
-    return *this += o;
-}
-
-DMatrix &
-DMatrix::subInPlace(const DMatrix &o)
-{
-    return *this -= o;
-}
-
-DMatrix &
-DMatrix::gemmInto(const DMatrix &a, const DMatrix &b)
-{
-    rtoc_assert(a.cols_ == b.rows_);
-    rtoc_assert(this != &a && this != &b);
-    rows_ = a.rows_;
-    cols_ = b.cols_;
-    // assign() zeroes while keeping capacity: no allocation once the
-    // loop's shapes have stabilized.
-    data_.assign(static_cast<size_t>(rows_) * cols_, 0.0);
-    for (int i = 0; i < rows_; ++i) {
-        for (int k = 0; k < a.cols_; ++k) {
-            double v = a(i, k);
-            if (v == 0.0)
-                continue;
-            for (int j = 0; j < cols_; ++j)
-                (*this)(i, j) += v * b(k, j);
-        }
-    }
-    return *this;
-}
-
 DMatrix
 DMatrix::transpose() const
 {
@@ -185,10 +143,7 @@ double
 DMatrix::maxAbsDiff(const DMatrix &o) const
 {
     rtoc_assert(rows_ == o.rows_ && cols_ == o.cols_);
-    double m = 0.0;
-    for (size_t i = 0; i < data_.size(); ++i)
-        m = std::max(m, std::fabs(data_[i] - o.data_[i]));
-    return m;
+    return dense::maxAbsDiff<0>(data(), o.data(), static_cast<int>(size()));
 }
 
 double
@@ -229,53 +184,9 @@ luSolve(const DMatrix &a, const DMatrix &b)
 {
     rtoc_assert(a.rows() == a.cols());
     rtoc_assert(a.rows() == b.rows());
-    int n = a.rows();
-    int m = b.cols();
-
     DMatrix lu = a;
     DMatrix x = b;
-    std::vector<int> piv(n);
-    for (int i = 0; i < n; ++i)
-        piv[i] = i;
-
-    for (int k = 0; k < n; ++k) {
-        // Partial pivot.
-        int p = k;
-        double best = std::fabs(lu(k, k));
-        for (int i = k + 1; i < n; ++i) {
-            double v = std::fabs(lu(i, k));
-            if (v > best) {
-                best = v;
-                p = i;
-            }
-        }
-        if (best < 1e-14)
-            rtoc_fatal("luSolve: singular %dx%d matrix (pivot %g)", n, n,
-                       best);
-        if (p != k) {
-            for (int j = 0; j < n; ++j)
-                std::swap(lu(k, j), lu(p, j));
-            for (int j = 0; j < m; ++j)
-                std::swap(x(k, j), x(p, j));
-        }
-        for (int i = k + 1; i < n; ++i) {
-            double f = lu(i, k) / lu(k, k);
-            lu(i, k) = f;
-            for (int j = k + 1; j < n; ++j)
-                lu(i, j) -= f * lu(k, j);
-            for (int j = 0; j < m; ++j)
-                x(i, j) -= f * x(k, j);
-        }
-    }
-    // Back substitution.
-    for (int k = n - 1; k >= 0; --k) {
-        for (int j = 0; j < m; ++j) {
-            double s = x(k, j);
-            for (int i = k + 1; i < n; ++i)
-                s -= lu(k, i) * x(i, j);
-            x(k, j) = s / lu(k, k);
-        }
-    }
+    dense::luSolve<0, 0>(lu.data(), x.data(), a.rows(), b.cols());
     return x;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/plant_shapes.hh"
 #include "matlib/gemmini_backend.hh"
 
 namespace rtoc::tinympc {
@@ -55,7 +56,152 @@ kid()
     return ids;
 }
 
+/** The convergence test on the four residuals of @p res. */
+bool
+withinTolerance(const SolveResult &res, const Settings &s)
+{
+    return res.primalResidualState < s.priTol &&
+           res.primalResidualInput < s.priTol &&
+           res.dualResidualState < s.duaTol &&
+           res.dualResidualInput < s.duaTol;
+}
+
+/*
+ * The fused elementwise pass (hostElementwisePass) runs each stage's
+ * expression either on one element (T = float) or on four lanes
+ * (T = Vec, the packed:: kernels' vector); a float operand of a Vec
+ * expression is broadcast to every lane. Each lane runs its element's
+ * ref:: arithmetic, so both compute the same bits.
+ */
+namespace lanes = matlib::packed::detail;
+using lanes::Vec;
+
+template <typename T> T loadAs(const float *p);
+template <> inline float loadAs<float>(const float *p) { return *p; }
+template <> inline Vec loadAs<Vec>(const float *p) { return lanes::load(p); }
+inline void storeTo(float *p, float v) { *p = v; }
+inline void storeTo(float *p, Vec v) { lanes::store(p, v); }
+
+/** std::fabs: clears the sign bit (of each lane). */
+inline float absOf(float d) { return std::fabs(d); }
+inline Vec absOf(Vec d) { return (Vec)((lanes::IVec)d & 0x7fffffff); }
+
+/**
+ * ref::absMaxDiff's step: a NaN @p d never wins. Its operands are never
+ * -0 or NaN, so the maximum of a set does not depend on the order the
+ * set is folded in: per lane, then across lanes, is exact.
+ */
+template <typename T>
+inline T
+maxOf(T m, T d)
+{
+    return d > m ? d : m;
+}
+
+/** The arrays one side of the pass reads and writes. */
+struct Side
+{
+    const float *a;      ///< u or x
+    float *dual;         ///< y or g
+    float *slack;        ///< z or v: the old slack, then the new one
+    float *slackNew;     ///< znew or vnew
+    const float *lo;     ///< uMin or xMin
+    const float *hi;     ///< uMax or xMax
+    float *cost;         ///< r or q
+    const float *qRef;   ///< state side: −xRef ⊙ qDiag; input side: null
+    int n;               ///< (N−1)·nu or N·nx elements
+};
+
+/** The running residual maxima of one side. */
+template <typename T> struct Maxima
+{
+    T primal{}; ///< max |a − sn|
+    T dual{};   ///< max |slack − sn|
+};
+
+/**
+ * Every stage of one side on the element (or four lanes) at @p i,
+ * each the expression of the call it replaces:
+ *   sn = clamp(1·a + 1·dual, lo, hi)           updateSlack
+ *   dual' = dual + (a − sn)                    updateDual
+ *   r = (−ρ)·sn + ρ·dual'                      updateLinearCost (input)
+ *   q = qRef + (−ρ)·(sn − dual')               updateLinearCost (state)
+ *   maxima of |a − sn| and |slack − sn|        checkResiduals (Check)
+ *   slackNew = slack = sn                      the slack copy
+ */
+template <bool Check, bool State, typename T>
+inline void
+stages(const Side &s, int i, float rho, Maxima<T> &m)
+{
+    const T a = loadAs<T>(s.a + i);
+    const T y = loadAs<T>(s.dual + i);
+    const T sn = matlib::ref::clampOne(
+        1.0f * a + 1.0f * y, loadAs<T>(s.lo + i), loadAs<T>(s.hi + i));
+    const T y2 = y + (a - sn);
+    storeTo(s.dual + i, y2);
+    if constexpr (State)
+        storeTo(s.cost + i, loadAs<T>(s.qRef + i) + -rho * (sn - y2));
+    else
+        storeTo(s.cost + i, -rho * sn + rho * y2);
+    if constexpr (Check) {
+        m.primal = maxOf(m.primal, absOf(a - sn));
+        m.dual = maxOf(m.dual, absOf(loadAs<T>(s.slack + i) - sn));
+    }
+    storeTo(s.slackNew + i, sn);
+    storeTo(s.slack + i, sn);
+}
+
+/** One side: whole vectors of four lanes, then a scalar tail. */
+template <bool Check, bool State>
+Maxima<float>
+runSide(const Side &s, float rho)
+{
+    constexpr int L = matlib::kPackLanes;
+    Maxima<Vec> mv;
+    int i = 0;
+    for (; i + L <= s.n; i += L)
+        stages<Check, State>(s, i, rho, mv);
+    Maxima<float> m;
+    for (int l = 0; l < L; ++l) {
+        m.primal = maxOf(m.primal, mv.primal[l]);
+        m.dual = maxOf(m.dual, mv.dual[l]);
+    }
+    for (; i < s.n; ++i)
+        stages<Check, State>(s, i, rho, m);
+    return m;
+}
+
+template <bool Check>
+void
+runSides(Workspace &ws, SolveResult *res)
+{
+    const float rho = ws.settings.rho;
+    const Side input{ws.u.data(),    ws.y.data(),    ws.z.data(),
+                     ws.znew.data(), ws.uMin.data(), ws.uMax.data(),
+                     ws.r.data(),    nullptr,        (ws.N - 1) * ws.nu};
+    const Side state{ws.x.data(),    ws.g.data(),    ws.v.data(),
+                     ws.vnew.data(), ws.xMin.data(), ws.xMax.data(),
+                     ws.q.data(),    ws.qRef.data(), ws.N * ws.nx};
+    const Maxima<float> mi = runSide<Check, false>(input, rho);
+    const Maxima<float> ms = runSide<Check, true>(state, rho);
+    if constexpr (Check) {
+        res->primalResidualState = ms.primal;
+        res->dualResidualState = rho * ms.dual;
+        res->primalResidualInput = mi.primal;
+        res->dualResidualInput = rho * mi.dual;
+    }
+}
+
 } // namespace
+
+void
+hostElementwisePass(Workspace &ws, SolveResult *res)
+{
+    if (res)
+        runSides<true>(ws, res);
+    else
+        runSides<false>(ws, nullptr);
+}
 
 Solver::Solver(Workspace &ws, matlib::Backend &backend, MappingStyle style)
     : ws_(ws), backend_(backend), style_(style)
@@ -344,11 +490,7 @@ Solver::checkResiduals(SolveResult &res)
         res.dualResidualInput =
             rho * backend_.absMaxDiff(ws_.z.view(), ws_.znew.view());
     }
-    const Settings &s = ws_.settings;
-    return res.primalResidualState < s.priTol &&
-           res.primalResidualInput < s.priTol &&
-           res.dualResidualState < s.duaTol &&
-           res.dualResidualInput < s.duaTol;
+    return withinTolerance(res, ws_.settings);
 }
 
 template <int NX, int NU, matlib::Datapath P>
@@ -380,10 +522,40 @@ Solver::iterate(int bound, SolveResult &res)
 
 template <int NX, int NU>
 void
+Solver::iterateHost(int bound, SolveResult &res)
+{
+    constexpr matlib::Datapath P = matlib::Datapath::Dynamic;
+    // q's reference term: xRef and qDiag do not change during a solve.
+    matlib::ref::rowScaleNeg(ws_.qRef.view(), ws_.xRef.view(),
+                             ws_.qDiag.view());
+    for (int iter = 1; iter <= bound; ++iter) {
+        forwardPass<NX, NU, P>();
+        const bool check = (iter % ws_.settings.checkTermination) == 0;
+        hostElementwisePass(ws_, check ? &res : nullptr);
+        // p[N-1], as updateLinearCost computes it.
+        Mat p_last = ws_.p.row(ws_.N - 1);
+        backend_.gemvT<NX, NX>(p_last, ws_.pinf.view(),
+                               ws_.xRef.row(ws_.N - 1), -1.0f, 0.0f);
+        backend_.axpyDiff(p_last, -ws_.settings.rho, ws_.vnew.row(ws_.N - 1),
+                          ws_.g.row(ws_.N - 1));
+        backwardPass<NX, NU, P>();
+        res.iterations = iter;
+        if (check && withinTolerance(res, ws_.settings)) {
+            res.converged = true;
+            break;
+        }
+    }
+}
+
+template <int NX, int NU>
+void
 Solver::iterateAt(int bound, SolveResult &res)
 {
-    if (backend_.format() == matlib::NumericFormat::BF16)
+    const matlib::NumericFormat f = backend_.format();
+    if (f == matlib::NumericFormat::BF16)
         iterate<NX, NU, matlib::Datapath::Bf16>(bound, res);
+    else if (f == matlib::NumericFormat::F32 && !backend_.program())
+        iterateHost<NX, NU>(bound, res);
     else
         iterate<NX, NU, matlib::Datapath::Dynamic>(bound, res);
 }
@@ -407,18 +579,11 @@ Solver::solve(int max_iters)
 
     // The registry plants' shapes run fixed-shape gemvs; any other
     // shape runs the same passes with run-time dimensions. Each shape
-    // has an f32/int instantiation and a bf16 one (iterateAt).
-    const int nx = ws_.nx, nu = ws_.nu;
-    if (nx == 12 && nu == 4)
-        iterateAt<12, 4>(bound, res); // quadrotor
-    else if (nx == 6 && nu == 3)
-        iterateAt<6, 3>(bound, res); // rocket lander
-    else if (nx == 5 && nu == 2)
-        iterateAt<5, 2>(bound, res); // rover
-    else if (nx == 4 && nu == 1)
-        iterateAt<4, 1>(bound, res); // cart-pole
-    else
-        iterateAt<0, 0>(bound, res);
+    // has a host f32 loop, an emitting f32 / int one and a bf16 one
+    // (iterateAt).
+    atPlantShape(ws_.nx, ws_.nu, [&](auto NX, auto NU) {
+        iterateAt<NX, NU>(bound, res);
+    });
     // Export the solution to the CPU/actuators (Gemmini: mvout+fence).
     backend_.sync();
 

@@ -13,6 +13,15 @@
  * The numerical result is identical in both styles and across all
  * backends (pure float32 reference arithmetic); only the emitted
  * micro-op stream — and therefore simulated time — differs.
+ *
+ * Two host loops compute those values. An emitting solve (a Program
+ * attached) and every narrow-format solve run the passes as the
+ * style's sequence of Backend calls, because that sequence defines the
+ * emitted stream and the narrow formats quantize through fx::saxpby. A
+ * host float32 solve (no Program) runs the same gemv passes, but the
+ * slack, dual, linear-cost, residual and slack-copy stages of each
+ * iteration run as one four-lane pass per side (hostElementwisePass),
+ * which computes the same bits as the Backend calls it replaces.
  */
 
 #ifndef RTOC_TINYMPC_SOLVER_HH
@@ -101,18 +110,30 @@ class Solver
 
     /**
      * Up to @p bound ADMM iterations at plant shape <NX, NU> (nx, nu)
-     * on datapath P: solve() instantiates it for each registry plant's
-     * shape, whose passes then run fixed-shape gemvs, and at <0, 0>
-     * (run-time dimensions) for any other shape; P is Bf16 on a bf16
-     * backend, whose passes then inline the bf16 kernels, and Dynamic
-     * otherwise (the f32 passes, and the out-of-line int kernels).
-     * Every instantiation computes the same values and calls the same
-     * emission hooks in the same order, with or without a Program.
+     * on datapath P, every stage a Backend call: solve() instantiates
+     * it for each registry plant's shape (common/plant_shapes.hh),
+     * whose passes then run fixed-shape gemvs, and at <0, 0> (run-time
+     * dimensions) for any other shape; P is Bf16 on a bf16 backend,
+     * whose passes then inline the bf16 kernels, and Dynamic otherwise
+     * (the f32 passes, and the out-of-line int kernels). Every
+     * instantiation computes the same values and calls the same
+     * emission hooks in the same order.
      */
     template <int NX, int NU, matlib::Datapath P>
     void iterate(int bound, SolveResult &res);
 
-    /** iterate<NX, NU, P> with P picked from the backend's format. */
+    /**
+     * iterate<NX, NU, Dynamic> for a host float32 solve: the same
+     * forward and backward passes and the same values, with the
+     * elementwise stages fused into hostElementwisePass. Emits nothing.
+     */
+    template <int NX, int NU> void iterateHost(int bound, SolveResult &res);
+
+    /**
+     * The loop for the backend's format and Program, picked once per
+     * solve: iterateHost for a host f32 solve, iterate<NX, NU, Bf16> at
+     * bf16, iterate<NX, NU, Dynamic> otherwise.
+     */
     template <int NX, int NU> void iterateAt(int bound, SolveResult &res);
 
     template <int NX, int NU, matlib::Datapath P> void forwardPass();
@@ -128,6 +149,23 @@ class Solver
     matlib::Backend &backend_;
     MappingStyle style_;
 };
+
+/**
+ * The elementwise stages of one host float32 ADMM iteration, fused
+ * into one four-lane pass (scalar tail) over each side: the input side
+ * over the (N−1)·nu arrays u, y, z, znew, uMin, uMax, r, and the state
+ * side over the N·nx arrays x, g, v, vnew, xMin, xMax, q. Per element
+ * it computes the values of the Backend calls it replaces, bit for bit
+ * (a NaN result may carry another NaN's sign: which operand's NaN an
+ * add of two NaNs returns is the compiler's choice, in either form):
+ * the slack znew = clamp(u + y, uMin, uMax), the dual y += u − znew,
+ * the linear cost r = −ρ·znew + ρ·y (q = qRef − ρ·(vnew − g)), with a
+ * non-null @p res the four residuals into *res, and the slack copy
+ * z = znew. Reads ws.qRef, which must hold −xRef ⊙ qDiag
+ * (ref::rowScaleNeg); Solver::solve writes it once per solve. p[N−1]
+ * is left to the caller.
+ */
+void hostElementwisePass(Workspace &ws, SolveResult *res);
 
 /**
  * Emit the on-SoC model-refresh stream for warm-start incremental

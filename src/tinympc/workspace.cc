@@ -47,6 +47,7 @@ Workspace::allocate(int nx, int nu, int horizon)
     w.pAffine = Buffer(1, nx);
     w.tmpNu = Buffer(1, nu);
     w.tmpNx = Buffer(1, nx);
+    w.qRef = Buffer(horizon, nx);
 
     const float inf = 1e30f;
     matlib::ref::fill(w.uMin.view(), -inf);

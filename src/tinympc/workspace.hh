@@ -128,6 +128,8 @@ struct Workspace
     // Scratch.
     Buffer tmpNu;  ///< 1 x nu backward-pass temporary
     Buffer tmpNx;  ///< 1 x nx temporary
+    Buffer qRef;   ///< N x nx −xRef ⊙ qDiag: the host f32 solve's
+                   ///< per-solve term of q (hostElementwisePass)
 
     /** Allocate all buffers for the given dimensions. */
     static Workspace allocate(int nx, int nu, int horizon);

@@ -2,15 +2,24 @@
  * @file
  * Unit and property tests for the offline numerics: dense matrix
  * algebra, LU solve, Cholesky, matrix exponential, ZOH discretization
- * and the discrete Riccati solver.
+ * and the discrete Riccati solver, whose fixed-shape recursion is
+ * pinned bit for bit to the allocating DMatrix form at every registry
+ * plant's shape.
  */
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "numerics/dare.hh"
 #include "numerics/dmatrix.hh"
+#include "plant/registry.hh"
 
 namespace rtoc::numerics {
 namespace {
@@ -197,57 +206,74 @@ TEST(Dare, AmBKtIsTransposedClosedLoop)
     EXPECT_NEAR(c.amBKt.maxAbsDiff(expect), 0.0, 1e-12);
 }
 
-// --- in-place DMatrix updates and the allocation-free DARE loop ---
+// --- the dense:: kernels and the fixed-shape Riccati recursion ---
 
-TEST(DMatrixInPlace, MatchesAllocatingOperatorsBitExactly)
+/** Same shape and the same bits in every element (memcmp). */
+::testing::AssertionResult
+sameBits(const DMatrix &got, const DMatrix &want)
 {
-    // Deterministic pseudo-random operands (LCG, no <random>).
-    auto fill = [](DMatrix &m, uint64_t seed) {
-        for (int i = 0; i < m.rows(); ++i)
-            for (int j = 0; j < m.cols(); ++j) {
-                seed = seed * 6364136223846793005ull + 1442695040888963407ull;
-                m(i, j) =
-                    static_cast<double>(static_cast<int64_t>(seed >> 20)) /
-                    (1ll << 40);
-            }
+    if (got.rows() != want.rows() || got.cols() != want.cols()) {
+        return ::testing::AssertionFailure()
+               << got.rows() << "x" << got.cols() << " vs " << want.rows()
+               << "x" << want.cols();
+    }
+    if (std::memcmp(got.data(), want.data(), got.size() * sizeof(double)))
+        return ::testing::AssertionFailure() << "\n" << got.str(17)
+                                             << "vs\n" << want.str(17);
+    return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult
+sameBits(double got, double want)
+{
+    if (std::memcmp(&got, &want, sizeof got))
+        return ::testing::AssertionFailure() << got << " vs " << want;
+    return ::testing::AssertionSuccess();
+}
+
+TEST(DenseGemm, FixedShapeMatchesRunTimeShapeAndSkipsZeros)
+{
+    // Row 0 of a is sparse and b's row 1, which it skips, holds an Inf
+    // and a NaN: the zero skip keeps c's row 0 finite.
+    const double inf = std::numeric_limits<double>::infinity();
+    DMatrix a(3, 3, {0, 0, 0.5, 1, -0.0, 2, -0.25, 3, 0});
+    DMatrix b(3, 4, {1.5, -2, 0.125, 7, inf, std::nan(""), 1, -1, 3, 0.5,
+                     -4, 1e-300});
+    DMatrix got(3, 4);
+    dense::gemm<3, 3, 4>(got.data(), a.data(), b.data(), 3, 3, 4);
+    EXPECT_TRUE(sameBits(got, a * b));
+    for (int j = 0; j < 4; ++j)
+        EXPECT_TRUE(std::isfinite(got(0, j))) << j;
+
+    // Against an independent i-k-j loop with the skip, on dense operands.
+    uint64_t seed = 7;
+    auto next = [&seed] {
+        seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<double>(static_cast<int64_t>(seed >> 20)) /
+               (1ll << 40);
     };
-    DMatrix a(7, 5), b(5, 9), c(7, 9), d(7, 9);
-    fill(a, 1);
-    fill(b, 2);
-    fill(c, 3);
-    fill(d, 4);
-
-    DMatrix prod;
-    prod.gemmInto(a, b);
-    DMatrix expect = a * b;
-    EXPECT_EQ(prod.maxAbsDiff(expect), 0.0);
-
-    // Shape reuse: second gemmInto of the same shape reuses storage.
-    const double *before = prod.data();
-    prod.gemmInto(a, b);
-    EXPECT_EQ(prod.data(), before);
-
-    DMatrix add = c;
-    add.addInPlace(d);
-    EXPECT_EQ(add.maxAbsDiff(c + d), 0.0);
-    DMatrix sub = c;
-    sub.subInPlace(d);
-    EXPECT_EQ(sub.maxAbsDiff(c - d), 0.0);
-
-    // The zero-skip of operator* is mirrored (sparse row).
-    DMatrix az(3, 3, {0, 0, 0, 1, 0, 2, 0, 3, 0});
-    DMatrix bz(3, 3);
-    fill(bz, 5);
-    DMatrix pz;
-    pz.gemmInto(az, bz);
-    EXPECT_EQ(pz.maxAbsDiff(az * bz), 0.0);
+    DMatrix x(4, 12), y(12, 12);
+    for (DMatrix *m : {&x, &y})
+        for (size_t i = 0; i < m->size(); ++i)
+            m->data()[i] = i % 5 == 3 ? 0.0 : next();
+    DMatrix want(4, 12);
+    for (int i = 0; i < 4; ++i)
+        for (int k = 0; k < 12; ++k)
+            if (x(i, k) != 0.0)
+                for (int j = 0; j < 12; ++j)
+                    want(i, j) += x(i, k) * y(k, j);
+    DMatrix fixed(4, 12), dynamic(4, 12);
+    dense::gemm<4, 12, 12>(fixed.data(), x.data(), y.data(), 4, 12, 12);
+    dense::gemm<0, 0, 0>(dynamic.data(), x.data(), y.data(), 4, 12, 12);
+    EXPECT_TRUE(sameBits(fixed, want));
+    EXPECT_TRUE(sameBits(dynamic, want));
+    EXPECT_TRUE(sameBits(x * y, want));
 }
 
 /**
- * The historical allocating DARE iteration, kept verbatim as the
- * reference: the in-place loop in trySolveDare must reproduce its
- * Pinf/Kinf bit-for-bit (addInPlace commutes bitwise, gemmInto keeps
- * the accumulation order).
+ * The allocating DARE iteration, kept verbatim as the reference: the
+ * fixed-shape recursion in trySolveDare must reproduce every output
+ * bit for bit.
  */
 std::optional<LqrCache>
 referenceDare(const DMatrix &a, const DMatrix &b, const DMatrix &q,
@@ -285,9 +311,31 @@ referenceDare(const DMatrix &a, const DMatrix &b, const DMatrix &q,
     return std::nullopt;
 }
 
+/** trySolveDare against referenceDare: both nullopt, or every output
+ *  bit-equal. */
+void
+expectSameDare(const DMatrix &a, const DMatrix &b, const DMatrix &q,
+               const DMatrix &r, double rho, const DMatrix *p_warm,
+               double tol, int max_iters, const std::string &what)
+{
+    const auto want =
+        referenceDare(a, b, q, r, rho, p_warm, tol, max_iters);
+    const auto got = trySolveDare(a, b, q, r, rho, p_warm, tol, max_iters);
+    ASSERT_EQ(got.has_value(), want.has_value()) << what;
+    if (!want)
+        return;
+    EXPECT_EQ(got->iterations, want->iterations) << what;
+    EXPECT_TRUE(sameBits(got->residual, want->residual)) << what;
+    EXPECT_TRUE(sameBits(got->pinf, want->pinf)) << what;
+    EXPECT_TRUE(sameBits(got->kinf, want->kinf)) << what;
+    EXPECT_TRUE(sameBits(got->quuInv, want->quuInv)) << what;
+    EXPECT_TRUE(sameBits(got->amBKt, want->amBKt)) << what;
+}
+
 TEST(Dare, InPlaceIterationBitIdenticalToAllocatingReference)
 {
-    // Double integrator and a 3-state system, cold and warm started.
+    // Run-time shapes: a double integrator and a 3-state system, cold
+    // and warm started.
     DMatrix a2(2, 2, {1, 0.05, 0, 1});
     DMatrix b2(2, 1, {0.00125, 0.05});
     DMatrix q2 = DMatrix::diag({10.0, 1.0});
@@ -306,30 +354,70 @@ TEST(Dare, InPlaceIterationBitIdenticalToAllocatingReference)
     for (const Case &c :
          {Case{&a2, &b2, &q2, &r2, 1.0}, Case{&a2, &b2, &q2, &r2, 5.0},
           Case{&a3, &b3, &q3, &r3, 1.0}}) {
-        auto expect = referenceDare(*c.a, *c.b, *c.q, *c.r, c.rho,
-                                    nullptr, 1e-10, 10000);
-        auto got = trySolveDare(*c.a, *c.b, *c.q, *c.r, c.rho, nullptr,
-                                1e-10, 10000);
-        ASSERT_TRUE(expect.has_value());
-        ASSERT_TRUE(got.has_value());
-        EXPECT_EQ(got->iterations, expect->iterations);
-        EXPECT_EQ(got->pinf.maxAbsDiff(expect->pinf), 0.0);
-        EXPECT_EQ(got->kinf.maxAbsDiff(expect->kinf), 0.0);
-        EXPECT_EQ(got->quuInv.maxAbsDiff(expect->quuInv), 0.0);
-        EXPECT_EQ(got->amBKt.maxAbsDiff(expect->amBKt), 0.0);
-
+        const std::string what = std::to_string(c.a->rows()) + "x" +
+                                 std::to_string(c.b->cols()) + " rho " +
+                                 std::to_string(c.rho);
+        expectSameDare(*c.a, *c.b, *c.q, *c.r, c.rho, nullptr, 1e-10, 10000,
+                       what + " cold");
+        auto cold = trySolveDare(*c.a, *c.b, *c.q, *c.r, c.rho, nullptr,
+                                 1e-10, 10000);
+        ASSERT_TRUE(cold.has_value());
         // Warm start from the converged Pinf: the session-refresh
         // path. Must also match bit-for-bit and converge faster.
-        auto warm_ref = referenceDare(*c.a, *c.b, *c.q, *c.r, c.rho,
-                                      &expect->pinf, 1e-10, 10000);
-        auto warm_got = trySolveDare(*c.a, *c.b, *c.q, *c.r, c.rho,
-                                     &expect->pinf, 1e-10, 10000);
-        ASSERT_TRUE(warm_ref.has_value());
-        ASSERT_TRUE(warm_got.has_value());
-        EXPECT_EQ(warm_got->iterations, warm_ref->iterations);
-        EXPECT_EQ(warm_got->pinf.maxAbsDiff(warm_ref->pinf), 0.0);
-        EXPECT_LE(warm_got->iterations, got->iterations);
+        expectSameDare(*c.a, *c.b, *c.q, *c.r, c.rho, &cold->pinf, 1e-10,
+                       10000, what + " warm");
+        auto warm = trySolveDare(*c.a, *c.b, *c.q, *c.r, c.rho,
+                                 &cold->pinf, 1e-10, 10000);
+        ASSERT_TRUE(warm.has_value());
+        EXPECT_LE(warm->iterations, cold->iterations);
     }
+
+    // Every registry shape, called as the HIL stack calls it: the cold
+    // trim solve of buildWorkspace, a warm refresh of an off-trim model
+    // from the trim Pinf, and a call whose cap stops it early.
+    for (const std::string &name :
+         plant::ScenarioRegistry::global().plantNames()) {
+        std::unique_ptr<plant::Plant> p =
+            plant::ScenarioRegistry::global().makePlant(name);
+        const plant::Weights w = p->mpcWeights();
+        const DMatrix q = DMatrix::diag(w.qDiag);
+        const DMatrix r = DMatrix::diag(w.rDiag);
+        const plant::LinearModel trim = p->linearize(0.02);
+        expectSameDare(trim.ad, trim.bd, q, r, w.rho, nullptr, 1e-10, 10000,
+                       name + " cold trim");
+        const auto cold = trySolveDare(trim.ad, trim.bd, q, r, w.rho,
+                                       nullptr, 1e-10, 10000);
+        ASSERT_TRUE(cold.has_value()) << name;
+
+        std::vector<double> x = p->trimState();
+        for (size_t j = 0; j < x.size(); ++j)
+            x[j] += 0.03 * static_cast<double>(j + 1);
+        const std::vector<double> du(static_cast<size_t>(p->nu()), 0.1);
+        const plant::LinearModel off =
+            p->linearizeAt(x.data(), du.data(), 0.02);
+        expectSameDare(off.ad, off.bd, q, r, w.rho, &cold->pinf, 1e-6, 500,
+                       name + " warm off-trim");
+
+        ASSERT_GT(cold->iterations, 3) << name;
+        EXPECT_FALSE(trySolveDare(trim.ad, trim.bd, q, r, w.rho, nullptr,
+                                  1e-10, cold->iterations - 1))
+            << name;
+        expectSameDare(trim.ad, trim.bd, q, r, w.rho, nullptr, 1e-10,
+                       cold->iterations - 1, name + " capped");
+    }
+}
+
+TEST(Dare, StopsOnTheKinfStepAloneEvenWhilePGrows)
+{
+    // The documented stopping test (dare.hh): an uncontrollable
+    // unstable mode, on which K settles while P diverges.
+    DMatrix a(2, 2, {1.2, 0, 0.3, 0.9});
+    DMatrix b(2, 1, {0, 1});
+    auto c = trySolveDare(a, b, DMatrix::identity(2), DMatrix::diag({0.1}),
+                          1.0, nullptr, 1e-6, 10000);
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(c->iterations, 12);
+    EXPECT_NEAR(c->residual, 163.83, 0.01);
 }
 
 } // namespace

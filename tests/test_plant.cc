@@ -11,6 +11,7 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "common/plant_shapes.hh"
 #include "hil/sweep.hh"
 #include "hil/timing.hh"
 #include "plant/cartpole.hh"
@@ -283,6 +284,19 @@ TEST(Registry, EnumeratesBuiltinPlantsAndSpecs)
         EXPECT_GT(p->nu(), 0);
     }
     EXPECT_TRUE(reg.makePlant("no-such-plant") == nullptr);
+}
+
+TEST(Registry, EveryPlantRunsAFixedShape)
+{
+    // common/plant_shapes.hh lists the registry plants' shapes once, for
+    // the host solve and the Riccati recursion; a plant added to the
+    // registry belongs on that list.
+    for (const std::string &n : ScenarioRegistry::global().plantNames()) {
+        std::unique_ptr<Plant> p = ScenarioRegistry::global().makePlant(n);
+        const int nx = atPlantShape(p->nx(), p->nu(),
+                                    [](auto NX, auto) { return int{NX}; });
+        EXPECT_EQ(nx, p->nx()) << n;
+    }
 }
 
 TEST(Registry, SpecsFindableAndDeterministic)

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -827,10 +828,11 @@ relinearize(const plant::Plant &p, double offset)
 
 TEST(HostSolve, BitIdenticalToEmittingSolve)
 {
-    // The host solve (no Program) and an emitting solve run one Solver
-    // path, so their values agree bit for bit: full and budgeted
-    // solves, before and after an affine refreshModel, every registry
-    // plant and format, against scalar, vector and Gemmini emission.
+    // The host solve (no Program: at f32 the fused elementwise pass of
+    // iterateHost) and an emitting solve (the Backend call sequence)
+    // agree bit for bit: full and budgeted solves, before and after an
+    // affine refreshModel, every registry plant and format, against
+    // scalar, vector and Gemmini emission.
     using matlib::NumericFormat;
     struct Emitter
     {
@@ -1005,7 +1007,8 @@ referenceSolve(Workspace &ws, int max_iters)
 
 TEST(HostSolve, MatchesReferenceSolve)
 {
-    // Every float32 solve matches the reference solve bit for bit: each
+    // Every host float32 solve (iterateHost, with the fused
+    // elementwise pass) matches the reference solve bit for bit: each
     // registry plant (a fixed-shape instantiation) and the double
     // integrator (the run-time-shape one), every mapping style, from
     // rest and then tracking a reference from offset states, full and
@@ -1105,6 +1108,129 @@ TEST(HostSolve, RelinearizedSolvesTakeTheAffinePath)
     EXPECT_GE(affine, 3);
 }
 
+TEST(HostSolve, ElementwisePassMatchesRefCallsOnSpecialValues)
+{
+    // hostElementwisePass against the ref:: calls it replaces, on the
+    // special values of Ref.ClampsAndResidualOnSpecialValues in every
+    // input it reads. The shapes give each side a lane tail of 0-3
+    // elements (and one side shorter than a vector); both check and
+    // non-check iterations. Every buffer matches bit for bit, except
+    // that a NaN matches any NaN: which operand's NaN an add of two
+    // NaNs returns is up to the compiler (it may swap the operands),
+    // and it differs between builds for the ref:: calls themselves.
+    // The residuals never hold a NaN and match byte for byte.
+    namespace ref = matlib::ref;
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::nanf("");
+    const float vals[] = {0.0f,  -0.0f, 1.0f, -1.0f, 0.5f, -2.5f, inf,
+                          -inf,  nan,   -nan, 1e-40f, -1e-40f,
+                          std::numeric_limits<float>::max()};
+    const struct
+    {
+        int nx, nu, N;
+    } shapes[] = {{13, 5, 40}, {7, 2, 31}, {6, 3, 12}, {5, 1, 3},
+                  {4, 1, 10}, {12, 4, 10}};
+    // The grid, then uniform values in [-4, 4), whose residual maxima
+    // each sit in one element, in any lane or in the tail.
+    uint64_t seed = 0x5eed;
+    bool special = true;
+    auto pick = [&] {
+        seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+        if (!special)
+            return static_cast<float>(seed >> 40) / (1 << 21) - 4.0f;
+        return vals[(seed >> 33) % std::size(vals)];
+    };
+    int tails[4] = {};
+    for (const auto &sh : shapes) {
+        tails[(sh.N - 1) * sh.nu % 4]++;
+        tails[sh.N * sh.nx % 4]++;
+        for (int run = 0; run < 4; ++run) {
+            special = run < 2;
+            const float rho = run % 2 ? 0.37f : 1.0f;
+            for (bool check : {false, true}) {
+                const std::string what =
+                    std::to_string(sh.nx) + "x" + std::to_string(sh.nu) +
+                    " N " + std::to_string(sh.N) + " rho " +
+                    std::to_string(rho) + (special ? " special" : "") +
+                    (check ? " check" : "");
+                Workspace want = Workspace::allocate(sh.nx, sh.nu, sh.N);
+                want.settings.rho = rho;
+                for (Buffer *b : {&want.u, &want.y, &want.z, &want.x,
+                                  &want.g, &want.v, &want.xRef, &want.qDiag,
+                                  &want.uMin, &want.uMax, &want.xMin,
+                                  &want.xMax}) {
+                    for (int i = 0; i < b->view().size(); ++i)
+                        b->data()[i] = pick();
+                }
+                Workspace got = want;
+
+                ref::rowScaleNeg(got.qRef.view(), got.xRef.view(),
+                                 got.qDiag.view());
+                SolveResult rg, rw;
+                hostElementwisePass(got, check ? &rg : nullptr);
+
+                ref::saxpby(want.znew.view(), 1.0f, want.u.view(), 1.0f,
+                            want.y.view());
+                ref::clampVec(want.znew.view(), want.znew.view(),
+                              want.uMin.view(), want.uMax.view());
+                ref::saxpby(want.vnew.view(), 1.0f, want.x.view(), 1.0f,
+                            want.g.view());
+                ref::clampVec(want.vnew.view(), want.vnew.view(),
+                              want.xMin.view(), want.xMax.view());
+                ref::accumDiff(want.y.view(), want.u.view(),
+                               want.znew.view());
+                ref::accumDiff(want.g.view(), want.x.view(),
+                               want.vnew.view());
+                ref::saxpby(want.r.view(), -rho, want.znew.view(), rho,
+                            want.y.view());
+                ref::rowScaleNeg(want.q.view(), want.xRef.view(),
+                                 want.qDiag.view());
+                ref::axpyDiff(want.q.view(), -rho, want.vnew.view(),
+                              want.g.view());
+                if (check) {
+                    rw.primalResidualState =
+                        ref::absMaxDiff(want.x.view(), want.vnew.view());
+                    rw.dualResidualState =
+                        rho * ref::absMaxDiff(want.v.view(),
+                                              want.vnew.view());
+                    rw.primalResidualInput =
+                        ref::absMaxDiff(want.u.view(), want.znew.view());
+                    rw.dualResidualInput =
+                        rho * ref::absMaxDiff(want.z.view(),
+                                              want.znew.view());
+                }
+                ref::copy(want.z.view(), want.znew.view());
+                ref::copy(want.v.view(), want.vnew.view());
+
+                Buffer Workspace::*const bufs[] = {
+                    &Workspace::u,    &Workspace::y, &Workspace::z,
+                    &Workspace::znew, &Workspace::r, &Workspace::x,
+                    &Workspace::g,    &Workspace::v, &Workspace::vnew,
+                    &Workspace::q};
+                for (size_t k = 0; k < std::size(bufs); ++k) {
+                    EXPECT_TRUE(sameBits((got.*bufs[k]).view(),
+                                         (want.*bufs[k]).view()))
+                        << what << " buffer " << k;
+                }
+                const float fg[] = {rg.primalResidualState,
+                                    rg.dualResidualState,
+                                    rg.primalResidualInput,
+                                    rg.dualResidualInput};
+                const float fw[] = {rw.primalResidualState,
+                                    rw.dualResidualState,
+                                    rw.primalResidualInput,
+                                    rw.dualResidualInput};
+                EXPECT_EQ(std::memcmp(fg, fw, sizeof fg), 0)
+                    << what << ": " << fg[0] << " " << fg[1] << " "
+                    << fg[2] << " " << fg[3] << " vs " << fw[0] << " "
+                    << fw[1] << " " << fw[2] << " " << fw[3];
+            }
+        }
+    }
+    for (int t = 0; t < 4; ++t)
+        EXPECT_GT(tails[t], 0) << "no side with a lane tail of " << t;
+}
+
 TEST(HostSolve, SteadyStateSolveAllocatesNothing)
 {
     using matlib::NumericFormat;
@@ -1140,6 +1266,57 @@ TEST(HostSolve, SteadyStateSolveAllocatesNothing)
             EXPECT_EQ(g_heapAllocs.load(std::memory_order_relaxed), before)
                 << name << " " << matlib::formatName(f);
         }
+    }
+}
+
+TEST(Dare, WarmRefreshAllocationsDoNotGrowWithIterations)
+{
+    // The Riccati recursion allocates nothing per iteration: a warm
+    // refresh allocates as often at tol 1e-3 as at tol 1e-8, though
+    // the tighter tolerance runs more iterations. Every registry shape
+    // (stack scratch) and the double integrator (run-time shape).
+    struct Model
+    {
+        std::string name;
+        DMatrix a, b, q, r;
+        double rho;
+    };
+    std::vector<Model> models;
+    for (const std::string &name :
+         plant::ScenarioRegistry::global().plantNames()) {
+        std::unique_ptr<plant::Plant> p =
+            plant::ScenarioRegistry::global().makePlant(name);
+        const Relinearized relin = relinearize(*p, 0.03);
+        const plant::Weights w = p->mpcWeights();
+        models.push_back({name, relin.model.ad, relin.model.bd,
+                          DMatrix::diag(w.qDiag), DMatrix::diag(w.rDiag),
+                          w.rho});
+    }
+    models.push_back({"double-integrator", DMatrix(2, 2, {1, 0.05, 0, 1}),
+                      DMatrix(2, 1, {0.00125, 0.05}),
+                      DMatrix::diag({10.0, 1.0}), DMatrix::diag({0.5}), 1.0});
+    for (const Model &m : models) {
+        // Seed half-way to the solution, so that both tolerances take
+        // several iterations whatever the model.
+        const numerics::LqrCache cold =
+            numerics::solveDare(m.a, m.b, m.q, m.r, m.rho);
+        const DMatrix seed = cold.pinf * 0.5;
+        int iters[2] = {};
+        uint64_t allocs[2] = {};
+        const double tols[2] = {1e-3, 1e-8};
+        for (int t = 0; t < 2; ++t) {
+            const uint64_t before = g_heapAllocs.load();
+            const auto c = numerics::trySolveDare(m.a, m.b, m.q, m.r, m.rho,
+                                                  &seed, tols[t], 10000);
+            allocs[t] = g_heapAllocs.load() - before;
+            ASSERT_TRUE(c.has_value()) << m.name;
+            iters[t] = c->iterations;
+        }
+        EXPECT_LT(iters[0], iters[1]) << m.name;
+        EXPECT_GT(allocs[0], 0u) << m.name << ": counter not armed";
+        EXPECT_EQ(allocs[0], allocs[1])
+            << m.name << ": " << iters[0] << " vs " << iters[1]
+            << " iterations";
     }
 }
 
