@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the simulator substrate itself:
  * how fast the timing models consume micro-op streams, how fast the
- * functional solver runs, and how fast the Riccati recursion runs per
- * registry plant (cold trim solve and warm refresh). These guard the
+ * functional solver runs (float32, and per registry plant at bf16 and
+ * i16), and how fast the Riccati recursion runs per registry plant
+ * (cold trim solve and warm refresh). These guard the
  * tractability of the HIL sweeps (hundreds of episodes) rather than
  * regenerate a paper figure; their host times stay out of the golden
  * set.
@@ -84,6 +85,42 @@ BM_FunctionalSolve(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FunctionalSolve);
+
+/**
+ * A narrow-format host solve: registry plant #range(0) at bf16
+ * (range(1) 0) or i16 (1), 25 Library-style iterations (zero
+ * tolerances) on a host-only scalar backend with the calibrated
+ * fixed-point schedule, from a state off the reference.
+ */
+static void
+BM_NarrowSolve(benchmark::State &state)
+{
+    const plant::ScenarioRegistry &reg = plant::ScenarioRegistry::global();
+    const std::string name =
+        reg.plantNames().at(static_cast<size_t>(state.range(0)));
+    const matlib::NumericFormat f = state.range(1)
+                                        ? matlib::NumericFormat::I16
+                                        : matlib::NumericFormat::BF16;
+    std::unique_ptr<plant::Plant> p = reg.makePlant(name);
+    tinympc::Workspace ws = p->buildWorkspace(0.02, 10);
+    ws.settings.priTol = 0.0f;
+    ws.settings.duaTol = 0.0f;
+    matlib::ScalarBackend backend(matlib::ScalarFlavor::Optimized);
+    backend.setFormat(f);
+    backend.setFixedScaling(tinympc::calibrateFixedScaling(ws, f));
+    tinympc::Solver solver(ws, backend, tinympc::MappingStyle::Library);
+    std::vector<float> x0(static_cast<size_t>(p->nx()), 0.0f);
+    x0[0] = 0.4f;
+    for (auto _ : state) {
+        ws.setInitialState(x0.data());
+        benchmark::DoNotOptimize(solver.solve().iterations);
+        benchmark::DoNotOptimize(ws.u.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(name + " " + matlib::formatName(f));
+}
+// The four registry plants x {bf16, i16}.
+BENCHMARK(BM_NarrowSolve)->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
 
 /**
  * Registry plant #index's trim model and an off-trim model (every state

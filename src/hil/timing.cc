@@ -1,5 +1,6 @@
 #include "timing.hh"
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -45,7 +46,12 @@ decodeTiming(const std::string &payload)
     t.cyclesPerIter = r.raw<double>();
     t.refreshBaseCycles = r.raw<double>();
     t.refreshCyclesPerIter = r.raw<double>();
-    if (!r.ok || r.left != 0)
+    // A fit is finite: a NaN or an infinity would reach every cycle
+    // sum priced from it. Such an entry is rejected and recalibrated.
+    if (!r.ok || r.left != 0 || !std::isfinite(t.baseCycles) ||
+        !std::isfinite(t.cyclesPerIter) ||
+        !std::isfinite(t.refreshBaseCycles) ||
+        !std::isfinite(t.refreshCyclesPerIter))
         return std::nullopt;
     return t;
 }

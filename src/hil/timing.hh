@@ -201,7 +201,9 @@ isa::Memo<ControllerTiming> &calibMemo();
 /** Serialize a ControllerTiming (bit-exact double round-trip). */
 std::string encodeTiming(const ControllerTiming &t);
 
-/** Decode an encodeTiming payload; nullopt when malformed. */
+/** Decode an encodeTiming payload; nullopt when malformed (truncated,
+ *  trailing bytes, another version) or when a cycle field is not
+ *  finite. */
 std::optional<ControllerTiming> decodeTiming(const std::string &payload);
 
 } // namespace rtoc::hil

@@ -35,6 +35,12 @@
  * passes compile exactly as the Dynamic ones always have (see
  * Solver::solve). gemvT stays Dynamic.
  *
+ * Narrow matrix operands: an fx:: kernel reads the quantized copy of
+ * its matrix from the backend's OperandCache, looked up and checked on
+ * every call, or, when the PackedMat operand carries one
+ * (fxOperand), read as it is: Solver::solve checks each of its eight
+ * matrix operands once per solve and passes them on that way.
+ *
  * Fusion scopes model §4.1.2: between beginFuse()/endFuse(), backends
  * that support register-resident temporaries (the RVV backend, and
  * the Gemmini backend's scratchpad residency) skip the store/load
@@ -124,9 +130,24 @@ class Backend
     /**
      * Quantized matrix operands of the fx kernels. Self-validating: a
      * refreshed matrix, a new scaling or a new format re-quantizes on
-     * the next call without any invalidation by the caller.
+     * the next call or solve without any invalidation by the caller.
      */
     const fx::OperandCache &fxCache() const { return fxCache_; }
+
+    /**
+     * The quantized copy of gemv operand @p a (gemvT's when
+     * @p transposed) on this backend's narrow format and scaling,
+     * looked up and checked now. A PackedMat carrying it in
+     * @c quantized runs gemv, gemvSaxpby or gemvT without a lookup, so
+     * the caller must not write @p a, nor change the format or the
+     * scaling, while it passes the copy (Solver::solve resolves its
+     * eight operands this way once per solve).
+     */
+    const fx::QuantizedMat &
+    fxOperand(const Mat &a, bool transposed)
+    {
+        return fx::matrixOperand(fmt_, scaling_, fxCache_, a, transposed);
+    }
 
     // --- operations (see ref:: for semantics) ---
 
@@ -149,12 +170,13 @@ class Backend
     {
         if constexpr (P == Datapath::Bf16) {
             rtoc_assert(fmt_ == NumericFormat::BF16);
-            fx::gemvBf16<M, N>(fxCache_, y, a.mat, x, alpha, beta);
+            fx::gemvBf16<M, N>(fxCache_, y, a.mat, x, alpha, beta,
+                               a.quantized);
         } else if (fmt_ == NumericFormat::F32) {
             packed::gemv<M, N>(y, a, x, alpha, beta);
         } else {
             fx::gemv(fmt_, scaling_, fxCounters_, fxCache_, y, a.mat, x,
-                     alpha, beta);
+                     alpha, beta, a.quantized);
         }
         if (prog_)
             emitGemv(y, a.mat, x, alpha, beta);
@@ -165,13 +187,25 @@ class Backend
     void
     gemvT(Mat y, const Mat &a, Mat x, float alpha = 1.0f, float beta = 0.0f)
     {
+        gemvT<M, N>(y, PackedMat{a}, x, alpha, beta);
+    }
+
+    /**
+     * gemvT over the row-major a.mat (it reads no packed copy), or at a
+     * narrow format over a.quantized when set.
+     */
+    template <int M = 0, int N = 0>
+    void
+    gemvT(Mat y, const PackedMat &a, Mat x, float alpha = 1.0f,
+          float beta = 0.0f)
+    {
         if (fmt_ == NumericFormat::F32)
-            packed::gemvT<M, N>(y, a, x, alpha, beta);
+            packed::gemvT<M, N>(y, a.mat, x, alpha, beta);
         else
-            fx::gemvT(fmt_, scaling_, fxCounters_, fxCache_, y, a, x, alpha,
-                      beta);
+            fx::gemvT(fmt_, scaling_, fxCounters_, fxCache_, y, a.mat, x,
+                      alpha, beta, a.quantized);
         if (prog_)
-            emitGemvT(y, a, x, alpha, beta);
+            emitGemvT(y, a.mat, x, alpha, beta);
     }
 
     void
@@ -292,12 +326,12 @@ class Backend
         if constexpr (P == Datapath::Bf16) {
             rtoc_assert(fmt_ == NumericFormat::BF16);
             fx::gemvSaxpbyBf16<M, N>(fxCache_, y, a.mat, x, alpha, beta, sa,
-                                     sb, b);
+                                     sb, b, a.quantized);
         } else if (fmt_ == NumericFormat::F32) {
             packed::gemvSaxpby<M, N>(y, a, x, alpha, beta, sa, sb, b);
         } else {
             fx::gemvSaxpby(fmt_, scaling_, fxCounters_, fxCache_, y, a.mat,
-                           x, alpha, beta, sa, sb, b);
+                           x, alpha, beta, sa, sb, b, a.quantized);
         }
         if (prog_) {
             emitGemv(y, a.mat, x, alpha, beta);

@@ -511,16 +511,16 @@ fixedAliased(const KernelSpec &s, Counters &c, OperandCache &cache, Mat y,
  * stored through @p st (the plain store, or the fused saxpby of
  * gemvSaxpby).
  *
- * A comes from the cache (its clamps added once, as every element is
- * read once), x is quantized into scratch (its clamps added once per
+ * A is its cache entry @p e (its clamps added once, as every element
+ * is read once), x is quantized into scratch (its clamps added once per
  * row, as every row reads all of x). The int16 dots run on int32 lanes
  * when the entry's bound allows it (see the file comment), else on the
  * serial saturating chain.
  */
 template <NumericFormat F, typename Store>
 __attribute__((noinline)) void
-fixedRows(const KernelSpec &s, Counters &c, OperandCache &cache, Mat y,
-          const Mat &a, Mat x, float alpha, float beta, bool transposed,
+fixedRows(const KernelSpec &s, Counters &c, OperandCache &cache,
+          const QuantizedMat &e, Mat y, Mat x, float alpha, float beta,
           Store &st)
 {
     const int m = y.cols;
@@ -530,7 +530,6 @@ fixedRows(const KernelSpec &s, Counters &c, OperandCache &cache, Mat y,
     const bool lanes = F == NumericFormat::I16 && st.lanesExact() &&
                        LaneGrid::exact(s.xFrac) &&
                        LaneGrid::exact(s.outFrac);
-    const OperandCache::Entry &e = cache.lookup(F, a, s.aFrac, transposed);
     int32_t *xq = cache.fixedScratch(n);
     uint64_t xsats = 0;
     int j = 0;
@@ -588,10 +587,10 @@ bf16Aliased(OperandCache &cache, Mat y, const Mat &a, Mat x, float alpha,
 /** The bf16 rows at run-time shape (detail::bf16Rows<0, 0>). */
 template <typename Out>
 __attribute__((noinline)) void
-bf16RowsAnyShape(OperandCache &cache, const Mat &a, Mat x, bool transposed,
-                 Out out)
+bf16RowsAnyShape(OperandCache &cache, const QuantizedMat &e, const Mat &a,
+                 Mat x, bool transposed, Out out)
 {
-    detail::bf16Rows<0, 0>(cache, a, x, transposed, out);
+    detail::bf16Rows<0, 0>(cache, e, a, x, transposed, out);
 }
 
 /*
@@ -605,7 +604,7 @@ bf16RowsAnyShape(OperandCache &cache, const Mat &a, Mat x, bool transposed,
 void
 gemvAny(NumericFormat f, const Scaling &sc, Counters &c,
         OperandCache &cache, Mat y, const Mat &a, Mat x, float alpha,
-        float beta, bool transposed)
+        float beta, bool transposed, const QuantizedMat *q)
 {
     rtoc_assert(y.isVec() && x.isVec());
     rtoc_assert(transposed ? a.cols == y.cols && a.rows == x.cols
@@ -623,50 +622,56 @@ gemvAny(NumericFormat f, const Scaling &sc, Counters &c,
                                              beta, transposed);
         return;
     }
+    const QuantizedMat &e =
+        detail::entryOf(f, sc, cache, a, transposed, q);
     PlainStore plain;
     if (f == NumericFormat::BF16) {
-        bf16RowsAnyShape(cache, a, x, transposed,
+        bf16RowsAnyShape(cache, e, a, x, transposed,
                          detail::Bf16Out<false>{y.data, nullptr, alpha,
                                                 beta, 0.0f, 0.0f});
     } else if (f == NumericFormat::I16) {
-        fixedRows<NumericFormat::I16>(s, c, cache, y, a, x, alpha, beta,
-                                      transposed, plain);
+        fixedRows<NumericFormat::I16>(s, c, cache, e, y, x, alpha, beta,
+                                      plain);
     } else {
-        fixedRows<NumericFormat::I32>(s, c, cache, y, a, x, alpha, beta,
-                                      transposed, plain);
+        fixedRows<NumericFormat::I32>(s, c, cache, e, y, x, alpha, beta,
+                                      plain);
     }
 }
 
 } // namespace
 
-const OperandCache::Entry &
+const QuantizedMat &
 OperandCache::lookup(NumericFormat f, const Mat &a, int frac,
                      bool transposed)
 {
     const size_t n = static_cast<size_t>(a.size());
-    Entry *e = nullptr;
-    for (Entry &cand : entries_) {
+    size_t slot = 0;
+    for (; slot < used_; ++slot) {
+        const QuantizedMat &cand = entries_[slot];
         if (cand.src == a.data && cand.rows == a.rows &&
-            cand.cols == a.cols && cand.transposed == transposed) {
-            e = &cand;
+            cand.cols == a.cols && cand.transposed == transposed)
             break;
-        }
     }
+    QuantizedMat *e = slot < used_ ? &entries_[slot] : nullptr;
     // Bitwise comparison: bf16 keeps the sign of zero and NaN bits,
     // and NaN never compares equal, so value equality is not enough.
     if (e && e->fmt == f && e->frac == frac &&
         (n == 0 || std::memcmp(e->snapshot.data(), a.data,
                                n * sizeof(float)) == 0)) {
+        lastUse_[slot] = ++clock_;
         return *e;
     }
     if (!e) {
-        if (entries_.size() < kCapacity) {
-            e = &entries_.emplace_back();
-        } else {
-            e = &entries_[nextEvict_];
-            nextEvict_ = (nextEvict_ + 1) % kCapacity;
-        }
+        // A new operand: the next free slot, else the least recently
+        // looked-up one (see the class comment).
+        slot = used_ < kCapacity
+                   ? used_++
+                   : static_cast<size_t>(std::min_element(lastUse_.begin(),
+                                                          lastUse_.end()) -
+                                         lastUse_.begin());
+        e = &entries_[slot];
     }
+    lastUse_[slot] = ++clock_;
 
     e->src = a.data;
     e->rows = a.rows;
@@ -738,18 +743,29 @@ Scaling::forRanges(NumericFormat f, double mat_range, double vec_range,
     return sc;
 }
 
+const QuantizedMat &
+matrixOperand(NumericFormat f, const Scaling &s, OperandCache &cache,
+              const Mat &a, bool transposed)
+{
+    checkNarrow(f);
+    return cache.lookup(f, a, detail::matrixFrac(f, s, transposed),
+                        transposed);
+}
+
 void
 gemv(NumericFormat f, const Scaling &s, Counters &c, OperandCache &cache,
-     Mat y, const Mat &a, Mat x, float alpha, float beta)
+     Mat y, const Mat &a, Mat x, float alpha, float beta,
+     const QuantizedMat *q)
 {
-    gemvAny(f, s, c, cache, y, a, x, alpha, beta, false);
+    gemvAny(f, s, c, cache, y, a, x, alpha, beta, false, q);
 }
 
 void
 gemvT(NumericFormat f, const Scaling &s, Counters &c, OperandCache &cache,
-      Mat y, const Mat &a, Mat x, float alpha, float beta)
+      Mat y, const Mat &a, Mat x, float alpha, float beta,
+      const QuantizedMat *q)
 {
-    gemvAny(f, s, c, cache, y, a, x, alpha, beta, true);
+    gemvAny(f, s, c, cache, y, a, x, alpha, beta, true, q);
 }
 
 void
@@ -787,32 +803,34 @@ saxpby(NumericFormat f, const Scaling &s, Counters &c, Mat out, float sa,
 void
 gemvSaxpby(NumericFormat f, const Scaling &s, Counters &c,
            OperandCache &cache, Mat y, const Mat &a, Mat x, float alpha,
-           float beta, float sa, float sb, const Mat &b)
+           float beta, float sa, float sb, const Mat &b,
+           const QuantizedMat *q)
 {
     checkNarrow(f);
     rtoc_assert(b.isVec() && b.cols == y.cols);
     if (detail::aliasesInput(y, a, x) ||
         !disjoint(y.data, y.cols, b.data, b.cols)) {
         // Aliased operands: the exact two-call sequence.
-        gemv(f, s, c, cache, y, a, x, alpha, beta);
+        gemv(f, s, c, cache, y, a, x, alpha, beta, q);
         saxpby(f, s, c, y, sa, y, sb, b);
         return;
     }
     rtoc_assert(y.isVec() && x.isVec());
     rtoc_assert(a.rows == y.cols && a.cols == x.cols);
+    const QuantizedMat &e = detail::entryOf(f, s, cache, a, false, q);
     if (f == NumericFormat::BF16) {
-        bf16RowsAnyShape(cache, a, x, false,
+        bf16RowsAnyShape(cache, e, a, x, false,
                          detail::Bf16Out<true>{y.data, b.data, alpha, beta,
                                                sa, sb});
         return;
     }
     SaxpbyStore st(f, s.saxpby, sa, sb, b.data);
     if (f == NumericFormat::I16)
-        fixedRows<NumericFormat::I16>(s.gemv, c, cache, y, a, x, alpha,
-                                      beta, false, st);
+        fixedRows<NumericFormat::I16>(s.gemv, c, cache, e, y, x, alpha,
+                                      beta, st);
     else
-        fixedRows<NumericFormat::I32>(s.gemv, c, cache, y, a, x, alpha,
-                                      beta, false, st);
+        fixedRows<NumericFormat::I32>(s.gemv, c, cache, e, y, x, alpha,
+                                      beta, st);
     c.quantSats += st.sats;
 }
 

@@ -26,9 +26,12 @@
  * Each operand is quantized once: the vector operand once per call
  * (its clamps counted once per output row, as if re-quantized for
  * every dot product), the matrix operand once per content change via
- * the backend's OperandCache (its clamps replayed on every hit). The
+ * the backend's OperandCache (its clamps replayed on every use). The
  * values and both counters are exactly those of quantizing every
- * operand at every MAC, one output after another.
+ * operand at every MAC, one output after another. A matrix operand is
+ * checked against its cached copy once per call, except inside
+ * Solver::solve, which checks each of its eight once per solve and
+ * hands the copies to the kernels (the QuantizedMat argument).
  *
  * Layout and lanes. An OperandCache entry holds its grid values in the
  * layout of the float32 packed:: kernels (packColumns): zero-padded
@@ -67,6 +70,7 @@
 #ifndef RTOC_MATLIB_FIXED_HH
 #define RTOC_MATLIB_FIXED_HH
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -179,6 +183,27 @@ struct Counters
 };
 
 /**
+ * One matrix operand on one grid: an OperandCache entry. The outputs
+ * are the rows of A, or its columns for gemvT; element (o, k) of
+ * output o's dot is at k * packedRows(outputs) + o, and the padding
+ * outputs are zero.
+ */
+struct QuantizedMat
+{
+    const float *src = nullptr; ///< operand storage it was read from
+    int rows = 0;               ///< operand shape
+    int cols = 0;
+    bool transposed = false;    ///< laid out for gemvT
+    NumericFormat fmt = NumericFormat::F32;
+    int frac = 0;               ///< grid fraction bits (I16/I32)
+    std::vector<float> snapshot; ///< operand bits when quantized
+    std::vector<int32_t> fixed;  ///< grid values (I16/I32)
+    std::vector<float> bf16;     ///< rounded values (BF16)
+    int64_t absSum = 0;          ///< largest per-output sum of |q|
+    uint64_t sats = 0;           ///< quantizer clamps of one pass
+};
+
+/**
  * Quantized copies of the matrix operands of gemv/gemvT. The solver's
  * gain and dynamics matrices change only at a model refresh, so their
  * grid values are computed once and reused on every tick. Each copy is
@@ -188,9 +213,17 @@ struct Counters
  * operand and against the format and fraction bits it was quantized
  * for, so no caller has to invalidate anything: an in-place refresh
  * (Workspace::refreshModel), a new Scaling or a new format
- * re-quantizes on the next call, and a stale copy is never served.
- * The entry also keeps the number of quantizer clamps its pass cost,
- * which the kernels add to Counters::quantSats on every use.
+ * re-quantizes at the next lookup, and a stale copy is never served.
+ * A kernel call looks its matrix up once, unless its caller passes the
+ * entry: Solver::solve looks up each of its eight matrix operands once
+ * per solve, before its first kernel, and passes the entries on. The
+ * entry also keeps the number of quantizer clamps its pass cost, which
+ * the kernels add to Counters::quantSats on every use.
+ *
+ * Slot lifetime: the 16 slots are allocated with the cache and never
+ * move, and a full cache evicts the least recently looked-up entry. So
+ * none of the 15 lookups that follow a lookup can evict its entry, and
+ * eight lookups in a row cannot evict one another's entries.
  *
  * The cache also owns the per-call scratch of the vector operand, so
  * the kernels never allocate once warm.
@@ -199,31 +232,11 @@ class OperandCache
 {
   public:
     /**
-     * One matrix operand on one grid. The outputs are the rows of A,
-     * or its columns for gemvT; element (o, k) of output o's dot is at
-     * k * packedRows(outputs) + o, and the padding outputs are zero.
-     */
-    struct Entry
-    {
-        const float *src = nullptr; ///< operand storage it was read from
-        int rows = 0;               ///< operand shape
-        int cols = 0;
-        bool transposed = false;    ///< laid out for gemvT
-        NumericFormat fmt = NumericFormat::F32;
-        int frac = 0;               ///< grid fraction bits (I16/I32)
-        std::vector<float> snapshot; ///< operand bits when quantized
-        std::vector<int32_t> fixed;  ///< grid values (I16/I32)
-        std::vector<float> bf16;     ///< rounded values (BF16)
-        int64_t absSum = 0;          ///< largest per-output sum of |q|
-        uint64_t sats = 0;           ///< quantizer clamps of one pass
-    };
-
-    /**
      * The entry for @p a on the (@p f, @p frac) grid, laid out for
      * gemvT when @p transposed. Re-quantized when anything changed.
      */
-    const Entry &lookup(NumericFormat f, const Mat &a, int frac,
-                        bool transposed);
+    const QuantizedMat &lookup(NumericFormat f, const Mat &a, int frac,
+                               bool transposed);
 
     /** Number of (re-)quantizations performed by lookup(). */
     uint64_t fills() const { return fills_; }
@@ -237,22 +250,43 @@ class OperandCache
     /** Distinct operands kept; the solver uses eight. */
     static constexpr size_t kCapacity = 16;
 
-    std::vector<Entry> entries_;
-    size_t nextEvict_ = 0;
+    std::array<QuantizedMat, kCapacity> entries_;
+    std::array<uint64_t, kCapacity> lastUse_{}; ///< lookup clock stamps
+    size_t used_ = 0;                          ///< slots filled so far
+    uint64_t clock_ = 0;
     uint64_t fills_ = 0;
     std::vector<int32_t> fixedScratch_;
     std::vector<float> bf16Scratch_;
 };
 
+/**
+ * The entry of @p a that gemv and gemvSaxpby (gemvT when
+ * @p transposed) read on the (@p f, @p s) datapath: OperandCache::lookup
+ * on the grid of the kernel's matrix operand (gemv.aFrac or
+ * gemvT.aFrac; fraction bits 0 at BF16). @p f is not F32.
+ */
+const QuantizedMat &matrixOperand(NumericFormat f, const Scaling &s,
+                                  OperandCache &cache, const Mat &a,
+                                  bool transposed);
+
+/*
+ * The matrix kernels below take an optional @p q: @p a's entry as
+ * matrixOperand returned it, which the call then reads without a
+ * lookup. The caller guarantees that @p a has not been written since,
+ * that the format and scaling are the ones it was resolved for, and
+ * that fewer than 16 lookups have followed (see OperandCache). With q
+ * null the call looks @p a up itself.
+ */
+
 /** y = alpha * A x + beta * y on the @p f datapath. */
 void gemv(NumericFormat f, const Scaling &s, Counters &c,
           OperandCache &cache, Mat y, const Mat &a, Mat x, float alpha,
-          float beta);
+          float beta, const QuantizedMat *q = nullptr);
 
 /** y = alpha * A^T x + beta * y on the @p f datapath. */
 void gemvT(NumericFormat f, const Scaling &s, Counters &c,
            OperandCache &cache, Mat y, const Mat &a, Mat x, float alpha,
-           float beta);
+           float beta, const QuantizedMat *q = nullptr);
 
 /** out = sa * a + sb * b on the @p f datapath. */
 void saxpby(NumericFormat f, const Scaling &s, Counters &c, Mat out,
@@ -266,7 +300,7 @@ void saxpby(NumericFormat f, const Scaling &s, Counters &c, Mat out,
 void gemvSaxpby(NumericFormat f, const Scaling &s, Counters &c,
                 OperandCache &cache, Mat y, const Mat &a, Mat x,
                 float alpha, float beta, float sa, float sb,
-                const Mat &b);
+                const Mat &b, const QuantizedMat *q = nullptr);
 
 namespace detail {
 
@@ -317,21 +351,45 @@ struct Bf16Out
     }
 };
 
+/** Fraction bits of the matrix grid of gemv (gemvT when
+ *  @p transposed); bf16 has none. */
+inline int
+matrixFrac(NumericFormat f, const Scaling &s, bool transposed)
+{
+    if (f == NumericFormat::BF16)
+        return 0;
+    return transposed ? s.gemvT.aFrac : s.gemv.aFrac;
+}
+
+/**
+ * @p q, checked against the call it serves, or else @p a's entry now
+ * (matrixOperand).
+ */
+inline const QuantizedMat &
+entryOf(NumericFormat f, const Scaling &s, OperandCache &cache,
+        const Mat &a, bool transposed, const QuantizedMat *q)
+{
+    if (!q)
+        return matrixOperand(f, s, cache, a, transposed);
+    rtoc_assert(q->src == a.data && q->rows == a.rows &&
+                q->cols == a.cols && q->transposed == transposed &&
+                q->fmt == f && q->frac == matrixFrac(f, s, transposed));
+    return *q;
+}
+
 /**
  * The bf16 dots of every output of A (A^T when @p transposed), from
- * the cached packed copy and x rounded on four lanes, written through
+ * its packed copy @p e and x rounded on four lanes, written through
  * @p out. <M, N> fixes A's shape (gemv only); <0, 0> reads it.
  */
 template <int M, int N, typename Out>
 inline void
-bf16Rows(OperandCache &cache, const Mat &a, Mat x, bool transposed,
-         Out &out)
+bf16Rows(OperandCache &cache, const QuantizedMat &e, const Mat &a, Mat x,
+         bool transposed, Out &out)
 {
     static_assert(M >= 0 && N >= 0 && (M == 0) == (N == 0),
                   "fix both dimensions or neither");
     rtoc_assert(M == 0 || (!transposed && a.rows == M && a.cols == N));
-    const OperandCache::Entry &e =
-        cache.lookup(NumericFormat::BF16, a, 0, transposed);
     const int m = M ? M : (transposed ? a.cols : a.rows);
     const int n = N ? N : x.cols;
     float stack[N > 0 ? N : 1];
@@ -351,12 +409,12 @@ bf16Rows(OperandCache &cache, const Mat &a, Mat x, bool transposed,
 /**
  * gemv on the bf16 datapath, A M x N (any shape at <0, 0>): inline,
  * with constant trip counts at a fixed shape, and bit-identical to
- * gemv(NumericFormat::BF16, ...).
+ * gemv(NumericFormat::BF16, ...); @p q as for gemv.
  */
 template <int M = 0, int N = 0>
 inline void
 gemvBf16(OperandCache &cache, Mat y, const Mat &a, Mat x, float alpha,
-         float beta)
+         float beta, const QuantizedMat *q = nullptr)
 {
     rtoc_assert(y.isVec() && x.isVec());
     rtoc_assert(a.rows == y.cols && a.cols == x.cols);
@@ -367,27 +425,34 @@ gemvBf16(OperandCache &cache, Mat y, const Mat &a, Mat x, float alpha,
         return;
     }
     detail::Bf16Out<false> out{y.data, nullptr, alpha, beta, 0.0f, 0.0f};
-    detail::bf16Rows<M, N>(cache, a, x, false, out);
+    detail::bf16Rows<M, N>(
+        cache,
+        detail::entryOf(NumericFormat::BF16, Scaling(), cache, a, false, q),
+        a, x, false, out);
 }
 
-/** gemvSaxpby on the bf16 datapath; shapes as gemvBf16. */
+/** gemvSaxpby on the bf16 datapath; shapes and @p q as gemvBf16. */
 template <int M = 0, int N = 0>
 inline void
 gemvSaxpbyBf16(OperandCache &cache, Mat y, const Mat &a, Mat x,
-               float alpha, float beta, float sa, float sb, const Mat &b)
+               float alpha, float beta, float sa, float sb, const Mat &b,
+               const QuantizedMat *q = nullptr)
 {
     rtoc_assert(b.isVec() && b.cols == y.cols);
     if (detail::aliasesInput(y, a, x) ||
         !disjoint(y.data, y.cols, b.data, b.cols)) {
         Counters none; // bf16 counts no saturation
         gemvSaxpby(NumericFormat::BF16, Scaling(), none, cache, y, a, x,
-                   alpha, beta, sa, sb, b);
+                   alpha, beta, sa, sb, b, q);
         return;
     }
     rtoc_assert(y.isVec() && x.isVec());
     rtoc_assert(a.rows == y.cols && a.cols == x.cols);
     detail::Bf16Out<true> out{y.data, b.data, alpha, beta, sa, sb};
-    detail::bf16Rows<M, N>(cache, a, x, false, out);
+    detail::bf16Rows<M, N>(
+        cache,
+        detail::entryOf(NumericFormat::BF16, Scaling(), cache, a, false, q),
+        a, x, false, out);
 }
 
 } // namespace fx

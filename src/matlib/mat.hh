@@ -90,6 +90,10 @@ packedRows(int rows)
     return (rows + kPackLanes - 1) / kPackLanes * kPackLanes;
 }
 
+namespace fx {
+struct QuantizedMat;
+}
+
 /**
  * A row-major matrix plus a zero-padded column-major copy of it, the
  * operand of the packed gemv kernels: column j of @c mat starts at
@@ -97,11 +101,17 @@ packedRows(int rows)
  * A null @c cols means no copy; the kernels then run the dot form on
  * @c mat. The owner rebuilds the copy (packColumns) whenever it writes
  * the matrix.
+ *
+ * On a narrow-format backend the operand may also carry its quantized
+ * copy, resolved once from the backend's operand cache (see
+ * Backend::fxOperand); the fx:: kernels then read it without a lookup.
+ * Null means they look the matrix up on every call.
  */
 struct PackedMat
 {
     Mat mat;                     ///< row-major operand
     const float *cols = nullptr; ///< packed copy, or null
+    const fx::QuantizedMat *quantized = nullptr; ///< narrow copy, or null
 };
 
 /** Floats in the packed copy of a rows x cols matrix. */

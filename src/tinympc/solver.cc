@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/plant_shapes.hh"
+#include "matlib/fixed.hh"
 #include "matlib/gemmini_backend.hh"
 
 namespace rtoc::tinympc {
@@ -71,7 +72,8 @@ withinTolerance(const SolveResult &res, const Settings &s)
  * expression either on one element (T = float) or on four lanes
  * (T = Vec, the packed:: kernels' vector); a float operand of a Vec
  * expression is broadcast to every lane. Each lane runs its element's
- * ref:: arithmetic, so both compute the same bits.
+ * ref:: (or, for the bf16 saxpby stages, fx::saxpby) arithmetic, so
+ * both compute the same bits.
  */
 namespace lanes = matlib::packed::detail;
 using lanes::Vec;
@@ -81,6 +83,17 @@ template <> inline float loadAs<float>(const float *p) { return *p; }
 template <> inline Vec loadAs<Vec>(const float *p) { return lanes::load(p); }
 inline void storeTo(float *p, float v) { *p = v; }
 inline void storeTo(float *p, Vec v) { lanes::store(p, v); }
+
+/** fx::toBf16 when Bf16 (of each lane), else @p v itself. */
+template <bool Bf16, typename T>
+inline T
+roundAs(T v)
+{
+    if constexpr (Bf16)
+        return matlib::fx::toBf16(v);
+    else
+        return v;
+}
 
 /** std::fabs: clears the sign bit (of each lane). */
 inline float absOf(float d) { return std::fabs(d); }
@@ -121,28 +134,31 @@ template <typename T> struct Maxima
 
 /**
  * Every stage of one side on the element (or four lanes) at @p i,
- * each the expression of the call it replaces:
- *   sn = clamp(1·a + 1·dual, lo, hi)           updateSlack
+ * each the expression of the call it replaces (b = roundAs<Bf16>):
+ *   sn = clamp(b(1·b(a) + 1·b(dual)), lo, hi) updateSlack
  *   dual' = dual + (a − sn)                    updateDual
- *   r = (−ρ)·sn + ρ·dual'                      updateLinearCost (input)
+ *   r = b((−ρ)·b(sn) + ρ·b(dual'))             updateLinearCost (input)
  *   q = qRef + (−ρ)·(sn − dual')               updateLinearCost (state)
  *   maxima of |a − sn| and |slack − sn|        checkResiduals (Check)
  *   slackNew = slack = sn                      the slack copy
  */
-template <bool Check, bool State, typename T>
+template <bool Check, bool State, bool Bf16, typename T>
 inline void
 stages(const Side &s, int i, float rho, Maxima<T> &m)
 {
     const T a = loadAs<T>(s.a + i);
     const T y = loadAs<T>(s.dual + i);
     const T sn = matlib::ref::clampOne(
-        1.0f * a + 1.0f * y, loadAs<T>(s.lo + i), loadAs<T>(s.hi + i));
+        roundAs<Bf16>(1.0f * roundAs<Bf16>(a) + 1.0f * roundAs<Bf16>(y)),
+        loadAs<T>(s.lo + i), loadAs<T>(s.hi + i));
     const T y2 = y + (a - sn);
     storeTo(s.dual + i, y2);
-    if constexpr (State)
+    if constexpr (State) {
         storeTo(s.cost + i, loadAs<T>(s.qRef + i) + -rho * (sn - y2));
-    else
-        storeTo(s.cost + i, -rho * sn + rho * y2);
+    } else {
+        storeTo(s.cost + i, roundAs<Bf16>(-rho * roundAs<Bf16>(sn) +
+                                          rho * roundAs<Bf16>(y2)));
+    }
     if constexpr (Check) {
         m.primal = maxOf(m.primal, absOf(a - sn));
         m.dual = maxOf(m.dual, absOf(loadAs<T>(s.slack + i) - sn));
@@ -152,7 +168,7 @@ stages(const Side &s, int i, float rho, Maxima<T> &m)
 }
 
 /** One side: whole vectors of four lanes, then a scalar tail. */
-template <bool Check, bool State>
+template <bool Check, bool State, bool Bf16>
 Maxima<float>
 runSide(const Side &s, float rho)
 {
@@ -160,18 +176,18 @@ runSide(const Side &s, float rho)
     Maxima<Vec> mv;
     int i = 0;
     for (; i + L <= s.n; i += L)
-        stages<Check, State>(s, i, rho, mv);
+        stages<Check, State, Bf16>(s, i, rho, mv);
     Maxima<float> m;
     for (int l = 0; l < L; ++l) {
         m.primal = maxOf(m.primal, mv.primal[l]);
         m.dual = maxOf(m.dual, mv.dual[l]);
     }
     for (; i < s.n; ++i)
-        stages<Check, State>(s, i, rho, m);
+        stages<Check, State, Bf16>(s, i, rho, m);
     return m;
 }
 
-template <bool Check>
+template <bool Check, bool Bf16>
 void
 runSides(Workspace &ws, SolveResult *res)
 {
@@ -182,8 +198,8 @@ runSides(Workspace &ws, SolveResult *res)
     const Side state{ws.x.data(),    ws.g.data(),    ws.v.data(),
                      ws.vnew.data(), ws.xMin.data(), ws.xMax.data(),
                      ws.q.data(),    ws.qRef.data(), ws.N * ws.nx};
-    const Maxima<float> mi = runSide<Check, false>(input, rho);
-    const Maxima<float> ms = runSide<Check, true>(state, rho);
+    const Maxima<float> mi = runSide<Check, false, Bf16>(input, rho);
+    const Maxima<float> ms = runSide<Check, true, Bf16>(state, rho);
     if constexpr (Check) {
         res->primalResidualState = ms.primal;
         res->dualResidualState = rho * ms.dual;
@@ -194,13 +210,24 @@ runSides(Workspace &ws, SolveResult *res)
 
 } // namespace
 
+template <>
 void
-hostElementwisePass(Workspace &ws, SolveResult *res)
+hostElementwisePass<false>(Workspace &ws, SolveResult *res)
 {
     if (res)
-        runSides<true>(ws, res);
+        runSides<true, false>(ws, res);
     else
-        runSides<false>(ws, nullptr);
+        runSides<false, false>(ws, nullptr);
+}
+
+template <>
+void
+hostElementwisePass<true>(Workspace &ws, SolveResult *res)
+{
+    if (res)
+        runSides<true, true>(ws, res);
+    else
+        runSides<false, true>(ws, nullptr);
 }
 
 Solver::Solver(Workspace &ws, matlib::Backend &backend, MappingStyle style)
@@ -257,18 +284,16 @@ Solver::setup()
  * on the Bf16 datapath, its fx::gemvBf16 kernel) with its constant
  * trip counts, and the KernelScope. A host pass at a registry shape is
  * then one straight-line loop over the horizon, and only the ref::
- * elementwise kernels, the out-of-line fx:: kernels, the operand-cache
- * lookup and the emission hooks remain calls. GCC's own heuristics
+ * elementwise kernels, the out-of-line fx:: kernels and the emission
+ * hooks remain calls (and the operand-cache lookup, which a solve never
+ * reaches: it hands every gemv its entry). GCC's own heuristics
  * inline some of these operations and not others. The f32 passes are
  * their own instantiation, so the bf16 kernels never grow them.
  */
 template <int NX, int NU, matlib::Datapath P>
 __attribute__((flatten)) void
-Solver::forwardPass()
+Solver::forwardPass(const Operands &op)
 {
-    const matlib::PackedMat kinf = ws_.kinf.packed();
-    const matlib::PackedMat adyn = ws_.adyn.packed();
-    const matlib::PackedMat bdyn = ws_.bdyn.packed();
     for (int i = 0; i < ws_.N - 1; ++i) {
         Mat xi = ws_.x.row(i);
         Mat xn = ws_.x.row(i + 1);
@@ -280,18 +305,18 @@ Solver::forwardPass()
         {
             KernelScope k(backend_, kid().forwardPass1);
             // u[i] = -Kinf x[i] - d[i]
-            backend_.gemvSaxpby<NU, NX, P>(ui, kinf, xi, -1.0f, 0.0f, 1.0f,
-                                           -1.0f, di);
+            backend_.gemvSaxpby<NU, NX, P>(ui, op.kinf, xi, -1.0f, 0.0f,
+                                           1.0f, -1.0f, di);
         }
         {
             KernelScope k(backend_, kid().forwardPass2);
             // x[i+1] = Adyn x[i] + Bdyn u[i] (+ cd off-trim)
-            backend_.gemv<NX, NX, P>(xn, adyn, xi, 1.0f, 0.0f);
+            backend_.gemv<NX, NX, P>(xn, op.adyn, xi, 1.0f, 0.0f);
             if (ws_.hasAffine) {
-                backend_.gemvSaxpby<NX, NU, P>(xn, bdyn, ui, 1.0f, 1.0f,
+                backend_.gemvSaxpby<NX, NU, P>(xn, op.bdyn, ui, 1.0f, 1.0f,
                                                1.0f, 1.0f, ws_.affine.view());
             } else {
-                backend_.gemv<NX, NU, P>(xn, bdyn, ui, 1.0f, 1.0f);
+                backend_.gemv<NX, NU, P>(xn, op.bdyn, ui, 1.0f, 1.0f);
             }
         }
         if (style_ == MappingStyle::Fused)
@@ -361,7 +386,7 @@ Solver::updateDual()
 
 template <int NX, int NU>
 __attribute__((flatten)) void
-Solver::updateLinearCost()
+Solver::updateLinearCost(const Operands &op)
 {
     float rho = ws_.settings.rho;
     if (style_ == MappingStyle::Library) {
@@ -412,8 +437,8 @@ Solver::updateLinearCost()
             backend_.beginFuse();
         KernelScope k(backend_, kid().updateLinearCost4);
         Mat p_last = ws_.p.row(ws_.N - 1);
-        backend_.gemvT<NX, NX>(p_last, ws_.pinf.view(),
-                               ws_.xRef.row(ws_.N - 1), -1.0f, 0.0f);
+        backend_.gemvT<NX, NX>(p_last, op.pinf, ws_.xRef.row(ws_.N - 1),
+                               -1.0f, 0.0f);
         backend_.axpyDiff(p_last, -rho, ws_.vnew.row(ws_.N - 1),
                           ws_.g.row(ws_.N - 1));
         if (style_ == MappingStyle::Fused)
@@ -423,12 +448,8 @@ Solver::updateLinearCost()
 
 template <int NX, int NU, matlib::Datapath P>
 __attribute__((flatten)) void
-Solver::backwardPass()
+Solver::backwardPass(const Operands &op)
 {
-    const matlib::PackedMat bdynT = ws_.bdynT.packed();
-    const matlib::PackedMat quuInv = ws_.quuInv.packed();
-    const matlib::PackedMat amBKt = ws_.amBKt.packed();
-    const matlib::PackedMat kinfT = ws_.kinfT.packed();
     for (int i = ws_.N - 2; i >= 0; --i) {
         Mat pn = ws_.p.row(i + 1);
         Mat pi = ws_.p.row(i);
@@ -450,16 +471,16 @@ Solver::backwardPass()
         {
             KernelScope k(backend_, kid().backwardPass1);
             // d[i] = Quu_inv (Bdyn^T p[i+1] + r[i])
-            backend_.gemvSaxpby<NU, NX, P>(tmp, bdynT, pn, 1.0f, 0.0f,
+            backend_.gemvSaxpby<NU, NX, P>(tmp, op.bdynT, pn, 1.0f, 0.0f,
                                            1.0f, 1.0f, ri);
-            backend_.gemv<NU, NU, P>(di, quuInv, tmp, 1.0f, 0.0f);
+            backend_.gemv<NU, NU, P>(di, op.quuInv, tmp, 1.0f, 0.0f);
         }
         {
             KernelScope k(backend_, kid().backwardPass2);
             // p[i] = q[i] + AmBKt p[i+1] - Kinf^T r[i]
-            backend_.gemvSaxpby<NX, NX, P>(pi, amBKt, pn, 1.0f, 0.0f, 1.0f,
-                                           1.0f, ws_.q.row(i));
-            backend_.gemv<NX, NU, P>(pi, kinfT, ri, -1.0f, 1.0f);
+            backend_.gemvSaxpby<NX, NX, P>(pi, op.amBKt, pn, 1.0f, 0.0f,
+                                           1.0f, 1.0f, ws_.q.row(i));
+            backend_.gemv<NX, NU, P>(pi, op.kinfT, ri, -1.0f, 1.0f);
         }
         if (style_ == MappingStyle::Fused)
             backend_.endFuse();
@@ -495,14 +516,14 @@ Solver::checkResiduals(SolveResult &res)
 
 template <int NX, int NU, matlib::Datapath P>
 void
-Solver::iterate(int bound, SolveResult &res)
+Solver::iterate(int bound, const Operands &op, SolveResult &res)
 {
     for (int iter = 1; iter <= bound; ++iter) {
-        forwardPass<NX, NU, P>();
+        forwardPass<NX, NU, P>(op);
         updateSlack();
         updateDual();
-        updateLinearCost<NX, NU>();
-        backwardPass<NX, NU, P>();
+        updateLinearCost<NX, NU>(op);
+        backwardPass<NX, NU, P>(op);
         res.iterations = iter;
 
         bool check = (iter % ws_.settings.checkTermination) == 0;
@@ -520,25 +541,25 @@ Solver::iterate(int bound, SolveResult &res)
     }
 }
 
-template <int NX, int NU>
+template <int NX, int NU, matlib::Datapath P>
 void
-Solver::iterateHost(int bound, SolveResult &res)
+Solver::iterateHost(int bound, const Operands &op, SolveResult &res)
 {
-    constexpr matlib::Datapath P = matlib::Datapath::Dynamic;
     // q's reference term: xRef and qDiag do not change during a solve.
     matlib::ref::rowScaleNeg(ws_.qRef.view(), ws_.xRef.view(),
                              ws_.qDiag.view());
     for (int iter = 1; iter <= bound; ++iter) {
-        forwardPass<NX, NU, P>();
+        forwardPass<NX, NU, P>(op);
         const bool check = (iter % ws_.settings.checkTermination) == 0;
-        hostElementwisePass(ws_, check ? &res : nullptr);
+        hostElementwisePass<P == matlib::Datapath::Bf16>(
+            ws_, check ? &res : nullptr);
         // p[N-1], as updateLinearCost computes it.
         Mat p_last = ws_.p.row(ws_.N - 1);
-        backend_.gemvT<NX, NX>(p_last, ws_.pinf.view(),
-                               ws_.xRef.row(ws_.N - 1), -1.0f, 0.0f);
+        backend_.gemvT<NX, NX>(p_last, op.pinf, ws_.xRef.row(ws_.N - 1),
+                               -1.0f, 0.0f);
         backend_.axpyDiff(p_last, -ws_.settings.rho, ws_.vnew.row(ws_.N - 1),
                           ws_.g.row(ws_.N - 1));
-        backwardPass<NX, NU, P>();
+        backwardPass<NX, NU, P>(op);
         res.iterations = iter;
         if (check && withinTolerance(res, ws_.settings)) {
             res.converged = true;
@@ -549,15 +570,44 @@ Solver::iterateHost(int bound, SolveResult &res)
 
 template <int NX, int NU>
 void
-Solver::iterateAt(int bound, SolveResult &res)
+Solver::iterateAt(int bound, const Operands &op, SolveResult &res)
 {
+    using matlib::Datapath;
     const matlib::NumericFormat f = backend_.format();
-    if (f == matlib::NumericFormat::BF16)
-        iterate<NX, NU, matlib::Datapath::Bf16>(bound, res);
-    else if (f == matlib::NumericFormat::F32 && !backend_.program())
-        iterateHost<NX, NU>(bound, res);
-    else
-        iterate<NX, NU, matlib::Datapath::Dynamic>(bound, res);
+    const bool host = !backend_.program();
+    if (f == matlib::NumericFormat::BF16) {
+        if (host)
+            iterateHost<NX, NU, Datapath::Bf16>(bound, op, res);
+        else
+            iterate<NX, NU, Datapath::Bf16>(bound, op, res);
+    } else if (f == matlib::NumericFormat::F32 && host) {
+        iterateHost<NX, NU, Datapath::Dynamic>(bound, op, res);
+    } else {
+        iterate<NX, NU, Datapath::Dynamic>(bound, op, res);
+    }
+}
+
+Solver::Operands
+Solver::operands()
+{
+    Operands op{ws_.kinf.packed(),   ws_.adyn.packed(),  ws_.bdyn.packed(),
+                ws_.bdynT.packed(),  ws_.quuInv.packed(),
+                ws_.amBKt.packed(),  ws_.kinfT.packed(),
+                matlib::PackedMat{ws_.pinf.view()}};
+    if (backend_.format() == matlib::NumericFormat::F32)
+        return op;
+    // One checked lookup per matrix operand per solve. The solver
+    // never writes these eight matrices (only Workspace::loadCache and
+    // refreshModel do, between solves) nor the backend's format or
+    // scaling, so each entry holds its operand's grid values for the
+    // whole solve. The eight lookups run back to back before the first
+    // kernel, and the kernels make none, so no lookup can evict an
+    // entry while the solve reads it (see fx::OperandCache).
+    for (matlib::PackedMat *m : {&op.kinf, &op.adyn, &op.bdyn, &op.bdynT,
+                                 &op.quuInv, &op.amBKt, &op.kinfT})
+        m->quantized = &backend_.fxOperand(m->mat, false);
+    op.pinf.quantized = &backend_.fxOperand(op.pinf.mat, true);
+    return op;
 }
 
 SolveResult
@@ -579,10 +629,11 @@ Solver::solve(int max_iters)
 
     // The registry plants' shapes run fixed-shape gemvs; any other
     // shape runs the same passes with run-time dimensions. Each shape
-    // has a host f32 loop, an emitting f32 / int one and a bf16 one
-    // (iterateAt).
+    // has host f32 and bf16 loops, an emitting bf16 one and an
+    // emitting f32 / int one (iterateAt).
+    const Operands op = operands();
     atPlantShape(ws_.nx, ws_.nu, [&](auto NX, auto NU) {
-        iterateAt<NX, NU>(bound, res);
+        iterateAt<NX, NU>(bound, op, res);
     });
     // Export the solution to the CPU/actuators (Gemmini: mvout+fence).
     backend_.sync();

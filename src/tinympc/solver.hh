@@ -15,13 +15,19 @@
  * micro-op stream — and therefore simulated time — differs.
  *
  * Two host loops compute those values. An emitting solve (a Program
- * attached) and every narrow-format solve run the passes as the
+ * attached) and every int16 or int32 solve run the passes as the
  * style's sequence of Backend calls, because that sequence defines the
- * emitted stream and the narrow formats quantize through fx::saxpby. A
- * host float32 solve (no Program) runs the same gemv passes, but the
- * slack, dual, linear-cost, residual and slack-copy stages of each
- * iteration run as one four-lane pass per side (hostElementwisePass),
- * which computes the same bits as the Backend calls it replaces.
+ * emitted stream and the int formats quantize their adds through
+ * fx::saxpby. A host float32 or bfloat16 solve (no Program) runs the
+ * same gemv passes, but the slack, dual, linear-cost, residual and
+ * slack-copy stages of each iteration run as one four-lane pass per
+ * side (hostElementwisePass), which computes the same bits as the
+ * Backend calls it replaces.
+ *
+ * On a narrow-format backend a solve looks up each of its eight matrix
+ * operands in the backend's operand cache once, before its first
+ * kernel, and its gemvs read those entries without a lookup (see
+ * Solver::solve).
  */
 
 #ifndef RTOC_TINYMPC_SOLVER_HH
@@ -105,6 +111,21 @@ class Solver
     MappingStyle style() const { return style_; }
 
   private:
+    /**
+     * The eight matrix operands of one solve as its gemvs read them:
+     * each with its float32 packed copy (none for pinf, which only
+     * gemvT reads) and, on a narrow backend, its operand-cache entry.
+     */
+    struct Operands
+    {
+        matlib::PackedMat kinf, adyn, bdyn;            ///< forward pass
+        matlib::PackedMat bdynT, quuInv, amBKt, kinfT; ///< backward pass
+        matlib::PackedMat pinf;                        ///< p[N-1] (gemvT)
+    };
+
+    /** The operands of a solve starting now (see solve()). */
+    Operands operands();
+
     /** Fatal when asked to emit Fused on a backend that cannot. */
     void checkFusedEmission() const;
 
@@ -120,27 +141,33 @@ class Solver
      * emission hooks in the same order.
      */
     template <int NX, int NU, matlib::Datapath P>
-    void iterate(int bound, SolveResult &res);
+    void iterate(int bound, const Operands &op, SolveResult &res);
 
     /**
-     * iterate<NX, NU, Dynamic> for a host float32 solve: the same
-     * forward and backward passes and the same values, with the
-     * elementwise stages fused into hostElementwisePass. Emits nothing.
+     * iterate<NX, NU, P> for a host float32 (P Dynamic) or bfloat16
+     * (P Bf16) solve: the same forward and backward passes and the same
+     * values, with the elementwise stages fused into
+     * hostElementwisePass. Emits nothing.
      */
-    template <int NX, int NU> void iterateHost(int bound, SolveResult &res);
+    template <int NX, int NU, matlib::Datapath P>
+    void iterateHost(int bound, const Operands &op, SolveResult &res);
 
     /**
      * The loop for the backend's format and Program, picked once per
-     * solve: iterateHost for a host f32 solve, iterate<NX, NU, Bf16> at
-     * bf16, iterate<NX, NU, Dynamic> otherwise.
+     * solve: iterateHost for a host f32 or bf16 solve, iterate<NX, NU,
+     * Bf16> for an emitting bf16 one, iterate<NX, NU, Dynamic>
+     * otherwise.
      */
-    template <int NX, int NU> void iterateAt(int bound, SolveResult &res);
+    template <int NX, int NU>
+    void iterateAt(int bound, const Operands &op, SolveResult &res);
 
-    template <int NX, int NU, matlib::Datapath P> void forwardPass();
+    template <int NX, int NU, matlib::Datapath P>
+    void forwardPass(const Operands &op);
     void updateSlack();
     void updateDual();
-    template <int NX, int NU> void updateLinearCost();
-    template <int NX, int NU, matlib::Datapath P> void backwardPass();
+    template <int NX, int NU> void updateLinearCost(const Operands &op);
+    template <int NX, int NU, matlib::Datapath P>
+    void backwardPass(const Operands &op);
 
     /** Compute all four residuals; returns true when converged. */
     bool checkResiduals(SolveResult &res);
@@ -164,8 +191,20 @@ class Solver
  * z = znew. Reads ws.qRef, which must hold −xRef ⊙ qDiag
  * (ref::rowScaleNeg); Solver::solve writes it once per solve. p[N−1]
  * is left to the caller.
+ *
+ * Bf16 makes it the pass of a bfloat16 iteration: the two stages that
+ * are fx::saxpby calls there, u + y (x + g) and r, round their
+ * operands and result through fx::toBf16 as fx::saxpby does. The
+ * other stages are ref:: calls at every format and stay as they are.
  */
+template <bool Bf16 = false>
 void hostElementwisePass(Workspace &ws, SolveResult *res);
+
+// Each is its own function in solver.cc rather than an instantiation
+// of one shared body, so the compiler inlines the f32 pass on its own
+// terms, whatever the bf16 pass costs.
+template <> void hostElementwisePass<false>(Workspace &ws, SolveResult *res);
+template <> void hostElementwisePass<true>(Workspace &ws, SolveResult *res);
 
 /**
  * Emit the on-SoC model-refresh stream for warm-start incremental

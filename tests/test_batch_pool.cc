@@ -439,21 +439,36 @@ TEST(WorkStealingPool, ExceptionPropagatesAndRangeDrains)
 
 TEST(WorkStealingPool, StealingActuallyMigratesWork)
 {
-    // One pole task 100x longer than the rest: with stealing, total
-    // wall time approaches the pole, not pole + rest. Verify the
-    // mechanism (not wall time, which is flaky on CI): record which
-    // thread ran each index and require at least two distinct threads
-    // to have executed tasks from the pole-owner's initial block.
+    // One pole task in block [0, 16) that holds its thread until
+    // another task of that block has run: with stealing, total wall
+    // time approaches the pole, not pole + rest. Verify the mechanism
+    // (not wall time, which is flaky on CI): record which thread ran
+    // each index and require at least two distinct threads to have
+    // executed tasks from the pole's block. The pole is the first task
+    // of the block to start (index 0 on the caller, unless a thief took
+    // the whole block first), so every other task of the block runs on
+    // another thread. It waits for one instead of sleeping a fixed
+    // time, because on a loaded machine the other participants may not
+    // run at all during a short sleep; the deadline only bounds a
+    // failing run.
     ThreadPool pool(4);
     const size_t n = 64;
     std::vector<std::thread::id> ran(n);
+    std::atomic<bool> pole_started{false}, stolen{false};
     pool.parallelFor(n, [&](size_t i) {
-        if (i == 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        if (i < 16 && !pole_started.exchange(true)) {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (!stolen.load() &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(std::chrono::microseconds(100));
+        } else if (i < 16) {
+            stolen.store(true);
+        }
         ran[i] = std::this_thread::get_id();
     });
-    // Participant 0 (the caller) owns block [0, 16) and is stuck on
-    // index 0; the rest of its block must have been stolen.
+    // Participant 0 (the caller) owns block [0, 16); the rest of the
+    // block must have been stolen while the pole held its thread.
     std::set<std::thread::id> block0_threads(ran.begin(),
                                              ran.begin() + 16);
     EXPECT_GE(block0_threads.size(), 2u)

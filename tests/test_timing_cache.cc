@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -432,6 +434,59 @@ TEST(CalibCache, TimingPayloadRoundTrip)
     EXPECT_EQ(back->baseCycles, t.baseCycles);
     EXPECT_EQ(back->cyclesPerIter, t.cyclesPerIter);
     EXPECT_FALSE(hil::decodeTiming("junk").has_value());
+}
+
+TEST(CalibCache, TimingDecoderRejectsHostilePayloads)
+{
+    // Every proper prefix, every single-bit flip and a 0xFFFFFFFF
+    // string length of a valid payload decode to nullopt or to a timing
+    // whose four cycle fields are finite; a NaN or infinite field is
+    // rejected outright.
+    hil::ControllerTiming t;
+    t.archName = "rocket";
+    t.mappingName = "scalar-opt";
+    t.baseCycles = 12345.6789;
+    t.cyclesPerIter = 98765.4321;
+    t.refreshBaseCycles = 4321.5;
+    // Finite, with an exponent one bit short of all ones: some flips
+    // turn it into an infinity or a NaN.
+    t.refreshCyclesPerIter = std::numeric_limits<double>::max();
+    const std::string good = hil::encodeTiming(t);
+    auto finiteOrNone = [](const std::string &payload) {
+        const auto d = hil::decodeTiming(payload);
+        return !d || (std::isfinite(d->baseCycles) &&
+                      std::isfinite(d->cyclesPerIter) &&
+                      std::isfinite(d->refreshBaseCycles) &&
+                      std::isfinite(d->refreshCyclesPerIter));
+    };
+    ASSERT_TRUE(hil::decodeTiming(good).has_value());
+    for (size_t n = 0; n < good.size(); ++n)
+        EXPECT_FALSE(hil::decodeTiming(good.substr(0, n)).has_value()) << n;
+    for (size_t bit = 0; bit < 8 * good.size(); ++bit) {
+        std::string flipped = good;
+        flipped[bit / 8] =
+            static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+        EXPECT_TRUE(finiteOrNone(flipped)) << "bit " << bit;
+    }
+    // The version word, then the first string's length field.
+    std::string huge = good;
+    std::memset(&huge[4], 0xff, 4);
+    EXPECT_FALSE(hil::decodeTiming(huge).has_value());
+
+    const double inf = std::numeric_limits<double>::infinity();
+    double hil::ControllerTiming::*const fields[] = {
+        &hil::ControllerTiming::baseCycles,
+        &hil::ControllerTiming::cyclesPerIter,
+        &hil::ControllerTiming::refreshBaseCycles,
+        &hil::ControllerTiming::refreshCyclesPerIter};
+    for (double bad : {std::nan(""), inf, -inf}) {
+        for (double hil::ControllerTiming::*f : fields) {
+            hil::ControllerTiming b = t;
+            b.*f = bad;
+            EXPECT_FALSE(hil::decodeTiming(hil::encodeTiming(b)).has_value())
+                << bad;
+        }
+    }
 }
 
 TEST(CalibCache, ColdWriteWarmReadIdenticalTiming)

@@ -828,11 +828,11 @@ relinearize(const plant::Plant &p, double offset)
 
 TEST(HostSolve, BitIdenticalToEmittingSolve)
 {
-    // The host solve (no Program: at f32 the fused elementwise pass of
-    // iterateHost) and an emitting solve (the Backend call sequence)
-    // agree bit for bit: full and budgeted solves, before and after an
-    // affine refreshModel, every registry plant and format, against
-    // scalar, vector and Gemmini emission.
+    // The host solve (no Program: at f32 and bf16 the fused elementwise
+    // pass of iterateHost) and an emitting solve (the Backend call
+    // sequence) agree bit for bit: full and budgeted solves, before and
+    // after an affine refreshModel, every registry plant and format,
+    // against scalar, vector and Gemmini emission.
     using matlib::NumericFormat;
     struct Emitter
     {
@@ -1012,7 +1012,9 @@ TEST(HostSolve, MatchesReferenceSolve)
     // registry plant (a fixed-shape instantiation) and the double
     // integrator (the run-time-shape one), every mapping style, from
     // rest and then tracking a reference from offset states, full and
-    // budgeted, before and after an affine refreshModel.
+    // budgeted, before and after an affine refreshModel. Host bf16
+    // solves run iterateHost too; BitIdenticalToEmittingSolve pins them
+    // to the emitting bf16 solve.
     struct Case
     {
         std::string name;
@@ -1108,18 +1110,142 @@ TEST(HostSolve, RelinearizedSolvesTakeTheAffinePath)
     EXPECT_GE(affine, 3);
 }
 
+TEST(HostSolve, NarrowSolveMatchesFreshBackendInEveryCacheState)
+{
+    // A narrow solve looks each of its eight matrix operands up once,
+    // before its first kernel, and its kernels read those entries. Each
+    // solve here runs on one long-lived backend whose operand cache is
+    // in a given state and must equal, bit for bit, the same solve from
+    // the same workspace state on a newly built backend: every solver
+    // buffer, the result and both counters. The states: a fresh cache;
+    // a cache full of 16 other operands; a full cache whose second
+    // least recently used entry is the solve's own kinf, so that a
+    // lookup of the solve could evict an entry an earlier lookup of the
+    // same solve returned; and the same cache after refreshModel and a
+    // new scaling. fills() grows by one per operand whose bits or grid
+    // changed, and an unchanged repeat solve fills nothing.
+    using matlib::NumericFormat;
+    std::vector<Buffer> others;
+    for (int k = 0; k < 16; ++k) {
+        others.emplace_back(3, 3);
+        for (int i = 0; i < 9; ++i)
+            others.back().data()[i] = 0.01f * static_cast<float>(k * 9 + i);
+    }
+    Buffer xo(1, 16), yo(1, 16);
+    uint64_t refilled = 0;
+    for (const std::string &name :
+         plant::ScenarioRegistry::global().plantNames()) {
+        std::unique_ptr<plant::Plant> p =
+            plant::ScenarioRegistry::global().makePlant(name);
+        const Relinearized relin = relinearize(*p, 0.03);
+        for (NumericFormat f : {NumericFormat::BF16, NumericFormat::I16}) {
+            Workspace ws = p->buildWorkspace(0.02, 10);
+            matlib::ScalarBackend warm(matlib::ScalarFlavor::Optimized);
+            warm.setFormat(f);
+            warm.setFixedScaling(calibrateFixedScaling(ws, f));
+            Solver solver(ws, warm, MappingStyle::Library);
+            solver.setup();
+            std::vector<float> x0(static_cast<size_t>(p->nx()), 0.0f);
+            Buffer *const mats[] = {&ws.kinf,  &ws.adyn,   &ws.bdyn,
+                                    &ws.bdynT, &ws.quuInv, &ws.amBKt,
+                                    &ws.kinfT, &ws.pinf};
+
+            // Solve on the warm backend and on a fresh one from a copy of
+            // the same state; expect equal outputs and @p fills fills.
+            auto check = [&](const std::string &step, uint64_t fills) {
+                const std::string what = name + " " + matlib::formatName(f) +
+                                         " " + step;
+                x0[0] += 0.1f;
+                ws.setInitialState(x0.data());
+                Workspace wf = ws;
+                matlib::ScalarBackend fresh(matlib::ScalarFlavor::Optimized);
+                fresh.setFormat(f);
+                fresh.setFixedScaling(warm.fixedScaling());
+                Solver sf(wf, fresh, MappingStyle::Library);
+                const matlib::fx::Counters before = warm.fxCounters();
+                const uint64_t fills_before = warm.fxCache().fills();
+                const SolveResult got = solver.solve();
+                const SolveResult want = sf.solve();
+                expectSameResult(got, want, what);
+                expectSameState(ws, wf, what);
+                EXPECT_EQ(warm.fxCounters().quantSats - before.quantSats,
+                          fresh.fxCounters().quantSats)
+                    << what;
+                EXPECT_EQ(warm.fxCounters().accSats - before.accSats,
+                          fresh.fxCounters().accSats)
+                    << what;
+                EXPECT_EQ(warm.fxCache().fills() - fills_before, fills)
+                    << what;
+            };
+            // Direct gemvs look their matrix up on the gemv grid, as
+            // the solve looks up kinf.
+            auto touch = [&](Buffer &m) {
+                warm.gemv(matlib::Mat(yo.data(), 1, m.rows()), m.view(),
+                          matlib::Mat(xo.data(), 1, m.cols()));
+            };
+
+            check("fresh cache", 8);
+            check("unchanged repeat", 0);
+
+            for (Buffer &o : others)
+                touch(o);
+            check("after 16 other operands", 8);
+            check("unchanged repeat after 16 others", 0);
+
+            // kinf second least recently used among 16 entries: the
+            // solve's first lookup hits it, and its other seven miss.
+            touch(others[0]);
+            touch(ws.kinf);
+            for (int k = 1; k < 15; ++k)
+                touch(others[static_cast<size_t>(k)]);
+            check("kinf next in line for eviction", 7);
+
+            // An in-place refresh and a new scaling: refilled are the
+            // operands whose bits or grid moved.
+            std::vector<std::vector<float>> old_bits;
+            for (Buffer *m : mats)
+                old_bits.emplace_back(m->data(),
+                                      m->data() + m->view().size());
+            const matlib::fx::Scaling old_s = warm.fixedScaling();
+            ws.refreshModel(relin.model.ad, relin.model.bd, relin.cache,
+                            relin.model.cd);
+            warm.setFixedScaling(calibrateFixedScaling(ws, f));
+            uint64_t moved = 0;
+            for (size_t k = 0; k < std::size(mats); ++k) {
+                const bool gemvT = mats[k] == &ws.pinf;
+                const int frac_was = gemvT ? old_s.gemvT.aFrac
+                                           : old_s.gemv.aFrac;
+                const int frac = gemvT ? warm.fixedScaling().gemvT.aFrac
+                                       : warm.fixedScaling().gemv.aFrac;
+                const bool bits_moved =
+                    std::memcmp(old_bits[k].data(), mats[k]->data(),
+                                old_bits[k].size() * sizeof(float)) != 0;
+                moved += bits_moved ||
+                         (f == NumericFormat::I16 && frac != frac_was);
+            }
+            check("after refreshModel and setFixedScaling", moved);
+            check("unchanged repeat after refresh", 0);
+            refilled += moved;
+        }
+    }
+    EXPECT_GT(refilled, 0u) << "no refresh moved an operand";
+}
+
 TEST(HostSolve, ElementwisePassMatchesRefCallsOnSpecialValues)
 {
     // hostElementwisePass against the ref:: calls it replaces, on the
     // special values of Ref.ClampsAndResidualOnSpecialValues in every
-    // input it reads. The shapes give each side a lane tail of 0-3
-    // elements (and one side shorter than a vector); both check and
-    // non-check iterations. Every buffer matches bit for bit, except
-    // that a NaN matches any NaN: which operand's NaN an add of two
-    // NaNs returns is up to the compiler (it may swap the operands),
-    // and it differs between builds for the ref:: calls themselves.
-    // The residuals never hold a NaN and match byte for byte.
+    // input it reads; its bf16 pass against the same sequence with the
+    // slack adds and r as fx::saxpby calls. The shapes give each side a
+    // lane tail of 0-3 elements (and one side shorter than a vector);
+    // both check and non-check iterations. Every buffer matches bit for
+    // bit, except that a NaN matches any NaN: which operand's NaN an
+    // add of two NaNs returns is up to the compiler (it may swap the
+    // operands), and it differs between builds for the ref:: calls
+    // themselves. The residuals never hold a NaN and match byte for
+    // byte.
     namespace ref = matlib::ref;
+    namespace fx = matlib::fx;
     const float inf = std::numeric_limits<float>::infinity();
     const float nan = std::nanf("");
     const float vals[] = {0.0f,  -0.0f, 1.0f, -1.0f, 0.5f, -2.5f, inf,
@@ -1144,15 +1270,28 @@ TEST(HostSolve, ElementwisePassMatchesRefCallsOnSpecialValues)
     for (const auto &sh : shapes) {
         tails[(sh.N - 1) * sh.nu % 4]++;
         tails[sh.N * sh.nx % 4]++;
-        for (int run = 0; run < 4; ++run) {
-            special = run < 2;
+        for (int run = 0; run < 8; ++run) {
+            special = run % 4 < 2;
             const float rho = run % 2 ? 0.37f : 1.0f;
+            const bool bf16 = run >= 4;
+            // The Backend's saxpby at the pass's format.
+            auto saxpby = [bf16](matlib::Mat out, float sa,
+                                 const matlib::Mat &a, float sb,
+                                 const matlib::Mat &b) {
+                fx::Counters none;
+                if (bf16) {
+                    fx::saxpby(matlib::NumericFormat::BF16, fx::Scaling(),
+                               none, out, sa, a, sb, b);
+                } else {
+                    ref::saxpby(out, sa, a, sb, b);
+                }
+            };
             for (bool check : {false, true}) {
                 const std::string what =
                     std::to_string(sh.nx) + "x" + std::to_string(sh.nu) +
                     " N " + std::to_string(sh.N) + " rho " +
                     std::to_string(rho) + (special ? " special" : "") +
-                    (check ? " check" : "");
+                    (check ? " check" : "") + (bf16 ? " bf16" : "");
                 Workspace want = Workspace::allocate(sh.nx, sh.nu, sh.N);
                 want.settings.rho = rho;
                 for (Buffer *b : {&want.u, &want.y, &want.z, &want.x,
@@ -1167,22 +1306,25 @@ TEST(HostSolve, ElementwisePassMatchesRefCallsOnSpecialValues)
                 ref::rowScaleNeg(got.qRef.view(), got.xRef.view(),
                                  got.qDiag.view());
                 SolveResult rg, rw;
-                hostElementwisePass(got, check ? &rg : nullptr);
+                if (bf16)
+                    hostElementwisePass<true>(got, check ? &rg : nullptr);
+                else
+                    hostElementwisePass(got, check ? &rg : nullptr);
 
-                ref::saxpby(want.znew.view(), 1.0f, want.u.view(), 1.0f,
-                            want.y.view());
+                saxpby(want.znew.view(), 1.0f, want.u.view(), 1.0f,
+                       want.y.view());
                 ref::clampVec(want.znew.view(), want.znew.view(),
                               want.uMin.view(), want.uMax.view());
-                ref::saxpby(want.vnew.view(), 1.0f, want.x.view(), 1.0f,
-                            want.g.view());
+                saxpby(want.vnew.view(), 1.0f, want.x.view(), 1.0f,
+                       want.g.view());
                 ref::clampVec(want.vnew.view(), want.vnew.view(),
                               want.xMin.view(), want.xMax.view());
                 ref::accumDiff(want.y.view(), want.u.view(),
                                want.znew.view());
                 ref::accumDiff(want.g.view(), want.x.view(),
                                want.vnew.view());
-                ref::saxpby(want.r.view(), -rho, want.znew.view(), rho,
-                            want.y.view());
+                saxpby(want.r.view(), -rho, want.znew.view(), rho,
+                       want.y.view());
                 ref::rowScaleNeg(want.q.view(), want.xRef.view(),
                                  want.qDiag.view());
                 ref::axpyDiff(want.q.view(), -rho, want.vnew.view(),
