@@ -1,13 +1,14 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator substrate itself:
- * how fast the timing models consume micro-op streams, how fast the
- * functional solver runs (float32, and per registry plant at bf16 and
- * i16), and how fast the Riccati recursion runs per registry plant
- * (cold trim solve and warm refresh). These guard the
- * tractability of the HIL sweeps (hundreds of episodes) rather than
- * regenerate a paper figure; their host times stay out of the golden
- * set.
+ * how fast the timing models consume micro-op streams (one model, and
+ * eight latency-scaled configs per family replayed one by one or as
+ * one batch), how fast the functional solver runs (float32, and per
+ * registry plant at bf16 and i16), and how fast the Riccati recursion
+ * runs per registry plant (cold trim solve and warm refresh). These
+ * guard the tractability of the HIL sweeps (hundreds of episodes)
+ * rather than regenerate a paper figure; their host times stay out of
+ * the golden set.
  */
 
 #include <memory>
@@ -20,6 +21,8 @@
 #include "bench_util.hh"
 #include "cpu/inorder.hh"
 #include "cpu/ooo.hh"
+#include "dse/design_space.hh"
+#include "matlib/gemmini_backend.hh"
 #include "matlib/rvv_backend.hh"
 #include "matlib/scalar_backend.hh"
 #include "numerics/dare.hh"
@@ -70,6 +73,107 @@ BM_SaturnModel(benchmark::State &state)
                             static_cast<int64_t>(prog.size()));
 }
 BENCHMARK(BM_SaturnModel);
+
+/**
+ * Family #index's Library-style quadrotor solve stream and eight
+ * configs at dse latency scales 0.7, 0.8, ..., 1.4: in-order Shuttle,
+ * OoO boom-medium, Saturn V512D256 (Shuttle frontend) or Gemmini
+ * OS4x4.
+ */
+struct ReplayCase
+{
+    std::string name;
+    isa::Program prog;
+    std::vector<std::unique_ptr<cpu::TimingModel>> models;
+    std::vector<const cpu::TimingModel *> ptrs;
+};
+
+static ReplayCase
+replayCase(int64_t index)
+{
+    using tinympc::MappingStyle;
+    ReplayCase c;
+    std::unique_ptr<matlib::Backend> b;
+    std::unique_ptr<cpu::TimingModel> (*make)(double) = nullptr;
+    switch (index) {
+      case 0:
+        c.name = "inorder-shuttle";
+        b = std::make_unique<matlib::ScalarBackend>(
+            matlib::ScalarFlavor::Optimized);
+        make = [](double lat) -> std::unique_ptr<cpu::TimingModel> {
+            return std::make_unique<cpu::InOrderCore>(
+                dse::scaledInOrder(cpu::InOrderConfig::shuttle(), lat));
+        };
+        break;
+      case 1:
+        c.name = "ooo-boom-medium";
+        b = std::make_unique<matlib::ScalarBackend>(
+            matlib::ScalarFlavor::Optimized);
+        make = [](double lat) -> std::unique_ptr<cpu::TimingModel> {
+            return std::make_unique<cpu::OooCore>(
+                dse::scaledOoo(cpu::OooConfig::boomMedium(), lat));
+        };
+        break;
+      case 2:
+        c.name = "saturn-v512d256";
+        b = std::make_unique<matlib::RvvBackend>(
+            512, matlib::RvvMapping::handOptimized());
+        make = [](double lat) -> std::unique_ptr<cpu::TimingModel> {
+            return std::make_unique<vector::SaturnModel>(
+                dse::scaledSaturn(
+                    vector::SaturnConfig::make(512, 256, true), lat, 1.0));
+        };
+        break;
+      default:
+        c.name = "gemmini-os4x4";
+        b = std::make_unique<matlib::GemminiBackend>(
+            matlib::GemminiMapping::fullyOptimized());
+        make = [](double lat) -> std::unique_ptr<cpu::TimingModel> {
+            return std::make_unique<systolic::GemminiModel>(
+                dse::scaledGemmini(systolic::GemminiConfig::os4x4(64),
+                                   lat, 1.0));
+        };
+        break;
+    }
+    c.prog = bench::emitQuadSolve(*b, MappingStyle::Library, 5);
+    for (int k = 0; k < 8; ++k) {
+        c.models.push_back(make(0.7 + 0.1 * k));
+        c.ptrs.push_back(c.models.back().get());
+    }
+    return c;
+}
+
+/** Eight single-config replays (runStream), one per scaled config. */
+static void
+BM_ReplaySingle(benchmark::State &state)
+{
+    const ReplayCase c = replayCase(state.range(0));
+    const isa::UopStreamView view = c.prog.stream();
+    for (auto _ : state) {
+        for (const cpu::TimingModel *m : c.ptrs)
+            benchmark::DoNotOptimize(m->runStream(view).cycles);
+    }
+    state.SetItemsProcessed(state.iterations() * 8 *
+                            static_cast<int64_t>(c.prog.size()));
+    state.SetLabel(c.name);
+}
+BENCHMARK(BM_ReplaySingle)->DenseRange(0, 3); // the four families
+
+/** One 8-lane runStreamBatch over the same eight configs. */
+static void
+BM_ReplayBatch8(benchmark::State &state)
+{
+    const ReplayCase c = replayCase(state.range(0));
+    const isa::UopStreamView view = c.prog.stream();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            c.ptrs.front()->runStreamBatch(view, c.ptrs).back().cycles);
+    }
+    state.SetItemsProcessed(state.iterations() * 8 *
+                            static_cast<int64_t>(c.prog.size()));
+    state.SetLabel(c.name);
+}
+BENCHMARK(BM_ReplayBatch8)->DenseRange(0, 3); // the four families
 
 static void
 BM_FunctionalSolve(benchmark::State &state)

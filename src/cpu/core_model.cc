@@ -35,28 +35,6 @@ attributeRegions(const isa::Program &prog,
     return out;
 }
 
-RegionAttributor::RegionAttributor(const isa::Program &prog)
-    : regions_(&prog.kernels())
-{
-    if (prog.kernelOpen()) {
-        rtoc_panic("RegionAttributor: kernel region '%s' still open — "
-                   "close it (endKernel) before timing the program",
-                   prog.kernels().back().name().c_str());
-    }
-    out_.reserve(regions_->size());
-}
-
-std::vector<uint64_t>
-RegionAttributor::finish(size_t n_uops)
-{
-    closeUpTo(n_uops);
-    if (out_.size() != regions_->size()) {
-        rtoc_panic("RegionAttributor: closed %zu of %zu regions",
-                   out_.size(), regions_->size());
-    }
-    return std::move(out_);
-}
-
 std::vector<TimingResult>
 TimingModel::runStreamBatch(
     const isa::UopStreamView &view,

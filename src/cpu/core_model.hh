@@ -9,19 +9,21 @@
  * columnar engine over UopStreamView, a view whose decoded class
  * column was computed once for the owning Program, so N models (or N
  * replays) over one cached stream share a single decode pass.
- * runStream is the engine's one-lane pass and runStreamBatch its
- * N-lane pass. runAos() keeps each family's cost rules written
- * plainly over the AoS Program::uops(): it is the independent
- * reference every engine lane must match (pinned by tests) and the
- * layout-comparison baseline.
+ * runStream is the engine's one-lane pass. runStreamBatch runs N
+ * lanes: a family overrides it with an N-lane pass only where that
+ * pass beats its N sequential lanes (in-order, Saturn and Gemmini do;
+ * OoO does not, and runs its lanes in turn). runAos() keeps each
+ * family's cost rules written plainly over the AoS Program::uops(): it
+ * is the independent reference every engine lane must match (pinned by
+ * tests) and the layout-comparison baseline.
  *
  * Models are deterministic and purely analytical over the stream:
  * running the same Program twice gives identical results, which the
  * property tests rely on.
  *
  * Models keep no mutable state across run() calls. Each pass sets up
- * its own scratch before the per-uop loop (the AoS loops and OoO's
- * one-lane pass reuse thread-local scratch, capacity retained), so the
+ * its own scratch before the per-uop loop (the AoS loops and the OoO
+ * engine reuse thread-local scratch, capacity retained), so the
  * per-uop simulation loop performs no heap allocation, distinct sweep
  * threads never share scratch, and models are safe to run
  * concurrently.
@@ -71,10 +73,8 @@ class RegReadyFile
     }
 
     /**
-     * Pre-size for register ids < @p n (entries stay zero). Batched
-     * replay lanes size their files from the program's register
-     * counts up front so the per-uop loop never pays the
-     * growth-doubling copy a fresh file would.
+     * Pre-size for register ids < @p n (entries stay zero), so a
+     * replay over a program's registers never grows the file.
      */
     void
     ensure(uint32_t n)
@@ -82,6 +82,11 @@ class RegReadyFile
         if (n > ready_.size())
             ready_.resize(n, 0);
     }
+
+    /** The entries, for a loop that keeps them in locals: entry i is
+     *  register id i's ready time; ids past size() read 0. */
+    uint64_t *data() { return ready_.data(); }
+    size_t size() const { return ready_.size(); }
 
   private:
     std::vector<uint64_t> ready_;
@@ -150,19 +155,19 @@ class TimingModel
     }
 
     /**
-     * Batched replay (one pass, N scoreboards): simulate the stream
-     * once while advancing an independent scoreboard per model in
-     * @p models, amortizing column loads and class decode across a
-     * design sweep. Every model in @p models must belong to this
-     * model's family (same dynamic type); each family overrides this
-     * with its engine, whose one-lane pass is runStream, so lane i is
+     * Batched replay: one result per model in @p models, each
      * bit-identical to models[i]->runStream(view) and to
-     * models[i]->runAos (pinned by tests). The base implementation —
-     * also the fallback overrides take when a foreign model appears in
-     * the group — is the sequential runStream loop. Results are
-     * returned in @p models order;
-     * `this` only dispatches and is not simulated unless it appears in
-     * @p models itself.
+     * models[i]->runAos (pinned by tests). Every model in @p models
+     * must belong to this model's family (same dynamic type). The base
+     * implementation is the sequential runStream loop. A family
+     * overrides it only where one N-lane pass of its engine, whose
+     * one-lane pass is runStream, beats the N sequential lanes by
+     * sharing column loads, class decode and operand lookups; the
+     * overrides fall back to this base when a foreign model appears in
+     * the group. OoO keeps the base: its lanes share only the column
+     * loads. Results are returned in @p models order; `this` only
+     * dispatches and is not simulated unless it appears in @p models
+     * itself.
      */
     virtual std::vector<TimingResult>
     runStreamBatch(const isa::UopStreamView &view,
@@ -182,68 +187,6 @@ class TimingModel
 std::vector<uint64_t>
 attributeRegions(const isa::Program &prog,
                  const std::vector<uint64_t> &finish);
-
-/**
- * Streaming equivalent of attributeRegions for the columnar loops:
- * regions are ordered and non-overlapping, so the attribution walks
- * them alongside the uop loop instead of buffering every finish time.
- * Feed completion cycles in program order via step(); the costs are
- * identical to the buffered helper (pinned by the SoA-vs-AoS tests).
- */
-class RegionAttributor
-{
-  public:
-    /** Panics (like attributeRegions) when a region is still open. */
-    explicit RegionAttributor(const isa::Program &prog);
-
-    /** Record uop @p i completing at cycle @p done. */
-    void
-    step(size_t i, uint64_t done)
-    {
-        closeUpTo(i);
-        if (done > running_max_)
-            running_max_ = done;
-    }
-
-    /** Close remaining regions and take the per-region costs. */
-    std::vector<uint64_t> finish(size_t n_uops);
-
-    /** Max completion cycle seen so far (program total after finish). */
-    uint64_t maxCompletion() const { return running_max_; }
-
-  private:
-    /** Handle region boundaries at uop index @p i (before its
-     *  completion merges into the running max). */
-    void
-    closeUpTo(size_t i)
-    {
-        const std::vector<isa::KernelRegion> &regions = *regions_;
-        while (true) {
-            if (open_) {
-                if (regions[next_].end > i)
-                    return;
-                out_.push_back(running_max_ - open_before_);
-                open_ = false;
-                ++next_;
-            } else {
-                if (next_ >= regions.size() ||
-                    regions[next_].begin > i) {
-                    return;
-                }
-                open_before_ = running_max_;
-                open_ = true;
-            }
-        }
-    }
-
-    /** Pointer (not reference) so batch-lane state stays copyable. */
-    const std::vector<isa::KernelRegion> *regions_;
-    std::vector<uint64_t> out_;
-    size_t next_ = 0;            ///< first region not yet closed
-    uint64_t running_max_ = 0;   ///< max completion over uops [0, i)
-    uint64_t open_before_ = 0;   ///< running max at the open begin
-    bool open_ = false;
-};
 
 } // namespace rtoc::cpu
 

@@ -347,8 +347,8 @@ replayInOrder(const isa::UopStreamView &v,
 
     // Kernel regions are ordered and disjoint, so the pass runs in
     // segments between region boundaries: a region opens before its
-    // begin uop and closes before its end uop, where
-    // RegionAttributor::closeUpTo would, and no uop tests for one.
+    // begin uop and closes before its end uop, where attributeRegions
+    // reads its running max, and no uop tests for one.
     const std::vector<isa::KernelRegion> &regions = v.program->kernels();
     for (size_t l = 0; l < L; ++l)
         out[l].regionCycles.reserve(regions.size());

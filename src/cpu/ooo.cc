@@ -1,7 +1,6 @@
 #include "ooo.hh"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "common/logging.hh"
@@ -114,159 +113,32 @@ constexpr PipeClass kPipeOf[isa::kNumLatClasses] = {
     PipeClass::Fp,  // FpNarrow
 };
 
-/** One greedy-dataflow scoreboard: one lane of a replay. */
-struct OooLane
+/** Reusable replay state of one thread: both loops reset it per run
+ *  and keep its capacity. */
+struct OooScratch
 {
-    uint64_t lat[isa::kNumLatClasses] = {};
-    SlotMap slots[3]; ///< indexed by PipeClass
-    RegReadyFile regs;
+    std::vector<uint64_t> finish; ///< per-uop completion (runAos only)
+    RegReadyFile regs;            ///< register ready times
     std::vector<uint64_t> commit; ///< in-order commit ring (the ROB)
-    std::optional<RegionAttributor> attr;
-    uint64_t lastCommit = 0;
-    uint64_t frontWidth = 1;
-    uint64_t fetch = 0;     ///< fetch cycle of the next uop: i / frontWidth
-    uint64_t fetchLeft = 0; ///< uops left in that fetch group
-    size_t robSlot = 0;     ///< commit-ring slot of the next uop: i % robSize
+    SlotMap slots[3];             ///< issue slots, indexed by PipeClass
 
     void
-    reset(const isa::Program &prog, const OooConfig &cfg)
+    reset(const OooConfig &cfg)
     {
-        using isa::LatClass;
-        auto set = [&](LatClass c, int cycles) {
-            lat[static_cast<size_t>(c)] = static_cast<uint64_t>(cycles);
-        };
-        set(LatClass::IntAlu, 1);
-        set(LatClass::IntMul, cfg.intMulLatency);
-        set(LatClass::Fp, cfg.fpLatency);
-        set(LatClass::FpDiv, cfg.fpDivLatency);
-        set(LatClass::FpCmp, 2);
-        set(LatClass::FpMove, 2);
-        set(LatClass::Load, cfg.loadLatency);
-        set(LatClass::Store, 1);
-        set(LatClass::Branch, 1);
-        set(LatClass::FpNarrow, cfg.narrowFpLatency());
-
+        regs.reset();
+        commit.assign(static_cast<size_t>(cfg.robSize), 0);
         slots[static_cast<size_t>(PipeClass::Int)].reset(cfg.intIssue);
         slots[static_cast<size_t>(PipeClass::Mem)].reset(cfg.memIssue);
         slots[static_cast<size_t>(PipeClass::Fp)].reset(cfg.fpIssue);
-        regs.reset();
-        regs.ensure(prog.scalarRegCount());
-        commit.assign(static_cast<size_t>(cfg.robSize), 0);
-        attr.emplace(prog);
-        lastCommit = 0;
-        frontWidth = static_cast<uint64_t>(cfg.frontWidth);
-        fetch = 0;
-        fetchLeft = frontWidth;
-        robSlot = 0;
     }
 };
 
-/**
- * The OoO engine: one blocked pass over the stream's columns advances
- * @p lanes[L], reset to @p cfgs[L], and writes its result to
- * @p out[L]. Single-config replay is the one-lane call. Each lane runs
- * the same statement sequence over the same uops, so a lane's result
- * does not depend on which other lanes share the pass.
- *
- * Issue slots come from SlotMap: each pipe keeps one bit per simulated
- * cycle, set exactly when all of that cycle's slots are taken. The
- * earliest free cycle >= t is then the earliest clear bit >= t, found
- * 64 cycles per word; it is the cycle a one-at-a-time probe returns,
- * so the cycle counts are bit-identical to that probe's (runAos keeps
- * the plain i / frontWidth and i % robSize the counters here replace).
- */
-void
-replayLanes(const isa::UopStreamView &v, const OooConfig *const *cfgs,
-            OooLane *lanes, size_t n_lanes, TimingResult *out)
+OooScratch &
+threadScratch()
 {
-    if (!v.program)
-        rtoc_panic("OoO replay: view has no owning program");
-
-    for (size_t L = 0; L < n_lanes; ++L)
-        lanes[L].reset(*v.program, *cfgs[L]);
-
-    const uint8_t *const cls_col = v.cls;
-    const uint32_t *const dst_col = v.dst;
-    const uint32_t *const src0_col = v.src0;
-    const uint32_t *const src1_col = v.src1;
-    const uint32_t *const src2_col = v.src2;
-
-    // Blocked lane-major walk: a block's columns are loaded once and
-    // every lane's scoreboard advances over them.
-    constexpr size_t kBlock = 2048;
-    for (size_t b0 = 0; b0 < v.n; b0 += kBlock) {
-        const size_t b1 = std::min(v.n, b0 + kBlock);
-        for (size_t L = 0; L < n_lanes; ++L) {
-            // Register-resident copies; the lane carries them between
-            // blocks.
-            OooLane &ln = lanes[L];
-            const uint64_t *const lat = ln.lat;
-            SlotMap *const slots = ln.slots;
-            RegReadyFile &regs = ln.regs;
-            RegionAttributor &attr = *ln.attr;
-            uint64_t *const commit = ln.commit.data();
-            const size_t rob_size = ln.commit.size();
-            const uint64_t front_width = ln.frontWidth;
-            uint64_t fetch = ln.fetch;
-            uint64_t fetch_left = ln.fetchLeft;
-            size_t rob_slot = ln.robSlot;
-            uint64_t last_commit = ln.lastCommit;
-
-            for (size_t i = b0; i < b1; ++i) {
-                const uint8_t cls = cls_col[i];
-                if (!(cls & isa::kClsScalar)) {
-                    rtoc_panic("OoO core '%s' given coprocessor uop %s "
-                               "(BOOM cores are evaluated scalar-only)",
-                               cfgs[L]->name.c_str(),
-                               isa::uopName(v.kind[i]));
-                }
-                const size_t c = cls & isa::kClsLatMask;
-
-                uint64_t operands =
-                    std::max({regs.readyTime(src0_col[i]),
-                              regs.readyTime(src1_col[i]),
-                              regs.readyTime(src2_col[i])});
-                uint64_t t = std::max({fetch, commit[rob_slot], operands});
-
-                uint64_t issue =
-                    slots[static_cast<size_t>(kPipeOf[c])].claimFrom(t);
-                uint64_t done = issue + lat[c];
-                attr.step(i, done);
-                regs.setReady(dst_col[i], done);
-
-                last_commit = std::max(last_commit, done);
-                commit[rob_slot] = last_commit;
-                if (++rob_slot == rob_size)
-                    rob_slot = 0;
-                if (--fetch_left == 0) {
-                    ++fetch;
-                    fetch_left = front_width;
-                }
-            }
-
-            ln.fetch = fetch;
-            ln.fetchLeft = fetch_left;
-            ln.robSlot = rob_slot;
-            ln.lastCommit = last_commit;
-        }
-    }
-
-    for (size_t L = 0; L < n_lanes; ++L) {
-        RegionAttributor &attr = *lanes[L].attr;
-        out[L].regionCycles = attr.finish(v.n);
-        out[L].cycles = attr.maxCompletion();
-        out[L].stats.set(oooUopsId(), v.n);
-    }
+    static thread_local OooScratch scratch;
+    return scratch;
 }
-
-/** Reusable state of the AoS reference loop for one thread. */
-struct OooScratch
-{
-    std::vector<uint64_t> finish;
-    RegReadyFile regs;            ///< register ready times
-    std::vector<uint64_t> commit; ///< in-order commit ring
-    SlotMap intSlots, memSlots, fpSlots;
-};
 
 } // namespace
 
@@ -282,36 +154,137 @@ OooCore::OooCore(OooConfig cfg) : cfg_(std::move(cfg))
     }
 }
 
+/*
+ * The OoO engine: one pass over the stream's columns with the
+ * scoreboard in locals. Like replayInOrder, the pass runs in segments
+ * between kernel-region boundaries: a region opens before its begin
+ * uop and closes before its end uop, and no uop tests for one. The
+ * running max completion a region is priced by is last_commit.
+ *
+ * Issue slots come from SlotMap: each pipe keeps one bit per simulated
+ * cycle, set exactly when all of that cycle's slots are taken. The
+ * earliest free cycle >= t is then the earliest clear bit >= t, found
+ * 64 cycles per word; it is the cycle a one-at-a-time probe returns,
+ * so the cycle counts are bit-identical to that probe's (runAos keeps
+ * the plain i / frontWidth and i % robSize the counters here replace).
+ */
 TimingResult
 OooCore::runStream(const isa::UopStreamView &v) const
 {
-    // Single replays reuse one thread-local lane, capacity retained,
-    // so its scoreboard is not reallocated run after run.
-    static thread_local OooLane lane;
-    const OooConfig *cfg = &cfg_;
-    TimingResult out;
-    replayLanes(v, &cfg, &lane, 1, &out);
-    return out;
-}
+    using isa::LatClass;
 
-std::vector<TimingResult>
-OooCore::runStreamBatch(
-    const isa::UopStreamView &v,
-    const std::vector<const TimingModel *> &models) const
-{
-    std::vector<const OooConfig *> cfgs;
-    cfgs.reserve(models.size());
-    for (const TimingModel *m : models) {
-        const auto *core = dynamic_cast<const OooCore *>(m);
-        if (!core)
-            return TimingModel::runStreamBatch(v, models);
-        cfgs.push_back(&core->config());
+    if (!v.program)
+        rtoc_panic("OoO replay: view has no owning program");
+    const isa::Program &prog = *v.program;
+    if (prog.kernelOpen()) {
+        rtoc_panic("OoO replay: kernel region '%s' still open — close "
+                   "it (endKernel) before timing the program",
+                   prog.kernels().back().name().c_str());
     }
-    // Batch lanes are freed on return: pooling them would keep eight
-    // scoreboards resident per sweep thread for the whole process.
-    std::vector<OooLane> lanes(cfgs.size());
-    std::vector<TimingResult> out(cfgs.size());
-    replayLanes(v, cfgs.data(), lanes.data(), lanes.size(), out.data());
+
+    uint64_t lat[isa::kNumLatClasses] = {};
+    auto set = [&](LatClass c, int cycles) {
+        lat[static_cast<size_t>(c)] = static_cast<uint64_t>(cycles);
+    };
+    set(LatClass::IntAlu, 1);
+    set(LatClass::IntMul, cfg_.intMulLatency);
+    set(LatClass::Fp, cfg_.fpLatency);
+    set(LatClass::FpDiv, cfg_.fpDivLatency);
+    set(LatClass::FpCmp, 2);
+    set(LatClass::FpMove, 2);
+    set(LatClass::Load, cfg_.loadLatency);
+    set(LatClass::Store, 1);
+    set(LatClass::Branch, 1);
+    set(LatClass::FpNarrow, cfg_.narrowFpLatency());
+
+    OooScratch &scratch = threadScratch();
+    scratch.reset(cfg_);
+    SlotMap *const slots = scratch.slots;
+    uint64_t *const commit = scratch.commit.data();
+    const size_t rob_size = scratch.commit.size();
+    const uint64_t front_width = static_cast<uint64_t>(cfg_.frontWidth);
+
+    const uint8_t *const cls_col = v.cls;
+    const uint32_t *const dst_col = v.dst;
+    const uint32_t *const src0_col = v.src0;
+    const uint32_t *const src1_col = v.src1;
+    const uint32_t *const src2_col = v.src2;
+
+    // The ready file in locals, which SlotMap's byte stores cannot
+    // alias: ids past its end read 0, as RegReadyFile::readyTime reads
+    // them (kNoReg masks to 0x7fffffff, past any file), and a write
+    // past it grows the file through setReady.
+    RegReadyFile &regs = scratch.regs;
+    regs.ensure(prog.scalarRegCount());
+    uint64_t *ready = regs.data();
+    size_t n_ready = regs.size();
+    auto ready_time = [&](uint32_t reg) -> uint64_t {
+        const uint32_t idx = reg & 0x7fffffffu;
+        return idx < n_ready ? ready[idx] : 0;
+    };
+
+    uint64_t fetch = 0;                // fetch cycle of uop i: i / width
+    uint64_t fetch_left = front_width; // uops left in that fetch group
+    size_t rob_slot = 0;               // commit-ring slot: i % robSize
+    uint64_t last_commit = 0;          // max completion over [0, i)
+    uint64_t open_before = 0;          // last_commit at the open begin
+
+    TimingResult out;
+    const std::vector<isa::KernelRegion> &regions = prog.kernels();
+    out.regionCycles.reserve(regions.size());
+    size_t next_region = 0;
+    bool open = false;
+    for (size_t i = 0;;) {
+        const size_t stop = next_region == regions.size() ? v.n
+                            : open ? regions[next_region].end
+                                   : regions[next_region].begin;
+        for (; i < stop; ++i) {
+            const uint8_t cls = cls_col[i];
+            if (!(cls & isa::kClsScalar)) {
+                rtoc_panic("OoO core '%s' given coprocessor uop %s "
+                           "(BOOM cores are evaluated scalar-only)",
+                           cfg_.name.c_str(), isa::uopName(v.kind[i]));
+            }
+            const size_t c = cls & isa::kClsLatMask;
+
+            const uint64_t operands = std::max(
+                {ready_time(src0_col[i]), ready_time(src1_col[i]),
+                 ready_time(src2_col[i])});
+            const uint64_t t =
+                std::max({fetch, commit[rob_slot], operands});
+            const uint64_t done =
+                slots[static_cast<size_t>(kPipeOf[c])].claimFrom(t) +
+                lat[c];
+            const uint32_t dst = dst_col[i];
+            if ((dst & 0x7fffffffu) < n_ready) {
+                ready[dst & 0x7fffffffu] = done;
+            } else if (dst != isa::kNoReg) {
+                regs.setReady(dst, done);
+                ready = regs.data();
+                n_ready = regs.size();
+            }
+
+            last_commit = std::max(last_commit, done);
+            commit[rob_slot] = last_commit;
+            if (++rob_slot == rob_size)
+                rob_slot = 0;
+            if (--fetch_left == 0) {
+                ++fetch;
+                fetch_left = front_width;
+            }
+        }
+        if (next_region == regions.size())
+            break;
+        if (open)
+            out.regionCycles.push_back(last_commit - open_before);
+        else
+            open_before = last_commit;
+        next_region += open;
+        open = !open;
+    }
+
+    out.cycles = last_commit;
+    out.stats.set(oooUopsId(), v.n);
     return out;
 }
 
@@ -335,13 +308,9 @@ OooCore::runAos(const isa::Program &prog) const
     const auto &uops = prog.uops();
     TimingResult result;
 
-    static thread_local OooScratch scratch;
+    OooScratch &scratch = threadScratch();
+    scratch.reset(cfg_);
     scratch.finish.assign(uops.size(), 0);
-    scratch.regs.reset();
-    scratch.commit.assign(static_cast<size_t>(cfg_.robSize), 0);
-    scratch.intSlots.reset(cfg_.intIssue);
-    scratch.memSlots.reset(cfg_.memIssue);
-    scratch.fpSlots.reset(cfg_.fpIssue);
 
     std::vector<uint64_t> &finish = scratch.finish;
     RegReadyFile &regs = scratch.regs;
@@ -374,10 +343,6 @@ OooCore::runAos(const isa::Program &prog) const
         }
     };
 
-    SlotMap &int_slots = scratch.intSlots;
-    SlotMap &mem_slots = scratch.memSlots;
-    SlotMap &fp_slots = scratch.fpSlots;
-
     // In-order commit ring for the ROB-occupancy constraint.
     std::vector<uint64_t> &commit = scratch.commit;
     uint64_t last_commit = 0;
@@ -399,10 +364,8 @@ OooCore::runAos(const isa::Program &prog) const
              regs.readyTime(u.src2)});
         uint64_t t = std::max({fetch, rob_free, operands});
 
-        SlotMap &slots = classOf(u.kind) == PipeClass::Int ? int_slots
-                         : classOf(u.kind) == PipeClass::Mem
-                             ? mem_slots
-                             : fp_slots;
+        SlotMap &slots =
+            scratch.slots[static_cast<size_t>(classOf(u.kind))];
         uint64_t issue = slots.claimFrom(t);
         uint64_t done = issue + latency_of(u);
         finish[i] = done;

@@ -58,21 +58,15 @@ class OooCore : public TimingModel
      *  fit the per-cycle slot count (<= 255). */
     explicit OooCore(OooConfig cfg);
 
-    /** One-lane runStreamBatch: the two share one lane loop. */
+    /**
+     * The engine: one pass with the scoreboard in locals. A batch
+     * runs its lanes through it one after another (the base
+     * runStreamBatch): lanes that share only the column loads gain
+     * nothing from one interleaved pass.
+     */
     TimingResult runStream(const isa::UopStreamView &view) const override;
 
     TimingResult runAos(const isa::Program &prog) const override;
-
-    /**
-     * Fused OoO lane loop: one column pass advances one greedy-
-     * dataflow state (regs, ROB ring, issue slots) per OooCore in
-     * @p models. Falls back to the sequential base when a foreign
-     * model appears in the group.
-     */
-    std::vector<TimingResult>
-    runStreamBatch(const isa::UopStreamView &view,
-                   const std::vector<const TimingModel *> &models)
-        const override;
 
     std::string name() const override { return cfg_.name; }
 

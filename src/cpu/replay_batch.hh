@@ -5,14 +5,15 @@
  *
  * Design sweeps (Pareto fronts, ablations, multi-model calibration)
  * evaluate N knob settings of the same architecture family against
- * one cached Program. Sequential runStream calls pay the column loads
- * and per-run setup N times; a ReplayBatch groups the added models by
- * family (dynamic type) and hands each group to that family's
- * runStreamBatch, whose engine advances all of the group's scoreboards
- * in a single pass over the columns. A one-model group runs the
- * engine's one-lane pass, which is runStream itself. A group the
- * family driver rejects falls back to sequential runStream inside the
- * base runStreamBatch.
+ * one cached Program. A ReplayBatch groups the added models by family
+ * (dynamic type) and hands each group to that family's
+ * runStreamBatch. In-order, Saturn and Gemmini advance all of the
+ * group's scoreboards in a single pass over the columns, which beats
+ * N sequential runStream calls; OoO runs the group's lanes in turn,
+ * since one interleaved pass does not beat them. A one-model group
+ * runs the engine's one-lane pass, which is runStream itself. A group
+ * the family driver rejects falls back to sequential runStream inside
+ * the base runStreamBatch.
  *
  * Results are bit-identical to calling model.runStream(view) for each
  * added model (pinned by tests), and are returned in add() order.

@@ -1,7 +1,7 @@
 /**
  * @file
  * RegionProfile: aggregates the per-kernel-region cycle attribution
- * that every TimingResult already carries (via cpu::RegionAttributor)
+ * that every TimingResult already carries (TimingResult::regionCycles)
  * into region × backend × plant distributions across a sweep, and
  * renders the paper-Fig-12-style "where do the cycles go" breakdown
  * table. Surfaced by `--profile` on bench_cross_plant / bench_relin

@@ -3,11 +3,12 @@
  * Tests for the batched design-point replay path and the
  * work-stealing thread pool.
  *
- * Batched replay: every lane of a runStreamBatch pass must be
- * bit-identical to its model's AoS reference loop (runAos) for every
- * timing family, across emission styles, >=8-config design sweeps and
- * every lane count. Each family's runStream is the one-lane pass of the
- * same engine, so runAos, not runStream, is the independent reference.
+ * Batched replay: every lane of a runStreamBatch must be bit-identical
+ * to its model's AoS reference loop (runAos) for every timing family,
+ * across emission styles, >=8-config design sweeps and every lane
+ * count. Each family's runStream is the one-lane pass of the same
+ * engine (OoO batches run it lane by lane), so runAos, not runStream,
+ * is the independent reference.
  * ReplayBatch grouping must preserve add() order and fall back to the
  * sequential base on mixed-family groups.
  *
@@ -26,6 +27,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -144,10 +146,18 @@ TEST(BatchedReplay, InOrderFamilyAcrossStylesAndConfigs)
 
 TEST(BatchedReplay, OooFamilyAcrossStylesAndConfigs)
 {
+    // The i16 stream's sew16 FPU uops are priced as LatClass::FpNarrow
+    // at narrowFpLatency().
     using cpu::OooConfig;
-    for (auto style : {tinympc::MappingStyle::Library,
-                       tinympc::MappingStyle::Fused}) {
+    for (auto [fmt, style] :
+         {std::pair{matlib::NumericFormat::F32,
+                    tinympc::MappingStyle::Library},
+          std::pair{matlib::NumericFormat::F32,
+                    tinympc::MappingStyle::Fused},
+          std::pair{matlib::NumericFormat::I16,
+                    tinympc::MappingStyle::Library}}) {
         matlib::ScalarBackend b(matlib::ScalarFlavor::Optimized);
+        b.setFormat(fmt);
         auto prog = bench::emitQuadSolveCached(b, style);
 
         std::vector<OooConfig> cfgs = {
@@ -177,7 +187,9 @@ TEST(BatchedReplay, OooFamilyAcrossStylesAndConfigs)
             models.push_back(cores.back().get());
         }
         ASSERT_EQ(models.size(), 8u);
-        expectLanesMatchAos(*prog, models, "ooo");
+        expectLanesMatchAos(
+            *prog, models,
+            fmt == matlib::NumericFormat::I16 ? "ooo i16" : "ooo");
     }
 }
 

@@ -4,14 +4,18 @@
  * behaviour (dependency stalls, structural hazards, branch bubbles,
  * dual issue) and OoO greedy-dataflow behaviour (ILP extraction,
  * front-end and ROB limits), plus cross-model ordering properties.
+ * Both engines walk kernel regions in segments; hand-built programs
+ * with every kind of region boundary hold them to the AoS reference.
  * The OoO issue-slot search (SlotMap) is checked against a one-cycle
  * probe, in-order and OoO cycles on the quadrotor solve streams are
- * pinned, and configs the in-order engine cannot run are rejected.
+ * pinned, and configs or uops the engines cannot run are rejected.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -167,6 +171,80 @@ TEST(InOrder, RejectsWidthsTheEngineCannotCount)
               InOrderCore(c).runAos(independentOps(8)).cycles);
 }
 
+TEST(Ooo, ScalarCoreRejectsVectorUops)
+{
+    Program p;
+    p.push(Uop::scalar(UopKind::IntAlu, p.newReg()));
+    p.push(Uop::vec(UopKind::VLoad, p.newVReg(), kNoReg, kNoReg, 8));
+    OooCore boom(OooConfig::boomMedium());
+    EXPECT_DEATH(boom.run(p), "BOOM cores are evaluated scalar-only");
+    EXPECT_DEATH(boom.runAos(p), "BOOM cores are evaluated scalar-only");
+}
+
+TEST(Ooo, RejectsWidthsTheEngineCannotCount)
+{
+    // A zero width never issues or never fetches, an empty ROB never
+    // holds a uop, and an issue width past 255 overflows the per-cycle
+    // claim count of its SlotMap.
+    const char *const msg = "front width and ROB size must be >= 1";
+    for (int bad : {0, -1}) {
+        OooConfig c = OooConfig::boomMedium();
+        c.frontWidth = bad;
+        EXPECT_DEATH(OooCore{c}, msg);
+        c = OooConfig::boomMedium();
+        c.robSize = bad;
+        EXPECT_DEATH(OooCore{c}, msg);
+    }
+    for (int bad : {0, 256}) {
+        OooConfig c = OooConfig::boomMedium();
+        c.intIssue = bad;
+        EXPECT_DEATH(OooCore{c}, msg);
+        c = OooConfig::boomMedium();
+        c.memIssue = bad;
+        EXPECT_DEATH(OooCore{c}, msg);
+        c = OooConfig::boomMedium();
+        c.fpIssue = bad;
+        EXPECT_DEATH(OooCore{c}, msg);
+    }
+    // The limits themselves run, and agree with the AoS loop.
+    OooConfig c = OooConfig::boomMedium();
+    c.frontWidth = 1;
+    c.robSize = 1;
+    c.intIssue = 255;
+    c.memIssue = 255;
+    c.fpIssue = 1;
+    const Program p = independentOps(300);
+    EXPECT_EQ(OooCore(c).run(p).cycles, OooCore(c).runAos(p).cycles);
+    c.frontWidth = 8;
+    c.robSize = 512;
+    c.fpIssue = 255;
+    EXPECT_EQ(OooCore(c).run(p).cycles, OooCore(c).runAos(p).cycles);
+}
+
+TEST(Ooo, RegisterIdsPastTheProgramCountMatchAos)
+{
+    // A hand-built uop may name an id newReg() never handed out; the
+    // engine's ready file then grows mid-pass as runAos's does. Each
+    // engine run gets a new thread, whose scratch starts empty: an
+    // earlier run on this thread may have grown it past every id.
+    Program p;
+    const uint32_t a = p.newReg();
+    p.push(Uop::scalar(UopKind::FpDiv, a));
+    p.push(Uop::scalar(UopKind::FpFma, 5000, a));
+    p.push(Uop::scalar(UopKind::FpFma, 70000, 5000));
+    p.push(Uop::scalar(UopKind::FpAdd, p.newReg(), 70000, 5000));
+    p.push(Uop::scalar(UopKind::FpAdd, p.newReg(), 90000));
+    for (const OooConfig &c :
+         {OooConfig::boomSmall(), OooConfig::boomMega()}) {
+        const OooCore boom(c);
+        TimingResult got;
+        std::thread([&] { got = boom.run(p); }).join();
+        // The divide, then the three dependent FPU ops.
+        EXPECT_EQ(got.cycles, 16u + 3 * 4u) << c.name;
+        EXPECT_EQ(got.cycles, boom.runAos(p).cycles) << c.name;
+    }
+}
+
 TEST(Ooo, ExtractsIlpFromChainPairs)
 {
     // Two interleaved dependent chains: in-order is serialized by
@@ -267,6 +345,159 @@ TEST(Models, RegionAttributionSumsToTotal)
         sum += c;
     EXPECT_LE(sum, r.cycles);
     EXPECT_GE(sum, r.cycles - 8); // only pipeline drain unattributed
+}
+
+/**
+ * Push @p n uops of mixed kinds, each reading @p acc: loads, FMAs,
+ * divides, multiplies, stores and taken branches. The uops that write
+ * a register carry the chain on through @p acc.
+ */
+void
+pushWork(Program &p, uint32_t &acc, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        const uint32_t v = p.newReg();
+        switch (i % 6) {
+          case 0: p.push(Uop::mem(UopKind::Load, v, acc)); break;
+          case 1: p.push(Uop::scalar(UopKind::FpFma, v, acc, acc)); break;
+          case 2: p.push(Uop::scalar(UopKind::FpDiv, v, acc)); break;
+          case 3: p.push(Uop::scalar(UopKind::IntMul, v, acc)); break;
+          case 4: p.push(Uop::mem(UopKind::Store, kNoReg, acc)); continue;
+          default: {
+            Uop br = Uop::scalar(UopKind::Branch, kNoReg, acc);
+            br.taken = 1;
+            p.push(br);
+            continue;
+          }
+        }
+        acc = v;
+    }
+}
+
+/**
+ * Regions at every kind of boundary, the last one ending at the last
+ * uop: an empty region before any uop, unregioned uops, two adjacent
+ * regions, a gap, an empty region right before a region, and a run of
+ * narrow (sew16) uops.
+ */
+Program
+regionsToTheLastUop()
+{
+    Program p;
+    uint32_t acc = p.newReg();
+    p.beginKernel("empty_first");
+    p.endKernel();
+    p.push(Uop::scalar(UopKind::FpMove, acc));
+    pushWork(p, acc, 5);
+    p.beginKernel("a");
+    pushWork(p, acc, 9);
+    p.endKernel();
+    p.beginKernel("b");
+    pushWork(p, acc, 7);
+    p.endKernel();
+    pushWork(p, acc, 4);
+    p.beginKernel("empty_mid");
+    p.endKernel();
+    p.beginKernel("narrow");
+    p.setEmitWidth(16);
+    pushWork(p, acc, 8);
+    p.setEmitWidth(32);
+    p.endKernel();
+    p.beginKernel("last");
+    pushWork(p, acc, 11);
+    p.endKernel();
+    return p;
+}
+
+/** A region from uop 0, a region of one uop, two back-to-back empty
+ *  regions, then trailing unregioned uops and an empty region after
+ *  the last uop. */
+Program
+regionsWithTrailingUops()
+{
+    Program p;
+    uint32_t acc = p.newReg();
+    p.beginKernel("first");
+    p.push(Uop::scalar(UopKind::FpMove, acc));
+    pushWork(p, acc, 12);
+    p.endKernel();
+    p.beginKernel("one");
+    pushWork(p, acc, 1);
+    p.endKernel();
+    p.beginKernel("empty_a");
+    p.endKernel();
+    p.beginKernel("empty_b");
+    p.endKernel();
+    pushWork(p, acc, 3);
+    p.beginKernel("mid");
+    pushWork(p, acc, 6);
+    p.endKernel();
+    pushWork(p, acc, 10);
+    p.beginKernel("empty_after");
+    p.endKernel();
+    return p;
+}
+
+TEST(Models, RegionSegmentsMatchAosAtEveryBoundary)
+{
+    // runAos prices regions from a prefix max over every uop's finish
+    // time; the engines walk them in segments. Each family's runStream
+    // and each lane of a 2-lane batch must agree with it.
+    const InOrderCore rocket(InOrderConfig::rocket());
+    const InOrderCore shuttle(InOrderConfig::shuttle());
+    const OooCore small(OooConfig::boomSmall());
+    const OooCore mega(OooConfig::boomMega());
+    const std::vector<std::vector<const TimingModel *>> families = {
+        {&rocket, &shuttle}, {&small, &mega}};
+    for (const Program &p :
+         {regionsToTheLastUop(), regionsWithTrailingUops()}) {
+        for (const std::vector<const TimingModel *> &pair : families) {
+            const std::vector<TimingResult> batch =
+                pair[0]->runStreamBatch(p.stream(), pair);
+            ASSERT_EQ(batch.size(), 2u);
+            for (size_t k = 0; k < 2; ++k) {
+                const TimingResult want = pair[k]->runAos(p);
+                ASSERT_EQ(want.regionCycles.size(), p.kernels().size());
+                uint64_t sum = 0;
+                for (size_t r = 0; r < p.kernels().size(); ++r) {
+                    const isa::KernelRegion &kr = p.kernels()[r];
+                    if (kr.begin == kr.end) {
+                        EXPECT_EQ(want.regionCycles[r], 0u) << kr.name();
+                    }
+                    sum += want.regionCycles[r];
+                }
+                EXPECT_GT(sum, 0u);
+                EXPECT_LE(sum, want.cycles);
+                const TimingResult single = pair[k]->runStream(p.stream());
+                for (const TimingResult *got : {&single, &batch[k]}) {
+                    const std::string where =
+                        pair[k]->name() +
+                        (got == &single ? " single" : " batch lane");
+                    EXPECT_EQ(got->cycles, want.cycles) << where;
+                    EXPECT_EQ(got->regionCycles, want.regionCycles)
+                        << where;
+                    EXPECT_EQ(got->stats.counters(),
+                              want.stats.counters())
+                        << where;
+                }
+            }
+        }
+    }
+}
+
+TEST(Models, OpenLastRegionPanicsInBothEngines)
+{
+    Program p;
+    uint32_t acc = p.newReg();
+    p.beginKernel("closed");
+    pushWork(p, acc, 4);
+    p.endKernel();
+    p.beginKernel("open");
+    pushWork(p, acc, 4);
+    const InOrderCore rocket(InOrderConfig::rocket());
+    const OooCore boom(OooConfig::boomSmall());
+    EXPECT_DEATH(rocket.runStream(p.stream()), "'open' still open");
+    EXPECT_DEATH(boom.runStream(p.stream()), "'open' still open");
 }
 
 TEST(Models, EmptyProgramIsZeroCycles)

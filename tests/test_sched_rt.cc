@@ -4,7 +4,8 @@
  * (the byte-identity contract for scheduler-free processes), the
  * anytime solver contract (full budget bit-identical, budgets cap
  * iterations), the AnytimeGovernor ladder and its recovery
- * hysteresis, FaultTrace parsing round trips, deterministic ladder
+ * hysteresis, FaultTrace parsing round trips (on hostile truncated and
+ * substituted specs too), deterministic ladder
  * engagement under an injected compute stall, parallel == serial
  * scheduler sweeps under an explicit 4-thread pool, and agreement
  * between RtScheduler's fixed-cost task path and the closed-form
@@ -15,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -362,6 +364,45 @@ TEST(FaultTrace, ParseRoundTrip)
         sched::FaultTrace::parse(t->spec());
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(again->spec(), spec);
+}
+
+TEST(FaultTrace, HostileSpecsRejectedOrRoundTrip)
+{
+    // Every proper prefix of the two valid specs the tests around this
+    // one parse, and every substitution of one byte by one of "@+xc;=:"
+    // or a digit, parses to nullopt or to a trace whose spec() parses
+    // back to itself.
+    auto clean = [](const std::string &text) -> testing::AssertionResult {
+        const std::optional<sched::FaultTrace> t =
+            sched::FaultTrace::parse(text);
+        if (!t)
+            return testing::AssertionSuccess();
+        const std::string canon = t->spec();
+        const std::optional<sched::FaultTrace> again =
+            sched::FaultTrace::parse(canon);
+        if (!again)
+            return testing::AssertionFailure()
+                   << "'" << text << "' -> '" << canon << "' rejected";
+        if (again->spec() != canon)
+            return testing::AssertionFailure()
+                   << "'" << text << "' -> '" << canon << "' -> '"
+                   << again->spec() << "'";
+        return testing::AssertionSuccess();
+    };
+    for (const std::string spec :
+         {"spike@2+1x2.5;task=quad:drop@3.5+0.1;stall@4+0.5c50000",
+          "task=quad:spike@1+2x3;stall@0+1c100"}) {
+        ASSERT_TRUE(sched::FaultTrace::parse(spec).has_value()) << spec;
+        for (size_t n = 0; n < spec.size(); ++n)
+            EXPECT_TRUE(clean(spec.substr(0, n)));
+        for (size_t i = 0; i < spec.size(); ++i) {
+            for (char c : std::string("@+xc;=:7")) {
+                std::string s = spec;
+                s[i] = c;
+                EXPECT_TRUE(clean(s));
+            }
+        }
+    }
 }
 
 TEST(FaultTrace, QueriesRespectWindowAndTaskScope)

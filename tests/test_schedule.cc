@@ -13,7 +13,8 @@
  *
  * Search: deterministic across repeated serial runs and a 4-thread
  * pool; winners round-trip through the SchedSpec codec and the
- * DiskCache "sched" namespace; corrupt blobs (bad envelope bytes or a
+ * DiskCache "sched" namespace; the codec rejects truncated, bit-flipped
+ * and oversized-count payloads; corrupt blobs (bad envelope bytes or a
  * valid envelope holding garbage) are re-searched and overwritten.
  *
  * This binary latches RTOC_SCHED=1 before main so the opt-in layer is
@@ -26,10 +27,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -336,6 +340,58 @@ TEST(SchedSpecCodec, RoundTripAndDigest)
                      .has_value());
     EXPECT_FALSE(isa::decodeSchedSpec("not a sched spec").has_value());
     EXPECT_FALSE(isa::decodeSchedSpec("").has_value());
+}
+
+TEST(SchedSpecCodec, HostilePayloadsRejected)
+{
+    // Every proper prefix of a valid spec with two overrides decodes to
+    // nullopt, and so do step and override counts of 65, 4097 and
+    // 0xFFFFFFFF. A single-bit flip decodes to nullopt or to the spec
+    // whose encoding is the flipped payload.
+    SchedSpec spec;
+    spec.steps = {{isa::SchedKind::Fission, 0},
+                  {isa::SchedKind::Reorder, 8}};
+    spec.overrides.push_back({"fp1", {{isa::SchedKind::Unroll, 2}}});
+    spec.overrides.push_back({"gemv", {}});
+    const std::string good = isa::encodeSchedSpec(spec);
+    ASSERT_TRUE(isa::decodeSchedSpec(good).has_value());
+
+    for (size_t n = 0; n < good.size(); ++n)
+        EXPECT_FALSE(isa::decodeSchedSpec(good.substr(0, n)).has_value())
+            << "prefix " << n;
+    for (size_t bit = 0; bit < 8 * good.size(); ++bit) {
+        std::string flipped = good;
+        flipped[bit / 8] =
+            static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+        const std::optional<SchedSpec> d = isa::decodeSchedSpec(flipped);
+        if (d) {
+            EXPECT_EQ(isa::encodeSchedSpec(*d), flipped) << "bit " << bit;
+        }
+    }
+
+    // u32 version; u32 step count and 3 bytes per step; u32 override
+    // count; per override a u32-length region name and its steps.
+    const size_t steps_at = 4;
+    const size_t ovr_at = steps_at + 4 + 3 * spec.steps.size();
+    const size_t ovr0_steps_at =
+        ovr_at + 4 + 4 + spec.overrides[0].region.size();
+    const size_t ovr1_steps_at = ovr0_steps_at + 4 +
+                                 3 * spec.overrides[0].steps.size() + 4 +
+                                 spec.overrides[1].region.size();
+    ASSERT_EQ(ovr1_steps_at + 4, good.size());
+    const std::pair<size_t, uint32_t> counts[] = {
+        {steps_at, 2}, {ovr_at, 2}, {ovr0_steps_at, 1}, {ovr1_steps_at, 0}};
+    for (const auto &[at, want] : counts) {
+        uint32_t n = 0;
+        std::memcpy(&n, &good[at], sizeof(n));
+        ASSERT_EQ(n, want) << "count at " << at;
+        for (uint32_t bad : {65u, 4097u, 0xFFFFFFFFu}) {
+            std::string hostile = good;
+            std::memcpy(&hostile[at], &bad, sizeof(bad));
+            EXPECT_FALSE(isa::decodeSchedSpec(hostile).has_value())
+                << "count " << bad << " at " << at;
+        }
+    }
 }
 
 TEST(ScheduledStream, MemoDiskRoundTripAndCorruptRegeneration)

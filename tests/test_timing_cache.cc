@@ -4,7 +4,8 @@
  * program/calibration cache: SoA-vs-AoS bit-exact cycle counts on all
  * four timing-model families x mapping styles, column/view fidelity,
  * disk round-trips (cold write -> warm read with zero re-emissions),
- * corrupt and fingerprint-mismatched file rejection, the RTOC_CACHE=0
+ * corrupt, truncated, bit-flipped, oversized and fingerprint-mismatched
+ * file rejection, the RTOC_CACHE=0
  * bypass, the one solve-stream identity shared by calibrations and
  * benches, and registry-driven episode counts.
  */
@@ -17,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -367,6 +369,81 @@ TEST(DiskCache, CorruptFileRejectedAndRegenerated)
         ADD_FAILURE() << "regenerated file must serve the warm read";
     });
     EXPECT_TRUE(samePrograms(*first, *third));
+}
+
+TEST(DiskCache, HostileCalibFilesRejected)
+{
+    // The file of a valid calib entry, then every proper prefix of it,
+    // every single-bit flip, 0xFFFFFFFF in each string-length field and
+    // 2^64-1 in the payload length: each get returns nullopt, counts
+    // one rejection and deletes the file.
+    const std::string dir = makeTempDir();
+    isa::DiskCache disk(dir, "test-fp");
+    hil::ControllerTiming t;
+    t.archName = "shuttle";
+    t.mappingName = "scalar-opt";
+    t.baseCycles = 12345.6789;
+    t.cyclesPerIter = 98765.4321;
+    const cpu::InOrderCore shuttle(cpu::InOrderConfig::shuttle());
+    const matlib::ScalarBackend backend(matlib::ScalarFlavor::Optimized);
+    const std::string ns = "calib";
+    const std::string key = shuttle.cacheKey() + "|" +
+                            backend.cacheKey() + "|style0|nx12|nu4|h10";
+    const std::string payload = hil::encodeTiming(t);
+    disk.put(ns, key, payload);
+    const std::string path = disk.pathFor(ns, key);
+    auto read_file = [&] {
+        std::ifstream f(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(f), {});
+    };
+    auto write_file = [&](const std::string &bytes) {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    };
+    const std::string good = read_file();
+    ASSERT_EQ(disk.get(ns, key), payload);
+
+    uint64_t rejected = disk.stats().rejected;
+    auto expect_rejected = [&](const std::string &bytes,
+                               const std::string &what) {
+        write_file(bytes);
+        EXPECT_FALSE(disk.get(ns, key).has_value()) << what;
+        EXPECT_EQ(disk.stats().rejected, ++rejected) << what;
+        EXPECT_FALSE(std::filesystem::exists(path)) << what;
+    };
+    // An empty file holds no envelope to reject: it reads as a miss,
+    // and the next put replaces it.
+    write_file("");
+    EXPECT_FALSE(disk.get(ns, key).has_value());
+    EXPECT_EQ(disk.stats().misses, 1u);
+    for (size_t n = 1; n < good.size(); ++n)
+        expect_rejected(good.substr(0, n), "prefix " + std::to_string(n));
+    for (size_t bit = 0; bit < 8 * good.size(); ++bit) {
+        std::string flipped = good;
+        flipped[bit / 8] =
+            static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+        expect_rejected(flipped, "bit " + std::to_string(bit));
+    }
+    // The 8-byte magic, then the fingerprint, namespace and key, each a
+    // u32 length and its bytes, then the u64 payload length.
+    size_t at = 8;
+    for (const std::string &str : {std::string("test-fp"), ns, key}) {
+        uint32_t len = 0;
+        std::memcpy(&len, &good[at], sizeof(len));
+        ASSERT_EQ(len, str.size());
+        std::string huge = good;
+        std::memset(&huge[at], 0xff, sizeof(len));
+        expect_rejected(huge, "string length at " + std::to_string(at));
+        at += sizeof(len) + str.size();
+    }
+    uint64_t len = 0;
+    std::memcpy(&len, &good[at], sizeof(len));
+    ASSERT_EQ(len, payload.size());
+    std::string huge = good;
+    std::memset(&huge[at], 0xff, sizeof(len));
+    expect_rejected(huge, "payload length");
+    EXPECT_EQ(disk.stats().hits, 1u);
+    EXPECT_EQ(disk.stats().misses, 1u);
 }
 
 TEST(DiskCache, FingerprintMismatchInvalidates)
