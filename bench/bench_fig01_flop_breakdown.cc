@@ -27,7 +27,7 @@ main()
     for (const auto &region : prog.kernels()) {
         double f = 0.0;
         for (size_t i = region.begin; i < region.end; ++i) {
-            const auto &u = prog.uops()[i];
+            const isa::Uop u = prog.uop(i);
             double per = isa::flopsPerElement(u.kind);
             f += isa::isVector(u.kind) ? per * u.vl : per;
         }

@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the simulator substrate itself:
  * how fast the timing models consume micro-op streams (one model, and
  * eight latency-scaled configs per family replayed one by one or as
- * one batch), how fast the functional solver runs (float32, and per
+ * one batch), what a cold set-up pays to emit a stream and take its
+ * first view, how fast the functional solver runs (float32, and per
  * registry plant at bf16 and i16), and how fast the Riccati recursion
  * runs per registry plant (cold trim solve and warm refresh). These
  * guard the tractability of the HIL sweeps (hundreds of episodes)
@@ -298,16 +299,41 @@ BM_RiccatiWarm(benchmark::State &state)
 }
 BENCHMARK(BM_RiccatiWarm)->DenseRange(0, 3); // the four registry plants
 
+/**
+ * What a cold set-up pays per stream: one emission of the 5-iteration
+ * quadrotor solve plus the first stream() over it, on the scalar
+ * (Library), RVV (Fused) and Gemmini (Library) backends (args 0-2).
+ */
 static void
 BM_EmissionOverhead(benchmark::State &state)
 {
-    matlib::RvvBackend b(512, matlib::RvvMapping::handOptimized());
-    for (auto _ : state) {
-        auto prog =
-            bench::emitQuadSolve(b, tinympc::MappingStyle::Fused, 5);
-        benchmark::DoNotOptimize(prog.size());
+    using tinympc::MappingStyle;
+    std::unique_ptr<matlib::Backend> b;
+    MappingStyle style = MappingStyle::Library;
+    switch (state.range(0)) {
+      case 0:
+        b = std::make_unique<matlib::ScalarBackend>(
+            matlib::ScalarFlavor::Optimized);
+        break;
+      case 1:
+        b = std::make_unique<matlib::RvvBackend>(
+            512, matlib::RvvMapping::handOptimized());
+        style = MappingStyle::Fused;
+        break;
+      default:
+        b = std::make_unique<matlib::GemminiBackend>(
+            matlib::GemminiMapping::fullyOptimized());
+        break;
     }
+    int64_t uops = 0;
+    for (auto _ : state) {
+        const isa::Program prog = bench::emitQuadSolve(*b, style, 5);
+        benchmark::DoNotOptimize(prog.stream().cls);
+        uops = static_cast<int64_t>(prog.size());
+    }
+    state.SetItemsProcessed(state.iterations() * uops);
+    state.SetLabel(b->name());
 }
-BENCHMARK(BM_EmissionOverhead);
+BENCHMARK(BM_EmissionOverhead)->DenseRange(0, 2); // scalar, RVV, Gemmini
 
 BENCHMARK_MAIN();

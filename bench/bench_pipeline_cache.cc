@@ -1,7 +1,7 @@
 /**
  * @file
  * Emission-vs-replay microbench for the trace-cached micro-op
- * pipeline, plus the SoA-vs-AoS timing-replay comparison, the
+ * pipeline, plus the reference-loop-vs-engine replay comparison, the
  * disk-cache warm-start report and a serial-vs-parallel sweep check.
  *
  * Measurements per backend (scalar / RVV / Gemmini):
@@ -9,8 +9,9 @@
  *    stream from scratch (what every solve cost before the cache);
  *  - replay: wall time to fetch the cached stream (a ProgramCache
  *    hit) — the acceptance bar is emit/replay >= 10x;
- *  - aos run: one timing-model pass through the historical AoS loop;
- *  - soa run: the same pass through the columnar UopStreamView path
+ *  - aos run: one timing-model pass through the reference loop
+ *    (runAos, one Uop record at a time);
+ *  - soa run: the same pass through the columnar UopStreamView engine
  *    (decode-once class column + per-run latency tables) — the
  *    replay-throughput bar is an aggregate soa speedup >= 1.5x.
  *
@@ -72,7 +73,7 @@ struct BackendRow
     size_t uops = 0;
     double emitUs = 0.0;
     double replayUs = 0.0;
-    double aosUs = 0.0;   ///< one timing run, historical AoS loop
+    double aosUs = 0.0;   ///< one timing run, runAos reference loop
     double soaUs = 0.0;   ///< one timing run, columnar stream path
     double ratio = 0.0;   ///< emit / replay
     double soaSpeedup = 0.0; ///< aos / soa replay throughput
@@ -103,9 +104,9 @@ measure(const std::string &name, int reps, EmitFn emit, CachedFn cached,
         prog = cached();
     row.replayUs = (nowS() - t0) / replay_reps * 1e6;
 
-    // Timing-replay throughput, historical AoS layout vs the columnar
-    // stream view. Warm both paths once (column build, scratch
-    // growth), then alternate single runs and keep each path's
+    // Timing-replay throughput, the runAos reference loop vs the
+    // columnar engine. Warm both paths once (scratch growth), then
+    // alternate single runs and keep each path's
     // fastest: interleaving at run granularity exposes both loops to
     // the same frequency/scheduler conditions, and the minimum is the
     // standard noise-robust estimator of the loop's true cost.

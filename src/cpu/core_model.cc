@@ -8,8 +8,8 @@ std::vector<uint64_t>
 attributeRegions(const isa::Program &prog,
                  const std::vector<uint64_t> &finish)
 {
-    const auto &uops = prog.uops();
-    if (finish.size() != uops.size())
+    const size_t n = prog.size();
+    if (finish.size() != n)
         rtoc_panic("attributeRegions: finish array size mismatch");
     if (prog.kernelOpen()) {
         rtoc_panic("attributeRegions: kernel region '%s' still open — "
@@ -21,8 +21,8 @@ attributeRegions(const isa::Program &prog,
     // array is thread-local so repeated replays of cached programs do
     // not reallocate it.
     static thread_local std::vector<uint64_t> prefix_max;
-    prefix_max.assign(uops.size() + 1, 0);
-    for (size_t i = 0; i < uops.size(); ++i)
+    prefix_max.assign(n + 1, 0);
+    for (size_t i = 0; i < n; ++i)
         prefix_max[i + 1] = std::max(prefix_max[i], finish[i]);
 
     std::vector<uint64_t> out;

@@ -13,9 +13,10 @@
  * lanes: a family overrides it with an N-lane pass only where that
  * pass beats its N sequential lanes (in-order, Saturn and Gemmini do;
  * OoO does not, and runs its lanes in turn). runAos() keeps each
- * family's cost rules written plainly over the AoS Program::uops(): it
- * is the independent reference every engine lane must match (pinned by
- * tests) and the layout-comparison baseline.
+ * family's cost rules written plainly, walking one Uop record at a
+ * time through Program::uop(i): it is the independent reference every
+ * engine lane must match (pinned by tests) and the reference loop the
+ * replay benches compare against.
  *
  * Models are deterministic and purely analytical over the stream:
  * running the same Program twice gives identical results, which the
@@ -128,11 +129,11 @@ class TimingModel
         const = 0;
 
     /**
-     * AoS reference loop over Program::uops(): the family's cost rules
-     * written plainly, one config at a time. Results are bit-identical
-     * to every lane of runStream and runStreamBatch; kept as the
-     * reference the tests hold the engine to and for the SoA-vs-AoS
-     * replay-throughput bench.
+     * AoS reference loop, one Uop record at a time (Program::uop):
+     * the family's cost rules written plainly, one config at a time.
+     * Results are bit-identical to every lane of runStream and
+     * runStreamBatch; kept as the reference the tests hold the engine
+     * to and as the reference loop of the replay-throughput bench.
      */
     virtual TimingResult runAos(const isa::Program &prog) const = 0;
 

@@ -83,7 +83,7 @@ class InOrderCore : public TimingModel
 
     /**
      * The AoS reference loop behind the runAos of this core, Saturn
-     * and Gemmini: one config over Program::uops(), invoking @p coproc
+     * and Gemmini: one config over Program::uop(i), invoking @p coproc
      * for non-scalar kinds. @p coproc receives the uop, the cycle at
      * which the frontend presents it and the register files, and
      * returns {release, done}: the cycle at which the frontend may

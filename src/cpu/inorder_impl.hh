@@ -13,9 +13,10 @@
  * serves every batch.
  *
  * InOrderCore::runWithCoproc is the AoS reference: the same cost rules
- * written plainly over Program::uops(), one config at a time, with a
- * thread-local scratch reset per run. The runAos entry points of all
- * three families run it, and the tests hold every engine lane to it.
+ * written plainly over one Uop record at a time (Program::uop), one
+ * config at a time, with a thread-local scratch reset per run. The
+ * runAos entry points of all three families run it, and the tests hold
+ * every engine lane to it.
  */
 
 #ifndef RTOC_CPU_INORDER_IMPL_HH
@@ -162,11 +163,11 @@ class LaneQueues
  * The engine's register ready files as a coprocessor unit sees them:
  * lane-interleaved, entry (reg, lane) at base[idx * lanes + lane], so
  * a unit resolves a register once per uop and its lane loop reads one
- * contiguous row. Reads of kNoReg or out-of-range ids get the
- * always-zero row (RegReadyFile semantics); writes to kNoReg land in
- * a sink row, and other writes are asserted in range (the files are
- * sized from the program's register counters). kNoReg masks to
- * 0x7fffffff, past any register counter, so one bound check covers it.
+ * contiguous row. The files are sized from the program's register
+ * counters, which Program::push keeps above every id a uop names, so
+ * the only id past them is kNoReg (it masks to 0x7fffffff): its reads
+ * get the always-zero row (RegReadyFile semantics) and its writes land
+ * in the sink row, with one bound check.
  */
 struct LaneRegFiles
 {
@@ -484,10 +485,10 @@ InOrderCore::runWithCoproc(const isa::Program &prog,
     using isa::UopKind;
 
     TimingResult result;
-    const auto &uops = prog.uops();
+    const size_t n = prog.size();
 
     static thread_local InOrderScratch scratch;
-    scratch.reset(uops.size());
+    scratch.reset(n);
     std::vector<uint64_t> &finish = scratch.finish;
     RegReadyFile &sregs = scratch.sregs;
     RegReadyFile &vregs = scratch.vregs;
@@ -542,8 +543,8 @@ InOrderCore::runWithCoproc(const isa::Program &prog,
         return k == UopKind::Load || k == UopKind::Store;
     };
 
-    for (size_t i = 0; i < uops.size(); ++i) {
-        const Uop &u = uops[i];
+    for (size_t i = 0; i < n; ++i) {
+        const Uop u = prog.uop(i);
 
         if (!isa::isScalar(u.kind)) {
             // Frontend presents the coprocessor instruction: it costs
@@ -605,7 +606,7 @@ InOrderCore::runWithCoproc(const isa::Program &prog,
 
     result.cycles = total;
     result.regionCycles = attributeRegions(prog, finish);
-    result.stats.set(inorder_detail::statIds().uops, uops.size());
+    result.stats.set(inorder_detail::statIds().uops, n);
     result.stats.set(inorder_detail::statIds().stall_data, stall_data);
     result.stats.set(inorder_detail::statIds().stall_struct, stall_struct);
     return result;

@@ -211,13 +211,13 @@ OooCore::runStream(const isa::UopStreamView &v) const
     const uint32_t *const src2_col = v.src2;
 
     // The ready file in locals, which SlotMap's byte stores cannot
-    // alias: ids past its end read 0, as RegReadyFile::readyTime reads
-    // them (kNoReg masks to 0x7fffffff, past any file), and a write
-    // past it grows the file through setReady.
+    // alias. Program::push keeps every id below its file's counter, so
+    // the file covers each id the stream names; kNoReg masks to
+    // 0x7fffffff, past any file, so it reads 0 and its writes drop.
     RegReadyFile &regs = scratch.regs;
-    regs.ensure(prog.scalarRegCount());
-    uint64_t *ready = regs.data();
-    size_t n_ready = regs.size();
+    regs.ensure(std::max(prog.scalarRegCount(), prog.vectorRegCount()));
+    uint64_t *const ready = regs.data();
+    const size_t n_ready = regs.size();
     auto ready_time = [&](uint32_t reg) -> uint64_t {
         const uint32_t idx = reg & 0x7fffffffu;
         return idx < n_ready ? ready[idx] : 0;
@@ -255,14 +255,9 @@ OooCore::runStream(const isa::UopStreamView &v) const
             const uint64_t done =
                 slots[static_cast<size_t>(kPipeOf[c])].claimFrom(t) +
                 lat[c];
-            const uint32_t dst = dst_col[i];
-            if ((dst & 0x7fffffffu) < n_ready) {
-                ready[dst & 0x7fffffffu] = done;
-            } else if (dst != isa::kNoReg) {
-                regs.setReady(dst, done);
-                ready = regs.data();
-                n_ready = regs.size();
-            }
+            const uint32_t dst = dst_col[i] & 0x7fffffffu;
+            if (dst < n_ready)
+                ready[dst] = done;
 
             last_commit = std::max(last_commit, done);
             commit[rob_slot] = last_commit;
@@ -305,12 +300,12 @@ OooCore::runAos(const isa::Program &prog) const
     using isa::Uop;
     using isa::UopKind;
 
-    const auto &uops = prog.uops();
+    const size_t n = prog.size();
     TimingResult result;
 
     OooScratch &scratch = threadScratch();
     scratch.reset(cfg_);
-    scratch.finish.assign(uops.size(), 0);
+    scratch.finish.assign(n, 0);
 
     std::vector<uint64_t> &finish = scratch.finish;
     RegReadyFile &regs = scratch.regs;
@@ -347,8 +342,8 @@ OooCore::runAos(const isa::Program &prog) const
     std::vector<uint64_t> &commit = scratch.commit;
     uint64_t last_commit = 0;
 
-    for (size_t i = 0; i < uops.size(); ++i) {
-        const Uop &u = uops[i];
+    for (size_t i = 0; i < n; ++i) {
+        const Uop u = prog.uop(i);
         if (!isa::isScalar(u.kind)) {
             rtoc_panic("OoO core '%s' given coprocessor uop %s "
                        "(BOOM cores are evaluated scalar-only)",
@@ -381,7 +376,7 @@ OooCore::runAos(const isa::Program &prog) const
 
     result.cycles = total;
     result.regionCycles = attributeRegions(prog, finish);
-    result.stats.set(oooUopsId(), uops.size());
+    result.stats.set(oooUopsId(), n);
     return result;
 }
 

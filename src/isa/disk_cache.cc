@@ -26,6 +26,8 @@ namespace {
 
 constexpr char kMagic[8] = {'R', 'T', 'O', 'C', 'C', 'H', 'E', '1'};
 constexpr uint32_t kProgramPayloadVersion = 1;
+/** Bytes of one uop record in a program payload. */
+constexpr uint64_t kUopRecordBytes = 1 + 4 * 4 + 4 + 2 + 2 + 4 + 2 + 2 + 1;
 
 uint64_t
 fnv1a(const void *data, size_t n, uint64_t h = 0xcbf29ce484222325ull)
@@ -66,12 +68,13 @@ makeDirs(const std::string &dir)
     return true;
 }
 
-std::string
+/** The bytes of @p path, or nullopt when it cannot be opened. */
+std::optional<std::string>
 readFile(const std::string &path)
 {
     FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
-        return {};
+        return std::nullopt;
     std::string out;
     char buf[1 << 16];
     size_t n;
@@ -148,8 +151,8 @@ DiskCache::get(const std::string &ns, const std::string &key) const
         return std::nullopt;
     RTOC_SPAN("disk.get", "cache");
     const std::string path = pathFor(ns, key);
-    std::string file = readFile(path);
-    if (file.empty()) {
+    const std::optional<std::string> file = readFile(path);
+    if (!file) {
         std::lock_guard<std::mutex> lk(mu_);
         ++stats_.misses;
         return std::nullopt;
@@ -162,7 +165,7 @@ DiskCache::get(const std::string &ns, const std::string &key) const
         return std::nullopt;
     };
 
-    Reader r(file);
+    Reader r(*file);
     char magic[sizeof(kMagic)];
     if (r.left < sizeof(magic))
         return reject();
@@ -242,26 +245,35 @@ std::string
 encodeProgram(const Program &prog)
 {
     std::string out;
-    const auto &uops = prog.uops();
+    const UopStreamView v = prog.stream();
     const auto &kernels = prog.kernels();
     putRaw<uint32_t>(out, kProgramPayloadVersion);
-    putRaw<uint64_t>(out, uops.size());
+    putRaw<uint64_t>(out, v.n);
     putRaw<uint64_t>(out, kernels.size());
     putRaw<uint32_t>(out, prog.scalarRegCount());
     putRaw<uint32_t>(out, prog.vectorRegCount());
-    for (const Uop &u : uops) {
-        putRaw<uint8_t>(out, static_cast<uint8_t>(u.kind));
-        putRaw<uint32_t>(out, u.dst);
-        putRaw<uint32_t>(out, u.src0);
-        putRaw<uint32_t>(out, u.src1);
-        putRaw<uint32_t>(out, u.src2);
-        putRaw<uint32_t>(out, u.vl);
-        putRaw<uint16_t>(out, u.sew);
-        putRaw<uint16_t>(out, u.lmul8);
-        putRaw<uint32_t>(out, u.bytes);
-        putRaw<uint16_t>(out, u.rows);
-        putRaw<uint16_t>(out, u.cols);
-        putRaw<uint8_t>(out, u.taken);
+    // The records have a fixed size: size the payload once, then
+    // store each field (its column's type) in turn.
+    const size_t at = out.size();
+    out.resize(at + v.n * kUopRecordBytes);
+    char *p = &out[at];
+    auto put = [&p](auto field) {
+        std::memcpy(p, &field, sizeof(field));
+        p += sizeof(field);
+    };
+    for (size_t i = 0; i < v.n; ++i) {
+        put(static_cast<uint8_t>(v.kind[i]));
+        put(v.dst[i]);
+        put(v.src0[i]);
+        put(v.src1[i]);
+        put(v.src2[i]);
+        put(v.vl[i]);
+        put(v.sew[i]);
+        put(v.lmul8[i]);
+        put(v.bytes[i]);
+        put(v.rows[i]);
+        put(v.cols[i]);
+        put(v.taken[i]);
     }
     // Regions carry their *names*: interned ids are process-local.
     for (const KernelRegion &k : kernels) {
@@ -287,8 +299,6 @@ decodeProgram(const std::string &payload)
 
     // Guard against absurd counts before allocating (divide, not
     // multiply: a crafted 64-bit count must not overflow the check).
-    constexpr uint64_t kUopRecordBytes = 1 + 4 * 4 + 4 + 2 + 2 + 4 +
-                                         2 + 2 + 1;
     constexpr uint64_t kKernelRecordBytes = 4 + 8 + 8; // min (name "")
     if (n_uops > r.left / kUopRecordBytes)
         return std::nullopt;
@@ -310,8 +320,12 @@ decodeProgram(const std::string &payload)
         return reg < next_reg;
     };
 
-    std::vector<Uop> uops(static_cast<size_t>(n_uops));
-    for (Uop &u : uops) {
+    // Records are pushed at the default emit width, which stamps
+    // nothing: they already carry their widths.
+    Program prog;
+    prog.reserve(static_cast<size_t>(n_uops), 0);
+    for (uint64_t i = 0; i < n_uops; ++i) {
+        Uop u;
         u.kind = static_cast<UopKind>(r.raw<uint8_t>());
         u.dst = r.raw<uint32_t>();
         u.src0 = r.raw<uint32_t>();
@@ -331,6 +345,7 @@ decodeProgram(const std::string &payload)
             !reg_ok(u.src2)) {
             return std::nullopt;
         }
+        prog.push(u);
     }
 
     std::vector<KernelRegion> kernels;
@@ -352,8 +367,8 @@ decodeProgram(const std::string &payload)
     if (r.left != 0)
         return std::nullopt;
 
-    return Program::assemble(std::move(uops), std::move(kernels),
-                             next_reg, next_vreg);
+    prog.assemble(std::move(kernels), next_reg, next_vreg);
+    return prog;
 }
 
 } // namespace rtoc::isa

@@ -74,9 +74,10 @@ class DiskCache
 
     /**
      * Payload stored under (@p ns, @p key); nullopt on miss. A file
-     * that fails validation (bad magic, foreign fingerprint, key
-     * collision, checksum mismatch) is deleted so the caller's
-     * regeneration overwrites it.
+     * that fails validation (empty or truncated, bad magic, foreign
+     * fingerprint, key collision, checksum mismatch) is deleted and
+     * counted in `rejected`, so the caller's regeneration overwrites
+     * it.
      */
     std::optional<std::string> get(const std::string &ns,
                                    const std::string &key) const;

@@ -59,165 +59,87 @@ kernelName(KernelId id)
     return in.names[id];
 }
 
-uint64_t
-Program::nextId()
-{
-    static std::atomic<uint64_t> counter{1};
-    return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-Program::Program(const Program &o)
-    : uops_(o.uops_), kernels_(o.kernels_), next_reg_(o.next_reg_),
-      next_vreg_(o.next_vreg_), emit_sew_(o.emit_sew_),
-      kernel_open_(o.kernel_open_)
-{
-}
-
-Program &
-Program::operator=(const Program &o)
-{
-    if (this == &o)
-        return *this;
-    uops_ = o.uops_;
-    kernels_ = o.kernels_;
-    next_reg_ = o.next_reg_;
-    next_vreg_ = o.next_vreg_;
-    emit_sew_ = o.emit_sew_;
-    kernel_open_ = o.kernel_open_;
-    invalidateColumns();
-    return *this;
-}
-
-Program::Program(Program &&o) noexcept
-    : uops_(std::move(o.uops_)), kernels_(std::move(o.kernels_)),
-      next_reg_(o.next_reg_), next_vreg_(o.next_vreg_),
-      emit_sew_(o.emit_sew_), kernel_open_(o.kernel_open_)
-{
-    o.invalidateColumns();
-}
-
-Program &
-Program::operator=(Program &&o) noexcept
-{
-    if (this == &o)
-        return *this;
-    uops_ = std::move(o.uops_);
-    kernels_ = std::move(o.kernels_);
-    next_reg_ = o.next_reg_;
-    next_vreg_ = o.next_vreg_;
-    emit_sew_ = o.emit_sew_;
-    kernel_open_ = o.kernel_open_;
-    invalidateColumns();
-    o.invalidateColumns();
-    return *this;
-}
-
-void
-Program::invalidateColumns()
-{
-    cols_valid_.store(false, std::memory_order_release);
-}
-
 UopStreamView
-Program::makeView() const
+Program::stream() const
 {
-    const UopColumns &c = *cols_;
     UopStreamView v;
-    v.n = c.kind.size();
-    v.kind = c.kind.data();
-    v.cls = c.cls.data();
-    v.dst = c.dst.data();
-    v.src0 = c.src0.data();
-    v.src1 = c.src1.data();
-    v.src2 = c.src2.data();
-    v.vl = c.vl.data();
-    v.sew = c.sew.data();
-    v.lmul8 = c.lmul8.data();
-    v.bytes = c.bytes.data();
-    v.rows = c.rows.data();
-    v.cols = c.cols.data();
-    v.taken = c.taken.data();
+    v.n = size();
+    v.kind = cols_.kind.data();
+    v.cls = cols_.cls.data();
+    v.dst = cols_.dst.data();
+    v.src0 = cols_.src0.data();
+    v.src1 = cols_.src1.data();
+    v.src2 = cols_.src2.data();
+    v.vl = cols_.vl.data();
+    v.sew = cols_.sew.data();
+    v.lmul8 = cols_.lmul8.data();
+    v.bytes = cols_.bytes.data();
+    v.rows = cols_.rows.data();
+    v.cols = cols_.cols.data();
+    v.taken = cols_.taken.data();
     v.program = this;
     return v;
 }
 
-UopStreamView
-Program::stream() const
+Uop
+Program::uop(size_t i) const
 {
-    // Fast path: columns already mirror the stream. The acquire pairs
-    // with the release below so a replay thread that observes the
-    // flag also observes the filled arrays.
-    if (cols_valid_.load(std::memory_order_acquire))
-        return makeView();
-
-    std::lock_guard<std::mutex> lk(cols_mu_);
-    if (!cols_valid_.load(std::memory_order_relaxed)) {
-        if (!cols_)
-            cols_ = std::make_unique<UopColumns>();
-        UopColumns &c = *cols_;
-        const size_t n = uops_.size();
-        c.kind.resize(n);
-        c.cls.resize(n);
-        c.dst.resize(n);
-        c.src0.resize(n);
-        c.src1.resize(n);
-        c.src2.resize(n);
-        c.vl.resize(n);
-        c.sew.resize(n);
-        c.lmul8.resize(n);
-        c.bytes.resize(n);
-        c.rows.resize(n);
-        c.cols.resize(n);
-        c.taken.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-            const Uop &u = uops_[i];
-            c.kind[i] = u.kind;
-            c.cls[i] = decodeClass(u.kind, u.sew);
-            c.dst[i] = u.dst;
-            c.src0[i] = u.src0;
-            c.src1[i] = u.src1;
-            c.src2[i] = u.src2;
-            c.vl[i] = u.vl;
-            c.sew[i] = u.sew;
-            c.lmul8[i] = u.lmul8;
-            c.bytes[i] = u.bytes;
-            c.rows[i] = u.rows;
-            c.cols[i] = u.cols;
-            c.taken[i] = u.taken;
-        }
-        cols_valid_.store(true, std::memory_order_release);
-    }
-    return makeView();
+    Uop u;
+    u.kind = cols_.kind[i];
+    u.dst = cols_.dst[i];
+    u.src0 = cols_.src0[i];
+    u.src1 = cols_.src1[i];
+    u.src2 = cols_.src2[i];
+    u.vl = cols_.vl[i];
+    u.sew = cols_.sew[i];
+    u.lmul8 = cols_.lmul8[i];
+    u.bytes = cols_.bytes[i];
+    u.rows = cols_.rows[i];
+    u.cols = cols_.cols[i];
+    u.taken = cols_.taken[i];
+    return u;
 }
 
-Program
-Program::assemble(std::vector<Uop> uops, std::vector<KernelRegion> kernels,
-                  uint32_t next_reg, uint32_t next_vreg)
+void
+Program::assemble(std::vector<KernelRegion> kernels, uint32_t next_reg,
+                  uint32_t next_vreg)
 {
-    Program p;
-    p.uops_ = std::move(uops);
-    p.kernels_ = std::move(kernels);
-    p.next_reg_ = next_reg;
-    p.next_vreg_ = next_vreg;
-    return p;
+    rtoc_assert(kernels_.empty() && !kernel_open_);
+    kernels_ = std::move(kernels);
+    next_reg_ = std::max(next_reg_, next_reg);
+    next_vreg_ = std::max(next_vreg_, next_vreg);
 }
 
 size_t
 Program::push(const Uop &u)
 {
+    uint16_t sew = u.sew;
+    uint32_t bytes = u.bytes;
     if (emit_sew_ != 32) {
-        Uop w = u;
-        w.sew = emit_sew_;
-        if (w.bytes)
-            w.bytes = std::max<uint32_t>(
-                1, w.bytes * emit_sew_ / 32);
-        uops_.push_back(w);
-    } else {
-        uops_.push_back(u);
+        sew = emit_sew_;
+        if (bytes)
+            bytes = std::max<uint32_t>(1, bytes * emit_sew_ / 32);
     }
-    if (cols_valid_.load(std::memory_order_relaxed))
-        invalidateColumns();
-    return uops_.size() - 1;
+    cols_.kind.push_back(u.kind);
+    cols_.cls.push_back(decodeClass(u.kind, sew));
+    cols_.dst.push_back(u.dst);
+    cols_.src0.push_back(u.src0);
+    cols_.src1.push_back(u.src1);
+    cols_.src2.push_back(u.src2);
+    cols_.vl.push_back(u.vl);
+    cols_.sew.push_back(sew);
+    cols_.lmul8.push_back(u.lmul8);
+    cols_.bytes.push_back(bytes);
+    cols_.rows.push_back(u.rows);
+    cols_.cols.push_back(u.cols);
+    cols_.taken.push_back(u.taken);
+    for (uint32_t reg : {u.dst, u.src0, u.src1, u.src2}) {
+        if (reg == kNoReg)
+            continue;
+        uint32_t &next = isVReg(reg) ? next_vreg_ : next_reg_;
+        next = std::max(next, (reg & ~kVRegBit) + 1);
+    }
+    return size() - 1;
 }
 
 void
@@ -232,7 +154,7 @@ Program::setEmitWidth(uint16_t sew_bits)
 void
 Program::reserve(size_t uop_capacity, size_t region_capacity)
 {
-    uops_.reserve(uop_capacity);
+    cols_.each([&](auto &col) { col.reserve(uop_capacity); });
     kernels_.reserve(region_capacity);
 }
 
@@ -246,7 +168,7 @@ Program::beginKernel(KernelId id)
                    kernelName(kernels_.back().id).c_str());
     }
     kernel_open_ = true;
-    kernels_.push_back({id, uops_.size(), uops_.size()});
+    kernels_.push_back({id, size(), size()});
 }
 
 void
@@ -255,29 +177,25 @@ Program::endKernel()
     if (!kernel_open_)
         rtoc_panic("endKernel: no region open");
     kernel_open_ = false;
-    kernels_.back().end = uops_.size();
+    kernels_.back().end = size();
 }
 
 double
 Program::flops() const
 {
     double total = 0.0;
-    for (const auto &u : uops_) {
-        double per = flopsPerElement(u.kind);
+    for (size_t i = 0; i < size(); ++i) {
+        const UopKind k = cols_.kind[i];
+        const double per = flopsPerElement(k); // 0 for RoccCompute
         if (per == 0.0)
             continue;
-        if (isVector(u.kind))
-            total += per * static_cast<double>(u.vl);
-        else if (u.kind == UopKind::RoccCompute)
-            total += 0.0; // counted explicitly below
-        else
-            total += per;
+        total += isVector(k) ? per * static_cast<double>(cols_.vl[i]) : per;
     }
     // Systolic compute: rows x cols tile MACs against mesh operand.
-    for (const auto &u : uops_) {
-        if (u.kind == UopKind::RoccCompute) {
-            total += 2.0 * static_cast<double>(u.rows) *
-                     static_cast<double>(u.cols);
+    for (size_t i = 0; i < size(); ++i) {
+        if (cols_.kind[i] == UopKind::RoccCompute) {
+            total += 2.0 * static_cast<double>(cols_.rows[i]) *
+                     static_cast<double>(cols_.cols[i]);
         }
     }
     return total;
@@ -286,31 +204,22 @@ Program::flops() const
 size_t
 Program::countScalar() const
 {
-    size_t n = 0;
-    for (const auto &u : uops_)
-        if (isScalar(u.kind))
-            ++n;
-    return n;
+    return static_cast<size_t>(
+        std::count_if(cols_.kind.begin(), cols_.kind.end(), isScalar));
 }
 
 size_t
 Program::countVector() const
 {
-    size_t n = 0;
-    for (const auto &u : uops_)
-        if (isVector(u.kind))
-            ++n;
-    return n;
+    return static_cast<size_t>(
+        std::count_if(cols_.kind.begin(), cols_.kind.end(), isVector));
 }
 
 size_t
 Program::countRocc() const
 {
-    size_t n = 0;
-    for (const auto &u : uops_)
-        if (isRocc(u.kind))
-            ++n;
-    return n;
+    return static_cast<size_t>(
+        std::count_if(cols_.kind.begin(), cols_.kind.end(), isRocc));
 }
 
 void
@@ -320,9 +229,8 @@ Program::clear()
         rtoc_panic("Program::clear with kernel region '%s' still open",
                    kernelName(kernels_.back().id).c_str());
     }
-    uops_.clear();
+    cols_.each([](auto &col) { col.clear(); });
     kernels_.clear();
-    invalidateColumns();
 }
 
 std::vector<KernelCycles>

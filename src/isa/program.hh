@@ -13,21 +13,17 @@
  * and capacity-reserved, so replaying a cached Program touches no
  * allocator.
  *
- * Storage is dual-mode: emitters append AoS Uop records through the
- * unchanged push() API, and the first stream() call transposes the
- * stream into a columnar (SoA) store — including the decoded class
- * column — that every TimingModel replay reads through a
- * UopStreamView. The transpose happens once per Program (identified
- * by id()), no matter how many models or threads replay it.
+ * The stream is stored once, as columns (UopColumns): push() appends
+ * one element to each column, including the decoded class byte, and
+ * stream() hands every TimingModel replay a UopStreamView of them.
+ * uop(i) reads one record back for the cold paths (the AoS reference
+ * loops, the encoder, the scheduler).
  */
 
 #ifndef RTOC_ISA_PROGRAM_HH
 #define RTOC_ISA_PROGRAM_HH
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,7 +56,10 @@ struct KernelRegion
     const std::string &name() const { return kernelName(id); }
 };
 
-/** Backing arrays of the columnar storage mode (built lazily). */
+/**
+ * The columns of a Program's stream, one element per uop: the Uop
+ * fields plus cls, decodeClass(kind, sew).
+ */
 struct UopColumns
 {
     std::vector<UopKind> kind;
@@ -71,24 +70,32 @@ struct UopColumns
     std::vector<uint32_t> bytes;
     std::vector<uint16_t> rows, cols;
     std::vector<uint8_t> taken;
+
+    /** Call @p f on every column. */
+    template <typename F>
+    void
+    each(F &&f)
+    {
+        f(kind);
+        f(cls);
+        f(dst);
+        f(src0);
+        f(src1);
+        f(src2);
+        f(vl);
+        f(sew);
+        f(lmul8);
+        f(bytes);
+        f(rows);
+        f(cols);
+        f(taken);
+    }
 };
 
 /** Ordered micro-op stream plus region markers and counters. */
 class Program
 {
   public:
-    Program() = default;
-
-    /**
-     * Copies/moves carry the stream and counters; the lazily-built
-     * column store is rebuilt on demand by the destination (copies
-     * get a fresh id — column memoization is per object).
-     */
-    Program(const Program &o);
-    Program &operator=(const Program &o);
-    Program(Program &&o) noexcept;
-    Program &operator=(Program &&o) noexcept;
-
     /** Allocate a fresh scalar virtual register. */
     uint32_t newReg() { return next_reg_++; }
 
@@ -101,7 +108,12 @@ class Program
         return reg != kNoReg && (reg & kVRegBit) != 0;
     }
 
-    /** Append one micro-op, returning its index. */
+    /**
+     * Append one micro-op, returning its index. Raises
+     * scalarRegCount() and vectorRegCount() past every register id the
+     * uop names, ids newReg() never handed out included, so replay can
+     * size its register files from the counters.
+     */
     size_t push(const Uop &u);
 
     /**
@@ -109,8 +121,8 @@ class Program
      * sets each uop's sew and scales its byte count by sew/32 (memory
      * traffic shrinks with the element). The default 32 leaves pushed
      * uops exactly as built — the float32 streams are byte-identical
-     * to the pre-format-axis ones. assemble() bypasses this (decoded
-     * streams already carry their widths).
+     * to the pre-format-axis ones — which is how the decoder and the
+     * scheduler append records that already carry their widths.
      */
     void setEmitWidth(uint16_t sew_bits);
     uint16_t emitWidth() const { return emit_sew_; }
@@ -137,28 +149,25 @@ class Program
     /** True while a kernel region is open. */
     bool kernelOpen() const { return kernel_open_; }
 
-    /** All micro-ops in program order. */
-    const std::vector<Uop> &uops() const { return uops_; }
+    /** Micro-op @p i as a record (cold path: one read per column). */
+    Uop uop(size_t i) const;
 
     /**
-     * Columnar view of the stream. The SoA store (and the decoded
-     * class column) is built on first use and cached until the next
-     * mutation; safe to call concurrently from replay threads on a
-     * frozen Program. Pointers in the returned view stay valid while
-     * this Program is alive and unmodified.
+     * Columnar view of the stream. Pointers in the returned view stay
+     * valid while this Program is alive and unmodified; concurrent
+     * replays of a frozen Program share them.
      */
     UopStreamView stream() const;
 
-    /** Process-unique identity of this object (column-memo key). */
-    uint64_t id() const { return id_; }
-
     /**
-     * Rebuild a Program from decoded parts (the disk-cache loader).
-     * Regions must already be validated (ordered, in bounds).
+     * Install the regions and register counters of a stream whose
+     * records were pushed at the default emit width (the disk-cache
+     * loader, the scheduler). Regions must already be validated
+     * (ordered, in bounds), the Program must have none yet, and the
+     * counters only rise.
      */
-    static Program assemble(std::vector<Uop> uops,
-                            std::vector<KernelRegion> kernels,
-                            uint32_t next_reg, uint32_t next_vreg);
+    void assemble(std::vector<KernelRegion> kernels, uint32_t next_reg,
+                  uint32_t next_vreg);
 
     /** Closed kernel regions in program order. */
     const std::vector<KernelRegion> &kernels() const { return kernels_; }
@@ -181,27 +190,17 @@ class Program
     void clear();
 
     /** Number of uops. */
-    size_t size() const { return uops_.size(); }
+    size_t size() const { return cols_.kind.size(); }
 
   private:
     static constexpr uint32_t kVRegBit = 0x80000000u;
 
-    static uint64_t nextId();
-    void invalidateColumns();
-    UopStreamView makeView() const; ///< requires cols_ to be built
-
-    std::vector<Uop> uops_;
+    UopColumns cols_;
     std::vector<KernelRegion> kernels_;
     uint32_t next_reg_ = 1;
     uint32_t next_vreg_ = 1;
     uint16_t emit_sew_ = 32;
     bool kernel_open_ = false;
-    uint64_t id_ = nextId();
-
-    /** Lazily-built SoA mirror of uops_ (see stream()). */
-    mutable std::unique_ptr<UopColumns> cols_;
-    mutable std::mutex cols_mu_;
-    mutable std::atomic<bool> cols_valid_{false};
 };
 
 /**

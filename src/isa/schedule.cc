@@ -34,8 +34,8 @@ struct DepDag
 DepDag
 buildDag(const Program &base)
 {
-    const std::vector<Uop> &uops = base.uops();
-    const size_t n = uops.size();
+    const UopStreamView v = base.stream();
+    const size_t n = v.n;
     DepDag dag;
     dag.succs.assign(n, {});
 
@@ -64,10 +64,9 @@ buildDag(const Program &base)
     std::vector<uint32_t> loads_since_store;
 
     for (uint32_t i = 0; i < n; ++i) {
-        const Uop &u = uops[i];
-        const uint8_t cls = decodeClass(u.kind);
+        const uint8_t cls = v.cls[i];
 
-        for (uint32_t r : {u.src0, u.src1, u.src2}) {
+        for (uint32_t r : {v.src0[i], v.src1[i], v.src2[i]}) {
             if (r == kNoReg)
                 continue;
             const int f = Program::isVReg(r) ? 1 : 0;
@@ -77,9 +76,10 @@ buildDag(const Program &base)
             add_edge(last_w[f][idx], i); // RAW
             readers[f][idx].push_back(i);
         }
-        if (u.dst != kNoReg) {
-            const int f = Program::isVReg(u.dst) ? 1 : 0;
-            const uint32_t idx = u.dst & 0x7fffffffu;
+        const uint32_t dst = v.dst[i];
+        if (dst != kNoReg) {
+            const int f = Program::isVReg(dst) ? 1 : 0;
+            const uint32_t idx = dst & 0x7fffffffu;
             if (idx < last_w[f].size()) {
                 add_edge(last_w[f][idx], i); // WAW
                 for (uint32_t rd : readers[f][idx])
@@ -403,12 +403,11 @@ applySchedule(const Program &base, const SchedSpec &spec)
         std::copy(ord.begin(), ord.end(), res.perm.begin() + r.begin);
     }
 
-    std::vector<Uop> uops(n);
+    res.prog.reserve(n, 0);
     for (size_t i = 0; i < n; ++i)
-        uops[i] = base.uops()[res.perm[i]];
-    res.prog = Program::assemble(std::move(uops), base.kernels(),
-                                 base.scalarRegCount(),
-                                 base.vectorRegCount());
+        res.prog.push(base.uop(res.perm[i]));
+    res.prog.assemble(base.kernels(), base.scalarRegCount(),
+                      base.vectorRegCount());
     return res;
 }
 
@@ -452,15 +451,8 @@ verifySchedule(const Program &base, const Program &sched,
 
     // Field-wise uop identity through the permutation.
     for (size_t i = 0; i < n; ++i) {
-        const Uop &a = sched.uops()[i];
-        const Uop &b = base.uops()[perm[i]];
-        if (a.kind != b.kind || a.dst != b.dst || a.src0 != b.src0 ||
-            a.src1 != b.src1 || a.src2 != b.src2 || a.vl != b.vl ||
-            a.sew != b.sew || a.lmul8 != b.lmul8 ||
-            a.bytes != b.bytes || a.rows != b.rows ||
-            a.cols != b.cols || a.taken != b.taken) {
+        if (sched.uop(i) != base.uop(perm[i]))
             return fail(csprintf("uop %zu payload diverged", i));
-        }
     }
 
     // Observed-writer oracle on the base program: for each uop, the
@@ -480,7 +472,7 @@ verifySchedule(const Program &base, const Program &sched,
         last_w[1].assign(base.vectorRegCount(), kNone);
         uint32_t last_store = kNone;
         for (uint32_t i = 0; i < n; ++i) {
-            const Uop &u = base.uops()[i];
+            const Uop u = base.uop(i);
             const uint32_t srcs[3] = {u.src0, u.src1, u.src2};
             for (int s = 0; s < 3; ++s) {
                 if (srcs[s] == kNoReg)
@@ -518,7 +510,7 @@ verifySchedule(const Program &base, const Program &sched,
     uint32_t last_branch = kNone;
     for (size_t i = 0; i < n; ++i) {
         const uint32_t o = perm[i];
-        const Uop &u = base.uops()[o];
+        const Uop u = base.uop(o);
         const uint32_t srcs[3] = {u.src0, u.src1, u.src2};
         for (int s = 0; s < 3; ++s) {
             if (srcs[s] == kNoReg)

@@ -103,6 +103,17 @@ struct Uop
     /** Taken-branch hint: 1 adds the front-end redirect bubble. */
     uint8_t taken = 0;
 
+    /** Field-wise equality. */
+    bool
+    operator==(const Uop &o) const
+    {
+        return kind == o.kind && dst == o.dst && src0 == o.src0 &&
+               src1 == o.src1 && src2 == o.src2 && vl == o.vl &&
+               sew == o.sew && lmul8 == o.lmul8 && bytes == o.bytes &&
+               rows == o.rows && cols == o.cols && taken == o.taken;
+    }
+    bool operator!=(const Uop &o) const { return !(*this == o); }
+
     /** Scalar op helper. */
     static Uop scalar(UopKind k, uint32_t dst, uint32_t s0 = kNoReg,
                       uint32_t s1 = kNoReg, uint32_t s2 = kNoReg);

@@ -5,17 +5,20 @@
  *
  * The per-uop timing loops replay ~1e5-uop streams millions of times
  * across the scenario grid; striding over fat AoS Uop structs pays for
- * every field whether or not the model reads it. A UopStreamView
- * exposes the stream as parallel arrays so each model touches only the
- * columns it needs — the scalar pipelines read kind/class/registers
- * (~17 of 32 bytes per uop), the accelerator wrappers additionally
- * read their element-count/size columns for coprocessor ops only.
+ * every field whether or not the model reads it. A Program stores its
+ * stream only as columns, and a UopStreamView exposes them as parallel
+ * arrays, so each model touches only the columns it needs — the
+ * scalar pipelines read kind/class/registers (~17 of 35 bytes per
+ * uop), the accelerator wrappers additionally read their
+ * element-count/size columns for coprocessor ops only. Taking a view
+ * copies pointers: nothing is built or locked.
  *
  * The `cls` column is the shared batched frontend: decodeClass() folds
  * the per-uop kind switches (is-scalar, FPU/mem-port usage, latency
- * family) into one byte, computed once per cached Program and reused
- * by every TimingModel run over it. Models turn the latency class into
- * cycles through a small per-run table built from their config.
+ * family) into one byte, computed once when the uop is pushed and
+ * reused by every TimingModel run over it. Models turn the latency
+ * class into cycles through a small per-run table built from their
+ * config.
  */
 
 #ifndef RTOC_ISA_UOP_STREAM_HH
@@ -91,7 +94,7 @@ struct UopStreamView
 {
     size_t n = 0;
     const UopKind *kind = nullptr;
-    const uint8_t *cls = nullptr; ///< decodeClass(kind[i]), precomputed
+    const uint8_t *cls = nullptr; ///< decodeClass(kind[i], sew[i])
     const uint32_t *dst = nullptr;
     const uint32_t *src0 = nullptr;
     const uint32_t *src1 = nullptr;

@@ -31,8 +31,8 @@
  * every call: packed:: at F32, the out-of-line fx:: kernels at the
  * narrow formats. Bf16 compiles only fx::gemvBf16<M, N>, inline. The
  * solver picks one instantiation of its passes per solve from the
- * format, so its bf16 passes inline the bf16 kernels while its f32
- * passes compile exactly as the Dynamic ones always have (see
+ * format, so its host bf16 passes inline the bf16 kernels while its
+ * f32 passes compile exactly as the Dynamic ones always have (see
  * Solver::solve). gemvT stays Dynamic.
  *
  * Narrow matrix operands: an fx:: kernel reads the quantized copy of

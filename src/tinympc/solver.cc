@@ -514,10 +514,11 @@ Solver::checkResiduals(SolveResult &res)
     return withinTolerance(res, ws_.settings);
 }
 
-template <int NX, int NU, matlib::Datapath P>
+template <int NX, int NU>
 void
 Solver::iterate(int bound, const Operands &op, SolveResult &res)
 {
+    constexpr matlib::Datapath P = matlib::Datapath::Dynamic;
     for (int iter = 1; iter <= bound; ++iter) {
         forwardPass<NX, NU, P>(op);
         updateSlack();
@@ -574,17 +575,14 @@ Solver::iterateAt(int bound, const Operands &op, SolveResult &res)
 {
     using matlib::Datapath;
     const matlib::NumericFormat f = backend_.format();
-    const bool host = !backend_.program();
-    if (f == matlib::NumericFormat::BF16) {
-        if (host)
-            iterateHost<NX, NU, Datapath::Bf16>(bound, op, res);
-        else
-            iterate<NX, NU, Datapath::Bf16>(bound, op, res);
-    } else if (f == matlib::NumericFormat::F32 && host) {
+    if (backend_.program())
+        iterate<NX, NU>(bound, op, res);
+    else if (f == matlib::NumericFormat::BF16)
+        iterateHost<NX, NU, Datapath::Bf16>(bound, op, res);
+    else if (f == matlib::NumericFormat::F32)
         iterateHost<NX, NU, Datapath::Dynamic>(bound, op, res);
-    } else {
-        iterate<NX, NU, Datapath::Dynamic>(bound, op, res);
-    }
+    else
+        iterate<NX, NU>(bound, op, res);
 }
 
 Solver::Operands
@@ -629,8 +627,8 @@ Solver::solve(int max_iters)
 
     // The registry plants' shapes run fixed-shape gemvs; any other
     // shape runs the same passes with run-time dimensions. Each shape
-    // has host f32 and bf16 loops, an emitting bf16 one and an
-    // emitting f32 / int one (iterateAt).
+    // has host f32 and bf16 loops and an emitting / int one
+    // (iterateAt).
     const Operands op = operands();
     atPlantShape(ws_.nx, ws_.nu, [&](auto NX, auto NU) {
         iterateAt<NX, NU>(bound, op, res);

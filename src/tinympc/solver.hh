@@ -130,32 +130,31 @@ class Solver
     void checkFusedEmission() const;
 
     /**
-     * Up to @p bound ADMM iterations at plant shape <NX, NU> (nx, nu)
-     * on datapath P, every stage a Backend call: solve() instantiates
-     * it for each registry plant's shape (common/plant_shapes.hh),
-     * whose passes then run fixed-shape gemvs, and at <0, 0> (run-time
-     * dimensions) for any other shape; P is Bf16 on a bf16 backend,
-     * whose passes then inline the bf16 kernels, and Dynamic otherwise
-     * (the f32 passes, and the out-of-line int kernels). Every
-     * instantiation computes the same values and calls the same
-     * emission hooks in the same order.
+     * Up to @p bound ADMM iterations at plant shape <NX, NU> (nx, nu),
+     * every stage a Backend call on the Dynamic datapath: solve()
+     * instantiates it for each registry plant's shape
+     * (common/plant_shapes.hh), whose passes then run fixed-shape
+     * gemvs, and at <0, 0> (run-time dimensions) for any other shape.
+     * It runs every emitting solve (emission reads shapes only, and
+     * the Dynamic bf16 kernels compute the inline ones' values) and
+     * every host int solve. Every instantiation computes the same
+     * values and calls the same emission hooks in the same order.
      */
-    template <int NX, int NU, matlib::Datapath P>
+    template <int NX, int NU>
     void iterate(int bound, const Operands &op, SolveResult &res);
 
     /**
-     * iterate<NX, NU, P> for a host float32 (P Dynamic) or bfloat16
-     * (P Bf16) solve: the same forward and backward passes and the same
-     * values, with the elementwise stages fused into
-     * hostElementwisePass. Emits nothing.
+     * iterate<NX, NU> for a host float32 (P Dynamic) or bfloat16
+     * (P Bf16, whose passes inline the bf16 kernels) solve: the same
+     * forward and backward passes and the same values, with the
+     * elementwise stages fused into hostElementwisePass. Emits nothing.
      */
     template <int NX, int NU, matlib::Datapath P>
     void iterateHost(int bound, const Operands &op, SolveResult &res);
 
     /**
      * The loop for the backend's format and Program, picked once per
-     * solve: iterateHost for a host f32 or bf16 solve, iterate<NX, NU,
-     * Bf16> for an emitting bf16 one, iterate<NX, NU, Dynamic>
+     * solve: iterateHost for a host f32 or bf16 solve, iterate<NX, NU>
      * otherwise.
      */
     template <int NX, int NU>

@@ -228,7 +228,7 @@ class SaturnUnit
             const uint64_t *r0 = v0 ? rf.vrow(src0) : zero;
             const bool vdst = isa::Program::isVReg(dst);
             uint64_t *d0 = vdst ? rf.vrowW(dst) : rf.srowW(dst);
-            uint64_t *d1 = vdst ? chainRowW(dst) : rf.sink_row;
+            uint64_t *d1 = chainRowW(vdst ? dst : isa::kNoReg);
             for (size_t l = 0; l < L; ++l)
                 done[l] = d0[l] = d1[l] =
                     std::max(start_[l], r0[l]) + sm_lat_[l];
@@ -264,7 +264,7 @@ class SaturnUnit
         return chain_.data() + row * (N ? N : L_);
     }
 
-    /** Writable chaining row of @p reg (sink row if out of range). */
+    /** Writable chaining row of @p reg (the sink row for kNoReg). */
     uint64_t *
     chainRowW(uint32_t reg)
     {

@@ -292,6 +292,53 @@ TEST(BatchedReplay, GemminiFamilyAcrossStylesAndConfigs)
     }
 }
 
+TEST(BatchedReplay, RegisterIdsNewRegNeverHandedOutMatchAosInEveryFamily)
+{
+    // A hand-built uop may name ids newReg() never handed out. push()
+    // raises the register counter past them, so every engine sizes its
+    // ready files to hold them and prices the stream as runAos does,
+    // single and batched. Each engine run gets a new thread, whose
+    // scratch starts empty: an earlier run on this thread may have
+    // grown it past every id.
+    isa::Program p;
+    const uint32_t a = p.newReg();
+    p.push(isa::Uop::scalar(isa::UopKind::FpDiv, a));
+    p.push(isa::Uop::scalar(isa::UopKind::FpFma, 5000, a));
+    p.push(isa::Uop::scalar(isa::UopKind::FpFma, 70000, 5000));
+    p.push(isa::Uop::scalar(isa::UopKind::FpAdd, p.newReg(), 70000, 5000));
+    EXPECT_GT(p.scalarRegCount(), 70000u);
+
+    using vector::SaturnConfig;
+    using systolic::GemminiConfig;
+    const cpu::InOrderCore rocket(cpu::InOrderConfig::rocket());
+    const cpu::InOrderCore shuttle(cpu::InOrderConfig::shuttle());
+    const cpu::OooCore boom_m(cpu::OooConfig::boomMedium());
+    const cpu::OooCore boom_s(cpu::OooConfig::boomSmall());
+    const vector::SaturnModel sat_s(SaturnConfig::make(512, 256, true));
+    const vector::SaturnModel sat_r(SaturnConfig::make(512, 256, false));
+    const systolic::GemminiModel os(GemminiConfig::os4x4(64));
+    const systolic::GemminiModel ws(GemminiConfig::ws4x4(64));
+    const std::vector<std::pair<const TimingModel *, const TimingModel *>>
+        families = {{&rocket, &shuttle},
+                    {&boom_m, &boom_s},
+                    {&sat_s, &sat_r},
+                    {&os, &ws}};
+    for (const auto &[first, second] : families) {
+        TimingResult single;
+        std::vector<TimingResult> batch;
+        std::thread([&] {
+            single = first->run(p);
+            batch = first->runStreamBatch(p.stream(), {first, second});
+        }).join();
+        const Cycles want = first->runAos(p).cycles;
+        EXPECT_EQ(single.cycles, want) << first->name();
+        ASSERT_EQ(batch.size(), 2u);
+        EXPECT_EQ(batch[0].cycles, want) << first->name();
+        EXPECT_EQ(batch[1].cycles, second->runAos(p).cycles)
+            << second->name();
+    }
+}
+
 TEST(BatchedReplay, ReplayBatchGroupsMixedFamiliesInAddOrder)
 {
     matlib::ScalarBackend b(matlib::ScalarFlavor::Optimized);

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -219,30 +218,6 @@ TEST(Ooo, RejectsWidthsTheEngineCannotCount)
     c.robSize = 512;
     c.fpIssue = 255;
     EXPECT_EQ(OooCore(c).run(p).cycles, OooCore(c).runAos(p).cycles);
-}
-
-TEST(Ooo, RegisterIdsPastTheProgramCountMatchAos)
-{
-    // A hand-built uop may name an id newReg() never handed out; the
-    // engine's ready file then grows mid-pass as runAos's does. Each
-    // engine run gets a new thread, whose scratch starts empty: an
-    // earlier run on this thread may have grown it past every id.
-    Program p;
-    const uint32_t a = p.newReg();
-    p.push(Uop::scalar(UopKind::FpDiv, a));
-    p.push(Uop::scalar(UopKind::FpFma, 5000, a));
-    p.push(Uop::scalar(UopKind::FpFma, 70000, 5000));
-    p.push(Uop::scalar(UopKind::FpAdd, p.newReg(), 70000, 5000));
-    p.push(Uop::scalar(UopKind::FpAdd, p.newReg(), 90000));
-    for (const OooConfig &c :
-         {OooConfig::boomSmall(), OooConfig::boomMega()}) {
-        const OooCore boom(c);
-        TimingResult got;
-        std::thread([&] { got = boom.run(p); }).join();
-        // The divide, then the three dependent FPU ops.
-        EXPECT_EQ(got.cycles, 16u + 3 * 4u) << c.name;
-        EXPECT_EQ(got.cycles, boom.runAos(p).cycles) << c.name;
-    }
 }
 
 TEST(Ooo, ExtractsIlpFromChainPairs)

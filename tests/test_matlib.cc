@@ -7,6 +7,7 @@
  * command construction, optimized scalar beats naive).
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -330,10 +331,11 @@ TEST(Emission, FusionRemovesIntermediateTraffic)
     TestMat t1(1, 12, rng), t2(1, 12, rng);
 
     auto count_mem = [](const isa::Program &p) {
+        const isa::UopStreamView v = p.stream();
         size_t n = 0;
-        for (const auto &u : p.uops())
-            if (u.kind == isa::UopKind::VLoad ||
-                u.kind == isa::UopKind::VStore)
+        for (size_t i = 0; i < v.n; ++i)
+            if (v.kind[i] == isa::UopKind::VLoad ||
+                v.kind[i] == isa::UopKind::VStore)
                 ++n;
         return n;
     };
@@ -386,11 +388,8 @@ TEST(Emission, RvvLibraryEmitsStripLoops)
     lib.setProgram(&p);
     lib.add(out.view(), a.view(), b.view());
     // 100 elements / 16-lane strips -> 7 strips: >= 7 vsetvls.
-    size_t vsetvls = 0;
-    for (const auto &u : p.uops())
-        if (u.kind == isa::UopKind::VSetVl)
-            ++vsetvls;
-    EXPECT_GE(vsetvls, 7u);
+    const isa::UopStreamView v = p.stream();
+    EXPECT_GE(std::count(v.kind, v.kind + v.n, isa::UopKind::VSetVl), 7);
 }
 
 TEST(Emission, LmulShrinksInstructionCount)
@@ -430,11 +429,8 @@ TEST(Emission, GemminiSpadResidencyDropsFences)
     TestMat a(12, 12, rng), x(1, 12, rng), y(1, 12, rng);
 
     auto fences = [](const isa::Program &p) {
-        size_t n = 0;
-        for (const auto &u : p.uops())
-            if (u.kind == isa::UopKind::RoccFence)
-                ++n;
-        return n;
+        const isa::UopStreamView v = p.stream();
+        return std::count(v.kind, v.kind + v.n, isa::UopKind::RoccFence);
     };
 
     isa::Program plib, pres;
@@ -464,11 +460,8 @@ TEST(Emission, GemminiCiscEmitsMoreConfigTraffic)
     bc.gemv(y.view(), a.view(), x.view(), 1.0f, 0.0f);
     bf.gemv(y.view(), a.view(), x.view(), 1.0f, 0.0f);
     auto configs = [](const isa::Program &p) {
-        size_t n = 0;
-        for (const auto &u : p.uops())
-            if (u.kind == isa::UopKind::RoccConfig)
-                ++n;
-        return n;
+        const isa::UopStreamView v = p.stream();
+        return std::count(v.kind, v.kind + v.n, isa::UopKind::RoccConfig);
     };
     // CISC needs multiple RoCC configuration commands per macro-op
     // (§4.2.3); the fine-grained path reuses one configuration.
@@ -492,8 +485,8 @@ TEST(Emission, EmissionIsDataIndependent)
     b2.gemv(y2.view(), a2.view(), x2.view(), 1.0f, 0.0f);
     ASSERT_EQ(p1.size(), p2.size());
     for (size_t i = 0; i < p1.size(); ++i)
-        EXPECT_EQ(static_cast<int>(p1.uops()[i].kind),
-                  static_cast<int>(p2.uops()[i].kind));
+        EXPECT_EQ(static_cast<int>(p1.uop(i).kind),
+                  static_cast<int>(p2.uop(i).kind));
 }
 
 /** Elementwise op sweep: every backend agrees on every size. */

@@ -37,21 +37,12 @@ namespace rtoc {
 namespace {
 
 bool
-sameUop(const isa::Uop &a, const isa::Uop &b)
-{
-    return a.kind == b.kind && a.dst == b.dst && a.src0 == b.src0 &&
-           a.src1 == b.src1 && a.src2 == b.src2 && a.vl == b.vl &&
-           a.sew == b.sew && a.lmul8 == b.lmul8 && a.bytes == b.bytes &&
-           a.rows == b.rows && a.cols == b.cols && a.taken == b.taken;
-}
-
-bool
 samePrograms(const isa::Program &a, const isa::Program &b)
 {
     if (a.size() != b.size() || a.kernels().size() != b.kernels().size())
         return false;
     for (size_t i = 0; i < a.size(); ++i)
-        if (!sameUop(a.uops()[i], b.uops()[i]))
+        if (a.uop(i) != b.uop(i))
             return false;
     for (size_t i = 0; i < a.kernels().size(); ++i) {
         const auto &ka = a.kernels()[i];

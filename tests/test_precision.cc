@@ -73,17 +73,9 @@ samePrograms(const isa::Program &a, const isa::Program &b)
 {
     if (a.size() != b.size())
         return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        const isa::Uop &x = a.uops()[i];
-        const isa::Uop &y = b.uops()[i];
-        if (x.kind != y.kind || x.dst != y.dst || x.src0 != y.src0 ||
-            x.src1 != y.src1 || x.src2 != y.src2 || x.vl != y.vl ||
-            x.sew != y.sew || x.lmul8 != y.lmul8 ||
-            x.bytes != y.bytes || x.rows != y.rows ||
-            x.cols != y.cols || x.taken != y.taken) {
+    for (size_t i = 0; i < a.size(); ++i)
+        if (a.uop(i) != b.uop(i))
             return false;
-        }
-    }
     return true;
 }
 
@@ -1309,8 +1301,9 @@ TEST(FormatIdentity, ExplicitF32MatchesDefaultEverywhere)
         isa::Program b = bench::emitQuadSolve(
             touched, tinympc::MappingStyle::Library, 2);
         EXPECT_TRUE(samePrograms(a, b)) << plain.name();
-        for (const isa::Uop &u : a.uops())
-            EXPECT_EQ(u.sew, 32) << plain.name();
+        const isa::UopStreamView v = a.stream();
+        for (size_t i = 0; i < v.n; ++i)
+            EXPECT_EQ(v.sew[i], 32) << plain.name();
     };
     matlib::ScalarBackend s1(matlib::ScalarFlavor::Optimized);
     matlib::ScalarBackend s2(matlib::ScalarFlavor::Optimized);
@@ -1405,10 +1398,11 @@ TEST(NarrowStreams, CarryElementWidthAndDistinctKeys)
     isa::Program narrow =
         bench::emitQuadSolve(g, tinympc::MappingStyle::Library, 2);
     bool saw_sew16 = false;
-    for (const isa::Uop &u : narrow.uops()) {
-        if (u.sew == 16)
+    const isa::UopStreamView v = narrow.stream();
+    for (size_t i = 0; i < v.n; ++i) {
+        if (v.sew[i] == 16)
             saw_sew16 = true;
-        EXPECT_TRUE(u.sew == 16 || u.sew == 32);
+        EXPECT_TRUE(v.sew[i] == 16 || v.sew[i] == 32);
     }
     EXPECT_TRUE(saw_sew16);
 

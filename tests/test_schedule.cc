@@ -112,16 +112,6 @@ twoChainProgram(int chain_len)
     return p;
 }
 
-/** Field-wise uop equality (the permuted multiset check). */
-bool
-sameUop(const Uop &a, const Uop &b)
-{
-    return a.kind == b.kind && a.dst == b.dst && a.src0 == b.src0 &&
-           a.src1 == b.src1 && a.src2 == b.src2 && a.vl == b.vl &&
-           a.sew == b.sew && a.lmul8 == b.lmul8 && a.bytes == b.bytes &&
-           a.rows == b.rows && a.cols == b.cols && a.taken == b.taken;
-}
-
 TEST(ScheduleTransforms, CandidatesLegalOnEveryFamilyStream)
 {
     for (const auto &prog : familyStreams()) {
@@ -144,8 +134,7 @@ TEST(ScheduleTransforms, CandidatesLegalOnEveryFamilyStream)
             }
             for (size_t i = 0; i < r.perm.size(); ++i) {
                 ASSERT_LT(r.perm[i], prog->size());
-                EXPECT_TRUE(
-                    sameUop(r.prog.uops()[i], prog->uops()[r.perm[i]]))
+                EXPECT_EQ(r.prog.uop(i), prog->uop(r.perm[i]))
                     << spec.describe() << " index " << i;
             }
         }
@@ -161,7 +150,7 @@ TEST(ScheduleTransforms, IdentitySpecIsIdentity)
     ASSERT_EQ(r.prog.size(), prog->size());
     for (size_t i = 0; i < r.perm.size(); ++i) {
         EXPECT_EQ(r.perm[i], i);
-        ASSERT_TRUE(sameUop(r.prog.uops()[i], prog->uops()[i]));
+        ASSERT_EQ(r.prog.uop(i), prog->uop(i));
     }
 }
 
@@ -169,16 +158,15 @@ TEST(ScheduleTransforms, VerifierRejectsIllegalReorder)
 {
     // Swap a dependent FMA pair by hand: the oracle must refuse it.
     Program p = twoChainProgram(4);
-    std::vector<Uop> uops = p.uops();
-    std::swap(uops[1], uops[2]); // FpFma consuming uops[1]'s FpMove? no:
-    // uops[1] defines the reg uops[2] reads — swapping breaks RAW.
-    Program bad = Program::assemble(uops, p.kernels(),
-                                    p.scalarRegCount(),
-                                    p.vectorRegCount());
     std::vector<uint32_t> perm(p.size());
     for (size_t i = 0; i < perm.size(); ++i)
         perm[i] = static_cast<uint32_t>(i);
+    // Uop 1 defines the reg uop 2 reads: swapping them breaks RAW.
     std::swap(perm[1], perm[2]);
+    Program bad;
+    for (uint32_t o : perm)
+        bad.push(p.uop(o));
+    bad.assemble(p.kernels(), p.scalarRegCount(), p.vectorRegCount());
     std::string why;
     EXPECT_FALSE(isa::verifySchedule(p, bad, perm, &why));
     EXPECT_FALSE(why.empty());

@@ -302,7 +302,7 @@ TEST(Solver, IterativeKernelsDominateFlops)
     for (const auto &region : prog.kernels()) {
         double flops = 0.0;
         for (size_t i = region.begin; i < region.end; ++i) {
-            const auto &u = prog.uops()[i];
+            const isa::Uop u = prog.uop(i);
             double per = isa::flopsPerElement(u.kind);
             flops += isa::isVector(u.kind) ? per * u.vl : per;
         }
@@ -391,7 +391,7 @@ TEST(Solver, GemminiRejectsFusedEmission)
         ws.setInitialState(x0);
         solver.solve();
         b.setProgram(nullptr);
-        EXPECT_GT(prog.uops().size(), 0u);
+        EXPECT_GT(prog.size(), 0u);
     }
 }
 
