@@ -13,13 +13,12 @@
  *  (d) Gemmini hardware GEMV (§4.2.4 future work) — column operands
  *      packed across scratchpad rows at full DMA bandwidth.
  *
- * The swept grids — baud (b), horizon (c), and the two-design hw-GEMV
- * comparison (d) — are enumerated through dse::DesignSpace instead of
- * ad-hoc literals: (b)/(c) as custom named axes, (d) as a two-entry
- * configuration axis evaluated through dse::Explorer (which batches
- * both designs into one ReplayBatch column pass, exactly as this
- * bench used to hand-roll). Output is pinned byte-identical to the
- * pre-DesignSpace tables.
+ * The baud (b) and horizon (c) grids are plain lists: neither is a
+ * stream-replay axis. The two-design hw-GEMV comparison (d) is a
+ * two-entry dse::DesignSpace configuration axis evaluated through
+ * dse::Explorer, whose runStreamBatch call replays both Gemmini
+ * designs in one column pass. The output is pinned byte-identical by
+ * the golden test.
  */
 
 #include <cstdio>
@@ -89,13 +88,10 @@ uartAblation()
     const plant::QuadrotorPlant drone(quad::DroneParams::crazyflie());
     hil::ControllerTiming tv = hil::vectorControllerTiming(drone, 0.02, 10);
 
-    dse::DesignSpace space("ablation-uart");
-    space.setAxis("baud", {57600.0, 115200.0, 460800.0, 921600.0});
-
     Table t("Ablation (b): UART tether baud rate (vector @100 MHz, "
             "medium difficulty)",
             {"baud", "round-trip ms", "success", "actuator W"});
-    for (double baud : space.axis("baud")) {
+    for (double baud : {57600.0, 115200.0, 460800.0, 921600.0}) {
         hil::HilConfig cfg;
         cfg.timing = tv;
         cfg.socFreqHz = 100e6;
@@ -122,14 +118,10 @@ horizonAblation()
     vector::SaturnModel saturn(
         vector::SaturnConfig::make(512, 256, true));
 
-    dse::DesignSpace space("ablation-horizon");
-    space.setAxis("horizon", {5, 10, 15, 20, 30});
-
     Table t("Ablation (c): MPC horizon length (vector, cycles per "
             "5-iteration solve)",
             {"N", "cycles", "cycles/step"});
-    for (double horizon : space.axis("horizon")) {
-        const int n = static_cast<int>(horizon);
+    for (int n : {5, 10, 15, 20, 30}) {
         matlib::RvvBackend b(512, matlib::RvvMapping::handOptimized());
         const isa::Program prog = bench::emitPlantSolve(
             drone, b, tinympc::MappingStyle::Fused, 5, 0.02, n);

@@ -9,12 +9,13 @@
  * fig10Space() (bench/dse_spaces.hh) and are evaluated through
  * dse::Explorer::submit, which performs exactly what this bench used
  * to hand-roll: cached emission (one stream per distinct backend
- * configuration), grouping of same-stream points into one
- * cpu::ReplayBatch column pass per family, and fan-out of the groups
- * across the sweep pool. Results are bit-identical to sequential
- * runs and assembled in design-point order, so the table is pinned
- * against the historical baseline. Caches above the replay layer are
- * disabled here: the figure bench always replays, cold or warm.
+ * configuration), one runStreamBatch call per stream over that
+ * stream's points (one column pass per timing family), and fan-out of
+ * those calls across the sweep pool. Results are bit-identical to
+ * sequential runs and assembled in design-point order, so the table is
+ * pinned against the historical baseline. Caches above the replay
+ * layer are disabled here: the figure bench always replays, cold or
+ * warm.
  */
 
 #include <cstdio>

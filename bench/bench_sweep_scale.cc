@@ -9,9 +9,9 @@
  *     cycle count is a hard assertion; the wall-clock ratio is the
  *     batched-replay speedup. In-order, Saturn and Gemmini batch with
  *     one N-lane pass, and full runs fail when such a pass is slower
- *     than its sequential sweep. OoO's batch is the base class's
- *     sequential loop, so its row (labelled sequential) checks
- *     equality only.
+ *     than its sequential sweep. OoO's batch runs its one-lane pass
+ *     once per lane, so its row (labelled sequential) checks equality
+ *     only.
  *  2. Functional solve rate — the host ADMM solve with no emission
  *     attached (the per-tick HIL hot path), in us per solve.
  *  3. Pool scaling — deterministically skewed task sets on the
@@ -44,7 +44,6 @@
 #include "common/thread_pool.hh"
 #include "cpu/inorder.hh"
 #include "cpu/ooo.hh"
-#include "cpu/replay_batch.hh"
 #include "hil/sweep.hh"
 #include "matlib/gemmini_backend.hh"
 #include "matlib/rvv_backend.hh"
@@ -71,7 +70,7 @@ nowS()
 struct BatchRow
 {
     std::string family;
-    bool ownPass = true; ///< false: runStreamBatch is the sequential base
+    bool ownPass = true; ///< false: the family batches lane by lane
     size_t configs = 0;
     size_t uops = 0;
     double seqUs = 0.0;   ///< sequential per-config runStream, whole sweep

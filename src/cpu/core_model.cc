@@ -1,6 +1,9 @@
 #include "core_model.hh"
 
+#include <typeinfo>
+
 #include "common/logging.hh"
+#include "obs/trace.hh"
 
 namespace rtoc::cpu {
 
@@ -35,15 +38,45 @@ attributeRegions(const isa::Program &prog,
     return out;
 }
 
+TimingResult
+TimingModel::runStream(const isa::UopStreamView &view) const
+{
+    const TimingModel *self = this;
+    TimingResult out;
+    runLanes(view, &self, 1, &out);
+    return out;
+}
+
 std::vector<TimingResult>
 TimingModel::runStreamBatch(
     const isa::UopStreamView &view,
     const std::vector<const TimingModel *> &models) const
 {
-    std::vector<TimingResult> out;
-    out.reserve(models.size());
-    for (const TimingModel *m : models)
-        out.push_back(m->runStream(view));
+    RTOC_SPAN_NAMED(span, "cpu.replay_batch", "cpu");
+    span.arg("models", models.size());
+    span.arg("uops", view.n);
+    // One runLanes call per family, groups in order of first
+    // appearance; each group's results go back to its input slots.
+    std::vector<TimingResult> out(models.size());
+    std::vector<bool> taken(models.size(), false);
+    for (size_t first = 0; first < models.size(); ++first) {
+        if (taken[first])
+            continue;
+        std::vector<const TimingModel *> group;
+        std::vector<size_t> slots;
+        for (size_t s = first; s < models.size(); ++s) {
+            if (!taken[s] && typeid(*models[s]) == typeid(*models[first])) {
+                taken[s] = true;
+                group.push_back(models[s]);
+                slots.push_back(s);
+            }
+        }
+        std::vector<TimingResult> res(group.size());
+        group.front()->runLanes(view, group.data(), group.size(),
+                                res.data());
+        for (size_t k = 0; k < slots.size(); ++k)
+            out[slots[k]] = std::move(res[k]);
+    }
     return out;
 }
 

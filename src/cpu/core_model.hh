@@ -8,11 +8,14 @@
  * per-kernel-region attribution. Each family prices uops in one
  * columnar engine over UopStreamView, a view whose decoded class
  * column was computed once for the owning Program, so N models (or N
- * replays) over one cached stream share a single decode pass.
- * runStream is the engine's one-lane pass. runStreamBatch runs N
- * lanes: a family overrides it with an N-lane pass only where that
- * pass beats its N sequential lanes (in-order, Saturn and Gemmini do;
- * OoO does not, and runs its lanes in turn). runAos() keeps each
+ * replays) over one cached stream share a single decode pass. A family
+ * implements one engine hook, runLanes, over models of its own type:
+ * in-order, Saturn and Gemmini advance every lane in one pass; OoO runs
+ * its one-lane pass once per lane, since lanes that share only the
+ * column loads gain nothing from one interleaved pass. The replay
+ * calls are the base class's: runStream is a one-lane runLanes, and
+ * runStreamBatch takes models of any family, groups them by family and
+ * runs each group through one runLanes call. runAos() keeps each
  * family's cost rules written plainly, walking one Uop record at a
  * time through Program::uop(i): it is the independent reference every
  * engine lane must match (pinned by tests) and the reference loop the
@@ -121,12 +124,12 @@ class TimingModel
     virtual ~TimingModel() = default;
 
     /**
-     * Simulate the columnar stream (hot path). The view must come
-     * from Program::stream() — region attribution follows
-     * view.program back to the kernel markers.
+     * Simulate the columnar stream (hot path): the family engine's
+     * one-lane pass. The view must come from Program::stream() —
+     * region attribution follows view.program back to the kernel
+     * markers.
      */
-    virtual TimingResult runStream(const isa::UopStreamView &view)
-        const = 0;
+    TimingResult runStream(const isa::UopStreamView &view) const;
 
     /**
      * AoS reference loop, one Uop record at a time (Program::uop):
@@ -156,23 +159,29 @@ class TimingModel
     }
 
     /**
-     * Batched replay: one result per model in @p models, each
-     * bit-identical to models[i]->runStream(view) and to
-     * models[i]->runAos (pinned by tests). Every model in @p models
-     * must belong to this model's family (same dynamic type). The base
-     * implementation is the sequential runStream loop. A family
-     * overrides it only where one N-lane pass of its engine, whose
-     * one-lane pass is runStream, beats the N sequential lanes by
-     * sharing column loads, class decode and operand lookups; the
-     * overrides fall back to this base when a foreign model appears in
-     * the group. OoO keeps the base: its lanes share only the column
-     * loads. Results are returned in @p models order; `this` only
-     * dispatches and is not simulated unless it appears in @p models
-     * itself.
+     * Batched replay: one result per model in @p models, returned in
+     * @p models order, each bit-identical to models[i]->runStream(view)
+     * and to models[i]->runAos (pinned by tests). The models may belong
+     * to any family: they are grouped by dynamic type, in order of
+     * first appearance, and each group runs through its first model's
+     * runLanes. `this` only names the call; it is not simulated unless
+     * it appears in @p models itself.
      */
-    virtual std::vector<TimingResult>
+    std::vector<TimingResult>
     runStreamBatch(const isa::UopStreamView &view,
                    const std::vector<const TimingModel *> &models) const;
+
+  protected:
+    /**
+     * The family's engine: simulate lane l, configured by models[l],
+     * over @p view and write its result to out[l], for each of the
+     * @p n >= 1 lanes. Every models[l] has this model's dynamic type
+     * (runStream and runStreamBatch guarantee it), so the hook may
+     * downcast them without a check.
+     */
+    virtual void runLanes(const isa::UopStreamView &view,
+                          const TimingModel *const *models, size_t n,
+                          TimingResult *out) const = 0;
 };
 
 /**

@@ -44,16 +44,6 @@ InOrderCore::InOrderCore(InOrderConfig cfg) : cfg_(std::move(cfg))
 }
 
 TimingResult
-InOrderCore::runStream(const isa::UopStreamView &view) const
-{
-    const InOrderConfig *cfg = &cfg_;
-    NoCoproc unit{cfg_.name.c_str()};
-    TimingResult out;
-    replayInOrder<1>(view, &cfg, 1, unit, &out);
-    return out;
-}
-
-TimingResult
 InOrderCore::runAos(const isa::Program &prog) const
 {
     return runWithCoproc(
@@ -65,28 +55,19 @@ InOrderCore::runAos(const isa::Program &prog) const
         });
 }
 
-std::vector<TimingResult>
-InOrderCore::runStreamBatch(
-    const isa::UopStreamView &view,
-    const std::vector<const TimingModel *> &models) const
+void
+InOrderCore::runLanes(const isa::UopStreamView &view,
+                      const TimingModel *const *models, size_t n,
+                      TimingResult *out) const
 {
-    std::vector<const InOrderConfig *> cfgs;
-    cfgs.reserve(models.size());
-    for (const TimingModel *m : models) {
-        const auto *core = dynamic_cast<const InOrderCore *>(m);
-        if (!core)
-            return TimingModel::runStreamBatch(view, models);
-        cfgs.push_back(&core->config());
-    }
-    std::vector<TimingResult> out(cfgs.size());
-    if (cfgs.empty())
-        return out;
-    NoCoproc unit{cfgs.front()->name.c_str()};
-    if (cfgs.size() == 1)
-        replayInOrder<1>(view, cfgs.data(), 1, unit, out.data());
+    std::vector<const InOrderConfig *> cfgs(n);
+    for (size_t l = 0; l < n; ++l)
+        cfgs[l] = &static_cast<const InOrderCore *>(models[l])->cfg_;
+    NoCoproc unit{cfg_.name.c_str()};
+    if (n == 1)
+        replayInOrder<1>(view, cfgs.data(), 1, unit, out);
     else
-        replayInOrder<0>(view, cfgs.data(), cfgs.size(), unit, out.data());
-    return out;
+        replayInOrder<0>(view, cfgs.data(), n, unit, out);
 }
 
 std::string

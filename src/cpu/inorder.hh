@@ -60,26 +60,11 @@ class InOrderCore : public TimingModel
     /** Panics unless @p cfg passes InOrderConfig::check(). */
     explicit InOrderCore(InOrderConfig cfg);
 
-    /** One-lane runStreamBatch: the two share one engine. */
-    TimingResult runStream(const isa::UopStreamView &view) const override;
-
     TimingResult runAos(const isa::Program &prog) const override;
-
-    /**
-     * One engine pass advances one scoreboard per InOrderCore in
-     * @p models. Falls back to the sequential base when a foreign
-     * model appears in the group.
-     */
-    std::vector<TimingResult>
-    runStreamBatch(const isa::UopStreamView &view,
-                   const std::vector<const TimingModel *> &models)
-        const override;
 
     std::string name() const override { return cfg_.name; }
 
     std::string cacheKey() const override;
-
-    const InOrderConfig &config() const { return cfg_; }
 
     /**
      * The AoS reference loop behind the runAos of this core, Saturn
@@ -92,6 +77,12 @@ class InOrderCore : public TimingModel
     template <typename CoprocFn>
     TimingResult runWithCoproc(const isa::Program &prog,
                                CoprocFn &&coproc) const;
+
+  protected:
+    /** One replayInOrder pass advances one scoreboard per lane. */
+    void runLanes(const isa::UopStreamView &view,
+                  const TimingModel *const *models, size_t n,
+                  TimingResult *out) const override;
 
   private:
     InOrderConfig cfg_;

@@ -6,11 +6,12 @@
  * and the frontend of the Saturn and Gemmini models. One lane-major
  * pass over a stream's columns advances one scoreboard per lane: each
  * uop's columns are loaded, its class decoded and its register rows
- * resolved once, then every lane steps over it. Single-config replay
- * (runStream) is the one-lane call. The lane count is a template
- * argument: the one-lane instantiation keeps its lane's state in
- * registers for the whole pass, and lane count 0 (sized at run time)
- * serves every batch.
+ * resolved once, then every lane steps over it. It is the engine
+ * behind the runLanes hook of all three families, which picks the lane
+ * count, a template argument: one lane (every runStream, and a batch
+ * group of one model) instantiates it at 1, which keeps the lane's
+ * state in registers for the whole pass, and any other group at 0,
+ * sized at run time.
  *
  * InOrderCore::runWithCoproc is the AoS reference: the same cost rules
  * written plainly over one Uop record at a time (Program::uop), one

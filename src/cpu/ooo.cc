@@ -169,7 +169,7 @@ OooCore::OooCore(OooConfig cfg) : cfg_(std::move(cfg))
  * the plain i / frontWidth and i % robSize the counters here replace).
  */
 TimingResult
-OooCore::runStream(const isa::UopStreamView &v) const
+OooCore::replayLane(const isa::UopStreamView &v) const
 {
     using isa::LatClass;
 
@@ -281,6 +281,15 @@ OooCore::runStream(const isa::UopStreamView &v) const
     out.cycles = last_commit;
     out.stats.set(oooUopsId(), v.n);
     return out;
+}
+
+void
+OooCore::runLanes(const isa::UopStreamView &view,
+                  const TimingModel *const *models, size_t n,
+                  TimingResult *out) const
+{
+    for (size_t l = 0; l < n; ++l)
+        out[l] = static_cast<const OooCore *>(models[l])->replayLane(view);
 }
 
 std::string

@@ -58,14 +58,6 @@ class OooCore : public TimingModel
      *  fit the per-cycle slot count (<= 255). */
     explicit OooCore(OooConfig cfg);
 
-    /**
-     * The engine: one pass with the scoreboard in locals. A batch
-     * runs its lanes through it one after another (the base
-     * runStreamBatch): lanes that share only the column loads gain
-     * nothing from one interleaved pass.
-     */
-    TimingResult runStream(const isa::UopStreamView &view) const override;
-
     TimingResult runAos(const isa::Program &prog) const override;
 
     std::string name() const override { return cfg_.name; }
@@ -74,7 +66,20 @@ class OooCore : public TimingModel
 
     const OooConfig &config() const { return cfg_; }
 
+  protected:
+    /**
+     * Runs replayLane once per lane, one lane after another: lanes
+     * that share only the column loads gain nothing from one
+     * interleaved pass.
+     */
+    void runLanes(const isa::UopStreamView &view,
+                  const TimingModel *const *models, size_t n,
+                  TimingResult *out) const override;
+
   private:
+    /** The engine: one pass with the scoreboard in locals. */
+    TimingResult replayLane(const isa::UopStreamView &v) const;
+
     OooConfig cfg_;
 };
 

@@ -135,26 +135,6 @@ DesignSpace::setFormats(std::vector<matlib::NumericFormat> v)
     return *this;
 }
 
-DesignSpace &
-DesignSpace::setAxis(const std::string &name, std::vector<double> values)
-{
-    if (values.empty())
-        rtoc_fatal("DesignSpace '%s': empty custom axis '%s'",
-                   name_.c_str(), name.c_str());
-    customAxes_[name] = std::move(values);
-    return *this;
-}
-
-const std::vector<double> &
-DesignSpace::axis(const std::string &name) const
-{
-    auto it = customAxes_.find(name);
-    if (it == customAxes_.end())
-        rtoc_fatal("DesignSpace '%s': unknown axis '%s'", name_.c_str(),
-                   name.c_str());
-    return it->second;
-}
-
 size_t
 DesignSpace::size() const
 {

@@ -39,7 +39,6 @@
 #define RTOC_DSE_DESIGN_SPACE_HH
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -131,16 +130,6 @@ class DesignSpace
      *  sizes stay exactly the historical single-format space). */
     DesignSpace &setFormats(std::vector<matlib::NumericFormat> v);
 
-    /**
-     * Attach an extra named enumerable axis (UART baud, disturbance
-     * magnitude, ...). Custom axes are carried for grid enumeration by
-     * benches whose evaluation is not a stream replay; they do not
-     * participate in point()/materialize().
-     */
-    DesignSpace &setAxis(const std::string &name,
-                         std::vector<double> values);
-    const std::vector<double> &axis(const std::string &name) const;
-
     const std::vector<ConfigEntry> &configs() const { return configs_; }
     const std::vector<double> &latScales() const { return lat_; }
     const std::vector<double> &widthScales() const { return width_; }
@@ -200,7 +189,6 @@ class DesignSpace
     std::vector<double> freq_{1e9};
     std::vector<matlib::NumericFormat> formats_{
         matlib::NumericFormat::F32};
-    std::map<std::string, std::vector<double>> customAxes_;
 };
 
 /**

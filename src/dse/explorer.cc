@@ -8,7 +8,6 @@
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
-#include "cpu/replay_batch.hh"
 #include "dse/surrogate.hh"
 #include "isa/sched_search.hh"
 #include "soc/area_model.hh"
@@ -171,7 +170,8 @@ Explorer::submit(const std::vector<PointSpec> &points, Fidelity f)
     }
 
     // Group unresolved cells by stream and fan the groups over the
-    // pool; each group replays in one ReplayBatch column pass.
+    // pool; each group replays in one runStreamBatch call, one column
+    // pass per timing family.
     std::map<const isa::Program *, std::vector<size_t>> by_prog;
     for (size_t j = 0; j < n_jobs; ++j)
         if (!resolved[j])
@@ -182,10 +182,12 @@ Explorer::submit(const std::vector<PointSpec> &points, Fidelity f)
     sweep_.map<int>(groups.size(), [&](size_t gi) {
         const isa::Program *prog = groups[gi].first;
         const std::vector<size_t> &jobs = groups[gi].second;
-        cpu::ReplayBatch batch;
+        std::vector<const cpu::TimingModel *> models;
+        models.reserve(jobs.size());
         for (size_t j : jobs)
-            batch.add(*jc[j].model);
-        std::vector<cpu::TimingResult> results = batch.run(*prog);
+            models.push_back(jc[j].model.get());
+        std::vector<cpu::TimingResult> results =
+            models.front()->runStreamBatch(prog->stream(), models);
         for (size_t k = 0; k < jobs.size(); ++k) {
             cost[jobs[k]].cycles = results[k].cycles;
             cost[jobs[k]].uops = prog->size();

@@ -7,12 +7,12 @@
  * to replay cells, deduplicated, served from evalMemo() — the
  * process-wide isa::Memo of replay cells, whose disk tier is the
  * shared isa::DiskCache "dsecell" namespace — and only the remainder
- * is replayed: same-stream candidates grouped through ReplayBatch
- * (one column pass per family group) and groups fanned over the
- * work-stealing SweepRunner, then stored in both tiers. Repeated
- * processes pointing at one RTOC_CACHE_DIR therefore behave like many
- * clients against one hot cache: a second run of the same exploration
- * replays nothing.
+ * is replayed: same-stream candidates go to one runStreamBatch call,
+ * which groups them by timing family (one column pass per family), and
+ * the per-stream calls fan out over the work-stealing SweepRunner; the
+ * results are then stored in both tiers. Repeated processes pointing
+ * at one RTOC_CACHE_DIR therefore behave like many clients against one
+ * hot cache: a second run of the same exploration replays nothing.
  *
  * Two search strategies drive exploreGrid()'s exhaustive baseline
  * down to a fraction of its cells:

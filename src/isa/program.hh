@@ -129,8 +129,10 @@ class Program
 
     /**
      * Pre-size the uop and region storage so emission appends without
-     * reallocating (the ProgramCache sizes fresh emissions from the
-     * previous stream of the same shape).
+     * reallocating. ProgramCache::getOrEmit reserves a fixed 65,536
+     * uops and 1,024 regions for every fresh emission; an emitter that
+     * assigns a whole Program (p = ...) replaces that storage, so the
+     * reservation only serves emitters that append in place.
      */
     void reserve(size_t uop_capacity, size_t region_capacity);
 

@@ -43,9 +43,10 @@ ProgramCache::getOrEmit(const std::string &key, const Emitter &emit)
     auto emit_once = [&]() -> std::shared_ptr<const Program> {
         obs::Span span("isa.emit", "cache");
         auto prog = std::make_shared<Program>();
-        // Typical instrumented solves run to ~1e5 uops; reserving
-        // here keeps the (one-time) emission from reallocating its
-        // way up.
+        // A fixed reservation (typical instrumented solves run to
+        // ~1e5 uops) keeps an emitter that appends in place from
+        // reallocating its way up; one that assigns a whole Program
+        // discards it.
         prog->reserve(1 << 16, 1 << 10);
         emit(*prog);
         if (prog->kernelOpen())

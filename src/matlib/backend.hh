@@ -120,12 +120,8 @@ class Backend
     /** Element width in bits of emitted uops for this format. */
     int sewBits() const { return formatSewBits(fmt_); }
 
-    /** Element width in bytes (payload/DMA sizing). */
-    int elemBytes() const { return formatElemBytes(fmt_); }
-
     /** Saturation telemetry accumulated by the fx kernels. */
     const fx::Counters &fxCounters() const { return fxCounters_; }
-    void resetFxCounters() { fxCounters_ = fx::Counters(); }
 
     /**
      * Quantized matrix operands of the fx kernels. Self-validating: a

@@ -265,34 +265,18 @@ GemminiModel::GemminiModel(GemminiConfig cfg) : cfg_(std::move(cfg))
     cfg_.frontend.check();
 }
 
-cpu::TimingResult
-GemminiModel::runStream(const isa::UopStreamView &view) const
+void
+GemminiModel::runLanes(const isa::UopStreamView &view,
+                       const cpu::TimingModel *const *models, size_t n,
+                       cpu::TimingResult *out) const
 {
-    const GemminiConfig *cfg = &cfg_;
-    cpu::TimingResult out;
-    replayGemmini<1>(view, &cfg, 1, &out);
-    return out;
-}
-
-std::vector<cpu::TimingResult>
-GemminiModel::runStreamBatch(
-    const isa::UopStreamView &view,
-    const std::vector<const cpu::TimingModel *> &models) const
-{
-    std::vector<const GemminiConfig *> cfgs;
-    cfgs.reserve(models.size());
-    for (const cpu::TimingModel *m : models) {
-        const auto *gem = dynamic_cast<const GemminiModel *>(m);
-        if (!gem)
-            return TimingModel::runStreamBatch(view, models);
-        cfgs.push_back(&gem->config());
-    }
-    std::vector<cpu::TimingResult> out(cfgs.size());
-    if (cfgs.size() == 1)
-        replayGemmini<1>(view, cfgs.data(), 1, out.data());
-    else if (!cfgs.empty())
-        replayGemmini<0>(view, cfgs.data(), cfgs.size(), out.data());
-    return out;
+    std::vector<const GemminiConfig *> cfgs(n);
+    for (size_t l = 0; l < n; ++l)
+        cfgs[l] = &static_cast<const GemminiModel *>(models[l])->cfg_;
+    if (n == 1)
+        replayGemmini<1>(view, cfgs.data(), 1, out);
+    else
+        replayGemmini<0>(view, cfgs.data(), n, out);
 }
 
 std::string

@@ -71,28 +71,23 @@ class GemminiModel : public cpu::TimingModel
      *  passes InOrderConfig::check(). */
     explicit GemminiModel(GemminiConfig cfg);
 
-    /** One-lane runStreamBatch: the two share one engine. */
-    cpu::TimingResult
-    runStream(const isa::UopStreamView &view) const override;
-
     cpu::TimingResult runAos(const isa::Program &prog) const override;
-
-    /**
-     * One in-order engine pass advances one (frontend scoreboard +
-     * RoCC command queue) pair per GemminiModel in @p models; lanes
-     * may differ in mesh/DMA/fence knobs and frontend. Falls back to
-     * the sequential base when a foreign model appears in the group.
-     */
-    std::vector<cpu::TimingResult>
-    runStreamBatch(const isa::UopStreamView &view,
-                   const std::vector<const cpu::TimingModel *> &models)
-        const override;
 
     std::string name() const override { return cfg_.name; }
 
     std::string cacheKey() const override;
 
     const GemminiConfig &config() const { return cfg_; }
+
+  protected:
+    /**
+     * One in-order engine pass advances one (frontend scoreboard +
+     * RoCC command queue) pair per lane; lanes may differ in
+     * mesh/DMA/fence knobs and frontend.
+     */
+    void runLanes(const isa::UopStreamView &view,
+                  const cpu::TimingModel *const *models, size_t n,
+                  cpu::TimingResult *out) const override;
 
   private:
     GemminiConfig cfg_;

@@ -313,34 +313,18 @@ SaturnModel::SaturnModel(SaturnConfig cfg) : cfg_(std::move(cfg))
     cfg_.frontend.check();
 }
 
-cpu::TimingResult
-SaturnModel::runStream(const isa::UopStreamView &view) const
+void
+SaturnModel::runLanes(const isa::UopStreamView &view,
+                      const cpu::TimingModel *const *models, size_t n,
+                      cpu::TimingResult *out) const
 {
-    const SaturnConfig *cfg = &cfg_;
-    cpu::TimingResult out;
-    replaySaturn<1>(view, &cfg, 1, &out);
-    return out;
-}
-
-std::vector<cpu::TimingResult>
-SaturnModel::runStreamBatch(
-    const isa::UopStreamView &view,
-    const std::vector<const cpu::TimingModel *> &models) const
-{
-    std::vector<const SaturnConfig *> cfgs;
-    cfgs.reserve(models.size());
-    for (const cpu::TimingModel *m : models) {
-        const auto *sat = dynamic_cast<const SaturnModel *>(m);
-        if (!sat)
-            return TimingModel::runStreamBatch(view, models);
-        cfgs.push_back(&sat->config());
-    }
-    std::vector<cpu::TimingResult> out(cfgs.size());
-    if (cfgs.size() == 1)
-        replaySaturn<1>(view, cfgs.data(), 1, out.data());
-    else if (!cfgs.empty())
-        replaySaturn<0>(view, cfgs.data(), cfgs.size(), out.data());
-    return out;
+    std::vector<const SaturnConfig *> cfgs(n);
+    for (size_t l = 0; l < n; ++l)
+        cfgs[l] = &static_cast<const SaturnModel *>(models[l])->cfg_;
+    if (n == 1)
+        replaySaturn<1>(view, cfgs.data(), 1, out);
+    else
+        replaySaturn<0>(view, cfgs.data(), n, out);
 }
 
 std::string

@@ -51,31 +51,24 @@ class SaturnModel : public cpu::TimingModel
      *  passes InOrderConfig::check(). */
     explicit SaturnModel(SaturnConfig cfg);
 
-    /** One-lane runStreamBatch: the two share one engine. */
-    cpu::TimingResult
-    runStream(const isa::UopStreamView &view) const override;
-
     cpu::TimingResult runAos(const isa::Program &prog) const override;
-
-    /**
-     * One in-order engine pass advances one (frontend scoreboard +
-     * vector unit) pair per SaturnModel in @p models; lanes may differ
-     * in VLEN/DLEN/queue depth and frontend. Falls back to the
-     * sequential base when a foreign model appears in the group.
-     */
-    std::vector<cpu::TimingResult>
-    runStreamBatch(const isa::UopStreamView &view,
-                   const std::vector<const cpu::TimingModel *> &models)
-        const override;
 
     std::string name() const override { return cfg_.name; }
 
     std::string cacheKey() const override;
 
-    const SaturnConfig &config() const { return cfg_; }
-
     /** Maximum elements per vector register for @p sew bits. */
     int vlmax(int sew = 32) const { return cfg_.vlen / sew; }
+
+  protected:
+    /**
+     * One in-order engine pass advances one (frontend scoreboard +
+     * vector unit) pair per lane; lanes may differ in VLEN/DLEN/queue
+     * depth and frontend.
+     */
+    void runLanes(const isa::UopStreamView &view,
+                  const cpu::TimingModel *const *models, size_t n,
+                  cpu::TimingResult *out) const override;
 
   private:
     SaturnConfig cfg_;

@@ -8,9 +8,8 @@
  * across emission styles, >=8-config design sweeps and every lane
  * count. Each family's runStream is the one-lane pass of the same
  * engine (OoO batches run it lane by lane), so runAos, not runStream,
- * is the independent reference.
- * ReplayBatch grouping must preserve add() order and fall back to the
- * sequential base on mixed-family groups.
+ * is the independent reference. A batch of mixed families must group
+ * them by family and return every result in its model's input slot.
  *
  * Pool: work stealing makes execution order nondeterministic; these
  * tests pin what must NOT change — every index runs exactly once,
@@ -34,7 +33,6 @@
 #include "common/thread_pool.hh"
 #include "cpu/inorder.hh"
 #include "cpu/ooo.hh"
-#include "cpu/replay_batch.hh"
 #include "hil/sweep.hh"
 #include "hil/timing.hh"
 #include "matlib/gemmini_backend.hh"
@@ -339,49 +337,42 @@ TEST(BatchedReplay, RegisterIdsNewRegNeverHandedOutMatchAosInEveryFamily)
     }
 }
 
-TEST(BatchedReplay, ReplayBatchGroupsMixedFamiliesInAddOrder)
+TEST(BatchedReplay, MixedFamiliesGroupByFamilyInInputOrder)
 {
+    // One call over six models of all four families, interleaved so
+    // each family's lanes are split by other families' lanes, and
+    // dispatched through a model outside the list: each result must
+    // land in its model's input slot and equal that model's runAos.
+    // Saturn and Gemmini price the scalar stream on their frontends;
+    // their unit stats tell them apart from the in-order lanes.
     matlib::ScalarBackend b(matlib::ScalarFlavor::Optimized);
     auto prog =
         bench::emitQuadSolveCached(b, tinympc::MappingStyle::Library);
 
-    cpu::InOrderCore rocket(cpu::InOrderConfig::rocket());
-    cpu::OooCore boom(cpu::OooConfig::boomMedium());
-    cpu::InOrderCore shuttle(cpu::InOrderConfig::shuttle());
-    cpu::OooCore mega(cpu::OooConfig::boomMega());
+    const cpu::InOrderCore rocket(cpu::InOrderConfig::rocket());
+    const cpu::OooCore boom(cpu::OooConfig::boomMedium());
+    const vector::SaturnModel saturn(
+        vector::SaturnConfig::make(512, 256, true));
+    const systolic::GemminiModel gemmini(
+        systolic::GemminiConfig::os4x4(64));
+    const cpu::InOrderCore shuttle(cpu::InOrderConfig::shuttle());
+    const cpu::OooCore mega(cpu::OooConfig::boomMega());
+    const cpu::OooCore dispatcher(cpu::OooConfig::boomSmall());
+    const std::vector<const TimingModel *> models = {
+        &rocket, &boom, &saturn, &gemmini, &shuttle, &mega};
 
-    // Interleaved add order: grouping must scatter results back.
-    cpu::ReplayBatch batch;
-    batch.add(rocket);
-    batch.add(boom);
-    batch.add(shuttle);
-    batch.add(mega);
-    std::vector<TimingResult> got = batch.run(*prog);
-
-    ASSERT_EQ(got.size(), 4u);
-    EXPECT_EQ(got[0].cycles, rocket.run(*prog).cycles);
-    EXPECT_EQ(got[1].cycles, boom.run(*prog).cycles);
-    EXPECT_EQ(got[2].cycles, shuttle.run(*prog).cycles);
-    EXPECT_EQ(got[3].cycles, mega.run(*prog).cycles);
-}
-
-TEST(BatchedReplay, MixedFamilyGroupFallsBackToSequential)
-{
-    matlib::ScalarBackend b(matlib::ScalarFlavor::Optimized);
-    auto prog =
-        bench::emitQuadSolveCached(b, tinympc::MappingStyle::Library);
-
-    cpu::InOrderCore rocket(cpu::InOrderConfig::rocket());
-    cpu::OooCore boom(cpu::OooConfig::boomSmall());
-    // Dispatch a deliberately mixed group at an InOrderCore: the
-    // family driver must reject it and fall back, not crash or
-    // misattribute lanes.
-    std::vector<const TimingModel *> group = {&rocket, &boom};
     std::vector<TimingResult> got =
-        rocket.runStreamBatch(prog->stream(), group);
-    ASSERT_EQ(got.size(), 2u);
-    EXPECT_EQ(got[0].cycles, rocket.run(*prog).cycles);
-    EXPECT_EQ(got[1].cycles, boom.run(*prog).cycles);
+        dispatcher.runStreamBatch(prog->stream(), models);
+    ASSERT_EQ(got.size(), models.size());
+    for (size_t i = 0; i < models.size(); ++i) {
+        const TimingResult want = models[i]->runAos(*prog);
+        const std::string where =
+            "slot " + std::to_string(i) + " (" + models[i]->name() + ")";
+        EXPECT_EQ(got[i].cycles, want.cycles) << where;
+        EXPECT_EQ(got[i].regionCycles, want.regionCycles) << where;
+        EXPECT_EQ(got[i].stats.counters(), want.stats.counters())
+            << where;
+    }
 }
 
 // --- work-stealing pool ---

@@ -102,8 +102,9 @@ TEST_F(EpisodeTest, ScalarDegradesAtLowFrequency)
     EXPECT_TRUE(rh.success);
     // Low-frequency scalar must be visibly worse: either failure or
     // clearly higher actuation power.
-    if (rl.success)
+    if (rl.success) {
         EXPECT_GT(rl.avgRotorPowerW, rh.avgRotorPowerW * 1.02);
+    }
 }
 
 TEST_F(EpisodeTest, SolveTimeScalesInverselyWithFrequency)

@@ -136,8 +136,9 @@ TEST(FxKernels, GemvWithinDerivedBound)
                 << matlib::formatName(f) << " elem " << i;
         }
         // int32 must be far tighter than int16 would allow.
-        if (f == NumericFormat::I32)
+        if (f == NumericFormat::I32) {
             EXPECT_LT(bound, 1e-5);
+        }
     }
 }
 

@@ -41,7 +41,6 @@
 #include "common/thread_pool.hh"
 #include "cpu/inorder.hh"
 #include "cpu/ooo.hh"
-#include "cpu/replay_batch.hh"
 #include "isa/disk_cache.hh"
 #include "isa/program_cache.hh"
 #include "isa/sched_search.hh"
