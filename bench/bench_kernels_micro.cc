@@ -76,10 +76,12 @@ BM_SaturnModel(benchmark::State &state)
 BENCHMARK(BM_SaturnModel);
 
 /**
- * Family #index's Library-style quadrotor solve stream and eight
- * configs at dse latency scales 0.7, 0.8, ..., 1.4: in-order Shuttle,
- * OoO boom-medium, Saturn V512D256 (Shuttle frontend) or Gemmini
- * OS4x4.
+ * Case #index's Library-style quadrotor solve stream and eight configs
+ * at dse latency scales 0.7, 0.8, ..., 1.4: in-order Shuttle, OoO
+ * boom-medium, Saturn V512D256 (Shuttle frontend), Gemmini OS4x4 or
+ * OoO boom-mega (args 0-4). boom-medium's memory and FP pipes are one
+ * slot wide and boom-mega's two, so arg 4 times the claim-count path
+ * that arg 1 mostly skips.
  */
 struct ReplayCase
 {
@@ -125,7 +127,7 @@ replayCase(int64_t index)
                     vector::SaturnConfig::make(512, 256, true), lat, 1.0));
         };
         break;
-      default:
+      case 3:
         c.name = "gemmini-os4x4";
         b = std::make_unique<matlib::GemminiBackend>(
             matlib::GemminiMapping::fullyOptimized());
@@ -133,6 +135,15 @@ replayCase(int64_t index)
             return std::make_unique<systolic::GemminiModel>(
                 dse::scaledGemmini(systolic::GemminiConfig::os4x4(64),
                                    lat, 1.0));
+        };
+        break;
+      default:
+        c.name = "ooo-boom-mega";
+        b = std::make_unique<matlib::ScalarBackend>(
+            matlib::ScalarFlavor::Optimized);
+        make = [](double lat) -> std::unique_ptr<cpu::TimingModel> {
+            return std::make_unique<cpu::OooCore>(
+                dse::scaledOoo(cpu::OooConfig::boomMega(), lat));
         };
         break;
     }
@@ -158,7 +169,7 @@ BM_ReplaySingle(benchmark::State &state)
                             static_cast<int64_t>(c.prog.size()));
     state.SetLabel(c.name);
 }
-BENCHMARK(BM_ReplaySingle)->DenseRange(0, 3); // the four families
+BENCHMARK(BM_ReplaySingle)->DenseRange(0, 4); // four families, boom-mega
 
 /** One 8-lane runStreamBatch over the same eight configs. */
 static void
@@ -174,7 +185,7 @@ BM_ReplayBatch8(benchmark::State &state)
                             static_cast<int64_t>(c.prog.size()));
     state.SetLabel(c.name);
 }
-BENCHMARK(BM_ReplayBatch8)->DenseRange(0, 3); // the four families
+BENCHMARK(BM_ReplayBatch8)->DenseRange(0, 4); // four families, boom-mega
 
 static void
 BM_FunctionalSolve(benchmark::State &state)

@@ -26,11 +26,15 @@
  * property tests rely on.
  *
  * Models keep no mutable state across run() calls. Each pass sets up
- * its own scratch before the per-uop loop (the AoS loops and the OoO
- * engine reuse thread-local scratch, capacity retained), so the
- * per-uop simulation loop performs no heap allocation, distinct sweep
- * threads never share scratch, and models are safe to run
- * concurrently.
+ * its own scratch before the per-uop loop, so the per-uop simulation
+ * loop performs no heap allocation, distinct sweep threads never share
+ * scratch, and models are safe to run concurrently. An engine sets up
+ * only what its uops read: it allocates its register ready files
+ * without filling them and zeroes only the rows of the registers the
+ * program reads before writing (Program::unwrittenReads), and the OoO
+ * engine, which keeps its scratch per thread with capacity retained,
+ * clears only the issue-slot words its last run claimed. The AoS
+ * loops keep zero-filled files.
  */
 
 #ifndef RTOC_CPU_CORE_MODEL_HH
@@ -45,7 +49,8 @@
 
 namespace rtoc::cpu {
 
-/** Growable map from virtual register id to ready cycle. */
+/** Growable map from virtual register id to ready cycle, zero-filled:
+ *  the AoS reference loops' register file. */
 class RegReadyFile
 {
   public:
@@ -75,22 +80,6 @@ class RegReadyFile
     {
         std::fill(ready_.begin(), ready_.end(), 0);
     }
-
-    /**
-     * Pre-size for register ids < @p n (entries stay zero), so a
-     * replay over a program's registers never grows the file.
-     */
-    void
-    ensure(uint32_t n)
-    {
-        if (n > ready_.size())
-            ready_.resize(n, 0);
-    }
-
-    /** The entries, for a loop that keeps them in locals: entry i is
-     *  register id i's ready time; ids past size() read 0. */
-    uint64_t *data() { return ready_.data(); }
-    size_t size() const { return ready_.size(); }
 
   private:
     std::vector<uint64_t> ready_;

@@ -24,6 +24,7 @@
 #define RTOC_CPU_INORDER_IMPL_HH
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -168,7 +169,10 @@ class LaneQueues
  * counters, which Program::push keeps above every id a uop names, so
  * the only id past them is kNoReg (it masks to 0x7fffffff): its reads
  * get the always-zero row (RegReadyFile semantics) and its writes land
- * in the sink row, with one bound check.
+ * in the sink row, with one bound check. Only the zero row and the
+ * rows of the program's unwrittenReads() start at 0; every other row
+ * is written before any uop reads it, so the engine leaves it
+ * uninitialized.
  */
 struct LaneRegFiles
 {
@@ -321,18 +325,31 @@ replayInOrder(const isa::UopStreamView &v,
     }
 
     // Scalar rows, vector rows, then the zero and sink rows, in one
-    // zeroed store (zero == never written, as in RegReadyFile).
+    // store allocated per pass and left uninitialized: a row is read
+    // before it is written only when its register is one of the
+    // program's unwrittenReads(), so those rows and the zero row are
+    // zeroed (zero == never written, as in RegReadyFile) and every
+    // other row is written before any read.
     const uint32_t nsreg = v.program->scalarRegCount();
     const uint32_t nvreg = v.program->vectorRegCount();
     const size_t rows = static_cast<size_t>(nsreg) + nvreg;
-    std::vector<uint64_t> store((rows + 2) * L, 0);
-    const LaneRegFiles regs{store.data(),
-                            store.data() + static_cast<size_t>(nsreg) * L,
-                            store.data() + rows * L,
-                            store.data() + (rows + 1) * L,
+    const std::unique_ptr<uint64_t[]> store(new uint64_t[(rows + 2) * L]);
+    const LaneRegFiles regs{store.get(),
+                            store.get() + static_cast<size_t>(nsreg) * L,
+                            store.get() + rows * L,
+                            store.get() + (rows + 1) * L,
                             nsreg,
                             nvreg,
                             L};
+    for (uint32_t reg : v.program->unwrittenReads()) {
+        const uint32_t idx = reg & 0x7fffffffu;
+        if (isa::Program::isVReg(reg) ? idx < nvreg : idx < nsreg) {
+            std::fill_n(isa::Program::isVReg(reg) ? regs.vrowW(reg)
+                                                  : regs.srowW(reg),
+                        L, uint64_t{0});
+        }
+    }
+    std::fill_n(store.get() + rows * L, L, uint64_t{0});
 
     constexpr uint8_t kBranchCls = static_cast<uint8_t>(LatClass::Branch);
     const uint8_t *const cls_col = v.cls;

@@ -1,6 +1,7 @@
 #include "ooo.hh"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -113,23 +114,45 @@ constexpr PipeClass kPipeOf[isa::kNumLatClasses] = {
     PipeClass::Fp,  // FpNarrow
 };
 
-/** Reusable replay state of one thread: both loops reset it per run
- *  and keep its capacity. */
+/** Cycles past last_commit the engine reserves issue slots for at once
+ *  (more when one uop's latency alone is longer). */
+constexpr uint64_t kReserveAhead = uint64_t{1} << 16;
+
+/**
+ * Reusable replay state of one thread. The engine's buffers are sized
+ * by the largest stream the thread has replayed, but each run sets up
+ * only what it reads: the ready rows of its unwritten reads, its
+ * commit ring, and the slot words the last run claimed. runAos keeps
+ * its own zero-filled files.
+ */
 struct OooScratch
 {
-    std::vector<uint64_t> finish; ///< per-uop completion (runAos only)
-    RegReadyFile regs;            ///< register ready times
-    std::vector<uint64_t> commit; ///< in-order commit ring (the ROB)
     SlotMap slots[3];             ///< issue slots, indexed by PipeClass
+    std::vector<uint64_t> commit; ///< in-order commit ring (the ROB)
+    std::unique_ptr<uint64_t[]> ready; ///< engine ready file
+    size_t readyCap = 0;
+
+    std::vector<uint64_t> finish; ///< per-uop completion (runAos only)
+    RegReadyFile regs;            ///< register ready times (runAos only)
 
     void
-    reset(const OooConfig &cfg)
+    resetSlots(const OooConfig &cfg)
     {
-        regs.reset();
-        commit.assign(static_cast<size_t>(cfg.robSize), 0);
         slots[static_cast<size_t>(PipeClass::Int)].reset(cfg.intIssue);
         slots[static_cast<size_t>(PipeClass::Mem)].reset(cfg.memIssue);
         slots[static_cast<size_t>(PipeClass::Fp)].reset(cfg.fpIssue);
+    }
+
+    /** The engine's ready file of at least @p n entries, holding
+     *  whatever the last run left. */
+    uint64_t *
+    readyFile(size_t n)
+    {
+        if (n > readyCap) {
+            ready.reset(new uint64_t[n]);
+            readyCap = n;
+        }
+        return ready.get();
     }
 };
 
@@ -152,6 +175,11 @@ OooCore::OooCore(OooConfig cfg) : cfg_(std::move(cfg))
                    ">= 1 and issue widths in [1, 255]",
                    cfg_.name.c_str());
     }
+    if (std::min({cfg_.loadLatency, cfg_.fpLatency, cfg_.fpDivLatency,
+                  cfg_.intMulLatency}) < 0) {
+        rtoc_panic("OoO core '%s': latencies must be >= 0",
+                   cfg_.name.c_str());
+    }
 }
 
 /*
@@ -167,6 +195,13 @@ OooCore::OooCore(OooConfig cfg) : cfg_(std::move(cfg))
  * 64 cycles per word; it is the cycle a one-at-a-time probe returns,
  * so the cycle counts are bit-identical to that probe's (runAos keeps
  * the plain i / frontWidth and i % robSize the counters here replace).
+ *
+ * Everything the loop writes is reached through locals: each latency
+ * class's pipe cursor, the ready file and the commit ring, which the
+ * claim counts' byte stores cannot alias. The ROB is a power-of-two ring
+ * indexed by uop number: uop i reads the commit bound uop i - robSize
+ * wrote, at slot (i - robSize) & mask, and writes its own at i & mask;
+ * the ring starts at 0, so the first robSize uops read 0.
  */
 TimingResult
 OooCore::replayLane(const isa::UopStreamView &v) const
@@ -198,86 +233,119 @@ OooCore::replayLane(const isa::UopStreamView &v) const
     set(LatClass::FpNarrow, cfg_.narrowFpLatency());
 
     OooScratch &scratch = threadScratch();
-    scratch.reset(cfg_);
+    scratch.resetSlots(cfg_);
     SlotMap *const slots = scratch.slots;
-    uint64_t *const commit = scratch.commit.data();
-    const size_t rob_size = scratch.commit.size();
-    const uint64_t front_width = static_cast<uint64_t>(cfg_.frontWidth);
+    SlotMap::Cursor by_cls[isa::kNumLatClasses]; // its pipe's cursor
+    const uint64_t max_lat =
+        *std::max_element(lat, lat + isa::kNumLatClasses);
+    const size_t chunk = static_cast<size_t>(
+        std::max<uint64_t>(1, kReserveAhead / (max_lat + 1)));
 
+    const size_t rob_size = static_cast<size_t>(cfg_.robSize);
+    size_t ring_cap = 1;
+    while (ring_cap < rob_size)
+        ring_cap *= 2;
+    scratch.commit.assign(ring_cap, 0);
+    uint64_t *const ring = scratch.commit.data();
+    const size_t ring_mask = ring_cap - 1;
+    const size_t ring_lag = ring_cap - rob_size; // i - robSize, mod cap
+
+    // The ready file: one row per register id, shared by the two
+    // register files as in runAos. Program::push keeps every id but
+    // kNoReg (masked: 0x7fffffff) below its file's counter, so the
+    // rows past them hold only kNoReg, which reads 0 and whose writes
+    // drop; of the rest, only the ids the program reads unwritten are
+    // read before they are written.
+    const uint32_t n_regs =
+        std::max(prog.scalarRegCount(), prog.vectorRegCount());
+    uint64_t *const ready = scratch.readyFile(n_regs);
+    for (uint32_t reg : prog.unwrittenReads()) {
+        if ((reg & 0x7fffffffu) < n_regs)
+            ready[reg & 0x7fffffffu] = 0;
+    }
+
+    const uint64_t front_width = static_cast<uint64_t>(cfg_.frontWidth);
     const uint8_t *const cls_col = v.cls;
     const uint32_t *const dst_col = v.dst;
     const uint32_t *const src0_col = v.src0;
     const uint32_t *const src1_col = v.src1;
     const uint32_t *const src2_col = v.src2;
 
-    // The ready file in locals, which SlotMap's byte stores cannot
-    // alias. Program::push keeps every id below its file's counter, so
-    // the file covers each id the stream names; kNoReg masks to
-    // 0x7fffffff, past any file, so it reads 0 and its writes drop.
-    RegReadyFile &regs = scratch.regs;
-    regs.ensure(std::max(prog.scalarRegCount(), prog.vectorRegCount()));
-    uint64_t *const ready = regs.data();
-    const size_t n_ready = regs.size();
-    auto ready_time = [&](uint32_t reg) -> uint64_t {
-        const uint32_t idx = reg & 0x7fffffffu;
-        return idx < n_ready ? ready[idx] : 0;
-    };
-
     uint64_t fetch = 0;                // fetch cycle of uop i: i / width
     uint64_t fetch_left = front_width; // uops left in that fetch group
-    size_t rob_slot = 0;               // commit-ring slot: i % robSize
     uint64_t last_commit = 0;          // max completion over [0, i)
     uint64_t open_before = 0;          // last_commit at the open begin
 
     TimingResult out;
     const std::vector<isa::KernelRegion> &regions = prog.kernels();
-    out.regionCycles.reserve(regions.size());
+    out.regionCycles.resize(regions.size());
+    uint64_t *const region_cycles = out.regionCycles.data();
     size_t next_region = 0;
     bool open = false;
     for (size_t i = 0;;) {
-        const size_t stop = next_region == regions.size() ? v.n
-                            : open ? regions[next_region].end
-                                   : regions[next_region].begin;
-        for (; i < stop; ++i) {
-            const uint8_t cls = cls_col[i];
-            if (!(cls & isa::kClsScalar)) {
-                rtoc_panic("OoO core '%s' given coprocessor uop %s "
-                           "(BOOM cores are evaluated scalar-only)",
-                           cfg_.name.c_str(), isa::uopName(v.kind[i]));
-            }
-            const size_t c = cls & isa::kClsLatMask;
+        const size_t seg_end = next_region == regions.size() ? v.n
+                               : open ? regions[next_region].end
+                                      : regions[next_region].begin;
+        while (i < seg_end) {
+            // A uop's operands and ROB bound are ready by last_commit
+            // and its fetch cycle by last_commit + 1, and no claim lies
+            // past last_commit, so the uop issues by last_commit + 1
+            // and raises last_commit by at most max_lat + 1: a chunk's
+            // claims stay below last_commit + chunk * (max_lat + 1) + 1.
+            const size_t stop = std::min(seg_end, i + chunk);
+            const uint64_t reach =
+                last_commit + (stop - i) * (max_lat + 1) + 1;
+            for (size_t c = 0; c < isa::kNumLatClasses; ++c)
+                by_cls[c] =
+                    slots[static_cast<size_t>(kPipeOf[c])].reserve(reach);
+            for (; i < stop; ++i) {
+                const uint8_t cls = cls_col[i];
+                if (!(cls & isa::kClsScalar)) {
+                    rtoc_panic("OoO core '%s' given coprocessor uop %s "
+                               "(BOOM cores are evaluated scalar-only)",
+                               cfg_.name.c_str(),
+                               isa::uopName(v.kind[i]));
+                }
+                const size_t c = cls & isa::kClsLatMask;
 
-            const uint64_t operands = std::max(
-                {ready_time(src0_col[i]), ready_time(src1_col[i]),
-                 ready_time(src2_col[i])});
-            const uint64_t t =
-                std::max({fetch, commit[rob_slot], operands});
-            const uint64_t done =
-                slots[static_cast<size_t>(kPipeOf[c])].claimFrom(t) +
-                lat[c];
-            const uint32_t dst = dst_col[i] & 0x7fffffffu;
-            if (dst < n_ready)
-                ready[dst] = done;
+                const uint32_t s0 = src0_col[i] & 0x7fffffffu;
+                const uint32_t s1 = src1_col[i] & 0x7fffffffu;
+                const uint32_t s2 = src2_col[i] & 0x7fffffffu;
+                uint64_t t =
+                    std::max(fetch, ring[(i + ring_lag) & ring_mask]);
+                if (s0 < n_regs)
+                    t = std::max(t, ready[s0]);
+                if (s1 < n_regs)
+                    t = std::max(t, ready[s1]);
+                if (s2 < n_regs)
+                    t = std::max(t, ready[s2]);
+                const uint64_t done = SlotMap::claim(by_cls[c], t) + lat[c];
+                const uint32_t dst = dst_col[i] & 0x7fffffffu;
+                if (dst < n_regs)
+                    ready[dst] = done;
 
-            last_commit = std::max(last_commit, done);
-            commit[rob_slot] = last_commit;
-            if (++rob_slot == rob_size)
-                rob_slot = 0;
-            if (--fetch_left == 0) {
-                ++fetch;
-                fetch_left = front_width;
+                last_commit = std::max(last_commit, done);
+                ring[i & ring_mask] = last_commit;
+                if (--fetch_left == 0) {
+                    ++fetch;
+                    fetch_left = front_width;
+                }
             }
         }
         if (next_region == regions.size())
             break;
         if (open)
-            out.regionCycles.push_back(last_commit - open_before);
+            region_cycles[next_region] = last_commit - open_before;
         else
             open_before = last_commit;
         next_region += open;
         open = !open;
     }
 
+    // No uop completes before it issues, so no claim lies past
+    // last_commit.
+    for (size_t p = 0; p < 3; ++p)
+        slots[p].claimedBelow(last_commit + 1);
     out.cycles = last_commit;
     out.stats.set(oooUopsId(), v.n);
     return out;
@@ -313,7 +381,9 @@ OooCore::runAos(const isa::Program &prog) const
     TimingResult result;
 
     OooScratch &scratch = threadScratch();
-    scratch.reset(cfg_);
+    scratch.resetSlots(cfg_);
+    scratch.regs.reset();
+    scratch.commit.assign(static_cast<size_t>(cfg_.robSize), 0);
     scratch.finish.assign(n, 0);
 
     std::vector<uint64_t> &finish = scratch.finish;

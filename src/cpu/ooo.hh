@@ -54,8 +54,9 @@ struct OooConfig
 class OooCore : public TimingModel
 {
   public:
-    /** Panics unless widths and ROB size are >= 1 and issue widths
-     *  fit the per-cycle slot count (<= 255). */
+    /** Panics unless widths and ROB size are >= 1, issue widths fit
+     *  the per-cycle slot count (<= 255) and latencies are >= 0 (a uop
+     *  never completes before it issues). */
     explicit OooCore(OooConfig cfg);
 
     TimingResult runAos(const isa::Program &prog) const override;
@@ -77,7 +78,13 @@ class OooCore : public TimingModel
                   TimingResult *out) const override;
 
   private:
-    /** The engine: one pass with the scoreboard in locals. */
+    /**
+     * The engine: one pass with the scoreboard in locals. The ROB is a
+     * power-of-two commit ring indexed by uop number, the ready file
+     * zeroes only the rows the program reads unwritten, and issue
+     * slots are reserved ahead of each stretch of claims, so no claim
+     * checks a bound.
+     */
     TimingResult replayLane(const isa::UopStreamView &v) const;
 
     OooConfig cfg_;

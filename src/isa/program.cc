@@ -31,6 +31,40 @@ interner()
     return in;
 }
 
+/** No register file: the uop's dst is written nowhere. */
+constexpr uint8_t kNoFile = 2;
+
+/**
+ * The file (0 scalar, 1 vector, kNoFile) a uop of kind @p k writes its
+ * dst @p dst to in the timing models: a scalar uop, vsetvl and a
+ * reduction write the scalar file and a vector load or arithmetic op
+ * the vector file, whatever file the id names; a vmove writes the file
+ * its id names, and stores and RoCC commands write no register.
+ */
+uint8_t
+dstFile(UopKind k, uint32_t dst)
+{
+    switch (k) {
+      case UopKind::VLoad:
+      case UopKind::VLoadStrided:
+      case UopKind::VArith:
+      case UopKind::VFma:
+        return 1;
+      case UopKind::VMove:
+        return static_cast<uint8_t>(dst >> 31);
+      case UopKind::VStore:
+      case UopKind::RoccConfig:
+      case UopKind::RoccMvin:
+      case UopKind::RoccMvout:
+      case UopKind::RoccPreload:
+      case UopKind::RoccCompute:
+      case UopKind::RoccFence:
+        return kNoFile;
+      default: // scalar kinds, vsetvl, reductions
+        return 0;
+    }
+}
+
 } // namespace
 
 KernelId
@@ -120,8 +154,9 @@ Program::push(const Uop &u)
         if (bytes)
             bytes = std::max<uint32_t>(1, bytes * emit_sew_ / 32);
     }
+    const uint8_t cls = decodeClass(u.kind, sew);
     cols_.kind.push_back(u.kind);
-    cols_.cls.push_back(decodeClass(u.kind, sew));
+    cols_.cls.push_back(cls);
     cols_.dst.push_back(u.dst);
     cols_.src0.push_back(u.src0);
     cols_.src1.push_back(u.src1);
@@ -133,13 +168,49 @@ Program::push(const Uop &u)
     cols_.rows.push_back(u.rows);
     cols_.cols.push_back(u.cols);
     cols_.taken.push_back(u.taken);
-    for (uint32_t reg : {u.dst, u.src0, u.src1, u.src2}) {
+    // Raise the counters past each id, then mark each register in the
+    // file the models access it in (see unwrittenReads()): sources
+    // first, then the dst. Bit 2 * index + file of seen_ is set once
+    // that register has been read or written; a read that sets it
+    // records the register.
+    const uint32_t file_of_src = (cls & kClsScalar) ? 0 : 1;
+    for (uint32_t reg : {u.src0, u.src1, u.src2}) {
         if (reg == kNoReg)
             continue;
+        const uint32_t idx = reg & ~kVRegBit;
         uint32_t &next = isVReg(reg) ? next_vreg_ : next_reg_;
-        next = std::max(next, (reg & ~kVRegBit) + 1);
+        next = std::max(next, idx + 1);
+        if (idx >= seen_regs_)
+            growSeen(idx + 1);
+        const uint32_t file = (reg >> 31) & file_of_src;
+        const uint64_t bit = (static_cast<uint64_t>(idx) << 1) | file;
+        uint64_t &word = seen_[bit >> 6];
+        const uint64_t m = uint64_t{1} << (bit & 63);
+        if (!(word & m)) {
+            word |= m;
+            unwritten_.push_back(idx | file << 31);
+        }
+    }
+    if (u.dst != kNoReg) {
+        const uint32_t idx = u.dst & ~kVRegBit;
+        uint32_t &next = isVReg(u.dst) ? next_vreg_ : next_reg_;
+        next = std::max(next, idx + 1);
+        if (idx >= seen_regs_)
+            growSeen(idx + 1);
+        const uint8_t file = dstFile(u.kind, u.dst);
+        if (file != kNoFile) {
+            const uint64_t bit = (static_cast<uint64_t>(idx) << 1) | file;
+            seen_[bit >> 6] |= uint64_t{1} << (bit & 63);
+        }
     }
     return size() - 1;
+}
+
+void
+Program::growSeen(uint32_t regs)
+{
+    seen_regs_ = std::max(regs, seen_regs_ * 2);
+    seen_.resize((static_cast<size_t>(seen_regs_) * 2 + 63) / 64, 0);
 }
 
 void
@@ -230,6 +301,8 @@ Program::clear()
                    kernelName(kernels_.back().id).c_str());
     }
     cols_.each([](auto &col) { col.clear(); });
+    std::fill(seen_.begin(), seen_.end(), 0);
+    unwritten_.clear();
     kernels_.clear();
 }
 

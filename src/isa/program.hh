@@ -112,7 +112,8 @@ class Program
      * Append one micro-op, returning its index. Raises
      * scalarRegCount() and vectorRegCount() past every register id the
      * uop names, ids newReg() never handed out included, so replay can
-     * size its register files from the counters.
+     * size its register files from the counters, and adds each id the
+     * uop reads unwritten to unwrittenReads().
      */
     size_t push(const Uop &u);
 
@@ -180,6 +181,28 @@ class Program
     /** Highest vector virtual register id allocated (exclusive). */
     uint32_t vectorRegCount() const { return next_vreg_; }
 
+    /**
+     * The register ids some uop reads before any uop writes them, each
+     * once, in order of first read; vector ids keep the vreg bit. A
+     * uop reads its sources before it writes its dst. Every other
+     * register is written before it is read, so a replay engine zeroes
+     * only these rows of its ready files (never written == ready at
+     * 0) and may leave the rest uninitialized.
+     *
+     * An operand is taken in the file the timing models access it in,
+     * which is the file its id names in every emitted stream: a scalar
+     * uop reads and writes only the scalar file; a coprocessor uop
+     * reads each source from the file its id names; vsetvl and a
+     * reduction write the scalar file, a vector load or arithmetic op
+     * the vector file, a vmove the file its dst names, and stores and
+     * RoCC commands write no register.
+     */
+    const std::vector<uint32_t> &
+    unwrittenReads() const
+    {
+        return unwritten_;
+    }
+
     /** Total floating-point operations (vector ops weighted by VL). */
     double flops() const;
 
@@ -188,7 +211,8 @@ class Program
     size_t countVector() const;
     size_t countRocc() const;
 
-    /** Drop all uops/regions but keep register counters monotonic. */
+    /** Drop all uops/regions and unwrittenReads() but keep register
+     *  counters monotonic. */
     void clear();
 
     /** Number of uops. */
@@ -197,7 +221,16 @@ class Program
   private:
     static constexpr uint32_t kVRegBit = 0x80000000u;
 
+    /** Size seen_ for file indices below @p regs. Cold. */
+    void growSeen(uint32_t regs);
+
     UopColumns cols_;
+    /** Bit 2 * index + file (0 scalar, 1 vector) is set once that
+     *  register has been read or written; sized for seen_regs_
+     *  indices. */
+    std::vector<uint64_t> seen_;
+    uint32_t seen_regs_ = 0;
+    std::vector<uint32_t> unwritten_;
     std::vector<KernelRegion> kernels_;
     uint32_t next_reg_ = 1;
     uint32_t next_vreg_ = 1;

@@ -1,6 +1,7 @@
 #include "saturn.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/logging.hh"
 #include "common/ring_fifo.hh"
@@ -100,8 +101,17 @@ class SaturnUnit
             dlen_pow2_[l] = (dlen_[l] & (dlen_[l] - 1)) == 0;
             dlen_shift_[l] = __builtin_ctzll(dlen_[l]);
         }
-        // Chaining rows, then the zero and sink rows (LaneRegFiles).
-        chain_.assign((static_cast<size_t>(nvreg_) + 2) * L_, 0);
+        // Chaining rows, then the zero and sink rows (LaneRegFiles),
+        // uninitialized but for the rows of vector registers read
+        // unwritten and the zero row: the chaining file is written
+        // with the vector file, so every other row is written first.
+        chain_.reset(new uint64_t[(static_cast<size_t>(nvreg_) + 2) * L_]);
+        for (uint32_t reg : v.program->unwrittenReads()) {
+            if (isa::Program::isVReg(reg) && (reg & 0x7fffffffu) < nvreg_)
+                std::fill_n(chainRowW(reg), L_, uint64_t{0});
+        }
+        std::fill_n(chain_.get() + static_cast<size_t>(nvreg_) * L_, L_,
+                    uint64_t{0});
     }
 
     void
@@ -261,7 +271,7 @@ class SaturnUnit
     {
         const uint32_t idx = reg & 0x7fffffffu;
         const size_t row = idx < nvreg_ ? idx : nvreg_;
-        return chain_.data() + row * (N ? N : L_);
+        return chain_.get() + row * (N ? N : L_);
     }
 
     /** Writable chaining row of @p reg (the sink row for kNoReg). */
@@ -270,7 +280,7 @@ class SaturnUnit
     {
         const uint32_t idx = reg & 0x7fffffffu;
         const size_t row = idx < nvreg_ ? idx : nvreg_ + 1;
-        return chain_.data() + row * (N ? N : L_);
+        return chain_.get() + row * (N ? N : L_);
     }
 
     const size_t L_;
@@ -281,7 +291,7 @@ class SaturnUnit
     cpu::LaneArray<uint64_t, N> vxu_free_, vlu_free_, vsu_free_;
     cpu::LaneQueues<N> queue_; ///< in-flight vector instructions
     /** Chaining file: first-element availability per vector register. */
-    std::vector<uint64_t> chain_;
+    std::unique_ptr<uint64_t[]> chain_;
     cpu::LaneArray<uint64_t, N> beats_, start_; ///< per-uop scratch
     uint64_t vinstrs_ = 0; ///< lane-invariant: every lane sees each op
 };

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "cpu/inorder.hh"
 #include "cpu/ooo.hh"
@@ -86,6 +87,35 @@ expectLanesMatchAos(const isa::Program &prog,
     }
 }
 
+/**
+ * A copy of @p base whose first uop, of kind @p kind, reads scalar
+ * register 1 and vector register 2 before any uop writes them. Every
+ * emitted stream writes each register before reading it, so these are
+ * the only rows the engines must zero; scalar 1 is usually written
+ * later, and a scalar uop reads the vector id from the scalar file.
+ */
+isa::Program
+withUnwrittenReads(const isa::Program &base, isa::UopKind kind)
+{
+    constexpr uint32_t kVReg2 = 2u | 0x80000000u;
+    isa::Program p;
+    p.push(isa::isScalar(kind)
+               ? isa::Uop::scalar(kind, base.scalarRegCount(), 1, kVReg2)
+               : isa::Uop::vec(kind, base.vectorRegCount() | 0x80000000u,
+                               1, kVReg2, 8));
+    for (size_t i = 0; i < base.size(); ++i)
+        p.push(base.uop(i));
+    std::vector<isa::KernelRegion> regions = base.kernels();
+    for (isa::KernelRegion &r : regions) {
+        ++r.begin;
+        ++r.end;
+    }
+    p.assemble(std::move(regions), base.scalarRegCount(),
+               base.vectorRegCount());
+    EXPECT_FALSE(p.unwrittenReads().empty());
+    return p;
+}
+
 std::vector<cpu::InOrderConfig>
 inOrderSweep()
 {
@@ -139,6 +169,8 @@ TEST(BatchedReplay, InOrderFamilyAcrossStylesAndConfigs)
         }
         ASSERT_GE(models.size(), 8u);
         expectLanesMatchAos(*prog, models, "inorder");
+        expectLanesMatchAos(withUnwrittenReads(*prog, isa::UopKind::FpAdd),
+                            models, "inorder, unwritten reads");
     }
 }
 
@@ -185,9 +217,11 @@ TEST(BatchedReplay, OooFamilyAcrossStylesAndConfigs)
             models.push_back(cores.back().get());
         }
         ASSERT_EQ(models.size(), 8u);
-        expectLanesMatchAos(
-            *prog, models,
-            fmt == matlib::NumericFormat::I16 ? "ooo i16" : "ooo");
+        const std::string label =
+            fmt == matlib::NumericFormat::I16 ? "ooo i16" : "ooo";
+        expectLanesMatchAos(*prog, models, label.c_str());
+        expectLanesMatchAos(withUnwrittenReads(*prog, isa::UopKind::FpAdd),
+                            models, (label + ", unwritten reads").c_str());
     }
 }
 
@@ -245,6 +279,8 @@ TEST(BatchedReplay, SaturnFamilyAcrossStylesAndConfigs)
         }
         ASSERT_GE(models.size(), 8u);
         expectLanesMatchAos(*prog, models, "saturn");
+        expectLanesMatchAos(withUnwrittenReads(*prog, isa::UopKind::VArith),
+                            models, "saturn, unwritten reads");
     }
 }
 
@@ -287,6 +323,137 @@ TEST(BatchedReplay, GemminiFamilyAcrossStylesAndConfigs)
         }
         ASSERT_GE(models.size(), 8u);
         expectLanesMatchAos(*prog, models, "gemmini");
+        expectLanesMatchAos(withUnwrittenReads(*prog, isa::UopKind::FpAdd),
+                            models, "gemmini, unwritten reads");
+    }
+}
+
+TEST(BatchedReplay, ReplayedStreamsReadNoRegisterUnwritten)
+{
+    // Every stream the replay benchmark prices writes each register
+    // before reading it, so its engines zero no register row; the
+    // naive scalar flavor's element loops read their index first.
+    using tinympc::MappingStyle;
+    for (const char *backend : {"scalar", "rvv", "gemmini"}) {
+        for (auto fmt :
+             {matlib::NumericFormat::F32, matlib::NumericFormat::I16}) {
+            for (auto style : {MappingStyle::Library,
+                               MappingStyle::LibraryPerStep,
+                               MappingStyle::Fused}) {
+                std::unique_ptr<matlib::Backend> b;
+                if (backend == std::string("scalar")) {
+                    b = std::make_unique<matlib::ScalarBackend>(
+                        matlib::ScalarFlavor::Optimized);
+                } else if (backend == std::string("rvv")) {
+                    b = std::make_unique<matlib::RvvBackend>(
+                        512, matlib::RvvMapping::handOptimized());
+                } else if (style != MappingStyle::Fused) {
+                    b = std::make_unique<matlib::GemminiBackend>(
+                        matlib::GemminiMapping::fullyOptimized());
+                } else {
+                    continue;
+                }
+                b->setFormat(fmt);
+                const auto prog = bench::emitQuadSolveCached(*b, style);
+                EXPECT_TRUE(prog->unwrittenReads().empty())
+                    << backend << " " << static_cast<int>(style) << " "
+                    << matlib::formatName(fmt);
+            }
+        }
+    }
+    matlib::ScalarBackend naive(matlib::ScalarFlavor::Naive);
+    EXPECT_FALSE(bench::emitQuadSolveCached(naive, MappingStyle::Library)
+                     ->unwrittenReads()
+                     .empty());
+}
+
+/**
+ * A seeded random program of @p n uops, half scalar and half of the
+ * @p coproc kinds, whose register operands name either file at random.
+ * Both files hold ids 1-47 before the first uop, so every id has a row
+ * in both files; some ids are never written, and kNoReg appears too.
+ * Regions open and close at random.
+ */
+isa::Program
+randomMixedFileProgram(Rng &rng, const std::vector<isa::UopKind> &coproc,
+                       int n)
+{
+    isa::Program p;
+    for (int k = 0; k < 47; ++k) {
+        p.newReg();
+        p.newVReg();
+    }
+    auto reg = [&]() -> uint32_t {
+        if (rng.uniformInt(8) == 0)
+            return isa::kNoReg;
+        const uint32_t idx = 1 + static_cast<uint32_t>(rng.uniformInt(47));
+        return rng.uniformInt(2) ? idx | 0x80000000u : idx;
+    };
+    bool open = false;
+    for (int i = 0; i < n; ++i) {
+        if (rng.uniformInt(24) == 0) {
+            if (open)
+                p.endKernel();
+            else
+                p.beginKernel("mixed");
+            open = !open;
+        }
+        isa::Uop u;
+        u.kind = rng.uniformInt(2)
+                     ? coproc[rng.uniformInt(coproc.size())]
+                     : static_cast<isa::UopKind>(rng.uniformInt(
+                           static_cast<uint64_t>(isa::UopKind::Branch) + 1));
+        u.dst = reg();
+        u.src0 = reg();
+        u.src1 = reg();
+        u.src2 = reg();
+        u.vl = 1 + static_cast<uint32_t>(rng.uniformInt(64));
+        u.sew = rng.uniformInt(4) ? 32 : 16;
+        u.lmul8 = rng.uniformInt(4) ? 8 : 16;
+        u.bytes = 4 * (1 + static_cast<uint32_t>(rng.uniformInt(64)));
+        u.rows = static_cast<uint16_t>(1 + rng.uniformInt(8));
+        u.cols = static_cast<uint16_t>(1 + rng.uniformInt(8));
+        u.taken = static_cast<uint8_t>(rng.uniformInt(2));
+        p.push(u);
+    }
+    if (open)
+        p.endKernel();
+    return p;
+}
+
+TEST(BatchedReplay, RandomMixedFileProgramsMatchAos)
+{
+    // Program::push takes each operand in the file the models access
+    // it in, whatever file its id names; the engines zero only the rows
+    // it records. Programs that mix the files at random must still
+    // replay as runAos prices them, a long one first on this thread.
+    using isa::UopKind;
+    using systolic::GemminiConfig;
+    using vector::SaturnConfig;
+    const std::vector<UopKind> rvv = {
+        UopKind::VSetVl,       UopKind::VLoad, UopKind::VStore,
+        UopKind::VLoadStrided, UopKind::VArith, UopKind::VFma,
+        UopKind::VRed,         UopKind::VMove};
+    const std::vector<UopKind> rocc = {
+        UopKind::RoccConfig,  UopKind::RoccMvin,    UopKind::RoccMvout,
+        UopKind::RoccPreload, UopKind::RoccCompute, UopKind::RoccFence};
+    const vector::SaturnModel sat_a(SaturnConfig::make(512, 256, true));
+    const vector::SaturnModel sat_b(SaturnConfig::make(256, 128, false));
+    const vector::SaturnModel sat_c(SaturnConfig::make(512, 192, true));
+    const systolic::GemminiModel gem_a(GemminiConfig::os4x4(64));
+    const systolic::GemminiModel gem_b(GemminiConfig::ws4x4(64));
+    const systolic::GemminiModel gem_c(GemminiConfig::os4x4HwGemv(64));
+    Rng rng(20261019);
+    for (int k = 0; k < 6; ++k) {
+        const int n =
+            k == 0 ? 6000 : 50 + static_cast<int>(rng.uniformInt(400));
+        const isa::Program vec_prog = randomMixedFileProgram(rng, rvv, n);
+        ASSERT_FALSE(vec_prog.unwrittenReads().empty());
+        expectLanesMatchAos(vec_prog, {&sat_a, &sat_b, &sat_c},
+                            "saturn, mixed files");
+        const isa::Program rocc_prog = randomMixedFileProgram(rng, rocc, n);
+        expectLanesMatchAos(rocc_prog, {&gem_a, &gem_b, &gem_c},
+                            "gemmini, mixed files");
     }
 }
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -205,6 +206,14 @@ TEST(Ooo, RejectsWidthsTheEngineCannotCount)
         c.fpIssue = bad;
         EXPECT_DEATH(OooCore{c}, msg);
     }
+    // A negative latency would complete a uop before it issues.
+    for (int OooConfig::*lat :
+         {&OooConfig::loadLatency, &OooConfig::fpLatency,
+          &OooConfig::fpDivLatency, &OooConfig::intMulLatency}) {
+        OooConfig c = OooConfig::boomMedium();
+        c.*lat = -1;
+        EXPECT_DEATH(OooCore{c}, "latencies must be >= 0");
+    }
     // The limits themselves run, and agree with the AoS loop.
     OooConfig c = OooConfig::boomMedium();
     c.frontWidth = 1;
@@ -217,6 +226,8 @@ TEST(Ooo, RejectsWidthsTheEngineCannotCount)
     c.frontWidth = 8;
     c.robSize = 512;
     c.fpIssue = 255;
+    EXPECT_EQ(OooCore(c).run(p).cycles, OooCore(c).runAos(p).cycles);
+    c.loadLatency = c.fpLatency = c.fpDivLatency = c.intMulLatency = 0;
     EXPECT_EQ(OooCore(c).run(p).cycles, OooCore(c).runAos(p).cycles);
 }
 
@@ -460,6 +471,180 @@ TEST(Models, RegionSegmentsMatchAosAtEveryBoundary)
     }
 }
 
+/**
+ * A seeded random scalar program of @p n uops over every scalar kind.
+ * Sources are mostly recent results, sometimes kNoReg or any earlier
+ * result, and, with @p unwritten, ids past every newReg() so far that
+ * no uop has written yet; some uops overwrite an older register or
+ * run at sew16. Regions open and close at random, so some are empty,
+ * some adjacent, and uops trail the last one.
+ */
+Program
+randomScalarProgram(Rng &rng, int n, bool unwritten)
+{
+    static const char *const names[] = {"r0", "r1", "r2", "r3"};
+    Program p;
+    std::vector<uint32_t> live = {p.newReg()};
+    p.push(Uop::scalar(UopKind::FpMove, live[0]));
+    auto source = [&]() -> uint32_t {
+        switch (rng.uniformInt(12)) {
+          case 0: return kNoReg;
+          case 1: return unwritten ? p.newReg() + 3 : live.front();
+          case 2: return live[rng.uniformInt(live.size())];
+          default:
+            return live[live.size() - 1 - rng.uniformInt(
+                std::min<size_t>(live.size(), 4))];
+        }
+    };
+    bool open = false;
+    for (int i = 0; i < n; ++i) {
+        if (rng.uniformInt(16) == 0) {
+            // Close the open region, or open one; sometimes twice in a
+            // row, so regions come out empty or adjacent.
+            for (int k = 0; k < 1 + static_cast<int>(rng.uniformInt(3));
+                 ++k) {
+                if (open)
+                    p.endKernel();
+                else
+                    p.beginKernel(names[rng.uniformInt(4)]);
+                open = !open;
+            }
+        }
+        if (rng.uniformInt(40) == 0)
+            p.setEmitWidth(p.emitWidth() == 32 ? 16 : 32);
+        const auto kind = static_cast<UopKind>(
+            rng.uniformInt(static_cast<uint64_t>(UopKind::Branch) + 1));
+        Uop u = Uop::scalar(kind, kNoReg, source(), source(), source());
+        if (kind == UopKind::Branch) {
+            u.taken = static_cast<uint8_t>(rng.uniformInt(2));
+        } else if (kind != UopKind::Store) {
+            u.dst = rng.uniformInt(8) == 0
+                        ? live[rng.uniformInt(live.size())]
+                        : p.newReg();
+            live.push_back(u.dst);
+        }
+        p.push(u);
+    }
+    if (open)
+        p.endKernel();
+    p.setEmitWidth(32);
+    return p;
+}
+
+/** A random in-order config: widths 1-4, latencies 1-40. */
+InOrderConfig
+randomInOrder(Rng &rng)
+{
+    auto lat = [&] { return 1 + static_cast<int>(rng.uniformInt(40)); };
+    InOrderConfig c = rng.uniformInt(2) ? InOrderConfig::rocket()
+                                        : InOrderConfig::shuttle();
+    c.name += "-rand";
+    c.issueWidth = 1 + static_cast<int>(rng.uniformInt(4));
+    c.fpuCount = 1 + static_cast<int>(rng.uniformInt(2));
+    c.memPorts = 1 + static_cast<int>(rng.uniformInt(2));
+    c.branchBubble = static_cast<int>(rng.uniformInt(6));
+    c.loadLatency = lat();
+    c.fpLatency = lat();
+    c.fpDivLatency = lat();
+    c.intMulLatency = lat();
+    return c;
+}
+
+/** A random OoO config over the engine's edge cases: ROB sizes around
+ *  the ring's powers of two, issue widths 1-3 and 255. */
+OooConfig
+randomOoo(Rng &rng)
+{
+    static const int robs[] = {1, 2, 63, 64, 96, 97, 192};
+    static const int widths[] = {1, 2, 3, 255};
+    auto lat = [&] { return 1 + static_cast<int>(rng.uniformInt(40)); };
+    OooConfig c;
+    c.name = "boom-rand";
+    c.frontWidth = 1 + static_cast<int>(rng.uniformInt(4));
+    c.robSize = robs[rng.uniformInt(7)];
+    c.intIssue = widths[rng.uniformInt(4)];
+    c.memIssue = widths[rng.uniformInt(4)];
+    c.fpIssue = widths[rng.uniformInt(4)];
+    c.loadLatency = lat();
+    c.fpLatency = lat();
+    c.fpDivLatency = lat();
+    c.intMulLatency = lat();
+    return c;
+}
+
+TEST(Models, RandomScalarProgramsMatchAosSingleAndBatched)
+{
+    // The engines zero only the ready rows a program reads unwritten,
+    // reuse OoO slot words up to the last run's final cycle, and index
+    // the ROB ring by uop number; every lane must still equal runAos.
+    // A long program runs first, so the short ones after it replay on
+    // scratch a longer stream has grown on this thread.
+    Rng rng(20261019);
+    std::vector<std::unique_ptr<TimingModel>> owned;
+    std::vector<const TimingModel *> inorder, ooo;
+    for (const InOrderConfig &c :
+         {InOrderConfig::rocket(), InOrderConfig::shuttle()}) {
+        owned.push_back(std::make_unique<InOrderCore>(c));
+        inorder.push_back(owned.back().get());
+    }
+    for (int k = 0; k < 6; ++k) {
+        owned.push_back(std::make_unique<InOrderCore>(randomInOrder(rng)));
+        inorder.push_back(owned.back().get());
+    }
+    for (const OooConfig &c :
+         {OooConfig::boomSmall(), OooConfig::boomMega()}) {
+        owned.push_back(std::make_unique<OooCore>(c));
+        ooo.push_back(owned.back().get());
+    }
+    for (int k = 0; k < 10; ++k) {
+        owned.push_back(std::make_unique<OooCore>(randomOoo(rng)));
+        ooo.push_back(owned.back().get());
+    }
+
+    for (int prog_no = 0; prog_no < 10; ++prog_no) {
+        const int n = prog_no == 0
+                          ? 20000
+                          : 50 + static_cast<int>(rng.uniformInt(600));
+        const Program p = randomScalarProgram(rng, n, prog_no % 2 == 0);
+        if (prog_no % 2 == 0) {
+            ASSERT_FALSE(p.unwrittenReads().empty());
+        }
+        for (const std::vector<const TimingModel *> *family :
+             {&inorder, &ooo}) {
+            std::vector<TimingResult> want;
+            for (const TimingModel *m : *family)
+                want.push_back(m->runAos(p));
+            auto expect_match = [&](const TimingResult &got, size_t m,
+                                    const std::string &how) {
+                const std::string where = "program " +
+                                          std::to_string(prog_no) + ", " +
+                                          (*family)[m]->name() + " " + how;
+                EXPECT_EQ(got.cycles, want[m].cycles) << where;
+                EXPECT_EQ(got.regionCycles, want[m].regionCycles) << where;
+                EXPECT_EQ(got.stats.counters(), want[m].stats.counters())
+                    << where;
+            };
+            for (size_t m = 0; m < family->size(); ++m)
+                expect_match((*family)[m]->runStream(p.stream()), m,
+                             "single");
+            for (size_t lanes : {1, 3, 8}) {
+                std::vector<const TimingModel *> group;
+                std::vector<size_t> idx;
+                for (size_t l = 0; l < lanes; ++l) {
+                    idx.push_back((prog_no + 3 * l) % family->size());
+                    group.push_back((*family)[idx.back()]);
+                }
+                const std::vector<TimingResult> got =
+                    group.front()->runStreamBatch(p.stream(), group);
+                ASSERT_EQ(got.size(), lanes);
+                for (size_t l = 0; l < lanes; ++l)
+                    expect_match(got[l], idx[l],
+                                 std::to_string(lanes) + "-lane batch");
+            }
+        }
+    }
+}
+
 TEST(Models, OpenLastRegionPanicsInBothEngines)
 {
     Program p;
@@ -565,6 +750,38 @@ TEST(SlotMap, FullRunsCrossWords)
         // A claim far past the buffer lands exactly where asked.
         EXPECT_EQ(fast.claimFrom(1 << 20), uint64_t{1} << 20);
         EXPECT_EQ(fast.claimFrom(127), 260u);
+    }
+}
+
+TEST(SlotMap, CursorRunsClearOnlyWhatTheyClaimed)
+{
+    // The OoO engine's use of one map across runs: reserve ahead of
+    // the claims, claim through the cursor, end with claimedBelow().
+    // A long run comes first, then short runs whose widths move
+    // between 1 (no claim counts) and wider: each must start empty.
+    SlotMap fast;
+    Rng rng(20261019);
+    for (int run = 0; run < 16; ++run) {
+        const int width = run % 3 == 0 ? 1 : 1 + run % 4;
+        const int claims =
+            run == 0 ? 40000 : 1 + static_cast<int>(rng.uniformInt(400));
+        fast.reset(width);
+        LinearSlotMap ref;
+        ref.reset(width);
+        uint64_t end = 0; // one past the latest claim
+        for (int k = 0; k < claims; ++k) {
+            uint64_t t = end > 8 ? end - rng.uniformInt(8) : 0;
+            if (rng.uniformInt(16) == 0)
+                t = rng.uniformInt(end + 1);
+            else if (rng.uniformInt(64) == 0)
+                t = end + rng.uniformInt(1000);
+            const SlotMap::Cursor c = fast.reserve(std::max(t, end) + 1);
+            const uint64_t got = SlotMap::claim(c, t);
+            ASSERT_EQ(got, ref.claimFrom(t))
+                << "run " << run << " width " << width << " claim " << k;
+            end = std::max(end, got + 1);
+        }
+        fast.claimedBelow(end);
     }
 }
 

@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
+#include "isa/disk_cache.hh"
 #include "isa/program.hh"
+#include "isa/schedule.hh"
 #include "isa/uop.hh"
 
 namespace rtoc::isa {
@@ -125,6 +131,125 @@ TEST(Program, ClearDropsUopsKeepsRegCounter)
     EXPECT_EQ(p.size(), 0u);
     uint32_t r2 = p.newReg();
     EXPECT_NE(r1, r2);
+}
+
+TEST(Program, UnwrittenReadsInFirstReadOrder)
+{
+    Program p;
+    EXPECT_TRUE(p.unwrittenReads().empty());
+    // A uop reads its sources before it writes its dst, so one that
+    // reads and writes the same fresh id reads it unwritten.
+    const uint32_t a = p.newReg();
+    p.push(Uop::scalar(UopKind::IntAlu, a, a));
+    const uint32_t b = p.newReg();
+    p.push(Uop::scalar(UopKind::FpAdd, b, a, b));
+    // Ids newReg() never handed out count too, each only once.
+    p.push(Uop::scalar(UopKind::FpFma, p.newReg(), 5000, 5000, 70000));
+    p.push(Uop::scalar(UopKind::FpAdd, p.newReg(), 70000, a));
+    p.push(Uop::scalar(UopKind::FpMove, 80000));
+    p.push(Uop::scalar(UopKind::FpAdd, p.newReg(), 80000));
+    // The vector file: an unwritten vreg, then one a load writes.
+    const uint32_t v = p.newVReg();
+    const uint32_t w = p.newVReg();
+    p.push(Uop::vec(UopKind::VLoad, w, a, kNoReg, 8));
+    p.push(Uop::vec(UopKind::VFma, p.newVReg(), v, w, 8));
+    const std::vector<uint32_t> want = {a, b, 5000, 70000, v};
+    EXPECT_EQ(p.unwrittenReads(), want);
+}
+
+TEST(Program, UnwrittenReadsTakeEachOperandInItsModelFile)
+{
+    // A scalar uop reads and writes the scalar file whatever file its
+    // ids name; a store or RoCC command writes no register; vsetvl and
+    // a reduction write the scalar file, a vector load the vector file.
+    // Recorded ids name the file that was read.
+    Program p;
+    const uint32_t v = p.newVReg();
+    const uint32_t s = p.newReg();
+    ASSERT_EQ(v & 0x7fffffffu, s);
+    p.push(Uop::vec(UopKind::VLoad, v, kNoReg, kNoReg, 8));
+    p.push(Uop::scalar(UopKind::FpAdd, s, v)); // scalar row of v: s
+    const uint32_t w = p.newVReg();
+    p.push(Uop::scalar(UopKind::FpMove, w)); // writes w's scalar row
+    p.push(Uop::vec(UopKind::VArith, p.newVReg(), w, kNoReg, 8));
+    const uint32_t u = p.newVReg();
+    p.push(Uop::vec(UopKind::VStore, u, v, s, 8));
+    p.push(Uop::vec(UopKind::VArith, p.newVReg(), u, kNoReg, 8));
+    const uint32_t r = p.newReg();
+    p.push(Uop::vec(UopKind::VRed, r | 0x80000000u, v, kNoReg, 8));
+    p.push(Uop::scalar(UopKind::FpAdd, p.newReg(), r));
+    const uint32_t q = p.newReg();
+    p.push(Uop::vec(UopKind::VLoad, q, s, kNoReg, 8));
+    p.push(Uop::scalar(UopKind::FpAdd, p.newReg(), q));
+    p.push(Uop::vec(UopKind::VArith, p.newVReg(), q | 0x80000000u, v, 8));
+    Uop mvin = Uop::rocc(UopKind::RoccMvin, 4, 4, 64);
+    mvin.dst = p.newReg();
+    p.push(mvin);
+    p.push(Uop::scalar(UopKind::IntAlu, p.newReg(), mvin.dst));
+    const std::vector<uint32_t> want = {s, w, u, q, mvin.dst};
+    EXPECT_EQ(p.unwrittenReads(), want);
+}
+
+TEST(Program, ClearDropsUnwrittenReads)
+{
+    Program p;
+    const uint32_t a = p.newReg();
+    p.push(Uop::scalar(UopKind::IntAlu, a, 7000));
+    p.push(Uop::scalar(UopKind::IntAlu, p.newReg(), a));
+    ASSERT_EQ(p.unwrittenReads(), std::vector<uint32_t>{7000});
+    p.clear();
+    EXPECT_TRUE(p.unwrittenReads().empty());
+    // The uop that wrote a is gone with it.
+    p.push(Uop::scalar(UopKind::IntAlu, p.newReg(), a));
+    EXPECT_EQ(p.unwrittenReads(), std::vector<uint32_t>{a});
+}
+
+/** Regions of two interleavable chains whose heads read unwritten
+ *  scalar and vector registers, plus unregioned uops between them. */
+Program
+chainsReadingUnwrittenHeads()
+{
+    Program p;
+    const uint32_t head_v = p.newVReg();
+    for (const char *name : {"first", "second"}) {
+        p.beginKernel(name);
+        for (int chain = 0; chain < 2; ++chain) {
+            uint32_t acc = p.newReg(); // never written
+            for (int i = 0; i < 6; ++i) {
+                const uint32_t next = p.newReg();
+                p.push(Uop::scalar(UopKind::FpFma, next, acc, acc));
+                acc = next;
+            }
+        }
+        p.endKernel();
+        p.push(Uop::vec(UopKind::VArith, p.newVReg(), head_v, kNoReg, 8));
+    }
+    return p;
+}
+
+TEST(Program, UnwrittenReadsSurviveDecodeAndSchedule)
+{
+    const Program p = chainsReadingUnwrittenHeads();
+    ASSERT_FALSE(p.unwrittenReads().empty());
+
+    const std::optional<Program> back = decodeProgram(encodeProgram(p));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->unwrittenReads(), p.unwrittenReads());
+
+    // A schedule permutes uops only within the dependence order, so
+    // the set is the same; its first-read order may change.
+    SchedSpec spec;
+    spec.steps = {{SchedKind::Unroll, 2}};
+    const ScheduleResult sr = applySchedule(p, spec);
+    bool moved = false;
+    for (size_t i = 0; i < sr.perm.size(); ++i)
+        moved |= sr.perm[i] != i;
+    ASSERT_TRUE(moved);
+    std::vector<uint32_t> got = sr.prog.unwrittenReads();
+    std::vector<uint32_t> want = p.unwrittenReads();
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want);
 }
 
 } // namespace
