@@ -166,8 +166,9 @@ class LaneQueues
  * lane-interleaved, entry (reg, lane) at base[idx * lanes + lane], so
  * a unit resolves a register once per uop and its lane loop reads one
  * contiguous row. The files are sized from the program's register
- * counters, which Program::push keeps above every id a uop names, so
- * the only id past them is kNoReg (it masks to 0x7fffffff): its reads
+ * counters, which Program::push keeps above every id a uop accesses
+ * in each file (a scalar uop naming a vector id included), so the
+ * only id past them is kNoReg (it masks to 0x7fffffff): its reads
  * get the always-zero row (RegReadyFile semantics) and its writes land
  * in the sink row, with one bound check. Only the zero row and the
  * rows of the program's unwrittenReads() start at 0; every other row

@@ -1,10 +1,13 @@
 #include "disk_cache.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <type_traits>
 #include <unistd.h>
 #include <vector>
@@ -29,15 +32,67 @@ constexpr uint32_t kProgramPayloadVersion = 1;
 /** Bytes of one uop record in a program payload. */
 constexpr uint64_t kUopRecordBytes = 1 + 4 * 4 + 4 + 2 + 2 + 4 + 2 + 2 + 1;
 
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
 uint64_t
-fnv1a(const void *data, size_t n, uint64_t h = 0xcbf29ce484222325ull)
+fnv1a(const void *data, size_t n)
 {
     const auto *p = static_cast<const unsigned char *>(data);
+    uint64_t h = kFnvOffset;
     for (size_t i = 0; i < n; ++i) {
         h ^= p[i];
-        h *= 0x100000001b3ull;
+        h *= kFnvPrime;
     }
     return h;
+}
+
+/**
+ * One checksum step. For a fixed word it is a bijection of the state
+ * (xor, an odd multiply and an xorshift each invert), and for a fixed
+ * state a bijection of the word, so a changed word changes the state
+ * and every later step carries the change to the end.
+ */
+inline uint64_t
+mix(uint64_t h, uint64_t w)
+{
+    h = (h ^ w) * kFnvPrime;
+    return h ^ (h >> 29);
+}
+
+/**
+ * Checksum of @p n bytes at @p p: word k of each 32-byte block feeds
+ * lane k, so the four lanes' multiplies overlap (the lanes are named
+ * locals: as an array they ran at half the speed), the words after
+ * the last block feed lane 0 and the last n % 8 bytes one tail word.
+ * The length, the tail word and the lanes then fold through mix() in
+ * turn. A change confined to one word or to the tail changes that
+ * word's lane or the tail word alone, so every single-bit flip changes
+ * the sum.
+ */
+uint64_t
+checksum(const char *p, size_t n)
+{
+    auto word = [p](size_t at) {
+        uint64_t w = 0;
+        std::memcpy(&w, p + at, sizeof(w));
+        return w;
+    };
+    uint64_t h0 = kFnvOffset, h1 = kFnvOffset, h2 = kFnvOffset,
+             h3 = kFnvOffset;
+    size_t i = 0;
+    for (; n - i >= 32; i += 32) {
+        h0 = mix(h0, word(i));
+        h1 = mix(h1, word(i + 8));
+        h2 = mix(h2, word(i + 16));
+        h3 = mix(h3, word(i + 24));
+    }
+    for (; n - i >= 8; i += 8)
+        h0 = mix(h0, word(i));
+    uint64_t tail = 0;
+    std::memcpy(&tail, p + i, n - i);
+    const uint64_t h = mix(mix(kFnvOffset, n), tail);
+    return mix(mix(mix(mix(h, h0), h1), h2), h3);
 }
 
 using blob::putRaw;
@@ -68,20 +123,79 @@ makeDirs(const std::string &dir)
     return true;
 }
 
-/** The bytes of @p path, or nullopt when it cannot be opened. */
-std::optional<std::string>
-readFile(const std::string &path)
+/**
+ * The envelope's head, every byte before the payload: the magic, the
+ * fingerprint, namespace and key (u32 length + bytes each) and the
+ * u64 payload length.
+ */
+std::string
+envelopeHead(const std::string &fp, const std::string &ns,
+             const std::string &key, uint64_t payload_len)
 {
-    FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return std::nullopt;
-    std::string out;
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return out;
+    std::string head(kMagic, sizeof(kMagic));
+    putStr(head, fp);
+    putStr(head, ns);
+    putStr(head, key);
+    putRaw<uint64_t>(head, payload_len);
+    return head;
+}
+
+/** A file descriptor, closed when it leaves scope or by close(). */
+class Fd
+{
+  public:
+    explicit Fd(int fd) : fd_(fd) {}
+    ~Fd()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+    Fd(const Fd &) = delete;
+    Fd &operator=(const Fd &) = delete;
+
+    int get() const { return fd_; }
+
+    /** Close now; false when close fails (a write may be lost). */
+    bool
+    close()
+    {
+        const int fd = fd_;
+        fd_ = -1;
+        return ::close(fd) == 0;
+    }
+
+  private:
+    int fd_;
+};
+
+using IoFn = ssize_t (*)(int, const iovec *, int);
+
+/**
+ * Move every byte of @p iov through @p io (readv or writev) on @p fd,
+ * resuming after short transfers and EINTR; false on an error or an
+ * early end of file.
+ */
+bool
+transferAll(IoFn io, int fd, iovec *iov, int n)
+{
+    while (n > 0) {
+        const ssize_t got = io(fd, iov, n);
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0)
+            return false;
+        size_t left = static_cast<size_t>(got);
+        while (n > 0 && left >= iov->iov_len) {
+            left -= iov->iov_len;
+            ++iov;
+            --n;
+        }
+        if (n > 0) {
+            iov->iov_base = static_cast<char *>(iov->iov_base) + left;
+            iov->iov_len -= left;
+        }
+    }
+    return true;
 }
 
 } // namespace
@@ -90,7 +204,7 @@ const std::string &
 buildFingerprint()
 {
     static const std::string fp =
-        std::string("rtoc-cache-v1:") + RTOC_BUILD_FINGERPRINT;
+        std::string("rtoc-cache-v2:") + RTOC_BUILD_FINGERPRINT;
     return fp;
 }
 
@@ -151,8 +265,8 @@ DiskCache::get(const std::string &ns, const std::string &key) const
         return std::nullopt;
     RTOC_SPAN("disk.get", "cache");
     const std::string path = pathFor(ns, key);
-    const std::optional<std::string> file = readFile(path);
-    if (!file) {
+    const Fd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+    if (fd.get() < 0) {
         std::lock_guard<std::mutex> lk(mu_);
         ++stats_.misses;
         return std::nullopt;
@@ -165,34 +279,32 @@ DiskCache::get(const std::string &ns, const std::string &key) const
         return std::nullopt;
     };
 
-    Reader r(*file);
-    char magic[sizeof(kMagic)];
-    if (r.left < sizeof(magic))
-        return reject();
-    std::memcpy(magic, r.p, sizeof(magic));
-    r.p += sizeof(magic);
-    r.left -= sizeof(magic);
-    if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-        return reject();
-    if (r.str() != fp_ || !r.ok)
-        return reject();
-    if (r.str() != ns || !r.ok)
-        return reject();
-    if (r.str() != key || !r.ok)
-        return reject();
-    uint64_t payload_len = r.raw<uint64_t>();
-    // The length field itself is not checksummed; guard the
-    // subtraction rather than the (overflowable) sum.
-    if (!r.ok || payload_len > r.left ||
-        r.left - payload_len < sizeof(uint64_t)) {
+    // A valid file is this entry's head, the payload and the checksum,
+    // and its size fixes the payload length; one read places each part
+    // in its own buffer, the payload in the string returned.
+    std::string want = envelopeHead(fp_, ns, key, 0);
+    const size_t head_len = want.size();
+    struct stat st{};
+    if (::fstat(fd.get(), &st) != 0 ||
+        static_cast<uint64_t>(st.st_size) < head_len + sizeof(uint64_t)) {
         return reject();
     }
-    std::string payload(r.p, payload_len);
-    r.p += payload_len;
-    r.left -= payload_len;
-    uint64_t want = r.raw<uint64_t>();
-    if (!r.ok || fnv1a(payload.data(), payload.size()) != want)
+    const uint64_t payload_len =
+        static_cast<uint64_t>(st.st_size) - head_len - sizeof(uint64_t);
+    std::memcpy(&want[head_len - sizeof(uint64_t)], &payload_len,
+                sizeof(payload_len));
+    std::string head(head_len, '\0');
+    std::string payload(payload_len, '\0');
+    uint64_t sum = 0;
+    iovec iov[3] = {{head.data(), head_len},
+                    {payload.data(), payload.size()},
+                    {&sum, sizeof(sum)}};
+    // The head holds the stored payload length, so bytes after the
+    // checksum (or missing before it) fail this comparison.
+    if (!transferAll(::readv, fd.get(), iov, 3) || head != want ||
+        checksum(payload.data(), payload.size()) != sum) {
         return reject();
+    }
 
     std::lock_guard<std::mutex> lk(mu_);
     ++stats_.hits;
@@ -209,24 +321,24 @@ DiskCache::put(const std::string &ns, const std::string &key,
     if (!makeDirs(dir_))
         return;
 
-    std::string file;
-    file.append(kMagic, sizeof(kMagic));
-    putStr(file, fp_);
-    putStr(file, ns);
-    putStr(file, key);
-    putRaw<uint64_t>(file, payload.size());
-    file.append(payload);
-    putRaw<uint64_t>(file, fnv1a(payload.data(), payload.size()));
+    const std::string head = envelopeHead(fp_, ns, key, payload.size());
+    uint64_t sum = checksum(payload.data(), payload.size());
 
+    // Each call writes its own temp file, so threads persisting one
+    // key never write into the same file.
+    static std::atomic<uint64_t> seq{0};
     const std::string path = pathFor(ns, key);
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(seq.fetch_add(1));
+    Fd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                 0666));
+    if (fd.get() < 0)
         return;
-    size_t wrote = std::fwrite(file.data(), 1, file.size(), f);
-    bool ok = std::fclose(f) == 0 && wrote == file.size();
-    if (!ok || ::rename(tmp.c_str(), path.c_str()) != 0) {
+    iovec iov[3] = {{const_cast<char *>(head.data()), head.size()},
+                    {const_cast<char *>(payload.data()), payload.size()},
+                    {&sum, sizeof(sum)}};
+    const bool wrote = transferAll(::writev, fd.get(), iov, 3);
+    if (!fd.close() || !wrote || ::rename(tmp.c_str(), path.c_str()) != 0) {
         ::remove(tmp.c_str());
         return;
     }

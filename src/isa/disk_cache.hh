@@ -18,8 +18,24 @@
  *                      $HOME/.cache/rtoc; disabled when neither is
  *                      set)
  *
- * Writes are atomic (temp file + rename), so concurrent processes
- * and ctest workers may share one cache directory.
+ * File layout: the magic "RTOCCHE1", the fingerprint, namespace and
+ * key (each a u32 length and its bytes), the u64 payload length, the
+ * payload, and a u64 checksum of the payload, all in host byte order.
+ * The checksum runs four independent lanes over the payload's 8-byte
+ * words plus one word for the byte tail, each step a bijection of its
+ * lane's state, so every single-bit flip changes it. A payload crosses
+ * memory once each way: put writes the head, the payload and the
+ * checksum from their own buffers in one gathered write, and get sizes
+ * one read by fstat, scattering the file into the head, the returned
+ * payload string and the checksum. Any file that is not exactly this
+ * entry's head, a payload of the stated length and its checksum (bytes
+ * after the checksum included) is rejected.
+ *
+ * Writes are atomic: each put writes its own temp file, named
+ * <path>.tmp.<pid>.<n> with n a process-wide counter, then renames it
+ * over the entry, so threads and processes (ctest workers included)
+ * may share one cache directory and a reader sees a whole old or a
+ * whole new file.
  */
 
 #ifndef RTOC_ISA_DISK_CACHE_HH

@@ -168,21 +168,29 @@ Program::push(const Uop &u)
     cols_.rows.push_back(u.rows);
     cols_.cols.push_back(u.cols);
     cols_.taken.push_back(u.taken);
-    // Raise the counters past each id, then mark each register in the
+    // Raise the counters past each id, in the file it names and in the
+    // file the models access it in (a scalar uop reads and writes a
+    // vector id in the scalar file), so every engine sizes both files
+    // to hold it; emitted streams never cross files, so their counters
+    // are those of the ids they name. Then mark each register in the
     // file the models access it in (see unwrittenReads()): sources
     // first, then the dst. Bit 2 * index + file of seen_ is set once
     // that register has been read or written; a read that sets it
     // records the register.
+    auto raise = [this](uint32_t file, uint32_t idx) {
+        uint32_t &next = file ? next_vreg_ : next_reg_;
+        next = std::max(next, idx + 1);
+    };
     const uint32_t file_of_src = (cls & kClsScalar) ? 0 : 1;
     for (uint32_t reg : {u.src0, u.src1, u.src2}) {
         if (reg == kNoReg)
             continue;
         const uint32_t idx = reg & ~kVRegBit;
-        uint32_t &next = isVReg(reg) ? next_vreg_ : next_reg_;
-        next = std::max(next, idx + 1);
+        const uint32_t file = (reg >> 31) & file_of_src;
+        raise(reg >> 31, idx);
+        raise(file, idx);
         if (idx >= seen_regs_)
             growSeen(idx + 1);
-        const uint32_t file = (reg >> 31) & file_of_src;
         const uint64_t bit = (static_cast<uint64_t>(idx) << 1) | file;
         uint64_t &word = seen_[bit >> 6];
         const uint64_t m = uint64_t{1} << (bit & 63);
@@ -193,12 +201,12 @@ Program::push(const Uop &u)
     }
     if (u.dst != kNoReg) {
         const uint32_t idx = u.dst & ~kVRegBit;
-        uint32_t &next = isVReg(u.dst) ? next_vreg_ : next_reg_;
-        next = std::max(next, idx + 1);
+        const uint8_t file = dstFile(u.kind, u.dst);
+        raise(u.dst >> 31, idx);
         if (idx >= seen_regs_)
             growSeen(idx + 1);
-        const uint8_t file = dstFile(u.kind, u.dst);
         if (file != kNoFile) {
+            raise(file, idx);
             const uint64_t bit = (static_cast<uint64_t>(idx) << 1) | file;
             seen_[bit >> 6] |= uint64_t{1} << (bit & 63);
         }

@@ -111,9 +111,10 @@ class Program
     /**
      * Append one micro-op, returning its index. Raises
      * scalarRegCount() and vectorRegCount() past every register id the
-     * uop names, ids newReg() never handed out included, so replay can
-     * size its register files from the counters, and adds each id the
-     * uop reads unwritten to unwrittenReads().
+     * uop names, ids newReg() never handed out included, in the file
+     * the id names and in the file the models access it in, so replay
+     * can size its register files from the counters, and adds each id
+     * the uop reads unwritten to unwrittenReads().
      */
     size_t push(const Uop &u);
 

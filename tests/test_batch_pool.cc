@@ -459,19 +459,32 @@ TEST(BatchedReplay, RandomMixedFileProgramsMatchAos)
 
 TEST(BatchedReplay, RegisterIdsNewRegNeverHandedOutMatchAosInEveryFamily)
 {
-    // A hand-built uop may name ids newReg() never handed out. push()
-    // raises the register counter past them, so every engine sizes its
-    // ready files to hold them and prices the stream as runAos does,
-    // single and batched. Each engine run gets a new thread, whose
-    // scratch starts empty: an earlier run on this thread may have
-    // grown it past every id.
-    isa::Program p;
-    const uint32_t a = p.newReg();
-    p.push(isa::Uop::scalar(isa::UopKind::FpDiv, a));
-    p.push(isa::Uop::scalar(isa::UopKind::FpFma, 5000, a));
-    p.push(isa::Uop::scalar(isa::UopKind::FpFma, 70000, 5000));
-    p.push(isa::Uop::scalar(isa::UopKind::FpAdd, p.newReg(), 70000, 5000));
-    EXPECT_GT(p.scalarRegCount(), 70000u);
+    // A hand-built uop may name ids newReg() never handed out, or a
+    // vector id that a scalar uop writes and reads in the scalar file.
+    // push() raises the counters past them in the file each id is
+    // accessed in, so every engine sizes its ready files to hold them
+    // and prices the stream as runAos does, single and batched. Each
+    // engine run gets a new thread, whose scratch starts empty: an
+    // earlier run on this thread may have grown it past every id.
+    isa::Program ids;
+    const uint32_t a = ids.newReg();
+    ids.push(isa::Uop::scalar(isa::UopKind::FpDiv, a));
+    ids.push(isa::Uop::scalar(isa::UopKind::FpFma, 5000, a));
+    ids.push(isa::Uop::scalar(isa::UopKind::FpFma, 70000, 5000));
+    ids.push(
+        isa::Uop::scalar(isa::UopKind::FpAdd, ids.newReg(), 70000, 5000));
+    EXPECT_GT(ids.scalarRegCount(), 70000u);
+
+    // FpMove a; FpDiv v5 <- a; FpAdd <- v5, with 3 scalar ids handed
+    // out: the divide's result lives in scalar row 5.
+    isa::Program cross;
+    const uint32_t b = cross.newReg();
+    const uint32_t v5 = 5u | 0x80000000u;
+    ASSERT_TRUE(isa::Program::isVReg(v5));
+    cross.push(isa::Uop::scalar(isa::UopKind::FpMove, b));
+    cross.push(isa::Uop::scalar(isa::UopKind::FpDiv, v5, b));
+    cross.push(isa::Uop::scalar(isa::UopKind::FpAdd, cross.newReg(), v5));
+    EXPECT_GT(cross.scalarRegCount(), 5u);
 
     using vector::SaturnConfig;
     using systolic::GemminiConfig;
@@ -488,19 +501,22 @@ TEST(BatchedReplay, RegisterIdsNewRegNeverHandedOutMatchAosInEveryFamily)
                     {&boom_m, &boom_s},
                     {&sat_s, &sat_r},
                     {&os, &ws}};
-    for (const auto &[first, second] : families) {
-        TimingResult single;
-        std::vector<TimingResult> batch;
-        std::thread([&] {
-            single = first->run(p);
-            batch = first->runStreamBatch(p.stream(), {first, second});
-        }).join();
-        const Cycles want = first->runAos(p).cycles;
-        EXPECT_EQ(single.cycles, want) << first->name();
-        ASSERT_EQ(batch.size(), 2u);
-        EXPECT_EQ(batch[0].cycles, want) << first->name();
-        EXPECT_EQ(batch[1].cycles, second->runAos(p).cycles)
-            << second->name();
+    for (const isa::Program *p : {&ids, &cross}) {
+        const std::string which = p == &ids ? "ids" : "cross";
+        for (const auto &[first, second] : families) {
+            TimingResult single;
+            std::vector<TimingResult> batch;
+            std::thread([&] {
+                single = first->run(*p);
+                batch = first->runStreamBatch(p->stream(), {first, second});
+            }).join();
+            const Cycles want = first->runAos(*p).cycles;
+            EXPECT_EQ(single.cycles, want) << which << " " << first->name();
+            ASSERT_EQ(batch.size(), 2u);
+            EXPECT_EQ(batch[0].cycles, want) << which << " " << first->name();
+            EXPECT_EQ(batch[1].cycles, second->runAos(*p).cycles)
+                << which << " " << second->name();
+        }
     }
 }
 

@@ -4,8 +4,9 @@
  * program/calibration cache: SoA-vs-AoS bit-exact cycle counts on all
  * four timing-model families x mapping styles, column/view fidelity,
  * disk round-trips (cold write -> warm read with zero re-emissions),
- * corrupt, truncated, bit-flipped, oversized and fingerprint-mismatched
- * file rejection, the RTOC_CACHE=0
+ * corrupt, truncated, bit-flipped, oversized, appended-to and
+ * fingerprint-mismatched file rejection, the checksum over every
+ * payload length to 80 bytes, threads sharing one key, the RTOC_CACHE=0
  * bypass, the one solve-stream identity shared by calibrations and
  * benches, and registry-driven episode counts.
  */
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +25,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -400,12 +403,62 @@ TEST(DiskCache, CorruptFileRejectedAndRegenerated)
     EXPECT_TRUE(samePrograms(*first, *third));
 }
 
+/**
+ * The file of one valid cache entry, which a test rewrites: each
+ * rewrite it expects rejected must make get return nullopt, count one
+ * rejection and delete the file.
+ */
+struct EntryFile
+{
+    const isa::DiskCache &disk;
+    std::string ns, key, path;
+    std::string good;      ///< the valid entry's bytes
+    uint64_t rejected = 0; ///< rejections counted so far
+
+    EntryFile(const isa::DiskCache &d, std::string n, std::string k)
+        : disk(d), ns(std::move(n)), key(std::move(k)),
+          path(disk.pathFor(ns, key)), rejected(disk.stats().rejected)
+    {
+        std::ifstream f(path, std::ios::binary);
+        good.assign(std::istreambuf_iterator<char>(f), {});
+    }
+
+    void
+    expectRejected(const std::string &bytes, const std::string &what)
+    {
+        {
+            std::ofstream f(path, std::ios::binary | std::ios::trunc);
+            f.write(bytes.data(),
+                    static_cast<std::streamsize>(bytes.size()));
+        }
+        EXPECT_FALSE(disk.get(ns, key).has_value()) << what;
+        EXPECT_EQ(disk.stats().rejected, ++rejected) << what;
+        EXPECT_FALSE(std::filesystem::exists(path)) << what;
+    }
+
+    /** Every proper prefix (the empty file too), then every single-bit
+     *  flip of the valid file. */
+    void
+    expectPrefixesAndBitFlipsRejected()
+    {
+        for (size_t n = 0; n < good.size(); ++n)
+            expectRejected(good.substr(0, n), "prefix " + std::to_string(n));
+        for (size_t bit = 0; bit < 8 * good.size(); ++bit) {
+            std::string flipped = good;
+            flipped[bit / 8] =
+                static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+            expectRejected(flipped, "bit " + std::to_string(bit));
+        }
+    }
+};
+
 TEST(DiskCache, HostileCalibFilesRejected)
 {
     // The file of a valid calib entry, then every proper prefix of it
     // (the empty file too), every single-bit flip, 0xFFFFFFFF in each
-    // string-length field and 2^64-1 in the payload length: each get
-    // returns nullopt, counts one rejection and deletes the file.
+    // string-length field, 2^64-1 in the payload length and bytes
+    // after the checksum: each get returns nullopt, counts one
+    // rejection and deletes the file.
     const std::string dir = makeTempDir();
     isa::DiskCache disk(dir, "test-fp");
     hil::ControllerTiming t;
@@ -420,36 +473,13 @@ TEST(DiskCache, HostileCalibFilesRejected)
                             backend.cacheKey() + "|style0|nx12|nu4|h10";
     const std::string payload = hil::encodeTiming(t);
     disk.put(ns, key, payload);
-    const std::string path = disk.pathFor(ns, key);
-    auto read_file = [&] {
-        std::ifstream f(path, std::ios::binary);
-        return std::string(std::istreambuf_iterator<char>(f), {});
-    };
-    auto write_file = [&](const std::string &bytes) {
-        std::ofstream f(path, std::ios::binary | std::ios::trunc);
-        f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    };
-    const std::string good = read_file();
+    EntryFile file(disk, ns, key);
     ASSERT_EQ(disk.get(ns, key), payload);
 
-    uint64_t rejected = disk.stats().rejected;
-    auto expect_rejected = [&](const std::string &bytes,
-                               const std::string &what) {
-        write_file(bytes);
-        EXPECT_FALSE(disk.get(ns, key).has_value()) << what;
-        EXPECT_EQ(disk.stats().rejected, ++rejected) << what;
-        EXPECT_FALSE(std::filesystem::exists(path)) << what;
-    };
-    for (size_t n = 0; n < good.size(); ++n)
-        expect_rejected(good.substr(0, n), "prefix " + std::to_string(n));
-    for (size_t bit = 0; bit < 8 * good.size(); ++bit) {
-        std::string flipped = good;
-        flipped[bit / 8] =
-            static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
-        expect_rejected(flipped, "bit " + std::to_string(bit));
-    }
+    file.expectPrefixesAndBitFlipsRejected();
     // The 8-byte magic, then the fingerprint, namespace and key, each a
     // u32 length and its bytes, then the u64 payload length.
+    const std::string &good = file.good;
     size_t at = 8;
     for (const std::string &str : {std::string("test-fp"), ns, key}) {
         uint32_t len = 0;
@@ -457,7 +487,7 @@ TEST(DiskCache, HostileCalibFilesRejected)
         ASSERT_EQ(len, str.size());
         std::string huge = good;
         std::memset(&huge[at], 0xff, sizeof(len));
-        expect_rejected(huge, "string length at " + std::to_string(at));
+        file.expectRejected(huge, "string length at " + std::to_string(at));
         at += sizeof(len) + str.size();
     }
     uint64_t len = 0;
@@ -465,9 +495,85 @@ TEST(DiskCache, HostileCalibFilesRejected)
     ASSERT_EQ(len, payload.size());
     std::string huge = good;
     std::memset(&huge[at], 0xff, sizeof(len));
-    expect_rejected(huge, "payload length");
+    file.expectRejected(huge, "payload length");
+    file.expectRejected(good + std::string(8, '\0'), "8 bytes appended");
+    file.expectRejected(good + "x", "1 byte appended");
     EXPECT_EQ(disk.stats().hits, 1u);
     EXPECT_EQ(disk.stats().misses, 0u);
+}
+
+TEST(DiskCache, ChecksumCoversEveryLaneAndTheTail)
+{
+    // The calib payload above is shorter than one 32-byte block of the
+    // checksum's four word lanes. Round-trip every length from 0 to 80
+    // (no words, a tail alone, words after the last block, one and two
+    // blocks), then run the prefix and bit-flip corpus on 203 bytes:
+    // six blocks, one word after them and a 3-byte tail.
+    const std::string dir = makeTempDir();
+    isa::DiskCache disk(dir, "test-fp");
+    auto bytes = [](size_t n) {
+        std::string s(n, '\0');
+        for (size_t i = 0; i < n; ++i)
+            s[i] = static_cast<char>(i * 37 + 11);
+        return s;
+    };
+    for (size_t n = 0; n <= 80; ++n) {
+        const std::string key = "len" + std::to_string(n);
+        disk.put("calib", key, bytes(n));
+        EXPECT_EQ(disk.get("calib", key), bytes(n)) << n;
+    }
+    EXPECT_EQ(disk.stats().hits, 81u);
+    EXPECT_EQ(disk.stats().rejected, 0u);
+
+    disk.put("calib", "corpus", bytes(203));
+    EntryFile file(disk, "calib", "corpus");
+    ASSERT_EQ(file.good.size() - bytes(203).size(),
+              8 + 3 * 4 + std::string("test-fp" "calib" "corpus").size() +
+                  2 * 8);
+    file.expectPrefixesAndBitFlipsRejected();
+}
+
+TEST(DiskCache, ThreadsSharingOneKeyNeverReadATornFile)
+{
+    // Threads put their own payload under one key and read the key
+    // back. Each put writes its own temp file and renames it over the
+    // entry, so every get after a thread's first put reads one whole
+    // payload: none misses and none is rejected.
+    const std::string dir = makeTempDir();
+    isa::DiskCache disk(dir, "test-fp");
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 50;
+    std::vector<std::string> payloads;
+    for (int t = 0; t < kThreads; ++t)
+        payloads.emplace_back(size_t{1} << 20, static_cast<char>('a' + t));
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int r = 0; r < kRounds; ++r) {
+                disk.put("calib", "one-key", payloads[t]);
+                const std::optional<std::string> got =
+                    disk.get("calib", "one-key");
+                if (got && std::find(payloads.begin(), payloads.end(),
+                                     *got) == payloads.end()) {
+                    ++wrong;
+                }
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    const isa::DiskCacheStats s = disk.stats();
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_EQ(s.rejected, 0u);
+    EXPECT_EQ(s.misses, 0u);
+    EXPECT_EQ(s.hits, uint64_t{kThreads * kRounds});
+    EXPECT_EQ(s.writes, uint64_t{kThreads * kRounds});
+    // Every temp file was renamed: the entry is the directory's only file.
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                            std::filesystem::directory_iterator()),
+              1);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(DiskCache, FingerprintMismatchInvalidates)
