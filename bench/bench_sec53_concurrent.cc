@@ -7,10 +7,9 @@
  * 7.7 FPS.
  *
  * Runs through the RtScheduler path (sched/scheduler.hh): the MPC row
- * is a fixed-cost periodic task, DroNet the background tenant — the
- * same two-task setup soc::simulateSchedule models in closed form, so
- * the table is identical, but RTOC_FAULT now overloads this bench
- * reproducibly like every other scheduler-driven study.
+ * is a fixed-cost periodic task and DroNet the background tenant, so
+ * RTOC_FAULT overloads this bench reproducibly like every other
+ * scheduler-driven study. test_soc's Rtos.* tests pin the same setup.
  */
 
 #include <cstdio>

@@ -62,14 +62,6 @@ statName(StatId id)
     return in.names[id];
 }
 
-size_t
-internedStatCount()
-{
-    StatInterner &in = statInterner();
-    std::lock_guard<std::mutex> lk(in.mu);
-    return in.names.size();
-}
-
 uint64_t
 StatGroup::get(const std::string &name) const
 {

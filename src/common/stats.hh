@@ -39,9 +39,6 @@ StatId internStat(std::string_view name);
 /** The string a StatId was interned from (stable reference). */
 const std::string &statName(StatId id);
 
-/** Number of stat names interned so far. */
-size_t internedStatCount();
-
 /**
  * A group of named uint64 counters. Models register their event counts
  * (instructions issued, stall cycles, fences, ...) here so tests and

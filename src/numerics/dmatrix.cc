@@ -155,15 +155,6 @@ DMatrix::maxAbs() const
     return m;
 }
 
-double
-DMatrix::frobenius() const
-{
-    double s = 0.0;
-    for (double v : data_)
-        s += v * v;
-    return std::sqrt(s);
-}
-
 std::string
 DMatrix::str(int precision) const
 {

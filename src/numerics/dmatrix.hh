@@ -83,9 +83,6 @@ class DMatrix
     /** Max |a_ij|. */
     double maxAbs() const;
 
-    /** Frobenius norm. */
-    double frobenius() const;
-
     /** Human-readable dump for debugging. */
     std::string str(int precision = 4) const;
 

@@ -121,6 +121,7 @@ struct RtScheduler::Impl
     {
         int task = -1;
         double remainingCycles = 0.0;
+        double release = 0.0;
         double deadline = 0.0;
         bool started = false;
     };
@@ -353,7 +354,7 @@ struct RtScheduler::Impl
                 countStalledSolve();
             }
             ready.push_back(Work{idx, t.spec.wcetCycles * spike + stall,
-                                 deadline, false});
+                                 tr, deadline, false});
             t.inFlight = true;
             return;
         }
@@ -433,7 +434,7 @@ struct RtScheduler::Impl
                 t.lastRefreshIters = tick.riccatiIters;
         }
         t.stagedCmd = t.session->command();
-        ready.push_back(Work{idx, cycles, deadline, false});
+        ready.push_back(Work{idx, cycles, tr, deadline, false});
         t.inFlight = true;
     }
 
@@ -458,6 +459,8 @@ struct RtScheduler::Impl
             t.pendingCmd = t.stagedCmd;
             t.applyAt = done;
         }
+        t.stats.responseMaxS =
+            std::max(t.stats.responseMaxS, done - w.release);
         if (done > w.deadline + kDeadlineEps)
             recordMiss(t, done - w.deadline);
         else
@@ -691,8 +694,8 @@ RtScheduler::run()
     // ends before they complete, but a deadline can already be lost.
     // Charge a miss when even the optimistic completion estimate —
     // finishing the remaining cycles uninterrupted from the boundary,
-    // plus the link latency — lands past the deadline (the same
-    // verdict the closed-form soc::simulateSchedule model reaches).
+    // plus the link latency — lands past the deadline. No response
+    // time is recorded for them: they never completed.
     for (const Impl::Work &w : im.ready) {
         Impl::Task &t = im.tasks[static_cast<size_t>(w.task)];
         double done_est = im.now + w.remainingCycles / im.cfg.freqHz +

@@ -122,6 +122,9 @@ struct TaskStats
     uint64_t drops = 0;     ///< releases shed: previous solve in flight
     uint64_t missStreakMax = 0; ///< worst consecutive-miss run
     Distribution latenessS; ///< completion - deadline, missed ticks
+    /** Worst release-to-command-ready time over completed activations
+     *  (core completion, plus the UART link for live tasks). */
+    double responseMaxS = 0.0;
 
     // core occupancy
     double busyS = 0.0;

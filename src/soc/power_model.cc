@@ -55,12 +55,4 @@ PowerModel::powerW(double freq_hz, double utilization) const
     return params_.leakageW + cap_nf * 1e-9 * v * v * freq_hz;
 }
 
-double
-PowerModel::energyForCyclesJ(double freq_hz, double cycles) const
-{
-    double v = voltageAt(freq_hz);
-    double busy_power = params_.busyCapNfV2 * 1e-9 * v * v * freq_hz;
-    return busy_power * (cycles / freq_hz);
-}
-
 } // namespace rtoc::soc

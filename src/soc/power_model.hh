@@ -52,9 +52,6 @@ class PowerModel
      */
     double powerW(double freq_hz, double utilization) const;
 
-    /** Energy (J) for executing @p cycles busy cycles at @p freq_hz. */
-    double energyForCyclesJ(double freq_hz, double cycles) const;
-
     const PowerParams &params() const { return params_; }
 
   private:

@@ -73,9 +73,6 @@ class UartModel
         return transferS(cmd_elems * elem_bytes);
     }
 
-    /** Small-frame overhead (the configuration value). */
-    int framingBytes() const { return framing_; }
-
   private:
     double baud_;
     int framing_;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "cpu/inorder.hh"
 #include "cpu/ooo.hh"
 #include "dronet/dronet.hh"
@@ -17,7 +19,7 @@
 #include "matlib/rvv_backend.hh"
 #include "matlib/scalar_backend.hh"
 #include "plant/quad_plant.hh"
-#include "soc/rtos.hh"
+#include "sched/scheduler.hh"
 #include "systolic/gemmini.hh"
 #include "tinympc/solver.hh"
 #include "vector/saturn.hh"
@@ -157,12 +159,24 @@ TEST(EndToEnd, ConcurrencyStudyArithmetic)
 
     double dronet =
         dronet::CnnCostModel::vectorized(256).cyclesPerFrame();
-    soc::PeriodicTask mpc_s{"mpc", 0.02, ts.solveCycles(25)};
-    soc::PeriodicTask mpc_v{"mpc", 0.02, tv.solveCycles(25)};
-    auto rs = soc::simulateSchedule(mpc_s, dronet, 100e6, 10.0);
-    auto rv = soc::simulateSchedule(mpc_v, dronet, 100e6, 10.0);
-    EXPECT_GT(rs.periodicUtilization, rv.periodicUtilization * 4);
-    EXPECT_GT(rv.backgroundFps / rs.backgroundFps, 1.1);
+    auto shared = [&](double wcet_cycles) {
+        sched::SchedulerConfig cfg;
+        cfg.useEnvFaults = false;
+        cfg.freqHz = 100e6;
+        cfg.horizonS = 10.0;
+        sched::RtScheduler rs(cfg);
+        sched::TaskSpec mpc;
+        mpc.name = "mpc";
+        mpc.periodS = 0.02;
+        mpc.wcetCycles = wcet_cycles;
+        rs.addTask(std::move(mpc));
+        rs.addBackground({"dronet", dronet});
+        return rs.run();
+    };
+    sched::ScheduleRunResult rs = shared(ts.solveCycles(25));
+    sched::ScheduleRunResult rv = shared(tv.solveCycles(25));
+    EXPECT_GT(rs.tasks[0].utilization, rv.tasks[0].utilization * 4);
+    EXPECT_GT(rv.background[0].fps / rs.background[0].fps, 1.1);
 }
 
 TEST(EndToEnd, HawkNeedsComputeHeronDoesNot)

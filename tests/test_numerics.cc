@@ -60,12 +60,6 @@ TEST(DMatrix, AddSubScale)
     EXPECT_DOUBLE_EQ(scaled(1, 1), 8);
 }
 
-TEST(DMatrix, FrobeniusNorm)
-{
-    DMatrix a(1, 2, {3, 4});
-    EXPECT_DOUBLE_EQ(a.frobenius(), 5.0);
-}
-
 TEST(LuSolve, SolvesKnownSystem)
 {
     DMatrix a(2, 2, {2, 1, 1, 3});

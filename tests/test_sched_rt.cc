@@ -7,13 +7,15 @@
  * hysteresis, FaultTrace parsing round trips (on hostile truncated and
  * substituted specs too), deterministic ladder
  * engagement under an injected compute stall, parallel == serial
- * scheduler sweeps under an explicit 4-thread pool, and agreement
- * between RtScheduler's fixed-cost task path and the closed-form
- * soc::simulateSchedule model.
+ * scheduler sweeps under an explicit 4-thread pool, and RtScheduler's
+ * fixed-cost task path against fixed-priority response-time analysis
+ * (Joseph & Pandya, 1986) on seeded random task sets.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -21,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "hil/episode.hh"
 #include "hil/sweep.hh"
@@ -31,7 +34,6 @@
 #include "sched/anytime.hh"
 #include "sched/fault.hh"
 #include "sched/scheduler.hh"
-#include "soc/rtos.hh"
 #include "tinympc/solver.hh"
 
 namespace rtoc {
@@ -86,6 +88,7 @@ expectTaskStatsEq(const sched::TaskStats &a, const sched::TaskStats &b)
     EXPECT_EQ(a.drops, b.drops);
     EXPECT_EQ(a.missStreakMax, b.missStreakMax);
     EXPECT_EQ(a.latenessS.size(), b.latenessS.size());
+    EXPECT_EQ(a.responseMaxS, b.responseMaxS);
     EXPECT_EQ(a.busyS, b.busyS);
     EXPECT_EQ(a.utilization, b.utilization);
     EXPECT_EQ(a.preemptions, b.preemptions);
@@ -537,60 +540,127 @@ TEST(SchedRt, ParallelSweepMatchesSerial)
     }
 }
 
-TEST(SchedRt, FixedTaskAgreesWithClosedFormModel)
+/** A fixed-WCET task in whole cycles, for the analysis below. */
+struct RtaTask
 {
-    // The §5.3 shapes: both tasks fit their period (57% / 6.6% of it).
-    for (double wcet : {570000.0, 66000.0}) {
-        soc::PeriodicTask pt{"mpc", 0.02, wcet};
-        soc::ScheduleResult closed =
-            soc::simulateSchedule(pt, 12.5e6, 100e6, 10.0);
+    int priority = 0;
+    int64_t periodCycles = 0;
+    int64_t wcetCycles = 0;
+};
 
-        sched::SchedulerConfig cfg;
-        cfg.useEnvFaults = false;
-        cfg.freqHz = 100e6;
-        cfg.horizonS = 10.0;
-        sched::RtScheduler rs(cfg);
-        sched::TaskSpec mpc;
-        mpc.name = "mpc";
-        mpc.periodS = 0.02;
-        mpc.wcetCycles = wcet;
-        rs.addTask(std::move(mpc));
-        rs.addBackground({"dronet", 12.5e6});
-        sched::ScheduleRunResult r = rs.run();
-
-        EXPECT_EQ(r.tasks[0].releases, closed.periodicActivations);
-        EXPECT_EQ(r.tasks[0].misses, closed.periodicDeadlineMisses);
-        EXPECT_EQ(r.background[0].completions,
-                  closed.backgroundCompletions);
-        EXPECT_EQ(r.background[0].fps, closed.backgroundFps);
-        EXPECT_NEAR(r.tasks[0].utilization, closed.periodicUtilization,
-                    1e-9);
+/**
+ * Fixed-priority response-time analysis (Joseph & Pandya, 1986): the
+ * least fixed point of
+ *   R = C_i + c + sum over j beating i of ceil(R / T_j) * (C_j + 2c),
+ * where "beats" is RtScheduler's order (priority, then lower index)
+ * and c is the context-switch charge: one switch into task i, and one
+ * into each higher-priority job plus one back out of it. nullopt once
+ * R passes the period. With c = 0 this is the exact response time of
+ * the synchronous first job, the critical instant.
+ */
+std::optional<int64_t>
+responseTimeCycles(const std::vector<RtaTask> &set, size_t i, int64_t c)
+{
+    const RtaTask &me = set[i];
+    int64_t r = me.wcetCycles + c;
+    for (;;) {
+        int64_t next = me.wcetCycles + c;
+        for (size_t j = 0; j < set.size(); ++j) {
+            const RtaTask &o = set[j];
+            const bool beats = o.priority != me.priority
+                                   ? o.priority > me.priority
+                                   : j < i;
+            if (beats)
+                next += (r + o.periodCycles - 1) / o.periodCycles *
+                        (o.wcetCycles + 2 * c);
+        }
+        if (next > me.periodCycles)
+            return std::nullopt;
+        if (next == r)
+            return r;
+        r = next;
     }
+}
 
-    // Constant overrun: every activation misses in both models.
-    {
-        soc::PeriodicTask pt{"mpc", 0.02, 2.5e6};
-        soc::ScheduleResult closed =
-            soc::simulateSchedule(pt, 1e6, 100e6, 5.0);
-        EXPECT_EQ(closed.periodicDeadlineMisses,
-                  closed.periodicActivations);
+TEST(SchedRt, FixedTasksMeetResponseTimeAnalysis)
+{
+    // Seeded random sets of 2-5 fixed-WCET tasks: whole-millisecond
+    // periods of 5-50 ms, priorities from {0, 1, 2} so that ties fall
+    // to the index order, and a random split of 20-95% utilization.
+    // Every task releases at t = 0 with no jitter and no faults. Only
+    // sets the analysis calls schedulable are run: a higher-priority
+    // task past its period drops releases, and then a lower one sees
+    // less interference than the analysis charges.
+    const double freq = 100e6;
+    const int64_t cycles_per_ms = 100000;
+    int exact_sets = 0, bounded_sets = 0;
+    Rng rng(0x5C4ED0A1ull);
+    for (int set_idx = 0; set_idx < 400; ++set_idx) {
+        const size_t n = 2 + rng.uniformInt(4);
+        std::vector<RtaTask> set(n);
+        std::vector<double> share(n);
+        double share_sum = 0.0;
+        for (double &w : share) {
+            w = rng.uniform(0.1, 1.0);
+            share_sum += w;
+        }
+        const double util = rng.uniform(0.2, 0.95);
+        for (size_t i = 0; i < n; ++i) {
+            set[i].priority = static_cast<int>(rng.uniformInt(3));
+            set[i].periodCycles =
+                static_cast<int64_t>(5 + rng.uniformInt(46)) *
+                cycles_per_ms;
+            set[i].wcetCycles = std::max<int64_t>(
+                1, std::llround(util * share[i] / share_sum *
+                                static_cast<double>(
+                                    set[i].periodCycles)));
+        }
+        for (int64_t c : {int64_t{0}, int64_t{3000}}) {
+            std::vector<int64_t> bound;
+            for (size_t i = 0; i < n; ++i) {
+                std::optional<int64_t> r = responseTimeCycles(set, i, c);
+                if (!r)
+                    break;
+                bound.push_back(*r);
+            }
+            if (bound.size() < n)
+                continue;
+            (c == 0 ? exact_sets : bounded_sets) += 1;
 
-        sched::SchedulerConfig cfg;
-        cfg.useEnvFaults = false;
-        cfg.freqHz = 100e6;
-        cfg.horizonS = 5.0;
-        sched::RtScheduler rs(cfg);
-        sched::TaskSpec mpc;
-        mpc.name = "mpc";
-        mpc.periodS = 0.02;
-        mpc.wcetCycles = 2.5e6;
-        rs.addTask(std::move(mpc));
-        sched::ScheduleRunResult r = rs.run();
-        EXPECT_EQ(r.tasks[0].releases, closed.periodicActivations);
-        EXPECT_EQ(r.tasks[0].misses, closed.periodicDeadlineMisses);
-        EXPECT_GT(r.tasks[0].drops, 0u);
-        EXPECT_GT(r.tasks[0].missStreakMax, 5u);
+            sched::SchedulerConfig cfg;
+            cfg.useEnvFaults = false;
+            cfg.freqHz = freq;
+            cfg.horizonS = 2.0;
+            cfg.ctxSwitchCycles = static_cast<double>(c);
+            sched::RtScheduler rs(cfg);
+            for (size_t i = 0; i < n; ++i) {
+                sched::TaskSpec t;
+                t.name = "t" + std::to_string(i);
+                t.priority = set[i].priority;
+                t.periodS = static_cast<double>(set[i].periodCycles /
+                                                cycles_per_ms) /
+                            1000.0;
+                t.wcetCycles = static_cast<double>(set[i].wcetCycles);
+                rs.addTask(std::move(t));
+            }
+            sched::ScheduleRunResult r = rs.run();
+            for (size_t i = 0; i < n; ++i) {
+                SCOPED_TRACE("set " + std::to_string(set_idx) + " task " +
+                             std::to_string(i) + " c " +
+                             std::to_string(c));
+                const sched::TaskStats &ts = r.tasks[i];
+                const double rta_s = static_cast<double>(bound[i]) / freq;
+                EXPECT_EQ(ts.misses, 0u);
+                EXPECT_EQ(ts.drops, 0u);
+                if (c == 0)
+                    EXPECT_NEAR(ts.responseMaxS, rta_s, 1e-9);
+                else
+                    EXPECT_LE(ts.responseMaxS, rta_s + 1e-9);
+            }
+        }
     }
+    EXPECT_GE(exact_sets, 200);
+    EXPECT_GE(bounded_sets, 200);
 }
 
 TEST(SchedRt, PreemptionChargesContextSwitches)
