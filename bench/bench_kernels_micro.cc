@@ -204,7 +204,7 @@ BENCHMARK(BM_FunctionalSolve);
 
 /**
  * A narrow-format host solve: registry plant #range(0) at bf16
- * (range(1) 0) or i16 (1), 25 Library-style iterations (zero
+ * (range(1) 0), i16 (1) or i32 (2), 25 Library-style iterations (zero
  * tolerances) on a host-only scalar backend with the calibrated
  * fixed-point schedule, from a state off the reference.
  */
@@ -214,9 +214,11 @@ BM_NarrowSolve(benchmark::State &state)
     const plant::ScenarioRegistry &reg = plant::ScenarioRegistry::global();
     const std::string name =
         reg.plantNames().at(static_cast<size_t>(state.range(0)));
-    const matlib::NumericFormat f = state.range(1)
-                                        ? matlib::NumericFormat::I16
-                                        : matlib::NumericFormat::BF16;
+    constexpr matlib::NumericFormat kFormats[] = {
+        matlib::NumericFormat::BF16, matlib::NumericFormat::I16,
+        matlib::NumericFormat::I32};
+    const matlib::NumericFormat f =
+        kFormats[static_cast<size_t>(state.range(1))];
     std::unique_ptr<plant::Plant> p = reg.makePlant(name);
     tinympc::Workspace ws = p->buildWorkspace(0.02, 10);
     ws.settings.priTol = 0.0f;
@@ -235,8 +237,8 @@ BM_NarrowSolve(benchmark::State &state)
     }
     state.SetLabel(name + " " + matlib::formatName(f));
 }
-// The four registry plants x {bf16, i16}.
-BENCHMARK(BM_NarrowSolve)->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
+// The four registry plants x {bf16, i16, i32}.
+BENCHMARK(BM_NarrowSolve)->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2}});
 
 /**
  * Registry plant #index's trim model and an off-trim model (every state

@@ -29,11 +29,13 @@
  * Format dispatch: gemv and gemvSaxpby also take the Datapath they are
  * compiled for. The default, Dynamic, reads the backend's format on
  * every call: packed:: at F32, the out-of-line fx:: kernels at the
- * narrow formats. Bf16 compiles only fx::gemvBf16<M, N>, inline. The
- * solver picks one instantiation of its passes per solve from the
- * format, so its host bf16 passes inline the bf16 kernels while its
- * f32 passes compile exactly as the Dynamic ones always have (see
- * Solver::solve). gemvT stays Dynamic.
+ * narrow formats. Bf16 compiles only fx::gemvBf16<M, N> and I16 only
+ * fx::gemvI16<M, N>, inline; each computes the Dynamic call's values
+ * and counters, and hands aliased operands to the out-of-line kernel.
+ * The solver picks one instantiation of its passes per solve from the
+ * format, so its host bf16 and int16 passes inline their kernels while
+ * its f32 passes compile exactly as the Dynamic ones always have (see
+ * Solver::solve). gemvT and the i32 format stay Dynamic.
  *
  * Narrow matrix operands: an fx:: kernel reads the quantized copy of
  * its matrix from the backend's OperandCache, looked up and checked on
@@ -62,6 +64,7 @@ namespace rtoc::matlib {
 enum class Datapath : uint8_t {
     Dynamic, ///< the backend's format, read at run time
     Bf16,    ///< bfloat16 only, inline (the backend must be BF16)
+    I16,     ///< int16 only, inline (the backend must be I16)
 };
 
 /** Compute front plus emission hooks (see the file comment). */
@@ -156,8 +159,9 @@ class Backend
     /**
      * gemv whose operand may carry a packed copy (PackedMat). <M, N>
      * fixes A's shape for the inline kernels (packed::gemv<M, N>,
-     * fx::gemvBf16<M, N>); the default <0, 0> takes it from the
-     * operand. P is the datapath compiled in (see the file comment).
+     * fx::gemvBf16<M, N>, fx::gemvI16<M, N>); the default <0, 0> takes
+     * it from the operand. P is the datapath compiled in (see the file
+     * comment).
      */
     template <int M = 0, int N = 0, Datapath P = Datapath::Dynamic>
     void
@@ -168,6 +172,10 @@ class Backend
             rtoc_assert(fmt_ == NumericFormat::BF16);
             fx::gemvBf16<M, N>(fxCache_, y, a.mat, x, alpha, beta,
                                a.quantized);
+        } else if constexpr (P == Datapath::I16) {
+            rtoc_assert(fmt_ == NumericFormat::I16);
+            fx::gemvI16<M, N>(scaling_, fxCounters_, fxCache_, y, a.mat, x,
+                              alpha, beta, a.quantized);
         } else if (fmt_ == NumericFormat::F32) {
             packed::gemv<M, N>(y, a, x, alpha, beta);
         } else {
@@ -323,6 +331,10 @@ class Backend
             rtoc_assert(fmt_ == NumericFormat::BF16);
             fx::gemvSaxpbyBf16<M, N>(fxCache_, y, a.mat, x, alpha, beta, sa,
                                      sb, b, a.quantized);
+        } else if constexpr (P == Datapath::I16) {
+            rtoc_assert(fmt_ == NumericFormat::I16);
+            fx::gemvSaxpbyI16<M, N>(scaling_, fxCounters_, fxCache_, y, a.mat,
+                                    x, alpha, beta, sa, sb, b, a.quantized);
         } else if (fmt_ == NumericFormat::F32) {
             packed::gemvSaxpby<M, N>(y, a, x, alpha, beta, sa, sb, b);
         } else {

@@ -70,17 +70,18 @@ namespace fx {
 
 namespace {
 
-using packed::detail::IVec;
-using packed::detail::load;
-using packed::detail::store;
-using packed::detail::Vec;
-
-/** Raw element bits available below the sign bit. */
-int
-magnitudeBits(NumericFormat f)
-{
-    return f == NumericFormat::I16 ? 15 : 31;
-}
+using detail::accAddSat;
+using detail::FixedOut;
+using detail::Grid;
+using detail::IVec;
+using detail::LaneGrid;
+using detail::load;
+using detail::magnitudeBits;
+using detail::PlainStore;
+using detail::SaxpbyGrids;
+using detail::SaxpbyLanes;
+using detail::SaxpbyStore;
+using detail::store;
 
 /** Fraction bits that keep |v| <= range representable. */
 int
@@ -93,276 +94,6 @@ fracBitsFor(NumericFormat f, double range)
         std::ceil(std::log2(bound))));
     return std::max(0, std::min(magnitudeBits(f) - 1 - int_bits,
                                 magnitudeBits(f) - 1));
-}
-
-/** Exact 2^e, built from its IEEE bit pattern (normal range only). */
-double
-pow2(int e)
-{
-    rtoc_assert(e >= -1022 && e <= 1023);
-    const uint64_t bits = static_cast<uint64_t>(e + 1023) << 52;
-    double d;
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
-}
-
-/**
- * Round half away from zero (std::llround's rule). Exact for |v| < 2^62:
- * the fractional part v - trunc(v) of a double is representable.
- */
-inline int64_t
-roundHalfAway(double v)
-{
-    const int64_t t = static_cast<int64_t>(v);
-    const double r = v - static_cast<double>(t);
-    return r >= 0.5 ? t + 1 : (r <= -0.5 ? t - 1 : t);
-}
-
-/**
- * One Q-format operand grid: steps of 2^-frac, clamped to the element
- * range. Scaling a float by an exact power of two is exact in double,
- * so the only rounding is the explicit round-half-away.
- */
-struct Grid
-{
-    double scale; ///< 2^frac
-    double inv;   ///< 2^-frac
-    int64_t lim;  ///< largest element; the smallest is -lim - 1
-
-    Grid(NumericFormat f, int frac)
-        : scale(pow2(frac)), inv(pow2(-frac)),
-          lim((int64_t{1} << magnitudeBits(f)) - 1)
-    {
-    }
-
-    /** Quantize @p v, counting a clamp of anything out of range. */
-    int64_t
-    quantize(float v, uint64_t &sat_count) const
-    {
-        const double scaled = static_cast<double>(v) * scale;
-        if (!std::isfinite(scaled)) {
-            ++sat_count;
-            return scaled > 0 ? lim : -lim - 1;
-        }
-        if (scaled >= static_cast<double>(lim)) {
-            if (scaled > static_cast<double>(lim))
-                ++sat_count;
-            return lim;
-        }
-        if (scaled <= static_cast<double>(-lim - 1)) {
-            if (scaled < static_cast<double>(-lim - 1))
-                ++sat_count;
-            return -lim - 1;
-        }
-        // |scaled| < 2^31 here: inside roundHalfAway's exact range.
-        return roundHalfAway(scaled);
-    }
-
-    float
-    dequantize(int64_t q) const
-    {
-        return static_cast<float>(static_cast<double>(q) * inv);
-    }
-
-    /** Round-trip @p v through the grid (result stores, saxpby). */
-    float
-    snap(float v, uint64_t &sat_count) const
-    {
-        return dequantize(quantize(v, sat_count));
-    }
-};
-
-/** The saxpby schedule: out = snap(sa * snap(a) + sb * snap(b)). */
-struct SaxpbyGrids
-{
-    Grid a, b, out;
-
-    SaxpbyGrids(NumericFormat f, const KernelSpec &s)
-        : a(f, s.aFrac), b(f, s.xFrac), out(f, s.outFrac)
-    {
-    }
-
-    float
-    apply(float sa, float av, float sb, float bv,
-          uint64_t &sat_count) const
-    {
-        return out.snap(sa * a.snap(av, sat_count) +
-                            sb * b.snap(bv, sat_count),
-                        sat_count);
-    }
-};
-
-/** Clamps flagged in a lane mask (each flagged lane is -1). */
-inline uint64_t
-countLanes(IVec mask)
-{
-    return static_cast<uint64_t>(-(mask[0] + mask[1] + mask[2] + mask[3]));
-}
-
-/** Lanes of @p a where @p mask is set, else of @p b. */
-inline Vec
-select(IVec mask, Vec a, Vec b)
-{
-    IVec ab, bb;
-    std::memcpy(&ab, &a, sizeof ab);
-    std::memcpy(&bb, &b, sizeof bb);
-    ab = (mask & ab) | (~mask & bb);
-    std::memcpy(&a, &ab, sizeof a);
-    return a;
-}
-
-/**
- * An int16 Grid on four float lanes, equal to Grid lane by lane,
- * counts included, where exact() holds (see the file comment).
- */
-struct LaneGrid
-{
-    float scale, inv;
-    static constexpr float kHi = 32767.0f, kLo = -32768.0f;
-
-    /** Used only where exact(frac) holds; other grids get 2^0. */
-    explicit LaneGrid(int frac)
-        : scale(static_cast<float>(pow2(exact(frac) ? frac : 0))),
-          inv(static_cast<float>(pow2(exact(frac) ? -frac : 0)))
-    {
-    }
-
-    /** 2^frac and 2^-frac are normal floats: scaling is exact. */
-    static bool exact(int frac) { return frac >= 0 && frac <= 126; }
-
-    /** Grid::quantize on four lanes: NaN to kLo, ±Inf and out-of-range
-     *  values clamped and counted when strictly outside, in-range
-     *  values rounded half away from zero. */
-    IVec
-    quantize(Vec v, uint64_t &sat_count) const
-    {
-        const Vec s = v * scale;
-        const IVec nan = s != s;
-        sat_count += countLanes(nan | (s > kHi) | (s < kLo));
-        // Clamp first: converting an out-of-range float is undefined.
-        const Vec c = select(s >= kHi, Vec{} + kHi,
-                             select((s <= kLo) | nan, Vec{} + kLo, s));
-        const IVec t = __builtin_convertvector(c, IVec);
-        const Vec r = c - __builtin_convertvector(t, Vec);
-        return t - (r >= 0.5f) + (r <= -0.5f);
-    }
-
-    Vec
-    dequantize(IVec q) const
-    {
-        return __builtin_convertvector(q, Vec) * inv;
-    }
-
-    Vec
-    snap(Vec v, uint64_t &sat_count) const
-    {
-        return dequantize(quantize(v, sat_count));
-    }
-};
-
-/** SaxpbyGrids on four lanes (int16, exact grids only). */
-struct SaxpbyLanes
-{
-    LaneGrid a, b, out;
-
-    explicit SaxpbyLanes(const KernelSpec &s)
-        : a(s.aFrac), b(s.xFrac), out(s.outFrac)
-    {
-    }
-
-    static bool
-    exact(NumericFormat f, const KernelSpec &s)
-    {
-        return f == NumericFormat::I16 && LaneGrid::exact(s.aFrac) &&
-               LaneGrid::exact(s.xFrac) && LaneGrid::exact(s.outFrac);
-    }
-
-    Vec
-    apply(float sa, Vec av, float sb, Vec bv, uint64_t &sat_count) const
-    {
-        return out.snap(sa * a.snap(av, sat_count) +
-                            sb * b.snap(bv, sat_count),
-                        sat_count);
-    }
-};
-
-/**
- * Saturating accumulator add: i16 datapaths accumulate in int32
- * (products are 16x16 -> 32 bit, sums clamp at int32), i32 datapaths
- * in int64 with overflow clamping.
- */
-template <NumericFormat F>
-inline int64_t
-accAddSat(int64_t acc, int64_t prod, uint64_t &sat_count)
-{
-    if constexpr (F == NumericFormat::I16) {
-        const int64_t lim = INT32_MAX;
-        int64_t sum = acc + prod;
-        if (sum > lim) {
-            ++sat_count;
-            return lim;
-        }
-        if (sum < -lim - 1) {
-            ++sat_count;
-            return -lim - 1;
-        }
-        return sum;
-    } else {
-        int64_t sum;
-        if (__builtin_add_overflow(acc, prod, &sum)) {
-            ++sat_count;
-            return acc > 0 ? INT64_MAX : INT64_MIN;
-        }
-        return sum;
-    }
-}
-
-/**
- * Round-shift a double-width accumulator (at a_frac + x_frac) onto the
- * @p out_frac output grid with saturation — the per-kernel shift
- * schedule of the fixed-point MAC.
- */
-int64_t
-shiftRoundSat(NumericFormat f, int64_t acc, int shift, uint64_t &sat_count)
-{
-    const int bits = magnitudeBits(f);
-    const int64_t lim = (int64_t{1} << bits) - 1;
-    int64_t v = acc;
-    if (shift > 0) {
-        // Round half away from zero, matching the quantizer. The
-        // magnitude is rounded in uint64, so an accumulator saturated
-        // at INT64_MIN/MAX cannot overflow and keeps its sign.
-        const uint64_t half = uint64_t{1} << (shift - 1);
-        const uint64_t mag = v >= 0 ? static_cast<uint64_t>(v)
-                                    : uint64_t{0} - static_cast<uint64_t>(v);
-        const auto r = static_cast<int64_t>((mag + half) >> shift);
-        v = v >= 0 ? r : -r;
-    } else if (shift < 0) {
-        // Finer output grid than the accumulator: clamp before the
-        // shift, so it neither overflows nor shifts a negative value.
-        // Past the element width only zero stays in range.
-        const int up = -shift;
-        const int64_t hi = up > bits ? 0 : lim >> up;
-        const int64_t lo = up > bits ? 0 : -hi - 1;
-        if (v > hi) {
-            ++sat_count;
-            return lim;
-        }
-        if (v < lo) {
-            ++sat_count;
-            return -lim - 1;
-        }
-        return v == 0 ? 0 : v * (int64_t{1} << up);
-    }
-    if (v > lim) {
-        ++sat_count;
-        return lim;
-    }
-    if (v < -lim - 1) {
-        ++sat_count;
-        return -lim - 1;
-    }
-    return v;
 }
 
 /** Element @p k of output row @p o of A, or of A^T. */
@@ -381,94 +112,12 @@ sameOrDisjoint(const float *p, const float *q, int n)
     return p == q || disjoint(p, n, q, n);
 }
 
-/** Largest |q| of @p n grid values. */
-int64_t
-maxAbs(const int32_t *q, int n)
-{
-    int64_t m = 0;
-    for (int j = 0; j < n; ++j)
-        m = std::max(m, std::abs(int64_t{q[j]}));
-    return m;
-}
-
 void
 checkNarrow(NumericFormat f)
 {
     if (f == NumericFormat::F32)
         rtoc_panic("fx kernels: f32 runs on the ref:: kernels");
 }
-
-/** gemv's own store (one output or four). */
-struct PlainStore
-{
-    bool lanesExact() const { return true; }
-    float one(int, float v) { return v; }
-    Vec lanes(int, Vec v) { return v; }
-};
-
-/** gemvSaxpby's store: out = snap(sa * snap(y) + sb * snap(b)). */
-struct SaxpbyStore
-{
-    SaxpbyGrids g;
-    SaxpbyLanes l;
-    bool exact;
-    float sa, sb;
-    const float *b;
-    uint64_t sats = 0;
-
-    SaxpbyStore(NumericFormat f, const KernelSpec &s, float sa_,
-                float sb_, const float *b_)
-        : g(f, s), l(s), exact(SaxpbyLanes::exact(f, s)), sa(sa_),
-          sb(sb_), b(b_)
-    {
-    }
-
-    bool lanesExact() const { return exact; }
-    float one(int i, float v) { return g.apply(sa, v, sb, b[i], sats); }
-
-    Vec
-    lanes(int i, Vec v)
-    {
-        return l.apply(sa, v, sb, load(b + i), sats);
-    }
-};
-
-/**
- * The output stage of the fixed-point rows: each accumulator shifted
- * onto the output grid, scaled, snapped and stored through @p st
- * (four lanes only on exact int16 grids).
- */
-template <NumericFormat F, typename Store>
-struct FixedOut
-{
-    Grid gout;
-    LaneGrid lout;
-    int shift;
-    float alpha, beta;
-    float *y;
-    Store &st;
-    uint64_t qsats = 0, asats = 0;
-
-    float
-    dot(int64_t acc)
-    {
-        return gout.dequantize(shiftRoundSat(F, acc, shift, asats));
-    }
-
-    void
-    one(int i, int64_t acc)
-    {
-        y[i] = st.one(i, gout.snap(alpha * dot(acc) + beta * y[i], qsats));
-    }
-
-    void
-    lanes(int i, IVec acc)
-    {
-        const Vec d{dot(acc[0]), dot(acc[1]), dot(acc[2]), dot(acc[3])};
-        store(y + i, st.lanes(i, lout.snap(alpha * d + beta * load(y + i),
-                                           qsats)));
-    }
-};
 
 /**
  * Fixed-point gemv/gemvT rows when y overlaps A or x: each row
@@ -504,62 +153,14 @@ fixedAliased(const KernelSpec &s, Counters &c, OperandCache &cache, Mat y,
     c.accSats += out.asats;
 }
 
-/**
- * Fixed-point gemv/gemvT rows over disjoint operands. Each output
- * element is the saturating integer dot of its packed grid column
- * against the grid vector, shifted onto the output grid, scaled and
- * stored through @p st (the plain store, or the fused saxpby of
- * gemvSaxpby).
- *
- * A is its cache entry @p e (its clamps added once, as every element
- * is read once), x is quantized into scratch (its clamps added once per
- * row, as every row reads all of x). The int16 dots run on int32 lanes
- * when the entry's bound allows it (see the file comment), else on the
- * serial saturating chain.
- */
+/** The fixed-point rows at run-time shape (detail::fixedRows<F, 0, 0>). */
 template <NumericFormat F, typename Store>
 __attribute__((noinline)) void
-fixedRows(const KernelSpec &s, Counters &c, OperandCache &cache,
-          const QuantizedMat &e, Mat y, Mat x, float alpha, float beta,
-          Store &st)
+fixedRowsAnyShape(const KernelSpec &s, Counters &c, OperandCache &cache,
+                  const QuantizedMat &e, Mat y, Mat x, float alpha,
+                  float beta, Store &st)
 {
-    const int m = y.cols;
-    const int n = x.cols;
-    const int ld = packedRows(m);
-    const Grid gx(F, s.xFrac);
-    const bool lanes = F == NumericFormat::I16 && st.lanesExact() &&
-                       LaneGrid::exact(s.xFrac) &&
-                       LaneGrid::exact(s.outFrac);
-    int32_t *xq = cache.fixedScratch(n);
-    uint64_t xsats = 0;
-    int j = 0;
-    if (lanes) {
-        const LaneGrid lx(s.xFrac);
-        for (; j + kPackLanes <= n; j += kPackLanes) {
-            const IVec q = lx.quantize(load(x.data + j), xsats);
-            std::memcpy(xq + j, &q, sizeof q);
-        }
-    }
-    for (; j < n; ++j)
-        xq[j] = static_cast<int32_t>(gx.quantize(x.data[j], xsats));
-
-    FixedOut<F, Store> out{Grid(F, s.outFrac), LaneGrid(s.outFrac),
-                           s.aFrac + s.xFrac - s.outFrac,
-                           alpha, beta, y.data, st};
-    if (lanes && e.absSum * maxAbs(xq, n) <= INT32_MAX) {
-        packed::detail::rowsOf(e.fixed.data(), ld, m, n,
-                               static_cast<const int32_t *>(xq), out);
-    } else {
-        for (int i = 0; i < m; ++i) {
-            const int32_t *col = e.fixed.data() + i;
-            int64_t acc = 0;
-            for (j = 0; j < n; ++j, col += ld)
-                acc = accAddSat<F>(acc, int64_t{*col} * xq[j], out.asats);
-            out.one(i, acc);
-        }
-    }
-    c.quantSats += e.sats + xsats * static_cast<uint64_t>(m) + out.qsats;
-    c.accSats += out.asats;
+    detail::fixedRows<F, 0, 0>(s, c, cache, e, y, x, alpha, beta, st);
 }
 
 /** bf16 gemv/gemvT rows when y overlaps A or x: each row re-rounds
@@ -594,10 +195,12 @@ bf16RowsAnyShape(OperandCache &cache, const QuantizedMat &e, const Mat &a,
 }
 
 /*
- * The dispatchers below call every format's rows as a function of its
- * own (the noinline attributes above): inlined together into one
- * dispatcher, they made each small call 10-20 ns slower on the
- * portable build, which set up all of them before branching.
+ * The dispatchers below serve every call at run-time format and shape
+ * (the fixed-shape bf16 and int16 calls inline the same rows; see the
+ * header). They call every format's rows as a function of its own (the
+ * noinline attributes above): inlined together into one dispatcher,
+ * they made each small call 10-20 ns slower on the portable build,
+ * which set up all of them before branching.
  */
 
 /** gemv/gemvT on any narrow format. */
@@ -630,11 +233,11 @@ gemvAny(NumericFormat f, const Scaling &sc, Counters &c,
                          detail::Bf16Out<false>{y.data, nullptr, alpha,
                                                 beta, 0.0f, 0.0f});
     } else if (f == NumericFormat::I16) {
-        fixedRows<NumericFormat::I16>(s, c, cache, e, y, x, alpha, beta,
-                                      plain);
+        fixedRowsAnyShape<NumericFormat::I16>(s, c, cache, e, y, x, alpha,
+                                              beta, plain);
     } else {
-        fixedRows<NumericFormat::I32>(s, c, cache, e, y, x, alpha, beta,
-                                      plain);
+        fixedRowsAnyShape<NumericFormat::I32>(s, c, cache, e, y, x, alpha,
+                                              beta, plain);
     }
 }
 
@@ -785,6 +388,7 @@ saxpby(NumericFormat f, const Scaling &s, Counters &c, Mat out, float sa,
     }
     const SaxpbyGrids g(f, s.saxpby);
     uint64_t sats = 0;
+    IVec lanes{};
     int i = 0;
     if (SaxpbyLanes::exact(f, s.saxpby) &&
         sameOrDisjoint(out.data, a.data, n) &&
@@ -792,12 +396,12 @@ saxpby(NumericFormat f, const Scaling &s, Counters &c, Mat out, float sa,
         const SaxpbyLanes l(s.saxpby);
         for (; i + kPackLanes <= n; i += kPackLanes) {
             store(out.data + i, l.apply(sa, load(a.data + i), sb,
-                                        load(b.data + i), sats));
+                                        load(b.data + i), lanes));
         }
     }
     for (; i < n; ++i)
         out.data[i] = g.apply(sa, a.data[i], sb, b.data[i], sats);
-    c.quantSats += sats;
+    c.quantSats += sats + detail::countLanes(lanes);
 }
 
 void
@@ -826,12 +430,12 @@ gemvSaxpby(NumericFormat f, const Scaling &s, Counters &c,
     }
     SaxpbyStore st(f, s.saxpby, sa, sb, b.data);
     if (f == NumericFormat::I16)
-        fixedRows<NumericFormat::I16>(s.gemv, c, cache, e, y, x, alpha,
-                                      beta, st);
+        fixedRowsAnyShape<NumericFormat::I16>(s.gemv, c, cache, e, y, x,
+                                              alpha, beta, st);
     else
-        fixedRows<NumericFormat::I32>(s.gemv, c, cache, e, y, x, alpha,
-                                      beta, st);
-    c.quantSats += st.sats;
+        fixedRowsAnyShape<NumericFormat::I32>(s.gemv, c, cache, e, y, x,
+                                              alpha, beta, st);
+    c.quantSats += st.total();
 }
 
 } // namespace fx

@@ -49,29 +49,41 @@
  *    sum of any output can reach a clamp, and the exact integer sum
  *    does not depend on order, so the dots run on int32 lanes. When
  *    the bound fails, the saturating serial chain reads the same copy
- *    with a stride.
+ *    with a stride. (The registry plants' calibrated int16 solves stay
+ *    inside the bound; the FxOracle tests are what drive that chain.)
  *  - int16 quantize and snap run on four float lanes. The grid scale
  *    is 2^frac with 0 <= frac <= 126 (forRanges floors frac at 0), so
  *    scaling is exact until it overflows to ±Inf, which clamps and
  *    counts as the double reference does; grid values fit 16 bits, so
  *    trunc, the ±0.5 compare and the dequantize are exact too. Every
- *    lane is clamped before it is converted to int.
+ *    lane is clamped before it is converted to int. Each lane counts
+ *    its own clamps in an int32 vector, summed once per call.
  *  - int32 keeps the scalar double path and the serial saturating
  *    chain: its 31-bit grid values are not exact in float.
  * When y overlaps A, x or b, the kernels re-read their operands after
  * every store, in the reference order. int16 saxpby runs its lanes
  * only where out is disjoint from each input or identical to it.
  *
- * gemvBf16 and gemvSaxpbyBf16 are the bf16 kernels as header templates
- * on the operand shape, like packed::gemv<M, N>: the solver's bf16
- * passes inline them at the registry shapes (see Backend::gemv).
+ * Shapes and dispatch. The rows are header templates on the operand
+ * shape, like packed::gemv<M, N>: detail::bf16Rows for bf16 and
+ * detail::fixedRows for int16 and int32, with the grids, the
+ * saturating accumulator and the output stage beside them.
+ * gemvBf16/gemvSaxpbyBf16 and gemvI16/gemvSaxpbyI16 inline them at a
+ * fixed <M, N>, and the solver's bf16 and int16 passes call those at
+ * the registry shapes (see Backend::gemv). The out-of-line gemv, gemvT
+ * and gemvSaxpby serve every other call (run-time shapes, int32, gemvT,
+ * aliased operands) and dispatch on the format to the same rows at
+ * <0, 0>, so each format's row code exists once.
  */
 
 #ifndef RTOC_MATLIB_FIXED_HH
 #define RTOC_MATLIB_FIXED_HH
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -404,6 +416,448 @@ bf16Rows(OperandCache &cache, const QuantizedMat &e, const Mat &a, Mat x,
                            static_cast<const float *>(xb), out);
 }
 
+/*
+ * The fixed-point rows and their parts (see "Shapes and dispatch" in
+ * the file comment).
+ */
+
+using packed::detail::IVec;
+using packed::detail::load;
+using packed::detail::store;
+using packed::detail::Vec;
+
+/** Raw element bits available below the sign bit. */
+constexpr int
+magnitudeBits(NumericFormat f)
+{
+    return f == NumericFormat::I16 ? 15 : 31;
+}
+
+/** Exact 2^e, built from its IEEE bit pattern (normal range only). */
+inline double
+pow2(int e)
+{
+    rtoc_assert(e >= -1022 && e <= 1023);
+    const uint64_t bits = static_cast<uint64_t>(e + 1023) << 52;
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    return d;
+}
+
+/**
+ * Round half away from zero (std::llround's rule). Exact for |v| < 2^62:
+ * the fractional part v - trunc(v) of a double is representable.
+ */
+inline int64_t
+roundHalfAway(double v)
+{
+    const int64_t t = static_cast<int64_t>(v);
+    const double r = v - static_cast<double>(t);
+    return r >= 0.5 ? t + 1 : (r <= -0.5 ? t - 1 : t);
+}
+
+/**
+ * One Q-format operand grid: steps of 2^-frac, clamped to the element
+ * range. Scaling a float by an exact power of two is exact in double,
+ * so the only rounding is the explicit round-half-away.
+ */
+struct Grid
+{
+    double scale; ///< 2^frac
+    double inv;   ///< 2^-frac
+    int64_t lim;  ///< largest element; the smallest is -lim - 1
+
+    Grid(NumericFormat f, int frac)
+        : scale(pow2(frac)), inv(pow2(-frac)),
+          lim((int64_t{1} << magnitudeBits(f)) - 1)
+    {
+    }
+
+    /** Quantize @p v, counting a clamp of anything out of range. */
+    int64_t
+    quantize(float v, uint64_t &sat_count) const
+    {
+        const double scaled = static_cast<double>(v) * scale;
+        if (!std::isfinite(scaled)) {
+            ++sat_count;
+            return scaled > 0 ? lim : -lim - 1;
+        }
+        if (scaled >= static_cast<double>(lim)) {
+            if (scaled > static_cast<double>(lim))
+                ++sat_count;
+            return lim;
+        }
+        if (scaled <= static_cast<double>(-lim - 1)) {
+            if (scaled < static_cast<double>(-lim - 1))
+                ++sat_count;
+            return -lim - 1;
+        }
+        // |scaled| < 2^31 here: inside roundHalfAway's exact range.
+        return roundHalfAway(scaled);
+    }
+
+    float
+    dequantize(int64_t q) const
+    {
+        return static_cast<float>(static_cast<double>(q) * inv);
+    }
+
+    /** Round-trip @p v through the grid (result stores, saxpby). */
+    float
+    snap(float v, uint64_t &sat_count) const
+    {
+        return dequantize(quantize(v, sat_count));
+    }
+};
+
+/** The saxpby schedule: out = snap(sa * snap(a) + sb * snap(b)). */
+struct SaxpbyGrids
+{
+    Grid a, b, out;
+
+    SaxpbyGrids(NumericFormat f, const KernelSpec &s)
+        : a(f, s.aFrac), b(f, s.xFrac), out(f, s.outFrac)
+    {
+    }
+
+    float
+    apply(float sa, float av, float sb, float bv,
+          uint64_t &sat_count) const
+    {
+        return out.snap(sa * a.snap(av, sat_count) +
+                            sb * b.snap(bv, sat_count),
+                        sat_count);
+    }
+};
+
+/** The total of per-lane clamp counts (see LaneGrid::quantize). */
+inline uint64_t
+countLanes(IVec clamps)
+{
+    return static_cast<uint64_t>(int64_t{clamps[0]} + clamps[1] +
+                                 clamps[2] + clamps[3]);
+}
+
+/** Lanes of @p a where @p mask is set, else of @p b. */
+inline Vec
+select(IVec mask, Vec a, Vec b)
+{
+    IVec ab, bb;
+    std::memcpy(&ab, &a, sizeof ab);
+    std::memcpy(&bb, &b, sizeof bb);
+    ab = (mask & ab) | (~mask & bb);
+    std::memcpy(&a, &ab, sizeof a);
+    return a;
+}
+
+/**
+ * An int16 Grid on four float lanes, equal to Grid lane by lane,
+ * counts included, where exact() holds (see the file comment). Clamps
+ * are counted per lane in an int32 vector, which the caller sums once
+ * with countLanes: a call counts at most three clamps per element, far
+ * below INT32_MAX per lane.
+ */
+struct LaneGrid
+{
+    float scale, inv;
+    static constexpr float kHi = 32767.0f, kLo = -32768.0f;
+
+    /** Used only where exact(frac) holds; other grids get 2^0. */
+    explicit LaneGrid(int frac)
+        : scale(static_cast<float>(pow2(exact(frac) ? frac : 0))),
+          inv(static_cast<float>(pow2(exact(frac) ? -frac : 0)))
+    {
+    }
+
+    /** 2^frac and 2^-frac are normal floats: scaling is exact. */
+    static bool exact(int frac) { return frac >= 0 && frac <= 126; }
+
+    /** Grid::quantize on four lanes: NaN to kLo, ±Inf and out-of-range
+     *  values clamped and counted into @p clamps when strictly outside,
+     *  in-range values rounded half away from zero. */
+    IVec
+    quantize(Vec v, IVec &clamps) const
+    {
+        const Vec s = v * scale;
+        const IVec nan = s != s;
+        clamps -= nan | (s > kHi) | (s < kLo); // a set lane is -1
+        // Clamp first: converting an out-of-range float is undefined.
+        const Vec c = select(s >= kHi, Vec{} + kHi,
+                             select((s <= kLo) | nan, Vec{} + kLo, s));
+        const IVec t = __builtin_convertvector(c, IVec);
+        const Vec r = c - __builtin_convertvector(t, Vec);
+        return t - (r >= 0.5f) + (r <= -0.5f);
+    }
+
+    Vec
+    dequantize(IVec q) const
+    {
+        return __builtin_convertvector(q, Vec) * inv;
+    }
+
+    Vec
+    snap(Vec v, IVec &clamps) const
+    {
+        return dequantize(quantize(v, clamps));
+    }
+};
+
+/** SaxpbyGrids on four lanes (int16, exact grids only). */
+struct SaxpbyLanes
+{
+    LaneGrid a, b, out;
+
+    explicit SaxpbyLanes(const KernelSpec &s)
+        : a(s.aFrac), b(s.xFrac), out(s.outFrac)
+    {
+    }
+
+    static bool
+    exact(NumericFormat f, const KernelSpec &s)
+    {
+        return f == NumericFormat::I16 && LaneGrid::exact(s.aFrac) &&
+               LaneGrid::exact(s.xFrac) && LaneGrid::exact(s.outFrac);
+    }
+
+    Vec
+    apply(float sa, Vec av, float sb, Vec bv, IVec &clamps) const
+    {
+        return out.snap(sa * a.snap(av, clamps) + sb * b.snap(bv, clamps),
+                        clamps);
+    }
+};
+
+/**
+ * Saturating accumulator add: i16 datapaths accumulate in int32
+ * (products are 16x16 -> 32 bit, sums clamp at int32), i32 datapaths
+ * in int64 with overflow clamping.
+ */
+template <NumericFormat F>
+inline int64_t
+accAddSat(int64_t acc, int64_t prod, uint64_t &sat_count)
+{
+    if constexpr (F == NumericFormat::I16) {
+        const int64_t lim = INT32_MAX;
+        int64_t sum = acc + prod;
+        if (sum > lim) {
+            ++sat_count;
+            return lim;
+        }
+        if (sum < -lim - 1) {
+            ++sat_count;
+            return -lim - 1;
+        }
+        return sum;
+    } else {
+        int64_t sum;
+        if (__builtin_add_overflow(acc, prod, &sum)) {
+            ++sat_count;
+            return acc > 0 ? INT64_MAX : INT64_MIN;
+        }
+        return sum;
+    }
+}
+
+/**
+ * Round-shift a double-width accumulator (at a_frac + x_frac) onto the
+ * @p out_frac output grid with saturation — the per-kernel shift
+ * schedule of the fixed-point MAC.
+ */
+inline int64_t
+shiftRoundSat(NumericFormat f, int64_t acc, int shift, uint64_t &sat_count)
+{
+    const int bits = magnitudeBits(f);
+    const int64_t lim = (int64_t{1} << bits) - 1;
+    int64_t v = acc;
+    if (shift > 0) {
+        // Round half away from zero, matching the quantizer. The
+        // magnitude is rounded in uint64, so an accumulator saturated
+        // at INT64_MIN/MAX cannot overflow and keeps its sign.
+        const uint64_t half = uint64_t{1} << (shift - 1);
+        const uint64_t mag = v >= 0 ? static_cast<uint64_t>(v)
+                                    : uint64_t{0} - static_cast<uint64_t>(v);
+        const auto r = static_cast<int64_t>((mag + half) >> shift);
+        v = v >= 0 ? r : -r;
+    } else if (shift < 0) {
+        // Finer output grid than the accumulator: clamp before the
+        // shift, so it neither overflows nor shifts a negative value.
+        // Past the element width only zero stays in range.
+        const int up = -shift;
+        const int64_t hi = up > bits ? 0 : lim >> up;
+        const int64_t lo = up > bits ? 0 : -hi - 1;
+        if (v > hi) {
+            ++sat_count;
+            return lim;
+        }
+        if (v < lo) {
+            ++sat_count;
+            return -lim - 1;
+        }
+        return v == 0 ? 0 : v * (int64_t{1} << up);
+    }
+    if (v > lim) {
+        ++sat_count;
+        return lim;
+    }
+    if (v < -lim - 1) {
+        ++sat_count;
+        return -lim - 1;
+    }
+    return v;
+}
+
+/** Largest |q| of @p n grid values. */
+inline int64_t
+maxAbs(const int32_t *q, int n)
+{
+    int64_t m = 0;
+    for (int j = 0; j < n; ++j)
+        m = std::max(m, std::abs(int64_t{q[j]}));
+    return m;
+}
+
+/** gemv's own store (one output or four). */
+struct PlainStore
+{
+    bool lanesExact() const { return true; }
+    float one(int, float v) { return v; }
+    Vec lanes(int, Vec v) { return v; }
+};
+
+/** gemvSaxpby's store: out = snap(sa * snap(y) + sb * snap(b)). */
+struct SaxpbyStore
+{
+    SaxpbyGrids g;
+    SaxpbyLanes l;
+    bool exact;
+    float sa, sb;
+    const float *b;
+    uint64_t sats = 0;
+    IVec laneSats{};
+
+    SaxpbyStore(NumericFormat f, const KernelSpec &s, float sa_,
+                float sb_, const float *b_)
+        : g(f, s), l(s), exact(SaxpbyLanes::exact(f, s)), sa(sa_),
+          sb(sb_), b(b_)
+    {
+    }
+
+    bool lanesExact() const { return exact; }
+    float one(int i, float v) { return g.apply(sa, v, sb, b[i], sats); }
+
+    Vec
+    lanes(int i, Vec v)
+    {
+        return l.apply(sa, v, sb, load(b + i), laneSats);
+    }
+
+    /** Quantizer clamps of every store so far. */
+    uint64_t total() const { return sats + countLanes(laneSats); }
+};
+
+/**
+ * The output stage of the fixed-point rows: each accumulator shifted
+ * onto the output grid, scaled, snapped and stored through @p st
+ * (four lanes only on exact int16 grids).
+ */
+template <NumericFormat F, typename Store>
+struct FixedOut
+{
+    Grid gout;
+    LaneGrid lout;
+    int shift;
+    float alpha, beta;
+    float *y;
+    Store &st;
+    uint64_t qsats = 0, asats = 0;
+    IVec qlanes{}; ///< clamps of the four-lane snaps
+
+    float
+    dot(int64_t acc)
+    {
+        return gout.dequantize(shiftRoundSat(F, acc, shift, asats));
+    }
+
+    void
+    one(int i, int64_t acc)
+    {
+        y[i] = st.one(i, gout.snap(alpha * dot(acc) + beta * y[i], qsats));
+    }
+
+    void
+    lanes(int i, IVec acc)
+    {
+        const Vec d{dot(acc[0]), dot(acc[1]), dot(acc[2]), dot(acc[3])};
+        store(y + i, st.lanes(i, lout.snap(alpha * d + beta * load(y + i),
+                                           qlanes)));
+    }
+};
+
+/**
+ * Fixed-point gemv rows (gemvT's at <0, 0>) over disjoint operands.
+ * Each output element is the saturating integer dot of its packed grid
+ * column against the grid vector, shifted onto the output grid, scaled
+ * and stored through @p st (the plain store, or the fused saxpby of
+ * gemvSaxpby). <M, N> fixes A's shape; <0, 0> reads it.
+ *
+ * A is its cache entry @p e (its clamps added once, as every element
+ * is read once), x is quantized into scratch (its clamps added once per
+ * row, as every row reads all of x). The int16 dots run on int32 lanes
+ * when the entry's bound allows it (see the file comment), else on the
+ * serial saturating chain.
+ */
+template <NumericFormat F, int M, int N, typename Store>
+inline void
+fixedRows(const KernelSpec &s, Counters &c, OperandCache &cache,
+          const QuantizedMat &e, Mat y, Mat x, float alpha, float beta,
+          Store &st)
+{
+    static_assert(M >= 0 && N >= 0 && (M == 0) == (N == 0),
+                  "fix both dimensions or neither");
+    rtoc_assert(M == 0 || (y.cols == M && x.cols == N));
+    const int m = M ? M : y.cols;
+    const int n = N ? N : x.cols;
+    const int ld = packedRows(m);
+    const Grid gx(F, s.xFrac);
+    const bool lanes = F == NumericFormat::I16 && st.lanesExact() &&
+                       LaneGrid::exact(s.xFrac) &&
+                       LaneGrid::exact(s.outFrac);
+    int32_t stack[N > 0 ? N : 1];
+    int32_t *xq = N > 0 ? stack : cache.fixedScratch(n);
+    uint64_t xsats = 0;
+    IVec xlanes{};
+    int j = 0;
+    if (lanes) {
+        const LaneGrid lx(s.xFrac);
+        for (; j + kPackLanes <= n; j += kPackLanes) {
+            const IVec q = lx.quantize(load(x.data + j), xlanes);
+            std::memcpy(xq + j, &q, sizeof q);
+        }
+    }
+    for (; j < n; ++j)
+        xq[j] = static_cast<int32_t>(gx.quantize(x.data[j], xsats));
+    xsats += countLanes(xlanes);
+
+    FixedOut<F, Store> out{Grid(F, s.outFrac), LaneGrid(s.outFrac),
+                           s.aFrac + s.xFrac - s.outFrac,
+                           alpha, beta, y.data, st};
+    if (lanes && e.absSum * maxAbs(xq, n) <= INT32_MAX) {
+        packed::detail::rowsOf(e.fixed.data(), ld, m, n,
+                               static_cast<const int32_t *>(xq), out);
+    } else {
+        for (int i = 0; i < m; ++i) {
+            const int32_t *col = e.fixed.data() + i;
+            int64_t acc = 0;
+            for (j = 0; j < n; ++j, col += ld)
+                acc = accAddSat<F>(acc, int64_t{*col} * xq[j], out.asats);
+            out.one(i, acc);
+        }
+    }
+    c.quantSats += e.sats + xsats * static_cast<uint64_t>(m) + out.qsats +
+                   countLanes(out.qlanes);
+    c.accSats += out.asats;
+}
+
 } // namespace detail
 
 /**
@@ -453,6 +907,54 @@ gemvSaxpbyBf16(OperandCache &cache, Mat y, const Mat &a, Mat x,
         cache,
         detail::entryOf(NumericFormat::BF16, Scaling(), cache, a, false, q),
         a, x, false, out);
+}
+
+/**
+ * gemv on the int16 datapath, A M x N (any shape at <0, 0>): inline,
+ * with constant trip counts at a fixed shape, and bit-identical to
+ * gemv(NumericFormat::I16, ...), counters included; @p q as for gemv.
+ */
+template <int M = 0, int N = 0>
+inline void
+gemvI16(const Scaling &s, Counters &c, OperandCache &cache, Mat y,
+        const Mat &a, Mat x, float alpha, float beta,
+        const QuantizedMat *q = nullptr)
+{
+    rtoc_assert(y.isVec() && x.isVec());
+    rtoc_assert(a.rows == y.cols && a.cols == x.cols);
+    if (detail::aliasesInput(y, a, x)) {
+        gemv(NumericFormat::I16, s, c, cache, y, a, x, alpha, beta);
+        return;
+    }
+    detail::PlainStore plain;
+    detail::fixedRows<NumericFormat::I16, M, N>(
+        s.gemv, c, cache,
+        detail::entryOf(NumericFormat::I16, s, cache, a, false, q), y, x,
+        alpha, beta, plain);
+}
+
+/** gemvSaxpby on the int16 datapath; shapes and @p q as gemvI16. */
+template <int M = 0, int N = 0>
+inline void
+gemvSaxpbyI16(const Scaling &s, Counters &c, OperandCache &cache, Mat y,
+              const Mat &a, Mat x, float alpha, float beta, float sa,
+              float sb, const Mat &b, const QuantizedMat *q = nullptr)
+{
+    rtoc_assert(b.isVec() && b.cols == y.cols);
+    if (detail::aliasesInput(y, a, x) ||
+        !disjoint(y.data, y.cols, b.data, b.cols)) {
+        gemvSaxpby(NumericFormat::I16, s, c, cache, y, a, x, alpha, beta,
+                   sa, sb, b, q);
+        return;
+    }
+    rtoc_assert(y.isVec() && x.isVec());
+    rtoc_assert(a.rows == y.cols && a.cols == x.cols);
+    detail::SaxpbyStore st(NumericFormat::I16, s.saxpby, sa, sb, b.data);
+    detail::fixedRows<NumericFormat::I16, M, N>(
+        s.gemv, c, cache,
+        detail::entryOf(NumericFormat::I16, s, cache, a, false, q), y, x,
+        alpha, beta, st);
+    c.quantSats += st.total();
 }
 
 } // namespace fx

@@ -281,14 +281,15 @@ Solver::setup()
  * The passes with gemvs are templates on the plant shape and the
  * datapath (see iterate). flatten inlines every call the compiler can
  * see into the pass: the Backend operation, its packed:: kernel (or,
- * on the Bf16 datapath, its fx::gemvBf16 kernel) with its constant
- * trip counts, and the KernelScope. A host pass at a registry shape is
- * then one straight-line loop over the horizon, and only the ref::
- * elementwise kernels, the out-of-line fx:: kernels and the emission
- * hooks remain calls (and the operand-cache lookup, which a solve never
- * reaches: it hands every gemv its entry). GCC's own heuristics
- * inline some of these operations and not others. The f32 passes are
- * their own instantiation, so the bf16 kernels never grow them.
+ * on the Bf16 and I16 datapaths, its fx::gemvBf16 or fx::gemvI16
+ * kernel) with its constant trip counts, and the KernelScope. A host
+ * pass at a registry shape is then one straight-line loop over the
+ * horizon, and only the ref:: elementwise kernels, the out-of-line fx::
+ * kernels and the emission hooks remain calls (and the operand-cache
+ * lookup, which a solve never reaches: it hands every gemv its entry).
+ * GCC's own heuristics inline some of these operations and not others.
+ * The f32 passes are their own instantiation, so the narrow kernels
+ * never grow them.
  */
 template <int NX, int NU, matlib::Datapath P>
 __attribute__((flatten)) void
@@ -514,11 +515,10 @@ Solver::checkResiduals(SolveResult &res)
     return withinTolerance(res, ws_.settings);
 }
 
-template <int NX, int NU>
+template <int NX, int NU, matlib::Datapath P>
 void
 Solver::iterate(int bound, const Operands &op, SolveResult &res)
 {
-    constexpr matlib::Datapath P = matlib::Datapath::Dynamic;
     for (int iter = 1; iter <= bound; ++iter) {
         forwardPass<NX, NU, P>(op);
         updateSlack();
@@ -571,18 +571,30 @@ Solver::iterateHost(int bound, const Operands &op, SolveResult &res)
 
 template <int NX, int NU>
 void
+Solver::iterateI16(int bound, const Operands &op, SolveResult &res)
+{
+    // Only a registry shape inlines the int16 kernels.
+    constexpr matlib::Datapath P =
+        NX > 0 ? matlib::Datapath::I16 : matlib::Datapath::Dynamic;
+    iterate<NX, NU, P>(bound, op, res);
+}
+
+template <int NX, int NU>
+void
 Solver::iterateAt(int bound, const Operands &op, SolveResult &res)
 {
     using matlib::Datapath;
     const matlib::NumericFormat f = backend_.format();
     if (backend_.program())
-        iterate<NX, NU>(bound, op, res);
+        iterate<NX, NU, Datapath::Dynamic>(bound, op, res);
     else if (f == matlib::NumericFormat::BF16)
         iterateHost<NX, NU, Datapath::Bf16>(bound, op, res);
     else if (f == matlib::NumericFormat::F32)
         iterateHost<NX, NU, Datapath::Dynamic>(bound, op, res);
+    else if (f == matlib::NumericFormat::I16)
+        iterateI16<NX, NU>(bound, op, res);
     else
-        iterate<NX, NU>(bound, op, res);
+        iterate<NX, NU, Datapath::Dynamic>(bound, op, res);
 }
 
 Solver::Operands
@@ -627,7 +639,7 @@ Solver::solve(int max_iters)
 
     // The registry plants' shapes run fixed-shape gemvs; any other
     // shape runs the same passes with run-time dimensions. Each shape
-    // has host f32 and bf16 loops and an emitting / int one
+    // has host f32, bf16 and i16 loops and an emitting / int one
     // (iterateAt).
     const Operands op = operands();
     atPlantShape(ws_.nx, ws_.nu, [&](auto NX, auto NU) {

@@ -24,6 +24,11 @@
  * side (hostElementwisePass), which computes the same bits as the
  * Backend calls it replaces.
  *
+ * The gemvs of a host bfloat16 or int16 solve at a registry plant's
+ * shape inline their format's kernel (matlib::Datapath::Bf16 or I16).
+ * Emitting solves, int32 solves and other shapes call the out-of-line
+ * fx:: kernels (Datapath::Dynamic), which compute the same values.
+ *
  * On a narrow-format backend a solve looks up each of its eight matrix
  * operands in the backend's operand cache once, before its first
  * kernel, and its gemvs read those entries without a lookup (see
@@ -131,20 +136,22 @@ class Solver
 
     /**
      * Up to @p bound ADMM iterations at plant shape <NX, NU> (nx, nu),
-     * every stage a Backend call on the Dynamic datapath: solve()
+     * every stage a Backend call, the gemvs on datapath P: solve()
      * instantiates it for each registry plant's shape
      * (common/plant_shapes.hh), whose passes then run fixed-shape
      * gemvs, and at <0, 0> (run-time dimensions) for any other shape.
-     * It runs every emitting solve (emission reads shapes only, and
-     * the Dynamic bf16 kernels compute the inline ones' values) and
-     * every host int solve. Every instantiation computes the same
-     * values and calls the same emission hooks in the same order.
+     * P Dynamic runs every emitting solve (emission reads shapes only,
+     * and the Dynamic bf16 kernels compute the inline ones' values),
+     * every host i32 solve and every host i16 solve at run-time shape;
+     * P I16 runs a host i16 solve at a registry shape, whose passes
+     * inline fx::gemvI16. Every instantiation computes the same values
+     * and calls the same emission hooks in the same order.
      */
-    template <int NX, int NU>
+    template <int NX, int NU, matlib::Datapath P>
     void iterate(int bound, const Operands &op, SolveResult &res);
 
     /**
-     * iterate<NX, NU> for a host float32 (P Dynamic) or bfloat16
+     * iterate<NX, NU, P> for a host float32 (P Dynamic) or bfloat16
      * (P Bf16, whose passes inline the bf16 kernels) solve: the same
      * forward and backward passes and the same values, with the
      * elementwise stages fused into hostElementwisePass. Emits nothing.
@@ -153,9 +160,21 @@ class Solver
     void iterateHost(int bound, const Operands &op, SolveResult &res);
 
     /**
+     * iterate for a host int16 solve: on the I16 datapath at a registry
+     * shape, on the Dynamic one at <0, 0>. It is a function of its own
+     * so that GCC instantiates the int16 passes after the f32 and bf16
+     * ones. In the other order it allocated the registers of
+     * forwardPass<0, 0, Bf16> differently (a run-time-shape bf16 solve
+     * ran 2-6% slower); in this one every f32 and bf16 pass compiles as
+     * it does without the int16 passes (objdump of solver.cc.o).
+     */
+    template <int NX, int NU>
+    void iterateI16(int bound, const Operands &op, SolveResult &res);
+
+    /**
      * The loop for the backend's format and Program, picked once per
-     * solve: iterateHost for a host f32 or bf16 solve, iterate<NX, NU>
-     * otherwise.
+     * solve: iterateHost for a host f32 or bf16 solve, iterateI16 for a
+     * host i16 solve, and iterate on the Dynamic datapath otherwise.
      */
     template <int NX, int NU>
     void iterateAt(int bound, const Operands &op, SolveResult &res);

@@ -610,26 +610,30 @@ narrowBackend(NumericFormat f, const fx::Scaling &s)
 /**
  * runTwice through the fixed-shape entry points of a narrow backend, as
  * the solver's passes call them: gemv and gemvSaxpby at <M, N> on the
- * bf16 datapath (Datapath::Bf16) or the run-time one, and gemvT<M, N>.
+ * bf16 datapath (Datapath::Bf16), the int16 one (Datapath::I16) or, at
+ * i32, the run-time one, and gemvT<M, N>.
  */
 template <int M, int N>
 FxRun
 runTwiceFixed(const FxCall &k)
 {
-    constexpr matlib::Datapath kBf16 = matlib::Datapath::Bf16;
+    using matlib::Datapath;
     std::vector<float> mem = k.mem;
     float *base = mem.data();
     Mat a = k.aMat(base), x = k.xMat(base), y = k.yMat(base),
         b = k.bMat(base);
     const matlib::PackedMat pa{a};
-    const bool bf16 = k.fmt == NumericFormat::BF16;
     auto backend = narrowBackend(k.fmt, k.scaling);
     FxRun run;
     for (int rep = 0; rep < 2; ++rep) {
         switch (k.kernel) {
           case Kernel::Gemv:
-            if (bf16)
-                backend->gemv<M, N, kBf16>(y, pa, x, k.alpha, k.beta);
+            if (k.fmt == NumericFormat::BF16)
+                backend->gemv<M, N, Datapath::Bf16>(y, pa, x, k.alpha,
+                                                    k.beta);
+            else if (k.fmt == NumericFormat::I16)
+                backend->gemv<M, N, Datapath::I16>(y, pa, x, k.alpha,
+                                                   k.beta);
             else
                 backend->gemv<M, N>(y, pa, x, k.alpha, k.beta);
             break;
@@ -637,9 +641,12 @@ runTwiceFixed(const FxCall &k)
             backend->gemvT<M, N>(y, a, x, k.alpha, k.beta);
             break;
           case Kernel::GemvSaxpby:
-            if (bf16) {
-                backend->gemvSaxpby<M, N, kBf16>(y, pa, x, k.alpha, k.beta,
-                                                 k.sa, k.sb, b);
+            if (k.fmt == NumericFormat::BF16) {
+                backend->gemvSaxpby<M, N, Datapath::Bf16>(
+                    y, pa, x, k.alpha, k.beta, k.sa, k.sb, b);
+            } else if (k.fmt == NumericFormat::I16) {
+                backend->gemvSaxpby<M, N, Datapath::I16>(
+                    y, pa, x, k.alpha, k.beta, k.sa, k.sb, b);
             } else {
                 backend->gemvSaxpby<M, N>(y, pa, x, k.alpha, k.beta, k.sa,
                                           k.sb, b);
@@ -674,6 +681,17 @@ const FixedShape kFixedShapes[] = {
     {1, 1, &runTwiceFixed<1, 1>},
 };
 
+/** The fixed-shape runner for a rows x cols operand, else null. */
+const FixedShape *
+fixedShapeOf(int rows, int cols)
+{
+    for (const FixedShape &fs : kFixedShapes) {
+        if (fs.rows == rows && fs.cols == cols)
+            return &fs;
+    }
+    return nullptr;
+}
+
 /**
  * Expect the production kernels to reproduce the oracle on @p k: every
  * buffer bit (see sameBits) and both counters, after each of two calls.
@@ -699,6 +717,20 @@ expectMatchesOracle(const FxCall &k, const std::string &what,
             << tag << " call " << r;
     }
     return true;
+}
+
+/**
+ * expectMatchesOracle on the fx:: kernels and, when @p k's operand has
+ * a registry shape, on the fixed-shape entry points too.
+ */
+bool
+expectBothMatchOracle(const FxCall &k, const std::string &what)
+{
+    const bool checked = expectMatchesOracle(k, what);
+    if (const FixedShape *fs = fixedShapeOf(k.rows, k.cols);
+        fs && !k.saxpbyOnly())
+        expectMatchesOracle(k, what + " fixed", fs);
+    return checked;
 }
 
 /** Schedules that leave the operands unclamped, saturate the
@@ -780,12 +812,11 @@ TEST(FxOracle, RandomShapesMatchPerMacKernelsBitForBit)
                                 std::to_string(rows) + "x" +
                                 std::to_string(cols);
                             compared[f] += expectMatchesOracle(c, what);
-                            for (const FixedShape &fs : kFixedShapes) {
-                                if (fs.rows == rows && fs.cols == cols &&
-                                    k != Kernel::Saxpby) {
-                                    fixed[f] += expectMatchesOracle(
-                                        c, what + " fixed", &fs);
-                                }
+                            if (const FixedShape *fs =
+                                    fixedShapeOf(rows, cols);
+                                fs && k != Kernel::Saxpby) {
+                                fixed[f] += expectMatchesOracle(
+                                    c, what + " fixed", fs);
                             }
                         }
                     }
@@ -830,8 +861,14 @@ TEST(FxOracle, EngineeredOperandsMatchPerMacKernels)
 
         for (Kernel k : kKernels) {
             // 9 x 10 puts special values in whole four-lane vectors and
-            // in the tail lanes of every operand and output.
-            for (auto [rows, cols] : {std::pair{6, 7}, std::pair{9, 10}}) {
+            // in the tail lanes of every operand and output. The
+            // registry shapes run the fixed-shape entry points too: whole
+            // lanes only (12 x 12, 4 x 12), tails only (5 x 2), both
+            // (6 x 6, 5 x 5).
+            for (auto [rows, cols] :
+                 {std::pair{6, 7}, std::pair{9, 10}, std::pair{12, 12},
+                  std::pair{4, 12}, std::pair{5, 2}, std::pair{6, 6},
+                  std::pair{5, 5}}) {
                 for (int layout = 0; layout < 3; ++layout) {
                     // Special values in A only, in x only, or everywhere.
                     FxCall c = disjointCall(k, f, s, rows, cols);
@@ -847,52 +884,69 @@ TEST(FxOracle, EngineeredOperandsMatchPerMacKernels)
                     c.beta = -1.5f;
                     c.sa = 1.25f;
                     c.sb = -0.5f;
-                    expectMatchesOracle(
+                    expectBothMatchOracle(
                         c, std::to_string(rows) + "x" + std::to_string(cols) +
                                " special layout " + std::to_string(layout));
                 }
             }
+            if (k == Kernel::Saxpby)
+                continue;
 
             // The int16 lane bound (see matlib/fixed.hh): a k x k block of
             // 32767-grid products. Two per dot sum to 2 * 32767^2 <=
             // INT32_MAX, inside the bound, so the int32 lanes run; three
             // make the reference chain clamp, so the saturating chain
             // runs.
-            for (int kprod : {2, 3}) {
-                if (k == Kernel::Saxpby)
-                    break;
-                FxCall c = disjointCall(k, f, s, 5, 9);
-                const float top = grid(lim);
-                for (int i = 0; i < kprod; ++i) {
-                    c.mem[c.xOff + static_cast<size_t>(i)] = top;
-                    for (int j = 0; j < kprod; ++j)
-                        c.mem[c.aOff + static_cast<size_t>(i * c.cols + j)] =
-                            top;
-                }
-                const bool checked = expectMatchesOracle(
-                    c, std::to_string(kprod) + " lim products");
-                EXPECT_TRUE(checked || f == NumericFormat::I32);
-                if (f == NumericFormat::I16 && k == Kernel::Gemv) {
-                    // The accumulator clamps only at three products.
-                    fx::Counters oc;
-                    std::vector<float> mem = c.mem;
-                    oracle::gemvAny(f, s, oc, c.yMat(mem.data()),
-                                    c.aMat(mem.data()), c.xMat(mem.data()),
-                                    1.0f, 0.0f, false);
-                    EXPECT_EQ(oc.accSats > 0, kprod == 3) << kprod;
+            for (auto [rows, cols] :
+                 {std::pair{5, 9}, std::pair{12, 12}, std::pair{4, 12},
+                  std::pair{5, 5}}) {
+                for (int kprod : {2, 3}) {
+                    FxCall c = disjointCall(k, f, s, rows, cols);
+                    const float top = grid(lim);
+                    for (int i = 0; i < kprod; ++i) {
+                        c.mem[c.xOff + static_cast<size_t>(i)] = top;
+                        for (int j = 0; j < kprod; ++j)
+                            c.mem[c.aOff +
+                                  static_cast<size_t>(i * c.cols + j)] = top;
+                    }
+                    const bool checked = expectBothMatchOracle(
+                        c, std::to_string(rows) + "x" + std::to_string(cols) +
+                               " " + std::to_string(kprod) + " lim products");
+                    EXPECT_TRUE(checked || f == NumericFormat::I32);
+                    if (f == NumericFormat::I16 && k == Kernel::Gemv) {
+                        // The accumulator clamps only at three products.
+                        const fx::Counters oc = runTwice(c, true).counters[0];
+                        EXPECT_EQ(oc.accSats > 0, kprod == 3) << kprod;
+                    }
                 }
             }
 
             // Accumulator saturation: long same-sign (and mixed-sign)
-            // dot products against a tight accumulator range.
-            for (float sign : {1.0f, -1.0f}) {
-                const fx::Scaling tight =
-                    fx::Scaling::forRanges(f, 1.0, 1.0, 1.0);
-                FxCall c = disjointCall(k, f, tight, 3, 64);
-                for (size_t i = 0; i < c.mem.size(); ++i)
-                    c.mem[i] = (i % 5 == 4 ? -0.3f : 0.9f) * sign;
-                bool checked = expectMatchesOracle(c, "acc saturation");
-                EXPECT_TRUE(checked || f == NumericFormat::I32);
+            // dot products against a tight accumulator range. At the
+            // registry shapes' 12 columns, operands near the top of the
+            // grid make the int16 accumulator clamp.
+            const fx::Scaling tight = fx::Scaling::forRanges(f, 1.0, 1.0, 1.0);
+            struct Sat
+            {
+                int rows, cols;
+                float big, small;
+            };
+            for (const Sat &sat : {Sat{3, 64, 0.9f, -0.3f},
+                                   Sat{12, 12, 3.6f, -1.2f},
+                                   Sat{4, 12, 3.6f, -1.2f}}) {
+                for (float sign : {1.0f, -1.0f}) {
+                    FxCall c = disjointCall(k, f, tight, sat.rows, sat.cols);
+                    for (size_t i = 0; i < c.mem.size(); ++i)
+                        c.mem[i] = (i % 5 == 4 ? sat.small : sat.big) * sign;
+                    const bool checked = expectBothMatchOracle(
+                        c, std::to_string(sat.rows) + "x" +
+                               std::to_string(sat.cols) + " acc saturation");
+                    EXPECT_TRUE(checked || f == NumericFormat::I32);
+                    if (f == NumericFormat::I16 && k != Kernel::GemvT) {
+                        EXPECT_GT(runTwice(c, true).counters[0].accSats, 0u)
+                            << sat.rows << "x" << sat.cols;
+                    }
+                }
             }
         }
     }
@@ -902,27 +956,35 @@ TEST(FxOracle, OverlappingOperandsKeepReferenceOrder)
 {
     // y overlapping x, overlapping A, and (fused) overlapping b: every
     // row must see the previous rows' stores, as the oracle does.
+    // Registry shapes: the fixed-shape entry points must fall back to
+    // the reference order too.
     for (NumericFormat f : kNarrow) {
         const fx::Scaling s = fx::Scaling::forRanges(f, 4.0, 4.0, 32.0);
         Rng rng(41);
         for (Kernel k : kKernels) {
-            const int n = 6;
-            for (int layout = 0; layout < 4; ++layout) {
-                FxCall c = disjointCall(k, f, s, n, n);
-                switch (layout) {
-                  case 0: c.yOff = c.xOff; break;      // y == x
-                  case 1: c.yOff = c.xOff + 2; break;  // y shifted on x
-                  case 2: c.yOff = c.aOff + 9; break;  // y inside A
-                  case 3: c.bOff = c.yOff + 1; break;  // b shifted on y
+            for (auto [rows, cols] :
+                 {std::pair{6, 6}, std::pair{12, 12}, std::pair{4, 12},
+                  std::pair{12, 4}, std::pair{5, 2}}) {
+                if (k == Kernel::Saxpby && rows != 6)
+                    break; // no fixed shape; and y would leave the buffer
+                for (int layout = 0; layout < 4; ++layout) {
+                    FxCall c = disjointCall(k, f, s, rows, cols);
+                    switch (layout) {
+                      case 0: c.yOff = c.xOff; break;     // y == x
+                      case 1: c.yOff = c.xOff + 2; break; // y shifted on x
+                      case 2: c.yOff = c.aOff + 9; break; // y inside A
+                      case 3: c.bOff = c.yOff + 1; break; // b shifted on y
+                    }
+                    for (float &v : c.mem)
+                        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+                    c.alpha = 0.5f;
+                    c.beta = 0.25f;
+                    c.sa = 1.0f;
+                    c.sb = -1.0f;
+                    EXPECT_TRUE(expectBothMatchOracle(
+                        c, std::to_string(rows) + "x" + std::to_string(cols) +
+                               " overlap layout " + std::to_string(layout)));
                 }
-                for (float &v : c.mem)
-                    v = static_cast<float>(rng.uniform(-1.0, 1.0));
-                c.alpha = 0.5f;
-                c.beta = 0.25f;
-                c.sa = 1.0f;
-                c.sb = -1.0f;
-                EXPECT_TRUE(expectMatchesOracle(
-                    c, "overlap layout " + std::to_string(layout)));
             }
         }
 
