@@ -571,19 +571,11 @@ Solver::iterateHost(int bound, const Operands &op, SolveResult &res)
 
 template <int NX, int NU>
 void
-Solver::iterateI16(int bound, const Operands &op, SolveResult &res)
-{
-    // Only a registry shape inlines the int16 kernels.
-    constexpr matlib::Datapath P =
-        NX > 0 ? matlib::Datapath::I16 : matlib::Datapath::Dynamic;
-    iterate<NX, NU, P>(bound, op, res);
-}
-
-template <int NX, int NU>
-void
 Solver::iterateAt(int bound, const Operands &op, SolveResult &res)
 {
     using matlib::Datapath;
+    // Only a registry shape inlines the int16 kernels.
+    constexpr Datapath kI16 = NX > 0 ? Datapath::I16 : Datapath::Dynamic;
     const matlib::NumericFormat f = backend_.format();
     if (backend_.program())
         iterate<NX, NU, Datapath::Dynamic>(bound, op, res);
@@ -592,7 +584,7 @@ Solver::iterateAt(int bound, const Operands &op, SolveResult &res)
     else if (f == matlib::NumericFormat::F32)
         iterateHost<NX, NU, Datapath::Dynamic>(bound, op, res);
     else if (f == matlib::NumericFormat::I16)
-        iterateI16<NX, NU>(bound, op, res);
+        iterate<NX, NU, kI16>(bound, op, res);
     else
         iterate<NX, NU, Datapath::Dynamic>(bound, op, res);
 }

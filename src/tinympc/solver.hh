@@ -160,21 +160,10 @@ class Solver
     void iterateHost(int bound, const Operands &op, SolveResult &res);
 
     /**
-     * iterate for a host int16 solve: on the I16 datapath at a registry
-     * shape, on the Dynamic one at <0, 0>. It is a function of its own
-     * so that GCC instantiates the int16 passes after the f32 and bf16
-     * ones. In the other order it allocated the registers of
-     * forwardPass<0, 0, Bf16> differently (a run-time-shape bf16 solve
-     * ran 2-6% slower); in this one every f32 and bf16 pass compiles as
-     * it does without the int16 passes (objdump of solver.cc.o).
-     */
-    template <int NX, int NU>
-    void iterateI16(int bound, const Operands &op, SolveResult &res);
-
-    /**
      * The loop for the backend's format and Program, picked once per
-     * solve: iterateHost for a host f32 or bf16 solve, iterateI16 for a
-     * host i16 solve, and iterate on the Dynamic datapath otherwise.
+     * solve: iterateHost for a host f32 or bf16 solve, iterate on the
+     * I16 datapath for a host i16 solve at a registry shape, and on the
+     * Dynamic one otherwise.
      */
     template <int NX, int NU>
     void iterateAt(int bound, const Operands &op, SolveResult &res);
