@@ -1,5 +1,6 @@
 #include "timing.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -140,6 +141,17 @@ calibRefreshStream(matlib::Backend &backend, const plant::Plant &plant,
         });
 }
 
+/**
+ * The fit points, in ADMM iterations and Riccati sweeps. Replay on
+ * every named target is exactly affine in iterations at the multiples
+ * of the 5-iteration termination check and in sweeps from the first,
+ * with schedule search off and on (the CalibrationPremise tests), so
+ * the shortest streams give the line any longer pair would, bit for
+ * bit.
+ */
+constexpr int kSolveFitIters[2] = {5, 10};
+constexpr int kRefreshFitIters[2] = {1, 2};
+
 /** Two-point fit of the solve (and, with @p with_refresh, the
  *  refresh) cycle model by replaying cached streams on @p model. */
 ControllerTiming
@@ -147,38 +159,37 @@ fitTiming(const cpu::TimingModel &model, matlib::Backend &backend,
           tinympc::MappingStyle style, const plant::Plant &plant,
           double dt, int horizon, bool with_refresh)
 {
-    RTOC_SPAN("hil.calibrate", "hil");
-    auto run_iters = [&](int iters) -> double {
-        auto prog = scheduledSolve(model, backend, style, plant, dt,
-                                   horizon, iters);
-        return static_cast<double>(model.run(*prog).cycles);
+    RTOC_SPAN_NAMED(span, "hil.calibrate", "hil");
+    uint64_t uops = 0;
+    // The line through the replays of stream(n) at the points @p at,
+    // its base clamped at zero.
+    auto fit = [&](const int (&at)[2], const auto &stream, double &base,
+                   double &per_iter) {
+        double c[2] = {0.0, 0.0};
+        for (int i = 0; i < 2; ++i) {
+            const std::shared_ptr<const isa::Program> prog = stream(at[i]);
+            uops += prog->size();
+            c[i] = static_cast<double>(model.run(*prog).cycles);
+        }
+        per_iter = (c[1] - c[0]) / (at[1] - at[0]);
+        base = std::max(c[0] - at[0] * per_iter, 0.0);
     };
-
-    double c_lo = run_iters(5);
-    double c_hi = run_iters(25);
 
     ControllerTiming t;
     t.archName = model.name();
     t.mappingName = backend.name();
-    t.cyclesPerIter = (c_hi - c_lo) / 20.0;
-    t.baseCycles = c_lo - 5.0 * t.cyclesPerIter;
-    if (t.baseCycles < 0.0)
-        t.baseCycles = 0.0;
-
+    fit(kSolveFitIters, [&](int iters) {
+        return scheduledSolve(model, backend, style, plant, dt, horizon,
+                              iters);
+    }, t.baseCycles, t.cyclesPerIter);
     if (with_refresh) {
-        auto run_refresh = [&](int iters) -> double {
-            auto prog = schedStream(
+        fit(kRefreshFitIters, [&](int iters) {
+            return schedStream(
                 model, calibRefreshKey(backend, plant, iters),
                 calibRefreshStream(backend, plant, dt, horizon, iters));
-            return static_cast<double>(model.run(*prog).cycles);
-        };
-        double r_lo = run_refresh(2);
-        double r_hi = run_refresh(8);
-        t.refreshCyclesPerIter = (r_hi - r_lo) / 6.0;
-        t.refreshBaseCycles = r_lo - 2.0 * t.refreshCyclesPerIter;
-        if (t.refreshBaseCycles < 0.0)
-            t.refreshBaseCycles = 0.0;
+        }, t.refreshBaseCycles, t.refreshCyclesPerIter);
     }
+    span.arg("uops", uops);
     return t;
 }
 

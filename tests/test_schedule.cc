@@ -17,6 +17,9 @@
  * and oversized-count payloads; corrupt blobs (bad envelope bytes or a
  * valid envelope holding garbage) are re-searched and overwritten.
  *
+ * Calibration: each named target's fit over scheduled streams equals
+ * the line through the scheduled replays at the longer points.
+ *
  * This binary latches RTOC_SCHED=1 before main so the opt-in layer is
  * live here; the off-mode identity contract lives in
  * test_schedule_off.cc (own process, env untouched).
@@ -24,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -41,6 +45,7 @@
 #include "common/thread_pool.hh"
 #include "cpu/inorder.hh"
 #include "cpu/ooo.hh"
+#include "hil/timing.hh"
 #include "isa/disk_cache.hh"
 #include "isa/program_cache.hh"
 #include "isa/sched_search.hh"
@@ -49,6 +54,7 @@
 #include "matlib/rvv_backend.hh"
 #include "matlib/scalar_backend.hh"
 #include "obs/registry.hh"
+#include "plant/registry.hh"
 #include "systolic/gemmini.hh"
 #include "vector/saturn.hh"
 
@@ -466,6 +472,98 @@ TEST(ScheduledStream, MemoDiskRoundTripAndCorruptRegeneration)
                                    cache3, &disk3);
     EXPECT_EQ(cost_calls.load(), 0);
     EXPECT_EQ(shuttle.run(*s6).cycles, sched_cycles);
+}
+
+TEST(CalibrationPremise, ScheduledShortFitEqualsTheLongOne)
+{
+    // With schedule search on, a calibration replays each fit point's
+    // searched schedule, so the premise of fitting at 5 and 10 ADMM
+    // iterations and 1 and 2 Riccati sweeps must hold for scheduled
+    // streams too: every field of the fit equals the line through the
+    // scheduled replays at (5, 25) and (2, 8), on every named target
+    // and registry plant. One element width bounds the searches' cost;
+    // test_timing_cache checks both widths and every point between.
+    struct Target
+    {
+        const char *name;
+        std::unique_ptr<cpu::TimingModel> model;
+        std::unique_ptr<matlib::Backend> backend;
+        tinympc::MappingStyle style;
+    };
+    Target targets[] = {
+        {"scalar",
+         std::make_unique<cpu::InOrderCore>(cpu::InOrderConfig::shuttle()),
+         std::make_unique<matlib::ScalarBackend>(
+             matlib::ScalarFlavor::Optimized),
+         tinympc::MappingStyle::Library},
+        {"vector",
+         std::make_unique<vector::SaturnModel>(
+             vector::SaturnConfig::make(512, 256, true)),
+         std::make_unique<matlib::RvvBackend>(
+             512, matlib::RvvMapping::handOptimized()),
+         tinympc::MappingStyle::Fused},
+        {"gemmini",
+         std::make_unique<systolic::GemminiModel>(
+             systolic::GemminiConfig::os4x4()),
+         std::make_unique<matlib::GemminiBackend>(
+             matlib::GemminiMapping::fullyOptimized()),
+         tinympc::MappingStyle::Library},
+    };
+    const plant::ScenarioRegistry &reg = plant::ScenarioRegistry::global();
+    for (Target &t : targets) {
+        // Each stream is scheduled as a calibration schedules it, with
+        // the winning recipes in the process memo and the disk cache.
+        // The scheduled programs stay in a cache of the test's own.
+        isa::ProgramCache scheduled;
+        auto scheduled_cycles = [&](const std::string &key, Program prog) {
+            const std::shared_ptr<const Program> s = isa::scheduledStream(
+                t.model->cacheKey(), key,
+                std::make_shared<const Program>(std::move(prog)),
+                [&](const Program &p) { return t.model->run(p).cycles; },
+                scheduled, &isa::DiskCache::global());
+            return static_cast<double>(t.model->run(*s).cycles);
+        };
+        for (const std::string &name : reg.plantNames()) {
+            const std::unique_ptr<plant::Plant> p = reg.makePlant(name);
+            auto solve = [&](int iters) {
+                Program prog;
+                hil::emitSolveStream(prog, *t.backend, t.style, *p, 0.02, 10,
+                                     iters);
+                return scheduled_cycles(
+                    hil::solveStreamKey(*t.backend, t.style, p->nx(),
+                                        p->nu(), 10, iters),
+                    std::move(prog));
+            };
+            auto refresh = [&](int sweeps) {
+                Program prog;
+                tinympc::Workspace ws = p->buildWorkspace(0.02, 10);
+                t.backend->setProgram(&prog);
+                tinympc::emitModelRefresh(ws, *t.backend, sweeps);
+                t.backend->setProgram(nullptr);
+                return scheduled_cycles(
+                    csprintf("premise-refresh:%s:nx%d:nu%d:it%d",
+                             t.backend->cacheKey().c_str(), p->nx(),
+                             p->nu(), sweeps),
+                    std::move(prog));
+            };
+            const double c5 = solve(5);
+            const double c25 = solve(25);
+            const double r2 = refresh(2);
+            const double r8 = refresh(8);
+            const double per_iter = (c25 - c5) / 20.0;
+            const double refresh_per_iter = (r8 - r2) / 6.0;
+            const std::string label = csprintf("%s %s", t.name, name.c_str());
+            const hil::ControllerTiming got =
+                hil::namedControllerTiming(t.name, *p, 0.02, 10, true);
+            EXPECT_EQ(got.cyclesPerIter, per_iter) << label;
+            EXPECT_EQ(got.baseCycles, std::max(c5 - 5.0 * per_iter, 0.0))
+                << label;
+            EXPECT_EQ(got.refreshCyclesPerIter, refresh_per_iter) << label;
+            EXPECT_EQ(got.refreshBaseCycles,
+                      std::max(r2 - 2.0 * refresh_per_iter, 0.0))
+                << label;
+        }
+    }
 }
 
 TEST(ScheduledStream, CountersAndKeySuffixLive)

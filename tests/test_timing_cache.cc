@@ -8,7 +8,8 @@
  * fingerprint-mismatched file rejection, the checksum over every
  * payload length to 80 bytes, threads sharing one key, the RTOC_CACHE=0
  * bypass, the one solve-stream identity shared by calibrations and
- * benches, and registry-driven episode counts.
+ * benches, the calibration's premise (replay affine in iterations and
+ * sweeps) against replay, and registry-driven episode counts.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -812,7 +814,7 @@ TEST(SolveStreamIdentity, CalibrationsAndBenchesShareOneStream)
         const isa::MemoStats before = isa::ProgramCache::global().stats();
         ASSERT_TRUE(hil::solveStream(*t.backend, t.style, quad, 0.02, 7, 5));
         ASSERT_TRUE(
-            hil::solveStream(*t.backend, t.style, quad, 0.04, 7, 25));
+            hil::solveStream(*t.backend, t.style, quad, 0.04, 7, 10));
         hil::regionBreakdown(t.name, quad, 0.02, 7, 5);
         EXPECT_EQ(isa::ProgramCache::global().stats().misses,
                   before.misses)
@@ -878,6 +880,84 @@ TEST(SolveStreamIdentity, KeysMatchExactlyWhenStreamsDo)
             EXPECT_EQ(reqs[i].key == reqs[j].key,
                       reqs[i].stream == reqs[j].stream)
                 << reqs[i].label << " vs " << reqs[j].label;
+        }
+    }
+}
+
+// --- the calibration's premise, against replay ---
+
+/** Cycles of @p model replaying @p plant's model-refresh stream at
+ *  @p sweeps Riccati sweeps, emitted fresh as a calibration emits it. */
+int64_t
+refreshReplayCycles(const cpu::TimingModel &model, matlib::Backend &backend,
+                    const plant::Plant &plant, int horizon, int sweeps)
+{
+    isa::Program prog;
+    tinympc::Workspace ws = plant.buildWorkspace(0.02, horizon);
+    backend.setProgram(&prog);
+    tinympc::emitModelRefresh(ws, backend, sweeps);
+    backend.setProgram(nullptr);
+    return static_cast<int64_t>(model.run(prog).cycles);
+}
+
+TEST(CalibrationPremise, ReplayIsAffineAndTheShortFitEqualsTheLongOne)
+{
+    // fitTiming fits the solve line at 5 and 10 ADMM iterations and
+    // the refresh line at 1 and 2 Riccati sweeps. That is exact only
+    // if replay is affine in iterations at the multiples of the
+    // 5-iteration termination check and in sweeps from the first
+    // sweep. Check both on every named target, registry plant and
+    // element width, and check that every field of the fit equals the
+    // line through the longer points (5, 25) and (2, 8).
+    const int horizon = 10;
+    const plant::ScenarioRegistry &reg = plant::ScenarioRegistry::global();
+    for (NamedTarget &t : namedTargets()) {
+        for (matlib::NumericFormat fmt :
+             {matlib::NumericFormat::F32, matlib::NumericFormat::I16}) {
+            t.backend->setFormat(fmt);
+            for (const std::string &name : reg.plantNames()) {
+                const std::unique_ptr<plant::Plant> p = reg.makePlant(name);
+                const std::string label = csprintf(
+                    "%s %s %s", t.name, matlib::formatName(fmt),
+                    name.c_str());
+                std::map<int, int64_t> solve, refresh;
+                for (int iters : {5, 10, 15, 20, 25}) {
+                    isa::Program prog;
+                    hil::emitSolveStream(prog, *t.backend, t.style, *p,
+                                         0.02, horizon, iters);
+                    solve[iters] =
+                        static_cast<int64_t>(t.model->run(prog).cycles);
+                }
+                for (int sweeps : {1, 2, 3, 4, 8})
+                    refresh[sweeps] = refreshReplayCycles(
+                        *t.model, *t.backend, *p, horizon, sweeps);
+                for (const auto &[iters, c] : solve)
+                    EXPECT_EQ(c - solve[5],
+                              (iters - 5) / 5 * (solve[10] - solve[5]))
+                        << label << " solve at " << iters;
+                for (const auto &[sweeps, c] : refresh)
+                    EXPECT_EQ(c - refresh[1],
+                              (sweeps - 1) * (refresh[2] - refresh[1]))
+                        << label << " refresh at " << sweeps;
+
+                const hil::ControllerTiming got = hil::namedControllerTiming(
+                    t.name, *p, 0.02, horizon, true, fmt);
+                const double c5 = static_cast<double>(solve[5]);
+                const double c25 = static_cast<double>(solve[25]);
+                const double r2 = static_cast<double>(refresh[2]);
+                const double r8 = static_cast<double>(refresh[8]);
+                const double per_iter = (c25 - c5) / 20.0;
+                const double refresh_per_iter = (r8 - r2) / 6.0;
+                EXPECT_EQ(got.cyclesPerIter, per_iter) << label;
+                EXPECT_EQ(got.baseCycles,
+                          std::max(c5 - 5.0 * per_iter, 0.0))
+                    << label;
+                EXPECT_EQ(got.refreshCyclesPerIter, refresh_per_iter)
+                    << label;
+                EXPECT_EQ(got.refreshBaseCycles,
+                          std::max(r2 - 2.0 * refresh_per_iter, 0.0))
+                    << label;
+            }
         }
     }
 }
